@@ -14,7 +14,9 @@ abstracts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -332,194 +334,230 @@ def _equal_rise_subflows(
     return {flow.flow_id: float(totals[i]) for i, flow in enumerate(flows)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxMinSolution:
-    """One max-min solve: rates plus the per-link load/residual picture.
+    """One max-min solve, held as vectors over the solver's fixed indices.
 
-    ``residual`` covers *every* link the solver knows a capacity for —
-    links no flow touches carry their full capacity, failed links carry
-    zero — so consumers (the hybrid engine) can index it blindly.
+    ``rates_vec`` follows ``flow_ids`` (ascending); ``load_vec`` and
+    ``residual_vec`` follow ``links`` — *every* link the solver knows a
+    capacity for: links no flow touches carry their full capacity,
+    failed links carry zero.  The ``rates`` / ``link_load`` /
+    ``residual`` dicts are views over the same numbers, built on first
+    access; the hybrid engine's epoch loop reads only the vectors.
     """
 
-    rates: dict[int, float]
-    link_load: dict[tuple[str, str], float]
-    residual: dict[tuple[str, str], float]
+    flow_ids: tuple[int, ...]
+    links: tuple[tuple[str, str], ...]
+    rates_vec: np.ndarray
+    load_vec: np.ndarray
+    residual_vec: np.ndarray
+
+    @cached_property
+    def rates(self) -> dict[int, float]:
+        return dict(zip(self.flow_ids, self.rates_vec.tolist()))
+
+    @cached_property
+    def link_load(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self.links, self.load_vec.tolist()))
+
+    @cached_property
+    def residual(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self.links, self.residual_vec.tolist()))
 
 
 class ResidualSolver:
     """Incrementally re-solvable max-min allocator with residual output.
 
-    Owns a mutable copy of the capacity map and a mutable flow set.
-    Mutations are cheap bookkeeping; :meth:`solve` is lazy and caches at
-    two levels:
+    Owns a mutable capacity vector and a mutable flow set.  Mutations
+    are cheap bookkeeping; :meth:`solve` is lazy and caches at two
+    levels:
 
     * the link × flow incidence survives capacity-only mutations
       (``fail_link`` / ``repair_link`` / ``set_capacity``), so fault
-      churn re-runs only the water-filling loop;
+      churn re-runs only the water-filling loop (:attr:`incidence_builds`
+      counts the assemblies);
     * the full solution survives no-op calls (nothing changed since the
       last solve returns the identical object).
 
-    Flows are ordered by ``flow_id`` when the incidence is built, so an
-    incremental re-solve is bit-identical to a from-scratch solve over
-    the same final state regardless of mutation order.
+    The incidence is kept flow-major in CSR form — one row per flow in
+    ascending ``flow_id`` order, one column per base link in
+    :attr:`link_index` order — as three arrays, next to the sorted id
+    list and the demand vector.  ``remove_flow`` splices one flow's
+    entries out; an added flow's are spliced in at the next solve, so a
+    solve walks the paths of the new flows only, wraps the arrays in a
+    matrix and uses its transpose as-is.  An incremental re-solve is
+    bit-identical to a from-scratch solve over the same final state
+    regardless of mutation order.
 
-    Two more caches keep the hybrid engine's epoch loop off the Python
-    floor: each flow's incidence entries (link rows + weights) are
-    computed once per flow and reused across rebuilds — a boundary that
-    adds or removes a handful of flows re-concatenates cached arrays
-    instead of re-walking every surviving flow's paths — and the
-    capacity vector is maintained in place by the mutators, so a solve
-    never loops over the capacity dict.  The link index covers the whole
-    base map in insertion order; rows no flow touches are inert in the
-    water-filling arithmetic, so rates stay bit-identical to
-    :func:`max_min_rates` over the first-touch index.
+    Each flow's entries are merged per link in path order (paths that
+    share a link add their weights) and sorted by link row.  That is
+    the sum :func:`max_min_rates` gets from scipy whenever the order of
+    addition cannot matter — at most two of a flow's paths share the
+    link, or all that do have equal weights (ECMP) — so rates are then
+    bit-identical to :func:`max_min_rates`; rows no flow touches are
+    inert in the water-filling arithmetic.
     """
 
     def __init__(self, capacities: dict[tuple[str, str], float]) -> None:
         for link, cap in capacities.items():
             if cap <= 0:
                 raise FlowSimError(f"link {link} has non-positive capacity")
-        self._base = dict(capacities)
-        self._caps = dict(capacities)
-        self._link_index = {link: i for i, link in enumerate(self._base)}
-        self._cap_vec = np.array(list(self._base.values()), dtype=float)
-        self._flows: dict[int, Flow] = {}
-        self._failed: set[tuple[str, str]] = set()
-        # Caches: per-flow incidence entries keyed to each flow (built
-        # lazily at solve so unknown-link errors surface there),
-        # incidence keyed to the flow set, solution to everything.
-        self._flow_entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._incidence: "tuple[sparse.csr_matrix, dict[tuple[str, str], int]] | None" = None
-        self._at: "sparse.csr_matrix | None" = None
+        #: Directed link → its row in every per-link vector; fixed for
+        #: the solver's life, in the capacity map's insertion order.
+        self.link_index = {link: i for i, link in enumerate(capacities)}
+        #: Times the incidence matrices were assembled from the arrays.
+        self.incidence_builds = 0
+        self._links = tuple(capacities)
+        self._base_vec = np.array(list(capacities.values()), dtype=float)
+        self._cap_vec = self._base_vec.copy()
+        # Flows added since the last solve: their entries are computed
+        # and spliced in there, so unknown-link errors surface at solve.
+        self._pending: dict[int, Flow] = {}
+        self._order: list[int] = []
+        self._demands = np.empty(0)
+        self._indptr = np.zeros(1, dtype=np.int32)
+        self._indices = np.empty(0, dtype=np.int32)
+        self._data = np.empty(0)
+        # (link-major, flow-major) matrices over the arrays above, keyed
+        # to the flow set; the solution is keyed to everything.
+        self._matrices: "tuple[sparse.csc_matrix, sparse.csr_matrix] | None" = None
         self._solution: "MaxMinSolution | None" = None
 
     # -- mutations ----------------------------------------------------------------
 
     def add_flow(self, flow: Flow) -> None:
-        if flow.flow_id in self._flows:
+        if flow.flow_id in self._pending or self._position(flow.flow_id) is not None:
             raise FlowSimError(f"flow {flow.flow_id} already registered")
-        self._flows[flow.flow_id] = flow
-        self._incidence = None
-        self._at = None
+        self._pending[flow.flow_id] = flow
         self._solution = None
 
+    def _position(self, flow_id: int) -> "int | None":
+        """Row of a spliced-in flow in the flow-major arrays."""
+        pos = bisect_left(self._order, flow_id)
+        return pos if pos < len(self._order) and self._order[pos] == flow_id else None
+
     def remove_flow(self, flow_id: int) -> None:
-        if flow_id not in self._flows:
-            raise FlowSimError(f"flow {flow_id} not registered")
-        del self._flows[flow_id]
-        self._flow_entries.pop(flow_id, None)
-        self._incidence = None
-        self._at = None
+        if self._pending.pop(flow_id, None) is None:
+            pos = self._position(flow_id)
+            if pos is None:
+                raise FlowSimError(f"flow {flow_id} not registered")
+            indptr = self._indptr
+            lo, hi = indptr[pos], indptr[pos + 1]
+            del self._order[pos]
+            self._demands = np.delete(self._demands, pos)
+            self._indptr = np.concatenate((indptr[: pos + 1], indptr[pos + 2 :] - (hi - lo)))
+            self._indices = np.concatenate((self._indices[:lo], self._indices[hi:]))
+            self._data = np.concatenate((self._data[:lo], self._data[hi:]))
+            self._matrices = None
         self._solution = None
+
+    def _splice_pending(self) -> None:
+        """Fold the flows added since the last solve into the arrays.
+
+        Validates against the *base* link index: a flow may legitimately
+        cross a currently failed link (it gets rate zero), but a link
+        the fabric never had is an error — raised here, i.e. at solve
+        time, matching :func:`_build_incidence`; the flow stays pending,
+        so every later solve raises again until it is removed.
+        """
+        link_index = self.link_index
+        for flow in list(self._pending.values()):
+            merged: dict[int, float] = {}
+            for wp in flow.paths:
+                if wp.weight == 0.0:
+                    continue
+                for link in _directed_links(wp.path):
+                    row = link_index.get(link)
+                    if row is None:
+                        raise FlowSimError(
+                            f"flow {flow.flow_id} uses unknown link {link}"
+                        )
+                    merged[row] = merged.get(row, 0.0) + wp.weight
+            rows = sorted(merged)
+            pos = bisect_left(self._order, flow.flow_id)
+            indptr = self._indptr
+            lo = indptr[pos]
+            self._order.insert(pos, flow.flow_id)
+            self._demands = np.insert(self._demands, pos, flow.demand)
+            self._indptr = np.concatenate((indptr[: pos + 1], indptr[pos:] + len(rows)))
+            self._indices = np.concatenate(
+                (self._indices[:lo], np.array(rows, dtype=np.int32), self._indices[lo:])
+            )
+            self._data = np.concatenate(
+                (self._data[:lo], [merged[row] for row in rows], self._data[lo:])
+            )
+            self._matrices = None
+            del self._pending[flow.flow_id]
+
+    def _rows(self, u: str, v: str) -> list[int]:
+        """Rows of ``u — v``: whichever of its two directions exist."""
+        index = self.link_index
+        return [index[link] for link in ((u, v), (v, u)) if link in index]
 
     def fail_link(self, u: str, v: str) -> None:
         """Zero both directions of ``u — v`` (idempotent)."""
-        for link in ((u, v), (v, u)):
-            if link in self._base:
-                self._caps[link] = 0.0
-                self._cap_vec[self._link_index[link]] = 0.0
-                self._failed.add(link)
+        self._cap_vec[self._rows(u, v)] = 0.0
         self._solution = None
 
     def repair_link(self, u: str, v: str) -> None:
         """Restore both directions of ``u — v`` to their base capacity."""
-        for link in ((u, v), (v, u)):
-            if link in self._base:
-                self._caps[link] = self._base[link]
-                self._cap_vec[self._link_index[link]] = self._base[link]
-                self._failed.discard(link)
+        rows = self._rows(u, v)
+        self._cap_vec[rows] = self._base_vec[rows]
         self._solution = None
 
     def set_capacity(self, u: str, v: str, capacity: float) -> None:
         """Override one *directed* link's current capacity."""
-        if (u, v) not in self._base:
+        if (u, v) not in self.link_index:
             raise FlowSimError(f"unknown link {(u, v)}")
         if capacity < 0:
             raise FlowSimError(f"capacity must be non-negative, got {capacity}")
-        self._caps[(u, v)] = capacity
-        self._cap_vec[self._link_index[(u, v)]] = capacity
+        self._cap_vec[self.link_index[(u, v)]] = capacity
         self._solution = None
 
     # -- read side ----------------------------------------------------------------
 
     @property
     def flow_ids(self) -> list[int]:
-        return sorted(self._flows)
+        return sorted([*self._order, *self._pending])
 
     def capacity(self, u: str, v: str) -> float:
-        return self._caps[(u, v)]
+        return float(self._cap_vec[self.link_index[(u, v)]])
 
-    def _entries_for(self, flow: Flow) -> tuple[np.ndarray, np.ndarray]:
-        """This flow's incidence entries (link rows, weights), cached.
-
-        Validates against the *base* link index: a flow may legitimately
-        cross a currently failed link (it gets rate zero), but a link
-        the fabric never had is an error — raised here, i.e. at solve
-        time, matching :func:`_build_incidence`.
-        """
-        entries = self._flow_entries.get(flow.flow_id)
-        if entries is None:
-            rows: list[int] = []
-            vals: list[float] = []
-            for wp in flow.paths:
-                if wp.weight == 0.0:
-                    continue
-                for link in _directed_links(wp.path):
-                    idx = self._link_index.get(link)
-                    if idx is None:
-                        raise FlowSimError(
-                            f"flow {flow.flow_id} uses unknown link {link}"
-                        )
-                    rows.append(idx)
-                    vals.append(wp.weight)
-            entries = (
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(vals, dtype=np.float64),
+    def _incidence(self) -> "tuple[sparse.csc_matrix, sparse.csr_matrix]":
+        """The (link × flow, flow × link) incidence over the current flows."""
+        self._splice_pending()
+        if self._matrices is None:
+            at = sparse.csr_matrix(
+                (self._data, self._indices, self._indptr),
+                shape=(len(self._order), len(self._links)),
             )
-            self._flow_entries[flow.flow_id] = entries
-        return entries
+            self._matrices = (at.T, at)
+            self.incidence_builds += 1
+        return self._matrices
+
+    def flows_crossing(self, u: str, v: str) -> list[int]:
+        """Ids of the flows carrying traffic over ``u — v``, ascending.
+
+        Either direction counts, as for :meth:`fail_link`; a path of
+        weight zero carries nothing and does not count.
+        """
+        _, at = self._incidence()
+        on_link = np.zeros(len(self._links))
+        on_link[self._rows(u, v)] = 1.0
+        return [self._order[i] for i in np.flatnonzero(at @ on_link).tolist()]
 
     def solve(self) -> MaxMinSolution:
-        if self._solution is not None:
-            return self._solution
-
-        flows = [self._flows[fid] for fid in sorted(self._flows)]
-        if self._incidence is None:
-            per_flow = [self._entries_for(f) for f in flows]
-            n_links = len(self._link_index)
-            if per_flow:
-                counts = [len(rows) for rows, _ in per_flow]
-                rows = np.concatenate([r for r, _ in per_flow])
-                vals = np.concatenate([v for _, v in per_flow])
-                cols = np.repeat(np.arange(len(flows)), counts)
-                a = sparse.csr_matrix(
-                    (vals, (rows, cols)), shape=(n_links, len(flows))
-                )
-            else:
-                a = sparse.csr_matrix((n_links, 0))
-            self._incidence = (a, self._link_index)
-            self._at = a.T.tocsr()
-        a, link_index = self._incidence
-
-        if flows and link_index:
-            demands = np.array([f.demand for f in flows])
-            rates_vec = _waterfill(a, self._cap_vec, demands, at=self._at)
-            load_vec = np.asarray(a @ rates_vec).ravel()
-        else:
-            rates_vec = np.array([f.demand for f in flows])
-            load_vec = np.zeros(len(link_index))
-
-        rates = {f.flow_id: float(rates_vec[i]) for i, f in enumerate(flows)}
-        link_load = {
-            link: float(load_vec[idx]) for link, idx in link_index.items()
-        }
-        residual = {
-            link: max(0.0, self._caps[link] - link_load[link])
-            for link in self._caps
-        }
-        self._solution = MaxMinSolution(
-            rates=rates, link_load=link_load, residual=residual
-        )
+        if self._solution is None:
+            a, at = self._incidence()
+            rates_vec = _waterfill(a, self._cap_vec, self._demands, at=at)
+            load_vec = a @ rates_vec
+            self._solution = MaxMinSolution(
+                flow_ids=tuple(self._order),
+                links=self._links,
+                rates_vec=rates_vec,
+                load_vec=load_vec,
+                residual_vec=np.maximum(0.0, self._cap_vec - load_vec),
+            )
         return self._solution
 
 

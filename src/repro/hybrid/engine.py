@@ -44,6 +44,7 @@ import time as _time
 from typing import Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro import obs as _obs
 from repro.flowsim.maxmin import Flow, ResidualSolver, capacities_of
@@ -51,7 +52,7 @@ from repro.hybrid.background import BackgroundFlow, BackgroundSchedule, HybridEr
 from repro.routing.base import Router, RoutingError
 from repro.sim.network import Network
 from repro.sim.sources import PoissonSource
-from repro.topology.base import Topology
+from repro.topology.base import Topology, TopologyError
 from repro.units import BITS_PER_BYTE
 
 #: Floor on a link's effective (residual) capacity, as a fraction of its
@@ -63,10 +64,12 @@ DEFAULT_MIN_RESIDUAL_FRACTION = 0.01
 #: Flow-stats group under which oracle-mode background packets report.
 BACKGROUND_GROUP = "background"
 
-#: "No route" surfaces as RoutingError from the router's own checks or
-#: as a networkx error when the underlying graph search finds the pair
-#: partitioned — background admission treats both as "park the flow".
-_NO_ROUTE = (RoutingError, nx.NetworkXNoPath, nx.NodeNotFound)
+#: "No route" surfaces as RoutingError from the router's own checks, as
+#: a networkx error when the underlying graph search finds the pair
+#: partitioned, or as TopologyError when a VLB router looks up the ToR
+#: of a server whose only uplink is cut — background admission treats
+#: all of them as "park the flow".
+_NO_ROUTE = (RoutingError, TopologyError, nx.NetworkXNoPath, nx.NodeNotFound)
 
 
 class HybridNetwork(Network):
@@ -135,8 +138,21 @@ class HybridNetwork(Network):
 
         if self.hybrid_enabled:
             self._solver = ResidualSolver(capacities_of(topo))
+            # The residual hand-off works on vectors in ``_link_rec``
+            # order: each link's row in the solver, its floor, and the
+            # effective capacity its record currently holds.
+            self._rec_keys = list(self._link_rec)
+            self._rec_rows = np.array(
+                [self._solver.link_index[key] for key in self._rec_keys], dtype=np.intp
+            )
+            base = np.array([self._capacity[key] for key in self._rec_keys])
+            self._floor_vec = min_residual_fraction * base
+            self._eff_vec = base
             self._schedule_epoch_boundaries()
         else:
+            if self.obs is not None:
+                reason = "env" if kwargs.get("hybrid") is None else "arg"
+                self.obs.incr("hybrid.fallback_oracle." + reason)
             self._materialize_oracle_sources()
 
     # -- epoch machinery (hybrid mode) ---------------------------------------------
@@ -182,31 +198,31 @@ class HybridNetwork(Network):
     def _apply_residuals(self) -> None:
         """Re-solve and push residuals into the packet side's link records.
 
-        A link's effective capacity is ``max(residual, floor)``; only
-        links whose effective capacity moved are rewritten, and the
+        A link's effective capacity is ``max(residual, floor)``,
+        computed for the whole fabric in three vector operations; only
+        links whose effective capacity moved are rewritten (the one
+        per-link Python loop, in ``_link_rec`` order), and the
         compiled-plan caches are cleared only when at least one moved —
         an epoch that resolves to the same allocation costs nothing on
         the packet side.
 
         Armed observability records one ``hybrid.epoch`` span plus the
-        re-solve count, duration, and links-changed tallies per call.
+        re-solve count, duration, and links-changed tallies per call;
+        an epoch that moved no link counts as ``hybrid.noop_epochs``.
         """
         o = self.obs
         start = _time.perf_counter() if o is not None else 0.0
-        solution = self._solver.solve()
-        residual = solution.residual
-        floor_frac = self.min_residual_fraction
+        residual = self._solver.solve().residual_vec[self._rec_rows]
+        eff_vec = np.where(residual < self._floor_vec, self._floor_vec, residual)
+        moved = np.flatnonzero(eff_vec != self._eff_vec)
+        self._eff_vec = eff_vec
         link_rec = self._link_rec
+        rec_keys = self._rec_keys
         changed: dict[tuple[str, str], float] = {}
-        for key, rec in link_rec.items():
-            base = self._capacity[key]
-            eff = residual.get(key, base)
-            floor = floor_frac * base
-            if eff < floor:
-                eff = floor
-            if eff != rec[2]:
-                link_rec[key] = (BITS_PER_BYTE / eff, rec[1], eff)
-                changed[key] = eff
+        for index, eff in zip(moved.tolist(), eff_vec[moved].tolist()):
+            key = rec_keys[index]
+            link_rec[key] = (BITS_PER_BYTE / eff, link_rec[key][1], eff)
+            changed[key] = eff
         self.epochs += 1
         if changed:
             # Same invalidation fail_link performs: stale per-path plans
@@ -225,6 +241,8 @@ class HybridNetwork(Network):
             if changed:
                 o.incr("hybrid.residual_epochs")
                 o.incr("hybrid.links_changed", len(changed))
+            else:
+                o.incr("hybrid.noop_epochs")
             tracer = _obs.tracer()
             if tracer is not None:
                 tracer.add(
@@ -243,12 +261,7 @@ class HybridNetwork(Network):
             # packets detour; flows not crossing it keep their paths, so
             # the solver's incidence survives and the re-solve is the
             # cheap capacity-only incremental case.
-            dead = {(u, v), (v, u)}
-            for fid in [
-                fid
-                for fid, (_, fluid) in self._active_bg.items()
-                if _crosses(fluid, dead)
-            ]:
+            for fid in self._solver.flows_crossing(u, v):
                 bg, _ = self._active_bg.pop(fid)
                 self._solver.remove_flow(fid)
                 self._admit(bg)
@@ -315,11 +328,3 @@ class HybridNetwork(Network):
     def effective_capacity(self, u: str, v: str) -> float:
         """The capacity foreground packets currently see on ``u → v``."""
         return self._link_rec[(u, v)][2]
-
-
-def _crosses(fluid: Flow, dead: set[tuple[str, str]]) -> bool:
-    return any(
-        (wp.path[i], wp.path[i + 1]) in dead
-        for wp in fluid.paths
-        for i in range(len(wp.path) - 1)
-    )

@@ -97,10 +97,15 @@ class Tracer:
             else:
                 self.spans.append(span)
 
-    def drain(self) -> list[Span]:
-        """Return and forget every recorded span."""
-        spans = self.spans
-        self.spans = []
+    def drain(self, since: int = 0) -> list[Span]:
+        """Return and forget every span recorded after the first ``since``.
+
+        A caller sharing the tracer (an inline shard) notes ``len(tracer)``
+        before its work and drains from that mark, leaving everyone
+        else's spans in place.
+        """
+        spans = self.spans[since:]
+        del self.spans[since:]
         return spans
 
     def __len__(self) -> int:

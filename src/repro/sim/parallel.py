@@ -684,6 +684,11 @@ class ShardRuntime:
 
     def step(self, until: float, inbox: Sequence[BoundaryMessage]) -> StepReport:
         network = self.network
+        # Only the spans this step records are this shard's to ship:
+        # inline shards share the coordinator's tracer, whose buffer
+        # holds every earlier window's spans too.
+        tracer = _obs.tracer()
+        mark = len(tracer) if tracer is not None else 0
         if inbox:
             network.receive_boundary(inbox)
         wall0 = time.perf_counter()
@@ -694,8 +699,7 @@ class ShardRuntime:
         # Ship this window's spans home with the report; the spans carry
         # this worker's pid, so the merged trace keeps one lane per
         # shard.  The shard index becomes the Chrome trace tid.
-        tracer = _obs.tracer()
-        spans = tracer.drain() if tracer is not None else []
+        spans = tracer.drain(mark) if tracer is not None else []
         if spans and self.shard_index:
             spans = [
                 Span(s.name, s.start, s.duration, s.pid,

@@ -22,6 +22,7 @@ from repro.flowsim.maxmin import (
     flow_from_single_path,
     max_min_rates,
 )
+from repro.routing.base import WeightedPath
 
 #: Ring fabric the strategies route over: n0 — n1 — … — n4 — n0.
 N_NODES = 5
@@ -265,3 +266,148 @@ class TestSolverBookkeeping:
         sol = solver.solve()
         assert sol.residual[(u, v)] == 3.0
         assert sol.residual[(v, u)] == 10.0
+
+
+# -- vector-backed solutions and merged incidence entries ----------------------------
+
+#: A multipath flow whose paths overlap: (start node, direction, demand,
+#: one weight per path).
+weight_splits = st.sampled_from(
+    [(0.3, 0.7), (0.5, 0.5), (0.25, 0.25, 0.5), (0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3)]
+)
+multipath_specs = st.tuples(
+    st.integers(0, N_NODES - 1), st.booleans(), st.floats(0.5, 20.0), weight_splits
+)
+
+
+def overlapping_flow(flow_id, start, clockwise, demand, weights):
+    """Paths going 1, 2, 3 … hops out along one arc and back again: the
+    first link carries every path, later links only the longer ones."""
+    paths = []
+    for k, weight in enumerate(weights):
+        out = arc_path(start, k + 1, clockwise)
+        paths.append(WeightedPath(out + out[-2::-1], weight))  # out and back
+    return Flow(flow_id, tuple(paths), demand)
+
+
+class TestMergedIncidenceEntries:
+    @given(st.lists(multipath_specs, min_size=1, max_size=6), capacity_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_shared_links_match_max_min_rates(self, specs, caps):
+        """Duplicate (flow, link) incidence entries with unequal weights.
+
+        Two entries, or any number of equal ones, add up to the same
+        float in every order, so the solver's per-flow merge is exactly
+        scipy's duplicate sum and rates are bit-identical.  Three or more
+        unequal entries may be summed in another order by scipy's
+        unstable in-row sort: there the tolerance is a few ulps of the
+        weights, set from the dtype.
+        """
+        capacities = ring_capacities(caps)
+        flows = [overlapping_flow(i, *spec) for i, spec in enumerate(specs)]
+        solver = ResidualSolver(capacities)
+        for flow in reversed(flows):  # insertion order must not matter
+            solver.add_flow(flow)
+        solved, reference = solver.solve().rates, max_min_rates(flows, capacities)
+        order_free = all(
+            len(w) <= 2 or len(set(w)) == 1 for *_, w in specs
+        )
+        if order_free:
+            assert solved == reference
+        else:
+            assert solved == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_merge_adds_weights_in_path_order(self):
+        solver = ResidualSolver(ring_capacities([10.0] * len(LINKS)))
+        solver.add_flow(overlapping_flow(0, 0, True, 100.0, (0.2, 0.3, 0.5)))
+        sol = solver.solve()
+        # n0→n1 carries all three paths, n1→n2 the two longer ones; the
+        # back-tracking halves load the reverse directions alike.
+        first, second, third = ("n0", "n1"), ("n1", "n2"), ("n2", "n3")
+        assert sol.rates[0] == 10.0 / ((0.2 + 0.3) + 0.5)
+        assert sol.link_load[second] == (0.3 + 0.5) * sol.rates[0]
+        assert sol.link_load[third] == 0.5 * sol.rates[0]
+        assert sol.link_load[first] == sol.link_load[first[::-1]]
+
+
+class TestVectorBackedSolution:
+    @given(st.lists(flow_specs, min_size=0, max_size=10), capacity_lists, mutations)
+    @settings(max_examples=60, deadline=None)
+    def test_dict_views_equal_the_vectors(self, specs, caps, ops):
+        capacities = ring_capacities(caps)
+        solver = ResidualSolver(capacities)
+        for flow in build_flows(specs):
+            solver.add_flow(flow)
+        for op, arg in ops:
+            if op == "fail":
+                solver.fail_link(*LINKS[arg % len(LINKS)])
+            elif op == "remove" and solver.flow_ids:
+                solver.remove_flow(solver.flow_ids[arg % len(solver.flow_ids)])
+        sol = solver.solve()
+
+        assert sol.links == tuple(capacities)  # every base link, base order
+        assert list(sol.flow_ids) == solver.flow_ids
+        assert list(sol.rates) == list(sol.flow_ids)
+        assert list(sol.link_load) == list(sol.residual) == list(sol.links)
+        assert list(sol.rates.values()) == sol.rates_vec.tolist()
+        assert list(sol.link_load.values()) == sol.load_vec.tolist()
+        assert list(sol.residual.values()) == sol.residual_vec.tolist()
+        for link, row in solver.link_index.items():
+            cap = solver.capacity(*link)
+            assert sol.residual_vec[row] == max(0.0, cap - sol.load_vec[row])
+        assert sol.rates is sol.rates  # built once, on first access
+
+    def test_solution_is_a_snapshot(self):
+        solver = ResidualSolver(ring_capacities([10.0] * len(LINKS)))
+        solver.add_flow(flow_from_single_path(0, arc_path(0, 2, True), 5.0))
+        before = solver.solve()
+        residual = before.residual_vec.copy()
+        solver.fail_link(*LINKS[0])
+        solver.add_flow(flow_from_single_path(1, arc_path(1, 1, True), 5.0))
+        solver.solve()
+        assert before.flow_ids == (0,)
+        assert (before.residual_vec == residual).all()
+
+
+class TestFlowsCrossing:
+    @given(st.lists(flow_specs, min_size=0, max_size=10), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_path_walk(self, specs, removed):
+        solver = ResidualSolver(ring_capacities([10.0] * len(LINKS)))
+        flows = {f.flow_id: f for f in build_flows(specs)}
+        for flow in flows.values():
+            solver.add_flow(flow)
+        solver.solve()
+        if flows:
+            gone = sorted(flows)[removed % len(flows)]
+            solver.remove_flow(gone)
+            del flows[gone]
+        for u, v in LINKS:
+            expected = sorted(
+                fid
+                for fid, f in flows.items()
+                if any(
+                    {(wp.path[i], wp.path[i + 1])} & {(u, v), (v, u)}
+                    for wp in f.paths
+                    for i in range(len(wp.path) - 1)
+                )
+            )
+            assert solver.flows_crossing(u, v) == expected
+            assert solver.flows_crossing(v, u) == expected
+
+    def test_sees_flows_not_yet_solved_and_skips_zero_weight_paths(self):
+        solver = ResidualSolver(ring_capacities([10.0] * len(LINKS)))
+        solver.add_flow(flow_from_single_path(4, arc_path(0, 1, True), 1.0))
+        solver.add_flow(
+            Flow(
+                2,
+                (
+                    WeightedPath(arc_path(2, 1, True), 1.0),
+                    WeightedPath(arc_path(0, 1, True), 0.0),
+                ),
+                1.0,
+            )
+        )
+        assert solver.flows_crossing("n0", "n1") == [4]
+        assert solver.flows_crossing("n2", "n3") == [2]
+        assert solver.flows_crossing("n0", "zz") == []  # unknown link: nobody

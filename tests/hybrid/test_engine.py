@@ -243,9 +243,11 @@ class TestFaultInterplay:
             if spare:
                 break
         assert spare is not None
-        incidence_before = net._solver._incidence
+        builds_before = net._solver.incidence_builds
         net.fail_link(*spare)
-        assert net._solver._incidence is incidence_before  # survived
+        assert net.epochs == 2  # the cut re-solved ...
+        assert net._solver.incidence_builds == builds_before  # ... capacities only
+        assert net._active_bg[1_000_000][1] is fluid  # and nothing re-pathed
         assert net.background_rates()[1_000_000] == pytest.approx(5 * GBPS)
 
 

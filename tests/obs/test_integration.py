@@ -5,15 +5,19 @@ counters and spans but changes **no** simulation result — the same
 fingerprint contract the fastpath/batch/telemetry/parallel layers obey.
 """
 
+import os
+
 import pytest
 
 import repro.topology as T
 from repro import obs
+from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
 from repro.sim import Network
 from repro.sim.parallel import (
     ParallelScenario,
+    ShardRuntime,
     SourceSpec,
     run_parallel,
     run_serial,
@@ -113,6 +117,19 @@ class TestParallelObservation:
         }
         assert {0, 1} <= tids
 
+    def test_shard_step_ships_only_the_spans_it_recorded(self):
+        """Inline shards share the coordinator's tracer: a step hands
+        back what it recorded, not the whole buffer (which made every
+        window move every earlier window's spans out and back in)."""
+        obs.arm()
+        tracer = obs.tracer()
+        tracer.add("recorded.before", 0.0, 1.0)
+        shard = ShardRuntime(_parallel_scenario(), 1, 2)
+        for until in (0.0, 1e-4, 2e-4):
+            report = shard.step(until, [])
+            assert [(s.name, s.tid) for s in report.spans] == [("engine.run", 1)]
+            assert [s.name for s in tracer.spans] == ["recorded.before"]
+
     def test_disarmed_parallel_records_nothing(self):
         run_parallel(
             _parallel_scenario(), num_shards=2, mode="inline", parallel=True
@@ -142,10 +159,19 @@ class TestSweepObservation:
             s for s in obs.tracer().spans if s.name == "sweep.cell"
         ]
         assert len(cell_spans) == 4
-        assert len({span.pid for span in cell_spans}) >= 2  # per-worker lanes
-        assert {span.args["label"] for span in cell_spans} == {
+        # Every cell ran in a pool worker's lane.  How the four cells
+        # spread over the two workers is the OS scheduler's business:
+        # one worker may drain them all.
+        worker_pids = {span.pid for span in cell_spans}
+        assert os.getpid() not in worker_pids
+        assert 1 <= len(worker_pids) <= 2
+        run_spans = [s for s in obs.tracer().spans if s.name == "engine.run"]
+        assert len(run_spans) == 4
+        assert {span.pid for span in run_spans} == worker_pids
+        assert sorted(span.args["label"] for span in cell_spans) == [
             f"cell-{seed}" for seed in range(4)
-        }
+        ]
+        assert reg.snapshot()["timers"]["sweep.cell_seconds"]["count"] == 4
 
     def test_serial_run_cells_records_without_pool(self):
         obs.arm()
@@ -181,3 +207,62 @@ class TestSmokeRuntimeKeys:
         obs.arm()
         smoke.timed_run()
         assert "smoke.run" in obs.registry().snapshot()["timers"]
+
+
+def _hybrid_run(topo, flows, cut=None, **kwargs):
+    net = HybridNetwork(topo, ECMPRouter(topo), flows, **kwargs)
+    if cut is not None:
+        net.engine.call_at(0.0, net.fail_link, *cut)
+    source = PoissonSource(
+        net, "h0.0", "h2.0", rate_pps=200_000.0, seed=3, group="g"
+    )
+    source.start()
+    net.run(until=5e-4)
+    return (
+        net.packets_delivered, net.epochs, net.residual_epoch,
+        tuple(net.stats.samples),
+    )
+
+
+class TestHybridObservation:
+    """Every hybrid fallback and empty epoch is counted and named."""
+
+    def _flows(self, topo):
+        servers = topo.servers()
+        return [
+            BackgroundFlow(1_000_000, servers[0], servers[2], 4e9, 1e-4, 3e-4),
+            BackgroundFlow(1_000_001, servers[1], servers[3], 4e9, 2e-4, 4e-4),
+        ]
+
+    def test_noop_epochs_counted_and_fingerprint_unchanged(self):
+        # h1.0's only uplink is cut at t=0, so flow 1_000_001 parks at
+        # its start and both of its boundaries re-solve to no change.
+        def run():
+            topo = T.quartz_ring(4, 1)
+            return _hybrid_run(
+                topo, self._flows(topo), cut=("h1.0", "tor1"), hybrid=True
+            )
+
+        baseline = run()
+        obs.arm()
+        assert run() == baseline
+        counters = obs.registry().counters
+        assert counters["hybrid.resolves"] == baseline[1] == 5
+        assert counters["hybrid.residual_epochs"] == baseline[2] == 3
+        assert counters["hybrid.noop_epochs"] == 2
+        assert not [name for name in counters if "fallback_oracle" in name]
+
+    def test_oracle_fallback_names_its_reason(self, monkeypatch):
+        obs.arm()
+        topo = T.quartz_ring(4, 1)
+        _hybrid_run(topo, self._flows(topo), hybrid=False)
+        counters = obs.registry().counters
+        assert counters["hybrid.fallback_oracle.arg"] == 1
+        assert "hybrid.fallback_oracle.env" not in counters
+        monkeypatch.setenv("REPRO_HYBRID_DISABLE", "1")
+        for _ in range(2):
+            topo = T.quartz_ring(4, 1)
+            _hybrid_run(topo, self._flows(topo))
+        assert counters["hybrid.fallback_oracle.env"] == 2
+        assert counters["hybrid.fallback_oracle.arg"] == 1
+        assert "hybrid.resolves" not in counters

@@ -44,6 +44,10 @@ class TestTracer:
         parent.add("own", 0.0, 0.1)
         parent.ingest(shipped)
         assert [s.name for s in parent.spans] == ["own", "a", "b"]
+        # From a mark: only what was recorded after it leaves.
+        mark = len(parent) - 1
+        assert [s.name for s in parent.drain(mark)] == ["b"]
+        assert [s.name for s in parent.spans] == ["own", "a"]
 
     def test_max_spans_counts_drops(self):
         tracer = Tracer(max_spans=2)
