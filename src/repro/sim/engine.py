@@ -5,7 +5,9 @@ callback, args]`` records, so the scheduler orders them with C-speed
 list comparison — ``time`` first, then the unique sequence number
 (the callback is never compared).  The sequence number makes
 simultaneous events fire in scheduling order, so runs are exactly
-reproducible.
+reproducible.  A **chained** entry (:meth:`Engine.chain_at`) carries a
+step whose return value re-arms the same record, so a long-lived chain
+of events — a packet hopping through the fabric — allocates once.
 
 Two schedulers share that entry format:
 
@@ -40,6 +42,16 @@ from repro import obs as _obs
 #: that was cancelled (or already fired) and must not fire (again).
 _CALLBACK = 2
 
+#: Marker in the ``args`` slot of a chained entry ``[time, seq, step,
+#: _CHAIN, arg]`` (see :meth:`Engine.chain_at`).  Never a valid args
+#: tuple, and falsy: the run loops test for it only after ``if args:``
+#: failed, so a plain event with arguments never pays for chains.  (A
+#: cancelled entry's args slot is also ``None``; its blank callback slot
+#: discards it before the args are read.)
+_CHAIN = None
+
+_CHAIN_PAST = "chained step returned time %r, before current time %r"
+
 #: Environment variable selecting the default scheduler for new engines.
 SCHEDULER_ENV = "REPRO_SCHEDULER"
 
@@ -51,9 +63,10 @@ class SimulationError(RuntimeError):
 class Event:
     """Handle to one scheduled callback; cancel with :meth:`cancel`.
 
-    ``time`` and ``seq`` read through to the queue entry (its ``(time,
-    seq)`` prefix is never mutated), which keeps the handle three stores
-    cheap on the ``schedule`` hot path.
+    ``time`` and ``seq`` read through to the queue entry (only chained
+    entries, which have no handle, ever mutate their ``(time, seq)``
+    prefix), which keeps the handle three stores cheap on the
+    ``schedule`` hot path.
     """
 
     __slots__ = ("cancelled", "_entry", "_engine")
@@ -404,6 +417,28 @@ class Engine:
             self._sched.push([time, self._seq, callback, args])
         self._seq += 1
 
+    def chain_at(
+        self, time: float, step: "Callable[[Any], float | None]", arg: Any
+    ) -> None:
+        """Start a chain of events: run ``step(arg)`` at ``time``, and again
+        at every time it returns, until it returns ``None``.
+
+        Equivalent to a :meth:`call_at` callback whose *last* scheduling
+        act is ``call_at(next_time, step, arg)`` — the run loops re-push
+        the same entry with the sequence number that trailing call would
+        have drawn, so pop order, ``pending()`` and ``events_processed``
+        are identical — minus its frame and allocations.  Hence the
+        contract: the continuation is the last thing a step schedules,
+        and a returned time before ``now`` raises
+        :class:`SimulationError`.  Fire-and-forget: no handle to cancel.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} before current time {self.now}"
+            )
+        self._push_entry([time, self._seq, step, _CHAIN, arg])
+        self._seq += 1
+
     def call_at_many(
         self, items: "Iterable[tuple[float, Callable[..., None], tuple]]"
     ) -> None:
@@ -536,6 +571,18 @@ class Engine:
                 args = entry[3]
                 if args:
                     callback(*args)
+                elif args is _CHAIN:
+                    time = callback(entry[4])
+                    if time is not None:
+                        processed += 1  # the step fired, whatever its answer
+                        if time < self.now:
+                            raise SimulationError(_CHAIN_PAST % (time, self.now))
+                        entry[0] = time
+                        entry[1] = self._seq
+                        entry[_CALLBACK] = callback
+                        self._seq += 1
+                        self._push_entry(entry)
+                        continue
                 else:
                     callback()
                 processed += 1
@@ -550,26 +597,49 @@ class Engine:
         """Drain the heap completely (no horizon, no event bound)."""
         heap = self._heap
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         processed = 0
         self.run_horizon = None
         self.batching_ok = True
         try:
             while True:
-                entry = heappop(heap)
-                callback = entry[2]
-                if callback is None:
-                    self._n_cancelled -= 1
-                    continue
-                entry[2] = None
-                self.now = entry[0]
-                args = entry[3]
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                processed += 1
-        except IndexError:
-            pass  # heap drained
+                # Only the pop may end the run: an IndexError raised by
+                # a callback propagates like any other exception.
+                try:
+                    entry = heappop(heap)
+                except IndexError:
+                    break
+                while True:  # dispatch ``entry``, then a re-armed chain's successor
+                    callback = entry[2]
+                    if callback is None:
+                        self._n_cancelled -= 1
+                        break
+                    self.now = entry[0]
+                    # A plain entry is blanked before it fires; a chained
+                    # one has no handle to cancel and stays armed.
+                    args = entry[3]
+                    if args:
+                        entry[2] = None
+                        callback(*args)
+                    elif args is None:  # _CHAIN
+                        time = callback(entry[4])
+                        if time is not None:
+                            processed += 1
+                            if time < entry[0]:
+                                raise SimulationError(_CHAIN_PAST % (time, entry[0]))
+                            entry[0] = time
+                            entry[1] = self._seq
+                            self._seq += 1
+                            # Re-push and pop the successor in one sift:
+                            # the pop order of heappush + heappop,
+                            # (time, seq) being a strict total order.
+                            entry = heappushpop(heap, entry)
+                            continue
+                    else:
+                        entry[2] = None
+                        callback()
+                    processed += 1
+                    break
         finally:
             self.events_processed += processed
             self.batching_ok = False
@@ -579,30 +649,50 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         processed = 0
         self.run_horizon = until
         self.batching_ok = True
         try:
             while True:
-                entry = heappop(heap)
+                try:  # as above: only the pop may end the run
+                    entry = heappop(heap)
+                except IndexError:
+                    break
                 time = entry[0]
                 if time > until:
                     heappush(heap, entry)  # same (time, seq): order kept
                     break
-                callback = entry[2]
-                if callback is None:
-                    self._n_cancelled -= 1
-                    continue
-                entry[2] = None
-                self.now = time
-                args = entry[3]
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                processed += 1
-        except IndexError:
-            pass  # heap drained before the horizon
+                while True:  # dispatch ``entry``, then a re-armed chain's successor
+                    callback = entry[2]
+                    if callback is None:
+                        self._n_cancelled -= 1
+                        break
+                    self.now = time
+                    args = entry[3]
+                    if args:
+                        entry[2] = None
+                        callback(*args)
+                    elif args is None:  # _CHAIN (stays armed, as above)
+                        rearm = callback(entry[4])
+                        if rearm is not None:
+                            processed += 1
+                            if rearm < time:
+                                raise SimulationError(_CHAIN_PAST % (rearm, time))
+                            entry[0] = rearm
+                            entry[1] = self._seq
+                            self._seq += 1
+                            entry = heappushpop(heap, entry)
+                            time = entry[0]
+                            if time <= until:
+                                continue
+                            heappush(heap, entry)  # the outer pop meets it and stops
+                            break
+                    else:
+                        entry[2] = None
+                        callback()
+                    processed += 1
+                    break
         finally:
             self.events_processed += processed
             self.batching_ok = False

@@ -1,21 +1,24 @@
 """Compiled per-path forwarding plans — the simulator's fast path.
 
-The reference forwarding loop (:meth:`Network._transmit` /
-:meth:`Network._arrive`) re-derives the same per-hop facts for every
+The reference forwarding loop (the :meth:`Network._transmit` /
+:meth:`Network._arrive` oracle) re-derives the same per-hop facts for every
 packet at every hop: the link record behind a ``(u, v)`` dict lookup,
 the switch model behind a node lookup, and the cut-through serialization
 credit from two more link lookups.  For a path that thousands of packets
 share, all of that is loop-invariant.
 
 A :class:`HopPlan` resolves it once per unique path into parallel
-tuples indexed by hop number, so the fast-path loop walks plain tuple
-indices with zero dict lookups:
+tuples indexed by hop number, so the kernel (:meth:`Network._hop`) walks
+plain tuple indices with zero dict lookups:
 
 * ``keys[h]`` — the directed link ``(path[h], path[h+1])``, used only
   for the dead-link check and in-flight fault tracking;
 * ``ser[h]`` — serialization factor (seconds per byte) of link ``h``;
 * ``ports[h]`` / ``caps[h]`` — the output :class:`PortState` and link
   capacity (the capacity feeds the bounded-buffer backlog check);
+* ``foreign[h]`` — whether ``path[h+1]`` lies outside the owning
+  network's shard (``None`` when the network is unsharded): the hops
+  where the kernel consults ``Network._tail_out``;
 * ``lat[h]`` / ``latf[h]`` — the forwarding delay charged at node
   ``path[h]`` before transmitting on link ``h``, folded into the affine
   form ``earliest = now + size * latf[h] + lat[h]``.  Store-and-forward
@@ -68,7 +71,9 @@ BATCH_ENV = "REPRO_BATCH_DISABLE"
 class HopPlan:
     """Per-path forwarding chain, resolved once and walked by index."""
 
-    __slots__ = ("path", "last", "keys", "ser", "ports", "caps", "lat", "latf")
+    __slots__ = (
+        "path", "last", "keys", "ser", "ports", "caps", "lat", "latf", "foreign",
+    )
 
     def __init__(
         self,
@@ -79,6 +84,7 @@ class HopPlan:
         caps: tuple,
         lat: tuple,
         latf: tuple,
+        foreign: "tuple | None" = None,
     ) -> None:
         self.path = path
         self.last = len(path) - 1  # hop index of the destination node
@@ -88,6 +94,7 @@ class HopPlan:
         self.caps = caps
         self.lat = lat
         self.latf = latf
+        self.foreign = foreign
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HopPlan({' -> '.join(self.path)})"
@@ -152,17 +159,16 @@ class StackedPlan:
         return f"StackedPlan({' -> '.join(self.plan.path)})"
 
 
-def stack_plan(plan: HopPlan) -> StackedPlan:
-    """Stack one compiled plan's tuples into the batched-engine form."""
-    return StackedPlan(plan)
-
-
 def compile_plan(
     link_rec: "dict[tuple[str, str], tuple[float, PortState, float]]",
     hop_rec: "dict[str, tuple[bool, float]]",
     path: "Path",
+    owned: "frozenset[str] | None" = None,
 ) -> HopPlan:
     """Resolve ``path`` against the network's link and node records.
+
+    ``owned`` (a shard's node set) fills ``foreign``; ``None`` leaves it
+    ``None``, so an unsharded kernel pays one identity test per hop.
 
     Raises :class:`~repro.sim.network.NetworkSimError` if any hop has no
     link — the same failure the reference loop reports lazily when the
@@ -193,7 +199,10 @@ def compile_plan(
             ser_in = ser[h - 1]
             ser_out = ser[h]
             latf[h] = -(ser_in if ser_in < ser_out else ser_out)
+    foreign = None
+    if owned is not None:
+        foreign = tuple(node not in owned for node in path[1:])
     return HopPlan(
         path, tuple(keys), tuple(ser), tuple(ports), tuple(caps),
-        tuple(lat), tuple(latf),
+        tuple(lat), tuple(latf), foreign,
     )

@@ -37,7 +37,6 @@ from repro.sim.fastpath import (
     HopPlan,
     StackedPlan,
     compile_plan,
-    stack_plan,
 )
 from repro import obs as _obs_layer
 from repro.sim.knobs import HYBRID_ENV, OBS_ENV, PARALLEL_ENV, resolve_flag
@@ -136,6 +135,11 @@ def _repeated_add(base: float, step: float, count: int) -> float:
 
 class Network:
     """Executable network: topology + router + event engine."""
+
+    #: Nodes whose arrival events this network processes; ``None`` means
+    #: the whole fabric.  A subclass that narrows it (a shard) overrides
+    #: :meth:`_tail_out` to take the packets that leave.
+    owned: "frozenset[str] | None" = None
 
     def __init__(
         self,
@@ -348,13 +352,15 @@ class Network:
             route = tuple(route)
         packet_id = self._next_packet_id
         self._next_packet_id = packet_id + 1
+        engine = self.engine
+        now = engine.now
         packet = Packet(
             packet_id=packet_id,
             src=src,
             dst=dst,
             size_bytes=size_bytes,
             path=route,
-            created_at=self.engine.now,
+            created_at=now,
             group=group,
             on_delivered=on_delivered,
         )
@@ -365,9 +371,11 @@ class Network:
             elif self.obs is not None:
                 self.obs.incr("fastpath.plan_hits")
             packet.plan = plan
-            self._transmit_fast(packet, earliest_start=self.engine.now)
+            arrival = self._hop(packet, now)
+            if arrival is not None:
+                engine.chain_at(arrival, self._hop, packet)
         else:
-            self._transmit(packet, earliest_start=self.engine.now)
+            self._transmit(packet, earliest_start=now)
         return packet
 
     def note_unroutable(self, group: str | None = None) -> None:
@@ -461,7 +469,7 @@ class Network:
         stacked = self._stacked.get(route)
         if stacked is None:
             plan = self._plans.get(route) or self._compile_plan(route)
-            stacked = self._stacked[route] = stack_plan(plan)
+            stacked = self._stacked[route] = StackedPlan(plan)
         elif o is not None:
             o.incr("fastpath.stacked_hits")
 
@@ -595,7 +603,9 @@ class Network:
                 stamps.append((path[hop], depth, wait))
         if self._track_in_flight:
             self._in_flight.setdefault(key, set()).add(packet)
-        self.engine.call_at(tail_out + self.propagation_delay, self._arrive, packet)
+        arrival = self._tail_out(packet, tail_out + self.propagation_delay)
+        if arrival is not None:
+            self.engine.call_at(arrival, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
         """Tail of ``packet`` arrived at the next node on its path."""
@@ -652,27 +662,67 @@ class Network:
             return "fault_tracking"
         return "telemetry"
 
-    # -- compiled fast path -----------------------------------------------------------
+    # -- forwarding kernel ------------------------------------------------------------
 
     def _compile_plan(self, route: Path) -> HopPlan:
         """Compile and cache the hop plan for one path."""
         if self.obs is not None:
             self.obs.incr("fastpath.plan_compiles")
-        plan = compile_plan(self._link_rec, self._hop_rec, route)
+        plan = compile_plan(self._link_rec, self._hop_rec, route, self.owned)
         self._plans[route] = plan
         return plan
 
-    def _transmit_fast(self, packet: Packet, earliest_start: float) -> None:
-        """Plan-walking twin of :meth:`_transmit`: same arithmetic, same
-        event schedule, zero dict lookups."""
+    def _tail_out(self, packet: Packet, arrival: float) -> "float | None":
+        """Tail-out extension point: ``packet`` (at ``path[hop]``) is on
+        its port, due at the next node at ``arrival``.  Return the time
+        to schedule the local arrival at, or ``None`` to take the packet
+        out of this event loop (a shard crossing).  The oracle asks on
+        every transmit, the kernel only on ``plan.foreign`` hops.
+        """
+        return arrival
+
+    def _hop(self, packet: Packet, earliest_start: float | None = None) -> "float | None":
+        """The forwarding kernel: one plan-walking step of one packet.
+
+        A chained engine step (:meth:`Engine.chain_at`): called with the
+        packet alone, its tail just arrived at the next node — deliver
+        it, or clock it onto the next port; :meth:`send` and detours
+        pass ``earliest_start`` to clock it out of the node it sits at.
+        Returns the next arrival time, or ``None`` when the chain ends
+        (delivered, dropped, severed, handed to another shard).  Same
+        arithmetic and event order as the :meth:`_transmit` /
+        :meth:`_arrive` oracle; the per-node delay is the plan's affine
+        ``now + size * latf + lat`` (see :mod:`repro.sim.fastpath`).
+        """
         plan = packet.plan
         hop = packet.hop
-        if self._dead_links and plan.keys[hop] in self._dead_links:
-            self._reroute_or_drop(packet, earliest_start)
-            return
-        port = plan.ports[hop]
         size = packet.size_bytes
-        ser = size * plan.ser[hop]
+        track = self._track_in_flight
+        if earliest_start is None:
+            if packet.dropped:
+                return None  # severed by a link failure while in flight
+            if track:
+                flight = self._in_flight.get(plan.keys[hop])
+                if flight is not None:
+                    flight.discard(packet)
+            hop += 1
+            packet.hop = hop
+            now = self.engine.now
+            if hop == plan.last:
+                delivered = packet.delivered_at = now + self.host_receive_latency
+                self.packets_delivered += 1
+                self.stats.record(delivered - packet.created_at, packet.group)
+                if packet.stamps is not None:
+                    self.stats.record_stamps(packet.group, packet.stamps)
+                if track:
+                    self.fault_stats.record_delivery(packet.group, now)
+                if packet.on_delivered is not None:
+                    packet.on_delivered(packet, delivered)
+                return None
+            earliest_start = now + size * plan.latf[hop] + plan.lat[hop]
+        if self._dead_links and plan.keys[hop] in self._dead_links:
+            return self._reroute_or_drop(packet, earliest_start)
+        port = plan.ports[hop]
         tele = self.telemetry
         if self.buffer_bytes is not None:
             backlog_seconds = max(
@@ -684,62 +734,34 @@ class Network:
                 self.packets_dropped += 1
                 if tele is not None:
                     tele.on_drop(plan.keys[hop], packet.group, self.engine.now)
-                return
+                return None
         start = port.busy_until
         if start < earliest_start:
             start = earliest_start
-        tail_out = start + ser
+        tail_out = start + size * plan.ser[hop]
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size
         if tele is not None:
-            depth, wait = tele.on_enqueue(
-                plan.keys[hop], packet.group, size, earliest_start, start, tail_out
+            # ``tele.on_enqueue`` with the monitor looked up here: one
+            # frame per armed hop instead of two.
+            monitor = tele.monitors.get(plan.keys[hop])
+            if monitor is None:
+                monitor = tele.monitor(plan.keys[hop])
+            depth, wait = monitor.record_enqueue(
+                packet.group, size, earliest_start, start, tail_out
             )
             if tele.stamping:
                 stamps = packet.stamps
                 if stamps is None:
                     stamps = packet.stamps = []
                 stamps.append((plan.path[hop], depth, wait))
-        if self._track_in_flight:
+        if track:
             self._in_flight.setdefault(plan.keys[hop], set()).add(packet)
-        self.engine.call_at(
-            tail_out + self.propagation_delay, self._arrive_fast, packet
-        )
-
-    def _arrive_fast(self, packet: Packet) -> None:
-        """Plan-walking twin of :meth:`_arrive`.
-
-        The per-node forwarding delay is the plan's precomputed affine
-        form ``now + size * latf + lat``, which is bit-identical to the
-        reference cut-through/store-and-forward arithmetic (see
-        :mod:`repro.sim.fastpath`).
-        """
-        if packet.dropped:
-            return  # severed by a link failure while in flight
-        hop = packet.hop + 1
-        plan = packet.plan
-        if self._track_in_flight:
-            flight = self._in_flight.get(plan.keys[hop - 1])
-            if flight is not None:
-                flight.discard(packet)
-        packet.hop = hop
-        now = self.engine.now
-
-        if hop == plan.last:
-            packet.delivered_at = now + self.host_receive_latency
-            self.packets_delivered += 1
-            self.stats.record(packet.latency, group=packet.group)
-            if packet.stamps is not None:
-                self.stats.record_stamps(packet.group, packet.stamps)
-            if self._track_in_flight:
-                self.fault_stats.record_delivery(packet.group, now)
-            if packet.on_delivered is not None:
-                packet.on_delivered(packet, packet.delivered_at)
-            return
-
-        earliest = now + packet.size_bytes * plan.latf[hop] + plan.lat[hop]
-        self._transmit_fast(packet, earliest_start=earliest)
+        arrival = tail_out + self.propagation_delay
+        if plan.foreign is not None and plan.foreign[hop]:
+            return self._tail_out(packet, arrival)
+        return arrival
 
     # -- runtime faults ---------------------------------------------------------------
 
@@ -831,13 +853,15 @@ class Network:
             self.obs.incr("fastpath.plan_invalidations")
         return True
 
-    def _reroute_or_drop(self, packet: Packet, earliest_start: float) -> None:
+    def _reroute_or_drop(self, packet: Packet, earliest_start: float) -> "float | None":
         """A packet's next hop is dead: detour over live links, else drop.
 
         The detour is the deterministic shortest path from the packet's
         current node to its destination over the surviving topology
         (memoized until the next fault event).  Packets with no
-        surviving path are dropped and counted.
+        surviving path are dropped and counted.  Returns as :meth:`_hop`
+        does: the detour's first arrival time for the chain to continue
+        on, or ``None`` (dropped, or the oracle scheduled it itself).
         """
         node = packet.path[packet.hop]
         key = (node, packet.dst)
@@ -860,7 +884,7 @@ class Network:
                     packet.group,
                     self.engine.now,
                 )
-            return
+            return None
         packet.path = detour
         packet.hop = 0
         if not packet.rerouted:
@@ -869,9 +893,9 @@ class Network:
             self.fault_stats.record_reroute(packet.group, self.engine.now)
         if self.fastpath_enabled:
             packet.plan = self._plans.get(detour) or self._compile_plan(detour)
-            self._transmit_fast(packet, earliest_start=earliest_start)
-        else:
-            self._transmit(packet, earliest_start=earliest_start)
+            return self._hop(packet, earliest_start)
+        self._transmit(packet, earliest_start=earliest_start)
+        return None
 
     # -- introspection ---------------------------------------------------------------
 

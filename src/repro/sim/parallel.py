@@ -36,8 +36,8 @@ Determinism — the fingerprint contract
 --------------------------------------
 Within a shard, events replay in exactly the serial order (same engine,
 same callbacks, same floats: every per-port ``busy_until`` chain is
-owned by exactly one shard, and the boundary branch replays the
-reference port arithmetic operation for operation).  Across shards,
+owned by exactly one shard, and a crossing is clocked by the same
+inherited kernel as any other transmit).  Across shards,
 inbound boundary messages are sorted by ``(arrival, origin_shard,
 emit_seq)`` before scheduling, so tie order is a pure function of the
 scenario.  :meth:`RunResult.fingerprint` therefore matches the serial
@@ -80,7 +80,6 @@ from repro.sim.knobs import PARALLEL_ENV, resolve_flag
 from repro.sim.network import (
     DEFAULT_PROPAGATION_DELAY,
     Network,
-    NetworkSimError,
     Packet,
 )
 from repro.sim.sources import DEFAULT_PACKET_BYTES, PoissonSource
@@ -359,12 +358,11 @@ class BoundaryMessage:
 class ShardNetwork(Network):
     """A :class:`Network` owning one shard of the fabric.
 
-    Both forwarding loops are overridden at exactly one decision point:
-    when a packet's next node belongs to a foreign shard, the transmit
-    performs the *same* port arithmetic as the base class (the sending
-    port is owned here) but appends a :class:`BoundaryMessage` to the
-    outbox instead of scheduling a local arrival.  Everything else —
-    queueing, telemetry-free stats, fault severing — is inherited.
+    No forwarding method is overridden, only the tail-out extension
+    point: when a packet's next node belongs to a foreign shard, the
+    inherited transmit clocks the (locally owned) port as usual and
+    :meth:`_tail_out` queues the crossing for the next barrier's
+    :class:`BoundaryMessage` batch instead of a local arrival.
     """
 
     def __init__(
@@ -400,61 +398,12 @@ class ShardNetwork(Network):
 
     # -- boundary interception ---------------------------------------------------
 
-    def _emit_boundary(self, packet: Packet, arrival: float) -> None:
+    def _tail_out(self, packet: Packet, arrival: float) -> "float | None":
+        if packet.path[packet.hop + 1] in self.owned:
+            return arrival
         self.outbox.append((arrival, self._emit_seq, packet))
         self._emit_seq += 1
-
-    def _transmit(self, packet: Packet, earliest_start: float) -> None:
-        path = packet.path
-        hop = packet.hop
-        if path[hop + 1] in self.owned:
-            super()._transmit(packet, earliest_start)
-            return
-        key = (path[hop], path[hop + 1])
-        if self._dead_links and key in self._dead_links:
-            self._reroute_or_drop(packet, earliest_start)
-            return
-        rec = self._link_rec.get(key)
-        if rec is None:
-            raise NetworkSimError(
-                f"no link {path[hop]!r} → {path[hop + 1]!r} on path"
-            )
-        ser_factor, port, _capacity = rec
-        size = packet.size_bytes
-        ser = size * ser_factor
-        start = port.busy_until
-        if start < earliest_start:
-            start = earliest_start
-        tail_out = start + ser
-        port.busy_until = tail_out
-        port.packets_sent += 1
-        port.bytes_sent += size
-        if self._track_in_flight:
-            self._in_flight.setdefault(key, set()).add(packet)
-        self._emit_boundary(packet, tail_out + self.propagation_delay)
-
-    def _transmit_fast(self, packet: Packet, earliest_start: float) -> None:
-        plan = packet.plan
-        hop = packet.hop
-        if plan.keys[hop][1] in self.owned:
-            super()._transmit_fast(packet, earliest_start)
-            return
-        if self._dead_links and plan.keys[hop] in self._dead_links:
-            self._reroute_or_drop(packet, earliest_start)
-            return
-        port = plan.ports[hop]
-        size = packet.size_bytes
-        ser = size * plan.ser[hop]
-        start = port.busy_until
-        if start < earliest_start:
-            start = earliest_start
-        tail_out = start + ser
-        port.busy_until = tail_out
-        port.packets_sent += 1
-        port.bytes_sent += size
-        if self._track_in_flight:
-            self._in_flight.setdefault(plan.keys[hop], set()).add(packet)
-        self._emit_boundary(packet, tail_out + self.propagation_delay)
+        return None
 
     def send_cohort(self, src, dst, size_bytes, times, flow_id=0, group=None):
         """Cohorts may only batch over fully shard-local routes.
@@ -527,8 +476,8 @@ class ShardNetwork(Network):
 
     def receive_boundary(self, messages: Sequence[BoundaryMessage]) -> None:
         """Schedule inbound crossings (already barrier-sorted) as arrivals."""
-        now = self.engine.now
-        items: list[tuple[float, Callable, tuple]] = []
+        engine = self.engine
+        now = engine.now
         for message in messages:
             if message.arrival < now:
                 raise ParallelSimError(
@@ -546,19 +495,17 @@ class ShardNetwork(Network):
                 hop=message.hop,
             )
             packet.rerouted = message.rerouted
+            if self._track_in_flight:
+                key = (message.path[message.hop], message.path[message.hop + 1])
+                self._in_flight.setdefault(key, set()).add(packet)
             if self.fastpath_enabled:
                 packet.plan = (
                     self._plans.get(message.path)
                     or self._compile_plan(message.path)
                 )
-                callback = self._arrive_fast
+                engine.chain_at(message.arrival, self._hop, packet)
             else:
-                callback = self._arrive
-            if self._track_in_flight:
-                key = (message.path[message.hop], message.path[message.hop + 1])
-                self._in_flight.setdefault(key, set()).add(packet)
-            items.append((message.arrival, callback, (packet,)))
-        self.engine.call_at_many(items)
+                engine.call_at(message.arrival, self._arrive, packet)
 
 
 # -- per-shard state ---------------------------------------------------------------

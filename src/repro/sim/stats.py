@@ -133,12 +133,14 @@ class LatencyRecorder:
             if rec is None:
                 rec = per_node[node] = HopStampStats()
             rec.packets += 1
-            rec.depth_sum += depth
-            if depth > rec.depth_max:
-                rec.depth_max = depth
-            rec.wait_sum += wait
-            if wait > rec.wait_max:
-                rec.wait_max = wait
+            if depth:  # an empty queue (most hops of most packets) adds nothing
+                rec.depth_sum += depth
+                if depth > rec.depth_max:
+                    rec.depth_max = depth
+            if wait:
+                rec.wait_sum += wait
+                if wait > rec.wait_max:
+                    rec.wait_max = wait
 
     @property
     def count(self) -> int:

@@ -203,17 +203,19 @@ class PortMonitor:
         self.enqueues += 1
 
         width = self.width
-        index = int(math.floor(arrival / width))
+        index = math.floor(arrival / width)  # already an int
         win = self._windows.get(index)
         if win is None:
             win = self._window(index)
         win.enqueues += 1
-        win.depth_sum += depth
-        if depth > win.depth_max:
-            win.depth_max = depth
-        win.wait_sum += wait
-        if wait > win.wait_max:
-            win.wait_max = wait
+        if depth:  # an empty queue (most hops of most packets) adds nothing
+            win.depth_sum += depth
+            if depth > win.depth_max:
+                win.depth_max = depth
+        if wait:
+            win.wait_sum += wait
+            if wait > win.wait_max:
+                win.wait_max = wait
 
         label = flow if flow is not None else UNGROUPED
         boundary = (index + 1) * width
@@ -292,12 +294,11 @@ class TelemetryHub:
 
     def __init__(self, config: TelemetryConfig) -> None:
         self.config = config
+        #: Whether packets carry INT stamps (read per hop: an attribute,
+        #: not a property; the config is frozen).
+        self.stamping = config.stamping
         self.monitors: dict[tuple[str, str], PortMonitor] = {}
         self.unroutable = 0
-
-    @property
-    def stamping(self) -> bool:
-        return self.config.stamping
 
     def monitor(self, key: tuple[str, str]) -> PortMonitor:
         """The (lazily created) monitor for directed link ``key``."""

@@ -1,5 +1,9 @@
 """Tests for wavelength assignment (paper Section 3.1 / Figure 5)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +130,26 @@ class TestILPAssignment:
 
     def test_ilp_trivial(self):
         assert ch.ilp_assignment(1).num_channels == 0
+
+    def test_milp_solver_is_imported_only_when_solving(self):
+        """``import repro`` reaches this module; only ``ilp_assignment``
+        may pay for ``scipy.optimize`` (checked in a fresh interpreter)."""
+        script = (
+            "import sys\n"
+            "import repro.experiments.section7\n"
+            "assert 'scipy.optimize' not in sys.modules, 'eager MILP import'\n"
+            "from repro.cli import main\n"
+            "assert main(['plan', '--ring-size', '5', '--method', 'ilp']) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), REPRO_CACHE_DISABLE="1")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "wavelengths (ilp)" in done.stdout
 
 
 class TestDerivedQuantities:

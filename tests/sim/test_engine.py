@@ -334,3 +334,140 @@ class TestCreditEvents:
         engine.run(until=4.0)
         assert seen == [4.0]
         assert engine.run_horizon is None
+
+
+class TestChainAt:
+    def test_step_rearms_until_it_returns_none(self):
+        engine = Engine()
+        seen = []
+
+        def step(state):
+            seen.append((engine.now, state["left"]))
+            state["left"] -= 1
+            return engine.now + 0.5 if state["left"] else None
+
+        engine.chain_at(1.0, step, {"left": 3})
+        assert engine.pending() == 1
+        engine.run()
+        assert seen == [(1.0, 3), (1.5, 2), (2.0, 1)]
+        assert engine.events_processed == 3
+        assert engine.pending() == 0
+
+    def test_continuation_draws_the_trailing_sequence_number(self):
+        # The step schedules a same-time plain event before returning:
+        # the continuation was "scheduled" last, so it fires after it —
+        # exactly like a trailing call_at.
+        engine = Engine()
+        order = []
+
+        def step(state):
+            order.append(state["link"])
+            state["link"] += 1
+            if state["link"] == 1:
+                engine.call_at(2.0, order.append, "plain")
+                return 2.0
+            return None
+
+        engine.chain_at(1.0, step, {"link": 0})
+        engine.run()
+        assert order == [0, "plain", 1]
+
+    def test_past_start_time_rejected(self):
+        engine = Engine()
+        engine.call_at(2.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.chain_at(1.0, lambda arg: None, None)
+
+    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
+    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}])
+    def test_step_returning_the_past_raises(self, scheduler, run_kwargs):
+        engine = Engine(scheduler=scheduler)
+        engine.chain_at(2.0, lambda arg: 1.0, None)
+        with pytest.raises(SimulationError, match="before current time"):
+            engine.run(**run_kwargs)
+        assert engine.now == 2.0
+        assert engine.pending() == 0  # the broken chain is not re-queued
+
+    def test_until_pushes_a_chained_entry_back(self):
+        engine = Engine()
+        seen = []
+
+        def step(arg):
+            seen.append(engine.now)
+            return engine.now + 1.0 if engine.now < 3.0 else None
+
+        engine.chain_at(1.0, step, None)
+        engine.run(until=1.5)
+        assert seen == [1.0] and engine.pending() == 1
+        assert engine.peek_time() == 2.0
+        engine.run()
+        assert seen == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_rearm_hands_over_to_every_kind_of_successor(self, scheduler, until):
+        # The heap loops pop a re-armed chain's successor in the same
+        # sift (heappushpop): it may be cancelled, plain without or with
+        # arguments, the chain itself again, or beyond the horizon.
+        engine = Engine(scheduler=scheduler)
+        log = []
+
+        def step(arg):
+            log.append(("step", engine.now))
+            return engine.now + 1.0 if engine.now < 3.0 else None
+
+        engine.chain_at(0.0, step, None)
+        dead = engine.schedule_at(0.5, log.append, "dead")
+        engine.schedule_at(0.6, lambda: log.append(("plain", engine.now)))
+        engine.schedule_at(0.7, lambda tag: log.append((tag, engine.now)), "args")
+        late = engine.schedule_at(20.0, log.append, "late")
+        assert dead.cancel()
+        engine.run(until=until)
+        expected = [
+            ("step", 0.0), ("plain", 0.6), ("args", 0.7),
+            ("step", 1.0), ("step", 2.0), ("step", 3.0),
+        ]
+        if until is None:
+            assert log == expected + ["late"]
+            assert (engine.pending(), engine.events_processed) == (0, 7)
+        else:
+            assert log == expected
+            assert (engine.pending(), engine.events_processed) == (1, 6)
+            assert engine.now == until and engine.peek_time() == 20.0
+            assert late.cancel() and engine.pending() == 0
+
+
+class TestCallbackExceptionsPropagate:
+    """Only an empty queue may end a run: an exception a callback raises
+    — IndexError included, which the heap loops once mistook for "heap
+    drained" — propagates, with the counters reflecting what did fire."""
+
+    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
+    @pytest.mark.parametrize(
+        "run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}],
+        ids=["unbounded", "until", "max_events"],
+    )
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("exc", [IndexError, KeyError])
+    def test_raises_out_of_run(self, scheduler, run_kwargs, chained, exc):
+        engine = Engine(scheduler=scheduler)
+        fired = []
+
+        def boom(*_):
+            raise exc("from a callback")
+
+        engine.call_at(0.5, fired.append, "before")
+        if chained:
+            engine.chain_at(1.0, boom, None)
+        else:
+            engine.call_at(1.0, boom)
+        engine.call_at(2.0, fired.append, "after")
+        with pytest.raises(exc, match="from a callback"):
+            engine.run(**run_kwargs)
+        assert fired == ["before"]
+        assert engine.now == 1.0
+        assert engine.events_processed == 1
+        assert engine.pending() == 1
+        engine.run()  # the survivor is still runnable
+        assert fired == ["before", "after"]

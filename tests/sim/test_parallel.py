@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import pytest
 
 import repro.topology as T
+from repro.sim import Network
+from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.faults import SegmentCut
 from repro.sim.knobs import PARALLEL_ENV
 from repro.sim.parallel import (
@@ -231,6 +234,40 @@ class TestShardNetwork:
         assert committed["cross"] == 0  # crossing routes take the scalar path
         assert committed["local"] > 0
 
+    def test_overrides_only_the_tail_out_extension_point(self):
+        # One forwarding kernel, one oracle: a shard adds the tail-out
+        # decision and the cohort locality guard, nothing else.
+        overridden = {
+            name for name in vars(ShardNetwork)
+            if callable(getattr(ShardNetwork, name)) and hasattr(Network, name)
+        }
+        assert overridden == {"__init__", "_tail_out", "send_cohort"}
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_detour_landing_on_a_boundary_goes_to_outbox(self, fastpath):
+        """A packet finds its next link dead and the detour's *first* hop
+        leaves the shard: kernel and oracle both hand the rerouted
+        packet, re-pointed at hop 0 of its detour, to the outbox."""
+        topo = T.quartz_ring(RING, SERVERS)
+        # h0.0 -> tor0 -> tor2 -> h2.0, with the tor0-tor2 channel cut
+        # before the packet reaches tor0.  Own only what the detour's
+        # first hop leaves, whichever neighbour the detour picks.
+        survivors = topo.graph.copy()
+        survivors.remove_edge("tor0", "tor2")
+        detour = tuple(nx.shortest_path(survivors, "tor0", "h2.0"))
+        owned = frozenset(topo.graph) - set(detour[1:])
+        net = ShardNetwork(
+            topo, ECMPRouter(topo), owned=owned, fastpath=fastpath
+        )
+        packet = net.send("h0.0", "h2.0", 400, path=("h0.0", "tor0", "tor2", "h2.0"))
+        net.engine.schedule(1e-9, net.fail_link, "tor0", "tor2")
+        net.engine.run(until=1e-3)
+        assert packet.rerouted and packet.path == detour
+        (message,) = net.drain_outbox(cutoff=1.0)
+        assert (message.path, message.hop, message.rerouted) == (detour, 0, True)
+        assert net._ports[detour[0], detour[1]].packets_sent == 1
+        assert net.engine.pending() == 0 and net.packets_delivered == 0
+
     def test_bounded_buffers_rejected(self):
         topo = T.quartz_ring(RING, SERVERS)
         parts = partition_racks(topo, 2)
@@ -274,6 +311,30 @@ class TestFingerprintEquivalence:
             scenario, num_shards=num_shards, mode="inline", parallel=True
         )
         assert parallel.fingerprint() == serial.fingerprint()
+
+    def test_oracle_shards_match_kernel_serial(self, monkeypatch):
+        """The ``fastpath=False`` oracle takes the same tail-out decision:
+        sharded oracle == sharded kernel == serial kernel, through cuts
+        whose detours cross shard boundaries."""
+        scenario = make_scenario(fault=True)
+        crossings = []
+        tail_out = ShardNetwork._tail_out
+
+        def spy(self, packet, arrival):
+            result = tail_out(self, packet, arrival)
+            if result is None and packet.rerouted:
+                crossings.append(packet.hop)
+            return result
+
+        monkeypatch.setattr(ShardNetwork, "_tail_out", spy)
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        serial = run_serial(scenario)
+        kernel = run_parallel(scenario, num_shards=2, mode="inline", parallel=True)
+        assert 0 in crossings  # a detour's first hop left its shard
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        oracle = run_parallel(scenario, num_shards=2, mode="inline", parallel=True)
+        assert kernel.fingerprint() == serial.fingerprint()
+        assert oracle.fingerprint() == serial.fingerprint()
 
     def test_process_mode_matches_serial(self):
         scenario = make_scenario(fault=True, duration=1e-3)

@@ -109,6 +109,107 @@ class TestPopOrderEquivalence:
             assert fired == list(range(10)), scheduler
 
 
+def run_chain_program(scheduler, chained, actors, plains, runs):
+    """Replay one program of chained actors, plain events and cancellations.
+
+    ``chained=True`` starts every actor with ``chain_at`` and lets its
+    step *return* the next time; ``chained=False`` is the same program
+    written the long way — a ``call_at`` callback whose last act is a
+    trailing ``call_at`` for its own continuation.  Returns the firing
+    trace plus an engine snapshot after every (split) ``run`` call.
+    """
+    engine = Engine(scheduler=scheduler)
+    trace, snapshots, handles = [], [], []
+
+    def fire(tag):
+        trace.append((engine.now, tag))
+
+    def body(state):
+        # One link of an actor: log, optionally schedule a side event
+        # and cancel some handle, then name the continuation time.
+        actor, links = state["actor"], state["links"]
+        k = state["k"]
+        state["k"] = k + 1
+        trace.append((engine.now, ("actor", actor, k)))
+        delay, side_delay, cancel_idx = links[k]
+        if side_delay is not None:
+            handles.append(engine.schedule(side_delay, fire, ("side", actor, k)))
+        if cancel_idx is not None and handles:
+            handles[cancel_idx % len(handles)].cancel()
+        return engine.now + delay if k + 1 < len(links) else None
+
+    def trailing(state):
+        time = body(state)
+        if time is not None:
+            engine.call_at(time, trailing, state)
+
+    for actor, (start, links) in enumerate(actors):
+        state = {"actor": actor, "links": links, "k": 0}
+        if chained:
+            engine.chain_at(start, body, state)
+        else:
+            engine.call_at(start, trailing, state)
+        if actor < len(plains):
+            handles.append(engine.schedule(plains[actor], fire, ("plain", actor)))
+
+    def snapshot():
+        snapshots.append(
+            (engine.now, engine.events_processed, engine.pending(), engine.peek_time())
+        )
+
+    for kind, amount in runs:
+        if kind == "until":
+            engine.run(until=engine.now + amount)
+        else:
+            engine.run(max_events=amount)
+        snapshot()
+    engine.run()
+    snapshot()
+    return trace, snapshots
+
+
+LINK = st.tuples(
+    DELAYS,
+    st.one_of(st.none(), DELAYS),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=63)),
+)
+ACTOR = st.tuples(DELAYS, st.lists(LINK, min_size=1, max_size=8))
+RUN = st.one_of(
+    st.tuples(st.just("until"), DELAYS),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=12)),
+)
+
+
+class TestChainProtocol:
+    """``chain_at`` is a trailing ``call_at`` minus the allocation: same
+    firing order, same counters, on both schedulers, across split runs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(ACTOR, min_size=1, max_size=6),
+        st.lists(DELAYS, max_size=6),
+        st.lists(RUN, max_size=5),
+    )
+    def test_chained_equals_trailing_call_at(self, actors, plains, runs):
+        results = {
+            (scheduler, chained): run_chain_program(
+                scheduler, chained, actors, plains, runs
+            )
+            for scheduler in ("heap", "bucket")
+            for chained in (False, True)
+        }
+        for scheduler in ("heap", "bucket"):
+            # Trace and (now, events_processed, pending, peek_time)
+            # snapshots agree between the two forms of the program.
+            assert results[scheduler, True] == results[scheduler, False]
+        # Across schedulers everything but peek_time (only a lower
+        # bound on the bucket queue) agrees too.
+        heap_trace, heap_snaps = results["heap", True]
+        bucket_trace, bucket_snaps = results["bucket", True]
+        assert bucket_trace == heap_trace
+        assert [s[:3] for s in bucket_snaps] == [s[:3] for s in heap_snaps]
+
+
 class TestSelection:
     def test_env_selects_bucket(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER", "bucket")
