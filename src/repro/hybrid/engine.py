@@ -229,8 +229,7 @@ class HybridNetwork(Network):
             # (and their per-size product caches) must not survive a
             # serialization change.  Packets already in flight keep the
             # plan they started with — the documented approximation.
-            self._plans.clear()
-            self._stacked.clear()
+            self._invalidate_plans()
             self.residual_epoch += 1
             if self.record_timeline:
                 self.residual_timeline.append((self.engine.now, changed))

@@ -436,7 +436,11 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        self._push_entry([time, self._seq, step, _CHAIN, arg])
+        heap = self._heap
+        if heap is not None:
+            heapq.heappush(heap, [time, self._seq, step, _CHAIN, arg])
+        else:
+            self._sched.push([time, self._seq, step, _CHAIN, arg])
         self._seq += 1
 
     def call_at_many(

@@ -12,7 +12,10 @@ tuples indexed by hop number, so the kernel (:meth:`Network._hop`) walks
 plain tuple indices with zero dict lookups:
 
 * ``keys[h]`` — the directed link ``(path[h], path[h+1])``, used only
-  for the dead-link check and in-flight fault tracking;
+  for the dead-link check and telemetry;
+* ``flights[h]`` — the network's in-flight set of link ``h``
+  (``Network._in_flight[keys[h]]``, the same object), which the kernel
+  adds to and discards from when fault tracking is armed;
 * ``ser[h]`` — serialization factor (seconds per byte) of link ``h``;
 * ``ports[h]`` / ``caps[h]`` — the output :class:`PortState` and link
   capacity (the capacity feeds the bounded-buffer backlog check);
@@ -31,15 +34,18 @@ The affine form is **bit-identical** to the reference arithmetic:
 commutes with the scaling), and ``now + (-x) + lat`` performs the same
 two additions, in the same order, as the reference ``(now - x) + lat``.
 
-Plans hold no mutable forwarding state — ports stay owned by the
-network — so a plan is shared by every packet on its path and survives
-fault events structurally: dead links are still checked per transmit
-against the network's live ``_dead_links`` set, which is what preserves
-severing, detours, and drop accounting exactly.  The network still
-clears its plan cache on :meth:`Network.fail_link` /
-:meth:`Network.repair_link` so the cache cannot accumulate stale paths
-across fault churn.  Set ``REPRO_FASTPATH_DISABLE=1`` to force the
-reference loop; both paths produce bit-identical metrics.
+Plans own no mutable forwarding state — ports and in-flight sets stay
+owned by the network, which never replaces either object for a link —
+so a plan is shared by every packet on its path and survives fault
+events structurally: dead links are still checked per transmit against
+the network's live ``_dead_links`` set, and a packet still riding a
+plan that has left the cache registers in the same set a later cut of
+its link empties, which is what preserves severing, detours, and drop
+accounting exactly.  The network still clears its plan cache on
+:meth:`Network.fail_link` / :meth:`Network.repair_link` so the cache
+cannot accumulate stale paths across fault churn.  Set
+``REPRO_FASTPATH_DISABLE=1`` to force the reference loop; both paths
+produce bit-identical metrics.
 
 With :mod:`repro.obs` armed, the owning network counts plan compiles,
 cache hits, and fault invalidations (``fastpath.*`` counters); this
@@ -72,13 +78,15 @@ class HopPlan:
     """Per-path forwarding chain, resolved once and walked by index."""
 
     __slots__ = (
-        "path", "last", "keys", "ser", "ports", "caps", "lat", "latf", "foreign",
+        "path", "last", "keys", "flights", "ser", "ports", "caps", "lat", "latf",
+        "foreign",
     )
 
     def __init__(
         self,
         path: "Path",
         keys: tuple,
+        flights: tuple,
         ser: tuple,
         ports: tuple,
         caps: tuple,
@@ -89,6 +97,7 @@ class HopPlan:
         self.path = path
         self.last = len(path) - 1  # hop index of the destination node
         self.keys = keys
+        self.flights = flights
         self.ser = ser
         self.ports = ports
         self.caps = caps
@@ -162,13 +171,16 @@ class StackedPlan:
 def compile_plan(
     link_rec: "dict[tuple[str, str], tuple[float, PortState, float]]",
     hop_rec: "dict[str, tuple[bool, float]]",
+    in_flight: "dict[tuple[str, str], set]",
     path: "Path",
     owned: "frozenset[str] | None" = None,
 ) -> HopPlan:
     """Resolve ``path`` against the network's link and node records.
 
-    ``owned`` (a shard's node set) fills ``foreign``; ``None`` leaves it
-    ``None``, so an unsharded kernel pays one identity test per hop.
+    ``in_flight`` is the network's per-link registry: each hop binds its
+    link's set (created here on first use) into ``flights``.  ``owned``
+    (a shard's node set) fills ``foreign``; ``None`` leaves it ``None``,
+    so an unsharded kernel pays one identity test per hop.
 
     Raises :class:`~repro.sim.network.NetworkSimError` if any hop has no
     link — the same failure the reference loop reports lazily when the
@@ -176,6 +188,7 @@ def compile_plan(
     """
     n = len(path)
     keys = []
+    flights = []
     ser = []
     ports = []
     caps = []
@@ -187,6 +200,7 @@ def compile_plan(
 
             raise NetworkSimError(f"no link {path[h]!r} → {path[h + 1]!r} on path")
         keys.append(key)
+        flights.append(in_flight.setdefault(key, set()))
         ser.append(rec[0])
         ports.append(rec[1])
         caps.append(rec[2])
@@ -203,6 +217,6 @@ def compile_plan(
     if owned is not None:
         foreign = tuple(node not in owned for node in path[1:])
     return HopPlan(
-        path, tuple(keys), tuple(ser), tuple(ports), tuple(caps),
+        path, tuple(keys), tuple(flights), tuple(ser), tuple(ports), tuple(caps),
         tuple(lat), tuple(latf), foreign,
     )

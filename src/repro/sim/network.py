@@ -141,6 +141,14 @@ class Network:
     #: :meth:`_tail_out` to take the packets that leave.
     owned: "frozenset[str] | None" = None
 
+    #: Cap on bound flows (see :meth:`send`).  One entry serves every
+    #: later packet of its flow, so the table is sized for the flows
+    #: alive at once, not for a run's packet count: a stream of one-shot
+    #: flow ids (``vary_flow_per_packet``) fills it and then falls
+    #: through to the router, whose own memo has the larger
+    #: ``Router.ROUTE_CACHE_LIMIT``.
+    FLOW_TABLE_LIMIT = 65_536
+
     def __init__(
         self,
         topo: Topology,
@@ -247,6 +255,10 @@ class Network:
         self._track_in_flight = False
         self._dead_links: set[tuple[str, str]] = set()
         self._removed_edges: dict[tuple[str, str], dict] = {}
+        # Directed link -> packets on it.  Compiled plans bind these
+        # sets (``HopPlan.flights``) and packets in flight outlive their
+        # plan's cache entry, so a link's set is created once and only
+        # ever emptied — never popped or replaced.
         self._in_flight: dict[tuple[str, str], set[Packet]] = {}
         self._detour_cache: dict[tuple[str, str], Path | None] = {}
         self._next_packet_id = 0
@@ -280,9 +292,12 @@ class Network:
         self.fastpath_enabled = resolve_flag(
             fastpath, FASTPATH_ENV, env_disables=True
         )
-        # Compiled forwarding plans, one per unique path; cleared by
-        # fail_link/repair_link so fault churn cannot grow a stale cache.
+        # Compiled forwarding plans, one per unique path, and the flows
+        # bound to them: (src, dst, flow_id) -> (route, plan).  Both (and
+        # ``_stacked`` below) are dropped by _invalidate_plans, so fault
+        # churn cannot grow a stale cache or strand a flow on a dead route.
         self._plans: dict[Path, HopPlan] = {}
+        self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
         #: Whether cohort injections may commit vectorized (read-only
         #: after init).  Requires the fast path (the stacked plans are
         #: compiled from HopPlans), unbounded buffers (the backlog
@@ -341,15 +356,23 @@ class Network:
         """Inject one packet at ``src`` addressed to ``dst``, now.
 
         The path comes from the router (keyed by ``flow_id``) unless an
-        explicit ``path`` is supplied (e.g. SPAIN VLAN selection).
+        explicit ``path`` is supplied (e.g. SPAIN VLAN selection).  The
+        router is asked once per flow per fault epoch: its answer and
+        the compiled plan stay bound to ``(src, dst, flow_id)`` until a
+        cut, a repair or a hybrid residual change drops every binding
+        (:meth:`_bind`), so a later packet of the flow costs one probe.
+        An explicit ``path`` is resolved afresh every time and never
+        bound.
         """
         if size_bytes <= 0:
             raise NetworkSimError(f"packet size must be positive, got {size_bytes}")
-        route = path if path is not None else self.router.route(src, dst, flow_id)
-        if route[0] != src or route[-1] != dst:
-            raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
-        if type(route) is not tuple:
-            route = tuple(route)
+        bound = self._flows.get((src, dst, flow_id)) if path is None else None
+        if bound is None:
+            route, plan = self._bind(src, dst, flow_id, path)
+        else:
+            route, plan = bound
+            if self.obs is not None:
+                self.obs.incr("fastpath.plan_hits")
         packet_id = self._next_packet_id
         self._next_packet_id = packet_id + 1
         engine = self.engine
@@ -364,12 +387,7 @@ class Network:
             group=group,
             on_delivered=on_delivered,
         )
-        if self.fastpath_enabled:
-            plan = self._plans.get(route)
-            if plan is None:
-                plan = self._compile_plan(route)
-            elif self.obs is not None:
-                self.obs.incr("fastpath.plan_hits")
+        if plan is not None:
             packet.plan = plan
             arrival = self._hop(packet, now)
             if arrival is not None:
@@ -377,6 +395,34 @@ class Network:
         else:
             self._transmit(packet, earliest_start=now)
         return packet
+
+    def _bind(
+        self, src: str, dst: str, flow_id: int, path: Path | None
+    ) -> "tuple[Path, HopPlan | None]":
+        """Resolve one injection in full: route, endpoint checks, plan.
+
+        :meth:`send` comes here when the flow is not bound (first packet
+        of a flow in this fault epoch, explicit ``path=``, table full,
+        reference loop).  A router-chosen route and its compiled plan
+        are bound to ``(src, dst, flow_id)`` until the next
+        :meth:`_invalidate_plans`; an unroutable pair raises before
+        anything is stored, so a ``RoutingError`` is never cached.
+        """
+        route = path if path is not None else self.router.route(src, dst, flow_id)
+        if route[0] != src or route[-1] != dst:
+            raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
+        if type(route) is not tuple:
+            route = tuple(route)
+        if not self.fastpath_enabled:
+            return route, None  # the oracle asks the router for every packet
+        plan = self._plans.get(route)
+        if plan is None:
+            plan = self._compile_plan(route)
+        elif self.obs is not None:
+            self.obs.incr("fastpath.plan_hits")
+        if path is None and len(self._flows) < self.FLOW_TABLE_LIMIT:
+            self._flows[(src, dst, flow_id)] = (route, plan)
+        return route, plan
 
     def note_unroutable(self, group: str | None = None) -> None:
         """Count one packet the router had no path for (partitioned mesh).
@@ -668,9 +714,23 @@ class Network:
         """Compile and cache the hop plan for one path."""
         if self.obs is not None:
             self.obs.incr("fastpath.plan_compiles")
-        plan = compile_plan(self._link_rec, self._hop_rec, route, self.owned)
+        plan = compile_plan(
+            self._link_rec, self._hop_rec, self._in_flight, route, self.owned
+        )
         self._plans[route] = plan
         return plan
+
+    def _invalidate_plans(self) -> None:
+        """Drop everything compiled against the links as they were: hop
+        plans, their stacked twins, and the flows bound to them.  The
+        one invalidation path — cut, repair, and hybrid residual change
+        all come here.  Packets in flight keep the plan they carry.
+        """
+        self._plans.clear()
+        self._stacked.clear()
+        self._flows.clear()
+        if self.obs is not None:
+            self.obs.incr("fastpath.plan_invalidations")
 
     def _tail_out(self, packet: Packet, arrival: float) -> "float | None":
         """Tail-out extension point: ``packet`` (at ``path[hop]``) is on
@@ -702,9 +762,7 @@ class Network:
             if packet.dropped:
                 return None  # severed by a link failure while in flight
             if track:
-                flight = self._in_flight.get(plan.keys[hop])
-                if flight is not None:
-                    flight.discard(packet)
+                plan.flights[hop].discard(packet)
             hop += 1
             packet.hop = hop
             now = self.engine.now
@@ -757,7 +815,7 @@ class Network:
                     stamps = packet.stamps = []
                 stamps.append((plan.path[hop], depth, wait))
         if track:
-            self._in_flight.setdefault(plan.keys[hop], set()).add(packet)
+            plan.flights[hop].add(packet)
         arrival = tail_out + self.propagation_delay
         if plan.foreign is not None and plan.foreign[hop]:
             return self._tail_out(packet, arrival)
@@ -801,20 +859,22 @@ class Network:
         self._dead_links.add((v, u))
         dropped = 0
         for key in ((u, v), (v, u)):
-            for packet in self._in_flight.pop(key, ()):
-                packet.dropped = True
-                dropped += 1
-                self.fault_stats.record_drop(packet.group, now)
-                if self.telemetry is not None:
-                    self.telemetry.on_drop(key, packet.group, now)
+            flight = self._in_flight.get(key)
+            if flight:
+                for packet in flight:
+                    packet.dropped = True
+                    self.fault_stats.record_drop(packet.group, now)
+                    if self.telemetry is not None:
+                        self.telemetry.on_drop(key, packet.group, now)
+                dropped += len(flight)
+                flight.clear()  # emptied in place: plans hold this set
             # The severed queue drains to nowhere: the port is idle for
             # whatever transmits after a repair.
             self._ports[key].busy_until = now
         self.packets_dropped_fault += dropped
         self.packets_dropped += dropped
         self._detour_cache.clear()
-        self._plans.clear()
-        self._stacked.clear()
+        self._invalidate_plans()
         self._fault_epoch += 1
         self.router.invalidate_links([(u, v)])
         self.fault_stats.log(
@@ -822,7 +882,6 @@ class Network:
         )
         if self.obs is not None:
             self.obs.incr("faults.link_down")
-            self.obs.incr("fastpath.plan_invalidations")
             if dropped:
                 self.obs.incr("faults.packets_severed", dropped)
         return dropped
@@ -843,14 +902,12 @@ class Network:
         self._dead_links.discard((u, v))
         self._dead_links.discard((v, u))
         self._detour_cache.clear()
-        self._plans.clear()
-        self._stacked.clear()
+        self._invalidate_plans()
         self._fault_epoch += 1
         self.router.invalidate_links([(u, v)], repaired=True)
         self.fault_stats.log(self.engine.now, "link_up", link=(u, v))
         if self.obs is not None:
             self.obs.incr("faults.link_up")
-            self.obs.incr("fastpath.plan_invalidations")
         return True
 
     def _reroute_or_drop(self, packet: Packet, earliest_start: float) -> "float | None":

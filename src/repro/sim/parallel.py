@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import repro.topology as T
 from repro import obs as _obs
@@ -329,16 +329,16 @@ def _attach_faults(network: Network, scenario: ParallelScenario) -> int:
 # -- boundary channel --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryMessage:
+class BoundaryMessage(NamedTuple):
     """One packet crossing a shard boundary, as picklable plain data.
 
     ``hop`` indexes the boundary link ``(path[hop], path[hop + 1])``
     the packet is traversing; the receiver reconstructs the
     :class:`~repro.sim.network.Packet` (and recompiles its hop plan —
     plans hold process-local port references and never travel) and
-    schedules the arrival.  ``(arrival, origin, seq)`` is the
-    deterministic merge key at window barriers.
+    schedules the arrival.  The leading ``(arrival, origin, seq)`` is
+    the deterministic merge key at window barriers: ``(origin, seq)``
+    is unique, so plain tuple ordering never compares a later field.
     """
 
     arrival: float
@@ -457,18 +457,9 @@ class ShardNetwork(Network):
                 continue
             messages.append(
                 BoundaryMessage(
-                    arrival=arrival,
-                    origin=self.shard_index,
-                    seq=seq,
-                    packet_id=packet.packet_id,
-                    src=packet.src,
-                    dst=packet.dst,
-                    size_bytes=packet.size_bytes,
-                    path=packet.path,
-                    created_at=packet.created_at,
-                    group=packet.group,
-                    hop=hop,
-                    rerouted=packet.rerouted,
+                    arrival, self.shard_index, seq, packet.packet_id,
+                    packet.src, packet.dst, packet.size_bytes, packet.path,
+                    packet.created_at, packet.group, hop, packet.rerouted,
                 )
             )
         self.outbox = []
@@ -1006,7 +997,7 @@ def run_parallel(
             for message in pending:
                 inboxes[owner[message.path[message.hop + 1]]].append(message)
             for inbox in inboxes:
-                inbox.sort(key=lambda m: (m.arrival, m.origin, m.seq))
+                inbox.sort()  # by (arrival, origin, seq), the leading fields
             boundary_messages += len(pending)
             pending = []
             window_start = time.perf_counter() if reg is not None else 0.0

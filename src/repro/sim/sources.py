@@ -20,6 +20,14 @@ produces exactly the same packets.  Each packet's *injection* still
 fires as its own engine event: port queueing interleaves with other
 traffic at arrival times, so arrivals cannot be applied in batch
 without changing results.
+
+A running Poisson or burst source is one engine **chain**
+(:meth:`~repro.sim.engine.Engine.chain_at`): its fire step returns the
+next fire time and the engine re-arms the same queue entry, so a source
+is one heap entry for life.  The chain carries the source's generation
+as its argument; :meth:`stop` bumps the generation, so the fire still
+queued from before the stop ends its chain as a no-op and a later
+:meth:`start` begins exactly one new chain at the configured rate.
 """
 
 from __future__ import annotations
@@ -125,6 +133,7 @@ class PoissonSource:
         else:
             self._dst_rng = None
         self._running = False
+        self._generation = 0  # token of the live fire chain; see stop()
         self._cohort_skip = 0
 
     @classmethod
@@ -142,13 +151,22 @@ class PoissonSource:
         return cls(network, src, dst, rate_pps=rate, size_bytes=size_bytes, **kwargs)  # type: ignore[arg-type]
 
     def start(self, delay: float = 0.0) -> None:
+        """Begin sending, first packet one gap after ``delay``.  Legal
+        again after :meth:`stop`: the stream resumes where its gap and
+        destination draws left off."""
         if self._running:
             raise SourceError("source already started")
         self._running = True
-        self.network.engine.schedule(delay + self._next_gap(), self._fire)
+        engine = self.network.engine
+        engine.chain_at(
+            engine.now + (delay + self._next_gap()), self._fire, self._generation
+        )
 
     def stop(self) -> None:
+        """Stop sending.  The fire already queued stays queued and ends
+        its chain when it surfaces: it carries the generation this bumps."""
         self._running = False
+        self._generation += 1
 
     def _next_gap(self) -> float:
         """Next exponential inter-arrival gap (pre-drawn in batches)."""
@@ -174,14 +192,16 @@ class PoissonSource:
         self._dst_i = i + 1
         return self._dsts[picks[i]]
 
-    def _fire(self) -> None:
+    def _fire(self, generation: int) -> "float | None":
+        """One chain step: send a packet (or a cohort), return the next
+        fire time, or ``None`` to end the chain."""
+        if generation != self._generation:
+            return None  # queued before a stop()
         engine = self.network.engine
-        if not self._running:
-            return
         now = engine.now
         if self.stop_at is not None and now >= self.stop_at:
             self._running = False
-            return
+            return None
         if (
             self._dst_rng is None
             and self.on_delivered is None
@@ -191,8 +211,10 @@ class PoissonSource:
         ):
             if self._cohort_skip:
                 self._cohort_skip -= 1
-            elif self._fire_cohort(engine, now):
-                return
+            else:
+                next_fire = self._fire_cohort(engine, now)
+                if next_fire is not None:
+                    return next_fire
         dst = self._dsts[0] if self._dst_rng is None else self._next_dst()
         flow = self.flow_id
         if self.vary_flow_per_packet:
@@ -207,9 +229,9 @@ class PoissonSource:
             # pair unreachable; the offered packet is lost, not fatal.
             self.network.note_unroutable(self.group)
         self.packets_sent += 1
-        engine.call_at(engine.now + self._next_gap(), self._fire)
+        return now + self._next_gap()
 
-    def _fire_cohort(self, engine, now: float) -> bool:
+    def _fire_cohort(self, engine, now: float) -> "float | None":
         """Try to inject a whole cohort of pre-drawn packets at once.
 
         Candidate injection times extend ``now`` by the gaps already
@@ -219,15 +241,15 @@ class PoissonSource:
         :meth:`Network.send_cohort` commits the longest event-safe
         prefix; on any commit the gap cursor, packet counter, and the
         engine's logical event count advance exactly as the per-packet
-        fires would have left them, and the next fire is scheduled from
-        the last committed injection.  Returns ``False`` to make the
-        caller fall back to the scalar single-packet fire.
+        fires would have left them, and the next fire time — one gap
+        after the last committed injection — is returned.  ``None``
+        makes the caller fall back to the scalar single-packet fire.
         """
         gaps = self._gaps
         i = self._gap_i
         n = len(gaps)
         if i >= n:
-            return False  # chunk exhausted: the scalar fire refills it
+            return None  # chunk exhausted: the scalar fire refills it
         # Candidate times are capped by everything that bounds a commit
         # anyway — the next queued event (strict), the run horizon, and
         # ``stop_at`` — so a busy queue costs a short list, not a chunk.
@@ -244,22 +266,21 @@ class PoissonSource:
             times.append(t)
         if len(times) < MIN_COHORT:
             self._cohort_skip = COHORT_RETRY_BACKOFF
-            return False
+            return None
         try:
             m = self.network.send_cohort(
                 self.src, self._dsts[0], self.size_bytes, times,
                 flow_id=self.flow_id, group=self.group,
             )
         except RoutingError:
-            return False  # scalar fire counts the unroutable packet
+            return None  # scalar fire counts the unroutable packet
         if m == 0:
             self._cohort_skip = COHORT_RETRY_BACKOFF
-            return False
+            return None
         self.packets_sent += m
         self._gap_i = i + (m - 1)
         engine.credit_events(m - 1)  # the elided per-packet fire events
-        engine.call_at(times[m - 1] + self._next_gap(), self._fire)
-        return True
+        return times[m - 1] + self._next_gap()
 
 
 class BurstSource:
@@ -301,6 +322,7 @@ class BurstSource:
         self.burst_interval = burst_bits / target_bandwidth_bps
         self._rng = random.Random(seed)
         self._running = False
+        self._generation = 0  # as PoissonSource: token of the live chain
 
     def start(self, delay: float | None = None) -> None:
         """Begin bursting; ``delay`` defaults to a random phase within one
@@ -309,25 +331,26 @@ class BurstSource:
             raise SourceError("source already started")
         self._running = True
         phase = self._rng.uniform(0, self.burst_interval) if delay is None else delay
-        self.network.engine.schedule(phase, self._fire_burst)
+        engine = self.network.engine
+        engine.chain_at(engine.now + phase, self._fire_burst, self._generation)
 
     def stop(self) -> None:
         self._running = False
+        self._generation += 1
 
-    def _fire_burst(self) -> None:
-        if not self._running:
-            return
+    def _fire_burst(self, generation: int) -> "float | None":
+        if generation != self._generation:
+            return None  # queued before a stop()
         now = self.network.engine.now
         if self.stop_at is not None and now >= self.stop_at:
             self._running = False
-            return
+            return None
         for _ in range(self.burst_packets):
             self.network.send(
                 self.src, self.dst, self.size_bytes, flow_id=self.flow_id, group=self.group
             )
             self.packets_sent += 1
-        engine = self.network.engine
-        engine.call_at(engine.now + self.burst_interval, self._fire_burst)
+        return now + self.burst_interval
 
 
 class RPCSource:

@@ -39,8 +39,7 @@ class FullScanNetwork(HybridNetwork):
                 changed[key] = eff
         self.epochs += 1
         if changed:
-            self._plans.clear()
-            self._stacked.clear()
+            self._invalidate_plans()
             self.residual_epoch += 1
             if self.record_timeline:
                 self.residual_timeline.append((self.engine.now, changed))

@@ -13,7 +13,8 @@ bounded-buffer tail drops.
 import pytest
 
 import repro.topology as T
-from repro.routing import ECMPRouter
+from repro.hybrid import BackgroundFlow, HybridNetwork
+from repro.routing import ECMPRouter, RoutingError, VLBRouter
 from repro.sim import Network, NetworkSimError, ULL
 from repro.sim.fastpath import compile_plan
 from repro.sim.network import DEFAULT_PROPAGATION_DELAY
@@ -176,7 +177,133 @@ class TestPlanCache:
 
     def test_missing_link_raises_same_error(self, net):
         with pytest.raises(NetworkSimError, match="no link"):
-            compile_plan(net._link_rec, net._hop_rec, ("h0.0", "h15.0"))
+            compile_plan(net._link_rec, net._hop_rec, {}, ("h0.0", "h15.0"))
+
+
+class TestBoundFlows:
+    """``send`` binds ``(src, dst, flow_id)`` to ``(route, plan)`` and asks
+    the router again only when the binding is gone: the binding must never
+    outlive the links it was made against."""
+
+    DIRECT = ("h0.0", "tor0", "tor1", "h1.0")
+
+    @pytest.fixture
+    def mesh(self):
+        topo = T.quartz_ring(5, servers_per_switch=1)
+        return Network(topo, ECMPRouter(topo), fastpath=True)
+
+    @staticmethod
+    def count_route_calls(net, monkeypatch):
+        calls = []
+        route = net.router.route
+
+        def counting(src, dst, flow_id=0):
+            calls.append((src, dst, flow_id))
+            return route(src, dst, flow_id)
+
+        monkeypatch.setattr(net.router, "route", counting)
+        return calls
+
+    def test_router_asked_once_per_flow(self, mesh, monkeypatch):
+        calls = self.count_route_calls(mesh, monkeypatch)
+        packets = [mesh.send("h0.0", "h1.0", 400, flow_id=7) for _ in range(5)]
+        mesh.send("h0.0", "h1.0", 400, flow_id=8)
+        assert calls == [("h0.0", "h1.0", 7), ("h0.0", "h1.0", 8)]
+        assert len({id(p.plan) for p in packets}) == 1
+        mesh.run()
+        assert mesh.packets_delivered == 6
+
+    def test_cut_rebinds_to_the_surviving_route_and_repair_restores(self, mesh):
+        assert mesh.send("h0.0", "h1.0", 400).path == self.DIRECT
+        mesh.fail_link("tor0", "tor1")
+        assert not mesh._flows
+        detour = mesh.send("h0.0", "h1.0", 400)
+        assert detour.path != self.DIRECT and len(detour.path) == 5
+        assert mesh.send("h0.0", "h1.0", 400).plan is detour.plan  # bound again
+        mesh.repair_link("tor0", "tor1")
+        assert mesh.send("h0.0", "h1.0", 400).path == self.DIRECT
+        mesh.run()
+        assert mesh.packets_delivered == 4 and not mesh.packets_rerouted
+
+    def test_partition_raises_every_time_then_traffic_resumes(self):
+        topo = T.quartz_ring(3, servers_per_switch=1)
+        net = Network(topo, VLBRouter(topo), fastpath=True)
+        net.send("h0.0", "h1.0", 400)  # bound while the mesh was whole
+        net.fail_link("tor0", "tor1")
+        net.fail_link("tor0", "tor2")
+        for _ in range(3):  # the error is not cached, and neither is a route
+            with pytest.raises(RoutingError):
+                net.send("h0.0", "h1.0", 400)
+        assert not net._flows
+        net.repair_link("tor0", "tor1")
+        net.send("h0.0", "h1.0", 400)
+        net.run()
+        assert net.packets_delivered == 2
+
+    def test_explicit_path_bypasses_the_table(self, mesh, monkeypatch):
+        via = ("h0.0", "tor0", "tor2", "tor1", "h1.0")
+        assert mesh.send("h0.0", "h1.0", 400).path == self.DIRECT
+        calls = self.count_route_calls(mesh, monkeypatch)
+        assert mesh.send("h0.0", "h1.0", 400, path=via).path == via
+        assert mesh.send("h0.0", "h1.0", 400, path=list(via)).path == via
+        assert mesh._flows[("h0.0", "h1.0", 0)][0] == self.DIRECT  # not rebound
+        assert mesh.send("h0.0", "h1.0", 400).path == self.DIRECT
+        assert calls == []  # neither the bound flow nor ``path=`` asked
+        with pytest.raises(NetworkSimError, match="does not join"):
+            mesh.send("h0.0", "h2.0", 400, path=via)
+
+    def test_hybrid_residual_epoch_rebinds(self):
+        """A bound plan carries its links' serialization: a residual
+        change must drop it, or the flow keeps the old link speed."""
+
+        def latencies(fastpath):
+            topo = T.quartz_ring(3, 1)
+            src, dst = topo.servers()[:2]
+            background = [BackgroundFlow(1_000_000, src, dst, 5 * GBPS, 1e-4, 2e-4)]
+            net = HybridNetwork(
+                topo, ECMPRouter(topo), background, fastpath=fastpath, hybrid=True
+            )
+            out = []
+            for when in (0.0, 1.5e-4, 2.5e-4):  # before, inside, after the epoch
+                net.run(until=when)
+                packet = net.send(src, dst, 1500.0)
+                net.run(until=when + 5e-5)
+                out.append(packet.latency)
+            assert net.residual_epoch == 2
+            return out
+
+        kernel = latencies(True)
+        assert kernel == latencies(False)  # the oracle asks the router every time
+        assert kernel[1] > 1.5 * kernel[0]  # half the capacity on every link
+        assert kernel[2] == pytest.approx(kernel[0])
+
+    def test_table_is_bounded_and_full_table_changes_nothing(self, monkeypatch):
+        """Ten bounds' worth of one-shot flow ids: the table stops at its
+        bound, later flows fall through to the router, same results."""
+
+        def run(limit):
+            topo = T.quartz_ring(5, servers_per_switch=1)
+            net = Network(topo, VLBRouter(topo), fastpath=True)
+            if limit is not None:
+                monkeypatch.setattr(net, "FLOW_TABLE_LIMIT", limit, raising=False)
+            source = PoissonSource(
+                net, "h0.0", ["h1.0", "h2.0", "h3.0"], rate_pps=2e6, seed=5,
+                vary_flow_per_packet=True, stop_at=1.6e-4,
+            )
+            source.start()
+            net.run()
+            return net, (
+                source.packets_sent, net.engine.events_processed,
+                tuple(net.stats.samples),
+                sorted((k, p.packets_sent, p.busy_until) for k, p in net._ports.items()),
+            )
+
+        bounded, result = run(32)
+        unbounded, reference = run(None)
+        assert result == reference
+        assert result[0] >= 320  # ten times the bound, every flow id new
+        assert len(bounded._flows) == 32
+        assert len(unbounded._flows) == result[0]
 
 
 class TestFlagResolution:

@@ -11,6 +11,15 @@ from repro.sim.faults import (
     SegmentCut,
     random_fault_schedule,
 )
+from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.parallel import (
+    ParallelScenario,
+    ShardNetwork,
+    SourceSpec,
+    partition_racks,
+    run_parallel,
+    run_serial,
+)
 from repro.topology import quartz_ring, two_tier_tree
 
 
@@ -292,3 +301,131 @@ class TestDeterminism:
 
     def test_identical_runs_bit_identical(self):
         assert self._run() == self._run()
+
+
+class TestInFlightSetIdentity:
+    """Compiled plans bind each link's in-flight set, and a packet in
+    flight outlives its plan's cache entry: a link's set must stay the
+    same object through every cut and repair, or a packet clocked onto
+    the link under an old plan is invisible to the cut that severs it."""
+
+    K = ("tor0", "tor3")  # a shard boundary when racks 0-2 | 3-4 are split
+    UNRELATED = ("tor1", "tor2")
+    BURST = 40
+
+    def burst_through_churn(self, fastpath, first, sharded):
+        """A burst queued behind h0.0's NIC, all on one plan compiled at
+        t=0; ``first`` is cut and repaired at 1 us (clearing the plan
+        cache under the burst), then K is cut at 6 us with the burst's
+        middle on it (the tail detours)."""
+        topo = quartz_ring(5, servers_per_switch=1)
+        if sharded:
+            owned = partition_racks(topo, 2)[0]
+            net = ShardNetwork(topo, ECMPRouter(topo), owned=owned, fastpath=fastpath)
+        else:
+            net = Network(topo, ECMPRouter(topo), fastpath=fastpath)
+        net.enable_fault_tracking()
+        packets = [net.send("h0.0", "h3.0", 400) for _ in range(self.BURST)]
+        severed = {}
+
+        def churn():
+            severed["first"] = net.fail_link(*first)
+            net.repair_link(*first)
+            severed["flight"] = net._in_flight[self.K]
+
+        def cut():
+            severed["second"] = net.fail_link(*self.K)
+
+        net.engine.schedule_at(1e-6, churn)
+        net.engine.schedule_at(6e-6, cut)
+        net.run(until=1e-3)
+        shipped = len(net.drain_outbox(cutoff=1.0)) if sharded else 0
+        assert net._in_flight[self.K] is severed.pop("flight")
+        assert not net._in_flight[self.K]
+        if fastpath:
+            # Every severed packet was riding the t=0 plan, which left
+            # the cache at 1 us and still holds the registry's own set.
+            plan = packets[0].plan
+            assert all(p.plan is plan for p in packets if p.dropped)
+            assert net._plans.get(plan.path) is not plan
+            assert plan.flights[1] is net._in_flight[self.K]
+        return (
+            severed, shipped, net.packets_delivered, net.packets_dropped_fault,
+            net.packets_rerouted, getattr(net, "suppressed_events", 0),
+            tuple(p.dropped for p in packets),
+        )
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("first", [UNRELATED, K])
+    def test_packet_on_an_old_plan_is_severed_by_a_later_cut(self, first, sharded):
+        kernel = self.burst_through_churn(True, first, sharded)
+        oracle = self.burst_through_churn(False, first, sharded)
+        assert kernel == oracle
+        severed, shipped, delivered, dropped, _, _, _ = kernel
+        assert severed["second"] > 0  # the burst's middle was on K at 6 us
+        assert (severed["first"] > 0) == (first == self.K)
+        assert dropped == severed["first"] + severed["second"]
+        # Nothing vanished: delivered here, shipped to the peer shard,
+        # or severed and counted.
+        assert delivered + shipped + dropped == self.BURST
+
+    def test_received_boundary_packet_is_severed_through_the_same_set(self):
+        """The receiving shard registers an inbound packet through the
+        dict before any plan over K exists; the plan compiled for it
+        binds that same set, and a cut before arrival finds the packet."""
+        topo = quartz_ring(5, servers_per_switch=1)
+        parts = partition_racks(topo, 2)
+        sender = ShardNetwork(topo, ECMPRouter(topo), owned=parts[0], fastpath=True)
+        sender.send("h0.0", "h3.0", 400)
+        sender.run(until=1e-3)
+        (message,) = sender.drain_outbox(cutoff=1.0)
+        topo = quartz_ring(5, servers_per_switch=1)
+        receiver = ShardNetwork(
+            topo, ECMPRouter(topo), owned=parts[1], shard_index=1, fastpath=True
+        )
+        receiver.enable_fault_tracking()
+        receiver.receive_boundary([message])
+        plan = receiver._plans[message.path]
+        assert plan.flights[message.hop] is receiver._in_flight[self.K]
+        assert receiver.fail_link(*self.K) == 1
+        receiver.run(until=1e-3)
+        assert receiver.packets_delivered == 0
+        assert receiver.packets_dropped_fault == 1
+
+    def test_rapid_recut_matches_serial_and_oracle(self, monkeypatch):
+        """Whole runs: a segment cut, spliced 1 us later and cut again
+        2 us after that, under load heavy enough that packets injected
+        before the splice are still crossing when the second cut lands.
+        Serial == inline-sharded, kernel == oracle."""
+        specs = tuple(
+            SourceSpec(
+                src=f"h{rack}.{server}", dst=f"h{(rack + 2) % 5}.{server}",
+                rate_pps=2_000_000.0, group=f"g{rack % 2}",
+                flow_id=rack * 10 + server, seed=rack * 10 + server,
+            )
+            for rack in range(5) for server in range(2)
+        )
+
+        def scenario(recut):
+            cuts = (SegmentCut(start=1e-4, ring=0, segment=1, repair_at=1.01e-4),)
+            if recut:
+                cuts += (SegmentCut(start=1.03e-4, ring=0, segment=1),)
+            return ParallelScenario(
+                fabric="quartz-ring", fabric_args=(5, 2), sources=specs,
+                duration=3e-4, fault_cuts=cuts, fault_plan=(5, None),
+            )
+
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        once = run_serial(scenario(False))
+        kernel = run_serial(scenario(True))
+        sharded = run_parallel(
+            scenario(True), num_shards=2, mode="inline", parallel=True
+        )
+        assert kernel.packets_dropped_fault > once.packets_dropped_fault > 0
+        assert sharded.fingerprint() == kernel.fingerprint()
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        assert run_serial(scenario(True)).fingerprint() == kernel.fingerprint()
+        oracle_sharded = run_parallel(
+            scenario(True), num_shards=2, mode="inline", parallel=True
+        )
+        assert oracle_sharded.fingerprint() == kernel.fingerprint()

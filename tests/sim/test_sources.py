@@ -1,10 +1,12 @@
 """Tests for the traffic sources."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.topology as T
 from repro.routing import ECMPRouter
 from repro.sim import BurstSource, Network, PoissonSource, RPCSource, SourceError
+from repro.sim.engine import Engine
 from repro.sim.sources import poisson_pair_sources
 from repro.units import GBPS, MBPS
 
@@ -221,3 +223,238 @@ class TestChunkedDraws:
             net, [("h0.0", "h1.0"), ("h2.0", "h3.0")], 100 * MBPS, chunk=17
         )
         assert [s.chunk for s in sources] == [17, 17]
+
+
+def _poisson(net, batch):
+    # chunk > MIN_COHORT lets cohorts engage when ``batch`` allows them.
+    return PoissonSource(
+        net, "h0.0", "h1.0", rate_pps=100_000, seed=1, chunk=1 if not batch else 64
+    )
+
+
+def _burst(net, batch):
+    return BurstSource(net, "h0.0", "h1.0", 1 * GBPS, burst_packets=10, seed=1)
+
+
+class TestRestart:
+    """``stop(); start()`` used to leave the pre-stop fire queued and live,
+    so the restarted source ran two fire chains — twice the rate."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_poisson_restart_keeps_the_rate(self, batch):
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo), batch=batch)
+        source = _poisson(net, batch)
+        source.start()
+        net.run(until=0.01)
+        first = source.packets_sent
+        source.stop()
+        source.start()
+        net.run(until=0.02)
+        # 100 kpps: ~1000 packets per 10 ms half, Poisson noise +-5 sigma.
+        assert 850 <= first <= 1150
+        assert 850 <= source.packets_sent - first <= 1150
+        # The fabric has drained its last packets by the next fire or
+        # two; what stays queued is the one live chain.
+        assert net.engine.pending() == 1
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_burst_restart_keeps_the_rate(self, batch):
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo), batch=batch)
+        source = _burst(net, batch)  # one 10-packet burst per 120 us
+        source.start(delay=0.0)
+        net.run(until=0.0101)
+        first = source.packets_sent
+        source.stop()
+        source.start(delay=0.0)
+        net.run(until=0.0202)
+        assert first == 850  # bursts at 0, 120 us, ..., 10.08 ms
+        assert source.packets_sent - first == 850
+        assert net.engine.pending() == 1
+
+    @pytest.mark.parametrize("make", [_poisson, _burst])
+    def test_stopped_source_leaves_nothing_live(self, make):
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo))
+        source = make(net, False)
+        source.start()
+        net.run(until=0.001)
+        source.stop()
+        sent = source.packets_sent
+        net.run(until=0.002)
+        assert source.packets_sent == sent
+        assert net.engine.pending() == 0
+
+    def test_restart_continues_the_draw_streams(self):
+        """A restart resumes the seeded gap stream, it does not rewind it."""
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo))
+        source = PoissonSource(
+            net, "h0.0", "h1.0", rate_pps=100_000, seed=1, chunk=4096
+        )
+        source.start()
+        net.run(until=0.001)
+        source.stop()
+        cursor = source._gap_i
+        source.start()
+        assert source._gap_i == cursor + 1
+
+
+# -- chained sources against the trailing-call_at shape they replaced ------------
+
+
+def _drive_with_call_at(source, step):
+    """Fire ``step`` the pre-chain way: a plain event whose *last* act
+    is ``call_at(next_time, ...)`` — what ``Engine.chain_at`` promises
+    to be indistinguishable from."""
+    engine = source.network.engine
+
+    def fire(generation):
+        when = step(generation)
+        if when is not None:
+            engine.call_at(when, fire, generation)
+
+    return fire
+
+
+class CallAtPoissonSource(PoissonSource):
+    def start(self, delay=0.0):
+        if self._running:
+            raise SourceError("source already started")
+        self._running = True
+        engine = self.network.engine
+        engine.call_at(
+            engine.now + (delay + self._next_gap()),
+            _drive_with_call_at(self, self._fire), self._generation,
+        )
+
+
+class CallAtBurstSource(BurstSource):
+    def start(self, delay=None):
+        if self._running:
+            raise SourceError("source already started")
+        self._running = True
+        phase = self._rng.uniform(0, self.burst_interval) if delay is None else delay
+        engine = self.network.engine
+        engine.call_at(
+            engine.now + phase,
+            _drive_with_call_at(self, self._fire_burst), self._generation,
+        )
+
+
+SOURCE_SPECS = st.lists(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["poisson", "poisson", "burst"]),
+        "src": st.integers(0, 3),
+        "fan": st.integers(1, 3),  # destinations (poisson only)
+        "rate": st.sampled_from([2e5, 1e6, 4e6]),
+        "stop_at": st.sampled_from([4e-5, 1.5e-4, 3e-4]),
+        "forever": st.booleans(),  # no stop_at (bounded runs only)
+        "vary": st.booleans(),
+        "callback": st.booleans(),
+        "seed": st.integers(0, 50),
+    }),
+    min_size=1, max_size=3,
+)
+
+
+def _snapshot(net, sources, delivered):
+    engine = net.engine
+    return (
+        engine.now, engine.events_processed, engine.pending(), engine.peek_time(),
+        tuple(s.packets_sent for s in sources),
+        net._next_packet_id, net.packets_delivered,
+        tuple(net.stats.samples), tuple(delivered),
+        sorted(
+            (key, p.packets_sent, p.bytes_sent, p.busy_until)
+            for key, p in net._ports.items() if p.packets_sent
+        ),
+    )
+
+
+def _run_sources(chained, scheduler, batch, specs, mode, restart):
+    """Snapshots after every leg of one run, chained or trailing-call_at."""
+    topo = T.full_mesh(4, 2)
+    net = Network(topo, ECMPRouter(topo), engine=Engine(scheduler), batch=batch)
+    poisson = PoissonSource if chained else CallAtPoissonSource
+    burst = BurstSource if chained else CallAtBurstSource
+    delivered = []
+    sources = []
+    for index, spec in enumerate(specs):
+        src = f"h{spec['src']}.0"
+        others = [f"h{(spec['src'] + k) % 4}.1" for k in range(1, 4)]
+        # An unbounded ``run()`` only returns if every source ends.
+        stop_at = None if spec["forever"] and mode != "run" else spec["stop_at"]
+        if spec["kind"] == "burst":
+            source = burst(
+                net, src, others[0], spec["rate"] * 3200, burst_packets=4,
+                size_bytes=400, flow_id=index, seed=spec["seed"], stop_at=stop_at,
+            )
+        else:
+            source = poisson(
+                net, src, others[: spec["fan"]], rate_pps=spec["rate"],
+                flow_id=index, seed=spec["seed"], stop_at=stop_at, chunk=32,
+                vary_flow_per_packet=spec["vary"],
+                on_delivered=(
+                    (lambda packet, when: delivered.append((packet.packet_id, when)))
+                    if spec["callback"] else None
+                ),
+            )
+        source.start()
+        sources.append(source)
+    snaps = []
+    if mode == "run":
+        net.run()
+        snaps.append(_snapshot(net, sources, delivered))
+    else:
+        for leg in range(1, 5):
+            if mode == "until":
+                net.run(until=leg * 1e-4)
+            else:
+                net.run(max_events=150)
+            snaps.append(_snapshot(net, sources, delivered))
+            if restart and leg == 2:
+                for source in sources:
+                    source.stop()
+                    source.start()
+    return snaps
+
+
+class TestChainedSourcesMatchTrailingCallAt:
+    """A chained source is the trailing-``call_at`` source minus the frame
+    and the allocation: same packets, same event count, same queue."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheduler=st.sampled_from(["heap", "bucket"]),
+        batch=st.booleans(),
+        specs=SOURCE_SPECS,
+        mode=st.sampled_from(["run", "until", "max_events"]),
+        restart=st.booleans(),
+    )
+    def test_identical_snapshots(self, scheduler, batch, specs, mode, restart):
+        chained = _run_sources(True, scheduler, batch, specs, mode, restart)
+        reference = _run_sources(False, scheduler, batch, specs, mode, restart)
+        assert chained == reference
+        assert chained[-1][4] != (0,) * len(specs)  # traffic actually flowed
+
+    def test_cohorts_engage_under_the_chain(self, monkeypatch):
+        """The batched leg of the differential is not vacuous: a lone
+        single-destination stream commits cohorts from inside its step."""
+        for knob in ("REPRO_FASTPATH_DISABLE", "REPRO_BATCH_DISABLE"):
+            monkeypatch.delenv(knob, raising=False)  # cohorts need both on
+        committed = []
+        send_cohort = Network.send_cohort
+
+        def counting(self, *args, **kwargs):
+            committed.append(send_cohort(self, *args, **kwargs))
+            return committed[-1]
+
+        monkeypatch.setattr(Network, "send_cohort", counting)
+        spec = dict(kind="poisson", src=0, fan=1, rate=1e6, stop_at=3e-4,
+                    forever=False, vary=False, callback=False, seed=3)
+        batched = _run_sources(True, "heap", True, [spec], "run", False)
+        assert sum(committed) > 100
+        assert batched == _run_sources(False, "heap", True, [spec], "run", False)
+        assert batched == _run_sources(True, "heap", False, [spec], "run", False)
