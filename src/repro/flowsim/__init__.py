@@ -10,6 +10,7 @@ from repro.flowsim.fct import (
 from repro.flowsim.maxmin import (
     Flow,
     FlowSimError,
+    Incidence,
     MaxMinSolution,
     ResidualSolver,
     capacities_of,
@@ -33,6 +34,7 @@ __all__ = [
     "Flow",
     "FlowCompletion",
     "FlowSimError",
+    "Incidence",
     "MaxMinSolution",
     "ResidualSolver",
     "TimedFlow",

@@ -4,8 +4,9 @@ The flow-level counterpart to the packet simulator: given flows with
 (possibly multipath, weighted) routes and per-flow demand caps, raise
 every unfrozen flow's rate in lockstep; when a link saturates, freeze
 the flows crossing it; repeat.  This is the textbook water-filling
-algorithm, implemented over a sparse link × subflow incidence matrix so
-Quartz-scale instances (tens of thousands of subflows) solve quickly.
+algorithm, implemented over a sparse link × flow incidence held as three
+plain arrays (:class:`Incidence`) so Quartz-scale instances (tens of
+thousands of subflows) solve quickly.
 
 Used for the paper's bisection-bandwidth study (Section 5.1, Figure 10),
 where TCP-like fair sharing is what the normalized-throughput metric
@@ -17,9 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.routing.base import Path, WeightedPath
 
@@ -60,43 +61,94 @@ def _directed_links(path: Path) -> list[tuple[str, str]]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+class Incidence(NamedTuple):
+    """Sparse link × flow incidence ``A``, flow-major, as plain arrays.
+
+    Entry ``k`` puts weight ``data[k]`` of flow (column) ``flow_of[k]``
+    on link (row) ``indices[k]``; entries are grouped by flow, flows
+    ascending — the CSR form of ``Aᵀ`` with the row pointer expanded.
+
+    Both products accumulate **in storage order**, one multiply then one
+    add per entry (``np.bincount`` is a sequential ``out[i] += w``): a
+    link's sum adds its flows in ascending flow order, a flow's sum adds
+    its links in the order they are stored.  That is the order scipy's
+    ``csc_matvec`` / ``csr_matvec`` use over the same arrays, which the
+    rates recorded with them (``tests/flowsim/test_incidence.py``) pin.
+    The ``astype`` is a no-op except for an empty incidence, for which
+    numpy answers *integer* zeros, weights or not.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    flow_of: np.ndarray
+    n_links: int
+    n_flows: int
+
+    def link_sums(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``: per link, the weighted sum of a per-flow vector."""
+        return np.bincount(
+            self.indices, weights=self.data * x[self.flow_of], minlength=self.n_links
+        ).astype(float, copy=False)
+
+    def flow_sums(self, y: np.ndarray) -> np.ndarray:
+        """``Aᵀ @ y``: per flow, the weighted sum of a per-link vector."""
+        return np.bincount(
+            self.flow_of, weights=self.data * y[self.indices], minlength=self.n_flows
+        ).astype(float, copy=False)
+
+
+def _link_weights(
+    flow: Flow, row_of: Callable[[tuple[str, str]], int | None]
+) -> dict[int, float]:
+    """Link row → weight for one incidence column, in first-touch order.
+
+    Paths that share a link add their weights in path order; a path of
+    weight zero carries nothing.  ``row_of`` returning ``None`` means
+    the fabric has no such link: :class:`FlowSimError`.
+    """
+    merged: dict[int, float] = {}
+    for wp in flow.paths:
+        if wp.weight == 0.0:
+            continue
+        for link in _directed_links(wp.path):
+            row = row_of(link)
+            if row is None:
+                raise FlowSimError(f"flow {flow.flow_id} uses unknown link {link}")
+            merged[row] = merged.get(row, 0.0) + wp.weight
+    return merged
+
+
 def _build_incidence(
     flows: list[Flow],
     capacities: dict[tuple[str, str], float],
-) -> "tuple[sparse.csr_matrix, dict[tuple[str, str], int]]":
-    """Link × flow incidence with per-subflow weights, plus the link index.
+) -> tuple[Incidence, dict[tuple[str, str], int]]:
+    """Link × flow incidence with per-flow weights, plus the link index.
 
     Raises :class:`FlowSimError` if a flow crosses a link that has no
     capacity entry.  The link index assigns rows in first-touch order,
-    so identical flow lists always produce identical matrices.
+    so identical flow lists always produce identical arrays; a flow's
+    paths that share a link are merged in path order, exactly as
+    :class:`ResidualSolver` merges them.
     """
     link_index: dict[tuple[str, str], int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for f_idx, flow in enumerate(flows):
-        for wp in flow.paths:
-            if wp.weight == 0.0:
-                continue
-            for link in _directed_links(wp.path):
-                if link not in capacities:
-                    raise FlowSimError(f"flow {flow.flow_id} uses unknown link {link}")
-                l_idx = link_index.setdefault(link, len(link_index))
-                rows.append(l_idx)
-                cols.append(f_idx)
-                vals.append(wp.weight)
-    a = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(link_index), len(flows))
+
+    def row_of(link: tuple[str, str]) -> int | None:
+        if link not in capacities:
+            return None
+        return link_index.setdefault(link, len(link_index))
+
+    columns = [_link_weights(flow, row_of) for flow in flows]
+    incidence = Incidence(
+        np.array([w for col in columns for w in col.values()], dtype=float),
+        np.array([row for col in columns for row in col], dtype=np.intp),
+        np.repeat(np.arange(len(columns)), [len(col) for col in columns]),
+        len(link_index),
+        len(columns),
     )
-    return a, link_index
+    return incidence, link_index
 
 
-def _waterfill(
-    a: "sparse.csr_matrix",
-    cap: np.ndarray,
-    demands: np.ndarray,
-    at: "sparse.csr_matrix | None" = None,
-) -> np.ndarray:
+def _waterfill(a: Incidence, cap: np.ndarray, demands: np.ndarray) -> np.ndarray:
     """Progressive filling over a prebuilt incidence; returns per-flow rates.
 
     This is the loop :func:`max_min_rates` has always run, factored out
@@ -108,32 +160,26 @@ def _waterfill(
     fluid model means by a dead link.  With every capacity positive the
     arithmetic is unchanged operation for operation.
 
-    ``at`` is the transpose of ``a`` in CSR form; callers that re-solve
-    repeatedly (the hybrid engine's epoch loop) pass it in so freezing
-    "flows touching these links" is one matvec instead of a sparse
-    fancy-index per iteration.  Every incidence entry is a positive path
-    weight, so ``(at @ mask) > 0`` marks exactly the flows crossing a
-    masked link — the same set the sliced form computed.
+    Every incidence entry is a positive path weight, so
+    ``a.flow_sums(mask) > 0`` marks exactly the flows crossing a masked
+    link.
     """
-    n_links, n_flows = a.shape
-    if at is None:
-        at = a.T.tocsr()
+    n_links, n_flows = a.n_links, a.n_flows
     rates = np.zeros(n_flows)
     active = np.ones(n_flows, dtype=bool)
 
     dead = cap <= 1e-12
     if dead.any():
-        blocked = np.asarray(at @ dead.astype(float)).ravel() > 0
-        active &= ~blocked
+        active &= ~(a.flow_sums(dead.astype(float)) > 0)
 
     # Progressive filling: all active flows share a common increment.
     # ``load`` is carried across iterations: the value computed after a
     # rate update is exactly the value the next iteration starts from.
-    load = a @ rates
+    load = a.link_sums(rates)
     for _ in range(n_flows + n_links + 1):
         if not active.any():
             break
-        active_weight = a @ active.astype(float)
+        active_weight = a.link_sums(active.astype(float))
         headroom = cap - load
         # Numerical guard: tiny negative headroom from float error.
         headroom = np.maximum(headroom, 0.0)
@@ -152,11 +198,10 @@ def _waterfill(
         # Freeze demand-satisfied flows.
         active &= rates < demands - 1e-9
         # Freeze flows crossing saturated links.
-        load = a @ rates
+        load = a.link_sums(rates)
         saturated = load >= cap - 1e-6 * np.maximum(cap, 1.0)
         if saturated.any():
-            touched = np.asarray(at @ saturated.astype(float)).ravel() > 0
-            active &= ~touched
+            active &= ~(a.flow_sums(saturated.astype(float)) > 0)
         if increment <= 0:
             # No progress possible (all remaining flows blocked).
             break
@@ -262,31 +307,20 @@ def _equal_rise_subflows(
 ) -> dict[int, float]:
     """Water-filling where each flow's subflows rise together but freeze
     independently when their own path saturates."""
-    link_index: dict[tuple[str, str], int] = {}
-    sub_links: list[list[int]] = []
-    sub_flow: list[int] = []
-    for f_idx, flow in enumerate(flows):
-        for wp in flow.paths:
-            links = []
-            for link in _directed_links(wp.path):
-                if link not in capacities:
-                    raise FlowSimError(f"flow {flow.flow_id} uses unknown link {link}")
-                links.append(link_index.setdefault(link, len(link_index)))
-            sub_links.append(links)
-            sub_flow.append(f_idx)
-
-    n_subs = len(sub_links)
+    # One incidence column per subflow, weight 1 on each of its links.
+    subflows = [
+        flow_from_single_path(flow.flow_id, wp.path, flow.demand)
+        for flow in flows
+        for wp in flow.paths
+    ]
+    a, link_index = _build_incidence(subflows, capacities)
+    n_subs = len(subflows)
     n_links = len(link_index)
     cap = np.zeros(n_links)
     for link, idx in link_index.items():
         cap[idx] = capacities[link]
 
-    rows = [l for links in sub_links for l in links]
-    cols = [s for s, links in enumerate(sub_links) for _ in links]
-    a = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_links, n_subs))
-    at = a.T.tocsr()
-
-    flow_of = np.array(sub_flow)
+    flow_of = np.repeat(np.arange(len(flows)), [len(f.paths) for f in flows])
     demands = np.array([f.demand for f in flows])
     n_flows = len(flows)
     sub_rates = np.zeros(n_subs)
@@ -294,15 +328,14 @@ def _equal_rise_subflows(
     # Subflows whose path crosses an already-saturated link can never rise.
     zero_links = cap <= 1e-9
     if zero_links.any():
-        blocked = np.asarray(at @ zero_links.astype(float)).ravel() > 0
-        active &= ~blocked
+        active &= ~(a.flow_sums(zero_links.astype(float)) > 0)
 
     for _ in range(n_subs + n_links + 1):
         if not active.any():
             break
         active_f = active.astype(float)
-        load = a @ sub_rates
-        on_link = a @ active_f
+        load = a.link_sums(sub_rates)
+        on_link = a.link_sums(active_f)
         headroom = np.maximum(cap - load, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             link_inc = np.where(on_link > 1e-12, headroom / on_link, np.inf)
@@ -319,11 +352,10 @@ def _equal_rise_subflows(
             break
         sub_rates = np.where(active, sub_rates + increment, sub_rates)
 
-        load = a @ sub_rates
+        load = a.link_sums(sub_rates)
         saturated = load >= cap - 1e-6 * np.maximum(cap, 1.0)
         if saturated.any():
-            touched = np.asarray(at @ saturated.astype(float)).ravel() > 0
-            active &= ~touched
+            active &= ~(a.flow_sums(saturated.astype(float)) > 0)
         flow_totals = np.bincount(flow_of, weights=sub_rates, minlength=n_flows)
         satisfied = flow_totals >= demands - 1e-9
         active &= ~satisfied[flow_of]
@@ -384,18 +416,16 @@ class ResidualSolver:
     :attr:`link_index` order — as three arrays, next to the sorted id
     list and the demand vector.  ``remove_flow`` splices one flow's
     entries out; an added flow's are spliced in at the next solve, so a
-    solve walks the paths of the new flows only, wraps the arrays in a
-    matrix and uses its transpose as-is.  An incremental re-solve is
+    solve walks the paths of the new flows only and hands the arrays to
+    an :class:`Incidence` as they are.  An incremental re-solve is
     bit-identical to a from-scratch solve over the same final state
     regardless of mutation order.
 
     Each flow's entries are merged per link in path order (paths that
-    share a link add their weights) and sorted by link row.  That is
-    the sum :func:`max_min_rates` gets from scipy whenever the order of
-    addition cannot matter — at most two of a flow's paths share the
-    link, or all that do have equal weights (ECMP) — so rates are then
-    bit-identical to :func:`max_min_rates`; rows no flow touches are
-    inert in the water-filling arithmetic.
+    share a link add their weights) and sorted by link row — the same
+    merge :func:`max_min_rates` performs, so over flows listed in
+    ascending id order its rates are bit-identical to this solver's;
+    rows no flow touches are inert in the water-filling arithmetic.
     """
 
     def __init__(self, capacities: dict[tuple[str, str], float]) -> None:
@@ -405,7 +435,7 @@ class ResidualSolver:
         #: Directed link → its row in every per-link vector; fixed for
         #: the solver's life, in the capacity map's insertion order.
         self.link_index = {link: i for i, link in enumerate(capacities)}
-        #: Times the incidence matrices were assembled from the arrays.
+        #: Times the incidence was assembled from the arrays.
         self.incidence_builds = 0
         self._links = tuple(capacities)
         self._base_vec = np.array(list(capacities.values()), dtype=float)
@@ -415,12 +445,12 @@ class ResidualSolver:
         self._pending: dict[int, Flow] = {}
         self._order: list[int] = []
         self._demands = np.empty(0)
-        self._indptr = np.zeros(1, dtype=np.int32)
-        self._indices = np.empty(0, dtype=np.int32)
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._indices = np.empty(0, dtype=np.intp)
         self._data = np.empty(0)
-        # (link-major, flow-major) matrices over the arrays above, keyed
-        # to the flow set; the solution is keyed to everything.
-        self._matrices: "tuple[sparse.csc_matrix, sparse.csr_matrix] | None" = None
+        # The incidence over the arrays above is keyed to the flow set;
+        # the solution is keyed to everything.
+        self._incidence_cache: "Incidence | None" = None
         self._solution: "MaxMinSolution | None" = None
 
     # -- mutations ----------------------------------------------------------------
@@ -448,7 +478,7 @@ class ResidualSolver:
             self._indptr = np.concatenate((indptr[: pos + 1], indptr[pos + 2 :] - (hi - lo)))
             self._indices = np.concatenate((self._indices[:lo], self._indices[hi:]))
             self._data = np.concatenate((self._data[:lo], self._data[hi:]))
-            self._matrices = None
+            self._incidence_cache = None
         self._solution = None
 
     def _splice_pending(self) -> None:
@@ -460,19 +490,8 @@ class ResidualSolver:
         time, matching :func:`_build_incidence`; the flow stays pending,
         so every later solve raises again until it is removed.
         """
-        link_index = self.link_index
         for flow in list(self._pending.values()):
-            merged: dict[int, float] = {}
-            for wp in flow.paths:
-                if wp.weight == 0.0:
-                    continue
-                for link in _directed_links(wp.path):
-                    row = link_index.get(link)
-                    if row is None:
-                        raise FlowSimError(
-                            f"flow {flow.flow_id} uses unknown link {link}"
-                        )
-                    merged[row] = merged.get(row, 0.0) + wp.weight
+            merged = _link_weights(flow, self.link_index.get)
             rows = sorted(merged)
             pos = bisect_left(self._order, flow.flow_id)
             indptr = self._indptr
@@ -481,12 +500,12 @@ class ResidualSolver:
             self._demands = np.insert(self._demands, pos, flow.demand)
             self._indptr = np.concatenate((indptr[: pos + 1], indptr[pos:] + len(rows)))
             self._indices = np.concatenate(
-                (self._indices[:lo], np.array(rows, dtype=np.int32), self._indices[lo:])
+                (self._indices[:lo], np.array(rows, dtype=np.intp), self._indices[lo:])
             )
             self._data = np.concatenate(
                 (self._data[:lo], [merged[row] for row in rows], self._data[lo:])
             )
-            self._matrices = None
+            self._incidence_cache = None
             del self._pending[flow.flow_id]
 
     def _rows(self, u: str, v: str) -> list[int]:
@@ -523,17 +542,20 @@ class ResidualSolver:
     def capacity(self, u: str, v: str) -> float:
         return float(self._cap_vec[self.link_index[(u, v)]])
 
-    def _incidence(self) -> "tuple[sparse.csc_matrix, sparse.csr_matrix]":
-        """The (link × flow, flow × link) incidence over the current flows."""
+    def _incidence(self) -> Incidence:
+        """The link × flow incidence over the current flows."""
         self._splice_pending()
-        if self._matrices is None:
-            at = sparse.csr_matrix(
-                (self._data, self._indices, self._indptr),
-                shape=(len(self._order), len(self._links)),
+        if self._incidence_cache is None:
+            n_flows = len(self._order)
+            self._incidence_cache = Incidence(
+                self._data,
+                self._indices,
+                np.repeat(np.arange(n_flows), np.diff(self._indptr)),
+                len(self._links),
+                n_flows,
             )
-            self._matrices = (at.T, at)
             self.incidence_builds += 1
-        return self._matrices
+        return self._incidence_cache
 
     def flows_crossing(self, u: str, v: str) -> list[int]:
         """Ids of the flows carrying traffic over ``u — v``, ascending.
@@ -541,16 +563,16 @@ class ResidualSolver:
         Either direction counts, as for :meth:`fail_link`; a path of
         weight zero carries nothing and does not count.
         """
-        _, at = self._incidence()
         on_link = np.zeros(len(self._links))
         on_link[self._rows(u, v)] = 1.0
-        return [self._order[i] for i in np.flatnonzero(at @ on_link).tolist()]
+        crossing = np.flatnonzero(self._incidence().flow_sums(on_link))
+        return [self._order[i] for i in crossing.tolist()]
 
     def solve(self) -> MaxMinSolution:
         if self._solution is None:
-            a, at = self._incidence()
-            rates_vec = _waterfill(a, self._cap_vec, self._demands, at=at)
-            load_vec = a @ rates_vec
+            a = self._incidence()
+            rates_vec = _waterfill(a, self._cap_vec, self._demands)
+            load_vec = a.link_sums(rates_vec)
             self._solution = MaxMinSolution(
                 flow_ids=tuple(self._order),
                 links=self._links,

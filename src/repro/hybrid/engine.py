@@ -202,9 +202,10 @@ class HybridNetwork(Network):
         computed for the whole fabric in three vector operations; only
         links whose effective capacity moved are rewritten (the one
         per-link Python loop, in ``_link_rec`` order), and the
-        compiled-plan caches are cleared only when at least one moved —
-        an epoch that resolves to the same allocation costs nothing on
-        the packet side.
+        compiled-plan caches are cleared only when a moved link lies on
+        a compiled plan — an epoch that resolves to the same allocation,
+        or that moves only links no foreground path crosses, costs
+        nothing on the packet side.
 
         Armed observability records one ``hybrid.epoch`` span plus the
         re-solve count, duration, and links-changed tallies per call;
@@ -225,11 +226,19 @@ class HybridNetwork(Network):
             changed[key] = eff
         self.epochs += 1
         if changed:
-            # Same invalidation fail_link performs: stale per-path plans
-            # (and their per-size product caches) must not survive a
-            # serialization change.  Packets already in flight keep the
-            # plan they started with — the documented approximation.
-            self._invalidate_plans()
+            # Same invalidation fail_link performs, when a compiled plan
+            # crosses a moved link: its ``ser`` / ``caps`` (and per-size
+            # product caches) must not survive a serialization change.
+            # A plan that crosses none holds the numbers a recompile
+            # would give it, and its bound flows the same routes.
+            # Packets already in flight keep the plan they started with
+            # — the documented approximation.
+            moved_keys = changed.keys()
+            if any(
+                not moved_keys.isdisjoint(plan.keys)
+                for plan in self._plans.values()
+            ):
+                self._invalidate_plans()
             self.residual_epoch += 1
             if self.record_timeline:
                 self.residual_timeline.append((self.engine.now, changed))

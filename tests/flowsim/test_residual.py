@@ -296,26 +296,16 @@ class TestMergedIncidenceEntries:
     def test_shared_links_match_max_min_rates(self, specs, caps):
         """Duplicate (flow, link) incidence entries with unequal weights.
 
-        Two entries, or any number of equal ones, add up to the same
-        float in every order, so the solver's per-flow merge is exactly
-        scipy's duplicate sum and rates are bit-identical.  Three or more
-        unequal entries may be summed in another order by scipy's
-        unstable in-row sort: there the tolerance is a few ulps of the
-        weights, set from the dtype.
+        Both builders merge a flow's entries per link in path order, so
+        the rates are bit-identical however many paths share a link and
+        whatever their weights.
         """
         capacities = ring_capacities(caps)
         flows = [overlapping_flow(i, *spec) for i, spec in enumerate(specs)]
         solver = ResidualSolver(capacities)
         for flow in reversed(flows):  # insertion order must not matter
             solver.add_flow(flow)
-        solved, reference = solver.solve().rates, max_min_rates(flows, capacities)
-        order_free = all(
-            len(w) <= 2 or len(set(w)) == 1 for *_, w in specs
-        )
-        if order_free:
-            assert solved == reference
-        else:
-            assert solved == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert solver.solve().rates == max_min_rates(flows, capacities)
 
     def test_merge_adds_weights_in_path_order(self):
         solver = ResidualSolver(ring_capacities([10.0] * len(LINKS)))

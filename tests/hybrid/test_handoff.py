@@ -8,7 +8,9 @@ vector form must match exactly: same records, same timeline contents
 and key order, same epoch counters, under random background schedules
 interleaved with cuts and repairs.  A second reference, the Python scan
 over every active flow × path × hop, pins which background flows a cut
-re-paths.
+re-paths.  A third, a subclass that drops every compiled plan at every
+epoch that moved a link, pins that keeping the plans no moved link lies
+on changes nothing a foreground packet can see.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter, VLBRouter
+from repro.sim import SimulationError
+from repro.sim.sources import PoissonSource
 from repro.units import BITS_PER_BYTE, GBPS
 
 HORIZON = 1e-3
@@ -180,3 +184,163 @@ class TestCutRepathsTheCrossingFlows:
             moved_any = moved_any or bool(expected)
         assert moved_any
         assert net._parked_bg  # the uplink cut stranded its server's flows
+
+
+class AlwaysInvalidateNetwork(HybridNetwork):
+    """``HybridNetwork`` dropping every plan whenever any link moved."""
+
+    def _apply_residuals(self) -> None:
+        before = self.residual_epoch
+        super()._apply_residuals()
+        if self.residual_epoch != before:
+            self._invalidate_plans()
+
+
+class NeverInvalidateNetwork(HybridNetwork):
+    """The mutant: residual epochs leave every compiled plan alone."""
+
+    def _apply_residuals(self) -> None:
+        plans, flows = dict(self._plans), dict(self._flows)
+        super()._apply_residuals()
+        self._plans.update(plans)
+        self._flows.update(flows)
+
+
+def start_foreground(net, fg_specs):
+    """Poisson foreground streams, ``(src, offset, rate)`` per stream."""
+    servers = net.topo.servers()
+    sources = [
+        PoissonSource(
+            net,
+            servers[src % len(servers)],
+            servers[(src + 1 + off % (len(servers) - 1)) % len(servers)],
+            rate_pps=rate,
+            seed=i,
+            flow_id=i,
+            group="fg",
+            stop_at=HORIZON,
+        )
+        for i, (src, off, rate) in enumerate(fg_specs)
+    ]
+    for source in sources:
+        source.start()
+    return sources
+
+
+def packet_state(net, sources):
+    return {
+        "handoff": handoff_state(net),
+        "samples": tuple(net.stats.samples),
+        "ports": sorted(
+            (key, p.packets_sent, p.bytes_sent, p.busy_until, p.packets_dropped)
+            for key, p in net._ports.items()
+        ),
+        "counters": (
+            [s.packets_sent for s in sources],
+            net.packets_delivered,
+            net.packets_dropped,
+            net.packets_rerouted,
+            net.packets_unroutable,
+            net.engine.events_processed,
+        ),
+    }
+
+
+fg_specs = st.lists(
+    st.tuples(
+        st.integers(0, 7), st.integers(0, 6), st.sampled_from([1e5, 4e5, 1e6])
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def run_with_foreground(cls, fg, flows, faults, vlb):
+    net = build(cls, flows, [], vlb, 0.01)
+    # Mesh links only, two at most: the ring's switches stay connected,
+    # so every foreground stream keeps a route.
+    mesh = [
+        (link.u, link.v) for link in net.topo.links()
+        if link.u.startswith("tor") and link.v.startswith("tor")
+    ]
+    for when, repair, index in faults[:2]:
+        action = net.repair_link if repair else net.fail_link
+        net.engine.call_at(when, action, *mesh[index % len(mesh)])
+    net.enable_fault_tracking()
+    sources = start_foreground(net, fg)
+    states = []
+    for until in (HORIZON / 2, 3 * HORIZON):
+        try:
+            net.run(until=until)
+        except SimulationError as exc:
+            # A defect this test found and leaves alone (ROADMAP item 4):
+            # a packet detoured at a cut-through switch keeps the credit
+            # min(ser_in, ser_out) of the dead link, so a slow inbound
+            # link followed by a fast detour link puts its arrival in
+            # the past.  Both legs must die the same death.
+            states.append(str(exc))
+            break
+        states.append(packet_state(net, sources))
+    return states
+
+
+class TestPlansSurviveOffPathEpochs:
+    @given(fg_specs, flow_specs, fault_specs, st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_identical_to_always_invalidating(self, fg, flows, faults, vlb):
+        kept = run_with_foreground(HybridNetwork, fg, flows, faults, vlb)
+        dropped = run_with_foreground(AlwaysInvalidateNetwork, fg, flows, faults, vlb)
+        assert kept == dropped
+
+    def test_never_invalidating_is_caught(self):
+        """The comparison above has teeth: a network that keeps every
+        plan through every epoch reads different foreground latencies."""
+        fg = [(0, 1, 1e6)]
+        flows = [(0, 1, 6.0, 2e-4, 4e-4)]  # the same server pair, mid-run
+        kept = run_with_foreground(HybridNetwork, fg, flows, [], False)
+        mutant = run_with_foreground(NeverInvalidateNetwork, fg, flows, [], False)
+        assert kept[-1]["handoff"] == mutant[-1]["handoff"]
+        assert kept[-1]["samples"] != mutant[-1]["samples"]
+
+    def test_off_path_epoch_compiles_nothing_on_path_epoch_recompiles(self):
+        topo = T.quartz_ring(*RING)
+        h = topo.servers()
+        # tor0's servers are h[0], h[1]; tor2's h[4], h[5]; tor1's h[2], h[3].
+        background = [
+            BackgroundFlow(1_000_000, h[4], h[5], 5 * GBPS, 1e-4, 2e-4),  # off-path
+            BackgroundFlow(1_000_001, h[0], h[2], 5 * GBPS, 3e-4, 4e-4),  # on a's path
+        ]
+        net = HybridNetwork(topo, ECMPRouter(topo), background, hybrid=True)
+        compiled = []
+        compile_plan = net._compile_plan
+        net._compile_plan = lambda route: compiled.append(route) or compile_plan(route)
+
+        def send_both():
+            net.send(h[0], h[2], 400.0, flow_id=1)  # a: tor0 → tor1
+            net.send(h[1], h[3], 400.0, flow_id=2)  # b: tor0 → tor1, other servers
+            net.run(until=net.engine.now + 2e-5)
+
+        send_both()
+        first = list(compiled)
+        assert len(first) == 2
+        plans = dict(net._plans)
+
+        net.run(until=1.5e-4)  # background between tor2's servers starts
+        assert net.residual_epoch == 1
+        moved = set(net.residual_timeline[-1][1])
+        assert all(moved.isdisjoint(plan.keys) for plan in plans.values())
+        send_both()
+        assert compiled == first and net._plans == plans  # the very same objects
+
+        net.run(until=3.5e-4)  # off-path flow gone, on-path flow started
+        assert net.residual_epoch == 3
+        moved = set(net.residual_timeline[-1][1])
+        assert not moved.isdisjoint(plans[first[0]].keys)
+        assert not net._plans and not net._flows
+        send_both()
+        # Each flow recompiles once, on its next packet, and sees the
+        # new serialization where its path crosses a moved link.
+        assert compiled == first + first
+        assert net._plans[first[0]].ser != plans[first[0]].ser
+        send_both()
+        assert compiled == first + first
