@@ -97,17 +97,26 @@ class PortState:
     packets_dropped: int = 0
 
 
-def _contended_tails(e: np.ndarray, busy: float, ser: float) -> np.ndarray:
+def _contended_tails(
+    e: np.ndarray, busy: float, ser: "float | np.ndarray"
+) -> np.ndarray:
     """Port tail times when the cohort queues on itself (or a busy port).
 
     Replays the reference recurrence — ``start = busy; if start <
     earliest: start = earliest; tail = start + ser`` — packet by packet.
     The sequential order is load-bearing: a prefix-max reformulation
     performs the additions in a different association and is *not*
-    IEEE 754 bit-identical to the scalar loop.
+    IEEE 754 bit-identical to the scalar loop.  ``ser`` is one
+    serialization time, or one per packet (mixed sizes on one port).
     """
     out = np.empty_like(e)
     b = busy
+    if isinstance(ser, np.ndarray):
+        for i, (earliest, s) in enumerate(zip(e.tolist(), ser.tolist())):
+            start = earliest if b < earliest else b
+            b = start + s
+            out[i] = b
+        return out
     for i, earliest in enumerate(e.tolist()):
         start = earliest if b < earliest else b
         b = start + ser
@@ -178,15 +187,20 @@ class Network:
         ``REPRO_FASTPATH_DISABLE`` environment variable is set; both
         loops produce bit-identical results.
 
-        ``batch`` enables cohort batching (:meth:`send_cohort`): whole
-        groups of same-path packets advance through stacked numpy hop
-        plans in a few vectorized operations when the engine's lookahead
-        proves no other event can interleave.  The default (``None``)
-        follows the ``REPRO_BATCH_DISABLE`` environment variable.
-        Batching additionally requires the compiled fast path and
-        unbounded buffers — with either missing, ``batch_enabled`` stays
-        ``False`` and every injection takes the scalar loops.  All three
-        paths (reference, fastpath, batched) are bit-identical.
+        ``batch`` enables the two vectorized forms of the kernel.
+        Cohort batching (:meth:`send_cohort`): whole groups of same-path
+        packets advance through stacked numpy hop plans in a few
+        vectorized operations when the engine's lookahead proves no
+        other event can interleave — one stream ahead of an empty queue.
+        The port-major pass (:meth:`run`): a whole open-loop window of
+        many contending Poisson streams is clocked port by port.  The
+        default (``None``) follows the ``REPRO_BATCH_DISABLE``
+        environment variable, which turns both off ("scalar fast path
+        only").  Batching additionally requires the compiled fast path
+        and unbounded buffers — with either missing, ``batch_enabled``
+        stays ``False`` and every injection takes the scalar loops.  All
+        paths (reference, fastpath, cohorts, port-major) are
+        bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
         (:mod:`repro.telemetry`): ``True`` or a
@@ -942,6 +956,19 @@ class Network:
                     self.engine.now,
                 )
             return None
+        hop = packet.hop
+        if hop:
+            cut_through, latency = self._hop_rec[node]
+            if cut_through:
+                # The caller's cut-through credit was min(ser_in, ser_out)
+                # of the dead link; a faster detour link must not start
+                # (and finish) before the packet has arrived.
+                size = packet.size_bytes
+                ser_in = size * self._link_rec[(packet.path[hop - 1], node)][0]
+                ser_out = size * self._link_rec[(node, detour[1])][0]
+                earliest_start = (
+                    self.engine.now - (ser_in if ser_in < ser_out else ser_out) + latency
+                )
         packet.path = detour
         packet.hop = 0
         if not packet.rerouted:
@@ -965,5 +992,19 @@ class Network:
         return min(1.0, (port.bytes_sent * 8 / capacity) / horizon)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Convenience: run the underlying engine."""
+        """Run the simulation to ``until`` (or dry, or ``max_events``).
+
+        With batching enabled, a window that is provably **open loop**
+        — every queued event is a single-destination Poisson source's
+        fire, nothing feeds back before ``until`` — is first solved port
+        by port instead of event by event (:func:`repro.sim.portmajor
+        .advance`, which lists the conditions); what is still pending at
+        the horizon goes back on the queue and the engine finishes as
+        usual.  Results are bit-identical either way, and a window the
+        pass declines is left untouched.  Only this method tries the
+        pass: ``engine.run`` always dispatches event by event.
+        """
+        from repro.sim import portmajor  # imports this module
+
+        portmajor.advance(self, until, max_events)
         self.engine.run(until=until, max_events=max_events)

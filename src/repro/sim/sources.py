@@ -16,10 +16,15 @@ of one per packet.  numpy generators fill arrays from the same bit
 stream an element-at-a-time draw would consume, so the batched sequence
 is bit-identical for every chunk size — ``chunk=1`` (what
 ``REPRO_FASTPATH_DISABLE=1`` forces) is the per-packet reference and
-produces exactly the same packets.  Each packet's *injection* still
-fires as its own engine event: port queueing interleaves with other
-traffic at arrival times, so arrivals cannot be applied in batch
-without changing results.
+produces exactly the same packets.  Under ``engine.run`` each packet's
+*injection* fires as its own engine event: port queueing interleaves
+with other traffic at arrival times, so arrivals cannot be applied
+stream by stream without changing results (a single stream ahead of an
+empty queue is the exception: :meth:`PoissonSource._fire_cohort`).
+``Network.run(until=…)`` can do better when the queue holds nothing but
+single-destination Poisson fires: the window is then open loop, every
+fire time is known up front, and :mod:`repro.sim.portmajor` applies all
+streams' arrivals together, port by port, bit-identically.
 
 A running Poisson or burst source is one engine **chain**
 (:meth:`~repro.sim.engine.Engine.chain_at`): its fire step returns the
@@ -168,17 +173,47 @@ class PoissonSource:
         self._running = False
         self._generation += 1
 
+    def _draw_gaps(self) -> list[float]:
+        """The stream's next batch of gaps.  Batches double from 32 up
+        to ``chunk``, so a short stream (a 1 ms Figure 17 cell uses ~31
+        gaps) does not hold a full chunk of Python floats; the values
+        do not depend on how the stream is cut into batches."""
+        batch = self._gap_rng.standard_exponential(
+            min(self.chunk, max(32, 2 * len(self._gaps)))
+        )
+        batch /= self.rate_pps
+        return batch.tolist()
+
     def _next_gap(self) -> float:
         """Next exponential inter-arrival gap (pre-drawn in batches)."""
         i = self._gap_i
         gaps = self._gaps
         if i >= len(gaps):
-            batch = self._gap_rng.standard_exponential(self.chunk)
-            batch /= self.rate_pps
-            gaps = self._gaps = batch.tolist()
+            gaps = self._gaps = self._draw_gaps()
             i = 0
         self._gap_i = i + 1
         return gaps[i]
+
+    def _fires_through(self, first: float, until: float) -> np.ndarray:
+        """Fire times of the chain queued at ``first`` (≤ ``until``): every
+        fire up to ``until`` and the first one past it.
+
+        ``np.cumsum`` performs the chain's own sequential ``t += gap``
+        additions.  Gaps come from the pre-drawn buffer, which grows in
+        place when it ends before ``until``; the cursor does not move —
+        the port-major pass (:mod:`repro.sim.portmajor`) advances it by
+        the fires it commits, and a pass that stands down has changed
+        nothing but how far ahead the buffer is drawn.
+        """
+        gaps = self._gaps
+        pieces = [np.cumsum([first] + gaps[self._gap_i:])]
+        while pieces[-1][-1] <= until:
+            more = self._draw_gaps()
+            gaps.extend(more)
+            pieces.append(np.cumsum([pieces[-1][-1]] + more)[1:])
+        times = np.concatenate(pieces)
+        fired = int(np.searchsorted(times, until, side="right"))
+        return times[: fired + 1].copy()  # a view would pin the whole buffer
 
     def _next_dst(self) -> str:
         """Next uniformly sampled destination (pre-drawn in batches)."""

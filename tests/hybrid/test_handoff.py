@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter, VLBRouter
-from repro.sim import SimulationError
+from repro.sim import Network
 from repro.sim.sources import PoissonSource
+from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.units import BITS_PER_BYTE, GBPS
 
 HORIZON = 1e-3
@@ -270,16 +271,10 @@ def run_with_foreground(cls, fg, flows, faults, vlb):
     sources = start_foreground(net, fg)
     states = []
     for until in (HORIZON / 2, 3 * HORIZON):
-        try:
-            net.run(until=until)
-        except SimulationError as exc:
-            # A defect this test found and leaves alone (ROADMAP item 4):
-            # a packet detoured at a cut-through switch keeps the credit
-            # min(ser_in, ser_out) of the dead link, so a slow inbound
-            # link followed by a fast detour link puts its arrival in
-            # the past.  Both legs must die the same death.
-            states.append(str(exc))
-            break
+        # No leg may die here: this property found the detour that kept
+        # the dead link's cut-through credit and arrived in the past
+        # (pinned below in TestDetourCredit).
+        net.run(until=until)
         states.append(packet_state(net, sources))
     return states
 
@@ -344,3 +339,46 @@ class TestPlansSurviveOffPathEpochs:
         assert net._plans[first[0]].ser != plans[first[0]].ser
         send_both()
         assert compiled == first + first
+
+
+class TestDetourCredit:
+    """A packet detoured at a cut-through switch is credited
+    ``min(ser_in, ser_out)`` against the detour's first link, not the
+    dead one: 10 G in, a 40 G detour, 1500-byte packets used to schedule
+    the next arrival 0.4 µs *before* the packet had arrived."""
+
+    @staticmethod
+    def run(fastpath):
+        topo = Topology("slow-in-fast-detour")
+        for name in ("s0", "s1", "s2"):
+            topo.add_switch(name, NodeKind.TOR)  # ULL: cut-through
+        topo.add_server("h0")
+        topo.add_server("h1")
+        topo.add_link("h0", "s0", 10 * GBPS, LinkKind.HOST)
+        topo.add_link("s0", "s1", 10 * GBPS, LinkKind.MESH)  # the one that dies
+        topo.add_link("s0", "s2", 40 * GBPS, LinkKind.MESH)
+        topo.add_link("s2", "s1", 40 * GBPS, LinkKind.MESH)
+        topo.add_link("s1", "h1", 10 * GBPS, LinkKind.HOST)
+        net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=False, obs=False)
+        net.enable_fault_tracking()
+        packet = net.send("h0", "h1", 1500.0)  # on the wire to s0 when the link dies
+        net.engine.call_at(1e-7, net.fail_link, "s0", "s1")
+        net.run(until=1e-4)
+        return packet, net
+
+    def test_detour_over_a_faster_link_arrives_after_it_left(self):
+        kernel, net = self.run(fastpath=True)
+        oracle, reference = self.run(fastpath=False)
+        for packet, network in ((kernel, net), (oracle, reference)):
+            assert packet.rerouted and packet.delivered_at is not None
+            assert packet.path == ("s0", "s2", "s1", "h1")
+            assert network.packets_delivered == 1 and network.packets_rerouted == 1
+        assert kernel.delivered_at == oracle.delivered_at
+        assert tuple(net.stats.samples) == tuple(reference.stats.samples)
+        # h0→s0 takes 1.2 µs + 0.1 µs; the credit at s0 is the detour
+        # link's 0.3 µs, so the tail leaves s0 0.38 µs after it arrived.
+        ser10, ser40, prop, ull = 1500 * 8 / 10e9, 1500 * 8 / 40e9, 100e-9, 380e-9
+        at_s2 = (ser10 + prop) + (-ser40 + ull + ser40 + prop)
+        at_s1 = at_s2 + (-ser40 + ull + ser40 + prop)
+        at_h1 = at_s1 + (-ser40 + ull + ser10 + prop)
+        assert abs(kernel.delivered_at - at_h1) < 1e-12

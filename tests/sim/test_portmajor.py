@@ -1,0 +1,599 @@
+"""Port-major pass: bit-identical to the event-by-event kernel.
+
+``Network.run(until=…)`` solves an open-loop window port by port
+(:mod:`repro.sim.portmajor`) instead of event by event.  Like the
+compiled fast path and cohort batching before it, that must be a pure
+speed change: the oracle throughout is the same scenario on a
+``batch=False`` network, and the fingerprint holds everything a later
+event could read — stats in delivery order, every port's counters and
+clock, the sources' counters, the logical event count, and the pending
+queue *in seq order* (the pass draws fresh seqs for what it hands back;
+their order is the only thing about them that can matter).
+
+Networks pin ``fastpath=True, telemetry=False, obs=False`` so the file
+means the same under every CI leg's environment; the engine is the
+environment's default, so under ``REPRO_SCHEDULER=bucket`` (the CI step
+that runs this file a second time) every case below compares a
+stand-down against the oracle.
+"""
+
+import random
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.topology as T
+from repro import obs
+from repro.routing import ECMPRouter
+from repro.routing.base import RoutingError
+from repro.sim import Network, portmajor
+from repro.sim.engine import SCHEDULER_ENV, Engine
+from repro.sim.sources import PoissonSource
+from repro.sim.switch import SwitchModel, register_model
+from repro.topology.base import LinkKind, NodeKind, Topology
+from repro.units import GBPS
+
+TOPOLOGIES = {
+    # Store-and-forward CCS core over cut-through ULL tiers.
+    "tree": lambda: T.three_tier_tree(
+        num_pods=2, tors_per_pod=2, servers_per_tor=4, uplink_rate=10 * GBPS
+    ),
+    # One Quartz ring: a full mesh of cut-through ToRs.
+    "mesh": lambda: T.quartz_ring(num_switches=4, servers_per_switch=4),
+    "jellyfish": lambda: T.jellyfish(
+        num_switches=8, network_degree=3, servers_per_switch=2, seed=7
+    ),
+    # 10 G hosts under 40 G uplinks: cut-through credit min(ser_in, ser_out).
+    "mixed": lambda: T.three_tier_tree(num_pods=2, tors_per_pod=2, servers_per_tor=4),
+}
+
+SIZES = {
+    "equal": lambda j: 400,
+    "mixed": lambda j: (400, 1500, 64)[j % 3],
+    "non_integer": lambda j: (400.5, 1499.25, 333.1)[j % 3],
+}
+
+HEAP_DEFAULT = Engine()._heap is not None  # False under REPRO_SCHEDULER=bucket
+
+
+def build(topology, batch, router=None):
+    topo = TOPOLOGIES[topology]() if isinstance(topology, str) else topology
+    return Network(
+        topo, (router or ECMPRouter)(topo),
+        fastpath=True, batch=batch, telemetry=False, obs=False,
+    )
+
+
+def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
+    """``tasks`` is a list of ``(kind, hub index, fan, seed)``; stream
+    ``j`` of a task draws from ``seed + j`` — ``build_task``'s rule, under
+    which neighbouring tasks share whole gap sequences."""
+    servers = net.topo.servers()
+    sources = []
+    for index, (kind, hub, fan, seed) in enumerate(tasks):
+        hub = servers[hub % len(servers)]
+        peers = random.Random(seed).sample([s for s in servers if s != hub], fan)
+        group = {"none": None, "shared": "all", "task": f"task{index}"}[grouping]
+        for j, peer in enumerate(peers):
+            src, dst = (hub, peer) if kind == "scatter" else (peer, hub)
+            sources.append(PoissonSource(
+                net, src, dst, rate_pps=rate, size_bytes=SIZES[sizes](j),
+                group=group, flow_id=index * 100 + j, seed=seed + j, chunk=256,
+            ))
+    for source in sources:
+        source.start()
+    return sources
+
+
+def pending_in_seq_order(net):
+    heap = net.engine._heap
+    if heap is None:
+        return None
+
+    def identity(entry):
+        arg = entry[4]
+        if isinstance(arg, int):  # a source's fire chain carries its generation
+            return (entry[0], "fire", entry[2].__self__.flow_id, arg)
+        return (entry[0], "packet", arg.packet_id, arg.hop, arg.created_at, arg.plan.path)
+
+    return tuple(identity(entry) for entry in sorted(heap, key=lambda e: e[1]))
+
+
+def fingerprint(net, sources):
+    return {
+        "delivered": net.packets_delivered,
+        "next_packet_id": net._next_packet_id,
+        "events": net.engine.events_processed,
+        "samples": tuple(net.stats.samples),
+        "by_group": tuple((k, tuple(v)) for k, v in net.stats.by_group.items()),
+        "packets_sent": tuple(source.packets_sent for source in sources),
+        "ports": tuple(
+            (key, port.packets_sent, port.bytes_sent, port.busy_until)
+            for key, port in sorted(net._ports.items())
+        ),
+        "pending": net.engine.pending(),
+        "pending_order": pending_in_seq_order(net),
+        "now": net.engine.now,
+    }
+
+
+@contextmanager
+def watching():
+    """What each ``portmajor.advance`` call made by ``Network.run`` returned."""
+    seen = []
+    real = portmajor.advance
+
+    def spy(net, until, max_events=None):
+        seen.append(real(net, until, max_events))
+        return seen[-1]
+
+    portmajor.advance = spy
+    try:
+        yield seen
+    finally:
+        portmajor.advance = real
+
+
+def run_legs(net, sources, horizons, between=None):
+    """Fingerprints after each horizon, then 0.3 ms further (where a
+    wrong gap cursor or hand-back seq would surface)."""
+    prints = []
+    for i, until in enumerate(horizons):
+        net.run(until=until)
+        prints.append(fingerprint(net, sources))
+        if between is not None and i == 0:
+            between(sources)
+    net.run(until=horizons[-1] + 3e-4)
+    prints.append(fingerprint(net, sources))
+    return prints
+
+
+def differential(topology, tasks, horizons, router=None, between=None, **traffic):
+    """Run the scenario with the pass and on the oracle; assert equal
+    fingerprints at every horizon; return what ``advance`` answered."""
+    oracle = build(topology, batch=False, router=router)
+    expected = run_legs(oracle, start_tasks(oracle, tasks, **traffic), horizons, between)
+    net = build(topology, batch=True, router=router)
+    sources = start_tasks(net, tasks, **traffic)
+    with watching() as engaged:
+        got = run_legs(net, sources, horizons, between)
+    for leg, (mine, theirs) in enumerate(zip(got, expected)):
+        for field in theirs:
+            assert mine[field] == theirs[field], (leg, field)
+    return engaged
+
+
+def events_of(topology, tasks, until, **traffic):
+    """``(time, is a fire)`` of every fire and arrival up to ``until``."""
+    net = build(topology, batch=False)
+    events = []
+    hop = net._hop
+
+    def logging_hop(packet, earliest_start=None):
+        events.append((net.engine.now, earliest_start is not None))
+        return hop(packet, earliest_start)
+
+    net._hop = logging_hop
+    start_tasks(net, tasks, **traffic)
+    net.run(until=until)
+    return sorted(events)
+
+
+FOUR_TASKS = [("scatter", 0, 9, 3000), ("scatter", 5, 9, 3001),
+              ("gather", 10, 6, 3002), ("scatter", 15, 9, 3003)]
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("sizes", SIZES)
+    @pytest.mark.parametrize("grouping", ["none", "shared", "task"])
+    def test_window_equals_event_loop(self, topology, sizes, grouping):
+        engaged = differential(
+            topology, FOUR_TASKS, [1e-3], sizes=sizes, grouping=grouping
+        )
+        assert engaged[0] is HEAP_DEFAULT
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_split_horizon_hands_back_to_the_event_loop(self, topology):
+        engaged = differential(
+            topology, FOUR_TASKS, [6e-4, 1e-3], sizes="mixed", rate=200_000.0
+        )
+        # Packets are in flight at 0.6 ms, so the second leg is scalar.
+        assert engaged[:2] == [HEAP_DEFAULT, False]
+
+    def test_horizon_before_the_first_fire(self):
+        first = events_of("tree", FOUR_TASKS, 1e-3)[0][0]
+        engaged = differential("tree", FOUR_TASKS, [first / 2, 1e-3])
+        assert engaged[:2] == [False, HEAP_DEFAULT]
+
+    @pytest.mark.parametrize("which", [0.35, 0.6, 0.9])
+    def test_horizon_exactly_on_an_event_time(self, which):
+        events = events_of("mesh", FOUR_TASKS, 1e-3)
+        until = events[int(which * len(events))][0]
+        engaged = differential("mesh", FOUR_TASKS, [until, 1e-3])
+        assert engaged[0] is HEAP_DEFAULT
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        topology=st.sampled_from(sorted(TOPOLOGIES)),
+        tasks=st.lists(
+            st.tuples(
+                st.sampled_from(["scatter", "gather"]),
+                st.integers(0, 15), st.integers(2, 9), st.integers(0, 3),
+            ),
+            min_size=1, max_size=8,
+        ),
+        sizes=st.sampled_from(sorted(SIZES)),
+        grouping=st.sampled_from(["none", "shared", "task"]),
+        rate=st.sampled_from([31_250.0, 120_000.0, 400_000.0]),
+        horizons=st.sampled_from([[1e-3], [5e-4, 9e-4], [1e-5, 7e-4], [2e-4]]),
+    )
+    def test_generated_scenarios(self, topology, tasks, sizes, grouping, rate, horizons):
+        # Seeds 0-3 with ``seed + j`` per stream: most draws hold several
+        # streams with identical gap sequences, on different hubs.
+        differential(
+            topology, tasks, horizons, sizes=sizes, grouping=grouping, rate=rate
+        )
+
+
+def ring_of_switches(n):
+    """``n`` switches in a cycle, one server each: the shortest path from
+    ``h{i}`` to ``h{i+2}`` runs ``s{i} → s{i+1} → s{i+2}``."""
+    topo = Topology(f"cycle-{n}")
+    for i in range(n):
+        topo.add_switch(f"s{i}", NodeKind.TOR, rack=i)
+        topo.add_server(f"h{i}", rack=i)
+        topo.add_link(f"h{i}", f"s{i}", 10 * GBPS, LinkKind.HOST)
+    for i in range(n):
+        topo.add_link(f"s{i}", f"s{(i + 1) % n}", 10 * GBPS, LinkKind.MESH)
+    return topo
+
+
+def two_ahead(net):
+    """h{i} → h{i+2} round a 5-ring: port s{i}→s{i+1} feeds port
+    s{i+1}→s{i+2}, all the way round — a cyclic port graph."""
+    sources = [
+        PoissonSource(net, f"h{i}", f"h{(i + 2) % 5}", rate_pps=400_000.0,
+                      seed=i, flow_id=i, group="ring", chunk=256)
+        for i in range(5)
+    ]
+    for source in sources:
+        source.start()
+    return sources
+
+
+class TestPinned:
+    def test_lockstep_sources(self):
+        """Two hubs whose streams share seeds: every fire ties its twin,
+        and most arrivals do; queue order at the root decides."""
+        tasks = [("scatter", 0, 9, 77), ("scatter", 4, 9, 77)]
+        engaged = differential("tree", tasks, [1e-3], rate=120_000.0)
+        assert engaged[0] is HEAP_DEFAULT
+
+    def test_packet_and_rearm_share_a_parent_at_the_hand_back(self):
+        """A horizon on a fire's own time leaves that fire's two
+        children pending: its packet (seq drawn first) and the re-arm."""
+        tasks = [("scatter", 0, 9, 5)]
+        fires = [t for t, fire in events_of("tree", tasks, 1e-3, rate=120_000.0) if fire]
+        engaged = differential("tree", tasks, [fires[300], 1e-3], rate=120_000.0)
+        assert engaged[0] is HEAP_DEFAULT
+
+    def test_cyclic_port_graph_stands_down(self):
+        oracle = build(ring_of_switches(5), batch=False)
+        expected = run_legs(oracle, two_ahead(oracle), [1e-3])
+        net = build(ring_of_switches(5), batch=True)
+        sources = two_ahead(net)
+        assert not portmajor.advance(net, 1e-3)
+        assert not net._flows and not net._plans  # nothing was bound
+        assert run_legs(net, sources, [1e-3]) == expected
+
+    def test_unroutable_flow_stands_down_untouched(self):
+        class Partitioned(ECMPRouter):
+            def route(self, src, dst, flow_id=0):
+                if flow_id == 3:
+                    raise RoutingError("no path")
+                return super().route(src, dst, flow_id)
+
+        tasks = [("scatter", 0, 9, 21)]
+        net = build("mesh", batch=True, router=Partitioned)
+        sources = start_tasks(net, tasks)
+        before = pending_in_seq_order(net)
+        cursors = [source._gap_i for source in sources]
+        assert not portmajor.advance(net, 1e-3)
+        # Nothing but how far ahead the gaps are drawn has changed.
+        assert pending_in_seq_order(net) == before
+        assert [source._gap_i for source in sources] == cursors
+        assert not net._flows and net._next_packet_id == 0
+        assert net.packets_unroutable == 0  # the fires count it, not the pass
+        assert all(port.packets_sent == 0 for port in net._ports.values())
+        engaged = differential("mesh", tasks, [1e-3], router=Partitioned)
+        assert engaged[0] is False
+
+    def test_stop_then_start_after_a_pass(self):
+        def restart(sources):
+            for source in sources:
+                source.stop()
+            for source in sources[::2]:
+                source.start()
+
+        engaged = differential("tree", FOUR_TASKS, [5e-4, 1e-3], between=restart)
+        # The stopped chains' entries are still queued: not open loop.
+        assert engaged[:2] == [HEAP_DEFAULT, False]
+
+    def test_bucket_scheduler_stands_down(self, monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, "bucket")
+        engaged = differential("tree", FOUR_TASKS, [1e-3])
+        assert engaged[0] is False
+
+    def test_engine_run_is_never_solved_port_major(self):
+        net = build("tree", batch=True)
+        sources = start_tasks(net, FOUR_TASKS)
+        with watching() as engaged:
+            net.engine.run(until=1e-3)
+        assert engaged == []
+        oracle = build("tree", batch=False)
+        oracle_sources = start_tasks(oracle, FOUR_TASKS)
+        oracle.run(until=1e-3)
+        assert fingerprint(net, sources) == fingerprint(oracle, oracle_sources)
+
+    def test_batch_false_turns_the_pass_off(self):
+        net = build("tree", batch=False)
+        start_tasks(net, FOUR_TASKS)
+        assert not portmajor.advance(net, 1e-3)
+
+
+# -- a tie between events at different hop depths on one port ---------------------
+
+#: Everything below is a dyadic rational of few bits, so every float
+#: addition is exact and ties can be placed by construction.
+UNIT = 2.0 ** -20  # seconds: serialization of 1024 bytes at 2**33 bit/s
+DYADIC = SwitchModel("DYADIC", latency=UNIT, cut_through=False, ports_10g=64, ports_40g=16)
+
+
+def two_depths(slow_b):
+    """A: hA → s0 → s1 → s2 → dA;  B: hB → s1 → s2 → dB.  Port s1→s2
+    clocks A's packets at hop 2 and B's at hop 1."""
+    register_model(DYADIC)
+    topo = Topology("two-depths")
+    for name in ("s0", "s1", "s2"):
+        topo.add_switch(name, NodeKind.TOR, switch_model="DYADIC")
+    for name in ("hA", "hB", "dA", "dB"):
+        topo.add_server(name)
+    rate = 2.0 ** 33
+    for u, v, capacity in (
+        ("hA", "s0", rate), ("s0", "s1", rate), ("s1", "s2", rate),
+        ("s2", "dA", rate), ("s2", "dB", rate),
+        ("hB", "s1", rate / 4 if slow_b else rate),
+    ):
+        topo.add_link(u, v, capacity, LinkKind.MESH)
+    return topo
+
+
+def run_two_depths(slow_b, batch):
+    """Both sources replay the same dyadic gaps; B starts late by exactly
+    the head start A's extra hop costs, so each A packet reaches port
+    s1→s2 at the very time its B twin does.  In units of ``UNIT``, with
+    A firing at ``T``: A reaches s0 at ``T + 3`` and s1 at ``T + 7``.
+
+    ``slow_b=False``: B fires at ``T + 4`` — after A's parent (the
+    arrival at s0), so A goes first although B is at the shallower hop.
+    ``slow_b=True``: B's first link takes 4 units, B fires at ``T + 1``
+    — before A's parent: B first, although A is the earlier root and the
+    lower flow index.
+    """
+    topo = two_depths(slow_b)
+    net = Network(
+        topo, ECMPRouter(topo), propagation_delay=2 * UNIT,
+        fastpath=True, batch=batch, telemetry=False, obs=False,
+    )
+    gaps = [(6 + (k * 5) % 7) * UNIT for k in range(64)]
+    head_start = (5 - (4 if slow_b else 1)) * UNIT
+    sources = []
+    for name, dst, delay, flow in (
+        ("hA", "dA", 4 * UNIT, 0), ("hB", "dB", 4 * UNIT + head_start, 1)
+    ):
+        source = PoissonSource(net, name, dst, rate_pps=1e6, size_bytes=1024,
+                               group=name, flow_id=flow, seed=flow, chunk=256)
+        source._gaps = list(gaps)  # white box: the pre-drawn buffer, made exact
+        source.start(delay)
+        sources.append(source)
+    until = 200 * UNIT
+    with watching() as engaged:
+        net.run(until=until)
+        first = fingerprint(net, sources)
+        net.run(until=until + 40 * UNIT)
+    return engaged, first, fingerprint(net, sources)
+
+
+class TestTieAcrossHopDepths:
+    @pytest.mark.parametrize("slow_b", [False, True])
+    def test_parent_order_decides(self, slow_b):
+        engaged, *got = run_two_depths(slow_b, batch=True)
+        _, *expected = run_two_depths(slow_b, batch=False)
+        assert got == expected
+        assert engaged[0] is HEAP_DEFAULT
+        # The construction holds: every packet ties its twin on port
+        # s1→s2 and the loser waits one serialization time, so each
+        # stream reads one latency — unloaded (A: 15 units; B: 11, or 14
+        # over the slow link) for the winner, one unit more for the loser.
+        latency = {group: set(samples) for group, samples in got[1]["by_group"]}
+        if slow_b:
+            assert latency == {"hA": {16 * UNIT}, "hB": {14 * UNIT}}
+        else:
+            assert latency == {"hA": {15 * UNIT}, "hB": {12 * UNIT}}
+
+
+# -- mutations the differential must catch ----------------------------------------
+
+
+def mutated(monkeypatch, name):
+    order = portmajor._Lineage.order
+    if name == "time_only":
+        monkeypatch.setattr(
+            portmajor._Lineage, "order",
+            lambda self, n, hop, t, child=None: np.argsort(t, kind="stable"),
+        )
+    elif name == "ties_by_flow_index":
+        monkeypatch.setattr(
+            portmajor._Lineage, "order",
+            lambda self, n, hop, t, child=None: np.lexsort((n, t)),
+        )
+    elif name == "cummax":
+        def cummax_tails(e, busy, ser):
+            i = np.arange(e.size)
+            if isinstance(ser, float):
+                offset = ser * i
+                return ser * (i + 1) + np.maximum(busy, np.maximum.accumulate(e - offset))
+            before = np.concatenate(([0.0], np.cumsum(ser)[:-1]))
+            return (before + ser) + np.maximum(busy, np.maximum.accumulate(e - before))
+        monkeypatch.setattr(portmajor, "_contended_tails", cummax_tails)
+    elif name == "hand_back_in_packet_id_order":
+        def by_packet_id(self, n, hop, t, child=None):
+            if child is None:
+                return order(self, n, hop, t)
+            return np.lexsort((self.rank[n], child))  # packets by id, then the sources
+        monkeypatch.setattr(portmajor._Lineage, "order", by_packet_id)
+
+
+@pytest.mark.skipif(not HEAP_DEFAULT, reason="the pass stands down under the bucket scheduler")
+class TestMutationsAreCaught:
+    """Each wrong-but-plausible variant of the pass must fail the
+    differential on a pinned scenario — the comparison has teeth."""
+
+    LOCKSTEP = [("scatter", 0, 9, 3000), ("scatter", 5, 9, 3001),
+                ("scatter", 10, 9, 3002), ("scatter", 15, 9, 3003)]
+
+    @pytest.mark.parametrize(
+        "name", ["time_only", "ties_by_flow_index", "cummax", "hand_back_in_packet_id_order"]
+    )
+    def test_fig17_shaped_cell(self, monkeypatch, name):
+        differential("tree", self.LOCKSTEP, [6e-4, 1e-3], rate=120_000.0)
+        mutated(monkeypatch, name)
+        with pytest.raises(AssertionError):
+            differential("tree", self.LOCKSTEP, [6e-4, 1e-3], rate=120_000.0)
+
+    def test_time_only_fails_on_the_deeper_hop_first_case(self, monkeypatch):
+        mutated(monkeypatch, "time_only")
+        assert run_two_depths(False, True)[1:] != run_two_depths(False, False)[1:]
+
+    def test_flow_index_fails_on_the_later_root_first_case(self, monkeypatch):
+        mutated(monkeypatch, "ties_by_flow_index")
+        assert run_two_depths(True, True)[1:] != run_two_depths(True, False)[1:]
+
+
+# -- observability ----------------------------------------------------------------
+
+
+@pytest.fixture
+def disarmed(monkeypatch):
+    monkeypatch.delenv(obs.OBS_ENV, raising=False)
+    was_armed = obs.armed()
+    obs.disarm()
+    yield
+    obs.disarm()
+    if was_armed:
+        obs.arm()
+
+
+def armed_run(make_net, start, until=1e-3, max_events=None):
+    """One armed ``Network.run``: ``(fingerprint, obs counters)``."""
+    obs.arm()
+    try:
+        net = make_net()
+        sources = start(net)
+        net.run(until=until, max_events=max_events)
+        return fingerprint(net, sources), dict(obs.registry().counters)
+    finally:
+        obs.disarm()
+
+
+def armed_tree(batch=True, **kwargs):
+    def make_net():
+        topo = TOPOLOGIES["tree"]()
+        kwargs.setdefault("telemetry", False)
+        return Network(topo, ECMPRouter(topo), fastpath=True, batch=batch, obs=True, **kwargs)
+    return make_net
+
+
+def four_tasks(net):
+    return start_tasks(net, FOUR_TASKS)
+
+
+def decline(counters):
+    (name,) = [n for n in counters if n.startswith("batch.standdown.")]
+    return name.rsplit(".", 1)[1]
+
+
+@pytest.mark.usefixtures("disarmed")
+class TestObservability:
+    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
+    def test_armed_equals_disarmed_and_counts_the_pass(self):
+        armed, counters = armed_run(armed_tree(), four_tasks)
+        plain = build("tree", batch=True)
+        sources = four_tasks(plain)
+        plain.run(until=1e-3)
+        assert armed == fingerprint(plain, sources)
+        assert counters["batch.cohorts"] == 1
+        assert counters["batch.packets"] == armed["next_packet_id"] > 0
+        assert not any(name.startswith("batch.standdown") for name in counters)
+
+    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
+    def test_plan_counters_read_as_the_event_loop_leaves_them(self):
+        _, with_pass = armed_run(armed_tree(), four_tasks)
+        _, scalar = armed_run(armed_tree(batch=False), four_tasks)
+        for name in ("fastpath.plan_compiles", "fastpath.plan_hits"):
+            assert with_pass[name] == scalar[name]
+        # A stand-down after the routes were read binds nothing either.
+        def ring(batch):
+            topo = ring_of_switches(5)
+            return lambda: Network(topo, ECMPRouter(topo), fastpath=True, batch=batch,
+                                   telemetry=False, obs=True)
+
+        _, cyclic = armed_run(ring(True), two_ahead)
+        _, scalar = armed_run(ring(False), two_ahead)
+        assert decline(cyclic) == "cyclic_ports"
+        for name in ("fastpath.plan_compiles", "fastpath.plan_hits"):
+            assert cyclic[name] == scalar[name]
+
+    def test_scheduler_decline(self, monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, "bucket")
+        assert decline(armed_run(armed_tree(), four_tasks)[1]) == "scheduler"
+
+    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
+    def test_every_decline_is_named(self):
+        def closed_loop(net):
+            sources = four_tasks(net)
+            sources[0].on_delivered = lambda packet, when: None
+            return sources
+
+        def with_timer(net):
+            net.engine.call_at(5e-4, lambda: None)
+            return four_tasks(net)
+
+        def tracked(net):
+            net.enable_fault_tracking()
+            return four_tasks(net)
+
+        class Partitioned(ECMPRouter):
+            def route(self, src, dst, flow_id=0):
+                raise RoutingError("no path")
+
+        def partitioned():
+            topo = TOPOLOGIES["tree"]()
+            return Network(topo, Partitioned(topo), fastpath=True, batch=True,
+                           telemetry=False, obs=True)
+
+        reasons = {
+            "disabled": armed_run(armed_tree(batch=False), four_tasks),
+            "telemetry": armed_run(armed_tree(telemetry=True), four_tasks),
+            "bounded_run": armed_run(armed_tree(), four_tasks, max_events=10),
+            "faults": armed_run(armed_tree(), tracked),
+            "not_open_loop": armed_run(armed_tree(), with_timer),
+            "closed_loop_source": armed_run(armed_tree(), closed_loop),
+            "budget": armed_run(armed_tree(), four_tasks, until=1.0e-5),
+            "unroutable": armed_run(partitioned, four_tasks),
+        }
+        for expected, (_, counters) in reasons.items():
+            assert decline(counters) == expected

@@ -224,6 +224,23 @@ class TestChunkedDraws:
         )
         assert [s.chunk for s in sources] == [17, 17]
 
+    def test_gap_pre_draw_grows_to_the_chunk(self):
+        """A short stream must not hold a full chunk of floats: batches
+        double from 32 and stop at ``chunk`` (the values are the same
+        stream however it is cut — ``test_chunk_sizes_bit_identical``)."""
+        topo = T.full_mesh(2, 1)
+        net = Network(topo, ECMPRouter(topo))
+        sizes = {}
+        for chunk in (1, 20, 256):
+            source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1000, chunk=chunk)
+            sizes[chunk] = []
+            for _ in range(5):
+                source._gaps = source._draw_gaps()
+                sizes[chunk].append(len(source._gaps))
+        assert sizes == {
+            1: [1] * 5, 20: [20] * 5, 256: [32, 64, 128, 256, 256],
+        }
+
 
 def _poisson(net, batch):
     # chunk > MIN_COHORT lets cohorts engage when ``batch`` allows them.
