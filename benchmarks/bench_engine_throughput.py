@@ -27,8 +27,9 @@ run, so the gate survives on machines of any speed.  Headline numbers
 are merged into ``benchmarks/results/BENCH_simulator.json``.
 
 PR 6 adds two rows: the specialized ``schedule`` path (which closes the
-gap to ``call_at``), and the batched flight engine on a single-stream
-cohort workload, gated ≥ 1.5× the scalar fast path as a same-machine
+gap to ``call_at``), and the vectorized form (since PR 18 the
+port-major pass of ``Network.run``) on a single-stream cohort workload,
+gated ≥ 1.5× the scalar fast path as a same-machine
 replica ratio (the batched and scalar runs execute in-process, back to
 back, and must agree on every metric before the ratio is reported).
 """
@@ -126,8 +127,8 @@ def _events_per_sec(engine_factory, use_call_at: bool = True, ticks: int = TICKS
 
 
 #: Cohort benchmark: one 2 Mpps Poisson stream (≈ 6.4 Gb/s of 400 B
-#: packets into 10 G links) for 50 ms of simulated time — long cohorts
-#: with real intra-cohort port queueing.
+#: packets into 10 G links) for 50 ms of simulated time — a chain of
+#: full port-major windows with real port queueing inside each.
 COHORT_RATE_PPS = 2_000_000.0
 COHORT_DURATION = 0.05
 
@@ -151,7 +152,7 @@ def _cohort_run(
     )
     source.start()
     start = time.perf_counter()
-    net.engine.run(until=COHORT_DURATION)
+    net.run(until=COHORT_DURATION)
     wall = time.perf_counter() - start
     fingerprint = (
         net.packets_delivered,
@@ -377,8 +378,8 @@ def bench_engine_throughput(benchmark, report, bench_record):
         "(uncompiled forwarding loop, per-packet RNG draws); its results",
         "are asserted identical to the fast-path run before reporting,",
         "as are the workers=4 results.  The cohort row runs one 2 Mpps",
-        "Poisson stream for 50 ms of simulated time with the batched",
-        "flight engine against the scalar fast path on this machine,",
+        "Poisson stream for 50 ms of simulated time through the port-major",
+        "pass of Network.run against the scalar fast path on this machine,",
         "asserts every metric identical, and divides the same logical",
         "event count by each wall clock — so that ratio, like the",
         "replica rows, is machine-independent.  The telemetry rows run",
@@ -482,8 +483,10 @@ def bench_engine_throughput(benchmark, report, bench_record):
 #: traffic for 10 ms of simulated time.  The four servers per rack
 #: stream to racks 1, 2, 5 and 16 away — the locality mix the paper's
 #: evaluation emphasizes (Figures 17/18): most traffic stays near its
-#: rack and forwards batched inside one shard, while the antipodal
-#: flows keep every boundary channel busy across the cut.  Propagation
+#: rack and inside one shard, while the antipodal flows keep every
+#: boundary channel busy across the cut.  Nothing forwards batched:
+#: shards and ``run_serial`` drive ``engine.run``, which dispatches
+#: event by event (measured ``batched_share`` 0.0).  Propagation
 #: is raised to 2.5 us — ring-scale fibre runs between racks, not
 #: patch cables — which also sets the conservative lookahead (ULL
 #: latency + propagation ≈ 2.9 us per window).

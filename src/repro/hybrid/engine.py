@@ -17,13 +17,14 @@ time-varying residual capacity:
   serialization factor (``ser = 8 / residual``): foreground packets
   serialize as if the link were narrower by exactly the bandwidth the
   background occupies.  Compiled :class:`~repro.sim.fastpath.HopPlan`
-  and stacked-plan caches are cleared whenever any link's residual
+  caches and flow bindings are cleared whenever any link's residual
   changes, the same invalidation discipline ``fail_link`` uses, so the
-  fast path and the batched engine stay hot *within* an epoch and
-  recompile lazily after one;
-* the epoch-boundary callback sits in the event queue, so the batched
-  engine's lookahead (``engine.peek_time``) structurally prevents any
-  vectorized cohort commit from crossing a boundary.
+  fast path stays hot *within* an epoch and recompiles lazily after
+  one;
+* the epoch-boundary callback sits in the event queue — a plain timer,
+  not a source's fire chain — so a horizon that holds a boundary is not
+  open loop and the port-major pass of ``Network.run`` leaves it to the
+  event loop (``batch.standdown.not_open_loop``).
 
 Approximations (see API.md for the full contract): background flows are
 fluid (no background packets, no background queueing jitter), foreground
@@ -77,7 +78,7 @@ class HybridNetwork(Network):
 
     ``background`` is the schedule of flow-level demands; foreground
     traffic is injected exactly as on a plain network (``send``,
-    ``send_cohort``, traffic sources).  The ``hybrid`` knob (resolved by
+    traffic sources).  The ``hybrid`` knob (resolved by
     the base class from the argument and ``REPRO_HYBRID_DISABLE``)
     selects the mode:
 

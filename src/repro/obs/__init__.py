@@ -2,7 +2,7 @@
 
 The simulated fabric already has PrintQueue-style telemetry
 (:mod:`repro.telemetry`); this package watches the *simulator* — where
-the engine's time and events go across the fastpath, cohort batching,
+the engine's time and events go across the fastpath, port-major windows,
 hybrid epochs, and sharded windows.  Three parts:
 
 :mod:`repro.obs.metrics`
@@ -13,7 +13,7 @@ hybrid epochs, and sharded windows.  Three parts:
     windows/barriers, sweep cells) exported as Chrome ``trace_event``
     JSON for Perfetto via ``repro trace``.
 :mod:`repro.obs.report`
-    Run manifests — knobs, seeds, scheduler, cache stats, fault digest,
+    Run manifests — knobs, seeds, cache stats, fault digest,
     metrics snapshot, package/git version — rendered by ``repro
     report``.
 

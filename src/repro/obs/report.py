@@ -3,8 +3,8 @@
 A *run manifest* is a small JSON document answering the questions a
 perf-regression hunt always starts with: which package version and git
 commit produced these numbers, which feature knobs were armed (fastpath,
-batching, telemetry, hybrid, parallel, observability), which scheduler
-the engine used, what the artifact cache did, which seeds went in, and
+batching, telemetry, hybrid, parallel, observability), what the
+artifact cache did, which seeds went in, and
 — when observability was armed — the full metrics snapshot of the run.
 
 ``repro smoke --manifest out.json`` and ``repro experiment --manifest``
@@ -53,11 +53,10 @@ _REQUIRED_KEYS = (
 def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
     """Resolve every feature knob the way ``Network(...)`` would.
 
-    Returns the booleans for the six optional layers plus the engine's
-    ``scheduler`` spec string — the environment-derived defaults, i.e.
-    what a network built with all-``None`` knobs gets.
+    Returns the booleans for the six optional layers — the
+    environment-derived defaults, i.e. what a network built with
+    all-``None`` knobs gets.
     """
-    from repro.sim.engine import SCHEDULER_ENV
     from repro.sim.fastpath import BATCH_ENV, FASTPATH_ENV
     from repro.sim.knobs import HYBRID_ENV, OBS_ENV, PARALLEL_ENV, resolve_flag
     from repro.telemetry import TELEMETRY_ENV
@@ -76,7 +75,6 @@ def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
                                  environ=source),
         "obs": resolve_flag(None, OBS_ENV, env_disables=False,
                             environ=source),
-        "scheduler": source.get(SCHEDULER_ENV) or "heap",
     }
 
 
@@ -202,8 +200,6 @@ def validate_manifest(doc: Any) -> list[str]:
         for name in _KNOB_NAMES:
             if not isinstance(knobs.get(name), bool):
                 problems.append(f"knobs.{name} must be a boolean")
-        if not isinstance(knobs.get("scheduler"), str):
-            problems.append("knobs.scheduler must be a string")
     elif "knobs" in doc:
         problems.append("knobs must be an object")
     metrics = doc.get("metrics")
@@ -238,8 +234,7 @@ def render_manifest(doc: dict) -> str:
         + ", ".join(
             f"{name}={'on' if knobs.get(name) else 'off'}"
             for name in _KNOB_NAMES
-        )
-        + f", scheduler={knobs.get('scheduler', '?')}",
+        ),
         f"  seeds     {doc.get('seeds') or '-'}",
         f"  cache     enabled={cache.get('enabled')}"
         f" hit_rate={cache.get('hit_rate', 0.0):.1%}"

@@ -8,7 +8,7 @@ simulator: deterministic event engine, Table 16 switch models
 sources used in Sections 6 and 7.
 """
 
-from repro.sim.engine import BucketScheduler, Engine, Event, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError
 from repro.sim.fastpath import FASTPATH_ENV, HopPlan, compile_plan
 from repro.sim.knobs import HYBRID_ENV, PARALLEL_ENV, env_truthy, resolve_flag
 from repro.sim.faults import (
@@ -62,7 +62,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "BucketScheduler",
     "BurstSource",
     "CCS",
     "FASTPATH_ENV",

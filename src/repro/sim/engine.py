@@ -1,24 +1,13 @@
-"""Deterministic discrete-event engine with pluggable schedulers.
+"""Deterministic discrete-event engine on a binary heap.
 
 A minimal, fast event loop.  Queue entries are plain ``[time, seq,
-callback, args]`` records, so the scheduler orders them with C-speed
+callback, args]`` records, so ``heapq`` orders them with C-speed
 list comparison — ``time`` first, then the unique sequence number
 (the callback is never compared).  The sequence number makes
 simultaneous events fire in scheduling order, so runs are exactly
 reproducible.  A **chained** entry (:meth:`Engine.chain_at`) carries a
 step whose return value re-arms the same record, so a long-lived chain
 of events — a packet hopping through the fabric — allocates once.
-
-Two schedulers share that entry format:
-
-* the default **heap** (``heapq``) — the reference implementation; its
-  pop order defines the engine's contract;
-* a **bucket** (calendar) queue — a ring of fixed-width time buckets
-  plus an overflow heap, tuned to the simulator's near-future event
-  profile (a packet's next event is almost always within a few
-  microseconds of ``now``).  Selected with ``Engine(scheduler="bucket")``
-  or ``REPRO_SCHEDULER=bucket``; property-tested to pop in exactly the
-  heap's order, including FIFO among equal timestamps.
 
 Cancellation is lazy: :meth:`Event.cancel` blanks the entry's callback
 slot in place and the run loop discards blanked entries as they surface.
@@ -31,9 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time as _time
-from bisect import insort
 from typing import Any, Callable, Iterable
 
 from repro import obs as _obs
@@ -51,9 +38,6 @@ _CALLBACK = 2
 _CHAIN = None
 
 _CHAIN_PAST = "chained step returned time %r, before current time %r"
-
-#: Environment variable selecting the default scheduler for new engines.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 
 class SimulationError(RuntimeError):
@@ -105,251 +89,21 @@ class Event:
         return True
 
 
-class BucketScheduler:
-    """Calendar queue: a ring of fixed-width buckets plus an overflow heap.
-
-    Events within the addressable window (``nbuckets × width`` seconds
-    from the ring's base time) append to their bucket in O(1); events
-    beyond it go to an overflow heap and migrate into the ring as the
-    window advances.  A bucket is sorted once when it becomes the active
-    (draining) bucket; inserts that land in the active bucket — the
-    common case for a simulator whose next event is within one bucket of
-    ``now`` — use ``bisect.insort`` past the drain cursor, which
-    preserves FIFO order among equal timestamps because sequence numbers
-    only grow.
-
-    Pop order is identical to the heap scheduler's: ``(time, seq)``
-    ascending.  Entries are the engine's ``[time, seq, callback, args]``
-    lists, so lazy cancellation (blanking the callback slot) works
-    unchanged.
-
-    Bucket boundaries are exact.  The window base is recomputed from an
-    integer epoch (``base0 + epoch * width``) instead of accumulating
-    ``base += width``, so the boundary of slot ``k`` is the *same float*
-    whether it is evaluated at push time, at migration time, or when the
-    window advances past it.  Raw ``int(rel / width)`` indexing is then
-    corrected against those boundaries: float division can misplace an
-    entry that lands exactly on a bucket edge by one bucket in either
-    direction (e.g. ``123e-6 / 1e-6 == 122.99…``), which reorders pops
-    around equal-time entries — and, at the overflow horizon, can push a
-    far-future entry into the *active* bucket, popping it arbitrarily
-    early.  Both divergences are caught by the hypothesis equivalence
-    suite in ``tests/sim/test_scheduler.py``.
-    """
-
-    __slots__ = (
-        "width", "nbuckets", "_buckets", "_cur", "_base", "_base0",
-        "_epoch", "_pos", "_ring_count", "_far", "_len",
-    )
-
-    def __init__(self, width: float = 1e-6, nbuckets: int = 256) -> None:
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive, got {width}")
-        if nbuckets < 1:
-            raise SimulationError(f"need at least one bucket, got {nbuckets}")
-        self.width = width
-        self.nbuckets = nbuckets
-        self._buckets: list[list[list]] = [[] for _ in range(nbuckets)]
-        self._cur = 0  # ring index of the active bucket
-        self._base0 = 0.0  # window origin; slot k starts at base0 + (epoch+k)*width
-        self._epoch = 0  # how many windows the ring has advanced past base0
-        self._base = 0.0  # cached boundary(0): start of the active window
-        self._pos = 0  # drain cursor into the active bucket
-        self._ring_count = 0  # entries anywhere in the ring
-        self._far: list[list] = []  # heap of entries beyond the window
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _boundary(self, index: int) -> float:
-        """Exact start time of the bucket ``index`` slots past the active one."""
-        return self._base0 + (self._epoch + index) * self.width
-
-    def _index_for(self, time: float) -> int:
-        """Slot offset whose window truly contains ``time``.
-
-        Returns ``nbuckets`` for anything at or past the overflow
-        horizon.  The raw division is only a guess; within the ring the
-        correction loops walk it to the unique ``k`` with ``boundary(k)
-        <= time < boundary(k+1)`` (at most a step or two — never across
-        the whole ring, and far-future times take the single horizon
-        test instead of walking).  Entries at or before the active
-        window report 0 — the caller keeps those sorted in the active
-        bucket.
-        """
-        nbuckets = self.nbuckets
-        guess = int((time - self._base) / self.width)
-        if guess >= nbuckets:
-            if time >= self._boundary(nbuckets):
-                return nbuckets
-            guess = nbuckets - 1  # division overshot the horizon
-        elif guess < 0:
-            guess = 0
-        while guess > 0 and time < self._boundary(guess):
-            guess -= 1
-        while guess < nbuckets and time >= self._boundary(guess + 1):
-            guess += 1
-        return guess
-
-    def push(self, entry: list) -> None:
-        """Insert one entry; ``entry[0]`` must be ≥ the last popped time."""
-        index = self._index_for(entry[0])
-        if index == 0:
-            # Active bucket (or a time at/before its window, which can
-            # only be ≥ the last pop): keep it sorted past the cursor.
-            insort(self._buckets[self._cur], entry, self._pos)
-            self._ring_count += 1
-        elif index < self.nbuckets:
-            self._buckets[(self._cur + index) % self.nbuckets].append(entry)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._far, entry)
-        self._len += 1
-
-    def pop(self) -> list:
-        """Remove and return the earliest entry; IndexError when empty."""
-        while True:
-            bucket = self._buckets[self._cur]
-            pos = self._pos
-            if pos < len(bucket):
-                entry = bucket[pos]
-                self._pos = pos + 1
-                self._ring_count -= 1
-                self._len -= 1
-                if self._pos == len(bucket):
-                    del bucket[:]
-                    self._pos = 0
-                return entry
-            if self._len == 0:
-                raise IndexError("pop from an empty scheduler")
-            del bucket[:]
-            self._pos = 0
-            if self._ring_count:
-                self._advance()
-            else:
-                # Ring drained: jump the window straight to the overflow.
-                self._base0 = self._far[0][0]
-                self._epoch = 0
-                self._base = self._base0
-                self._migrate()
-                if not self._ring_count:
-                    # Degenerate window: the base is so large that one
-                    # bucket width rounds away (ulp(base) > width), so
-                    # nothing can migrate.  Drain the overflow head
-                    # directly — pushes after this pop are ≥ its time
-                    # by the scheduler contract, so order holds.
-                    self._buckets[self._cur].append(heapq.heappop(self._far))
-                    self._ring_count += 1
-                self._buckets[self._cur].sort()
-            # Loop: the new active bucket may still be empty (sparse ring).
-
-    def peek_time(self) -> float:
-        """Lower bound on the earliest queued entry's time (``inf`` if empty).
-
-        Exact when the active bucket has entries left (it is sorted);
-        otherwise the next window boundary / overflow head, which can
-        only *under*-estimate — safe for lookahead decisions.
-        """
-        bucket = self._buckets[self._cur]
-        if self._pos < len(bucket):
-            return bucket[self._pos][0]
-        if self._ring_count:
-            return self._boundary(1)
-        if self._far:
-            return self._far[0][0]
-        return math.inf
-
-    def _advance(self) -> None:
-        """Step the window one bucket forward and activate the next bucket."""
-        self._cur = (self._cur + 1) % self.nbuckets
-        self._epoch += 1
-        self._base = self._base0 + self._epoch * self.width
-        if self._far:
-            self._migrate()
-        self._buckets[self._cur].sort()
-
-    def _migrate(self) -> None:
-        """Pull overflow entries that now fall inside the window.
-
-        The stop test is the *corrected* slot index, not a raw
-        ``entry[0] < horizon`` comparison: an entry within one float
-        rounding of the horizon must stay in the overflow heap rather
-        than be wrapped modulo the ring into the active bucket.
-        """
-        far = self._far
-        buckets = self._buckets
-        cur, nbuckets = self._cur, self.nbuckets
-        heappop = heapq.heappop
-        while far:
-            index = self._index_for(far[0][0])
-            if index >= nbuckets:
-                break
-            buckets[(cur + index) % nbuckets].append(heappop(far))
-            self._ring_count += 1
-
-    def compact(self) -> None:
-        """Drop cancelled (blanked) entries; live ordering is unchanged."""
-        survivors = []
-        for index, bucket in enumerate(self._buckets):
-            start = self._pos if index == self._cur else 0
-            survivors.extend(e for e in bucket[start:] if e[_CALLBACK] is not None)
-            del bucket[:]
-        survivors.extend(e for e in self._far if e[_CALLBACK] is not None)
-        del self._far[:]
-        self._pos = 0
-        self._ring_count = 0
-        self._len = 0
-        for entry in survivors:
-            self.push(entry)
-
-
-def _make_scheduler(spec: "str | BucketScheduler | None") -> "BucketScheduler | None":
-    """Resolve a scheduler spec; ``None`` means the default heap."""
-    if spec is None:
-        spec = os.environ.get(SCHEDULER_ENV, "heap")
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name in ("", "heap"):
-            return None
-        if name in ("bucket", "calendar"):
-            return BucketScheduler()
-        raise SimulationError(
-            f"unknown scheduler {spec!r}; options: 'heap', 'bucket'"
-        )
-    return spec  # duck-typed scheduler instance
-
-
 class Engine:
-    """The event loop.  Time starts at 0.0 seconds.
+    """The event loop.  Time starts at 0.0 seconds."""
 
-    ``scheduler`` selects the pending-event queue: ``"heap"`` (default,
-    the reference implementation), ``"bucket"`` (calendar queue), or a
-    pre-built scheduler instance.  When the argument is omitted the
-    ``REPRO_SCHEDULER`` environment variable decides.
-    """
+    __slots__ = ("now", "_heap", "_seq", "_n_cancelled", "events_processed", "running")
 
-    __slots__ = (
-        "now", "_heap", "_sched", "_seq", "_n_cancelled", "events_processed",
-        "run_horizon", "batching_ok",
-    )
-
-    def __init__(self, scheduler: "str | BucketScheduler | None" = None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self._seq = 0
         self._n_cancelled = 0
         self.events_processed = 0
-        #: Horizon of the active :meth:`run` call (``None`` = unbounded);
-        #: only meaningful while ``batching_ok`` is True.
-        self.run_horizon: float | None = None
-        #: True while a run loop without ``max_events`` is dispatching —
-        #: the only state in which cohort batching may commit work ahead
-        #: of the queue (see :meth:`repro.sim.network.Network.send_cohort`).
-        self.batching_ok = False
-        self._sched = _make_scheduler(scheduler)
-        # The heap scheduler is inlined on the hot paths: ``_heap`` is
-        # the live list when it is in use, ``None`` otherwise.
-        self._heap: list[list] | None = [] if self._sched is None else None
+        #: True while a run loop is dispatching: a ``Network.run`` called
+        #: from inside a callback must not solve the window it is part of
+        #: (:mod:`repro.sim.portmajor`).
+        self.running = False
+        self._heap: list[list] = []
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -366,11 +120,7 @@ class Engine:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         entry = [self.now + delay, self._seq, callback, args]
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, entry)
-        else:
-            self._sched.push(entry)
+        heapq.heappush(self._heap, entry)
         event = Event.__new__(Event)
         event.cancelled = False
         event._entry = entry
@@ -387,11 +137,7 @@ class Engine:
             )
         entry = [time, self._seq, callback, args]
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, entry)
-        else:
-            self._sched.push(entry)
+        heapq.heappush(self._heap, entry)
         event = Event.__new__(Event)
         event.cancelled = False
         event._entry = entry
@@ -410,11 +156,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, [time, self._seq, callback, args])
-        else:
-            self._sched.push([time, self._seq, callback, args])
+        heapq.heappush(self._heap, [time, self._seq, callback, args])
         self._seq += 1
 
     def chain_at(
@@ -436,11 +178,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, [time, self._seq, step, _CHAIN, arg])
-        else:
-            self._sched.push([time, self._seq, step, _CHAIN, arg])
+        heapq.heappush(self._heap, [time, self._seq, step, _CHAIN, arg])
         self._seq += 1
 
     def call_at_many(
@@ -449,58 +187,44 @@ class Engine:
         """Bulk :meth:`call_at`: push ``(time, callback, args)`` triples.
 
         One engine call amortizes the per-event attribute lookups over a
-        whole batch (fault timelines, cohort fallbacks, benchmark warm
-        fills).  Sequence numbers are assigned in iteration order, so
-        equal-time items fire in the order given.
+        whole batch (fault timelines, benchmark warm fills).  Sequence
+        numbers are assigned in iteration order, so equal-time items
+        fire in the order given.
         """
         now = self.now
         heap = self._heap
+        heappush = heapq.heappush
         seq = self._seq
         try:
-            if heap is not None:
-                heappush = heapq.heappush
-                for time, callback, args in items:
-                    if time < now:
-                        raise SimulationError(
-                            f"cannot schedule at {time} before current time {now}"
-                        )
-                    heappush(heap, [time, seq, callback, args])
-                    seq += 1
-            else:
-                push = self._sched.push
-                for time, callback, args in items:
-                    if time < now:
-                        raise SimulationError(
-                            f"cannot schedule at {time} before current time {now}"
-                        )
-                    push([time, seq, callback, args])
-                    seq += 1
+            for time, callback, args in items:
+                if time < now:
+                    raise SimulationError(
+                        f"cannot schedule at {time} before current time {now}"
+                    )
+                heappush(heap, [time, seq, callback, args])
+                seq += 1
         finally:
             self._seq = seq
 
     def peek_time(self) -> float:
         """Lower bound on the next queued event's time (``inf`` when idle).
 
-        Exact for the heap scheduler up to lazily-cancelled entries (a
-        blanked head can only make the bound *earlier*, never later, so
-        lookahead decisions stay safe).  Duck-typed schedulers without a
-        ``peek_time`` report ``-inf``, which disables batching entirely.
+        Exact up to lazily-cancelled entries: a blanked head can only
+        make the bound *earlier*, never later, so the shard windows that
+        read it (:mod:`repro.sim.parallel`) stay conservative.
         """
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else math.inf
-        peek = getattr(self._sched, "peek_time", None)
-        return peek() if peek is not None else -math.inf
+        return heap[0][0] if heap else math.inf
 
     def credit_events(self, n: int) -> None:
         """Count ``n`` logical events elided by a batched advancement.
 
         ``events_processed`` reports *logical* simulation events: a
-        cohort committed in one vectorized step credits the per-hop
-        arrivals (and per-packet source fires) the scalar loop would
-        have dispatched through the queue, so the counter — and any
-        events/s rate derived from it — stays comparable across the
-        scalar, fastpath, and batched engines.
+        window solved port-major (:mod:`repro.sim.portmajor`) credits
+        the source fires and per-hop arrivals the event loop would have
+        dispatched through the queue, so the counter — and any events/s
+        rate derived from it — stays comparable across the reference,
+        fastpath, and port-major forms.
         """
         self.events_processed += n
 
@@ -513,8 +237,8 @@ class Engine:
         the run first).
 
         When :mod:`repro.obs` is armed, each call additionally records
-        one ``engine.run`` span plus aggregate counters (events popped
-        per scheduler kind, run wall-clock).  The accounting happens
+        one ``engine.run`` span plus aggregate counters (events
+        dispatched, run wall-clock).  The accounting happens
         once per *run*, not per event, so the inner loops above stay
         untouched and a disarmed run pays one ``None`` test.
         """
@@ -529,41 +253,36 @@ class Engine:
         finally:
             duration = _time.perf_counter() - start
             delta = self.events_processed - before
-            kind = "heap" if self._heap is not None else "bucket"
             reg.incr("engine.runs")
-            reg.incr("engine.events." + kind, delta)
+            reg.incr("engine.events.heap", delta)
             reg.observe("engine.run_seconds", duration)
             tracer = _obs.tracer()
             if tracer is not None:
                 tracer.add("engine.run", start, duration,
-                           kind=kind, events=delta)
+                           kind="heap", events=delta)
 
     def _run(self, until: float | None, max_events: int | None) -> None:
-        """The dispatch body of :meth:`run` (observation-free)."""
-        if self._heap is not None and max_events is None:
-            # Specialized heap loops for the two hot call shapes; the
-            # shared general loop below covers everything else.
-            if until is None:
-                self._run_heap_unbounded()
-            else:
-                self._run_heap_until(until)
-            return
+        """The dispatch body of :meth:`run` (observation-free): one
+        specialised loop per call shape."""
+        if max_events is not None:
+            self._run_bounded(until, max_events)
+        elif until is None:
+            self._run_heap_unbounded()
+        else:
+            self._run_heap_until(until)
+
+    def _run_bounded(self, until: float | None, max_events: int) -> None:
+        """Dispatch at most ``max_events`` events (none past ``until``)."""
+        heap = self._heap
         processed = 0
-        # ``max_events`` counts real queue pops, which batching would
-        # blur — cohort commits stay disabled for bounded-event runs.
-        self.run_horizon = until
-        self.batching_ok = max_events is None
+        self.running = True
         try:
-            while True:
-                entry = self._pop_entry()
-                if entry is None:
-                    break
-                if max_events is not None and processed >= max_events:
-                    self._push_entry(entry)
+            while heap:
+                if processed >= max_events:
                     return
-                if until is not None and entry[0] > until:
-                    self._push_entry(entry)
+                if until is not None and heap[0][0] > until:
                     break
+                entry = heapq.heappop(heap)
                 callback = entry[_CALLBACK]
                 if callback is None:
                     self._n_cancelled -= 1
@@ -585,15 +304,14 @@ class Engine:
                         entry[1] = self._seq
                         entry[_CALLBACK] = callback
                         self._seq += 1
-                        self._push_entry(entry)
+                        heapq.heappush(heap, entry)
                         continue
                 else:
                     callback()
                 processed += 1
         finally:
             self.events_processed += processed
-            self.batching_ok = False
-            self.run_horizon = None
+            self.running = False
         if until is not None and until > self.now:
             self.now = until
 
@@ -603,8 +321,7 @@ class Engine:
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
         processed = 0
-        self.run_horizon = None
-        self.batching_ok = True
+        self.running = True
         try:
             while True:
                 # Only the pop may end the run: an IndexError raised by
@@ -646,7 +363,7 @@ class Engine:
                     break
         finally:
             self.events_processed += processed
-            self.batching_ok = False
+            self.running = False
 
     def _run_heap_until(self, until: float) -> None:
         """Drain the heap up to (and including) time ``until``."""
@@ -655,8 +372,7 @@ class Engine:
         heappush = heapq.heappush
         heappushpop = heapq.heappushpop
         processed = 0
-        self.run_horizon = until
-        self.batching_ok = True
+        self.running = True
         try:
             while True:
                 try:  # as above: only the pop may end the run
@@ -699,39 +415,20 @@ class Engine:
                     break
         finally:
             self.events_processed += processed
-            self.batching_ok = False
-            self.run_horizon = None
+            self.running = False
         if until > self.now:
             self.now = until
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        queued = len(self._heap) if self._heap is not None else len(self._sched)
-        return queued - self._n_cancelled
+        return len(self._heap) - self._n_cancelled
 
     # -- internal ----------------------------------------------------------------
-
-    def _pop_entry(self) -> list | None:
-        """Earliest queued entry (live or blanked), or ``None`` if empty."""
-        try:
-            if self._heap is not None:
-                return heapq.heappop(self._heap)
-            return self._sched.pop()
-        except IndexError:
-            return None
-
-    def _push_entry(self, entry: list) -> None:
-        """Return an entry taken by :meth:`_pop_entry` to the queue."""
-        if self._heap is not None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._sched.push(entry)
 
     def _note_cancelled(self) -> None:
         """Record one cancellation; compact when the dead outnumber the live."""
         self._n_cancelled += 1
-        queued = len(self._heap) if self._heap is not None else len(self._sched)
-        if self._n_cancelled > queued // 2:
+        if self._n_cancelled > len(self._heap) // 2:
             self._compact()
 
     def _compact(self) -> None:
@@ -742,11 +439,8 @@ class Engine:
         list while events fire, and cancellations from inside a callback
         must stay visible to that loop.
         """
-        if self._heap is not None:
-            self._heap[:] = [
-                entry for entry in self._heap if entry[_CALLBACK] is not None
-            ]
-            heapq.heapify(self._heap)
-        else:
-            self._sched.compact()
+        self._heap[:] = [
+            entry for entry in self._heap if entry[_CALLBACK] is not None
+        ]
+        heapq.heapify(self._heap)
         self._n_cancelled = 0

@@ -48,19 +48,14 @@ cannot accumulate stale paths across fault churn.  Set
 produce bit-identical metrics.
 
 With :mod:`repro.obs` armed, the owning network counts plan compiles,
-cache hits, and fault invalidations (``fastpath.*`` counters); this
-module adds ``fastpath.size_products`` — the distinct per-packet-size
-coefficient sets stacked plans materialize — so a sweep that floods the
-per-size cache with unique packet sizes shows up in the run manifest.
+cache hits, fault invalidations and flow-table overflow (``fastpath.*``
+counters).  The port-major pass (:mod:`repro.sim.portmajor`) reads the
+same plans: one column of per-hop coefficients per stream or packet.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro import obs as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.routing.base import Path
@@ -69,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Environment variable that forces the reference (uncompiled) loop.
 FASTPATH_ENV = "REPRO_FASTPATH_DISABLE"
 
-#: Environment variable that disables cohort batching (the scalar
-#: fast path and reference loop stay available as oracles).
+#: Environment variable that turns the port-major pass of
+#: ``Network.run`` off (the scalar fast path and reference loop stay
+#: available as oracles).
 BATCH_ENV = "REPRO_BATCH_DISABLE"
 
 
@@ -107,65 +103,6 @@ class HopPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HopPlan({' -> '.join(self.path)})"
-
-
-class StackedPlan:
-    """A :class:`HopPlan`'s parallel tuples stacked into numpy arrays.
-
-    This is the batched flight engine's per-path program: one float64
-    array per hop-indexed coefficient, so a whole cohort of same-size
-    packets advances through hop ``h`` with a handful of elementwise
-    operations instead of one event per packet per hop.
-
-    Bit-identity with the scalar loops is preserved operation by
-    operation: IEEE 754 elementwise array arithmetic performs the same
-    rounding as the equivalent sequence of scalar operations, so
-    ``times + ser`` equals ``time + ser`` computed per packet, in the
-    same order the scalar fast path performs the additions.  Per-size
-    products (``size * ser``, ``size * latf``) are cached per plan —
-    multiplication is a single isolated operation, so hoisting it out of
-    the per-cohort loop cannot change any result bit.
-
-    Plans are immutable and hold no port state; the network owns a
-    ``path -> StackedPlan`` cache cleared on ``fail_link`` /
-    ``repair_link`` alongside the scalar plan cache.
-    """
-
-    __slots__ = ("plan", "nhops", "keys", "ports", "ser", "lat", "latf", "_by_size")
-
-    def __init__(self, plan: HopPlan) -> None:
-        self.plan = plan
-        self.nhops = plan.last  # number of links == arrival events per packet
-        self.keys = plan.keys
-        self.ports = plan.ports
-        self.ser = np.asarray(plan.ser)
-        self.lat = plan.lat  # tuple: each entry is added as a scalar
-        self.latf = np.asarray(plan.latf)
-        self._by_size: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def for_size(
-        self, size_bytes: float
-    ) -> "tuple[np.ndarray, np.ndarray, tuple, tuple]":
-        """Per-hop ``size * ser`` / ``size * latf``, as arrays and floats.
-
-        The arrays drive the vectorized cohort advance; the Python-float
-        tuples drive the scalar single-packet probe and the contended
-        port replay without per-element numpy conversions.
-        """
-        cached = self._by_size.get(size_bytes)
-        if cached is None:
-            ser_s = size_bytes * self.ser
-            latf_s = size_bytes * self.latf
-            cached = self._by_size[size_bytes] = (
-                ser_s, latf_s, tuple(ser_s.tolist()), tuple(latf_s.tolist())
-            )
-            reg = _obs.registry()
-            if reg is not None:  # miss path only — hits stay untouched
-                reg.incr("fastpath.size_products")
-        return cached
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StackedPlan({' -> '.join(self.plan.path)})"
 
 
 def compile_plan(

@@ -24,10 +24,9 @@ saturation in Figure 20).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import networkx as nx
-import numpy as np
 
 from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
@@ -35,7 +34,6 @@ from repro.sim.fastpath import (
     BATCH_ENV,
     FASTPATH_ENV,
     HopPlan,
-    StackedPlan,
     compile_plan,
 )
 from repro import obs as _obs_layer
@@ -97,51 +95,6 @@ class PortState:
     packets_dropped: int = 0
 
 
-def _contended_tails(
-    e: np.ndarray, busy: float, ser: "float | np.ndarray"
-) -> np.ndarray:
-    """Port tail times when the cohort queues on itself (or a busy port).
-
-    Replays the reference recurrence — ``start = busy; if start <
-    earliest: start = earliest; tail = start + ser`` — packet by packet.
-    The sequential order is load-bearing: a prefix-max reformulation
-    performs the additions in a different association and is *not*
-    IEEE 754 bit-identical to the scalar loop.  ``ser`` is one
-    serialization time, or one per packet (mixed sizes on one port).
-    """
-    out = np.empty_like(e)
-    b = busy
-    if isinstance(ser, np.ndarray):
-        for i, (earliest, s) in enumerate(zip(e.tolist(), ser.tolist())):
-            start = earliest if b < earliest else b
-            b = start + s
-            out[i] = b
-        return out
-    for i, earliest in enumerate(e.tolist()):
-        start = earliest if b < earliest else b
-        b = start + ser
-        out[i] = b
-    return out
-
-
-def _repeated_add(base: float, step: float, count: int) -> float:
-    """``base`` after ``count`` sequential ``+= step`` operations.
-
-    Matches the scalar loop's per-packet ``bytes_sent += size`` float
-    accumulation bit for bit.  Integer-valued floats below 2**53 sum
-    exactly, so the common case (whole-byte sizes and counters) is one
-    multiply-add; anything else replays the additions.
-    """
-    base = float(base)
-    step = float(step)
-    total = base + step * count
-    if base.is_integer() and step.is_integer() and abs(total) < 9007199254740992.0:
-        return total
-    for _ in range(count):
-        base += step
-    return base
-
-
 class Network:
     """Executable network: topology + router + event engine."""
 
@@ -187,19 +140,15 @@ class Network:
         ``REPRO_FASTPATH_DISABLE`` environment variable is set; both
         loops produce bit-identical results.
 
-        ``batch`` enables the two vectorized forms of the kernel.
-        Cohort batching (:meth:`send_cohort`): whole groups of same-path
-        packets advance through stacked numpy hop plans in a few
-        vectorized operations when the engine's lookahead proves no
-        other event can interleave — one stream ahead of an empty queue.
-        The port-major pass (:meth:`run`): a whole open-loop window of
-        many contending Poisson streams is clocked port by port.  The
-        default (``None``) follows the ``REPRO_BATCH_DISABLE``
-        environment variable, which turns both off ("scalar fast path
-        only").  Batching additionally requires the compiled fast path
-        and unbounded buffers — with either missing, ``batch_enabled``
-        stays ``False`` and every injection takes the scalar loops.  All
-        paths (reference, fastpath, cohorts, port-major) are
+        ``batch`` enables the vectorized form of the kernel, the
+        port-major pass of :meth:`run`: an open-loop window — Poisson
+        streams and the packets already in flight — is clocked port by
+        port instead of event by event.  The default (``None``) follows
+        the ``REPRO_BATCH_DISABLE`` environment variable ("scalar fast
+        path only").  The pass additionally requires the compiled fast
+        path and unbounded buffers — with either missing,
+        ``batch_enabled`` stays ``False`` and every event goes through
+        the queue.  All forms (reference, fastpath, port-major) are
         bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
@@ -211,7 +160,7 @@ class Network:
         variable; ``False`` forces it off.  Telemetry is strictly
         observational — packet timings, counters, and stats are
         bit-identical with it on or off — but armed monitors need to
-        see every packet at every hop, so cohort batching stands down
+        see every packet at every hop, so the port-major pass stands down
         (``batch_enabled`` stays ``False``) exactly as it does for
         bounded buffers; the compiled fast path keeps running.
 
@@ -307,17 +256,17 @@ class Network:
             fastpath, FASTPATH_ENV, env_disables=True
         )
         # Compiled forwarding plans, one per unique path, and the flows
-        # bound to them: (src, dst, flow_id) -> (route, plan).  Both (and
-        # ``_stacked`` below) are dropped by _invalidate_plans, so fault
-        # churn cannot grow a stale cache or strand a flow on a dead route.
+        # bound to them: (src, dst, flow_id) -> (route, plan).  Both are
+        # dropped by _invalidate_plans, so fault churn cannot grow a
+        # stale cache or strand a flow on a dead route.
         self._plans: dict[Path, HopPlan] = {}
         self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
-        #: Whether cohort injections may commit vectorized (read-only
-        #: after init).  Requires the fast path (the stacked plans are
-        #: compiled from HopPlans), unbounded buffers (the backlog
-        #: check reads ``engine.now`` mid-flight, which batching
-        #: elides), and disarmed telemetry (monitors observe per-packet
-        #: queue state the vectorized commit never materializes).
+        #: Whether :meth:`run` may solve windows port-major (read-only
+        #: after init).  Requires the fast path (the pass reads compiled
+        #: HopPlans), unbounded buffers (the backlog check reads
+        #: ``engine.now`` mid-flight, which the pass elides), and
+        #: disarmed telemetry (monitors observe per-packet queue state
+        #: the pass never materializes).
         self.batch_enabled = (
             resolve_flag(batch, BATCH_ENV, env_disables=True)
             and self.fastpath_enabled
@@ -334,8 +283,6 @@ class Network:
         self.parallel_enabled = resolve_flag(
             parallel, PARALLEL_ENV, env_disables=True
         )
-        # Stacked (vectorized) twins of ``_plans``, same invalidation.
-        self._stacked: dict[Path, StackedPlan] = {}
         #: Resolved ``obs=`` knob (read-only after init).
         self.obs_enabled = resolve_flag(obs, OBS_ENV, env_disables=False)
         #: The metrics registry this network reports into, or ``None``
@@ -434,8 +381,11 @@ class Network:
             plan = self._compile_plan(route)
         elif self.obs is not None:
             self.obs.incr("fastpath.plan_hits")
-        if path is None and len(self._flows) < self.FLOW_TABLE_LIMIT:
-            self._flows[(src, dst, flow_id)] = (route, plan)
+        if path is None:
+            if len(self._flows) < self.FLOW_TABLE_LIMIT:
+                self._flows[(src, dst, flow_id)] = (route, plan)
+            elif self.obs is not None:
+                self.obs.incr("fastpath.flow_table_full")
         return route, plan
 
     def note_unroutable(self, group: str | None = None) -> None:
@@ -456,163 +406,6 @@ class Network:
             self.obs.incr("drops.unroutable")
         if self._track_in_flight:
             self.fault_stats.record_drop(group, self.engine.now)
-
-    # -- batched flight engine ---------------------------------------------------------
-
-    def send_cohort(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: float,
-        times: Sequence[float],
-        flow_id: int = 0,
-        group: str | None = None,
-    ) -> int:
-        """Inject a cohort of same-size packets at the given times, batched.
-
-        The cohort shares one route (the router's pick for ``flow_id`` —
-        all routers here are deterministic and memoized, so one call
-        equals the per-packet calls the scalar loop makes).  The whole
-        flight — every transmit and arrival on every hop — is computed
-        up front over the path's :class:`~repro.sim.fastpath.StackedPlan`
-        with vectorized operations, then the longest *safe* prefix is
-        committed in one step:
-
-        * safe means every elided event time is strictly earlier than
-          the engine's next queued event (``peek_time``) and inside the
-          active run horizon, so no other callback could have observed
-          or perturbed the elided state in the scalar schedule;
-        * per-path FIFO monotonicity makes the per-packet sequential
-          order a valid topological order of the scalar event DAG, so
-          the committed floats are bit-identical to the scalar loops;
-        * queue contention (a packet catching up with its predecessor's
-          tail) is resolved per port over the sorted arrival times: a
-          contention-free port takes one elementwise add, a contended
-          span replays the reference ``max``/add recurrence in scalar
-          order, which elementwise IEEE 754 cannot reassociate.
-
-        Returns the number of packets committed; ``0`` means the caller
-        must fall back to scalar :meth:`send` (conditions that demand
-        the scalar loops: batching disabled, fault tracking armed, dead
-        links present, no safe prefix).  Packets beyond the committed
-        prefix are *not* sent.  The engine's logical event counter is
-        credited with the elided per-hop arrivals.
-        """
-        engine = self.engine
-        if (
-            not self.batch_enabled
-            or not engine.batching_ok
-            or self._dead_links
-            or self._track_in_flight
-            or self.telemetry is not None
-        ):
-            if self.obs is not None:
-                self.obs.incr(
-                    "batch.standdown." + self._batch_standdown_reason()
-                )
-            return 0
-        if size_bytes <= 0:
-            raise NetworkSimError(f"packet size must be positive, got {size_bytes}")
-        if not len(times):
-            raise NetworkSimError("cohort needs at least one injection time")
-        t = np.asarray(times, dtype=float)
-        if t[0] < engine.now or (t.size > 1 and bool(np.any(np.diff(t) < 0.0))):
-            raise NetworkSimError(
-                "cohort times must be nondecreasing and not in the past"
-            )
-        route = self.router.route(src, dst, flow_id)
-        if route[0] != src or route[-1] != dst:
-            raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
-        if type(route) is not tuple:
-            route = tuple(route)
-        o = self.obs
-        stacked = self._stacked.get(route)
-        if stacked is None:
-            plan = self._plans.get(route) or self._compile_plan(route)
-            stacked = self._stacked[route] = StackedPlan(plan)
-        elif o is not None:
-            o.incr("fastpath.stacked_hits")
-
-        peek = engine.peek_time()
-        horizon = engine.run_horizon
-        ser_s, latf_s, ser_f, latf_f = stacked.for_size(size_bytes)
-        lat = stacked.lat
-        ports = stacked.ports
-        prop = self.propagation_delay
-        nhops = stacked.nhops
-
-        # Cheap scalar probe: packet 0's flight (the same operations the
-        # vector pass performs) lower-bounds every packet's event
-        # ceiling, so a cohort that cannot commit even its first packet
-        # bails before any array work.
-        arrival = float(t[0])
-        probe_max = arrival
-        for h in range(nhops):
-            earliest = (arrival + latf_f[h]) + lat[h] if h else arrival
-            busy = ports[h].busy_until
-            start = earliest if busy < earliest else busy
-            arrival = (start + ser_f[h]) + prop
-            if arrival > probe_max:
-                probe_max = arrival
-        if probe_max >= peek or (horizon is not None and probe_max > horizon):
-            if o is not None:
-                o.incr("batch.standdown.lookahead")
-            return 0
-
-        tails_per_hop: list[np.ndarray] = []
-        arrivals = t  # placeholder; replaced by hop 0's arrivals below
-        event_max: np.ndarray | None = None
-        for h in range(nhops):
-            if h:
-                # Two adds, in the scalar loop's order:
-                # earliest = (now + size * latf[h]) + lat[h].
-                e = (arrivals + latf_s[h]) + lat[h]
-            else:
-                e = t  # injection: earliest_start is the send time itself
-            ser = ser_s[h]
-            busy = ports[h].busy_until
-            tails = e + ser
-            if e[0] < busy or (
-                e.size > 1 and bool(np.any(e[1:] < tails[:-1]))
-            ):
-                tails = _contended_tails(e, busy, float(ser))
-            arrivals = tails + prop
-            tails_per_hop.append(tails)
-            if event_max is None:
-                event_max = arrivals
-            else:
-                event_max = np.maximum(event_max, arrivals)
-
-        # Longest prefix whose every elided event fits the lookahead
-        # window; ``event_max`` is nondecreasing (FIFO monotonicity), so
-        # the cutoffs are binary searches.
-        m = int(np.searchsorted(event_max, peek, side="left"))
-        if horizon is not None:
-            within = int(np.searchsorted(event_max, horizon, side="right"))
-            if within < m:
-                m = within
-        if m <= 0:
-            if o is not None:
-                o.incr("batch.standdown.no_safe_prefix")
-            return 0
-        if o is not None:
-            o.incr("batch.cohorts")
-            o.incr("batch.packets", m)
-            o.observe("batch.cohort_size", m)
-
-        self._next_packet_id += m
-        for h in range(nhops):
-            port = ports[h]
-            tails = tails_per_hop[h]
-            port.busy_until = float(tails[m - 1])
-            port.packets_sent += m
-            port.bytes_sent = _repeated_add(port.bytes_sent, size_bytes, m)
-        delivered = arrivals[:m] + self.host_receive_latency
-        latencies = delivered - t[:m]
-        self.stats.record_many(latencies.tolist(), group)
-        self.packets_delivered += m
-        engine.credit_events(m * nhops)
-        return m
 
     # -- forwarding ----------------------------------------------------------------
 
@@ -705,23 +498,6 @@ class Network:
             earliest = now + latency
         self._transmit(packet, earliest_start=earliest)
 
-    def _batch_standdown_reason(self) -> str:
-        """Which condition forced :meth:`send_cohort` back to scalar sends.
-
-        Only called with observability armed, after the guard already
-        decided to stand down; re-tests the conditions in guard order so
-        the counter names the first (highest-priority) cause.
-        """
-        if not self.batch_enabled:
-            return "disabled"
-        if not self.engine.batching_ok:
-            return "bounded_run"
-        if self._dead_links:
-            return "dead_links"
-        if self._track_in_flight:
-            return "fault_tracking"
-        return "telemetry"
-
     # -- forwarding kernel ------------------------------------------------------------
 
     def _compile_plan(self, route: Path) -> HopPlan:
@@ -736,12 +512,11 @@ class Network:
 
     def _invalidate_plans(self) -> None:
         """Drop everything compiled against the links as they were: hop
-        plans, their stacked twins, and the flows bound to them.  The
+        plans and the flows bound to them.  The
         one invalidation path — cut, repair, and hybrid residual change
         all come here.  Packets in flight keep the plan they carry.
         """
         self._plans.clear()
-        self._stacked.clear()
         self._flows.clear()
         if self.obs is not None:
             self.obs.incr("fastpath.plan_invalidations")
@@ -994,15 +769,17 @@ class Network:
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the simulation to ``until`` (or dry, or ``max_events``).
 
-        With batching enabled, a window that is provably **open loop**
+        With batching enabled, a horizon that is provably **open loop**
         — every queued event is a single-destination Poisson source's
-        fire, nothing feeds back before ``until`` — is first solved port
-        by port instead of event by event (:func:`repro.sim.portmajor
-        .advance`, which lists the conditions); what is still pending at
-        the horizon goes back on the queue and the engine finishes as
-        usual.  Results are bit-identical either way, and a window the
-        pass declines is left untouched.  Only this method tries the
-        pass: ``engine.run`` always dispatches event by event.
+        fire or the next arrival of a packet in flight, nothing feeds
+        back before ``until`` — is first solved port by port instead of
+        event by event, as a chain of budgeted windows
+        (:func:`repro.sim.portmajor.advance`, which lists the
+        conditions); what is still pending where the chain ends goes
+        back on the queue and the engine finishes as usual.  Results are
+        bit-identical either way, and a window the pass declines is left
+        untouched.  Only this method tries the pass: ``engine.run``
+        always dispatches event by event.
         """
         from repro.sim import portmajor  # imports this module
 

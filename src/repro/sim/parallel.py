@@ -393,8 +393,6 @@ class ShardNetwork(Network):
         #: scheduled anywhere.  Folded back into the merged
         #: ``events_processed`` for exact equality with serial.
         self.suppressed_events = 0
-        #: route tuple -> whether every node is shard-local (memoized).
-        self._local_routes: dict[tuple, bool] = {}
 
     # -- boundary interception ---------------------------------------------------
 
@@ -404,30 +402,6 @@ class ShardNetwork(Network):
         self.outbox.append((arrival, self._emit_seq, packet))
         self._emit_seq += 1
         return None
-
-    def send_cohort(self, src, dst, size_bytes, times, flow_id=0, group=None):
-        """Cohorts may only batch over fully shard-local routes.
-
-        A stacked flight walks every port on the path in one step; a
-        foreign port's ``busy_until`` chain lives in another process.
-        Returning ``0`` sends the caller down the scalar fire, whose
-        boundary interception handles the crossing.
-        """
-        if not self.batch_enabled or not self.engine.batching_ok:
-            return 0
-        route = self.router.route(src, dst, flow_id)
-        if type(route) is not tuple:
-            route = tuple(route)
-        local = self._local_routes.get(route)
-        if local is None:
-            local = self._local_routes[route] = all(
-                node in self.owned for node in route
-            )
-        if not local:
-            return 0
-        return super().send_cohort(
-            src, dst, size_bytes, times, flow_id=flow_id, group=group
-        )
 
     # -- barrier protocol --------------------------------------------------------
 

@@ -1,33 +1,40 @@
-"""Port-major solution of an open-loop window of traffic.
+"""Port-major solution of an open-loop horizon of traffic.
 
 Up to a horizon, a queue that holds nothing but Poisson sources' fire
-chains is a feed-forward computation, not an event simulation: no event
-can change what a source sends, so every fire time is known up front,
-and on a fabric whose ports form a DAG under the routes in use each
-port's whole arrival sequence is known once the ports upstream of it
-are done.  :func:`advance` — tried by :meth:`Network.run` before it
-calls ``engine.run`` — clocks such a window port by port with the
-kernel's own float operations and hands back exactly the state the
-event-by-event run would have reached; a window it declines is left as
-it was, every decline is counted under ``batch.standdown.<reason>``.
+chains and the next arrivals of packets already in flight is a
+feed-forward computation, not an event simulation: no event can change
+what a source sends, so every fire time is known up front, and on a
+fabric whose ports form a DAG under the routes in use each port's whole
+arrival sequence is known once the ports upstream of it are done.
+:func:`advance` — tried by :meth:`Network.run` before it calls
+``engine.run`` — clocks such a horizon port by port with the kernel's
+own float operations, one budgeted **window** after another, and hands
+back exactly the state the event-by-event run would have reached; a
+window it declines is left as it was, to the event loop, and every
+decline is counted under ``batch.standdown.<reason>``.
 
 **When a window qualifies.**  ``batch_enabled`` (so: compiled plans,
-unbounded buffers, no telemetry), a horizon and no ``max_events``, the
-heap scheduler with no cancelled entries, no dead links or fault
-tracking, an unsharded network, and *every* queued entry the live
-``_fire`` chain of a :class:`PoissonSource` of this network with one
-destination, no ``on_delivered``, no ``vary_flow_per_packet`` and no
-``stop_at`` at or before the horizon; every firing flow routable; the
-directed graph "port of hop h → port of hop h+1" over the routes
-acyclic; and the expected fires ``Σ (until − first fire) · rate`` inside
-``MIN_WINDOW_FIRES … MAX_WINDOW_FIRES`` and at least
-``MIN_FIRES_PER_SOURCE`` per firing source.
+unbounded buffers, no telemetry), a horizon and no ``max_events``, no
+run loop dispatching, no cancelled entries, no dead links or fault
+tracking, an unsharded network, and *every* queued entry one of two
+kinds of **root**: the live ``_fire`` chain of a :class:`PoissonSource`
+of this network with one destination, no ``on_delivered``, no
+``vary_flow_per_packet`` and no ``stop_at`` at or before the horizon; or
+the ``_hop`` chain of a packet of this network in flight — not
+``dropped``, no ``on_delivered``, no ``stamps``.  Every firing flow
+routable; the directed graph "port of hop h → port of hop h+1" over the
+routes still to be walked acyclic; and the window's expected fires
+``Σ (horizon − first fire) · rate`` at least ``MIN_WINDOW_FIRES`` and
+``MIN_FIRES_PER_SOURCE`` per firing source.  A horizon that expects more
+than ``MAX_WINDOW_FIRES`` is cut there and the rest is the next window:
+what one window hands back — packets in flight, re-armed sources — is
+what the next one starts from.
 
 **Event order from ancestry.**  The heap orders events by ``(time,
 seq)``, and an event's seq was drawn while its *parent* ran: the
 previous hop of the same packet; the fire, for a packet's first
 arrival (drawn before the source's re-arm); the previous fire, for a
-fire; the queue entry's own seq at the root.  So ``e ≺ f`` iff
+fire; the queue entry's own seq at a root.  So ``e ≺ f`` iff
 ``t_e < t_f``, or the times tie and ``parent(e) ≺ parent(f)``, or they
 share a parent and ``e`` is the packet.  No seq is ever materialized:
 events are sorted by time and only those that tie a neighbour are
@@ -41,20 +48,21 @@ import heapq
 import numpy as np
 
 from repro.routing.base import RoutingError
-from repro.sim.network import Network, Packet, _contended_tails, _repeated_add
+from repro.sim.network import Network, Packet
 from repro.sim.sources import PoissonSource
 
-#: Expected fires a window must hold to be solved port-major.  Below the
-#: floor — in all, and per firing source, whose routes, plans and ports
-#: are the pass's fixed cost — the set-up costs more than the events it
-#: saves (break-even measured at 3–12 fires per source, EXPERIMENTS.md);
-#: above the ceiling the whole-horizon tables outgrow the heap they
-#: replace (one 200 k-packet stream: 1.9× slower than cohorts, twice the
-#: memory).  Bounds in the manner of ``Network.FLOW_TABLE_LIMIT``, not
-#: knobs.
+#: Expected fires of a window.  Below the floor — in all, and per firing
+#: source, whose routes, plans and ports are the pass's fixed cost — the
+#: set-up costs more than the events it saves (break-even measured at
+#: 3–12 fires per source, EXPERIMENTS.md).  ``MAX_WINDOW_FIRES`` is where
+#: a longer horizon is cut: a window's tables grow with its fires
+#: (first-cell RSS of a 225 k-packet stream: +15 MiB at 16 k, +20 at
+#: 32 k, +26 at 64 k) and a larger window is not resolvably faster per
+#: packet (EXPERIMENTS.md, PR 18 rows).
+#: Bounds in the manner of ``Network.FLOW_TABLE_LIMIT``, not knobs.
 MIN_WINDOW_FIRES = 64
 MIN_FIRES_PER_SOURCE = 8
-MAX_WINDOW_FIRES = 65_536
+MAX_WINDOW_FIRES = 16_384
 
 
 class _StandDown(Exception):
@@ -62,28 +70,36 @@ class _StandDown(Exception):
 
 
 def advance(net: Network, until: "float | None", max_events: "int | None" = None) -> bool:
-    """Solve the window up to ``until`` port-major if it is open loop.
+    """Solve the horizon up to ``until`` port-major, window by window,
+    as far as it is open loop.
 
-    Returns whether it did.  On ``True`` every event with ``time ≤
-    until`` has been applied — ports, stats, counters, packet ids,
-    sources — and the queue holds what is pending past the horizon (each
-    in-flight packet on a chain entry at its next arrival, each source
-    re-armed at its next fire) for ``engine.run(until)`` to find.  On
-    ``False`` nothing has changed but how far ahead sources have drawn
-    their gaps.
+    Returns whether any window was solved.  Every event up to the end
+    of the last solved window has been applied — ports, stats, counters,
+    packet ids, sources, the packets that were in flight — and the queue
+    holds what is pending past it (each in-flight packet on a chain
+    entry at its next arrival, each source re-armed at its next fire)
+    for ``engine.run(until)`` to find.  A window that stands down has
+    changed nothing but how far ahead sources have drawn their gaps.
     """
+    solved = False
     try:
-        _solve(net, until, _firing_entries(net, until, max_events))
+        while True:
+            roots, horizon = _window(net, until, max_events)
+            _solve(net, horizon, roots)
+            solved = True
+            if horizon == until:
+                break
     except _StandDown as why:
         if net.obs is not None:
             net.obs.incr("batch.standdown." + why.args[0])
-        return False
-    return True
+    return solved
 
 
-def _firing_entries(net: Network, until: "float | None", max_events: "int | None") -> list:
-    """The queue entries that fire by ``until``, in queue order — or
-    :class:`_StandDown` when the window is not provably open loop."""
+def _window(net: Network, until: "float | None", max_events: "int | None") -> "tuple[list, float]":
+    """The next window: the queue entries due by its horizon, in queue
+    order, and the horizon — ``until``, or the cut that holds the
+    window's expected fires to ``MAX_WINDOW_FIRES``.  :class:`_StandDown`
+    when the queue is not provably open loop up to ``until``."""
     engine = net.engine
     if net.telemetry is not None:
         raise _StandDown("telemetry")
@@ -91,49 +107,66 @@ def _firing_entries(net: Network, until: "float | None", max_events: "int | None
         raise _StandDown("disabled")
     if max_events is not None:
         raise _StandDown("bounded_run")
-    heap = engine._heap
-    if heap is None:
-        raise _StandDown("scheduler")
     if net._track_in_flight or net._dead_links:
         raise _StandDown("faults")
-    if until is None or net.owned is not None or engine._n_cancelled or engine.batching_ok:
+    if until is None or net.owned is not None or engine._n_cancelled or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire
-    firing = []
-    expected = 0.0
-    for entry in heap:
+    hop = Network._hop
+    due = []
+    starts = []
+    for entry in engine._heap:
         step = entry[2]
-        source = getattr(step, "__self__", None)
-        if (
-            entry[3] is not None
-            or getattr(step, "__func__", None) is not fire
-            or source.network is not net
-            or entry[4] != source._generation
-            or source.size_bytes <= 0
-        ):
+        kind = getattr(step, "__func__", None)
+        owner = getattr(step, "__self__", None)
+        if entry[3] is not None:
             raise _StandDown("not_open_loop")
-        if (
-            source._dst_rng is not None
-            or source.on_delivered is not None
-            or source.vary_flow_per_packet
-            or (source.stop_at is not None and source.stop_at <= until)
+        if kind is hop and owner is net:
+            packet = entry[4]
+            if packet.dropped or packet.on_delivered is not None or packet.stamps is not None:
+                raise _StandDown("not_open_loop")
+        elif (
+            kind is fire
+            and owner.network is net
+            and entry[4] == owner._generation
+            and owner.size_bytes > 0
         ):
-            raise _StandDown("closed_loop_source")
+            if (
+                owner._dst_rng is not None
+                or owner.on_delivered is not None
+                or owner.vary_flow_per_packet
+                or (owner.stop_at is not None and owner.stop_at <= until)
+            ):
+                raise _StandDown("closed_loop_source")
+            if entry[0] <= until:
+                starts.append((entry[0], owner.rate_pps))
+        else:
+            raise _StandDown("not_open_loop")
         if entry[0] <= until:
-            expected += (until - entry[0]) * source.rate_pps
-            firing.append(entry)
-    floor = max(MIN_WINDOW_FIRES, MIN_FIRES_PER_SOURCE * len(firing))
-    if not floor <= expected <= MAX_WINDOW_FIRES:
+            due.append(entry)
+    expected = sum((until - first) * rate for first, rate in starts)
+    if expected > MAX_WINDOW_FIRES:
+        until = min(starts)[0] + MAX_WINDOW_FIRES / sum(rate for _, rate in starts)
+        starts = [start for start in starts if start[0] <= until]
+        expected = sum((until - first) * rate for first, rate in starts)
+        due = [entry for entry in due if entry[0] <= until]
+    if expected < max(MIN_WINDOW_FIRES, MIN_FIRES_PER_SOURCE * len(starts)):
         raise _StandDown("budget")
-    firing.sort()  # (time, seq): the order the heap would pop them in
-    return firing
+    due.sort()  # (time, seq): the order the heap would pop them in
+    return due, until
 
 
-def _routes(net: Network, sources: "list[PoissonSource]") -> list:
-    """Each source's route — bound already, or the router's pick —
-    checked as :meth:`Network._bind` and ``compile_plan`` would."""
+def _routes(net: Network, roots: list) -> list:
+    """What each root has still to walk: a source's route — bound
+    already, or the router's pick, checked as :meth:`Network._bind` and
+    ``compile_plan`` would — or the rest of a packet's path."""
     routes = []
-    for source in sources:
+    for entry in roots:
+        packet = entry[4]
+        if type(packet) is Packet:
+            routes.append(packet.plan.path[packet.hop + 1:])
+            continue
+        source = entry[2].__self__
         src, dst = source.src, source._dsts[0]
         bound = net._flows.get((src, dst, source.flow_id))
         if bound is not None:
@@ -193,40 +226,52 @@ def _port_order(routes: list) -> "tuple[list, list[list[int]], list[int]]":
 class _Lineage:
     """Heap order of a window's events, rebuilt from their ancestry.
 
-    ``times`` is the ``(hops + 1) × packets`` table, packets flow-major:
+    ``times`` is the ``(hops + 1) × packets`` table, packets root-major:
     row 0 the fire times, row ``h`` the arrival at the path's ``h``-th
     node (``inf`` where not reached).  The event ``(n, h)`` has as
     generation-``g`` ancestor its own hop ``h − g``, then its source's
-    earlier fires ``n − (g − h)`` — flow-major makes them neighbours —
-    and nothing past ``first[n]``, the source's queued (root) fire.
+    earlier fires ``n − (g − h)`` — root-major makes them neighbours —
+    and nothing past ``first[n]``, the source's queued (root) fire.  A
+    packet that was in flight is its own root (``first[n] = n``) and its
+    column reads ``−inf`` above the row of its queued arrival, which is
+    what "nothing past the root" looks like in a column.
     """
 
-    def __init__(self, times: np.ndarray, first: np.ndarray, src_of: np.ndarray) -> None:
+    def __init__(
+        self, times: np.ndarray, first: np.ndarray, root_of: np.ndarray, root_t: np.ndarray
+    ) -> None:
         self.times = times
         self.first = first
-        self.rank = self._fire_rank(times[0], first, src_of)
+        self.rank = self._rank(root_t, first, root_of)
 
     @staticmethod
-    def _fire_rank(fire_t: np.ndarray, first: np.ndarray, src_of: np.ndarray) -> np.ndarray:
-        """Position of every fire in the heap's order of all fires: the
-        fixed point of ``rank = order by (time, rank[parent])``, a root's
-        parent key being its queue position (``src_of`` is in queue
-        order, and a root precedes whatever an event of the window
-        scheduled).  A pair that ties ``d`` generations deep is right
-        from iteration ``d + 1`` on, so the loop ends; lockstep streams
-        tie all the way down and are right at once, because the first
-        guess is queue order."""
-        index = np.arange(fire_t.size)
+    def _rank(root_t: np.ndarray, first: np.ndarray, root_of: np.ndarray) -> np.ndarray:
+        """Position of every column's first event — its fire, or the
+        queued arrival of a packet in flight, at ``root_t`` — in the
+        heap's order of all of them: the fixed point of ``rank = order
+        by (time, rank[parent])``, a root's parent key being its queue
+        position (``root_of`` is in queue order, and a root precedes
+        whatever an event of the window scheduled).  A pair that ties
+        ``d`` generations deep is right from iteration ``d + 1`` on, so
+        the loop ends; lockstep streams tie all the way down and are
+        right at once, because the first guess is queue order."""
+        index = np.arange(root_t.size)
         root = index == first
         rank = np.empty_like(index)
-        rank[np.lexsort((src_of, fire_t))] = index
+        rank[np.lexsort((root_of, root_t))] = index
         while True:
-            parent_key = np.where(root, src_of - (src_of[-1] + 1), rank[index - 1])
+            parent_key = np.where(root, root_of - (root_of[-1] + 1), rank[index - 1])
             again = np.empty_like(index)
-            again[np.lexsort((parent_key, fire_t))] = index
+            again[np.lexsort((parent_key, root_t))] = index
             if np.array_equal(again, rank):
                 return rank
             rank = again
+
+    def fire_rank(self, flown: np.ndarray) -> np.ndarray:
+        """``rank`` counted over the fires alone, ``flown`` being the
+        columns of the packets that were in flight: what a fire adds to
+        the network's next packet id."""
+        return self.rank - np.searchsorted(np.sort(self.rank[flown]), self.rank)
 
     def order(
         self, n: np.ndarray, hop: np.ndarray, t: np.ndarray, child: "np.ndarray | None" = None
@@ -257,7 +302,7 @@ class _Lineage:
     def _keys(self, n: np.ndarray, hop: np.ndarray) -> list:
         """``np.lexsort`` keys, least significant first: ``−hop`` (of two
         descendants of one fire at equal depth, the one further along
-        took the packet branch earlier), the fire rank of the oldest
+        took the packet branch earlier), the rank of the oldest
         ancestor looked at, then the ancestors' times from that one back
         up to the parent; ``−inf`` past the root."""
         times = self.times
@@ -273,62 +318,87 @@ class _Lineage:
         return [-hop, self.rank[oldest]] + columns
 
 
-def _solve(net: Network, until: float, firing: list) -> None:
+def _solve(net: Network, until: float, roots: list) -> None:
     engine = net.engine
-    sources: list[PoissonSource] = [entry[2].__self__ for entry in firing]
 
-    # (1) Fire times, flat and flow-major; routes; the order of ports.
-    fires = [
-        source._fires_through(entry[0], until) for source, entry in zip(sources, firing)
-    ]
-    routes = _routes(net, sources)
-    port_keys, chains, port_order = _port_order(routes)
+    # (1) What each root has still to walk, and the order of ports.
+    port_keys, chains, port_order = _port_order(_routes(net, roots))
 
-    # Nothing stands down past this point.  Bind each flow as its first
-    # packet would; every later packet of a bound flow is a plan hit.
+    # One column of the table per fire and per packet in flight,
+    # root-major; one column of coefficients per root, multiplied as the
+    # kernel does.  Nothing stands down past this point: each flow is
+    # bound as its first packet would, every later one is a plan hit.
     plans = []
+    sizes = []
+    groups = []
+    rows = []  # the table row of each root's queued event
+    fires = []
+    flown = []  # (root, packet) of the packets in flight
     unbound = 0
-    for source in sources:
+    for j, entry in enumerate(roots):
+        packet = entry[4]
+        if type(packet) is Packet:
+            flown.append((j, packet))
+            plans.append(packet.plan)
+            sizes.append(packet.size_bytes)
+            groups.append(packet.group)
+            rows.append(packet.hop + 1)
+            fires.append(None)
+            continue
+        source = entry[2].__self__
         src, dst = source.src, source._dsts[0]
         bound = net._flows.get((src, dst, source.flow_id))
         if bound is None:
             unbound += 1
             bound = net._bind(src, dst, source.flow_id, None)
         plans.append(bound[1])
+        sizes.append(source.size_bytes)
+        groups.append(source.group)
+        rows.append(0)
+        fires.append(source._fires_through(entry[0], until))
+    firing = [j for j, times in enumerate(fires) if times is not None]
 
-    count = np.array([f.size - 1 for f in fires])
+    count = np.array([1 if f is None else f.size - 1 for f in fires])
     end = np.cumsum(count)
     total = int(end[-1])
-    src_of = np.repeat(np.arange(len(sources), dtype=np.int32), count)
+    fired = total - len(flown)
+    root_of = np.repeat(np.arange(len(roots), dtype=np.int32), count)
     depth = max(plan.last for plan in plans)
     times = np.full((depth + 1, total), np.inf)
-    times[0] = np.concatenate([f[:-1] for f in fires])
-    next_fire = [float(f[-1]) for f in fires]
+    times[0] = np.concatenate([[-np.inf] if f is None else f[:-1] for f in fires])
+    next_fire = [float(fires[j][-1]) for j in firing]
     del fires
-    lineage = _Lineage(times, (end - count)[src_of], src_of)
+    root_t = born = times[0]
+    if flown:
+        at = end[[j for j, _ in flown]] - 1
+        root_t = born.copy()
+        born = born.copy()
+        for column, (j, packet) in zip(at.tolist(), flown):
+            times[:rows[j], column] = -np.inf
+            times[rows[j], column] = root_t[column] = roots[j][0]
+            born[column] = packet.created_at
+    lineage = _Lineage(times, (end - count)[root_of], root_of, root_t)
 
-    # Per-source, per-hop coefficients, multiplied as the kernel does.
-    size = np.array([source.size_bytes for source in sources], dtype=float)
+    size = np.array(sizes, dtype=float)
     one_size = bool((size == size[0]).all())
     last = np.array([plan.last for plan in plans])
-    port_at = np.full((depth, len(sources)), -1, dtype=np.int32)
-    ser = np.zeros((depth, len(sources)))
+    port_at = np.full((depth, len(roots)), -1, dtype=np.int32)
+    ser = np.zeros((depth, len(roots)))
     credit = np.zeros_like(ser)
     lat = np.zeros_like(ser)
-    for j, (source, plan, chain) in enumerate(zip(sources, plans, chains)):
+    for j, (plan, chain, row, bytes_) in enumerate(zip(plans, chains, rows, sizes)):
         hops = plan.last
-        bytes_ = source.size_bytes
-        port_at[:hops, j] = chain
-        ser[:hops, j] = [bytes_ * x for x in plan.ser]
-        credit[:hops, j] = [bytes_ * x for x in plan.latf]
-        lat[:hops, j] = plan.lat
+        port_at[row:hops, j] = chain
+        ser[row:hops, j] = [bytes_ * x for x in plan.ser[row:]]
+        credit[row:hops, j] = [bytes_ * x for x in plan.latf[row:]]
+        lat[row:hops, j] = plan.lat[row:]
 
     # Which packets cross which port at which hop: per hop, packets
-    # sorted by port number (stable, so flow-major within a port).
+    # sorted by port number (stable, so root-major within a port).
     numbers = np.arange(len(port_keys))
     by_port = []
     for h in range(depth):
-        column = port_at[h][src_of]
+        column = port_at[h][root_of]
         packets = np.argsort(column, kind="stable").astype(np.int32)
         column = column[packets]
         by_port.append((
@@ -355,7 +425,7 @@ def _solve(net: Network, until: float, firing: list) -> None:
                 continue
         order = lineage.order(n, hop, t)
         n, hop, t = n[order], hop[order], t[order]
-        j = src_of[n]
+        j = root_of[n]
         earliest = (t + credit[hop, j]) + lat[hop, j]
         service = ser[hop, j]
         port = ports[port_keys[number]]
@@ -378,69 +448,156 @@ def _solve(net: Network, until: float, firing: list) -> None:
 
     # (3) Deliveries, in event order.
     reached = np.count_nonzero(times <= until, axis=0) - 1  # arrivals only grow along a path
-    final = last[src_of]
+    final = last[root_of]
     done = np.flatnonzero(reached == final)
     t = times[final[done], done]
     order = lineage.order(done, final[done], t)
     done = done[order]
-    latency = ((t[order] + net.host_receive_latency) - times[0, done]).tolist()
+    latency = ((t[order] + net.host_receive_latency) - born[done]).tolist()
     net.stats.record_many(latency)
-    _record_groups(
-        net.stats.by_group, [source.group for source in sources], src_of[done], latency
-    )
+    _record_groups(net.stats.by_group, groups, root_of[done], latency)
     net.packets_delivered += done.size
-    engine.credit_events(int(reached.sum()) + total)
+    # A fire's column counts its arrivals; a root packet's also the rows
+    # above its queued one, which this window did not process.
+    engine.credit_events(int(reached.sum()) + fired + len(flown) - sum(rows))
+
+    # A packet that was in flight is the caller's object: it ends where
+    # the kernel would have left it, and its entry goes if it arrived.
+    heap = engine._heap
+    arrived = set()
+    for j, packet in flown:
+        column = int(end[j]) - 1
+        packet.hop = int(reached[column])
+        if packet.hop == packet.plan.last:
+            packet.delivered_at = float(times[packet.hop, column]) + net.host_receive_latency
+            arrived.add(id(roots[j]))
+    if arrived:
+        heap[:] = [entry for entry in heap if id(entry) not in arrived]
 
     # (4) What is pending at the horizon, in the order the event loop
     # would have drawn its seqs: by parent, the packet before the re-arm.
     flying = np.flatnonzero(reached < final)
-    n = np.concatenate((flying, end - 1))
-    hop = np.concatenate((reached[flying], np.zeros_like(end)))
-    child = np.concatenate((np.zeros_like(flying), np.ones_like(end)))
+    rearm = end[firing] - 1
+    n = np.concatenate((flying, rearm))
+    hop = np.concatenate((reached[flying], np.zeros_like(rearm)))
+    child = np.concatenate((np.zeros_like(flying), np.ones_like(rearm)))
     pending = lineage.order(n, hop, times[hop, n], child).tolist()
-    packet_id = (net._next_packet_id + lineage.rank[flying]).tolist()
-    created = times[0, flying].tolist()
+    rank = lineage.fire_rank(at) if flown else lineage.rank
+    packet_id = (net._next_packet_id + rank[flying]).tolist()
+    created = born[flying].tolist()
     arrival = times[reached[flying] + 1, flying].tolist()
     at_hop = reached[flying].tolist()
-    owner = src_of[flying].tolist()
-    sent = count.tolist()
-    del times, lineage, by_port, src_of, reached, final  # before the packets exist
+    owner = root_of[flying].tolist()
+    sent = count[firing].tolist()
+    del times, lineage, by_port, root_of, reached, final, born, root_t  # before the packets exist
 
-    heap = engine._heap
     seq = engine._seq
     step = net._hop
     for index in pending:
-        if index < len(owner):
-            source = sources[owner[index]]
-            plan = plans[owner[index]]
-            packet = Packet(
-                packet_id[index], source.src, source._dsts[0], source.size_bytes,
-                plan.path, created[index], source.group, hop=at_hop[index], plan=plan,
-            )
-            heap.append([arrival[index], seq, step, None, packet])
-        else:
-            entry = firing[index - len(owner)]
+        if index >= len(owner):  # a source's re-arm
+            entry = roots[firing[index - len(owner)]]
             entry[0] = next_fire[index - len(owner)]
-            entry[1] = seq
+        else:
+            entry = roots[owner[index]]
+            if type(entry[4]) is Packet:  # was in flight: its own entry, re-timed
+                entry[0] = arrival[index]
+            else:
+                source = entry[2].__self__
+                plan = plans[owner[index]]
+                packet = Packet(
+                    packet_id[index], source.src, source._dsts[0], source.size_bytes,
+                    plan.path, created[index], source.group, hop=at_hop[index], plan=plan,
+                )
+                entry = [arrival[index], seq, step, None, packet]
+                heap.append(entry)
+        entry[1] = seq
         seq += 1
     engine._seq = seq
     heapq.heapify(heap)
 
-    net._next_packet_id += total
-    for source, fired in zip(sources, sent):
-        source.packets_sent += fired
-        source._gap_i += fired
+    net._next_packet_id += fired
+    for j, consumed in zip(firing, sent):
+        source = roots[j][2].__self__
+        source.packets_sent += consumed
+        # The gaps behind the cursor are spent: a long stream holds one
+        # window's draw, not the run's.
+        del source._gaps[: source._gap_i + consumed]
+        source._gap_i = 0
     obs = net.obs
     if obs is not None:
-        obs.incr("fastpath.plan_hits", total - unbound)
+        obs.incr("fastpath.plan_hits", fired - unbound)
         obs.incr("batch.cohorts")
-        obs.incr("batch.packets", total)
-        obs.observe("batch.cohort_size", total)
+        obs.incr("batch.packets", fired)
+        obs.observe("batch.cohort_size", fired)
+
+
+def _contended_tails(
+    e: np.ndarray, busy: float, ser: "float | np.ndarray"
+) -> np.ndarray:
+    """Port tail times when packets queue on each other (or a busy port).
+
+    Replays the reference recurrence — ``start = busy; if start <
+    earliest: start = earliest; tail = start + ser`` — packet by packet.
+    The sequential order is load-bearing: a prefix-max reformulation
+    performs the additions in a different association and is *not*
+    IEEE 754 bit-identical to the scalar loop.  ``ser`` is one
+    serialization time, or one per packet (mixed sizes on one port).
+
+    With one ``ser`` only the busy periods are replayed: a packet that
+    finds the port free leaves at ``e + ser``, which one array add has
+    already computed, and a busy period starts where a packet arrives
+    before its predecessor's ``e + ser`` (or the first before ``busy``)
+    and lasts while arrivals precede the running tail — the same
+    additions in the same order (``tail == e`` starts at either, equally).
+    """
+    if isinstance(ser, np.ndarray):
+        out = np.empty_like(e)
+        b = busy
+        for i, (earliest, s) in enumerate(zip(e.tolist(), ser.tolist())):
+            start = earliest if b < earliest else b
+            b = start + s
+            out[i] = b
+        return out
+    out = e + ser
+    queued = np.flatnonzero(e[1:] < out[:-1]) + 1
+    if e[0] < busy:
+        queued = np.concatenate(([0], queued))
+    arrivals = e.tolist()
+    size = len(arrivals)
+    i = 0
+    for start in queued.tolist():
+        if start < i:
+            continue  # inside the busy period just replayed
+        i = start
+        b = float(out[i - 1]) if i else busy
+        while i < size and arrivals[i] < b:
+            b = b + ser
+            out[i] = b
+            i += 1
+    return out
+
+
+def _repeated_add(base: float, step: float, count: int) -> float:
+    """``base`` after ``count`` sequential ``+= step`` operations.
+
+    Matches the scalar loop's per-packet ``bytes_sent += size`` float
+    accumulation bit for bit.  Integer-valued floats below 2**53 sum
+    exactly, so the common case (whole-byte sizes and counters) is one
+    multiply-add; anything else replays the additions.
+    """
+    base = float(base)
+    step = float(step)
+    total = base + step * count
+    if base.is_integer() and step.is_integer() and abs(total) < 9007199254740992.0:
+        return total
+    for _ in range(count):
+        base += step
+    return base
 
 
 def _record_groups(by_group: dict, names: list, owner: np.ndarray, latency: list) -> None:
-    """File ``latency`` (delivery order; ``owner[i]`` the source of
-    sample ``i``) under the sources' groups — the same float objects
+    """File ``latency`` (delivery order; ``owner[i]`` the root of sample
+    ``i``) under the roots' groups — the same float objects
     ``stats.samples`` holds, a new group's key created at its first
     delivery, as per-packet ``record`` calls would."""
     distinct = {name: g for g, name in enumerate(dict.fromkeys(names))}

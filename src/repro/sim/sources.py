@@ -19,12 +19,11 @@ is bit-identical for every chunk size — ``chunk=1`` (what
 produces exactly the same packets.  Under ``engine.run`` each packet's
 *injection* fires as its own engine event: port queueing interleaves
 with other traffic at arrival times, so arrivals cannot be applied
-stream by stream without changing results (a single stream ahead of an
-empty queue is the exception: :meth:`PoissonSource._fire_cohort`).
-``Network.run(until=…)`` can do better when the queue holds nothing but
-single-destination Poisson fires: the window is then open loop, every
-fire time is known up front, and :mod:`repro.sim.portmajor` applies all
-streams' arrivals together, port by port, bit-identically.
+stream by stream without changing results.  ``Network.run(until=…)``
+can do better when the queue holds nothing but single-destination
+Poisson fires and packets in flight: the horizon is then open loop,
+every fire time is known up front, and :mod:`repro.sim.portmajor`
+applies all streams' arrivals together, port by port, bit-identically.
 
 A running Poisson or burst source is one engine **chain**
 (:meth:`~repro.sim.engine.Engine.chain_at`): its fire step returns the
@@ -53,16 +52,6 @@ DEFAULT_PACKET_BYTES = 400
 
 #: Poisson pre-draw batch size (packets per RNG call).
 DEFAULT_CHUNK = 256
-
-#: Smallest cohort worth the vectorized path; below this the scalar
-#: fire is faster than the array setup (results are identical either way).
-MIN_COHORT = 8
-
-#: Scalar fires between cohort retries after a failed commit: when the
-#: event queue is too busy for batching, probing every fire would cost
-#: more than it saves.  Purely a performance knob — attempts never
-#: change results.
-COHORT_RETRY_BACKOFF = 32
 
 #: Non-negative 64-bit seed material for numpy's SeedSequence.
 _SEED_MASK = (1 << 64) - 1
@@ -139,7 +128,6 @@ class PoissonSource:
             self._dst_rng = None
         self._running = False
         self._generation = 0  # token of the live fire chain; see stop()
-        self._cohort_skip = 0
 
     @classmethod
     def at_bandwidth(
@@ -200,18 +188,24 @@ class PoissonSource:
 
         ``np.cumsum`` performs the chain's own sequential ``t += gap``
         additions.  Gaps come from the pre-drawn buffer, which grows in
-        place when it ends before ``until``; the cursor does not move —
-        the port-major pass (:mod:`repro.sim.portmajor`) advances it by
-        the fires it commits, and a pass that stands down has changed
-        nothing but how far ahead the buffer is drawn.
+        place — by what the horizon is expected to need, in one draw:
+        the values do not depend on how the stream is cut into batches —
+        when it ends before ``until``; the cursor does not move: the
+        port-major pass (:mod:`repro.sim.portmajor`) advances it by the
+        fires it commits and drops the consumed prefix, and a pass that
+        stands down has changed nothing but how far ahead the buffer is
+        drawn.
         """
         gaps = self._gaps
-        pieces = [np.cumsum([first] + gaps[self._gap_i:])]
-        while pieces[-1][-1] <= until:
-            more = self._draw_gaps()
-            gaps.extend(more)
-            pieces.append(np.cumsum([pieces[-1][-1]] + more)[1:])
-        times = np.concatenate(pieces)
+        rate = self.rate_pps
+        times = np.cumsum([first] + gaps[self._gap_i:])
+        while times[-1] <= until:
+            need = (until - float(times[-1])) * rate
+            more = self._gap_rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 32)
+            more /= rate
+            gaps.extend(more.tolist())
+            more[0] += times[-1]  # gap + t == t + gap: the chain's first add
+            times = np.concatenate((times, np.cumsum(more)))
         fired = int(np.searchsorted(times, until, side="right"))
         return times[: fired + 1].copy()  # a view would pin the whole buffer
 
@@ -228,28 +222,14 @@ class PoissonSource:
         return self._dsts[picks[i]]
 
     def _fire(self, generation: int) -> "float | None":
-        """One chain step: send a packet (or a cohort), return the next
-        fire time, or ``None`` to end the chain."""
+        """One chain step: send a packet, return the next fire time, or
+        ``None`` to end the chain."""
         if generation != self._generation:
             return None  # queued before a stop()
-        engine = self.network.engine
-        now = engine.now
+        now = self.network.engine.now
         if self.stop_at is not None and now >= self.stop_at:
             self._running = False
             return None
-        if (
-            self._dst_rng is None
-            and self.on_delivered is None
-            and not self.vary_flow_per_packet
-            and self.network.batch_enabled
-            and engine.batching_ok
-        ):
-            if self._cohort_skip:
-                self._cohort_skip -= 1
-            else:
-                next_fire = self._fire_cohort(engine, now)
-                if next_fire is not None:
-                    return next_fire
         dst = self._dsts[0] if self._dst_rng is None else self._next_dst()
         flow = self.flow_id
         if self.vary_flow_per_packet:
@@ -265,57 +245,6 @@ class PoissonSource:
             self.network.note_unroutable(self.group)
         self.packets_sent += 1
         return now + self._next_gap()
-
-    def _fire_cohort(self, engine, now: float) -> "float | None":
-        """Try to inject a whole cohort of pre-drawn packets at once.
-
-        Candidate injection times extend ``now`` by the gaps already
-        pre-drawn for this chunk, accumulated with the same sequential
-        float additions the per-packet fires would perform (the chain
-        ``t += gap`` is order-sensitive, so it is *not* vectorized).
-        :meth:`Network.send_cohort` commits the longest event-safe
-        prefix; on any commit the gap cursor, packet counter, and the
-        engine's logical event count advance exactly as the per-packet
-        fires would have left them, and the next fire time — one gap
-        after the last committed injection — is returned.  ``None``
-        makes the caller fall back to the scalar single-packet fire.
-        """
-        gaps = self._gaps
-        i = self._gap_i
-        n = len(gaps)
-        if i >= n:
-            return None  # chunk exhausted: the scalar fire refills it
-        # Candidate times are capped by everything that bounds a commit
-        # anyway — the next queued event (strict), the run horizon, and
-        # ``stop_at`` — so a busy queue costs a short list, not a chunk.
-        peek = engine.peek_time()
-        horizon = engine.run_horizon
-        stop_at = self.stop_at
-        cap = peek if stop_at is None or peek <= stop_at else stop_at
-        times = [now]
-        t = now
-        for k in range(i, n):
-            t = t + gaps[k]
-            if t >= cap or (horizon is not None and t > horizon):
-                break
-            times.append(t)
-        if len(times) < MIN_COHORT:
-            self._cohort_skip = COHORT_RETRY_BACKOFF
-            return None
-        try:
-            m = self.network.send_cohort(
-                self.src, self._dsts[0], self.size_bytes, times,
-                flow_id=self.flow_id, group=self.group,
-            )
-        except RoutingError:
-            return None  # scalar fire counts the unroutable packet
-        if m == 0:
-            self._cohort_skip = COHORT_RETRY_BACKOFF
-            return None
-        self.packets_sent += m
-        self._gap_i = i + (m - 1)
-        engine.credit_events(m - 1)  # the elided per-packet fire events
-        return times[m - 1] + self._next_gap()
 
 
 class BurstSource:

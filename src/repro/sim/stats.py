@@ -104,8 +104,8 @@ class LatencyRecorder:
     def record_many(self, latencies: list[float], group: str | None = None) -> None:
         """Bulk :meth:`record`: append many samples, preserving order.
 
-        One validation pass and two list extends, so a batched cohort
-        commit records its deliveries without a per-packet call.  The
+        One validation pass and two list extends, so a window solved
+        port-major records its deliveries without a per-packet call.  The
         resulting ``samples`` / ``by_group`` contents are exactly what
         per-packet :meth:`record` calls in the same order would leave.
         """

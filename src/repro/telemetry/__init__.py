@@ -17,8 +17,8 @@ bit-identical in packet timing to a telemetry-off run):
 
 Arm it per network (``Network(topo, router, telemetry=True)`` or a
 :class:`TelemetryConfig`) or globally via ``REPRO_TELEMETRY=1``.  While
-monitors are armed the cohort batching engine stands down (monitors
-observe per-packet state the vectorized commit elides); the compiled
+monitors are armed the port-major pass of ``Network.run`` stands down
+(monitors observe per-packet state the pass never materializes); the compiled
 fast path keeps running, with hooks in both forwarding loops.
 """
 

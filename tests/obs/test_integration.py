@@ -15,7 +15,6 @@ from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
 from repro.sim import Network
-from repro.sim.engine import SCHEDULER_ENV
 from repro.sim.parallel import (
     ParallelScenario,
     ShardRuntime,
@@ -72,13 +71,9 @@ class TestFingerprintIdentity:
         assert fingerprint[0] > 0
         reg = obs.registry()
         assert reg.counters["engine.runs"] == 1
-        # The counter is named after the scheduler kind in use, which
-        # REPRO_SCHEDULER picks (CI runs this file under "bucket" too).
-        spec = os.environ.get(SCHEDULER_ENV, "heap").strip().lower()
-        kind = "bucket" if spec in ("bucket", "calendar") else "heap"
-        assert reg.counters["engine.events." + kind] == fingerprint[2]
+        assert reg.counters["engine.events.heap"] == fingerprint[2]
         (run,) = (s for s in obs.tracer().spans if s.name == "engine.run")
-        assert run.args == {"kind": kind, "events": fingerprint[2]}
+        assert run.args == {"kind": "heap", "events": fingerprint[2]}
 
     def test_network_obs_false_detaches_while_armed(self):
         obs.arm()

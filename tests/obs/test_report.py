@@ -35,7 +35,6 @@ class TestResolvedKnobs:
         assert knobs == {
             "fastpath": True, "batch": True, "telemetry": False,
             "hybrid": True, "parallel": True, "obs": False,
-            "scheduler": "heap",
         }
 
     def test_environment_overrides(self):
@@ -44,13 +43,11 @@ class TestResolvedKnobs:
                 "REPRO_FASTPATH_DISABLE": "1",
                 "REPRO_TELEMETRY": "1",
                 "REPRO_OBS": "1",
-                "REPRO_SCHEDULER": "bucket:1e-6",
             }
         )
         assert knobs["fastpath"] is False
         assert knobs["telemetry"] is True
         assert knobs["obs"] is True
-        assert knobs["scheduler"] == "bucket:1e-6"
 
 
 class TestFaultDigest:

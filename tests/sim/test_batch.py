@@ -1,27 +1,25 @@
-"""Batched flight engine: bit-identical to the scalar loops.
+"""The ``batch`` knob: engaged or stood down, bit-identical to the scalar loops.
 
-The batched path (:meth:`Network.send_cohort` driven by the
-cohort-aware :class:`PoissonSource`) must be a pure speed change, like
-the compiled fast path before it: every externally visible number —
+``Network.run(until=…)`` with batching on (the port-major pass,
+:mod:`repro.sim.portmajor`) must be a pure speed change, like the
+compiled fast path before it: every externally visible number —
 per-packet latencies, drop/reroute counters, port state, the logical
 event count — must match both the scalar fast path and the reference
-loop exactly.  The equivalence fingerprint here extends
-``tests/sim/test_fastpath.py``'s to cohorts: mid-run fault churn must
-truncate cohorts at the cut boundary, ``run(until=...)`` must leave the
-same packets in flight, and ``stop_at`` must stop the stream on the
-same packet.
+loop exactly, whether the pass takes the horizon (plain streams), part
+of it, or none (timers, fault churn, ``stop_at`` inside it).  The
+equivalence fingerprint here extends ``tests/sim/test_fastpath.py``'s;
+``tests/sim/test_portmajor.py`` holds the pass's own differential.
 """
 
-import pytest
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import repro.topology as T
 from repro.routing import ECMPRouter
-from repro.sim import Network, NetworkSimError
+from repro.sim import Network, portmajor
 from repro.sim.fastpath import BATCH_ENV
-from repro.sim.network import _contended_tails, _repeated_add
-from repro.sim.sources import MIN_COHORT, PoissonSource
-
-import numpy as np
+from repro.sim.portmajor import _contended_tails, _repeated_add
+from repro.sim.sources import PoissonSource
 
 MODES = ("batched", "fastpath", "reference")
 
@@ -31,7 +29,7 @@ def build(mode, buffer_bytes=None):
 
     ``telemetry=False`` is pinned (like ``fastpath`` below) so the
     batching assertions hold under ``REPRO_TELEMETRY=1``, where armed
-    monitors would otherwise stand the cohort engine down.
+    monitors would otherwise stand the pass down.
     """
     topo = T.three_tier_tree()
     fastpath = mode != "reference"
@@ -67,6 +65,23 @@ def fingerprint(net, sources):
     )
 
 
+def run_watched(net, until):
+    """``net.run(until=until)``; returns whether the pass solved any of it."""
+    seen = []
+    real = portmajor.advance
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    portmajor.advance = spy
+    try:
+        net.run(until=until)
+    finally:
+        portmajor.advance = real
+    return seen[0]
+
+
 def run_workload(
     mode,
     nsrc=6,
@@ -76,15 +91,14 @@ def run_workload(
     stop_at=None,
     interrupters=(),
 ):
-    """Fixed workload; returns (fingerprint, net, sources).
+    """Fixed workload; returns (fingerprint, net, sources, engaged) —
+    ``engaged`` being whether the pass solved any of the horizon.
 
     ``fault="lazy"`` schedules a cut+repair without pre-arming in-flight
-    tracking, so batching stays live right up to the cut and cohorts
-    must truncate against the queued fault events.  ``fault="armed"``
-    pre-arms tracking like the fastpath suite (batching then stands down
-    for the whole run and must still agree).  ``interrupters`` schedules
-    no-op events at the given times — each one is a lookahead wall a
-    cohort must not cross.
+    tracking; ``fault="armed"`` pre-arms it like the fastpath suite.
+    ``interrupters`` schedules no-op events at the given times.  The
+    queued timers of all three make the horizon not open loop: the pass
+    must stand down and the run must still agree.
     """
     net = build(mode)
     engine = net.engine
@@ -110,70 +124,74 @@ def run_workload(
         engine.schedule(0.008, lambda: net.repair_link(u, v))
     for when in interrupters:
         engine.schedule_at(when, lambda: None)
-    engine.run(until=until)
-    return fingerprint(net, sources), net, sources
+    engaged = run_watched(net, until)
+    return fingerprint(net, sources), net, sources, engaged
 
 
 class TestEquivalence:
     def test_multi_source_bit_identical(self):
-        batched, _, _ = run_workload("batched")
-        fast, _, _ = run_workload("fastpath")
-        ref, _, _ = run_workload("reference")
+        batched, _, _, engaged = run_workload("batched")
+        fast, _, _, scalar = run_workload("fastpath")
+        ref, _, _, _ = run_workload("reference")
         assert batched == fast == ref
+        assert engaged and not scalar
 
     def test_single_source_full_cohorts_bit_identical(self):
-        # One source and an otherwise empty queue: the lookahead window
-        # is unbounded, cohorts commit whole chunks at a time.
-        batched, net, _ = run_workload("batched", nsrc=1)
-        fast, _, _ = run_workload("fastpath", nsrc=1)
+        # One long stream: the horizon is a chain of full windows.
+        batched, _, sources, engaged = run_workload("batched", nsrc=1)
+        fast, _, _, _ = run_workload("fastpath", nsrc=1)
         assert batched == fast
-        assert net._stacked, "cohort commits should have stacked the plan"
+        assert engaged and sources[0].packets_sent > 7000
 
     def test_contended_port_cohorts_bit_identical(self):
-        # 2 Mpps of 400 B ≈ 6.4 Gb/s against 10 G links: cohorts queue
-        # on their own ports, so the sequential contended-span replay
-        # must agree with the scalar recurrence.
-        batched, _, _ = run_workload("batched", nsrc=1, rate=2_000_000.0)
-        fast, _, _ = run_workload("fastpath", nsrc=1, rate=2_000_000.0)
-        ref, _, _ = run_workload("reference", nsrc=1, rate=2_000_000.0)
+        # 2 Mpps of 400 B ≈ 6.4 Gb/s against 10 G links: packets queue
+        # on their own ports, so the sequential busy-period replay must
+        # agree with the scalar recurrence.
+        batched, _, _, engaged = run_workload("batched", nsrc=1, rate=2_000_000.0)
+        fast, _, _, _ = run_workload("fastpath", nsrc=1, rate=2_000_000.0)
+        ref, _, _, _ = run_workload("reference", nsrc=1, rate=2_000_000.0)
         assert batched == fast == ref
+        assert engaged
 
     def test_lazy_fault_churn_bit_identical(self):
-        # Batching is live until the first cut arms tracking: cohorts
-        # near t=4ms must truncate against the queued fail_link event,
-        # and the post-repair stream must match the scalar loops.
-        batched, _, _ = run_workload("batched", fault="lazy")
-        fast, _, _ = run_workload("fastpath", fault="lazy")
-        ref, _, _ = run_workload("reference", fault="lazy")
+        # The queued fail_link / repair_link timers stand the pass down
+        # before the cut; fault tracking does after it.
+        batched, _, _, engaged = run_workload("batched", fault="lazy")
+        fast, _, _, _ = run_workload("fastpath", fault="lazy")
+        ref, _, _, _ = run_workload("reference", fault="lazy")
         assert batched == fast == ref
+        assert not engaged
 
     def test_armed_fault_tracking_bit_identical(self):
-        batched, _, _ = run_workload("batched", fault="armed")
-        fast, _, _ = run_workload("fastpath", fault="armed")
+        batched, _, _, engaged = run_workload("batched", fault="armed")
+        fast, _, _, _ = run_workload("fastpath", fault="armed")
         assert batched == fast
+        assert not engaged
 
     def test_interrupters_force_prefix_commits(self):
         # A wall of no-op events slices through the single-source
-        # stream: every cohort must commit exactly the prefix whose
-        # elided events stay strictly before the next wall.
+        # stream: nothing may be applied ahead of a queued timer.
         walls = tuple(0.0005 * k for k in range(1, 20))
-        batched, _, _ = run_workload("batched", nsrc=1, interrupters=walls)
-        fast, _, _ = run_workload("fastpath", nsrc=1, interrupters=walls)
+        batched, _, _, engaged = run_workload("batched", nsrc=1, interrupters=walls)
+        fast, _, _, _ = run_workload("fastpath", nsrc=1, interrupters=walls)
         assert batched == fast
+        assert not engaged
 
     def test_stop_at_bit_identical(self):
-        batched, _, _ = run_workload("batched", nsrc=1, stop_at=0.006)
-        fast, _, _ = run_workload("fastpath", nsrc=1, stop_at=0.006)
-        ref, _, _ = run_workload("reference", nsrc=1, stop_at=0.006)
+        batched, _, _, engaged = run_workload("batched", nsrc=1, stop_at=0.006)
+        fast, _, _, _ = run_workload("fastpath", nsrc=1, stop_at=0.006)
+        ref, _, _, _ = run_workload("reference", nsrc=1, stop_at=0.006)
         assert batched == fast == ref
+        assert not engaged  # a stream that ends inside the horizon is the event loop's
 
     def test_horizon_leaves_same_packets_in_flight(self):
-        # Stop mid-flight: cohorts whose tails cross the horizon must
-        # fall back to real events, so the counts agree at the horizon
-        # *and* after resuming to exhaustion.
+        # Stop mid-flight: what the pass hands back at the horizon must
+        # be what the event loop would hold, so the counts agree at the
+        # horizon *and* after resuming to exhaustion.
         results = {}
         for mode in MODES:
-            fp, net, sources = run_workload(mode, nsrc=2, until=0.003)
+            fp, net, sources, engaged = run_workload(mode, nsrc=2, until=0.003)
+            assert engaged == (mode == "batched")
             for source in sources:
                 source.stop()
             resumed_at = fp
@@ -244,79 +262,8 @@ def run_buffered(batch):
     ]
     for source in sources:
         source.start()
-    net.engine.run(until=0.012)
+    net.run(until=0.012)
     return fingerprint(net, sources)
-
-
-class TestSendCohortAPI:
-    @pytest.fixture
-    def net(self):
-        topo = T.three_tier_tree()
-        return Network(
-            topo, ECMPRouter(topo), fastpath=True, batch=True, telemetry=False
-        )
-
-    def test_returns_zero_outside_run(self, net):
-        # batching_ok is only True while a run loop dispatches.
-        assert net.send_cohort("h0.0", "h15.0", 400, [0.0, 1e-6]) == 0
-
-    def test_commits_inside_run_and_elides_events(self, net):
-        committed = {}
-
-        def inject():
-            committed["m"] = net.send_cohort(
-                "h0.0", "h15.0", 400, [net.engine.now, net.engine.now + 1e-6]
-            )
-
-        net.engine.schedule(0.0, inject)
-        net.engine.run()
-        assert committed["m"] == 2
-        assert net.packets_delivered == 2
-        assert net._next_packet_id == 2
-        # 1 real event + 2 packets × hops elided arrivals.
-        hops = len(net.router.route("h0.0", "h15.0", 0)) - 1
-        assert net.engine.events_processed == 1 + 2 * hops
-
-    def test_prefix_commit_against_queued_event(self, net):
-        # A queued event right behind the first packet's delivery forces
-        # a prefix: the second packet must not be sent.
-        result = {}
-
-        def inject():
-            result["m"] = net.send_cohort(
-                "h0.0", "h15.0", 400,
-                [net.engine.now, net.engine.now + 2e-3],
-            )
-
-        net.engine.schedule(0.0, inject)
-        net.engine.schedule(1e-3, lambda: None)  # wall between the two
-        net.engine.run()
-        assert result["m"] == 1
-        assert net.packets_delivered == 1
-
-    def test_returns_zero_with_dead_links(self, net):
-        probe = net.router.route("h0.0", "h15.0", 0)
-        net.fail_link(probe[1], probe[2])
-        seen = {}
-        net.engine.schedule(0.0, lambda: seen.setdefault(
-            "m", net.send_cohort("h0.0", "h15.0", 400, [net.engine.now])
-        ))
-        net.engine.run()
-        assert seen["m"] == 0
-
-    def test_rejects_bad_times(self, net):
-        def inject():
-            with pytest.raises(NetworkSimError):
-                net.send_cohort("h0.0", "h15.0", 400, [])
-            with pytest.raises(NetworkSimError):
-                net.send_cohort("h0.0", "h15.0", 400, [1e-3, 0.5e-3])
-            with pytest.raises(NetworkSimError):
-                net.send_cohort("h0.0", "h15.0", 400, [net.engine.now - 1.0])
-            with pytest.raises(NetworkSimError):
-                net.send_cohort("h0.0", "h15.0", 0, [net.engine.now])
-
-        net.engine.schedule(0.0, inject)
-        net.engine.run()
 
 
 class TestContendedReplay:
@@ -333,6 +280,38 @@ class TestContendedReplay:
                 b = start + ser
                 assert tails[i] == b  # exact float equality
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(["tie", "gap"]), st.floats(0.0, 4.0)),
+            min_size=1, max_size=60,
+        ),
+        rho=st.sampled_from([0.1, 0.5, 0.9, 1.2]),
+        busy_at_start=st.booleans(),
+        per_packet=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_busy_periods_equal_the_recurrence(self, steps, rho, busy_at_start, per_packet, seed):
+        """Arrivals at load ``rho``, some placed exactly on the previous
+        tail (``e[i] == tail[i-1]`` starts service at either), on a port
+        idle or busy at the start; one ``ser`` or one per packet."""
+        rng = np.random.default_rng(seed)
+        mean = 1e-6
+        sers = (rng.uniform(0.2, 1.8, len(steps)) * mean).tolist() if per_packet else [mean] * len(steps)
+        busy = 2.5 * mean if busy_at_start else 0.0
+        arrivals, tails = [], []
+        t, b = 0.0, busy
+        for (kind, x), ser in zip(steps, sers):
+            t = b if kind == "tie" and b >= t else t + x * mean / rho
+            arrivals.append(t)
+            start = t if b < t else b  # the reference recurrence
+            b = start + ser
+            tails.append(b)
+        got = _contended_tails(
+            np.array(arrivals), busy, np.array(sers) if per_packet else mean
+        )
+        assert got.tolist() == tails  # exact float equality
+
     def test_repeated_add_exact(self):
         # Integer shortcut and float replay must both equal the chain.
         for base, step, count in [(0.0, 400.0, 257), (1.5e-7, 0.3, 100), (12.0, 64, 9)]:
@@ -345,7 +324,8 @@ class TestContendedReplay:
 class TestCohortSourceAccounting:
     def test_gap_stream_consumption_matches_scalar(self):
         # The same seed must produce the same injection times whether
-        # gaps are consumed one per fire or a cohort at a time.
+        # gaps are consumed one per fire or a window at a time — and the
+        # fires after the window must continue from the same cursor.
         times = {}
         for mode in ("batched", "fastpath"):
             net = build(mode)
@@ -355,10 +335,66 @@ class TestCohortSourceAccounting:
                 chunk=256,
             )
             source.start()
-            net.engine.run(until=0.002)
-            times[mode] = (source.packets_sent, source._gap_i, tuple(net.stats.samples))
-        assert times["batched"][0] == times["fastpath"][0]
-        assert times["batched"][2] == times["fastpath"][2]
+            net.run(until=0.002)
+            at_horizon = (source.packets_sent, tuple(net.stats.samples))
+            net.engine.run(until=0.003)  # event by event in both modes
+            times[mode] = (at_horizon, source.packets_sent, tuple(net.stats.samples))
+        assert times["batched"] == times["fastpath"]
+        assert times["batched"][0][0] > 900
 
-    def test_min_cohort_floor_is_positive(self):
-        assert MIN_COHORT >= 1
+
+def sequential_fires(source, first, until):
+    """The chain's own adds: every fire up to ``until`` and the next."""
+    times = [first]
+    while times[-1] <= until:
+        times.append(times[-1] + source._next_gap())
+    return times
+
+
+class TestFiresThrough:
+    """``PoissonSource._fires_through``: the fire chain's times as one
+    array, whatever the horizon still has to draw."""
+
+    def pair(self, rate=1_000_000.0):
+        topo = T.full_mesh(2, 1)
+        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+        return [
+            PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11, chunk=256)
+            for _ in range(2)
+        ]
+
+    def test_equals_sequential_adds_whatever_it_draws(self, monkeypatch):
+        # The first start() draws 32 gaps: 10 us needs none beyond them,
+        # 1 ms one draw, and a generator that hands out seven values at
+        # a time (the stream does not depend on how it is cut) many.
+        for until, most_at_once in ((1e-5, None), (1e-3, None), (1e-3, 7)):
+            array, scalar = self.pair()
+            first = array._next_gap()
+            assert scalar._next_gap() == first
+            if most_at_once is not None:
+                draw = array._gap_rng.standard_exponential
+                monkeypatch.setattr(
+                    array, "_gap_rng",
+                    type("Short", (), {"standard_exponential":
+                                       staticmethod(lambda n: draw(min(n, most_at_once)))}),
+                )
+            assert array._fires_through(first, until).tolist() == sequential_fires(
+                scalar, first, until
+            )
+            assert array._gap_i == 1  # the cursor moves at commit, not here
+
+    def test_later_scalar_fires_continue_from_the_same_cursor(self, monkeypatch):
+        monkeypatch.setattr(portmajor, "MIN_WINDOW_FIRES", 8)  # 20 us of stream is a window
+        for until in (2e-5, 1e-3, 2.5e-2):  # no draw, one, a chain of windows
+            runs = []
+            for batch in (True, False):
+                topo = T.full_mesh(2, 1)
+                net = Network(topo, ECMPRouter(topo), fastpath=True, batch=batch,
+                              telemetry=False, obs=False)
+                source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1_500_000.0,
+                                       seed=5, chunk=256)
+                source.start()
+                assert run_watched(net, until) == batch
+                net.engine.run(until=until + 3e-4)
+                runs.append((source.packets_sent, tuple(net.stats.samples)))
+            assert runs[0] == runs[1]

@@ -155,9 +155,8 @@ class TestRunControl:
         # Cancel handles one at a time straight through the compaction
         # threshold: pending() must stay exact on both sides, and
         # handles whose entries compaction already removed must refuse
-        # to double-count.  White-box on the heap, so pin it explicitly
-        # (REPRO_SCHEDULER may select the bucket queue).
-        engine = Engine(scheduler="heap")
+        # to double-count.  White-box on the heap.
+        engine = Engine()
         live = [engine.schedule(100.0 + i, lambda: None) for i in range(4)]
         doomed = [engine.schedule(float(i + 1), lambda: None) for i in range(20)]
         for index, event in enumerate(doomed):
@@ -173,7 +172,7 @@ class TestRunControl:
         assert not any(event.cancelled for event in live)
 
     def test_heap_compacts_when_mostly_cancelled(self):
-        engine = Engine(scheduler="heap")
+        engine = Engine()
         keep = engine.schedule(100.0, lambda: None)
         doomed = [engine.schedule(float(i + 1), lambda: None) for i in range(64)]
         for event in doomed:
@@ -257,16 +256,6 @@ class TestCallAtMany:
         engine.run()
         assert fired == ["before", "x", "y", "after"]
 
-    def test_bucket_scheduler_bulk(self):
-        engine = Engine(scheduler="bucket")
-        fired = []
-        engine.call_at_many(
-            [(2e-6, fired.append, ("b",)), (1e-6, fired.append, ("a",)),
-             (3e-6, fired.append, ("c",))]
-        )
-        engine.run()
-        assert fired == ["a", "b", "c"]
-
     def test_past_time_rejected_and_sequence_stays_consistent(self):
         engine = Engine()
         engine.schedule(5.0, lambda: None)
@@ -292,11 +281,6 @@ class TestPeekTime:
         engine.schedule(1.0, lambda: None)
         assert engine.peek_time() == 1.0
 
-    def test_bucket_scheduler_lower_bound(self):
-        engine = Engine(scheduler="bucket")
-        engine.schedule(3e-6, lambda: None)
-        assert engine.peek_time() <= 3e-6
-
     def test_updates_inside_run(self):
         engine = Engine()
         seen = []
@@ -315,25 +299,15 @@ class TestCreditEvents:
         engine.run()
         assert engine.events_processed == 7
 
-    def test_batching_ok_only_inside_unbounded_or_until_runs(self):
+    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 4.0}, {"max_events": 1}])
+    def test_running_only_while_a_loop_dispatches(self, run_kwargs):
         engine = Engine()
-        assert not engine.batching_ok
         seen = []
-        engine.schedule(1.0, lambda: seen.append(engine.batching_ok))
-        engine.run(until=2.0)
+        engine.schedule(1.0, lambda: seen.append(engine.running))
+        assert not engine.running
+        engine.run(**run_kwargs)
         assert seen == [True]
-        assert not engine.batching_ok
-        engine.schedule(3.0, lambda: seen.append(engine.batching_ok))
-        engine.run(max_events=1)
-        assert seen == [True, False]
-
-    def test_run_horizon_visible_during_until_run(self):
-        engine = Engine()
-        seen = []
-        engine.schedule(1.0, lambda: seen.append(engine.run_horizon))
-        engine.run(until=4.0)
-        assert seen == [4.0]
-        assert engine.run_horizon is None
+        assert not engine.running
 
 
 class TestChainAt:
@@ -379,10 +353,9 @@ class TestChainAt:
         with pytest.raises(SimulationError):
             engine.chain_at(1.0, lambda arg: None, None)
 
-    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
     @pytest.mark.parametrize("run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}])
-    def test_step_returning_the_past_raises(self, scheduler, run_kwargs):
-        engine = Engine(scheduler=scheduler)
+    def test_step_returning_the_past_raises(self, run_kwargs):
+        engine = Engine()
         engine.chain_at(2.0, lambda arg: 1.0, None)
         with pytest.raises(SimulationError, match="before current time"):
             engine.run(**run_kwargs)
@@ -404,13 +377,12 @@ class TestChainAt:
         engine.run()
         assert seen == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
     @pytest.mark.parametrize("until", [None, 10.0])
-    def test_rearm_hands_over_to_every_kind_of_successor(self, scheduler, until):
+    def test_rearm_hands_over_to_every_kind_of_successor(self, until):
         # The heap loops pop a re-armed chain's successor in the same
         # sift (heappushpop): it may be cancelled, plain without or with
         # arguments, the chain itself again, or beyond the horizon.
-        engine = Engine(scheduler=scheduler)
+        engine = Engine()
         log = []
 
         def step(arg):
@@ -443,15 +415,14 @@ class TestCallbackExceptionsPropagate:
     — IndexError included, which the heap loops once mistook for "heap
     drained" — propagates, with the counters reflecting what did fire."""
 
-    @pytest.mark.parametrize("scheduler", ["heap", "bucket"])
     @pytest.mark.parametrize(
         "run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}],
         ids=["unbounded", "until", "max_events"],
     )
     @pytest.mark.parametrize("chained", [False, True])
     @pytest.mark.parametrize("exc", [IndexError, KeyError])
-    def test_raises_out_of_run(self, scheduler, run_kwargs, chained, exc):
-        engine = Engine(scheduler=scheduler)
+    def test_raises_out_of_run(self, run_kwargs, chained, exc):
+        engine = Engine()
         fired = []
 
         def boom(*_):

@@ -13,6 +13,7 @@ bounded-buffer tail drops.
 import pytest
 
 import repro.topology as T
+from repro import obs
 from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter, RoutingError, VLBRouter
 from repro.sim import Network, NetworkSimError, ULL
@@ -281,9 +282,9 @@ class TestBoundFlows:
         """Ten bounds' worth of one-shot flow ids: the table stops at its
         bound, later flows fall through to the router, same results."""
 
-        def run(limit):
+        def run(limit, armed=False):
             topo = T.quartz_ring(5, servers_per_switch=1)
-            net = Network(topo, VLBRouter(topo), fastpath=True)
+            net = Network(topo, VLBRouter(topo), fastpath=True, obs=armed)
             if limit is not None:
                 monkeypatch.setattr(net, "FLOW_TABLE_LIMIT", limit, raising=False)
             source = PoissonSource(
@@ -304,6 +305,19 @@ class TestBoundFlows:
         assert result[0] >= 320  # ten times the bound, every flow id new
         assert len(bounded._flows) == 32
         assert len(unbounded._flows) == result[0]
+
+        # The fall-through has a name, and counting it changes nothing.
+        was_armed = obs.armed()
+        obs.disarm()
+        try:
+            _, observed = run(32, armed=True)
+            counters = dict(obs.registry().counters)
+        finally:
+            obs.disarm()
+            if was_armed:
+                obs.arm()
+        assert observed == result
+        assert counters["fastpath.flow_table_full"] == result[0] - 32
 
 
 class TestFlagResolution:

@@ -216,32 +216,14 @@ class TestShardNetwork:
         with pytest.raises(ParallelSimError, match="lookahead violation"):
             net.receive_boundary([stale])
 
-    def test_cohorts_refuse_cross_shard_routes(self):
-        _, _, net = _shard_pair()
-        if not net.batch_enabled:
-            pytest.skip("batching disabled in this environment")
-        committed = {}
-
-        def probe():
-            # Cohorts may only commit while a run loop is dispatching
-            # (batching_ok), so exercise them from inside an event.
-            times = [net.engine.now + i * 1e-6 for i in range(16)]
-            committed["cross"] = net.send_cohort("h0.0", "h3.0", 400, times)
-            committed["local"] = net.send_cohort("h0.0", "h2.0", 400, times)
-
-        net.engine.schedule(0.0, probe)
-        net.engine.run(until=1e-3)
-        assert committed["cross"] == 0  # crossing routes take the scalar path
-        assert committed["local"] > 0
-
     def test_overrides_only_the_tail_out_extension_point(self):
         # One forwarding kernel, one oracle: a shard adds the tail-out
-        # decision and the cohort locality guard, nothing else.
+        # decision, nothing else.
         overridden = {
             name for name in vars(ShardNetwork)
             if callable(getattr(ShardNetwork, name)) and hasattr(Network, name)
         }
-        assert overridden == {"__init__", "_tail_out", "send_cohort"}
+        assert overridden == {"__init__", "_tail_out"}
 
     @pytest.mark.parametrize("fastpath", [True, False])
     def test_detour_landing_on_a_boundary_goes_to_outbox(self, fastpath):

@@ -2,21 +2,19 @@
 
 ``Network.run(until=…)`` solves an open-loop window port by port
 (:mod:`repro.sim.portmajor`) instead of event by event.  Like the
-compiled fast path and cohort batching before it, that must be a pure
-speed change: the oracle throughout is the same scenario on a
-``batch=False`` network, and the fingerprint holds everything a later
-event could read — stats in delivery order, every port's counters and
-clock, the sources' counters, the logical event count, and the pending
-queue *in seq order* (the pass draws fresh seqs for what it hands back;
-their order is the only thing about them that can matter).
+compiled fast path before it, that must be a pure speed change: the
+oracle throughout is the same scenario on a ``batch=False`` network,
+and the fingerprint holds everything a later event could read — stats
+in delivery order, every port's counters and clock, the sources'
+counters, the logical event count, the packets a caller holds, and the
+pending queue *in seq order* (the pass draws fresh seqs for what it
+hands back; their order is the only thing about them that can matter).
 
 Networks pin ``fastpath=True, telemetry=False, obs=False`` so the file
-means the same under every CI leg's environment; the engine is the
-environment's default, so under ``REPRO_SCHEDULER=bucket`` (the CI step
-that runs this file a second time) every case below compares a
-stand-down against the oracle.
+means the same under every CI leg's environment.
 """
 
+import heapq
 import random
 from contextlib import contextmanager
 
@@ -29,7 +27,6 @@ from repro import obs
 from repro.routing import ECMPRouter
 from repro.routing.base import RoutingError
 from repro.sim import Network, portmajor
-from repro.sim.engine import SCHEDULER_ENV, Engine
 from repro.sim.sources import PoissonSource
 from repro.sim.switch import SwitchModel, register_model
 from repro.topology.base import LinkKind, NodeKind, Topology
@@ -54,8 +51,6 @@ SIZES = {
     "mixed": lambda j: (400, 1500, 64)[j % 3],
     "non_integer": lambda j: (400.5, 1499.25, 333.1)[j % 3],
 }
-
-HEAP_DEFAULT = Engine()._heap is not None  # False under REPRO_SCHEDULER=bucket
 
 
 def build(topology, batch, router=None):
@@ -88,21 +83,18 @@ def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
 
 
 def pending_in_seq_order(net):
-    heap = net.engine._heap
-    if heap is None:
-        return None
-
     def identity(entry):
         arg = entry[4]
         if isinstance(arg, int):  # a source's fire chain carries its generation
             return (entry[0], "fire", entry[2].__self__.flow_id, arg)
         return (entry[0], "packet", arg.packet_id, arg.hop, arg.created_at, arg.plan.path)
 
-    return tuple(identity(entry) for entry in sorted(heap, key=lambda e: e[1]))
+    return tuple(identity(entry) for entry in sorted(net.engine._heap, key=lambda e: e[1]))
 
 
-def fingerprint(net, sources):
+def fingerprint(net, sources, held=()):
     return {
+        "held": tuple((p.packet_id, p.hop, p.delivered_at) for p in held),
         "delivered": net.packets_delivered,
         "next_packet_id": net._next_packet_id,
         "events": net.engine.events_processed,
@@ -136,29 +128,50 @@ def watching():
         portmajor.advance = real
 
 
-def run_legs(net, sources, horizons, between=None):
+@contextmanager
+def budget(cut):
+    """Windows of ``cut`` expected fires, and no floor to speak of: a
+    millisecond becomes a chain, every window of it but the first
+    starting from the packets the one before left in flight."""
+    saved = portmajor.MAX_WINDOW_FIRES, portmajor.MIN_WINDOW_FIRES, portmajor.MIN_FIRES_PER_SOURCE
+    if cut is not None:
+        portmajor.MAX_WINDOW_FIRES, portmajor.MIN_WINDOW_FIRES = cut, 1
+        portmajor.MIN_FIRES_PER_SOURCE = 0
+    try:
+        yield
+    finally:
+        (portmajor.MAX_WINDOW_FIRES, portmajor.MIN_WINDOW_FIRES,
+         portmajor.MIN_FIRES_PER_SOURCE) = saved
+
+
+def run_legs(net, sources, horizons, between=None, held=()):
     """Fingerprints after each horizon, then 0.3 ms further (where a
     wrong gap cursor or hand-back seq would surface)."""
     prints = []
     for i, until in enumerate(horizons):
         net.run(until=until)
-        prints.append(fingerprint(net, sources))
+        prints.append(fingerprint(net, sources, held))
         if between is not None and i == 0:
             between(sources)
     net.run(until=horizons[-1] + 3e-4)
-    prints.append(fingerprint(net, sources))
+    prints.append(fingerprint(net, sources, held))
     return prints
 
 
-def differential(topology, tasks, horizons, router=None, between=None, **traffic):
+def differential(topology, tasks, horizons, router=None, between=None, before=None,
+                 cut=None, **traffic):
     """Run the scenario with the pass and on the oracle; assert equal
-    fingerprints at every horizon; return what ``advance`` answered."""
-    oracle = build(topology, batch=False, router=router)
-    expected = run_legs(oracle, start_tasks(oracle, tasks, **traffic), horizons, between)
-    net = build(topology, batch=True, router=router)
-    sources = start_tasks(net, tasks, **traffic)
-    with watching() as engaged:
-        got = run_legs(net, sources, horizons, between)
+    fingerprints at every horizon; return what ``advance`` answered.
+    ``before(net)`` injects packets ahead of the sources and returns
+    them: the caller's objects, compared field by field."""
+    def legs(batch):
+        net = build(topology, batch=batch, router=router)
+        held = before(net) if before is not None else ()
+        return run_legs(net, start_tasks(net, tasks, **traffic), horizons, between, held)
+
+    expected = legs(batch=False)
+    with watching() as engaged, budget(cut):
+        got = legs(batch=True)
     for leg, (mine, theirs) in enumerate(zip(got, expected)):
         for field in theirs:
             assert mine[field] == theirs[field], (leg, field)
@@ -193,27 +206,27 @@ class TestDifferential:
         engaged = differential(
             topology, FOUR_TASKS, [1e-3], sizes=sizes, grouping=grouping
         )
-        assert engaged[0] is HEAP_DEFAULT
+        assert engaged[0] is True
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_split_horizon_hands_back_to_the_event_loop(self, topology):
         engaged = differential(
             topology, FOUR_TASKS, [6e-4, 1e-3], sizes="mixed", rate=200_000.0
         )
-        # Packets are in flight at 0.6 ms, so the second leg is scalar.
-        assert engaged[:2] == [HEAP_DEFAULT, False]
+        # The packets in flight at 0.6 ms are the second leg's roots.
+        assert engaged[:2] == [True, True]
 
     def test_horizon_before_the_first_fire(self):
         first = events_of("tree", FOUR_TASKS, 1e-3)[0][0]
         engaged = differential("tree", FOUR_TASKS, [first / 2, 1e-3])
-        assert engaged[:2] == [False, HEAP_DEFAULT]
+        assert engaged[:2] == [False, True]
 
     @pytest.mark.parametrize("which", [0.35, 0.6, 0.9])
     def test_horizon_exactly_on_an_event_time(self, which):
         events = events_of("mesh", FOUR_TASKS, 1e-3)
         until = events[int(which * len(events))][0]
         engaged = differential("mesh", FOUR_TASKS, [until, 1e-3])
-        assert engaged[0] is HEAP_DEFAULT
+        assert engaged[0] is True
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -228,13 +241,18 @@ class TestDifferential:
         sizes=st.sampled_from(sorted(SIZES)),
         grouping=st.sampled_from(["none", "shared", "task"]),
         rate=st.sampled_from([31_250.0, 120_000.0, 400_000.0]),
-        horizons=st.sampled_from([[1e-3], [5e-4, 9e-4], [1e-5, 7e-4], [2e-4]]),
+        horizons=st.sampled_from(
+            [[1e-3], [5e-4, 9e-4], [1e-5, 7e-4], [2e-4], [1e-4, 2e-4, 3e-4, 4e-4]]
+        ),
+        cut=st.sampled_from([None, 40, 150, 600]),
     )
-    def test_generated_scenarios(self, topology, tasks, sizes, grouping, rate, horizons):
+    def test_generated_scenarios(self, topology, tasks, sizes, grouping, rate, horizons, cut):
         # Seeds 0-3 with ``seed + j`` per stream: most draws hold several
-        # streams with identical gap sequences, on different hubs.
+        # streams with identical gap sequences, on different hubs.  Under
+        # a cut every window but the first starts from tens of packets
+        # in flight, lockstep ones among them.
         differential(
-            topology, tasks, horizons, sizes=sizes, grouping=grouping, rate=rate
+            topology, tasks, horizons, cut=cut, sizes=sizes, grouping=grouping, rate=rate
         )
 
 
@@ -251,17 +269,22 @@ def ring_of_switches(n):
     return topo
 
 
-def two_ahead(net):
-    """h{i} → h{i+2} round a 5-ring: port s{i}→s{i+1} feeds port
-    s{i+1}→s{i+2}, all the way round — a cyclic port graph."""
+def ring_sources(net, which, delay=0.0):
+    """h{i} → h{i+2} round a 5-ring for ``i`` in ``which``: port
+    s{i}→s{i+1} feeds port s{i+1}→s{i+2}."""
     sources = [
         PoissonSource(net, f"h{i}", f"h{(i + 2) % 5}", rate_pps=400_000.0,
                       seed=i, flow_id=i, group="ring", chunk=256)
-        for i in range(5)
+        for i in which
     ]
     for source in sources:
-        source.start()
+        source.start(delay)
     return sources
+
+
+def two_ahead(net):
+    """All five: the feeding goes all the way round — a cyclic port graph."""
+    return ring_sources(net, range(5))
 
 
 class TestPinned:
@@ -270,7 +293,7 @@ class TestPinned:
         and most arrivals do; queue order at the root decides."""
         tasks = [("scatter", 0, 9, 77), ("scatter", 4, 9, 77)]
         engaged = differential("tree", tasks, [1e-3], rate=120_000.0)
-        assert engaged[0] is HEAP_DEFAULT
+        assert engaged[0] is True
 
     def test_packet_and_rearm_share_a_parent_at_the_hand_back(self):
         """A horizon on a fire's own time leaves that fire's two
@@ -278,7 +301,7 @@ class TestPinned:
         tasks = [("scatter", 0, 9, 5)]
         fires = [t for t, fire in events_of("tree", tasks, 1e-3, rate=120_000.0) if fire]
         engaged = differential("tree", tasks, [fires[300], 1e-3], rate=120_000.0)
-        assert engaged[0] is HEAP_DEFAULT
+        assert engaged[0] is True
 
     def test_cyclic_port_graph_stands_down(self):
         oracle = build(ring_of_switches(5), batch=False)
@@ -320,12 +343,7 @@ class TestPinned:
 
         engaged = differential("tree", FOUR_TASKS, [5e-4, 1e-3], between=restart)
         # The stopped chains' entries are still queued: not open loop.
-        assert engaged[:2] == [HEAP_DEFAULT, False]
-
-    def test_bucket_scheduler_stands_down(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "bucket")
-        engaged = differential("tree", FOUR_TASKS, [1e-3])
-        assert engaged[0] is False
+        assert engaged[:2] == [True, False]
 
     def test_engine_run_is_never_solved_port_major(self):
         net = build("tree", batch=True)
@@ -342,6 +360,107 @@ class TestPinned:
         net = build("tree", batch=False)
         start_tasks(net, FOUR_TASKS)
         assert not portmajor.advance(net, 1e-3)
+
+
+def sent_ahead(net):
+    """Twelve packets injected by ``net.send`` before any source starts:
+    queued ``_hop`` chains, some of them tying (equal sizes, one hub)."""
+    servers = net.topo.servers()
+    return [
+        net.send(servers[i % 3], servers[-1 - i % 5], (400, 1500)[i % 2], flow_id=900 + i,
+                 group=("sent", None)[i % 2])
+        for i in range(12)
+    ]
+
+
+class TestRootsAndChains:
+    """Windows that start from packets in flight, and horizons solved as
+    a chain of them."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("cut", [None, 150])
+    def test_packets_sent_before_the_sources_are_roots(self, topology, cut):
+        """The held ``Packet`` objects end with the oracle's ``hop`` /
+        ``delivered_at`` / ``packet_id`` at every horizon."""
+        engaged = differential(
+            topology, FOUR_TASKS, [4e-4, 1e-3], before=sent_ahead, cut=cut,
+            sizes="mixed", rate=200_000.0,
+        )
+        assert engaged == [True, True, True]
+
+    def test_lockstep_chain(self):
+        """Every window of the chain starts from packets that tie their
+        twins: queue position among the roots decides."""
+        tasks = [("scatter", 0, 9, 77), ("scatter", 4, 9, 77)]
+        engaged = differential("tree", tasks, [3e-4, 1e-3], cut=150, rate=120_000.0)
+        assert engaged[:2] == [True, True]
+
+    @pytest.mark.parametrize("mark", ["on_delivered", "stamps"])
+    def test_a_root_the_kernel_would_call_back_stands_down_untouched(self, mark):
+        def marked(net):
+            held = sent_ahead(net)
+            if mark == "stamps":
+                held[3].stamps = []  # white box: as armed telemetry leaves it
+            else:
+                held[3].on_delivered = lambda packet, when: None
+            return held
+
+        net = build("tree", batch=True)
+        held = marked(net)
+        sources = start_tasks(net, FOUR_TASKS)
+        before = fingerprint(net, sources, held)
+        cursors = [source._gap_i for source in sources]
+        assert not portmajor.advance(net, 1e-3)
+        assert fingerprint(net, sources, held) == before
+        assert [source._gap_i for source in sources] == cursors
+        engaged = differential("tree", FOUR_TASKS, [1e-3], before=marked)
+        assert engaged[0] is False
+
+    def test_a_root_whose_route_closes_a_port_cycle_stands_down(self):
+        def legs(batch, closing):
+            net = build(ring_of_switches(5), batch=batch)
+            # h4 → h1 crosses s4→s0 and s0→s1: with it the ports form a ring.
+            held = [net.send("h4", "h1", 400, flow_id=4)] if closing else []
+            return run_legs(net, ring_sources(net, range(4)), [1e-3], held=held)
+
+        with watching() as engaged:
+            assert legs(True, closing=False) == legs(False, closing=False)
+            assert legs(True, closing=True) == legs(False, closing=True)
+        assert engaged[0] is True and engaged[2] is False
+
+    def test_stand_down_in_the_middle_of_a_chain(self, monkeypatch):
+        """The source that closes the ring of ports starts half-way: the
+        windows before its first fire are solved, the rest is the event
+        loop's."""
+        def legs(batch):
+            net = build(ring_of_switches(5), batch=batch)
+            sources = ring_sources(net, range(4)) + ring_sources(net, [4], delay=5e-4)
+            return run_legs(net, sources, [1e-3])
+
+        solved = []
+        solve = portmajor._solve
+        monkeypatch.setattr(
+            portmajor, "_solve",
+            lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+        )
+        with budget(150):
+            got = legs(True)
+        assert got == legs(False)
+        first_leg = [until for until in solved if until <= 1e-3]
+        assert len(first_leg) >= 3 and max(first_leg) < 5.5e-4
+
+    def test_a_long_stream_holds_one_window_of_gaps(self):
+        topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
+        net = Network(topo, ECMPRouter(topo), fastpath=True, batch=True,
+                      telemetry=False, obs=False)
+        source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
+                               size_bytes=1250, seed=3)
+        source.start()
+        with watching() as engaged:
+            net.run(until=0.25)
+        assert engaged == [True]
+        assert source.packets_sent > 7 * portmajor.MAX_WINDOW_FIRES
+        assert len(source._gaps) < portmajor.MAX_WINDOW_FIRES // 8
 
 
 # -- a tie between events at different hop depths on one port ---------------------
@@ -413,7 +532,7 @@ class TestTieAcrossHopDepths:
         engaged, *got = run_two_depths(slow_b, batch=True)
         _, *expected = run_two_depths(slow_b, batch=False)
         assert got == expected
-        assert engaged[0] is HEAP_DEFAULT
+        assert engaged[0] is True
         # The construction holds: every packet ties its twin on port
         # s1→s2 and the loser waits one serialization time, so each
         # stream reads one latency — unloaded (A: 15 units; B: 11, or 14
@@ -457,7 +576,37 @@ def mutated(monkeypatch, name):
         monkeypatch.setattr(portmajor._Lineage, "order", by_packet_id)
 
 
-@pytest.mark.skipif(not HEAP_DEFAULT, reason="the pass stands down under the bucket scheduler")
+def mutated_roots(monkeypatch, name):
+    """Wrong-but-plausible ways to take packets in flight as roots."""
+    window, solve = portmajor._window, portmajor._solve
+
+    def flown(roots):
+        return [entry for entry in roots if isinstance(entry[4], portmajor.Packet)]
+
+    if name == "roots_ranked_by_time_alone":
+        def by_time(net, until, max_events):
+            roots, horizon = window(net, until, max_events)
+            return sorted(roots, key=lambda entry: (entry[0], -entry[1])), horizon
+        monkeypatch.setattr(portmajor, "_window", by_time)
+    elif name == "packet_ids_rank_roots_too":
+        monkeypatch.setattr(portmajor._Lineage, "fire_rank", lambda self, flown: self.rank)
+    elif name == "credit_without_the_root_term":
+        def uncorrected(net, until, roots):
+            term = sum(-entry[4].hop for entry in flown(roots))  # Σ (1 − r)
+            solve(net, until, roots)
+            net.engine.events_processed -= term
+        monkeypatch.setattr(portmajor, "_solve", uncorrected)
+    elif name == "delivered_root_left_queued":
+        def left_queued(net, until, roots):
+            was = [(entry, entry[0], entry[1]) for entry in flown(roots)]
+            solve(net, until, roots)
+            for entry, time, seq in was:
+                if entry[4].delivered_at is not None:
+                    entry[0], entry[1] = time, seq
+                    heapq.heappush(net.engine._heap, entry)
+        monkeypatch.setattr(portmajor, "_solve", left_queued)
+
+
 class TestMutationsAreCaught:
     """Each wrong-but-plausible variant of the pass must fail the
     differential on a pinned scenario — the comparison has teeth."""
@@ -473,6 +622,17 @@ class TestMutationsAreCaught:
         mutated(monkeypatch, name)
         with pytest.raises(AssertionError):
             differential("tree", self.LOCKSTEP, [6e-4, 1e-3], rate=120_000.0)
+
+    @pytest.mark.parametrize("name", [
+        "roots_ranked_by_time_alone", "packet_ids_rank_roots_too",
+        "credit_without_the_root_term", "delivered_root_left_queued",
+    ])
+    def test_chain_of_windows(self, monkeypatch, name):
+        differential("tree", self.LOCKSTEP, [6e-4, 1e-3], cut=150, rate=120_000.0)
+        mutated_roots(monkeypatch, name)
+        # A delivered packet met again as a root has no row in the table.
+        with pytest.raises((AssertionError, IndexError)):
+            differential("tree", self.LOCKSTEP, [6e-4, 1e-3], cut=150, rate=120_000.0)
 
     def test_time_only_fails_on_the_deeper_hop_first_case(self, monkeypatch):
         mutated(monkeypatch, "time_only")
@@ -528,7 +688,6 @@ def decline(counters):
 
 @pytest.mark.usefixtures("disarmed")
 class TestObservability:
-    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
     def test_armed_equals_disarmed_and_counts_the_pass(self):
         armed, counters = armed_run(armed_tree(), four_tasks)
         plain = build("tree", batch=True)
@@ -539,7 +698,6 @@ class TestObservability:
         assert counters["batch.packets"] == armed["next_packet_id"] > 0
         assert not any(name.startswith("batch.standdown") for name in counters)
 
-    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
     def test_plan_counters_read_as_the_event_loop_leaves_them(self):
         _, with_pass = armed_run(armed_tree(), four_tasks)
         _, scalar = armed_run(armed_tree(batch=False), four_tasks)
@@ -557,11 +715,6 @@ class TestObservability:
         for name in ("fastpath.plan_compiles", "fastpath.plan_hits"):
             assert cyclic[name] == scalar[name]
 
-    def test_scheduler_decline(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "bucket")
-        assert decline(armed_run(armed_tree(), four_tasks)[1]) == "scheduler"
-
-    @pytest.mark.skipif(not HEAP_DEFAULT, reason="stands down under the bucket scheduler")
     def test_every_decline_is_named(self):
         def closed_loop(net):
             sources = four_tasks(net)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.routing import ECMPRouter
 from repro.sim import BurstSource, Network, PoissonSource, RPCSource, SourceError
-from repro.sim.engine import Engine
 from repro.sim.sources import poisson_pair_sources
 from repro.units import GBPS, MBPS
 
@@ -243,7 +242,6 @@ class TestChunkedDraws:
 
 
 def _poisson(net, batch):
-    # chunk > MIN_COHORT lets cohorts engage when ``batch`` allows them.
     return PoissonSource(
         net, "h0.0", "h1.0", rate_pps=100_000, seed=1, chunk=1 if not batch else 64
     )
@@ -390,10 +388,10 @@ def _snapshot(net, sources, delivered):
     )
 
 
-def _run_sources(chained, scheduler, batch, specs, mode, restart):
+def _run_sources(chained, batch, specs, mode, restart):
     """Snapshots after every leg of one run, chained or trailing-call_at."""
     topo = T.full_mesh(4, 2)
-    net = Network(topo, ECMPRouter(topo), engine=Engine(scheduler), batch=batch)
+    net = Network(topo, ECMPRouter(topo), batch=batch)
     poisson = PoissonSource if chained else CallAtPoissonSource
     burst = BurstSource if chained else CallAtBurstSource
     delivered = []
@@ -444,34 +442,13 @@ class TestChainedSourcesMatchTrailingCallAt:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        scheduler=st.sampled_from(["heap", "bucket"]),
         batch=st.booleans(),
         specs=SOURCE_SPECS,
         mode=st.sampled_from(["run", "until", "max_events"]),
         restart=st.booleans(),
     )
-    def test_identical_snapshots(self, scheduler, batch, specs, mode, restart):
-        chained = _run_sources(True, scheduler, batch, specs, mode, restart)
-        reference = _run_sources(False, scheduler, batch, specs, mode, restart)
+    def test_identical_snapshots(self, batch, specs, mode, restart):
+        chained = _run_sources(True, batch, specs, mode, restart)
+        reference = _run_sources(False, batch, specs, mode, restart)
         assert chained == reference
         assert chained[-1][4] != (0,) * len(specs)  # traffic actually flowed
-
-    def test_cohorts_engage_under_the_chain(self, monkeypatch):
-        """The batched leg of the differential is not vacuous: a lone
-        single-destination stream commits cohorts from inside its step."""
-        for knob in ("REPRO_FASTPATH_DISABLE", "REPRO_BATCH_DISABLE"):
-            monkeypatch.delenv(knob, raising=False)  # cohorts need both on
-        committed = []
-        send_cohort = Network.send_cohort
-
-        def counting(self, *args, **kwargs):
-            committed.append(send_cohort(self, *args, **kwargs))
-            return committed[-1]
-
-        monkeypatch.setattr(Network, "send_cohort", counting)
-        spec = dict(kind="poisson", src=0, fan=1, rate=1e6, stop_at=3e-4,
-                    forever=False, vary=False, callback=False, seed=3)
-        batched = _run_sources(True, "heap", True, [spec], "run", False)
-        assert sum(committed) > 100
-        assert batched == _run_sources(False, "heap", True, [spec], "run", False)
-        assert batched == _run_sources(True, "heap", False, [spec], "run", False)

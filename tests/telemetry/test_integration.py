@@ -198,7 +198,7 @@ class TestBatchStandDown:
                 net, servers[0], servers[-1], rate_pps=600_000.0, seed=0,
                 group="load", chunk=256,
             ).start()
-            net.engine.run(until=0.004)
+            net.run(until=0.004)
             nets.append(net)
         default, scalar = nets
         assert not default.batch_enabled
