@@ -16,14 +16,12 @@ Rows:
   claim into a machine-independent ratio;
 * end-to-end packet simulation (the Figure 20 quartz-ecmp cell at
   30 Gb/s for 4 ms of simulated time);
-* a 4-seed Figure 17 scatter mini-sweep: serial with the compiled fast
-  path, serial with ``REPRO_FASTPATH_DISABLE=1`` (reference forwarding
-  loop + per-packet draws), and ``workers=4``.
+* a 4-seed Figure 17 scatter mini-sweep: serial, and ``workers=4``.
 
 Acceptance gates (PR 4): ``call_at`` dispatch ≥ 1.5× PR 3 and the
 fig17 mini-sweep ≥ 1.3× PR 3 wall-clock — asserted both against the
-container constants and against the in-process PR 3 replica / reference
-run, so the gate survives on machines of any speed.  Headline numbers
+container constants and against the in-process PR 3 replica, so the gate
+survives on machines of any speed.  Headline numbers
 are merged into ``benchmarks/results/BENCH_simulator.json``.
 
 PR 6 adds two rows: the specialized ``schedule`` path (which closes the
@@ -35,7 +33,6 @@ back, and must agree on every metric before the ratio is reported).
 """
 
 import heapq
-import os
 import time
 
 import repro.topology as T
@@ -45,7 +42,6 @@ from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
 from repro.sim import Network
 from repro.sim.engine import Engine
-from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.parallel import ParallelScenario, SourceSpec, run_parallel, run_serial
 from repro.sim.sources import PoissonSource
 from repro.units import GBPS
@@ -298,17 +294,6 @@ def bench_engine_throughput(benchmark, report, bench_record):
     assert {t: [p.mean_latency for p in pts] for t, pts in parallel.items()} == {
         t: [p.mean_latency for p in pts] for t, pts in serial.items()
     }
-    # Reference forwarding loop + per-packet draws, in-process: the
-    # same cells with the compiled fast path disabled must agree on
-    # every metric and anchor a machine-independent speedup ratio.
-    os.environ[FASTPATH_ENV] = "1"
-    try:
-        sweep_reference, reference = _time_sweep(workers=1)
-    finally:
-        del os.environ[FASTPATH_ENV]
-    assert {t: [p.mean_latency for p in pts] for t, pts in reference.items()} == {
-        t: [p.mean_latency for p in pts] for t, pts in serial.items()
-    }
 
     (
         batched_rate, cohort_scalar_rate, telemetry_rate, obs_rate,
@@ -321,7 +306,6 @@ def bench_engine_throughput(benchmark, report, bench_record):
     telemetry_overhead_ratio = cohort_scalar_rate / telemetry_rate
     telemetry_off_vs_pr6 = cohort_scalar_rate / PR6_COHORT_FASTPATH_EVENTS_PER_SEC
     sweep_vs_pr3 = PR3_SWEEP_SECONDS / sweep_serial
-    sweep_vs_reference = sweep_reference / sweep_serial
 
     lines = [
         "Engine throughput: seed / PR 3 / compiled fast path",
@@ -360,9 +344,6 @@ def bench_engine_throughput(benchmark, report, bench_record):
         f"{'fig17 mini-sweep, serial vs PR 3 (s)':<46}"
         f"{PR3_SWEEP_SECONDS:>12.2f}{sweep_serial:>12.2f}"
         f"{sweep_vs_pr3:>8.2f}x",
-        f"{'fig17 mini-sweep, serial vs reference (s)':<46}"
-        f"{sweep_reference:>12.2f}{sweep_serial:>12.2f}"
-        f"{sweep_vs_reference:>8.2f}x",
         f"{'fig17 mini-sweep, workers=4 vs seed (s)':<46}"
         f"{SEED_SWEEP_SECONDS:>12.2f}{sweep_parallel:>12.2f}"
         f"{SEED_SWEEP_SECONDS / sweep_parallel:>8.2f}x",
@@ -373,11 +354,9 @@ def bench_engine_throughput(benchmark, report, bench_record):
         "Container baselines: seed tree at 357d95d, PR 3 tree at 91e61d7,",
         "both measured on this container.  The PR 3 replica row re-runs",
         "the identical tick chain through an in-process copy of the PR 3",
-        "run loop, so that ratio is machine-independent.  The reference",
-        "row re-runs the same sweep cells with REPRO_FASTPATH_DISABLE=1",
-        "(uncompiled forwarding loop, per-packet RNG draws); its results",
-        "are asserted identical to the fast-path run before reporting,",
-        "as are the workers=4 results.  The cohort row runs one 2 Mpps",
+        "run loop, so that ratio is machine-independent.  The workers=4",
+        "results are asserted identical to the serial run before",
+        "reporting.  The cohort row runs one 2 Mpps",
         "Poisson stream for 50 ms of simulated time through the port-major",
         "pass of Network.run against the scalar fast path on this machine,",
         "asserts every metric identical, and divides the same logical",
@@ -410,14 +389,12 @@ def bench_engine_throughput(benchmark, report, bench_record):
         batched_speedup_vs_fastpath=round(batched_vs_fastpath, 3),
         fig20_cell_seconds=round(sim_seconds, 3),
         fig17_mini_sweep_serial_seconds=round(sweep_serial, 3),
-        fig17_mini_sweep_reference_seconds=round(sweep_reference, 3),
         fig17_mini_sweep_parallel_seconds=round(sweep_parallel, 3),
         fig17_mini_sweep_parallel_spinup_seconds=round(sweep_spinup, 3),
         fig17_mini_sweep_parallel_compute_seconds=round(
             sweep_parallel_compute, 3
         ),
         fig17_sweep_speedup_vs_pr3=round(sweep_vs_pr3, 3),
-        fig17_sweep_speedup_vs_reference=round(sweep_vs_reference, 3),
     )
 
     # Acceptance gates (PR 4), both as container constants and as
@@ -427,7 +404,6 @@ def bench_engine_throughput(benchmark, report, bench_record):
     assert call_at_rate >= 1.5 * PR3_ENGINE_EVENTS_PER_SEC
     assert engine_vs_pr3_replica >= 1.5
     assert sweep_serial <= PR3_SWEEP_SECONDS / 1.3
-    assert sweep_vs_reference >= 1.2, "fast path should beat the reference loop"
     # PR 8 gate: the parallel mini-sweep, net of pool spin-up, must stay
     # within 40% of the serial wall clock.  The sweep is short and the
     # CI container may expose a single CPU, so a *speedup* gate would be
@@ -545,13 +521,13 @@ def bench_parallel_shards(benchmark, report, bench_record):
         lambda: run_serial(scenario), rounds=1, iterations=1
     )
     inline = run_parallel(
-        scenario, num_shards=PARALLEL_SHARDS, mode="inline", parallel=True
+        scenario, num_shards=PARALLEL_SHARDS, mode="inline"
     )
     assert inline.fingerprint() == serial.fingerprint(), (
         "inline sharded run diverged from the serial reference"
     )
     process = run_parallel(
-        scenario, num_shards=PARALLEL_SHARDS, mode="process", parallel=True
+        scenario, num_shards=PARALLEL_SHARDS, mode="process"
     )
     assert process.fingerprint() == serial.fingerprint(), (
         "process sharded run diverged from the serial reference"

@@ -495,11 +495,8 @@ def _trace_profile(workers: int) -> None:
     parallel run (``parallel.window`` / ``parallel.barrier`` spans).
     Engine runs inside all three contribute ``engine.run`` spans.
     """
-    import os
-
     from repro.experiments import run_hybrid_scale_cell, run_task_experiment
     from repro.runner import ExperimentSpec, run_cells
-    from repro.sim.knobs import HYBRID_ENV
     from repro.sim.parallel import ParallelScenario, SourceSpec, run_parallel
 
     cells = [
@@ -513,15 +510,10 @@ def _trace_profile(workers: int) -> None:
     ]
     run_cells(cells, workers=workers)
 
-    saved_hybrid = os.environ.pop(HYBRID_ENV, None)
-    try:
-        run_hybrid_scale_cell(
-            fabric="quartz-ring-small", mode="hybrid", n_background=10,
-            fg_fan=2, duration=0.001, seed=0,
-        )
-    finally:
-        if saved_hybrid is not None:
-            os.environ[HYBRID_ENV] = saved_hybrid
+    run_hybrid_scale_cell(
+        fabric="quartz-ring-small", mode="hybrid", n_background=10,
+        fg_fan=2, duration=0.001, seed=0,
+    )
 
     scenario = ParallelScenario(
         fabric="quartz-ring",
@@ -535,7 +527,7 @@ def _trace_profile(workers: int) -> None:
         ),
         duration=5e-4,
     )
-    run_parallel(scenario, num_shards=2, mode="inline", parallel=True)
+    run_parallel(scenario, num_shards=2, mode="inline")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

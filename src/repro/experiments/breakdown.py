@@ -1,7 +1,7 @@
 """Latency decomposition across the Section 7 architectures.
 
 Explains the Figure 17 results component-by-component: runs a fixed
-probe workload on each architecture with the tracing simulator and
+probe workload on each architecture with INT stamping armed and
 attributes the mean packet latency to serialization, switching,
 queueing, and propagation (the paper's Table 2 framing).  The headline
 mechanism becomes visible: the three-tier tree's budget is dominated by
@@ -13,8 +13,15 @@ from __future__ import annotations
 
 from repro.experiments.section7 import TOPOLOGY_BUILDERS
 from repro.routing import ECMPRouter
+from repro.sim.network import Network
 from repro.sim.sources import PoissonSource
-from repro.sim.trace import LatencyBreakdown, TracingNetwork, format_breakdown
+from repro.sim.trace import (
+    LatencyBreakdown,
+    format_breakdown,
+    mean_breakdown,
+    packet_breakdown,
+)
+
 
 def latency_breakdown(
     topology: str,
@@ -32,7 +39,12 @@ def latency_breakdown(
     if topology not in TOPOLOGY_BUILDERS:
         raise ValueError(f"unknown topology {topology!r}")
     topo = TOPOLOGY_BUILDERS[topology]()
-    net = TracingNetwork(topo, ECMPRouter(topo))
+    net = Network(topo, ECMPRouter(topo), telemetry=True)
+    probes: list[LatencyBreakdown] = []
+
+    def decompose(packet, _when) -> None:
+        probes.append(packet_breakdown(net, packet))
+
     racks = topo.racks()
     half = len(racks) // 2
     for i in range(num_probes):
@@ -42,10 +54,10 @@ def latency_breakdown(
         dst = topo.servers_in_rack(dst_rack)[-1]
         PoissonSource.at_bandwidth(
             net, src, dst, bandwidth_bps, group="probe",
-            flow_id=i, seed=seed + i,
+            flow_id=i, seed=seed + i, on_delivered=decompose,
         ).start()
     net.run(until=duration)
-    return net.mean_breakdown("probe")
+    return mean_breakdown(probes)
 
 
 def breakdown_table(

@@ -128,9 +128,7 @@ def run_hybrid_scale_cell(
         topo,
         router,
         schedule,
-        # "hybrid" follows the knob default (so REPRO_HYBRID_DISABLE
-        # still works as the escape hatch); "oracle" forces packets.
-        hybrid=None if mode == "hybrid" else False,
+        hybrid=(mode == "hybrid"),
         record_timeline=False,
     )
     spec = random_task(topo, "gather", fan=fg_fan, seed=seed)

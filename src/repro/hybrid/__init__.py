@@ -5,7 +5,7 @@ latency distribution under study) runs on the packet simulator;
 background traffic runs at flow level and reaches the packet side only
 as time-varying residual capacity per link.  See
 :class:`~repro.hybrid.engine.HybridNetwork` for the contract and
-``REPRO_HYBRID_DISABLE`` / ``hybrid=False`` for the pure-packet oracle.
+``hybrid=False`` for the pure-packet oracle.
 """
 
 from repro.hybrid.background import (
@@ -19,14 +19,12 @@ from repro.hybrid.engine import (
     DEFAULT_MIN_RESIDUAL_FRACTION,
     HybridNetwork,
 )
-from repro.sim.knobs import HYBRID_ENV
 
 __all__ = [
     "BACKGROUND_GROUP",
     "BackgroundFlow",
     "BackgroundSchedule",
     "DEFAULT_MIN_RESIDUAL_FRACTION",
-    "HYBRID_ENV",
     "HybridError",
     "HybridNetwork",
     "random_background_schedule",

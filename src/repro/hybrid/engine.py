@@ -32,8 +32,7 @@ packets already in flight keep the serialization they started with
 (epoch changes apply to packets injected afterwards), and background
 flows do not re-path on repair (only on failure of a link they cross).
 
-With the hybrid knob disabled (``REPRO_HYBRID_DISABLE=1``, or
-``hybrid=False``) the same class becomes the **pure-packet oracle**:
+With ``hybrid=False`` the same class becomes the **pure-packet oracle**:
 every background flow materializes as a Poisson packet source at its
 demand bandwidth and the fabric simulates all packets.  The oracle is
 the accuracy baseline ``bench_hybrid_scale`` gates against.
@@ -78,13 +77,11 @@ class HybridNetwork(Network):
 
     ``background`` is the schedule of flow-level demands; foreground
     traffic is injected exactly as on a plain network (``send``,
-    traffic sources).  The ``hybrid`` knob (resolved by
-    the base class from the argument and ``REPRO_HYBRID_DISABLE``)
-    selects the mode:
+    traffic sources).  ``hybrid`` selects the mode:
 
-    * **hybrid** (default): background rides the residual-capacity
-      handoff described in the module docstring;
-    * **oracle** (knob off): background materializes as per-flow
+    * **hybrid** (``True``, the default): background rides the
+      residual-capacity handoff described in the module docstring;
+    * **oracle** (``False``): background materializes as per-flow
       Poisson packet sources — every packet simulated, group
       ``"background"`` so foreground stats stay separable.
 
@@ -99,6 +96,7 @@ class HybridNetwork(Network):
         router: Router,
         background: "BackgroundSchedule | Sequence[BackgroundFlow] | None" = None,
         *,
+        hybrid: bool = True,
         min_residual_fraction: float = DEFAULT_MIN_RESIDUAL_FRACTION,
         record_timeline: bool = True,
         background_packet_bytes: float = 1500.0,
@@ -115,6 +113,9 @@ class HybridNetwork(Network):
         elif not isinstance(background, BackgroundSchedule):
             background = BackgroundSchedule(background)
         self.background = background
+        #: Whether background rides the flow-level handoff (read-only
+        #: after init); ``False`` is the pure-packet oracle.
+        self.hybrid_enabled = hybrid
         self.min_residual_fraction = min_residual_fraction
         self.record_timeline = record_timeline
         self.background_packet_bytes = background_packet_bytes
@@ -152,8 +153,7 @@ class HybridNetwork(Network):
             self._schedule_epoch_boundaries()
         else:
             if self.obs is not None:
-                reason = "env" if kwargs.get("hybrid") is None else "arg"
-                self.obs.incr("hybrid.fallback_oracle." + reason)
+                self.obs.incr("hybrid.fallback_oracle.arg")
             self._materialize_oracle_sources()
 
     # -- epoch machinery (hybrid mode) ---------------------------------------------

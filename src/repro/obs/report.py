@@ -2,10 +2,10 @@
 
 A *run manifest* is a small JSON document answering the questions a
 perf-regression hunt always starts with: which package version and git
-commit produced these numbers, which feature knobs were armed (fastpath,
-batching, telemetry, hybrid, parallel, observability), what the
-artifact cache did, which seeds went in, and
-— when observability was armed — the full metrics snapshot of the run.
+commit produced these numbers, which environment switches were armed
+(telemetry, observability), what the artifact cache did, which seeds
+went in, and — when observability was armed — the full metrics snapshot
+of the run.
 
 ``repro smoke --manifest out.json`` and ``repro experiment --manifest``
 write one per run; ``repro report out.json`` validates and renders it;
@@ -40,8 +40,8 @@ __all__ = [
 #: Schema tag stamped into (and required of) every manifest.
 MANIFEST_SCHEMA = "repro.obs.manifest/v1"
 
-#: Boolean feature knobs every manifest must resolve.
-_KNOB_NAMES = ("fastpath", "batch", "telemetry", "hybrid", "parallel", "obs")
+#: The environment-backed switches every manifest must resolve.
+_KNOB_NAMES = ("telemetry", "obs")
 
 #: Top-level keys every manifest must carry.
 _REQUIRED_KEYS = (
@@ -51,30 +51,24 @@ _REQUIRED_KEYS = (
 
 
 def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
-    """Resolve every feature knob the way ``Network(...)`` would.
+    """Resolve the environment-backed switches as ``Network(...)`` would.
 
-    Returns the booleans for the six optional layers — the
-    environment-derived defaults, i.e. what a network built with
-    all-``None`` knobs gets.
+    ``telemetry`` and ``obs`` are what a network built with ``None`` for
+    both gets from the environment.  ``fastpath`` and ``batch`` are the
+    constructor defaults, constant since their environment switches
+    were retired; they stay in the answer because the frozen
+    ``benchmarks/e2e`` harness reads them.
     """
-    from repro.sim.fastpath import BATCH_ENV, FASTPATH_ENV
-    from repro.sim.knobs import HYBRID_ENV, OBS_ENV, PARALLEL_ENV, resolve_flag
+    from repro import obs
+    from repro.sim.knobs import resolve_flag
     from repro.telemetry import TELEMETRY_ENV
 
     source = os.environ if environ is None else environ
     return {
-        "fastpath": resolve_flag(None, FASTPATH_ENV, env_disables=True,
-                                 environ=source),
-        "batch": resolve_flag(None, BATCH_ENV, env_disables=True,
-                              environ=source),
-        "telemetry": resolve_flag(None, TELEMETRY_ENV, env_disables=False,
-                                  environ=source),
-        "hybrid": resolve_flag(None, HYBRID_ENV, env_disables=True,
-                               environ=source),
-        "parallel": resolve_flag(None, PARALLEL_ENV, env_disables=True,
-                                 environ=source),
-        "obs": resolve_flag(None, OBS_ENV, env_disables=False,
-                            environ=source),
+        "fastpath": True,
+        "batch": True,
+        "telemetry": resolve_flag(None, TELEMETRY_ENV, environ=source),
+        "obs": resolve_flag(None, obs.OBS_ENV, environ=source),
     }
 
 

@@ -9,8 +9,8 @@ sources used in Sections 6 and 7.
 """
 
 from repro.sim.engine import Engine, Event, SimulationError
-from repro.sim.fastpath import FASTPATH_ENV, HopPlan, compile_plan
-from repro.sim.knobs import HYBRID_ENV, PARALLEL_ENV, env_truthy, resolve_flag
+from repro.sim.fastpath import HopPlan, compile_plan
+from repro.sim.knobs import env_truthy, resolve_flag
 from repro.sim.faults import (
     FaultInjectionError,
     FaultInjector,
@@ -57,16 +57,14 @@ from repro.sim.switch import CCS, MODELS, SF_1G, SwitchModel, ULL, get_model, re
 from repro.sim.transport import ACK_BYTES, TCPFlow, TransportError, bulk_tcp_flows
 from repro.sim.trace import (
     LatencyBreakdown,
-    TracingNetwork,
     format_breakdown,
+    mean_breakdown,
+    packet_breakdown,
 )
 
 __all__ = [
     "BurstSource",
     "CCS",
-    "FASTPATH_ENV",
-    "HYBRID_ENV",
-    "PARALLEL_ENV",
     "env_truthy",
     "resolve_flag",
     "BoundaryMessage",
@@ -97,8 +95,9 @@ __all__ = [
     "LatencyBreakdown",
     "LatencyRecorder",
     "LatencySummary",
-    "TracingNetwork",
     "format_breakdown",
+    "mean_breakdown",
+    "packet_breakdown",
     "MODELS",
     "Network",
     "NetworkSimError",

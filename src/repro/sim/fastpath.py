@@ -43,9 +43,9 @@ plan that has left the cache registers in the same set a later cut of
 its link empties, which is what preserves severing, detours, and drop
 accounting exactly.  The network still clears its plan cache on
 :meth:`Network.fail_link` / :meth:`Network.repair_link` so the cache
-cannot accumulate stale paths across fault churn.  Set
-``REPRO_FASTPATH_DISABLE=1`` to force the reference loop; both paths
-produce bit-identical metrics.
+cannot accumulate stale paths across fault churn.
+``Network(fastpath=False)`` runs the reference loop; both paths produce
+bit-identical metrics.
 
 With :mod:`repro.obs` armed, the owning network counts plan compiles,
 cache hits, fault invalidations and flow-table overflow (``fastpath.*``
@@ -60,14 +60,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.routing.base import Path
     from repro.sim.network import PortState
-
-#: Environment variable that forces the reference (uncompiled) loop.
-FASTPATH_ENV = "REPRO_FASTPATH_DISABLE"
-
-#: Environment variable that turns the port-major pass of
-#: ``Network.run`` off (the scalar fast path and reference loop stay
-#: available as oracles).
-BATCH_ENV = "REPRO_BATCH_DISABLE"
 
 
 class HopPlan:

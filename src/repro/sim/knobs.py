@@ -1,29 +1,22 @@
-"""Shared resolution of the simulator's boolean feature knobs.
+"""Resolution of the simulator's opt-in environment switches.
 
-Every optional engine feature follows the same contract: a constructor
-argument that defaults to ``None``, backed by an environment variable,
-where an **explicit argument always wins** over the environment.  Before
-this module the resolution logic was copy-pasted per knob — the fastpath
-and batch knobs in :class:`~repro.sim.network.Network`, the telemetry
-knob in :func:`repro.telemetry.windows.resolve_config`, and the chunk
-selection in :mod:`repro.sim.sources` — with two *senses* of environment
-variable in play:
+Two observation layers can be armed from the environment —
+``REPRO_TELEMETRY`` (:mod:`repro.telemetry`) and ``REPRO_OBS``
+(:mod:`repro.obs`).  Both follow one contract: a constructor argument
+that defaults to ``None``, backed by an environment variable that turns
+the layer *on* for networks built with ``None``, where an **explicit
+argument always wins** (``Network(telemetry=False)`` stays off under
+``REPRO_TELEMETRY=1``).  A truthy environment value is anything but
+unset, empty, or ``"0"``.
 
-* **env-disables** (``REPRO_FASTPATH_DISABLE``, ``REPRO_BATCH_DISABLE``,
-  ``REPRO_HYBRID_DISABLE``): the feature defaults *on*; a truthy
-  environment value turns it off for networks built with ``None``;
-* **env-enables** (``REPRO_TELEMETRY``): the feature defaults *off*; a
-  truthy environment value turns it on for networks built with ``None``.
-
-Either way a truthy environment value is anything but unset, empty, or
-``"0"`` — and an explicit ``True``/``False`` argument overrides the
-environment entirely (``Network(fastpath=False)`` stays off even when
-``REPRO_FASTPATH_DISABLE`` is unset; ``Network(telemetry=False)`` stays
-off even under ``REPRO_TELEMETRY=1``).
+The engine's reference paths have no environment switch: pass
+``fastpath=False`` / ``batch=False`` to
+:class:`~repro.sim.network.Network`, ``hybrid=False`` to
+:class:`~repro.hybrid.HybridNetwork`, or call
+:func:`repro.sim.parallel.run_serial`.
 
 This module holds no simulator state and imports nothing from the rest
-of the package, so any layer (sim, telemetry, hybrid, sources) can use
-it without import cycles.
+of the package, so any layer can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -34,36 +27,12 @@ from typing import Mapping
 #: Environment values that read as "flag not set" (feature untouched).
 _FALSY = ("", "0")
 
-#: Environment variable that disables the hybrid packet/flow engine's
-#: residual-capacity handoff (``repro.hybrid`` then runs its background
-#: schedule in the pure-packet oracle mode).  Defined here rather than
-#: in :mod:`repro.hybrid` so :class:`~repro.sim.network.Network` can
-#: resolve its ``hybrid=`` knob without importing the hybrid layer.
-HYBRID_ENV = "REPRO_HYBRID_DISABLE"
-
-#: Environment variable that disables the conservative-window parallel
-#: DES (:mod:`repro.sim.parallel` then runs its scenario serially in one
-#: process — the reference execution every parallel run must match).
-#: Defined here for the same reason as :data:`HYBRID_ENV`: the network
-#: records the resolved knob without importing the parallel layer.
-PARALLEL_ENV = "REPRO_PARALLEL_DISABLE"
-
-#: Environment variable that arms the runtime observability layer
-#: (:mod:`repro.obs`): metrics registry, span tracer, and run manifests.
-#: Env-*enables*, like ``REPRO_TELEMETRY`` — observation is opt-in, and
-#: armed runs are required to stay fingerprint-identical to disarmed
-#: ones.  The canonical owner is ``repro.obs.OBS_ENV`` (that package
-#: must stay importable without touching ``repro.sim``); the literal is
-#: mirrored here — keeping this module import-free — and the obs test
-#: suite asserts the two stay equal.
-OBS_ENV = "REPRO_OBS"
-
 
 def env_truthy(env: str, environ: "Mapping[str, str] | None" = None) -> bool:
     """Whether environment variable ``env`` is set to a truthy value.
 
     Unset, empty, and ``"0"`` are falsy; everything else is truthy —
-    the convention every ``REPRO_*`` knob shares.
+    the convention every ``REPRO_*`` switch shares.
     """
     source = os.environ if environ is None else environ
     return source.get(env, "0") not in _FALSY
@@ -73,24 +42,17 @@ def resolve_flag(
     value: "bool | None",
     env: str,
     *,
-    env_disables: bool,
     environ: "Mapping[str, str] | None" = None,
 ) -> bool:
-    """Resolve one boolean feature knob: explicit argument beats environment.
+    """Resolve one opt-in switch: explicit argument beats environment.
 
     ``value`` is the constructor argument: ``True``/``False`` are taken
     as given (explicit ``False`` wins over any environment state), and
-    ``None`` defers to the environment variable ``env``.
-
-    ``env_disables`` selects the variable's sense: ``True`` means the
-    feature is on by default and a truthy ``env`` turns it *off* (the
-    ``*_DISABLE`` escape hatches); ``False`` means the feature is off by
-    default and a truthy ``env`` turns it *on* (opt-in knobs like
-    ``REPRO_TELEMETRY``).
+    ``None`` defers to the environment variable ``env``, which arms the
+    layer when truthy.
 
     ``environ`` substitutes for ``os.environ`` in tests.
     """
     if value is not None:
         return bool(value)
-    truthy = env_truthy(env, environ)
-    return not truthy if env_disables else truthy
+    return env_truthy(env, environ)

@@ -30,14 +30,9 @@ import networkx as nx
 
 from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
-from repro.sim.fastpath import (
-    BATCH_ENV,
-    FASTPATH_ENV,
-    HopPlan,
-    compile_plan,
-)
+from repro.sim.fastpath import HopPlan, compile_plan
 from repro import obs as _obs_layer
-from repro.sim.knobs import HYBRID_ENV, OBS_ENV, PARALLEL_ENV, resolve_flag
+from repro.sim.knobs import resolve_flag
 from repro.sim.stats import FaultRecorder, LatencyRecorder
 from repro.sim.switch import SwitchModel, get_model
 from repro.telemetry.windows import TelemetryConfig, TelemetryHub, resolve_config
@@ -120,11 +115,9 @@ class Network:
         server_forward_latency: float = DEFAULT_SERVER_FORWARD_LATENCY,
         host_receive_latency: float = 0.0,
         buffer_bytes: float | None = None,
-        fastpath: bool | None = None,
-        batch: bool | None = None,
+        fastpath: bool = True,
+        batch: bool = True,
         telemetry: "TelemetryConfig | bool | None" = None,
-        hybrid: bool | None = None,
-        parallel: bool | None = None,
         obs: bool | None = None,
     ) -> None:
         """``buffer_bytes`` bounds each output port's queue: a packet
@@ -135,60 +128,24 @@ class Network:
 
         ``fastpath`` selects the forwarding loop: ``True`` walks
         compiled per-path :class:`~repro.sim.fastpath.HopPlan` chains,
-        ``False`` runs the reference per-hop lookup loop.  The default
-        (``None``) enables the fast path unless the
-        ``REPRO_FASTPATH_DISABLE`` environment variable is set; both
-        loops produce bit-identical results.
-
-        ``batch`` enables the vectorized form of the kernel, the
-        port-major pass of :meth:`run`: an open-loop window — Poisson
-        streams and the packets already in flight — is clocked port by
-        port instead of event by event.  The default (``None``) follows
-        the ``REPRO_BATCH_DISABLE`` environment variable ("scalar fast
-        path only").  The pass additionally requires the compiled fast
-        path and unbounded buffers — with either missing,
-        ``batch_enabled`` stays ``False`` and every event goes through
-        the queue.  All forms (reference, fastpath, port-major) are
+        ``False`` runs the reference per-hop lookup loop — the oracle
+        the kernel is tested against.  ``batch`` allows the port-major
+        pass of :meth:`run`, which clocks an open-loop window port by
+        port instead of event by event; it also needs the fast path,
+        unbounded buffers and disarmed telemetry, else
+        ``batch_enabled`` stays ``False``.  All three forms are
         bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
         (:mod:`repro.telemetry`): ``True`` or a
         :class:`~repro.telemetry.TelemetryConfig` attaches per-port
         windowed queue monitors (and, by default, INT-style per-packet
-        stamping) via hooks in both forwarding loops; the default
-        (``None``) follows the ``REPRO_TELEMETRY`` environment
-        variable; ``False`` forces it off.  Telemetry is strictly
-        observational — packet timings, counters, and stats are
-        bit-identical with it on or off — but armed monitors need to
-        see every packet at every hop, so the port-major pass stands down
-        (``batch_enabled`` stays ``False``) exactly as it does for
-        bounded buffers; the compiled fast path keeps running.
-
-        ``hybrid`` resolves the hybrid packet/flow knob
-        (:mod:`repro.hybrid`): a plain :class:`Network` only records the
-        resolved value in ``hybrid_enabled``; a
-        :class:`~repro.hybrid.HybridNetwork` consults it to decide
-        whether background flows ride the flow-level residual-capacity
-        handoff (enabled) or materialize as packet sources — the
-        pure-packet oracle (disabled).  The default (``None``) follows
-        the ``REPRO_HYBRID_DISABLE`` environment variable; an explicit
-        ``False`` wins over the environment, like every other knob.
-
-        ``parallel`` resolves the conservative-window parallel-DES knob
-        the same way (``REPRO_PARALLEL_DISABLE``): a plain network only
-        records the value in ``parallel_enabled``;
-        :func:`repro.sim.parallel.run_parallel` consults it to decide
-        whether a scenario shards across worker processes or falls back
-        to the serial reference execution.
-
-        ``obs`` resolves the runtime-observability knob
-        (:mod:`repro.obs`): ``True`` arms the process-wide metrics
-        registry and span tracer and attaches the registry to this
-        network's instrumented paths; the default (``None``) follows
-        the ``REPRO_OBS`` environment variable (env-*enables*, like
-        telemetry); ``False`` detaches this network even when the
-        process is armed.  Observation is strictly one-way — armed runs
-        stay fingerprint-identical to disarmed runs."""
+        stamping); the default (``None``) follows ``REPRO_TELEMETRY``;
+        ``False`` forces it off.  ``obs`` attaches this network to the
+        process-wide metrics registry of :mod:`repro.obs` the same way
+        (``None`` follows ``REPRO_OBS`` or an earlier ``obs.arm()``).
+        Both layers are strictly observational: armed runs stay
+        fingerprint-identical to disarmed runs."""
         if buffer_bytes is not None and buffer_bytes <= 0:
             raise NetworkSimError(f"buffer size must be positive, got {buffer_bytes}")
         self.topo = topo
@@ -252,9 +209,7 @@ class Network:
         for server in topo.servers():
             self._hop_rec[server] = (False, server_forward_latency)
         #: Whether injections walk compiled plans (read-only after init).
-        self.fastpath_enabled = resolve_flag(
-            fastpath, FASTPATH_ENV, env_disables=True
-        )
+        self.fastpath_enabled = fastpath
         # Compiled forwarding plans, one per unique path, and the flows
         # bound to them: (src, dst, flow_id) -> (route, plan).  Both are
         # dropped by _invalidate_plans, so fault churn cannot grow a
@@ -268,23 +223,13 @@ class Network:
         #: disarmed telemetry (monitors observe per-packet queue state
         #: the pass never materializes).
         self.batch_enabled = (
-            resolve_flag(batch, BATCH_ENV, env_disables=True)
-            and self.fastpath_enabled
+            batch
+            and fastpath
             and buffer_bytes is None
             and self.telemetry is None
         )
-        #: Resolved ``hybrid=`` knob; consulted by
-        #: :class:`repro.hybrid.HybridNetwork` (a plain network never
-        #: reads it back).
-        self.hybrid_enabled = resolve_flag(hybrid, HYBRID_ENV, env_disables=True)
-        #: Resolved ``parallel=`` knob; consulted by
-        #: :func:`repro.sim.parallel.run_parallel` (a plain network
-        #: never reads it back).
-        self.parallel_enabled = resolve_flag(
-            parallel, PARALLEL_ENV, env_disables=True
-        )
-        #: Resolved ``obs=`` knob (read-only after init).
-        self.obs_enabled = resolve_flag(obs, OBS_ENV, env_disables=False)
+        #: Resolved ``obs=`` switch (read-only after init).
+        self.obs_enabled = resolve_flag(obs, _obs_layer.OBS_ENV)
         #: The metrics registry this network reports into, or ``None``
         #: — same one-attribute-check dormant contract as telemetry.
         if self.obs_enabled:

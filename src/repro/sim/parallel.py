@@ -55,9 +55,8 @@ merged ``events_processed``.  Per-flow recovery *times* are the one
 statistic not merged: a recovery window can open in one shard and close
 in another, so they are intentionally outside the fingerprint.
 
-Escape hatch: ``REPRO_PARALLEL_DISABLE=1`` (or
-``run_parallel(..., parallel=False)``) routes every scenario through
-:func:`run_serial`, the single-process reference execution.
+:func:`run_serial` is the single-process reference execution every
+sharded run must match.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from repro.routing.base import Router
 from repro.runner.pool import PinnedPool
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, SegmentCut
-from repro.sim.knobs import PARALLEL_ENV, resolve_flag
 from repro.sim.network import (
     DEFAULT_PROPAGATION_DELAY,
     Network,
@@ -884,20 +882,23 @@ def run_parallel(
     scenario: ParallelScenario,
     num_shards: int = 2,
     mode: str = "process",
-    parallel: bool | None = None,
+    parallel: bool = True,
 ) -> RunResult:
     """Run a scenario sharded across ``num_shards`` conservative windows.
 
     ``mode`` is ``"process"`` (one pinned worker process per shard — the
     real thing) or ``"inline"`` (shards stepped sequentially in this
     process — same windows, same barriers, no pickling; for tests and
-    debugging).  ``parallel``/``REPRO_PARALLEL_DISABLE`` resolve through
-    :func:`repro.sim.knobs.resolve_flag`; when disabled (or with a
-    single shard) the scenario runs through :func:`run_serial`.
+    debugging).  A single shard runs through :func:`run_serial`.
+    ``parallel`` selects nothing: ``True`` is accepted from callers
+    written against the retired switch, ``False`` is refused — call
+    :func:`run_serial` for the unsharded run.
     """
     if mode not in ("process", "inline"):
         raise ParallelSimError(f"mode must be 'process' or 'inline', got {mode!r}")
-    if not resolve_flag(parallel, PARALLEL_ENV, env_disables=True) or num_shards <= 1:
+    if not parallel:
+        raise ParallelSimError("parallel=False is retired: call run_serial(scenario)")
+    if num_shards <= 1:
         return run_serial(scenario)
 
     wall0 = time.perf_counter()

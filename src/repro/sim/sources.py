@@ -14,11 +14,10 @@ two independent numpy streams that are pre-drawn in chunks, so a
 million-packet source pays one RNG call per few hundred packets instead
 of one per packet.  numpy generators fill arrays from the same bit
 stream an element-at-a-time draw would consume, so the batched sequence
-is bit-identical for every chunk size — ``chunk=1`` (what
-``REPRO_FASTPATH_DISABLE=1`` forces) is the per-packet reference and
-produces exactly the same packets.  Under ``engine.run`` each packet's
-*injection* fires as its own engine event: port queueing interleaves
-with other traffic at arrival times, so arrivals cannot be applied
+is bit-identical for every chunk size — ``chunk=1`` is the per-packet
+reference and produces exactly the same packets.  Under ``engine.run``
+each packet's *injection* fires as its own engine event: port queueing
+interleaves with other traffic at arrival times, so arrivals cannot be applied
 stream by stream without changing results.  ``Network.run(until=…)``
 can do better when the queue holds nothing but single-destination
 Poisson fires and packets in flight: the horizon is then open loop,
@@ -42,8 +41,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.routing.base import RoutingError
-from repro.sim.fastpath import FASTPATH_ENV
-from repro.sim.knobs import env_truthy
 from repro.sim.network import Network, Packet
 from repro.units import BITS_PER_BYTE
 
@@ -76,8 +73,7 @@ class PoissonSource:
     streams, pre-drawn ``chunk`` packets at a time.  The packet sequence
     is identical for every chunk size (numpy fills batches from the same
     bit stream as repeated scalar draws), so batching is purely a speed
-    knob; ``chunk=None`` picks the default batch, or the per-packet
-    reference when ``REPRO_FASTPATH_DISABLE`` is set.
+    knob; ``chunk=1`` is the per-packet draw reference.
     """
 
     def __init__(
@@ -93,12 +89,10 @@ class PoissonSource:
         stop_at: float | None = None,
         vary_flow_per_packet: bool = False,
         on_delivered: Callable[[Packet, float], None] | None = None,
-        chunk: int | None = None,
+        chunk: int = DEFAULT_CHUNK,
     ) -> None:
         if rate_pps <= 0:
             raise SourceError(f"rate must be positive, got {rate_pps}")
-        if chunk is None:
-            chunk = 1 if env_truthy(FASTPATH_ENV) else DEFAULT_CHUNK
         if chunk < 1:
             raise SourceError(f"chunk must be at least 1, got {chunk}")
         self.network = network
@@ -396,7 +390,6 @@ def poisson_pair_sources(
     group: str | None = None,
     seed: int = 0,
     make_flow_id: Callable[[int], int] | None = None,
-    chunk: int | None = None,
 ) -> list[PoissonSource]:
     """One Poisson stream per (src, dst) pair — the paper's task model."""
     sources = []
@@ -412,7 +405,6 @@ def poisson_pair_sources(
                 group=group,
                 flow_id=flow_id,
                 seed=seed + index,
-                chunk=chunk,
             )
         )
     return sources

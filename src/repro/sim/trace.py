@@ -1,9 +1,10 @@
 """Per-packet latency decomposition.
 
 The paper reasons about latency as a sum of components (Table 2:
-stack/NIC/switch/congestion).  :class:`TracingNetwork` extends the
-packet simulator to attribute every microsecond of a packet's delivery
-time to one of four buckets:
+stack/NIC/switch/congestion).  :func:`packet_breakdown` attributes
+every microsecond of a delivered packet's fabric time to one of four
+buckets, reading nothing but the packet's INT stamps
+(``Network(telemetry=True)``) and the network's per-node records:
 
 * **serialization** — clocking bits onto links;
 * **switching** — switch (and server-relay) processing latency;
@@ -18,12 +19,9 @@ congested tree shifts toward queueing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.routing.base import Router
-from repro.sim.engine import Engine
-from repro.sim.network import Network, Packet
-from repro.topology.base import Topology
-from repro.units import serialization_delay
+from repro.sim.network import Network, NetworkSimError, Packet
 
 
 @dataclass(frozen=True)
@@ -59,107 +57,46 @@ class LatencyBreakdown:
 ZERO_BREAKDOWN = LatencyBreakdown(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass
-class _PacketLedger:
-    serialization: float = 0.0
-    switching: float = 0.0
-    queueing: float = 0.0
-    propagation: float = 0.0
+def packet_breakdown(network: Network, packet: Packet) -> LatencyBreakdown:
+    """Split one delivered packet's latency into its four components.
 
-
-class TracingNetwork(Network):
-    """A :class:`~repro.sim.network.Network` that attributes latency.
-
-    Semantics are identical to the base network (same event timing);
-    only bookkeeping is added:
-
-    * each port transmission adds its serialization time, plus any gap
-      between the packet's earliest-possible start and its actual start
-      as queueing;
-    * switch latency (and server-relay latency) is charged as switching;
-    * every hop adds one propagation delay.
-
-    For cut-through hops the earliest start precedes the tail arrival,
-    overlapping output serialization with input reception — that overlap
-    is *credited against* serialization so the components still sum to
-    the measured end-to-end latency.
+    The packet must carry INT stamps — one ``(node, depth, wait)`` per
+    port it was clocked onto, detours included — so the network needs
+    telemetry stamping armed.  Queueing is the stamped waits; switching
+    is the forwarding latency of every node after the first (switch
+    model or server-relay OS stack); propagation is one delay per hop.
+    Serialization is the remainder: the links' clocking times net of
+    the overlap a cut-through hop buys by starting before the tail has
+    arrived, at whatever rates the links ran at.  The components sum to
+    the packet's latency less ``host_receive_latency``, which is host
+    time, not fabric time.
     """
+    stamps = packet.stamps
+    if packet.delivered_at is None or not stamps:
+        raise NetworkSimError(
+            f"packet {packet.packet_id} needs delivery and INT stamps to decompose"
+        )
+    switching = sum(network._hop_rec[node][1] for node, _, _ in stamps[1:])
+    queueing = sum(wait for _, _, wait in stamps)
+    propagation = len(stamps) * network.propagation_delay
+    fabric = packet.latency - network.host_receive_latency
+    return LatencyBreakdown(
+        serialization=fabric - switching - queueing - propagation,
+        switching=switching,
+        queueing=queueing,
+        propagation=propagation,
+    )
 
-    def __init__(
-        self, topo: Topology, router: Router, engine: Engine | None = None, **kwargs
-    ) -> None:
-        # Tracing hooks into the reference _transmit/_arrive loop; the
-        # compiled fast path would skip the bookkeeping, so pin it off
-        # (tracing is a diagnostic, not a hot path).
-        kwargs.setdefault("fastpath", False)
-        super().__init__(topo, router, engine=engine, **kwargs)
-        self._ledgers: dict[int, _PacketLedger] = {}
-        self._pending_switch: dict[int, float] = {}
-        self.breakdowns: dict[int, LatencyBreakdown] = {}
-        self.breakdowns_by_group: dict[str, list[LatencyBreakdown]] = {}
 
-    # -- bookkeeping hooks --------------------------------------------------------
-
-    def _transmit(self, packet: Packet, earliest_start: float) -> None:
-        ledger = self._ledgers.setdefault(packet.packet_id, _PacketLedger())
-        node = packet.path[packet.hop]
-        next_node = packet.path[packet.hop + 1]
-        capacity = self._capacity[(node, next_node)]
-        ser = serialization_delay(packet.size_bytes, capacity)
-        port = self._ports.get((node, next_node))
-        busy_until = port.busy_until if port is not None else 0.0
-        now = self.engine.now
-        # Switching latency charged for this hop (0 for the host send).
-        switching = self._pending_switch.pop(packet.packet_id, 0.0)
-        ledger.switching += switching
-        # A store-and-forward hop starts no earlier than now + switching;
-        # how far cut-through pulls the start earlier is the overlap of
-        # output serialization with input reception — credited against
-        # serialization so components sum to the measured latency.
-        credit = max(0.0, (now + switching) - earliest_start)
-        ledger.queueing += max(0.0, busy_until - earliest_start)
-        ledger.serialization += ser - min(credit, ser)
-        ledger.propagation += self.propagation_delay
-        super()._transmit(packet, earliest_start)
-
-    def _arrive(self, packet: Packet) -> None:
-        next_hop = packet.hop + 1
-        node = packet.path[next_hop]
-        if next_hop < len(packet.path) - 1:
-            if self.topo.is_server(node):
-                self._pending_switch[packet.packet_id] = self.server_forward_latency
-            else:
-                self._pending_switch[packet.packet_id] = self._switch_models[
-                    node
-                ].latency
-        was_delivered = self.packets_delivered
-        super()._arrive(packet)
-        if self.packets_delivered > was_delivered:
-            ledger = self._ledgers.pop(packet.packet_id, _PacketLedger())
-            breakdown = LatencyBreakdown(
-                serialization=ledger.serialization,
-                switching=ledger.switching,
-                queueing=ledger.queueing,
-                propagation=ledger.propagation,
-            )
-            self.breakdowns[packet.packet_id] = breakdown
-            if packet.group is not None:
-                self.breakdowns_by_group.setdefault(packet.group, []).append(breakdown)
-
-    # -- aggregation ----------------------------------------------------------------
-
-    def mean_breakdown(self, group: str | None = None) -> LatencyBreakdown:
-        """Average component breakdown over delivered packets."""
-        if group is None:
-            pool = list(self.breakdowns.values())
-        else:
-            pool = self.breakdowns_by_group.get(group, [])
-        if not pool:
-            raise ValueError("no delivered packets to aggregate")
-        total = ZERO_BREAKDOWN
-        for item in pool:
-            total = total + item
-        return total.scaled(1.0 / len(pool))
+def mean_breakdown(breakdowns: Iterable[LatencyBreakdown]) -> LatencyBreakdown:
+    """Average component breakdown over a set of packets."""
+    total, count = ZERO_BREAKDOWN, 0
+    for item in breakdowns:
+        total = total + item
+        count += 1
+    if not count:
+        raise ValueError("no delivered packets to aggregate")
+    return total.scaled(1.0 / count)
 
 
 def format_breakdown(breakdown: LatencyBreakdown, label: str = "") -> str:

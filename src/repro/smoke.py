@@ -78,28 +78,14 @@ def compute_smoke_metrics() -> dict[str, Any]:
         warmup=0.0003,
         bin_width=0.0001,
     )
-    # The hybrid cell pins the residual handoff itself, so the knob is
-    # forced on for its duration: unlike the fastpath/batch loops, the
-    # hybrid and oracle modes are *not* bit-identical (that difference
-    # is the accuracy gate's whole subject), and the golden must not
-    # depend on which CI matrix leg runs the smoke check.
-    import os
-
-    from repro.sim.knobs import HYBRID_ENV
-
-    saved_hybrid = os.environ.pop(HYBRID_ENV, None)
-    try:
-        hybrid = run_hybrid_scale_cell(
-            fabric="quartz-ring-small",
-            mode="hybrid",
-            n_background=20,
-            fg_fan=4,
-            duration=0.002,
-            seed=0,
-        )
-    finally:
-        if saved_hybrid is not None:
-            os.environ[HYBRID_ENV] = saved_hybrid
+    hybrid = run_hybrid_scale_cell(
+        fabric="quartz-ring-small",
+        mode="hybrid",
+        n_background=20,
+        fg_fan=4,
+        duration=0.002,
+        seed=0,
+    )
     return {
         "fig17.mean_latency_us": fig17.mean_latency * 1e6,
         "fig17.packets": fig17.summary.count,

@@ -40,8 +40,7 @@ from typing import Iterator
 from repro.units import MICROSECONDS
 
 #: Environment variable arming telemetry for networks built with
-#: ``telemetry=None`` (mirrors ``REPRO_FASTPATH_DISABLE`` /
-#: ``REPRO_BATCH_DISABLE``: unset, empty, or ``"0"`` leaves it off).
+#: ``telemetry=None`` (unset, empty, or ``"0"`` leaves it off).
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Default monitoring window width (PrintQueue uses microsecond-scale
@@ -92,9 +91,8 @@ def resolve_config(
 ) -> "TelemetryConfig | None":
     """Resolve the ``Network(telemetry=...)`` argument to a config.
 
-    ``None`` follows :data:`TELEMETRY_ENV` via the shared knob helper
-    (:func:`repro.sim.knobs.resolve_flag`, in its env-*enables* sense —
-    telemetry is the one knob that defaults off); ``True`` arms the
+    ``None`` follows :data:`TELEMETRY_ENV` via the shared helper
+    (:func:`repro.sim.knobs.resolve_flag`); ``True`` arms the
     defaults; ``False`` forces telemetry off regardless of the
     environment; a :class:`TelemetryConfig` is used as given.
     """
@@ -102,7 +100,7 @@ def resolve_config(
         return telemetry
     from repro.sim.knobs import resolve_flag
 
-    armed = resolve_flag(telemetry, TELEMETRY_ENV, env_disables=False)
+    armed = resolve_flag(telemetry, TELEMETRY_ENV)
     return TelemetryConfig() if armed else None
 
 

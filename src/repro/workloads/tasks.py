@@ -95,7 +95,6 @@ class StreamingTask:
         group: str = "task",
         seed: int = 0,
         flow_base: int = 0,
-        chunk: int | None = None,
     ) -> None:
         if spec.kind not in ("scatter", "gather"):
             raise TaskError(f"StreamingTask cannot run a {spec.kind!r} task")
@@ -115,7 +114,6 @@ class StreamingTask:
                 group=group,
                 flow_id=flow_base + i,
                 seed=seed + i,
-                chunk=chunk,
             )
             for i, (src, dst) in enumerate(pairs)
         ]

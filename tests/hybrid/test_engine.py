@@ -138,8 +138,7 @@ class TestResidualHandoff:
 
 
 class TestModes:
-    def test_oracle_mode_materializes_sources(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HYBRID_DISABLE", raising=False)
+    def test_oracle_mode_materializes_sources(self):
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
         net = build([one_bg(servers, 1 * GBPS, stop=2e-4)], topo, hybrid=False)
@@ -150,19 +149,6 @@ class TestModes:
         assert net.stats.summary("background").count > 0
         with pytest.raises(HybridError):
             net.background_rates()
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HYBRID_DISABLE", "1")
-        topo = T.quartz_ring(3, 1)
-        servers = topo.servers()
-        net = build([one_bg(servers, 1 * GBPS)], topo)
-        assert not net.hybrid_enabled
-        assert net.background_sources
-        # Explicit True still wins over the environment.
-        topo2 = T.quartz_ring(3, 1)
-        net2 = build([one_bg(topo2.servers(), 1 * GBPS)], topo2, hybrid=True)
-        assert net2.hybrid_enabled
-        assert not net2.background_sources
 
     def test_plain_sequence_accepted(self):
         topo = T.quartz_ring(3, 1)
@@ -252,16 +238,14 @@ class TestFaultInterplay:
 
 
 class TestBitIdentityAcrossLoops:
-    def _foreground_summary(self, monkeypatch, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def _foreground_summary(self, **paths):
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
         flows = [
             BackgroundFlow(1_000_000, servers[0], servers[2], 4 * GBPS, 0.0, 4e-4),
             BackgroundFlow(1_000_001, servers[1], servers[0], 6 * GBPS, 1e-4, 3e-4),
         ]
-        net = build(flows, topo)
+        net = build(flows, topo, **paths)
         src = PoissonSource.at_bandwidth(
             net, servers[0], servers[1], 2 * GBPS, group="fg", seed=11,
             stop_at=4e-4,
@@ -269,18 +253,11 @@ class TestBitIdentityAcrossLoops:
         src.start()
         net.run(until=6e-4)
         s = net.stats.summary("fg")
-        for name in env:
-            monkeypatch.delenv(name)
         return (s.count, s.mean, s.p99, s.maximum)
 
-    def test_reference_fastpath_batched_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HYBRID_DISABLE", raising=False)
-        batched = self._foreground_summary(monkeypatch, {})
-        fastpath = self._foreground_summary(
-            monkeypatch, {"REPRO_BATCH_DISABLE": "1"}
-        )
-        reference = self._foreground_summary(
-            monkeypatch, {"REPRO_FASTPATH_DISABLE": "1"}
-        )
+    def test_reference_fastpath_batched_identical(self):
+        batched = self._foreground_summary()
+        fastpath = self._foreground_summary(batch=False)
+        reference = self._foreground_summary(fastpath=False)
         assert batched == fastpath == reference
         assert batched[0] > 0

@@ -22,30 +22,17 @@ def _disarmed(monkeypatch):
         obs.arm()
 
 
-class TestKnobOwnership:
-    def test_obs_env_constant_matches_knobs_mirror(self):
-        from repro.sim.knobs import OBS_ENV as KNOBS_OBS_ENV
-
-        assert obs.OBS_ENV == KNOBS_OBS_ENV == "REPRO_OBS"
-
-
 class TestResolvedKnobs:
     def test_defaults_with_empty_environment(self):
         knobs = report.resolved_knobs(environ={})
         assert knobs == {
-            "fastpath": True, "batch": True, "telemetry": False,
-            "hybrid": True, "parallel": True, "obs": False,
+            "fastpath": True, "batch": True, "telemetry": False, "obs": False,
         }
 
     def test_environment_overrides(self):
         knobs = report.resolved_knobs(
-            environ={
-                "REPRO_FASTPATH_DISABLE": "1",
-                "REPRO_TELEMETRY": "1",
-                "REPRO_OBS": "1",
-            }
+            environ={"REPRO_TELEMETRY": "1", "REPRO_OBS": "1"}
         )
-        assert knobs["fastpath"] is False
         assert knobs["telemetry"] is True
         assert knobs["obs"] is True
 
@@ -82,6 +69,10 @@ class TestBuildManifest:
         doc = report.build_manifest(environ={})
         assert report.validate_manifest(doc) == []
         json.dumps(doc)  # must not raise
+        # A manifest from before the escape hatches retired carries
+        # more knobs; extra keys are not an error.
+        doc["knobs"].update(hybrid=True, parallel=False)
+        assert report.validate_manifest(doc) == []
 
     def test_armed_registry_snapshot_lands_in_metrics(self):
         obs.arm()
@@ -129,8 +120,8 @@ class TestValidateManifest:
 
     def test_rejects_non_boolean_knob(self):
         doc = report.build_manifest(environ={})
-        doc["knobs"]["fastpath"] = "yes"
-        assert any("knobs.fastpath" in p for p in report.validate_manifest(doc))
+        doc["knobs"]["telemetry"] = "yes"
+        assert any("knobs.telemetry" in p for p in report.validate_manifest(doc))
 
     def test_rejects_malformed_metrics(self):
         doc = report.build_manifest(environ={})
@@ -153,4 +144,4 @@ class TestRenderManifest:
         assert "engine.runs = 1" in text
         assert "engine.run_seconds: count=1" in text
         assert "cut=1" in text
-        assert "obs=on" in text
+        assert "knobs     telemetry=off, obs=on" in text

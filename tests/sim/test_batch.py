@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.routing import ECMPRouter
 from repro.sim import Network, portmajor
-from repro.sim.fastpath import BATCH_ENV
 from repro.sim.portmajor import _contended_tails, _repeated_add
 from repro.sim.sources import PoissonSource
 
@@ -107,8 +106,6 @@ def run_workload(
         PoissonSource(
             net, servers[i], servers[-1], rate_pps=rate, seed=i, flow_id=i,
             group="load", stop_at=stop_at,
-            # Pinned (not None) so the suite behaves the same under
-            # REPRO_FASTPATH_DISABLE=1, which flips the chunk default.
             chunk=1 if mode == "reference" else 256,
         )
         for i in range(nsrc)
@@ -201,29 +198,8 @@ class TestEquivalence:
 
 
 class TestFlagResolution:
-    # fastpath=True and telemetry=False are pinned so the assertions
-    # hold even when the whole suite runs under REPRO_FASTPATH_DISABLE=1
-    # or REPRO_TELEMETRY=1.
-    def test_env_disables_batching(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "1")
-        topo = T.full_mesh(2, 1)
-        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
-        assert not net.batch_enabled
-
-    def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "1")
-        topo = T.full_mesh(2, 1)
-        net = Network(
-            topo, ECMPRouter(topo), fastpath=True, batch=True, telemetry=False
-        )
-        assert net.batch_enabled
-
-    def test_env_unset_enables_batching(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        topo = T.full_mesh(2, 1)
-        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
-        assert net.batch_enabled
-
+    # telemetry=False is pinned so the assertions hold even when the
+    # whole suite runs under REPRO_TELEMETRY=1.
     def test_batching_requires_fastpath(self):
         topo = T.full_mesh(2, 1)
         net = Network(

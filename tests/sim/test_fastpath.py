@@ -23,6 +23,29 @@ from repro.sim.sources import PoissonSource
 from repro.units import GBPS, serialization_delay
 
 
+def network_fingerprint(net):
+    """Every externally visible number of a finished (or paused) run."""
+    engine = net.engine
+    return (
+        net.packets_delivered,
+        net.packets_dropped,
+        net.packets_dropped_fault,
+        net.packets_rerouted,
+        engine.events_processed,
+        tuple(net.stats.samples),
+        sorted(
+            (key, p.packets_sent, p.bytes_sent, p.busy_until, p.packets_dropped)
+            for key, p in net._ports.items()
+        ),
+        engine.pending(),
+        net.telemetry.window_dump() if net.telemetry is not None else None,
+        {
+            flow: {node: vars(agg) for node, agg in per_node.items()}
+            for flow, per_node in net.stats.hop_stamps.items()
+        },
+    )
+
+
 def run_fingerprint(fastpath, buffer_bytes=None, fault=False, telemetry=False):
     """Run a fixed workload; return every externally visible number."""
     topo = T.three_tier_tree()
@@ -38,7 +61,7 @@ def run_fingerprint(fastpath, buffer_bytes=None, fault=False, telemetry=False):
     sources = [
         PoissonSource(
             net, servers[i], servers[-1], rate_pps=600_000.0,
-            seed=i, flow_id=i, group="load", chunk=1 if not fastpath else None,
+            seed=i, flow_id=i, group="load", chunk=1 if not fastpath else 256,
         )
         for i in range(6)
     ]
@@ -54,24 +77,7 @@ def run_fingerprint(fastpath, buffer_bytes=None, fault=False, telemetry=False):
         engine.schedule(0.004, lambda: net.fail_link(u, v))
         engine.schedule(0.008, lambda: net.repair_link(u, v))
     engine.run(until=0.012)
-    return (
-        net.packets_delivered,
-        net.packets_dropped,
-        net.packets_dropped_fault,
-        net.packets_rerouted,
-        engine.events_processed,
-        tuple(net.stats.samples),
-        sorted(
-            (key, p.packets_sent, p.bytes_sent, p.busy_until, p.packets_dropped)
-            for key, p in net._ports.items()
-        ),
-        engine.pending(),
-        net.telemetry.window_dump() if telemetry else None,
-        {
-            flow: {node: vars(agg) for node, agg in per_node.items()}
-            for flow, per_node in net.stats.hop_stamps.items()
-        },
-    )
+    return network_fingerprint(net)
 
 
 class TestEquivalence:
@@ -318,19 +324,6 @@ class TestBoundFlows:
                 obs.arm()
         assert observed == result
         assert counters["fastpath.flow_table_full"] == result[0] - 32
-
-
-class TestFlagResolution:
-    def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH_DISABLE", "1")
-        topo = T.full_mesh(2, 1)
-        assert Network(topo, ECMPRouter(topo), fastpath=True).fastpath_enabled
-        assert not Network(topo, ECMPRouter(topo)).fastpath_enabled
-
-    def test_env_unset_enables_fastpath(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH_DISABLE", raising=False)
-        topo = T.full_mesh(2, 1)
-        assert Network(topo, ECMPRouter(topo)).fastpath_enabled
 
 
 def mixed_rate_topology(rate_in, rate_out):

@@ -1,17 +1,18 @@
 """Runtime fault injection: cuts, repairs, drops, and live rerouting."""
 
+import functools
+
 import pytest
 
 from repro.core.multiring import plan_rings
 from repro.routing import ECMPRouter, RoutingError, VLBRouter
-from repro.sim import Network
+from repro.sim import Network, parallel as parallel_module
 from repro.sim.faults import (
     FaultInjectionError,
     FaultInjector,
     SegmentCut,
     random_fault_schedule,
 )
-from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.parallel import (
     ParallelScenario,
     ShardNetwork,
@@ -415,17 +416,20 @@ class TestInFlightSetIdentity:
                 duration=3e-4, fault_cuts=cuts, fault_plan=(5, None),
             )
 
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
         once = run_serial(scenario(False))
         kernel = run_serial(scenario(True))
         sharded = run_parallel(
-            scenario(True), num_shards=2, mode="inline", parallel=True
+            scenario(True), num_shards=2, mode="inline"
         )
         assert kernel.packets_dropped_fault > once.packets_dropped_fault > 0
         assert sharded.fingerprint() == kernel.fingerprint()
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+        for cls in ("Network", "ShardNetwork"):  # serial, then each shard
+            monkeypatch.setattr(
+                parallel_module, cls,
+                functools.partial(getattr(parallel_module, cls), fastpath=False),
+            )
         assert run_serial(scenario(True)).fingerprint() == kernel.fingerprint()
         oracle_sharded = run_parallel(
-            scenario(True), num_shards=2, mode="inline", parallel=True
+            scenario(True), num_shards=2, mode="inline"
         )
         assert oracle_sharded.fingerprint() == kernel.fingerprint()

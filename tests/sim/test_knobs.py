@@ -1,55 +1,41 @@
-"""Table-driven tests for the shared knob-resolution helper.
+"""Table-driven tests for the opt-in switch helper.
 
-One helper (:func:`repro.sim.knobs.resolve_flag`) now backs every
-boolean feature knob — fastpath, batch, telemetry, hybrid — in both
-environment-variable senses.  The table pins the full truth table, and
-the integration cases prove each consumer actually routes through it
-(explicit ``False`` wins over the environment everywhere).
+One helper (:func:`repro.sim.knobs.resolve_flag`) backs the two
+environment-armed layers, telemetry and obs.  The table pins its truth
+table, and the integration cases prove the consumers route through it
+(explicit ``False`` wins over the environment) and that the engine's
+reference paths are plain constructor arguments.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
 import repro.topology as T
 from repro.routing import ECMPRouter
 from repro.sim import Network
-from repro.sim.fastpath import BATCH_ENV, FASTPATH_ENV
-from repro.sim.knobs import HYBRID_ENV, PARALLEL_ENV, env_truthy, resolve_flag
-from repro.sim.sources import PoissonSource
+from repro.sim.knobs import env_truthy, resolve_flag
 from repro.telemetry import TELEMETRY_ENV, TelemetryConfig
 from repro.telemetry.windows import resolve_config
 
-#: (value, env setting, env_disables, expected) — the full truth table.
-#: ``env`` of None means the variable is unset.
+#: (value, env setting, expected); ``env`` of None means unset.
 RESOLVE_TABLE = [
-    # env-disables sense (fastpath/batch/hybrid): default on.
-    (None, None, True, True),
-    (None, "", True, True),
-    (None, "0", True, True),
-    (None, "1", True, False),
-    (None, "yes", True, False),
-    (True, "1", True, True),  # explicit True beats a disabling env
-    (False, None, True, False),  # explicit False with no env stays off
-    (False, "0", True, False),
-    # env-enables sense (telemetry): default off.
-    (None, None, False, False),
-    (None, "", False, False),
-    (None, "0", False, False),
-    (None, "1", False, True),
-    (None, "on", False, True),
-    (True, None, False, True),
-    (False, "1", False, False),  # explicit False beats an enabling env
+    (None, None, False),
+    (None, "", False),
+    (None, "0", False),
+    (None, "1", True),
+    (None, "on", True),
+    (True, None, True),
+    (False, "1", False),  # explicit False beats an enabling env
 ]
 
 
-@pytest.mark.parametrize("value,env,env_disables,expected", RESOLVE_TABLE)
-def test_resolve_flag_truth_table(value, env, env_disables, expected):
+@pytest.mark.parametrize("value,env,expected", RESOLVE_TABLE)
+def test_resolve_flag_truth_table(value, env, expected):
     environ = {} if env is None else {"KNOB": env}
-    assert (
-        resolve_flag(value, "KNOB", env_disables=env_disables, environ=environ)
-        is expected
-    )
+    assert resolve_flag(value, "KNOB", environ=environ) is expected
 
 
 def test_env_truthy_convention():
@@ -61,42 +47,28 @@ def test_env_truthy_convention():
 
 
 def _net(monkeypatch, env_name=None, env_value=None, **kwargs):
-    # Hermetic environment: an outer CI leg (REPRO_TELEMETRY=1,
-    # REPRO_FASTPATH_DISABLE=1, ...) must not leak into knob-resolution
-    # assertions — each case sets exactly the one variable it tests.
-    for leaked in (FASTPATH_ENV, BATCH_ENV, HYBRID_ENV, PARALLEL_ENV,
-                   TELEMETRY_ENV):
-        monkeypatch.delenv(leaked, raising=False)
+    # Hermetic environment: the REPRO_TELEMETRY=1 CI leg must not leak
+    # into the assertions — each case sets the variable itself.
+    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
     if env_name is not None:
         monkeypatch.setenv(env_name, env_value)
     topo = T.quartz_ring(3, 1)
     return Network(topo, ECMPRouter(topo), **kwargs)
 
 
-#: Each consumer knob: (Network kwarg, env var, attribute, armed-check).
-KNOB_CASES = [
-    ("fastpath", FASTPATH_ENV, "fastpath_enabled"),
-    ("batch", BATCH_ENV, "batch_enabled"),
-    ("hybrid", HYBRID_ENV, "hybrid_enabled"),
-    ("parallel", PARALLEL_ENV, "parallel_enabled"),
-]
-
-
-@pytest.mark.parametrize("kwarg,env,attr", KNOB_CASES)
-def test_network_knob_default_follows_env(monkeypatch, kwarg, env, attr):
-    monkeypatch.delenv(env, raising=False)
-    assert getattr(_net(monkeypatch), attr) is True
-    assert getattr(_net(monkeypatch, env, "1"), attr) is False
-
-
-@pytest.mark.parametrize("kwarg,env,attr", KNOB_CASES)
-def test_network_explicit_false_wins(monkeypatch, kwarg, env, attr):
-    monkeypatch.delenv(env, raising=False)
-    assert getattr(_net(monkeypatch, **{kwarg: False}), attr) is False
-    # ... and explicit True beats a disabling environment.  batch is
-    # special only in that it also requires the fast path, which the
-    # default leaves on.
-    assert getattr(_net(monkeypatch, env, "1", **{kwarg: True}), attr) is True
+def test_network_reference_paths_are_arguments(monkeypatch):
+    net = _net(monkeypatch)
+    assert net.fastpath_enabled is True and net.batch_enabled is True
+    oracle = _net(monkeypatch, fastpath=False)
+    assert oracle.fastpath_enabled is False
+    assert oracle.batch_enabled is False  # the pass reads compiled plans
+    scalar = _net(monkeypatch, batch=False)
+    assert scalar.fastpath_enabled is True and scalar.batch_enabled is False
+    # The hybrid and parallel switches live on the classes that read them.
+    parameters = inspect.signature(Network.__init__).parameters
+    assert "hybrid" not in parameters and "parallel" not in parameters
+    assert not hasattr(net, "hybrid_enabled")
+    assert not hasattr(net, "parallel_enabled")
 
 
 def test_telemetry_knob_env_enables(monkeypatch):
@@ -110,11 +82,3 @@ def test_telemetry_knob_env_enables(monkeypatch):
 def test_telemetry_config_passthrough():
     config = TelemetryConfig(window=1e-3, stamping=False)
     assert resolve_config(config) is config
-
-
-def test_source_chunk_follows_fastpath_env(monkeypatch):
-    net = _net(monkeypatch)
-    servers = net.topo.servers()
-    assert PoissonSource(net, servers[0], servers[1], rate_pps=1.0).chunk > 1
-    net = _net(monkeypatch, FASTPATH_ENV, "1")
-    assert PoissonSource(net, servers[0], servers[1], rate_pps=1.0).chunk == 1

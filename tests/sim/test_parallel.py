@@ -12,16 +12,15 @@ churn crossing shard boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import networkx as nx
 import pytest
 
 import repro.topology as T
-from repro.sim import Network
-from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim import Network, parallel as parallel_module
 from repro.sim.faults import SegmentCut
-from repro.sim.knobs import PARALLEL_ENV
 from repro.sim.parallel import (
     BoundaryMessage,
     FABRICS,
@@ -263,17 +262,12 @@ class TestShardNetwork:
 
 
 class TestFingerprintEquivalence:
-    # ``parallel=True`` everywhere below: the equivalence claims are
-    # about real sharded execution, so the tests must not silently
-    # degrade to serial-vs-serial under a REPRO_PARALLEL_DISABLE leg
-    # (explicit argument beats environment, per the knob contract).
-
     @pytest.mark.parametrize("num_shards", [2, 3, 5])
     def test_inline_matches_serial(self, num_shards):
         scenario = make_scenario()
         serial = run_serial(scenario)
         parallel = run_parallel(
-            scenario, num_shards=num_shards, mode="inline", parallel=True
+            scenario, num_shards=num_shards, mode="inline"
         )
         assert parallel.mode == "parallel-inline"
         assert parallel.fingerprint() == serial.fingerprint()
@@ -290,7 +284,7 @@ class TestFingerprintEquivalence:
         assert serial.packets_dropped_fault > 0  # the churn actually bites
         assert serial.packets_rerouted > 0
         parallel = run_parallel(
-            scenario, num_shards=num_shards, mode="inline", parallel=True
+            scenario, num_shards=num_shards, mode="inline"
         )
         assert parallel.fingerprint() == serial.fingerprint()
 
@@ -309,12 +303,14 @@ class TestFingerprintEquivalence:
             return result
 
         monkeypatch.setattr(ShardNetwork, "_tail_out", spy)
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
         serial = run_serial(scenario)
-        kernel = run_parallel(scenario, num_shards=2, mode="inline", parallel=True)
+        kernel = run_parallel(scenario, num_shards=2, mode="inline")
         assert 0 in crossings  # a detour's first hop left its shard
-        monkeypatch.setenv(FASTPATH_ENV, "1")
-        oracle = run_parallel(scenario, num_shards=2, mode="inline", parallel=True)
+        monkeypatch.setattr(
+            parallel_module, "ShardNetwork",
+            functools.partial(ShardNetwork, fastpath=False),
+        )
+        oracle = run_parallel(scenario, num_shards=2, mode="inline")
         assert kernel.fingerprint() == serial.fingerprint()
         assert oracle.fingerprint() == serial.fingerprint()
 
@@ -322,7 +318,7 @@ class TestFingerprintEquivalence:
         scenario = make_scenario(fault=True, duration=1e-3)
         serial = run_serial(scenario)
         parallel = run_parallel(
-            scenario, num_shards=2, mode="process", parallel=True
+            scenario, num_shards=2, mode="process"
         )
         assert parallel.fingerprint() == serial.fingerprint()
         assert parallel.mode == "parallel-process"
@@ -335,19 +331,8 @@ class TestFingerprintEquivalence:
         assert result.mode == "serial"
         assert result.windows == 0
 
-    def test_disable_knob_falls_back_to_serial(self, monkeypatch):
-        scenario = make_scenario(duration=0.5e-3)
-        monkeypatch.setenv(PARALLEL_ENV, "1")
-        result = run_parallel(scenario, num_shards=2, mode="inline")
-        assert result.mode == "serial"
-        # Explicit argument beats the environment, like every knob.
-        monkeypatch.setenv(PARALLEL_ENV, "1")
-        forced = run_parallel(
-            scenario, num_shards=2, mode="inline", parallel=True
-        )
-        assert forced.mode == "parallel-inline"
-        assert forced.fingerprint() == result.fingerprint()
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ParallelSimError, match="mode"):
             run_parallel(make_scenario(), num_shards=2, mode="threads")
+        with pytest.raises(ParallelSimError, match="run_serial"):
+            run_parallel(make_scenario(), num_shards=2, parallel=False)

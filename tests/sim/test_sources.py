@@ -169,12 +169,7 @@ class TestChunkedDraws:
     batches from the same bit stream as repeated scalar draws, and gap
     and destination picks use independent streams)."""
 
-    def fingerprint(self, chunk, env=None, monkeypatch=None):
-        if monkeypatch is not None:
-            if env is None:
-                monkeypatch.delenv("REPRO_FASTPATH_DISABLE", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_FASTPATH_DISABLE", env)
+    def fingerprint(self, chunk):
         topo = T.full_mesh(4, 2)
         net = Network(topo, ECMPRouter(topo))
         source = PoissonSource(
@@ -196,32 +191,11 @@ class TestChunkedDraws:
         assert self.fingerprint(7) == one
         assert self.fingerprint(1024) == one
 
-    def test_default_chunk_matches_reference_env(self, monkeypatch):
-        batched = self.fingerprint(None, env=None, monkeypatch=monkeypatch)
-        reference = self.fingerprint(None, env="1", monkeypatch=monkeypatch)
-        assert batched == reference
-
-    def test_env_forces_per_packet_draws(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH_DISABLE", "1")
-        topo = T.full_mesh(2, 1)
-        source = PoissonSource(
-            Network(topo, ECMPRouter(topo)), "h0.0", "h1.0", rate_pps=1000
-        )
-        assert source.chunk == 1
-
     def test_invalid_chunk_rejected(self):
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo))
         with pytest.raises(SourceError):
             PoissonSource(net, "h0.0", "h1.0", rate_pps=1000, chunk=0)
-
-    def test_pair_sources_forward_chunk(self):
-        topo = T.full_mesh(4, 2)
-        net = Network(topo, ECMPRouter(topo))
-        sources = poisson_pair_sources(
-            net, [("h0.0", "h1.0"), ("h2.0", "h3.0")], 100 * MBPS, chunk=17
-        )
-        assert [s.chunk for s in sources] == [17, 17]
 
     def test_gap_pre_draw_grows_to_the_chunk(self):
         """A short stream must not hold a full chunk of floats: batches

@@ -1,20 +1,48 @@
-"""Tests for latency decomposition (TracingNetwork)."""
+"""Tests for latency decomposition (packet_breakdown over INT stamps)."""
 
 import pytest
 
 import repro.topology as T
 from repro.routing import ECMPRouter
-from repro.sim.trace import LatencyBreakdown, TracingNetwork, format_breakdown
-from repro.units import GBPS, MICROSECONDS
+from repro.sim.network import Network, NetworkSimError
+from repro.sim.switch import get_model
+from repro.sim.trace import (
+    LatencyBreakdown,
+    format_breakdown,
+    mean_breakdown,
+    packet_breakdown,
+)
+from repro.units import GBPS, MICROSECONDS, serialization_delay
 
 
-def traced_packet(topo, src, dst, size=400, extra=None, **kwargs):
-    net = TracingNetwork(topo, ECMPRouter(topo), **kwargs)
-    if extra is not None:
-        extra(net)
+def stamping_network(topo, **kwargs):
+    return Network(topo, ECMPRouter(topo), telemetry=True, **kwargs)
+
+
+def traced_packet(topo, src, dst, size=400, **kwargs):
+    net = stamping_network(topo, **kwargs)
     packet = net.send(src, dst, size, group="probe")
     net.run()
-    return packet, net
+    return packet, packet_breakdown(net, packet)
+
+
+def clocked_serialization(topo, packet):
+    """Link clocking times net of each cut-through hop's overlap, from
+    the topology alone — the breakdown itself takes serialization as
+    the remainder of the measured latency, so this is what makes the
+    sum an assertion about the kernel."""
+    path = packet.path
+    sers = [
+        serialization_delay(packet.size_bytes, topo.link(u, v).capacity)
+        for u, v in zip(path, path[1:])
+    ]
+    overlap = sum(
+        min(sers[i - 1], sers[i])
+        for i in range(1, len(sers))
+        if topo.is_switch(path[i])
+        and get_model(topo.switch_model(path[i]) or "ULL").cut_through
+    )
+    return sum(sers) - overlap
 
 
 class TestComponentsSumToLatency:
@@ -30,77 +58,93 @@ class TestComponentsSumToLatency:
     def test_sum_matches_measured(self, build):
         topo = build()
         servers = topo.servers()
-        packet, net = traced_packet(topo, servers[0], servers[-1])
-        breakdown = net.breakdowns[packet.packet_id]
-        assert breakdown.total == pytest.approx(packet.latency, rel=1e-9)
+        for fastpath in (True, False):  # the oracle stamps the same waits
+            packet, breakdown = traced_packet(
+                topo, servers[0], servers[-1], fastpath=fastpath
+            )
+            assert breakdown.total == pytest.approx(packet.latency, rel=1e-9)
+            assert breakdown.serialization == pytest.approx(
+                clocked_serialization(topo, packet), rel=1e-9
+            )
 
     def test_sum_matches_under_queueing(self):
         topo = T.full_mesh(2, 1, link_rate=1 * GBPS)
-        net = TracingNetwork(topo, ECMPRouter(topo))
+        net = stamping_network(topo)
         packets = [net.send("h0.0", "h1.0", 1500, group="p") for _ in range(10)]
         net.run()
         for packet in packets:
-            assert net.breakdowns[packet.packet_id].total == pytest.approx(
-                packet.latency, rel=1e-9
+            breakdown = packet_breakdown(net, packet)
+            assert breakdown.total == pytest.approx(packet.latency, rel=1e-9)
+            assert breakdown.serialization == pytest.approx(
+                clocked_serialization(topo, packet), rel=1e-9
             )
+
+    def test_host_receive_latency_is_no_fabric_component(self):
+        packet, breakdown = traced_packet(
+            T.full_mesh(4, 1), "h0.0", "h3.0", host_receive_latency=5e-6
+        )
+        assert breakdown.total == pytest.approx(packet.latency - 5e-6, rel=1e-9)
+
+    def test_needs_stamps_and_delivery(self):
+        topo = T.full_mesh(4, 1)
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        packet = net.send("h0.0", "h3.0", 400)
+        net.run()
+        with pytest.raises(NetworkSimError, match="stamps"):
+            packet_breakdown(net, packet)
+        armed = stamping_network(topo)
+        with pytest.raises(NetworkSimError, match="delivery"):
+            packet_breakdown(armed, armed.send("h0.0", "h3.0", 400))
 
 
 class TestAttribution:
     def test_ccs_core_dominates_tree_switching(self):
         topo = T.three_tier_tree()
-        packet, net = traced_packet(topo, "h0.0", "h15.0")
-        breakdown = net.breakdowns[packet.packet_id]
+        _, breakdown = traced_packet(topo, "h0.0", "h15.0")
         # 4 ULL + 1 CCS: switching ≈ 7.5 µs, > 80 % of the total.
         assert breakdown.switching == pytest.approx(4 * 380e-9 + 6e-6, rel=1e-6)
         assert breakdown.switching > 0.8 * breakdown.total
 
     def test_server_relay_counts_as_switching(self):
         topo = T.bcube(4, 1)
-        packet, net = traced_packet(topo, "h0", "h5")
-        breakdown = net.breakdowns[packet.packet_id]
+        _, breakdown = traced_packet(topo, "h0", "h5")
         assert breakdown.switching > 15 * MICROSECONDS
 
     def test_queueing_attributed_to_waiting(self):
         topo = T.full_mesh(2, 1, link_rate=1 * GBPS)
-        net = TracingNetwork(topo, ECMPRouter(topo))
+        net = stamping_network(topo)
         net.send("h0.0", "h1.0", 1500)
         second = net.send("h0.0", "h1.0", 1500, group="p")
         net.run()
-        breakdown = net.breakdowns[second.packet_id]
         # Waited exactly one 1500 B serialization behind the first.
-        assert breakdown.queueing == pytest.approx(12e-6, rel=1e-6)
+        assert packet_breakdown(net, second).queueing == pytest.approx(
+            12e-6, rel=1e-6
+        )
 
     def test_uncongested_has_zero_queueing(self):
-        topo = T.full_mesh(4, 1)
-        packet, net = traced_packet(topo, "h0.0", "h3.0")
-        assert net.breakdowns[packet.packet_id].queueing == 0.0
+        _, breakdown = traced_packet(T.full_mesh(4, 1), "h0.0", "h3.0")
+        assert breakdown.queueing == 0.0
 
     def test_cut_through_serialization_less_than_store_forward(self):
-        ull_packet, ull_net = traced_packet(T.full_mesh(4, 1), "h0.0", "h3.0")
-        ccs_packet, ccs_net = traced_packet(
+        _, ull = traced_packet(T.full_mesh(4, 1), "h0.0", "h3.0")
+        _, ccs = traced_packet(
             T.full_mesh(4, 1, switch_model="CCS"), "h0.0", "h3.0"
         )
-        ull = ull_net.breakdowns[ull_packet.packet_id]
-        ccs = ccs_net.breakdowns[ccs_packet.packet_id]
         assert ull.serialization < ccs.serialization
 
 
 class TestAggregation:
     def test_mean_breakdown(self):
         topo = T.full_mesh(3, 1)
-        net = TracingNetwork(topo, ECMPRouter(topo))
-        for _ in range(5):
-            net.send("h0.0", "h1.0", 400, group="a")
+        net = stamping_network(topo)
+        packets = [net.send("h0.0", "h1.0", 400, group="a") for _ in range(5)]
         net.run()
-        mean = net.mean_breakdown("a")
-        assert mean.total > 0
-        assert len(net.breakdowns_by_group["a"]) == 5
+        mean = mean_breakdown(packet_breakdown(net, p) for p in packets)
+        assert mean.total == pytest.approx(net.stats.summary("a").mean, rel=1e-9)
 
     def test_empty_aggregate_raises(self):
-        topo = T.full_mesh(3, 1)
-        net = TracingNetwork(topo, ECMPRouter(topo))
         with pytest.raises(ValueError):
-            net.mean_breakdown()
+            mean_breakdown([])
 
     def test_breakdown_arithmetic(self):
         a = LatencyBreakdown(1.0, 2.0, 3.0, 4.0)
