@@ -14,11 +14,13 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Append the current BENCH_simulator.json snapshot to the committed
-# perf trajectory (one JSON line per measured tree; view it with
+# Measure the five end-to-end workloads and append their medians and
+# quartiles to the committed perf trajectory, as the CI benchmark-perf
+# job does (one JSON line per measured tree; view it with
 # `python -m repro trajectory`).
 bench-trajectory:
-	PYTHONPATH=src $(PYTHON) benchmarks/append_trajectory.py
+	$(PYTHON) benchmarks/e2e/run.py --repeats 3
+	$(PYTHON) benchmarks/append_trajectory.py
 
 examples:
 	for script in examples/*.py; do echo "== $$script"; python $$script; done

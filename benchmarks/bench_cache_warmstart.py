@@ -51,7 +51,7 @@ def _cold_then_warm(store: str):
     }
 
 
-def bench_cache_warmstart(benchmark, report, bench_record, tmp_path):
+def bench_cache_warmstart(benchmark, report, tmp_path):
     store = str(tmp_path / "store")
     try:
         outcome = benchmark.pedantic(
@@ -82,11 +82,6 @@ def bench_cache_warmstart(benchmark, report, bench_record, tmp_path):
     lines.append("")
     lines.append(f"warm speedup: {speedup:.2f}x (acceptance floor: 2x)")
     report("cache_warmstart", "\n".join(lines))
-    bench_record(
-        cache_cold_seconds=round(cold_s, 3),
-        cache_warm_seconds=round(warm_s, 3),
-        cache_warm_start_ratio=round(speedup, 3),
-    )
 
     # Identical results, cold or warm — caching must never change output.
     assert warm_value == cold_value

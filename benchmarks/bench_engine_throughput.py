@@ -1,125 +1,38 @@
-"""Engine and sweep throughput: the hot-path trajectory across PRs.
+"""Engine and sweep throughput: four paired, same-round gates.
 
-Measures the levels the successive overhauls targeted and renders them
-against two baselines measured on this container:
+How long a whole experiment takes, and where the time goes, is
+``benchmarks/e2e``'s record (``BENCH_trajectory.jsonl``).  What stays
+here is what that benchmark cannot show, each as the ratio of two runs
+made back to back in one round — host drift hits both sides of a pair,
+so the ratio is a property of the two code paths, not of the machine:
 
-* the seed tree (commit 357d95d, before any engine work);
-* the PR 3 tree (commit 91e61d7, heap engine + per-link records +
-  construction caching, before the compiled fast path).
-
-Rows:
-
-* raw engine event dispatch (self-rescheduling ticks), both the
-  handle-returning ``schedule`` path and the fire-and-forget ``call_at``
-  path the packet hot loop uses — plus the same ticks run through an
-  in-process replica of the PR 3 run loop, which turns the events/s
-  claim into a machine-independent ratio;
-* end-to-end packet simulation (the Figure 20 quartz-ecmp cell at
-  30 Gb/s for 4 ms of simulated time);
-* a 4-seed Figure 17 scatter mini-sweep: serial, and ``workers=4``.
-
-Acceptance gates (PR 4): ``call_at`` dispatch ≥ 1.5× PR 3 and the
-fig17 mini-sweep ≥ 1.3× PR 3 wall-clock — asserted both against the
-container constants and against the in-process PR 3 replica, so the gate
-survives on machines of any speed.  Headline numbers
-are merged into ``benchmarks/results/BENCH_simulator.json``.
-
-PR 6 adds two rows: the specialized ``schedule`` path (which closes the
-gap to ``call_at``), and the vectorized form (since PR 18 the
-port-major pass of ``Network.run``) on a single-stream cohort workload,
-gated ≥ 1.5× the scalar fast path as a same-machine
-replica ratio (the batched and scalar runs execute in-process, back to
-back, and must agree on every metric before the ratio is reported).
+* the port-major pass of ``Network.run`` against the scalar kernel on a
+  single-stream workload, ≥ 1.5× with identical fingerprints;
+* the same stream with telemetry armed (monitors + INT stamping on
+  every packet), ≤ 2× the scalar kernel, fingerprint identical;
+* the same stream with ``repro.obs`` armed, ≤ 1.3×, fingerprint
+  identical;
+* a 4-seed Figure 17 scatter mini-sweep at ``workers=4``: results
+  identical to the serial sweep, and at most 1.4× its wall-clock net of
+  pool spin-up (no e2e workload runs ``workers > 1``).
 """
 
-import heapq
 import time
 
 import repro.topology as T
+from repro import obs as obs_layer
 from repro.experiments import figure17_sweep
-from repro.experiments.pathological import run_pathological
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
 from repro.sim import Network
-from repro.sim.engine import Engine
-from repro.sim.parallel import ParallelScenario, SourceSpec, run_parallel, run_serial
 from repro.sim.sources import PoissonSource
-from repro.units import GBPS
 
-# Baselines measured on this container.
-SEED_ENGINE_EVENTS_PER_SEC = 869_611  # seed tree, commit 357d95d
-SEED_PACKET_SIM_SECONDS = 0.73
-SEED_SWEEP_SECONDS = 7.59
-PR3_ENGINE_EVENTS_PER_SEC = 1_687_967  # PR 3 tree, commit 91e61d7
-PR3_SWEEP_SECONDS = 3.80
-# PR 6 tree, commit 4d489ba: the scalar fast path on the cohort
-# workload, before the telemetry hooks existed.  The telemetry-off run
-# must stay within noise of this (zero overhead when disabled).
-PR6_COHORT_FASTPATH_EVENTS_PER_SEC = 697_425
-
-TICKS = 200_000
+ROUNDS = 3
 SWEEP_TOPOLOGIES = ["three-tier tree", "quartz in edge and core"]
+SWEEP_TASKS = [1, 2]
 SWEEP_SEEDS = (0, 1, 2, 3)
-
-
-class _PR3Engine:
-    """Replica of the PR 3 run loop (commit 91e61d7), kept verbatim so
-    the events/s gate can be expressed as a same-machine ratio instead
-    of a container-speed constant."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: list[list] = []
-        self._seq = 0
-        self.events_processed = 0
-
-    def call_at(self, time, callback, *args):
-        heapq.heappush(self._heap, [time, self._seq, callback, args])
-        self._seq += 1
-
-    def run(self, until=None, max_events=None):
-        heap = self._heap
-        heappop = heapq.heappop
-        processed = 0
-        while heap:
-            if max_events is not None and processed >= max_events:
-                return
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                break
-            heappop(heap)
-            callback = entry[2]
-            if callback is None:
-                continue
-            entry[2] = None
-            args = entry[3]
-            self.now = entry[0]
-            callback(*args)
-            processed += 1
-            self.events_processed += 1
-        if until is not None and until > self.now:
-            self.now = until
-
-
-def _events_per_sec(engine_factory, use_call_at: bool = True, ticks: int = TICKS):
-    """Dispatch rate of a self-rescheduling tick chain."""
-    engine = engine_factory()
-    count = 0
-
-    def tick():
-        nonlocal count
-        count += 1
-        if count < ticks:
-            if use_call_at:
-                engine.call_at(engine.now + 1e-6, tick)
-            else:
-                engine.schedule(1e-6, tick)
-
-    engine.call_at(0.0, tick)
-    start = time.perf_counter()
-    engine.run()
-    elapsed = time.perf_counter() - start
-    return count / elapsed
+SWEEP_CELLS = len(SWEEP_TOPOLOGIES) * len(SWEEP_TASKS) * len(SWEEP_SEEDS)
+SWEEP_WORKERS = 4
 
 
 #: Cohort benchmark: one 2 Mpps Poisson stream (≈ 6.4 Gb/s of 400 B
@@ -160,66 +73,37 @@ def _cohort_run(
     return wall, fingerprint
 
 
-def _cohort_events_per_sec() -> tuple[float, float, float, float, float, int]:
-    """Batched, scalar, telemetry- and obs-armed rates on the cohort workload.
+def _cohort_round() -> dict[str, float]:
+    """Scalar, port-major, telemetry-armed and obs-armed runs, back to
+    back; returns each wall-clock (and the logical event count) once
+    every fingerprint has been checked against the scalar kernel's.
 
-    All variants run in-process on the same machine and must produce
-    bit-identical metrics; events/s counts the *logical* events (the
-    scalar schedule's per-hop arrivals), which batching elides but
-    credits, so the rates divide the same numerator.  The telemetry run
-    arms monitors + stamping (batching stands down), asserting the
-    observational layer changes no metric while its cost is measured.
-    The obs run arms the :mod:`repro.obs` registry + tracer on the
-    scalar path (every logical event through the instrumented engine
-    loop) under the same identity assertion; its overhead ratio is
-    measured *paired* — scalar and armed back to back within each
-    round, best paired ratio taken — because the container drifts more
-    between distant runs than the 1.3x gate allows for.
+    Events are *logical*: a port-major window credits the per-hop
+    arrivals it elides, so every variant divides the same numerator.
     """
-    from repro import obs as obs_layer
-
     was_armed = obs_layer.armed()
-    obs_layer.disarm()  # baselines must not pay the armed engine wrapper
+    obs_layer.disarm()  # the three unobserved runs must not pay the armed wrapper
     try:
-        best_batch, fp_batch = min(_cohort_run(batch=True) for _ in range(3))
-        best_scalar, fp_scalar = min(_cohort_run(batch=False) for _ in range(3))
-        best_tele, fp_tele = min(
-            _cohort_run(batch=True, telemetry=True) for _ in range(3)
-        )
-        best_obs = float("inf")
-        obs_ratio = float("inf")
-        for _ in range(3):
-            scalar_wall, fp_pair = _cohort_run(batch=False)
-            obs_layer.disarm()  # fresh registry/tracer per armed round
-            obs_wall, fp_obs = _cohort_run(batch=False, obs=True)
-            obs_layer.disarm()
-            assert fp_obs == fp_pair, (
-                "obs-armed run diverged (must be observational)"
-            )
-            best_obs = min(best_obs, obs_wall)
-            obs_ratio = min(obs_ratio, obs_wall / scalar_wall)
+        scalar, fingerprint = _cohort_run(batch=False)
+        walls = {"scalar": scalar, "events": fingerprint[2]}
+        for name, kwargs in (
+            ("port-major", dict(batch=True)),
+            ("telemetry", dict(batch=True, telemetry=True)),
+            ("obs", dict(batch=False, obs=True)),
+        ):
+            walls[name], other = _cohort_run(**kwargs)
+            assert other == fingerprint, f"{name} run diverged from the scalar kernel"
     finally:
-        obs_layer.disarm()
+        obs_layer.disarm()  # a fresh registry and tracer per armed run
         if was_armed:
             obs_layer.arm()
-    assert fp_batch == fp_scalar, "batched run diverged from the scalar fast path"
-    assert fp_tele == fp_scalar, "telemetry-armed run diverged (must be observational)"
-    assert fp_obs == fp_scalar, "obs-armed run diverged (must be observational)"
-    events = fp_batch[2]
-    return (
-        events / best_batch,
-        events / best_scalar,
-        events / best_tele,
-        events / best_obs,
-        obs_ratio,
-        events,
-    )
+    return walls
 
 
 def _time_sweep(workers: int) -> tuple[float, dict]:
     start = time.perf_counter()
     result = figure17_sweep(
-        SWEEP_TOPOLOGIES, "scatter", [1, 2], seeds=SWEEP_SEEDS, workers=workers
+        SWEEP_TOPOLOGIES, "scatter", SWEEP_TASKS, seeds=SWEEP_SEEDS, workers=workers
     )
     return time.perf_counter() - start, result
 
@@ -243,356 +127,97 @@ def _pool_spinup_seconds(workers: int, n_cells: int) -> float:
     return time.perf_counter() - start
 
 
-def bench_engine_throughput(benchmark, report, bench_record):
-    call_at_rate = benchmark.pedantic(
-        lambda: _events_per_sec(Engine), rounds=3, iterations=1
-    )
-    # The container's throughput drifts on multi-second timescales, so
-    # the replica ratio is measured *paired*: candidate and baseline
-    # back to back within each round, best paired ratio taken.  A rate
-    # gate should compare the engines, not whichever round a noisy
-    # neighbour hit.
-    call_at_rounds = [call_at_rate]
-    pr3_rounds = [_events_per_sec(_PR3Engine)]
-    for _ in range(5):
-        call_at_rounds.append(_events_per_sec(Engine))
-        pr3_rounds.append(_events_per_sec(_PR3Engine))
-    call_at_rate = max(call_at_rounds)
-    pr3_rate = min(pr3_rounds)
-    engine_vs_pr3_replica = max(
-        c / p for c, p in zip(call_at_rounds, pr3_rounds)
-    )
-    # The schedule-vs-call_at ratio is paired the same way: each round
-    # measures both paths back to back, and the gate takes the best
-    # paired ratio — container drift hits both paths of a pair equally.
-    schedule_rounds = []
-    call_at_paired = []
-    for _ in range(3):
-        call_at_paired.append(_events_per_sec(Engine))
-        schedule_rounds.append(_events_per_sec(Engine, use_call_at=False))
-    schedule_rate = max(schedule_rounds)
-    schedule_vs_call_at_paired = max(
-        s / c for s, c in zip(schedule_rounds, call_at_paired)
-    )
-
-    start = time.perf_counter()
-    result = run_pathological("quartz-ecmp", 30 * GBPS, duration=0.004)
-    sim_seconds = time.perf_counter() - start
-    packets = result.summary.count
-
-    _time_sweep(workers=1)  # warm-up: construction caches, imports
-    sweep_serial, serial = _time_sweep(workers=1)
-    # Best-of-3 wall clock: the serial sweep gate is a ~10% margin on a
-    # shared CPU, so one preempted run must not flip it.
-    for _ in range(2):
-        retry_seconds, retry = _time_sweep(workers=1)
-        if retry_seconds < sweep_serial:
-            sweep_serial, serial = retry_seconds, retry
-    sweep_spinup = min(_pool_spinup_seconds(4, 16) for _ in range(2))
-    sweep_parallel, parallel = _time_sweep(workers=4)
-    sweep_parallel_compute = max(0.0, sweep_parallel - sweep_spinup)
+def _sweep_round() -> dict[str, float]:
+    """Serial sweep, pool spin-up, ``workers=4`` sweep, back to back."""
+    serial_s, serial = _time_sweep(workers=1)
+    spinup_s = _pool_spinup_seconds(SWEEP_WORKERS, SWEEP_CELLS)
+    parallel_s, parallel = _time_sweep(workers=SWEEP_WORKERS)
     assert {t: [p.mean_latency for p in pts] for t, pts in parallel.items()} == {
         t: [p.mean_latency for p in pts] for t, pts in serial.items()
     }
+    return {"serial": serial_s, "spinup": spinup_s, "parallel": parallel_s}
 
-    (
-        batched_rate, cohort_scalar_rate, telemetry_rate, obs_rate,
-        obs_overhead_ratio, cohort_events,
-    ) = _cohort_events_per_sec()
 
-    engine_vs_pr3 = call_at_rate / PR3_ENGINE_EVENTS_PER_SEC
-    schedule_vs_call_at = schedule_vs_call_at_paired
-    batched_vs_fastpath = batched_rate / cohort_scalar_rate
-    telemetry_overhead_ratio = cohort_scalar_rate / telemetry_rate
-    telemetry_off_vs_pr6 = cohort_scalar_rate / PR6_COHORT_FASTPATH_EVENTS_PER_SEC
-    sweep_vs_pr3 = PR3_SWEEP_SECONDS / sweep_serial
+def _best(rounds: list[dict], ratio) -> tuple[float, dict]:
+    """The lowest ``ratio(round)`` and the round it came from: a gate
+    should compare the code paths, not whichever round a noisy
+    neighbour hit."""
+    best = min(rounds, key=ratio)
+    return ratio(best), best
+
+
+def bench_engine_throughput(benchmark, report):
+    cohort = [benchmark.pedantic(_cohort_round, rounds=1, iterations=1)]
+    cohort += [_cohort_round() for _ in range(ROUNDS - 1)]
+    portmajor_ratio, portmajor_round = _best(
+        cohort, lambda r: r["port-major"] / r["scalar"]
+    )
+    portmajor_speedup = 1.0 / portmajor_ratio
+    telemetry_overhead, telemetry_round = _best(
+        cohort, lambda r: r["telemetry"] / r["scalar"]
+    )
+    obs_overhead, obs_round = _best(cohort, lambda r: r["obs"] / r["scalar"])
+
+    _time_sweep(workers=1)  # warm-up: construction caches, imports
+    parallel_ratio, sweep = _best(
+        [_sweep_round() for _ in range(ROUNDS)],
+        lambda r: max(0.0, r["parallel"] - r["spinup"]) / r["serial"],
+    )
+
+    events = cohort[0]["events"]
+
+    def rate_row(label: str, variant: str, round_: dict, ratio: str) -> str:
+        return (
+            f"{label:<46}{events / round_['scalar']:>12,.0f}"
+            f"{events / round_[variant]:>12,.0f}  {ratio}"
+        )
 
     lines = [
-        "Engine throughput: seed / PR 3 / compiled fast path",
-        f"{'metric':<46}{'base':>12}{'now':>12}{'speedup':>9}",
-        "-" * 79,
-        f"{'raw engine, call_at vs seed (events/s)':<46}"
-        f"{SEED_ENGINE_EVENTS_PER_SEC:>12,.0f}{call_at_rate:>12,.0f}"
-        f"{call_at_rate / SEED_ENGINE_EVENTS_PER_SEC:>8.2f}x",
-        f"{'raw engine, call_at vs PR 3 (events/s)':<46}"
-        f"{PR3_ENGINE_EVENTS_PER_SEC:>12,.0f}{call_at_rate:>12,.0f}"
-        f"{engine_vs_pr3:>8.2f}x",
-        f"{'raw engine, call_at vs PR 3 replica (events/s)':<46}"
-        f"{pr3_rate:>12,.0f}{call_at_rate:>12,.0f}"
-        f"{engine_vs_pr3_replica:>8.2f}x",
-        f"{'raw engine, schedule path (events/s)':<46}"
-        f"{SEED_ENGINE_EVENTS_PER_SEC:>12,.0f}{schedule_rate:>12,.0f}"
-        f"{schedule_rate / SEED_ENGINE_EVENTS_PER_SEC:>8.2f}x",
-        f"{'raw engine, schedule vs call_at (events/s)':<46}"
-        f"{call_at_rate:>12,.0f}{schedule_rate:>12,.0f}"
-        f"{schedule_vs_call_at:>8.2f}x",
-        f"{'cohort stream, batched vs fast path, ' + f'{cohort_events:,} ev':<46}"
-        f"{cohort_scalar_rate:>12,.0f}{batched_rate:>12,.0f}"
-        f"{batched_vs_fastpath:>8.2f}x",
-        f"{'cohort stream, telemetry-off vs PR 6 (events/s)':<46}"
-        f"{PR6_COHORT_FASTPATH_EVENTS_PER_SEC:>12,.0f}{cohort_scalar_rate:>12,.0f}"
-        f"{telemetry_off_vs_pr6:>8.2f}x",
-        f"{'cohort stream, telemetry armed (events/s)':<46}"
-        f"{cohort_scalar_rate:>12,.0f}{telemetry_rate:>12,.0f}"
-        f"{telemetry_rate / cohort_scalar_rate:>8.2f}x",
-        f"{'cohort stream, obs armed (events/s)':<46}"
-        f"{cohort_scalar_rate:>12,.0f}{obs_rate:>12,.0f}"
-        f"{1.0 / obs_overhead_ratio:>8.2f}x",
-        f"{'fig20 cell, 30G/4ms, ' + f'{packets:,} pkts (s)':<46}"
-        f"{SEED_PACKET_SIM_SECONDS:>12.2f}{sim_seconds:>12.2f}"
-        f"{SEED_PACKET_SIM_SECONDS / sim_seconds:>8.2f}x",
-        f"{'fig17 mini-sweep, serial vs PR 3 (s)':<46}"
-        f"{PR3_SWEEP_SECONDS:>12.2f}{sweep_serial:>12.2f}"
-        f"{sweep_vs_pr3:>8.2f}x",
-        f"{'fig17 mini-sweep, workers=4 vs seed (s)':<46}"
-        f"{SEED_SWEEP_SECONDS:>12.2f}{sweep_parallel:>12.2f}"
-        f"{SEED_SWEEP_SECONDS / sweep_parallel:>8.2f}x",
-        f"{'fig17 mini-sweep, workers=4 phases (s)':<46}"
-        f"{sweep_spinup:>11.2f}s{sweep_parallel_compute:>11.2f}s"
-        f"{'(spin/comp)':>11}",
+        "Engine throughput: paired same-round gates",
+        f"{'metric':<46}{'scalar':>12}{'variant':>12}  ratio (gate)",
+        "-" * 96,
+        rate_row(f"cohort stream, port-major (ev/s), {events:,} ev", "port-major",
+                 portmajor_round, f"{portmajor_speedup:.2f}x faster (>= 1.5x)"),
+        rate_row("cohort stream, telemetry armed (ev/s)", "telemetry",
+                 telemetry_round, f"{telemetry_overhead:.2f}x the wall (<= 2.0x)"),
+        rate_row("cohort stream, obs armed (ev/s)", "obs",
+                 obs_round, f"{obs_overhead:.2f}x the wall (<= 1.3x)"),
+        f"{'fig17 mini-sweep, workers=4 net of spin-up (s)':<46}"
+        f"{sweep['serial']:>12.2f}{sweep['parallel'] - sweep['spinup']:>12.2f}"
+        f"  {parallel_ratio:.2f}x the serial wall (<= 1.4x)",
+        f"{'fig17 mini-sweep, workers=4 spin-up, wall (s)':<46}"
+        f"{sweep['spinup']:>12.2f}{sweep['parallel']:>12.2f}",
         "",
-        "Container baselines: seed tree at 357d95d, PR 3 tree at 91e61d7,",
-        "both measured on this container.  The PR 3 replica row re-runs",
-        "the identical tick chain through an in-process copy of the PR 3",
-        "run loop, so that ratio is machine-independent.  The workers=4",
-        "results are asserted identical to the serial run before",
-        "reporting.  The cohort row runs one 2 Mpps",
-        "Poisson stream for 50 ms of simulated time through the port-major",
-        "pass of Network.run against the scalar fast path on this machine,",
-        "asserts every metric identical, and divides the same logical",
-        "event count by each wall clock — so that ratio, like the",
-        "replica rows, is machine-independent.  The telemetry rows run",
-        "the same cohort with monitors + INT stamping armed (batching",
-        "stands down) and with telemetry off against the pre-hook PR 6",
-        "container baseline: armed telemetry may cost, disabled",
-        "telemetry may not.  The obs row re-runs the scalar cohort with",
-        "the repro.obs registry + tracer armed, asserts bit-identical",
-        "metrics, and gates the overhead at 1.3x — measured paired",
-        "(scalar partner run in the same round) like the replica rows,",
-        "since container drift between distant runs exceeds the margin.",
+        f"Each row is the round, of {ROUNDS}, with the best ratio; both of its runs",
+        "were made back to back in that round.  The cohort rows run one",
+        "2 Mpps Poisson stream for 50 ms of simulated time and assert every",
+        "metric identical to the scalar kernel's before a ratio is reported;",
+        "events are logical (a port-major window credits the per-hop arrivals",
+        "it elides), so all variants divide the same count.  The workers=4",
+        "results are asserted identical to the serial sweep's; spin-up is the",
+        "same pool over no-op cells.",
     ]
     report("engine_throughput", "\n".join(lines))
-    bench_record(
-        engine_events_per_sec_call_at=round(call_at_rate),
-        engine_events_per_sec_schedule=round(schedule_rate),
-        engine_events_per_sec_pr3_replica=round(pr3_rate),
-        engine_events_per_sec_batched=round(batched_rate),
-        engine_events_per_sec_cohort_fastpath=round(cohort_scalar_rate),
-        engine_events_per_sec_cohort_telemetry=round(telemetry_rate),
-        engine_events_per_sec_cohort_obs=round(obs_rate),
-        telemetry_overhead_ratio=round(telemetry_overhead_ratio, 3),
-        obs_overhead_ratio=round(obs_overhead_ratio, 3),
-        telemetry_off_vs_pr6=round(telemetry_off_vs_pr6, 3),
-        engine_speedup_vs_pr3=round(engine_vs_pr3, 3),
-        engine_speedup_vs_pr3_replica=round(engine_vs_pr3_replica, 3),
-        schedule_ratio_vs_call_at=round(schedule_vs_call_at, 3),
-        batched_speedup_vs_fastpath=round(batched_vs_fastpath, 3),
-        fig20_cell_seconds=round(sim_seconds, 3),
-        fig17_mini_sweep_serial_seconds=round(sweep_serial, 3),
-        fig17_mini_sweep_parallel_seconds=round(sweep_parallel, 3),
-        fig17_mini_sweep_parallel_spinup_seconds=round(sweep_spinup, 3),
-        fig17_mini_sweep_parallel_compute_seconds=round(
-            sweep_parallel_compute, 3
-        ),
-        fig17_sweep_speedup_vs_pr3=round(sweep_vs_pr3, 3),
-    )
 
-    # Acceptance gates (PR 4), both as container constants and as
-    # same-machine ratios: ≥ 1.5x events/s and ≥ 1.3x sweep wall-clock
-    # over the PR 3 baseline.  The seed gate from PR 1 still holds.
-    assert call_at_rate >= 1.3 * SEED_ENGINE_EVENTS_PER_SEC
-    assert call_at_rate >= 1.5 * PR3_ENGINE_EVENTS_PER_SEC
-    assert engine_vs_pr3_replica >= 1.5
-    assert sweep_serial <= PR3_SWEEP_SECONDS / 1.3
-    # PR 8 gate: the parallel mini-sweep, net of pool spin-up, must stay
-    # within 40% of the serial wall clock.  The sweep is short and the
-    # CI container may expose a single CPU, so a *speedup* gate would be
-    # dishonest — what the gate holds is that fanning out costs at most
-    # IPC + timesharing overhead (the old one-chunk-per-four regression
-    # showed up as ~1.75x serial here).
-    assert sweep_parallel_compute <= 1.4 * sweep_serial, (
-        f"parallel compute {sweep_parallel_compute:.2f}s vs serial"
-        f" {sweep_serial:.2f}s"
+    assert portmajor_speedup >= 1.5, (
+        f"port-major pass {portmajor_speedup:.2f}x the scalar kernel, below 1.5x"
     )
-    # PR 6 gates, floor raised in PR 8: the specialized schedule path
-    # must stay within striking distance of call_at (it used to trail
-    # 2.8x, then 1.8x; the Event handle is now built by inlined __new__
-    # + slot stores, leaving only the allocation itself).  The ratio is
-    # measured paired, so the floor is a property of the two code paths,
-    # not of container load.  The batched flight engine must clear 1.5x
-    # over the scalar fast path as a same-machine replica ratio on the
-    # cohort workload.
-    assert schedule_vs_call_at >= 0.55, "schedule path regressed vs call_at"
-    assert schedule_rate >= 1.5 * SEED_ENGINE_EVENTS_PER_SEC
-    assert batched_vs_fastpath >= 1.5, "batched engine below the 1.5x gate"
-    # PR 7 gate: zero overhead when disabled.  With telemetry off the
-    # dormant hooks are one attribute load + None test per hop —
-    # interleaved pre/post-hook runs measure no difference.  The
-    # container itself drifts ±20% between sessions, so the constant
-    # gate gets a 0.6 floor: loose enough to ride out drift, tight
-    # enough to catch telemetry accidentally armed by default (which
-    # halves the rate and lands well below it).  Armed telemetry is
-    # allowed to cost, but not more than 2x on this worst-case (every
-    # packet monitored and stamped) workload — the floor-index is now
-    # computed once per enqueue and single-window residencies (all of
-    # them, on this workload) skip the boundary walk, which brought the
-    # ratio from ~2.1x down to ~1.9x.
-    assert telemetry_off_vs_pr6 >= 0.6, (
-        f"telemetry hooks slowed the disabled path: {telemetry_off_vs_pr6:.2f}x PR 6"
+    # Worst case for the telemetry hooks: every packet monitored and
+    # stamped.  Armed telemetry may cost, but not more than 2x.
+    assert telemetry_overhead <= 2.0, (
+        f"armed telemetry overhead {telemetry_overhead:.2f}x exceeds 2x"
     )
-    assert telemetry_overhead_ratio <= 2.0, (
-        f"armed telemetry overhead {telemetry_overhead_ratio:.2f}x exceeds 2x"
+    # Armed obs records aggregate deltas once per engine run (never per
+    # event), plan-cache counters on the compile/miss paths only, and
+    # one span per run — so even with every logical event through the
+    # scalar loop, arming must cost at most 1.3x.
+    assert obs_overhead <= 1.3, (
+        f"armed obs overhead {obs_overhead:.2f}x exceeds 1.3x"
     )
-    # PR 10 gate: the armed observability layer records aggregate deltas
-    # once per engine run (never per event), plan-cache counters on the
-    # compile/miss paths only, and one span per run — so even on this
-    # worst-case workload (every logical event through the scalar loop)
-    # arming must cost at most 1.3x.  Disarmed runs pay one module-level
-    # None test per run and are fingerprint-identical by assertion.
-    assert obs_overhead_ratio <= 1.3, (
-        f"armed obs overhead {obs_overhead_ratio:.2f}x exceeds 1.3x"
-    )
-
-
-#: Sharded-DES benchmark: the paper's full 1056-port element (33 ULL
-#: switches x 4 modelled servers), every server streaming Poisson
-#: traffic for 10 ms of simulated time.  The four servers per rack
-#: stream to racks 1, 2, 5 and 16 away — the locality mix the paper's
-#: evaluation emphasizes (Figures 17/18): most traffic stays near its
-#: rack and inside one shard, while the antipodal flows keep every
-#: boundary channel busy across the cut.  Nothing forwards batched:
-#: shards and ``run_serial`` drive ``engine.run``, which dispatches
-#: event by event (measured ``batched_share`` 0.0).  Propagation
-#: is raised to 2.5 us — ring-scale fibre runs between racks, not
-#: patch cables — which also sets the conservative lookahead (ULL
-#: latency + propagation ≈ 2.9 us per window).
-PARALLEL_SHARDS = 2
-PARALLEL_RACKS = 33
-PARALLEL_SERVERS = 4
-PARALLEL_OFFSETS = (1, 2, 5, 16)
-PARALLEL_RATE_PPS = 200_000.0
-PARALLEL_DURATION = 0.01
-PARALLEL_PROPAGATION = 2.5e-6
-
-
-def _parallel_scenario() -> ParallelScenario:
-    specs = []
-    for rack in range(PARALLEL_RACKS):
-        for server in range(PARALLEL_SERVERS):
-            offset = PARALLEL_OFFSETS[server]
-            specs.append(
-                SourceSpec(
-                    src=f"h{rack}.{server}",
-                    dst=f"h{(rack + offset) % PARALLEL_RACKS}.{server}",
-                    rate_pps=PARALLEL_RATE_PPS,
-                    group=f"g{rack % 2}",
-                    flow_id=rack * PARALLEL_SERVERS + server,
-                    seed=rack * PARALLEL_SERVERS + server,
-                )
-            )
-    return ParallelScenario(
-        fabric="quartz-ring",
-        fabric_args=(PARALLEL_RACKS, PARALLEL_SERVERS),
-        sources=tuple(specs),
-        duration=PARALLEL_DURATION,
-        propagation_delay=PARALLEL_PROPAGATION,
-    )
-
-
-def bench_parallel_shards(benchmark, report, bench_record):
-    """Conservative-window sharded DES vs the serial reference.
-
-    Both parallel runs must first reproduce the serial fingerprint
-    bit-for-bit; only then is their cost reported.  The *gate* is on
-    the critical-path compute phase in **inline** mode (shards stepped
-    sequentially in this process): max-shard-CPU / serial-CPU measures
-    how well the partitioner divided the work, and sequential stepping
-    keeps it honest on a 1-CPU CI container — two worker *processes*
-    timesharing one core evict each other's caches, and that thrash
-    lands in their ``process_time`` (measured here at ~1.6x), which
-    would make a process-mode CPU gate report the container's core
-    count rather than the partitioner's quality.  The **process** run
-    is reported as the advisory deployment phase split: spin-up (pool
-    + per-shard fabric build), compute (max worker CPU inside
-    ``engine.run``), and barrier (window coordination + pickling).
-    """
-    scenario = _parallel_scenario()
-    serial = benchmark.pedantic(
-        lambda: run_serial(scenario), rounds=1, iterations=1
-    )
-    inline = run_parallel(
-        scenario, num_shards=PARALLEL_SHARDS, mode="inline"
-    )
-    assert inline.fingerprint() == serial.fingerprint(), (
-        "inline sharded run diverged from the serial reference"
-    )
-    process = run_parallel(
-        scenario, num_shards=PARALLEL_SHARDS, mode="process"
-    )
-    assert process.fingerprint() == serial.fingerprint(), (
-        "process sharded run diverged from the serial reference"
-    )
-
-    compute_speedup = serial.compute_seconds / inline.compute_seconds
-    process_speedup = serial.compute_seconds / process.compute_seconds
-    lines = [
-        "Sharded DES: 1056-port element, conservative windows",
-        f"{'metric':<40}{'serial':>12}{'inline x2':>13}{'process x2':>13}",
-        "-" * 78,
-        f"{'packets delivered':<40}{serial.packets_delivered:>12,}"
-        f"{inline.packets_delivered:>13,}{process.packets_delivered:>13,}",
-        f"{'logical events':<40}{serial.events_processed:>12,}"
-        f"{inline.events_processed:>13,}{process.events_processed:>13,}",
-        f"{'windows':<40}{'-':>12}{inline.windows:>13,}"
-        f"{process.windows:>13,}",
-        f"{'boundary messages':<40}{'-':>12}{inline.boundary_messages:>13,}"
-        f"{process.boundary_messages:>13,}",
-        f"{'lookahead (us)':<40}{'inf':>12}"
-        f"{inline.lookahead * 1e6:>13.2f}{process.lookahead * 1e6:>13.2f}",
-        f"{'wall clock (s)':<40}{serial.wall_seconds:>12.2f}"
-        f"{inline.wall_seconds:>13.2f}{process.wall_seconds:>13.2f}",
-        f"{'spin-up phase (s)':<40}{'-':>12}"
-        f"{inline.spinup_seconds:>13.2f}{process.spinup_seconds:>13.2f}",
-        f"{'compute phase, max shard CPU (s)':<40}"
-        f"{serial.compute_seconds:>12.2f}"
-        f"{inline.compute_seconds:>13.2f}{process.compute_seconds:>13.2f}",
-        f"{'barrier phase (s)':<40}{'-':>12}"
-        f"{inline.barrier_seconds:>13.2f}{process.barrier_seconds:>13.2f}",
-        f"{'compute-phase speedup':<40}{'1.00x':>12}"
-        f"{f'{compute_speedup:.2f}x':>13}{f'{process_speedup:.2f}x':>13}",
-        "",
-        "Fingerprints (counters, packet ids, event counts, every latency",
-        "sample, per-port state, per-flow fault stats) are asserted",
-        "identical before any number above is reported.  The gate is the",
-        "inline column: shards stepped sequentially in one process, so",
-        "max-shard-CPU / serial-CPU measures the partitioner's division",
-        "of work without the cache thrash two worker processes inflict",
-        "on each other while timesharing a 1-CPU container (that thrash",
-        "is visible above as the process column's higher compute CPU).",
-        "The process column is the deployment story: spin-up pays pool",
-        "start + per-shard fabric build once, barrier pays per-window",
-        "inbox exchange + pickling, and on a multi-core host the wall",
-        "clock tracks its compute column.",
-    ]
-    report("parallel_shards", "\n".join(lines))
-    bench_record(
-        parallel_shards=PARALLEL_SHARDS,
-        parallel_windows=process.windows,
-        parallel_boundary_messages=process.boundary_messages,
-        parallel_lookahead_us=round(process.lookahead * 1e6, 3),
-        parallel_serial_seconds=round(serial.compute_seconds, 3),
-        parallel_compute_seconds=round(inline.compute_seconds, 3),
-        parallel_compute_speedup=round(compute_speedup, 3),
-        parallel_process_wall_seconds=round(process.wall_seconds, 3),
-        parallel_process_spinup_seconds=round(process.spinup_seconds, 3),
-        parallel_process_compute_seconds=round(process.compute_seconds, 3),
-        parallel_process_barrier_seconds=round(process.barrier_seconds, 3),
-        parallel_process_compute_speedup=round(process_speedup, 3),
-    )
-
-    # Gate: splitting the element across 2 shards must cut the critical
-    # path's CPU burn by >= 1.5x (perfect balance would be 2x; rack 17
-    # vs 16 imbalance plus boundary recompilation costs the rest).
-    assert compute_speedup >= 1.5, (
-        f"compute-phase speedup {compute_speedup:.2f}x below the 1.5x gate"
+    # The sweep is short and the CI container may expose a single CPU,
+    # so a *speedup* gate would be dishonest — what the gate holds is
+    # that fanning out costs at most IPC + timesharing overhead (the old
+    # one-chunk-per-four regression showed up as ~1.75x serial here).
+    assert parallel_ratio <= 1.4, (
+        f"workers=4 sweep net of spin-up is {parallel_ratio:.2f}x serial"
     )

@@ -17,7 +17,7 @@ from repro.experiments import (
 GATE = 0.9
 
 
-def bench_queue_diagnosis(benchmark, report, bench_record):
+def bench_queue_diagnosis(benchmark, report):
     def run():
         return queue_diagnosis_sweep(
             seeds=(0, 1, 2, 3, 4),
@@ -29,13 +29,6 @@ def bench_queue_diagnosis(benchmark, report, bench_record):
     report("queue_diagnosis", format_queue_diagnosis(results))
 
     score = score_diagnosis(results)
-    bench_record(
-        diagnosis_cells=score.cells,
-        diagnosis_port_precision=round(score.port_precision, 3),
-        diagnosis_port_recall=round(score.port_recall, 3),
-        diagnosis_flow_precision=round(score.flow_precision, 3),
-        diagnosis_flow_recall=round(score.flow_recall, 3),
-    )
 
     # Telemetry integrity on every cell, fault churn or not.
     for cell in results:

@@ -10,17 +10,12 @@ experiment.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Machine-readable perf trajectory, merged across bench modules and
-#: uploaded as a CI artifact.  One flat JSON object per tree state.
-BENCH_JSON = RESULTS_DIR / "BENCH_simulator.json"
 
 
 @pytest.fixture()
@@ -36,24 +31,3 @@ def report():
 
     return _report
 
-
-@pytest.fixture()
-def bench_record():
-    """Merge metric keys into ``BENCH_simulator.json``.
-
-    Each bench module records its headline numbers under its own key
-    prefix; merging (rather than rewriting) lets any subset of the
-    suite run and still produce one coherent artifact.
-    """
-
-    def _record(**metrics: float) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        data = {}
-        if BENCH_JSON.exists():
-            data = json.loads(BENCH_JSON.read_text())
-        data.update({k: v for k, v in sorted(metrics.items())})
-        BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        sys.__stdout__.write(f"[recorded {len(metrics)} metrics to {BENCH_JSON}]\n")
-        sys.__stdout__.flush()
-
-    return _record

@@ -15,6 +15,7 @@ The main entry points:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -190,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="trajectory JSONL (default: benchmarks/results/BENCH_trajectory.jsonl)",
     )
     traj.add_argument(
-        "--metric", type=str, default="engine_events_per_sec_batched",
-        help="which metric column to plot",
+        "--metric", type=str, default="fig17_sweep/wall_s",
+        help="WORKLOAD/METRIC to plot: a workload and an end-to-end metric "
+        "of BENCHMARK.json",
     )
     return parser
 
@@ -393,14 +395,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     default = S.GOLDEN_TELEMETRY_PATH if args.telemetry else S.GOLDEN_PATH
     path = Path(args.golden) if args.golden else default
     if args.update:
-        metrics = S.update(
+        metrics, runtime = S.update(
             path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
         )
         print(f"golden updated: {path}")
         for key in sorted(metrics):
             print(f"  {key} = {metrics[key]!r}")
-        _print_smoke_runtime(metrics["runtime.wall_clock_s"])
-        _smoke_manifest(args, metrics)
+        _print_smoke_runtime(runtime["runtime.wall_clock_s"])
+        _smoke_manifest(args, runtime)
         return 0
     problems, runtime = S.check_with_runtime(
         path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
@@ -427,7 +429,7 @@ def _smoke_manifest(args: argparse.Namespace, runtime: dict) -> None:
     extra = {
         "command": "smoke",
         "telemetry": bool(args.telemetry),
-        **{k: v for k, v in runtime.items() if k.startswith("runtime.")},
+        **runtime,
     }
     _write_manifest(args.manifest, seeds=[0], extra=extra)
 
@@ -577,34 +579,50 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         for line in path.read_text().splitlines()
         if line.strip()
     ]
+    workload, _, metric = args.metric.partition("/")
     points = [
-        (row.get("commit", "?")[:7], float(row["metrics"][args.metric]))
+        (row.get("commit", "?")[:7], row["workloads"][workload][metric])
         for row in rows
-        if isinstance(row.get("metrics", {}).get(args.metric), (int, float))
+        if metric in row.get("workloads", {}).get(workload, {})
     ]
     if not points:
-        known = sorted({k for row in rows for k in row.get("metrics", {})})
+        known = sorted({
+            f"{name}/{key}"
+            for row in rows
+            for name, metrics in row.get("workloads", {}).items()
+            for key in metrics
+        })
         print(
             f"metric {args.metric!r} not found in {path.name}; "
             f"known keys: {', '.join(known) or '(none)'}",
             file=sys.stderr,
         )
         return 2
-    values = [value for _, value in points]
+    medians = [median for _, (_, median, _) in points]
     try:
-        chart = sparkline(values)
+        chart = sparkline(medians)
     except ChartError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    first, last = values[0], values[-1]
+
+    def band(point) -> str:
+        commit, (q1, median, q3) = point
+        return f"{_sig4(median)} [{_sig4(q1)} .. {_sig4(q3)}] ({commit})"
+
+    first, last = medians[0], medians[-1]
     change = (last / first - 1.0) if first else 0.0
-    print(f"{args.metric} over {len(values)} runs")
+    print(f"{args.metric}, median [q1 .. q3] over {len(medians)} runs")
     print(f"  {chart}")
-    print(
-        f"  first {first:,.0f} ({points[0][0]})  "
-        f"last {last:,.0f} ({points[-1][0]})  change {change:+.1%}"
-    )
+    print(f"  first {band(points[0])}  last {band(points[-1])}  change {change:+.1%}")
     return 0
+
+
+def _sig4(value: float) -> str:
+    """Four significant digits, no exponent: 1.530, 85.24, 164,362."""
+    if not value:
+        return "0"
+    decimals = max(0, 3 - math.floor(math.log10(abs(value))))
+    return f"{value:,.{decimals}f}"
 
 
 _COMMANDS = {

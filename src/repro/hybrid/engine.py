@@ -43,7 +43,6 @@ from __future__ import annotations
 import time as _time
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro import obs as _obs
@@ -52,7 +51,7 @@ from repro.hybrid.background import BackgroundFlow, BackgroundSchedule, HybridEr
 from repro.routing.base import Router, RoutingError
 from repro.sim.network import Network
 from repro.sim.sources import PoissonSource
-from repro.topology.base import Topology, TopologyError
+from repro.topology.base import Topology
 from repro.units import BITS_PER_BYTE
 
 #: Floor on a link's effective (residual) capacity, as a fraction of its
@@ -63,13 +62,6 @@ DEFAULT_MIN_RESIDUAL_FRACTION = 0.01
 
 #: Flow-stats group under which oracle-mode background packets report.
 BACKGROUND_GROUP = "background"
-
-#: "No route" surfaces as RoutingError from the router's own checks, as
-#: a networkx error when the underlying graph search finds the pair
-#: partitioned, or as TopologyError when a VLB router looks up the ToR
-#: of a server whose only uplink is cut — background admission treats
-#: all of them as "park the flow".
-_NO_ROUTE = (RoutingError, TopologyError, nx.NetworkXNoPath, nx.NodeNotFound)
 
 
 class HybridNetwork(Network):
@@ -186,7 +178,7 @@ class HybridNetwork(Network):
         """Add one background flow to the solver over its current routes."""
         try:
             paths = tuple(self.router.weighted_paths(flow.src, flow.dst))
-        except _NO_ROUTE:
+        except RoutingError:  # partitioned, or its only uplink is cut
             paths = ()
         if not paths:
             self.background_unroutable += 1
@@ -291,7 +283,7 @@ class HybridNetwork(Network):
                         paths = tuple(
                             self.router.weighted_paths(flow.src, flow.dst)
                         )
-                    except _NO_ROUTE:
+                    except RoutingError:
                         continue
                     if paths:
                         del self._parked_bg[fid]

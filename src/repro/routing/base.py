@@ -18,7 +18,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.topology.base import Topology
+import networkx as nx
+
+from repro.topology.base import Topology, TopologyError
 
 #: A path is the full node sequence, server to server.
 Path = tuple[str, ...]
@@ -145,10 +147,17 @@ class Router(abc.ABC):
     # -- helpers ------------------------------------------------------------------
 
     def _cached_paths(self, src: str, dst: str) -> list[Path]:
+        """The pair's path set, memoized — and the one place "no path"
+        becomes :class:`RoutingError`, however :meth:`paths` reports it:
+        an empty list, a graph search that finds the pair partitioned,
+        or a ToR lookup on a server whose only uplink is cut."""
         key = (src, dst)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self.paths(src, dst)
+            try:
+                cached = self.paths(src, dst)
+            except (nx.NetworkXNoPath, TopologyError):
+                cached = []
             if not cached:
                 raise RoutingError(f"no path from {src!r} to {dst!r}")
             self._cache[key] = cached

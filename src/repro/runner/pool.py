@@ -79,8 +79,6 @@ SHORT_SWEEP_CELLS_PER_WORKER = 8
 def run_cells(
     cells: Sequence[ExperimentSpec],
     workers: int | None = 1,
-    chunksize: int | None = None,
-    warmup: Callable[[], Any] | None = None,
 ) -> list[Any]:
     """Run every cell and return their results in input order.
 
@@ -90,11 +88,11 @@ def run_cells(
     regardless of completion order, so output is bit-identical to the
     serial run (see the module docstring for the purity contract).
 
-    ``chunksize`` batches cells per pickling round-trip so large sweeps
-    do not pay per-cell IPC overhead.  ``None`` picks roughly four
-    chunks per worker, except for short sweeps (fewer than
-    ``SHORT_SWEEP_CELLS_PER_WORKER`` cells per worker), which get one
-    contiguous chunk per worker: callers lay out grids major-axis first
+    Cells are batched per pickling round-trip so large sweeps do not
+    pay per-cell IPC overhead: roughly four chunks per worker, except
+    for short sweeps (fewer than ``SHORT_SWEEP_CELLS_PER_WORKER`` cells
+    per worker), which get one contiguous chunk per worker: callers lay
+    out grids major-axis first
     (topology, then parameters), so contiguous chunks keep cells that
     share expensive construction on the same worker's in-process caches,
     and a short sweep pays one pickling round-trip per worker instead of
@@ -102,12 +100,6 @@ def run_cells(
     are enough cells to rebalance — exactly what a short sweep lacks.
     Batching only changes scheduling granularity — ``map`` still yields
     results in submission order.
-
-    ``warmup`` (picklable, zero-arg) runs once in each worker as it
-    starts, before any cell: use it to pre-build state every cell needs
-    (imports, topology construction) so spin-up cost lands in the pool
-    initializer instead of inflating the first cell of every worker.
-    Its return value is discarded; it must not affect cell results.
 
     Workers inherit the parent's cache configuration through the pool
     initializer, so with ``REPRO_CACHE_DIR`` set every worker reads and
@@ -119,14 +111,10 @@ def run_cells(
     """
     if workers is not None and workers < 1:
         raise RunnerError(f"workers must be at least 1, got {workers}")
-    if chunksize is not None and chunksize < 1:
-        raise RunnerError(f"chunksize must be at least 1, got {chunksize}")
     cells = list(cells)
     if workers is None:
         workers = default_workers()
     if workers == 1 or len(cells) <= 1:
-        if warmup is not None:
-            warmup()
         if _obs.registry() is None:
             return [cell.run() for cell in cells]
         results = []
@@ -134,16 +122,15 @@ def run_cells(
             results.append(_observed_run(cell))
         return results
     workers = min(workers, len(cells))
-    if chunksize is None:
-        if len(cells) < workers * SHORT_SWEEP_CELLS_PER_WORKER:
-            chunksize = -(-len(cells) // workers)  # ceil: one chunk/worker
-        else:
-            chunksize = max(1, len(cells) // (workers * 4))
+    if len(cells) < workers * SHORT_SWEEP_CELLS_PER_WORKER:
+        chunksize = -(-len(cells) // workers)  # ceil: one chunk/worker
+    else:
+        chunksize = max(1, len(cells) // (workers * 4))
     obs_armed = _obs.registry() is not None
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
-        initargs=(artifact_cache().config, warmup, obs_armed),
+        initargs=(artifact_cache().config, obs_armed),
     ) as pool:
         # ``map`` yields results in submission order — completion order
         # never leaks into the output.
@@ -167,19 +154,13 @@ def run_cells(
         return results
 
 
-def _worker_init(
-    cache_config: CacheConfig,
-    warmup: Callable[[], Any] | None = None,
-    obs_armed: bool = False,
-) -> None:
+def _worker_init(cache_config: CacheConfig, obs_armed: bool) -> None:
     """Adopt the parent's cache settings (shared disk store) in a worker."""
     configure(cache_config)
     if obs_armed:
         # The parent is observing: arm this worker so sweep-cell spans
         # and metrics exist to ship home with each result.
         _obs.arm()
-    if warmup is not None:
-        warmup()
 
 
 def _observed_run(spec: ExperimentSpec) -> Any:

@@ -114,7 +114,9 @@ class Engine:
         inline (no delegation through :meth:`schedule_at`), so the only
         cost over the fire-and-forget path is the :class:`Event` handle —
         and that handle is built with ``__new__`` plus direct slot
-        stores, skipping the ``__init__`` dispatch.
+        stores, skipping the ``__init__`` dispatch.  This is the
+        convenience path (about 0.6× the dispatch rate of
+        :meth:`call_at`); hot loops that never cancel use that.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -262,14 +264,13 @@ class Engine:
                            kind="heap", events=delta)
 
     def _run(self, until: float | None, max_events: int | None) -> None:
-        """The dispatch body of :meth:`run` (observation-free): one
-        specialised loop per call shape."""
+        """The dispatch body of :meth:`run` (observation-free): the
+        counting loop for ``max_events``, the horizon loop otherwise —
+        a run with no horizon is one to ``inf``."""
         if max_events is not None:
             self._run_bounded(until, max_events)
-        elif until is None:
-            self._run_heap_unbounded()
         else:
-            self._run_heap_until(until)
+            self._run_heap_until(math.inf if until is None else until)
 
     def _run_bounded(self, until: float | None, max_events: int) -> None:
         """Dispatch at most ``max_events`` events (none past ``until``)."""
@@ -315,58 +316,10 @@ class Engine:
         if until is not None and until > self.now:
             self.now = until
 
-    def _run_heap_unbounded(self) -> None:
-        """Drain the heap completely (no horizon, no event bound)."""
-        heap = self._heap
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        processed = 0
-        self.running = True
-        try:
-            while True:
-                # Only the pop may end the run: an IndexError raised by
-                # a callback propagates like any other exception.
-                try:
-                    entry = heappop(heap)
-                except IndexError:
-                    break
-                while True:  # dispatch ``entry``, then a re-armed chain's successor
-                    callback = entry[2]
-                    if callback is None:
-                        self._n_cancelled -= 1
-                        break
-                    self.now = entry[0]
-                    # A plain entry is blanked before it fires; a chained
-                    # one has no handle to cancel and stays armed.
-                    args = entry[3]
-                    if args:
-                        entry[2] = None
-                        callback(*args)
-                    elif args is None:  # _CHAIN
-                        time = callback(entry[4])
-                        if time is not None:
-                            processed += 1
-                            if time < entry[0]:
-                                raise SimulationError(_CHAIN_PAST % (time, entry[0]))
-                            entry[0] = time
-                            entry[1] = self._seq
-                            self._seq += 1
-                            # Re-push and pop the successor in one sift:
-                            # the pop order of heappush + heappop,
-                            # (time, seq) being a strict total order.
-                            entry = heappushpop(heap, entry)
-                            continue
-                    else:
-                        entry[2] = None
-                        callback()
-                    processed += 1
-                    break
-        finally:
-            self.events_processed += processed
-            self.running = False
-
     def _run_heap_until(self, until: float) -> None:
-        """Drain the heap up to (and including) time ``until``."""
+        """Drain the heap up to (and including) time ``until``, then
+        advance the clock to it — unless it is ``inf`` (no horizon):
+        ``now`` stays at the last event."""
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -375,7 +328,9 @@ class Engine:
         self.running = True
         try:
             while True:
-                try:  # as above: only the pop may end the run
+                # Only the pop may end the run: an IndexError raised by
+                # a callback propagates like any other exception.
+                try:
                     entry = heappop(heap)
                 except IndexError:
                     break
@@ -389,11 +344,13 @@ class Engine:
                         self._n_cancelled -= 1
                         break
                     self.now = time
+                    # A plain entry is blanked before it fires; a chained
+                    # one has no handle to cancel and stays armed.
                     args = entry[3]
                     if args:
                         entry[2] = None
                         callback(*args)
-                    elif args is None:  # _CHAIN (stays armed, as above)
+                    elif args is None:  # _CHAIN
                         rearm = callback(entry[4])
                         if rearm is not None:
                             processed += 1
@@ -402,6 +359,9 @@ class Engine:
                             entry[0] = rearm
                             entry[1] = self._seq
                             self._seq += 1
+                            # Re-push and pop the successor in one sift:
+                            # the pop order of heappush + heappop,
+                            # (time, seq) being a strict total order.
                             entry = heappushpop(heap, entry)
                             time = entry[0]
                             if time <= until:
@@ -416,7 +376,7 @@ class Engine:
         finally:
             self.events_processed += processed
             self.running = False
-        if until > self.now:
+        if self.now < until < math.inf:
             self.now = until
 
     def pending(self) -> int:

@@ -304,9 +304,13 @@ class BurstSource:
             self._running = False
             return None
         for _ in range(self.burst_packets):
-            self.network.send(
-                self.src, self.dst, self.size_bytes, flow_id=self.flow_id, group=self.group
-            )
+            try:
+                self.network.send(
+                    self.src, self.dst, self.size_bytes,
+                    flow_id=self.flow_id, group=self.group,
+                )
+            except RoutingError:  # lost, not fatal: as PoissonSource._fire
+                self.network.note_unroutable(self.group)
             self.packets_sent += 1
         return now + self.burst_interval
 

@@ -18,10 +18,10 @@ Every metric derives from seeded cells, so the file is identical across
 machines and Python versions; floats are still compared with a relative
 tolerance to stay robust to harmless serialization quirks.
 
-The golden also records ``runtime.*`` keys (wall-clock, artifact-cache
-hit rate) so the performance trajectory shows up in golden-file diffs;
-those keys are machine-dependent and are **excluded** from the
-``--check`` comparison.
+Wall-clock and artifact-cache hit rate are measured too
+(:func:`timed_run`'s ``runtime.*`` keys), printed by the CLI and kept
+in a ``--manifest`` — never in the golden, which holds nothing
+machine-dependent; ``benchmarks/e2e`` is the perf record.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ GOLDEN_TELEMETRY_PATH = GOLDEN_PATH.with_name("benchmark_smoke_telemetry.json")
 
 #: Relative tolerance for float comparisons (exact for ints/strings).
 REL_TOL = 1e-9
-
-#: Keys carrying perf-trajectory data: recorded in the golden for diff
-#: visibility, never compared (they vary by machine and cache state).
-RUNTIME_PREFIX = "runtime."
 
 
 def compute_smoke_metrics() -> dict[str, Any]:
@@ -170,7 +166,7 @@ def timed_run(
     """Run the smoke cells under the metrics registry's clock.
 
     Returns ``(metrics, runtime)``: the compared smoke metrics plus the
-    ``runtime.*`` trajectory keys (wall-clock from the registry's
+    machine-dependent ``runtime.*`` keys (wall-clock from the registry's
     ``smoke.run`` timer, cache hit rate/lookups from the artifact
     cache).  This is the single timing source for both ``--check`` and
     ``--update`` — there is no bespoke wall-clock plumbing elsewhere.
@@ -206,15 +202,9 @@ def timed_run(
 def compare_metrics(
     golden: dict[str, Any], current: dict[str, Any], rel_tol: float = REL_TOL
 ) -> list[str]:
-    """Human-readable drift list; empty means the metrics match.
-
-    ``runtime.*`` keys are skipped on both sides: they track the perf
-    trajectory in golden diffs but are machine- and cache-dependent.
-    """
+    """Human-readable drift list; empty means the metrics match."""
     problems = []
     for key in sorted(set(golden) | set(current)):
-        if key.startswith(RUNTIME_PREFIX):
-            continue
         if key not in golden:
             problems.append(f"{key}: new metric (got {current[key]!r}); regenerate the golden")
             continue
@@ -268,17 +258,16 @@ def update(
     path: Path = GOLDEN_PATH,
     telemetry: bool = False,
     dump_windows_to: Path | str | None = None,
-) -> dict[str, Any]:
+) -> tuple[dict[str, Any], dict[str, Any]]:
     """Regenerate the golden file from a fresh run.
 
-    The written file includes the ``runtime.*`` trajectory keys; the
-    compared metrics stay exactly :func:`compute_smoke_metrics` (or its
-    telemetry variant).
+    The written file is exactly :func:`compute_smoke_metrics` (or its
+    telemetry variant); returns it with the run's ``runtime.*`` keys,
+    as :func:`check_with_runtime` does.
     """
     metrics, runtime = timed_run(
         telemetry=telemetry, dump_windows_to=dump_windows_to
     )
-    metrics = {**metrics, **runtime}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    return metrics
+    return metrics, runtime

@@ -192,3 +192,56 @@ class TestRouterCaching:
         first = router._cached_paths("h0.0", "h3.0")
         second = router._cached_paths("h0.0", "h3.0")
         assert first is second
+
+
+class TestNoRouteContract:
+    """One answer to "no path", whichever router is asked and whichever
+    of its entry points: :class:`RoutingError`.  A server whose only
+    uplink is cut used to surface three ways — ``RoutingError`` from
+    k-shortest, ``networkx.NetworkXNoPath`` from ECMP's graph search,
+    ``TopologyError`` from VLB's ToR lookup."""
+
+    ROUTERS = [ECMPRouter, KShortestPathsRouter, VLBRouter]
+
+    @staticmethod
+    def _isolate(topo, router, server):
+        uplink = (server, topo.tor_of(server))
+        topo.graph.remove_edge(*uplink)
+        router.invalidate_links([uplink])
+
+    @pytest.mark.parametrize("make_router", ROUTERS)
+    @pytest.mark.parametrize("isolated_end", ["src", "dst"])
+    def test_isolated_server_raises_routing_error(self, make_router, isolated_end):
+        topo = T.quartz_ring(4, 2)
+        router = make_router(topo)
+        servers = topo.servers()
+        src, dst = servers[0], servers[-1]
+        router.route(src, dst, flow_id=3)  # warm the caches the cut must drop
+        self._isolate(topo, router, src if isolated_end == "src" else dst)
+        with pytest.raises(RoutingError):
+            router.route(src, dst, flow_id=3)
+        with pytest.raises(RoutingError):
+            router.weighted_paths(src, dst)
+        # Pairs that do not touch the isolated server still route.
+        assert router.route(servers[2], servers[4])
+
+    def test_tree_ecmp_isolated_server(self, tree):
+        router = ECMPRouter(tree)
+        servers = tree.servers()
+        self._isolate(tree, router, servers[0])
+        with pytest.raises(RoutingError):
+            router.route(servers[0], servers[-1])
+
+    @pytest.mark.parametrize("make_router", ROUTERS)
+    def test_no_route_is_not_cached(self, make_router):
+        topo = T.quartz_ring(4, 2)
+        router = make_router(topo)
+        servers = topo.servers()
+        uplink = (servers[0], topo.tor_of(servers[0]))
+        data = dict(topo.graph.get_edge_data(*uplink))
+        self._isolate(topo, router, servers[0])
+        with pytest.raises(RoutingError):
+            router.route(servers[0], servers[-1])
+        topo.graph.add_edge(*uplink, **data)
+        router.invalidate_links([uplink], repaired=True)
+        assert router.route(servers[0], servers[-1])[0] == servers[0]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import figure17_sweep
 from repro.runner import ExperimentSpec, RunnerError, default_workers, run_cells
+from repro.runner.pool import SHORT_SWEEP_CELLS_PER_WORKER
 
 
 def _square(x):
@@ -49,14 +50,13 @@ class TestRunCells:
             run_cells([ExperimentSpec(_square, args=(1,))], workers=0)
 
     def test_chunksize_preserves_order(self):
-        cells = [ExperimentSpec(_square, args=(i,)) for i in range(11)]
-        expected = run_cells(cells, workers=1)
-        for chunksize in (1, 2, 5, 100):
-            assert run_cells(cells, workers=3, chunksize=chunksize) == expected
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(RunnerError):
-            run_cells([ExperimentSpec(_square, args=(1,))], chunksize=0)
+        """Both chunking branches: one contiguous chunk per worker (a
+        short sweep) and about four chunks per worker (a long one)."""
+        workers = 3
+        edge = workers * SHORT_SWEEP_CELLS_PER_WORKER
+        for count in (2, 11, edge - 1, edge, 2 * edge + 5):
+            cells = [ExperimentSpec(_square, args=(i,)) for i in range(count)]
+            assert run_cells(cells, workers=workers) == [i * i for i in range(count)]
 
     def test_workers_none_uses_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")

@@ -15,7 +15,7 @@ seed and a rate share their whole gap sequence, so same-timestamp
 events — the order the port-major pass must rebuild — are common.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.topology as T
 from repro.routing import ECMPRouter, KShortestPathsRouter, VLBRouter
@@ -66,7 +66,9 @@ def shapes(open_loop):
         "fabric_router": st.sampled_from(FABRIC_ROUTERS),
         "streams": st.lists(stream, min_size=1, max_size=6),
         "burst": unless_open_loop(st.tuples(st.integers(0, 7), st.integers(1, 7))),
-        # (cut at, repair after or never, which link of stream 0's route,
+        # (cut at, repair after or never, which link of stream 0's route —
+        #  its server's only uplink included: every packet to or from an
+        #  isolated server is counted unroutable, on every router —
         #  whether in-flight tracking is armed before the first packet)
         "cut": unless_open_loop(st.tuples(
             fractions, st.none() | fractions, st.integers(0, 3), st.booleans()
@@ -100,16 +102,16 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
         at, repair_after, pick, armed = shape["cut"]
         first = sources[0]
         route = net.router.route(first.src, first._dsts[0], first.flow_id)
-        trunk = list(zip(route[1:-2], route[2:-1]))  # switch-to-switch links
-        if trunk:
-            u, v = trunk[pick % len(trunk)]
-            if armed:
-                net.enable_fault_tracking()
-            net.engine.schedule(at * HORIZON, net.fail_link, u, v)
-            if repair_after is not None:
-                net.engine.schedule(
-                    (at + repair_after / 4) * HORIZON, net.repair_link, u, v
-                )
+        # The source's uplink, then the switch-to-switch links.
+        links = list(zip(route[:-2], route[1:-1]))
+        u, v = links[pick % len(links)]
+        if armed:
+            net.enable_fault_tracking()
+        net.engine.schedule(at * HORIZON, net.fail_link, u, v)
+        if repair_after is not None:
+            net.engine.schedule(
+                (at + repair_after / 4) * HORIZON, net.repair_link, u, v
+            )
     if shape["burst"] is not None:
         src, offset = shape["burst"]
         sources.append(BurstSource(
@@ -122,6 +124,7 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
     def snapshot():
         return network_fingerprint(net) + (
             net._next_packet_id, tuple(s.packets_sent for s in sources),
+            net.packets_unroutable,
         )
 
     snapshots = []
@@ -141,8 +144,26 @@ def disarmed(snapshots):
     return [fp[:8] + fp[10:] for fp in snapshots]
 
 
+def isolated_server(fabric, router):
+    """Server 0 loses its only uplink for an eighth of the horizon while
+    it streams and bursts, and while server 3 streams to it."""
+    stream = {"rate": 2_000_000.0, "seed": 0, "stop_at": None, "vary_flow": False}
+    return {
+        "fabric_router": (fabric, router),
+        "streams": [{"src": 0, "dsts": [5], **stream}, {"src": 3, "dsts": [5], **stream}],
+        "burst": (0, 3),
+        "cut": (0.25, 0.5, 0, True),
+        "buffer_bytes": None,
+        "horizon": "split",
+    }
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, print_blob=True)
 @given(shape=st.booleans().flatmap(shapes))
+@example(shape=isolated_server("ring", "ecmp"))
+@example(shape=isolated_server("ring", "kshortest"))
+@example(shape=isolated_server("ring", "vlb"))
+@example(shape=isolated_server("tree", "ecmp"))
 def test_every_leg_matches_the_oracle(shape):
     oracle = run_leg(shape, fastpath=False, telemetry=True)
     assert run_leg(shape, fastpath=True, telemetry=True) == oracle

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestPlanCommand:
@@ -261,9 +264,13 @@ class TestTrajectoryCommand:
     def _write_rows(self, path):
         rows = [
             {"commit": "aaaaaaaa" * 5, "recorded_at": "2026-01-01T00:00:00",
-             "metrics": {"engine_events_per_sec_batched": 1_000_000}},
+             "seed": 0, "calls": {},
+             "workloads": {"fig17_sweep": {"wall_s": [1.9, 2.0, 2.125],
+                                           "peak_rss_mb": [70.0, 72.0, 73.0]}}},
             {"commit": "bbbbbbbb" * 5, "recorded_at": "2026-02-01T00:00:00",
-             "metrics": {"engine_events_per_sec_batched": 1_500_000}},
+             "seed": 0, "calls": {},
+             "workloads": {"fig17_sweep": {"wall_s": [1.51, 1.53, 1.56],
+                                           "peak_rss_mb": [70.0, 72.0, 73.0]}}},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
@@ -272,9 +279,11 @@ class TestTrajectoryCommand:
         self._write_rows(log)
         assert main(["trajectory", "--file", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "engine_events_per_sec_batched" in out
-        assert "+50.0%" in out
-        assert "aaaaaaa" in out and "bbbbbbb" in out
+        assert "fig17_sweep/wall_s" in out  # the default metric
+        assert "-23.5%" in out
+        # Medians with their quartile band, four significant digits.
+        assert "first 2.000 [1.900 .. 2.125] (aaaaaaa)" in out
+        assert "last 1.530 [1.510 .. 1.560] (bbbbbbb)" in out
 
     def test_unknown_metric_lists_known_keys(self, tmp_path, capsys):
         log = tmp_path / "trajectory.jsonl"
@@ -282,11 +291,32 @@ class TestTrajectoryCommand:
         assert main(
             ["trajectory", "--file", str(log), "--metric", "nope"]
         ) == 2
-        assert "engine_events_per_sec_batched" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fig17_sweep/peak_rss_mb, fig17_sweep/wall_s" in err
 
     def test_missing_file_hints_at_make_target(self, tmp_path, capsys):
         assert main(["trajectory", "--file", str(tmp_path / "no.jsonl")]) == 2
         assert "bench-trajectory" in capsys.readouterr().err
+
+    def test_committed_trajectory_rows_are_whole(self, capsys):
+        """Every committed row is one full e2e report: every workload x
+        end-to-end metric BENCHMARK.json names, quartiles in order, and
+        the traced child's call counts — and the default plot renders."""
+        declared = json.loads((REPO / "BENCHMARK.json").read_text())
+        log = REPO / "benchmarks" / "results" / "BENCH_trajectory.jsonl"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows
+        for row in rows:
+            assert row["commit"] and row["recorded_at"]
+            for workload in declared["workloads"]:
+                name = workload["name"]
+                for metric in declared["end_to_end"]:
+                    q1, median, q3 = row["workloads"][name][metric["name"]]
+                    assert 0 < q1 <= median <= q3, (name, metric["name"])
+                calls = row["calls"][name]
+                assert calls and all(key.endswith(".calls") for key in calls)
+        assert main(["trajectory"]) == 0
+        assert f"over {len(rows)} runs" in capsys.readouterr().out
 
 
 class TestFaultRecoveryParser:
