@@ -23,7 +23,8 @@ bench-trajectory:
 	$(PYTHON) benchmarks/append_trajectory.py
 
 examples:
-	for script in examples/*.py; do echo "== $$script"; python $$script; done
+	set -e; for script in examples/*.py; do echo "== $$script"; \
+		PYTHONPATH=src $(PYTHON) $$script; done
 
 # Benchmark smoke: seeded cells diffed against tests/golden/ (the CI
 # benchmark-smoke job).  `make smoke-update` regenerates the golden
@@ -66,11 +67,12 @@ smoke-cached:
 	rm -rf .repro-cache-ci
 
 # Mirror the CI pipeline locally: tests, lint, benchmark smoke
-# (cold and warm against one artifact store).
+# (cold and warm against one artifact store), the examples.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) lint
 	$(MAKE) smoke-cached
 	$(MAKE) smoke-telemetry
+	$(MAKE) examples
 
 all: install test bench

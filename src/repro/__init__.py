@@ -13,11 +13,10 @@ Subpackages
     The Quartz element: ring configuration, wavelength assignment
     (greedy + exact ILP), optical power budget, multi-ring fault model.
 ``repro.topology``
-    Topology generators (trees, fat-tree/Clos, BCube, DCell, Jellyfish,
-    mesh, Quartz composites) and Table 9 metrics.
+    Topology generators (trees, fat-tree/Clos, BCube, Jellyfish, mesh,
+    Quartz composites) and Table 9 metrics.
 ``repro.routing``
-    ECMP, Valiant load balancing, spanning-tree, k-shortest-paths, and
-    SPAIN multi-VLAN routing.
+    ECMP, Valiant load balancing and k-shortest-paths routing.
 ``repro.sim``
     Packet-level discrete-event simulator with the paper's Table 16
     switch models.

@@ -13,7 +13,7 @@ Congestion              50 µs         —
 
 The Table 9 "latency without congestion" column is hop count weighted by
 per-device latency: switch hops cost the switch latency, and server
-relay hops (BCube, DCell) cost an OS-stack traversal.
+relay hops (BCube) cost an OS-stack traversal.
 """
 
 from __future__ import annotations

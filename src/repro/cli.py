@@ -204,7 +204,6 @@ _TOPOLOGY_CHOICES = {
     "fat-tree": lambda: _topology_module().fat_tree(4),
     "folded-clos": lambda: _topology_module().folded_clos(32, 16, 2, 1),
     "bcube": lambda: _topology_module().bcube(8, 1),
-    "dcell": lambda: _topology_module().dcell(4, 1),
     "jellyfish": lambda: _topology_module().jellyfish(),
     "mesh": lambda: _topology_module().full_mesh(33, 1),
     "quartz-ring": lambda: _topology_module().quartz_ring(33, 2),

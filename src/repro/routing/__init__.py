@@ -1,4 +1,4 @@
-"""Routing engines: ECMP, VLB, spanning tree, k-shortest-paths, SPAIN."""
+"""Routing engines: ECMP, VLB, k-shortest-paths."""
 
 from repro.routing.base import (
     Path,
@@ -8,15 +8,7 @@ from repro.routing.base import (
     stable_hash,
 )
 from repro.routing.ecmp import ECMPRouter
-from repro.routing.forwarding import (
-    ForwardingTable,
-    TableDrivenRouter,
-    compile_tables,
-    total_state,
-)
 from repro.routing.kshortest import KShortestPathsRouter
-from repro.routing.spain import SPAINRouter
-from repro.routing.spanning_tree import SpanningTreeRouter
 from repro.routing.tables import (
     RouteTable,
     ecmp_segment_table,
@@ -29,17 +21,11 @@ __all__ = [
     "AdaptiveVLBRouter",
     "DemandAwareVLBRouter",
     "ECMPRouter",
-    "ForwardingTable",
-    "TableDrivenRouter",
-    "compile_tables",
-    "total_state",
     "KShortestPathsRouter",
     "Path",
     "Router",
     "RouteTable",
     "RoutingError",
-    "SPAINRouter",
-    "SpanningTreeRouter",
     "VLBRouter",
     "WeightedPath",
     "ecmp_segment_table",

@@ -12,8 +12,8 @@ switch pair and stitched onto the server endpoints: every server pair
 behind the same two switches shares the same fabric segment, so a
 network with ``n`` switches and ``n·s`` servers solves ``n²`` switch
 pairs instead of ``(n·s)²`` server pairs.  Server-centric topologies
-(BCube/DCell), where servers relay traffic and the decomposition does
-not hold, fall back to whole-graph search.
+(BCube), where servers relay traffic and the decomposition does not
+hold, fall back to whole-graph search.
 """
 
 from __future__ import annotations

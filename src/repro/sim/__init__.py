@@ -8,7 +8,7 @@ simulator: deterministic event engine, Table 16 switch models
 sources used in Sections 6 and 7.
 """
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.fastpath import HopPlan, compile_plan
 from repro.sim.knobs import env_truthy, resolve_flag
 from repro.sim.faults import (
@@ -54,7 +54,6 @@ from repro.sim.stats import (
     summarize_latencies,
 )
 from repro.sim.switch import CCS, MODELS, SF_1G, SwitchModel, ULL, get_model, register_model
-from repro.sim.transport import ACK_BYTES, TCPFlow, TransportError, bulk_tcp_flows
 from repro.sim.trace import (
     LatencyBreakdown,
     format_breakdown,
@@ -84,7 +83,6 @@ __all__ = [
     "DEFAULT_PROPAGATION_DELAY",
     "DEFAULT_SERVER_FORWARD_LATENCY",
     "Engine",
-    "Event",
     "FaultInjectionError",
     "FaultInjector",
     "FaultLogEntry",
@@ -107,11 +105,7 @@ __all__ = [
     "SF_1G",
     "SimulationError",
     "SourceError",
-    "TCPFlow",
-    "TransportError",
-    "ACK_BYTES",
     "SwitchModel",
-    "bulk_tcp_flows",
     "ULL",
     "get_model",
     "poisson_pair_sources",

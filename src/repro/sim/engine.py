@@ -9,11 +9,9 @@ reproducible.  A **chained** entry (:meth:`Engine.chain_at`) carries a
 step whose return value re-arms the same record, so a long-lived chain
 of events — a packet hopping through the fabric — allocates once.
 
-Cancellation is lazy: :meth:`Event.cancel` blanks the entry's callback
-slot in place and the run loop discards blanked entries as they surface.
-When cancelled entries outnumber live ones the queue is compacted, so a
-workload that schedules and cancels many timers (e.g. retransmission
-timeouts) does not grow the queue without bound.
+Scheduling is fire-and-forget: nothing returns a handle and a queued
+event cannot be revoked, so every entry in the queue fires, ``pending()``
+is the queue's length and ``peek_time()`` is exact.
 """
 
 from __future__ import annotations
@@ -25,16 +23,10 @@ from typing import Any, Callable, Iterable
 
 from repro import obs as _obs
 
-#: Index of the callback slot in a queue entry; ``None`` marks an entry
-#: that was cancelled (or already fired) and must not fire (again).
-_CALLBACK = 2
-
 #: Marker in the ``args`` slot of a chained entry ``[time, seq, step,
 #: _CHAIN, arg]`` (see :meth:`Engine.chain_at`).  Never a valid args
 #: tuple, and falsy: the run loops test for it only after ``if args:``
-#: failed, so a plain event with arguments never pays for chains.  (A
-#: cancelled entry's args slot is also ``None``; its blank callback slot
-#: discards it before the args are read.)
+#: failed, so a plain event with arguments never pays for chains.
 _CHAIN = None
 
 _CHAIN_PAST = "chained step returned time %r, before current time %r"
@@ -44,60 +36,14 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduling operations."""
 
 
-class Event:
-    """Handle to one scheduled callback; cancel with :meth:`cancel`.
-
-    ``time`` and ``seq`` read through to the queue entry (only chained
-    entries, which have no handle, ever mutate their ``(time, seq)``
-    prefix), which keeps the handle three stores cheap on the
-    ``schedule`` hot path.
-    """
-
-    __slots__ = ("cancelled", "_entry", "_engine")
-
-    def __init__(self, entry: list, engine: "Engine") -> None:
-        self.cancelled = False
-        self._entry = entry
-        self._engine = engine
-
-    @property
-    def time(self) -> float:
-        return self._entry[0]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    def cancel(self) -> bool:
-        """Prevent the callback from firing (lazy removal from the queue).
-
-        Returns ``True`` only when this call revoked a still-pending
-        callback.  Idempotent: a second cancel — or cancelling an event
-        that already fired — is a no-op that returns ``False`` and
-        leaves ``cancelled`` untouched, so the flag always tells the
-        truth (fired events never read as cancelled) and the engine's
-        cancellation count never includes entries that are no longer in
-        the queue.
-        """
-        entry = self._entry
-        if entry[_CALLBACK] is None:
-            return False
-        self.cancelled = True
-        entry[_CALLBACK] = None
-        entry[3] = None  # free the args references eagerly
-        self._engine._note_cancelled()
-        return True
-
-
 class Engine:
     """The event loop.  Time starts at 0.0 seconds."""
 
-    __slots__ = ("now", "_heap", "_seq", "_n_cancelled", "events_processed", "running")
+    __slots__ = ("now", "_heap", "_seq", "events_processed", "running")
 
     def __init__(self) -> None:
         self.now = 0.0
         self._seq = 0
-        self._n_cancelled = 0
         self.events_processed = 0
         #: True while a run loop is dispatching: a ``Network.run`` called
         #: from inside a callback must not solve the window it is part of
@@ -105,54 +51,19 @@ class Engine:
         self.running = False
         self._heap: list[list] = []
 
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Run ``callback(*args)`` after ``delay`` seconds of sim time.
-
-        Specialized like :meth:`call_at`: the entry is built and pushed
-        inline (no delegation through :meth:`schedule_at`), so the only
-        cost over the fire-and-forget path is the :class:`Event` handle —
-        and that handle is built with ``__new__`` plus direct slot
-        stores, skipping the ``__init__`` dispatch.  This is the
-        convenience path (about 0.6× the dispatch rate of
-        :meth:`call_at`); hot loops that never cancel use that.
-        """
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` seconds of sim time:
+        the relative-time spelling of :meth:`call_at`."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        entry = [self.now + delay, self._seq, callback, args]
+        heapq.heappush(self._heap, [self.now + delay, self._seq, callback, args])
         self._seq += 1
-        heapq.heappush(self._heap, entry)
-        event = Event.__new__(Event)
-        event.cancelled = False
-        event._entry = entry
-        event._engine = self
-        return event
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Run ``callback(*args)`` at absolute sim time ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        entry = [time, self._seq, callback, args]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        event = Event.__new__(Event)
-        event.cancelled = False
-        event._entry = entry
-        event._engine = self
-        return event
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no :class:`Event` handle.
+        """Run ``callback(*args)`` at absolute sim time ``time``.
 
-        The per-event hot path — skips the handle allocation, so use it
-        whenever the caller never cancels (packet forwarding, traffic
-        sources).  Semantics are otherwise identical to
-        :meth:`schedule_at`, including the ordering sequence number.
+        Events at equal times fire in scheduling order (the sequence
+        number drawn here breaks the tie).
         """
         if time < self.now:
             raise SimulationError(
@@ -174,7 +85,7 @@ class Engine:
         are identical — minus its frame and allocations.  Hence the
         contract: the continuation is the last thing a step schedules,
         and a returned time before ``now`` raises
-        :class:`SimulationError`.  Fire-and-forget: no handle to cancel.
+        :class:`SimulationError`.
         """
         if time < self.now:
             raise SimulationError(
@@ -209,12 +120,7 @@ class Engine:
             self._seq = seq
 
     def peek_time(self) -> float:
-        """Lower bound on the next queued event's time (``inf`` when idle).
-
-        Exact up to lazily-cancelled entries: a blanked head can only
-        make the bound *earlier*, never later, so the shard windows that
-        read it (:mod:`repro.sim.parallel`) stay conservative.
-        """
+        """The next queued event's time (``inf`` when idle)."""
         heap = self._heap
         return heap[0][0] if heap else math.inf
 
@@ -284,13 +190,7 @@ class Engine:
                 if until is not None and heap[0][0] > until:
                     break
                 entry = heapq.heappop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    self._n_cancelled -= 1
-                    continue
-                # Blank the entry before firing so a handle cancelled
-                # from inside its own callback stays a no-op.
-                entry[_CALLBACK] = None
+                callback = entry[2]
                 self.now = entry[0]
                 args = entry[3]
                 if args:
@@ -303,7 +203,6 @@ class Engine:
                             raise SimulationError(_CHAIN_PAST % (time, self.now))
                         entry[0] = time
                         entry[1] = self._seq
-                        entry[_CALLBACK] = callback
                         self._seq += 1
                         heapq.heappush(heap, entry)
                         continue
@@ -340,15 +239,9 @@ class Engine:
                     break
                 while True:  # dispatch ``entry``, then a re-armed chain's successor
                     callback = entry[2]
-                    if callback is None:
-                        self._n_cancelled -= 1
-                        break
                     self.now = time
-                    # A plain entry is blanked before it fires; a chained
-                    # one has no handle to cancel and stays armed.
                     args = entry[3]
                     if args:
-                        entry[2] = None
                         callback(*args)
                     elif args is None:  # _CHAIN
                         rearm = callback(entry[4])
@@ -369,7 +262,6 @@ class Engine:
                             heappush(heap, entry)  # the outer pop meets it and stops
                             break
                     else:
-                        entry[2] = None
                         callback()
                     processed += 1
                     break
@@ -380,27 +272,5 @@ class Engine:
             self.now = until
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) - self._n_cancelled
-
-    # -- internal ----------------------------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        """Record one cancellation; compact when the dead outnumber the live."""
-        self._n_cancelled += 1
-        if self._n_cancelled > len(self._heap) // 2:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries (queue order is re-derived from the
-        ``(time, seq)`` prefix, so live ordering is unchanged).
-
-        Compaction is in place — ``run`` holds a reference to the heap
-        list while events fire, and cancellations from inside a callback
-        must stay visible to that loop.
-        """
-        self._heap[:] = [
-            entry for entry in self._heap if entry[_CALLBACK] is not None
-        ]
-        heapq.heapify(self._heap)
-        self._n_cancelled = 0
+        """Number of events still queued."""
+        return len(self._heap)

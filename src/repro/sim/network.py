@@ -11,7 +11,7 @@ The model, per forwarding hop:
   arrives — modelled as ``tail_arrival − min(ser_in, ser_out) +
   latency``, which both credits the cut-through savings and guarantees
   the output never outruns the input when link rates differ;
-* servers relaying packets (BCube/DCell) behave like store-and-forward
+* servers relaying packets (BCube) behave like store-and-forward
   devices with the OS-stack forwarding latency (Table 2: ~15 µs);
 * the destination server records the packet's end-to-end latency when
   the tail arrives (plus an optional receive-side host-stack latency).
@@ -182,10 +182,6 @@ class Network:
         self._in_flight: dict[tuple[str, str], set[Packet]] = {}
         self._detour_cache: dict[tuple[str, str], Path | None] = {}
         self._next_packet_id = 0
-        # Bumped by fail_link/repair_link: anything caching routes
-        # against the live topology (e.g. transport flows) revalidates
-        # when the epoch moves.
-        self._fault_epoch = 0
         self._ports: dict[tuple[str, str], PortState] = {}
         self._capacity: dict[tuple[str, str], float] = {}
         # Per-directed-link record on the forwarding hot path:
@@ -242,11 +238,6 @@ class Network:
         else:
             self.obs = None
 
-    @property
-    def fault_epoch(self) -> int:
-        """Counts fail/repair events; route caches key their validity on it."""
-        return self._fault_epoch
-
     # -- injection ------------------------------------------------------------------
 
     def send(
@@ -262,11 +253,11 @@ class Network:
         """Inject one packet at ``src`` addressed to ``dst``, now.
 
         The path comes from the router (keyed by ``flow_id``) unless an
-        explicit ``path`` is supplied (e.g. SPAIN VLAN selection).  The
-        router is asked once per flow per fault epoch: its answer and
-        the compiled plan stay bound to ``(src, dst, flow_id)`` until a
-        cut, a repair or a hybrid residual change drops every binding
-        (:meth:`_bind`), so a later packet of the flow costs one probe.
+        explicit ``path`` is supplied.  The router is asked once per flow
+        per fault epoch: its answer and the compiled plan stay bound to
+        ``(src, dst, flow_id)`` until a cut, a repair or a hybrid residual
+        change drops every binding (:meth:`_bind`), so a later packet of
+        the flow costs one probe.
         An explicit ``path`` is resolved afresh every time and never
         bound.
         """
@@ -431,7 +422,7 @@ class Network:
                 packet.on_delivered(packet, packet.delivered_at)
             return
 
-        # Server relays (BCube/DCell) are store-and-forward with the
+        # Server relays (BCube) are store-and-forward with the
         # OS-stack latency, so they share the switch record shape.
         cut_through, latency = self._hop_rec[node]
         if cut_through:
@@ -609,7 +600,6 @@ class Network:
         self.packets_dropped += dropped
         self._detour_cache.clear()
         self._invalidate_plans()
-        self._fault_epoch += 1
         self.router.invalidate_links([(u, v)])
         self.fault_stats.log(
             now, "link_down", link=(u, v), detail=f"dropped {dropped} in flight"
@@ -637,7 +627,6 @@ class Network:
         self._dead_links.discard((v, u))
         self._detour_cache.clear()
         self._invalidate_plans()
-        self._fault_epoch += 1
         self.router.invalidate_links([(u, v)], repaired=True)
         self.fault_stats.log(self.engine.now, "link_up", link=(u, v))
         if self.obs is not None:

@@ -15,7 +15,7 @@ decline is counted under ``batch.standdown.<reason>``.
 
 **When a window qualifies.**  ``batch_enabled`` (so: compiled plans,
 unbounded buffers, no telemetry), a horizon and no ``max_events``, no
-run loop dispatching, no cancelled entries, no dead links or fault
+run loop dispatching, no dead links or fault
 tracking, an unsharded network, and *every* queued entry one of two
 kinds of **root**: the live ``_fire`` chain of a :class:`PoissonSource`
 of this network with one destination, no ``on_delivered``, no
@@ -109,7 +109,7 @@ def _window(net: Network, until: "float | None", max_events: "int | None") -> "t
         raise _StandDown("bounded_run")
     if net._track_in_flight or net._dead_links:
         raise _StandDown("faults")
-    if until is None or net.owned is not None or engine._n_cancelled or engine.running:
+    if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire
     hop = Network._hop

@@ -16,7 +16,6 @@ from repro.topology.composite import (
     quartz_in_edge_and_core,
     quartz_in_jellyfish,
 )
-from repro.topology.dcell import dcell, dcell_server_count
 from repro.topology.fattree import fat_tree, folded_clos
 from repro.topology.jellyfish import jellyfish
 from repro.topology.mesh import full_mesh
@@ -35,7 +34,6 @@ from repro.topology.metrics import (
     worst_case_hop_profile,
 )
 from repro.topology.quartz import quartz_dual_tor, quartz_ring
-from repro.topology.swdc import swdc_ring
 from repro.topology.tree import three_tier_tree, two_tier_tree
 
 __all__ = [
@@ -51,8 +49,6 @@ __all__ = [
     "bcube",
     "bisection_capacity",
     "connect_all",
-    "dcell",
-    "dcell_server_count",
     "fat_tree",
     "folded_clos",
     "full_mesh",
@@ -68,7 +64,6 @@ __all__ = [
     "server_relay_hops",
     "summarize",
     "switch_count",
-    "swdc_ring",
     "switch_hops",
     "three_tier_tree",
     "two_tier_tree",

@@ -276,8 +276,8 @@ class Topology:
 
         Invariants: the network is connected, every server has at least
         one link, and — unless the topology is marked server-centric
-        (``graph.graph["server_centric"]``, e.g. DCell, where servers
-        relay for each other) — every server's neighbors are switches.
+        (``graph.graph["server_centric"]``: servers relay for each
+        other) — every server's neighbors are switches.
         """
         if len(self.graph) == 0:
             raise TopologyError("empty topology")

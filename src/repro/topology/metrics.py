@@ -31,7 +31,7 @@ def switch_hops(topo: Topology, src: str, dst: str) -> int:
 
 
 def server_relay_hops(topo: Topology, src: str, dst: str) -> int:
-    """Number of *intermediate* servers on a shortest path (BCube/DCell)."""
+    """Number of *intermediate* servers on a shortest path (BCube)."""
     path = nx.shortest_path(topo.graph, src, dst)
     return sum(1 for node in path[1:-1] if topo.is_server(node))
 
@@ -110,7 +110,7 @@ def path_diversity(topo: Topology, u: str | None = None, v: str | None = None) -
     Defaults to the "most distant" representative pair.  For
     switch-routed topologies this is the ToR pair at maximum
     switch-graph distance — diversity between the racks.  For
-    server-centric topologies (BCube, DCell) the communication endpoints
+    server-centric topologies (BCube) the communication endpoints
     with multiple paths are the multi-NIC *servers*, so the pair is the
     most distant server pair and the flow runs over the full graph.
 

@@ -20,13 +20,6 @@ from repro.workloads.patterns import (
     rack_level_shuffle,
     random_permutation,
 )
-from repro.workloads.traces import (
-    SIZE_DISTRIBUTIONS,
-    TraceError,
-    mean_flow_size,
-    sample_flow_size,
-    synthetic_flow_trace,
-)
 from repro.workloads.tasks import (
     ScatterGatherTask,
     StreamingTask,
@@ -55,10 +48,5 @@ __all__ = [
     "rack_level_shuffle",
     "random_permutation",
     "random_task",
-    "SIZE_DISTRIBUTIONS",
-    "TraceError",
-    "mean_flow_size",
-    "sample_flow_size",
     "spread_query_tree",
-    "synthetic_flow_trace",
 ]

@@ -8,8 +8,6 @@ from repro.routing import (
     ECMPRouter,
     KShortestPathsRouter,
     RoutingError,
-    SPAINRouter,
-    SpanningTreeRouter,
     VLBRouter,
     stable_hash,
 )
@@ -126,23 +124,6 @@ class TestVLB:
         assert router.direct_fraction == pytest.approx(0.25)
 
 
-class TestSpanningTree:
-    def test_single_path_per_pair(self, mesh):
-        router = SpanningTreeRouter(mesh)
-        assert len(router.paths("h0.0", "h3.0")) == 1
-
-    def test_tree_only_uses_root_adjacent_mesh_links(self, mesh):
-        router = SpanningTreeRouter(mesh, root="tor0")
-        # In a BFS tree rooted at tor0, a path from rack 1 to rack 2
-        # detours through the root.
-        path = router.route("h1.0", "h2.0")
-        assert "tor0" in path
-
-    def test_unknown_root_rejected(self, mesh):
-        with pytest.raises(RoutingError):
-            SpanningTreeRouter(mesh, root="ghost")
-
-
 class TestKShortest:
     def test_returns_k_paths(self, mesh):
         router = KShortestPathsRouter(mesh, k=3)
@@ -156,34 +137,6 @@ class TestKShortest:
     def test_invalid_k(self, mesh):
         with pytest.raises(ValueError):
             KShortestPathsRouter(mesh, k=0)
-
-
-class TestSPAIN:
-    def test_one_vlan_per_switch_by_default(self, mesh):
-        router = SPAINRouter(mesh)
-        assert router.num_vlans == 5
-
-    def test_vlan_selection_changes_path(self, mesh):
-        router = SPAINRouter(mesh)
-        direct = router.route_on_vlan("h0.0", "h3.0", router.best_vlan("h0.0", "h3.0"))
-        assert len(direct) == 4  # two-switch path
-        paths = {router.route_on_vlan("h0.0", "h3.0", v) for v in range(5)}
-        assert len(paths) > 1
-
-    def test_best_vlan_gives_direct_path(self, mesh):
-        router = SPAINRouter(mesh)
-        vlan = router.best_vlan("h0.0", "h3.0")
-        assert len(router.route_on_vlan("h0.0", "h3.0", vlan)) == 4
-
-    def test_vlan_out_of_range(self, mesh):
-        router = SPAINRouter(mesh)
-        with pytest.raises(RoutingError):
-            router.route_on_vlan("h0.0", "h3.0", 99)
-
-    def test_paths_are_deduplicated(self, mesh):
-        router = SPAINRouter(mesh)
-        paths = router.paths("h0.0", "h0.1")
-        assert len(paths) == len(set(paths))
 
 
 class TestRouterCaching:

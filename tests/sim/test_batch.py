@@ -120,7 +120,7 @@ def run_workload(
         engine.schedule(0.004, lambda: net.fail_link(u, v))
         engine.schedule(0.008, lambda: net.repair_link(u, v))
     for when in interrupters:
-        engine.schedule_at(when, lambda: None)
+        engine.call_at(when, lambda: None)
     engaged = run_watched(net, until)
     return fingerprint(net, sources), net, sources, engaged
 

@@ -52,7 +52,7 @@ class TestScheduling:
         engine.schedule(5.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
-            engine.schedule_at(1.0, lambda: None)
+            engine.call_at(1.0, lambda: None)
 
 
 class TestRunControl:
@@ -75,15 +75,6 @@ class TestRunControl:
         engine.run(max_events=3)
         assert fired == [0, 1, 2]
 
-    def test_cancelled_events_do_not_fire(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, fired.append, "no")
-        engine.schedule(2.0, fired.append, "yes")
-        event.cancel()
-        engine.run()
-        assert fired == ["yes"]
-
     def test_events_processed_counter(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)
@@ -98,102 +89,13 @@ class TestRunControl:
         engine.run()
         assert engine.pending() == 0
 
-    def test_pending_excludes_cancelled(self):
-        engine = Engine()
-        live = engine.schedule(1.0, lambda: None)
-        doomed = engine.schedule(2.0, lambda: None)
-        doomed.cancel()
-        assert engine.pending() == 1
-        assert not live.cancelled
-
-    def test_cancel_is_idempotent_and_noop_after_fire(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, fired.append, "x")
-        engine.run()
-        assert fired == ["x"]
-        event.cancel()  # after fire: no-op
-        event.cancel()  # idempotent
-        assert engine.pending() == 0
-
-    def test_cancel_reports_whether_it_revoked(self):
-        engine = Engine()
-        event = engine.schedule(1.0, lambda: None)
-        assert event.cancel() is True
-        assert event.cancel() is False  # second cancel revokes nothing
-        assert engine.pending() == 0
-
-    def test_cancel_after_fire_is_truthful(self):
-        # Regression: cancel() used to set ``cancelled`` even when the
-        # callback had already fired, so the handle claimed it revoked
-        # work it did not.
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, fired.append, "x")
-        engine.run()
-        assert event.cancel() is False
-        assert not event.cancelled
-        assert fired == ["x"]
-        assert engine.pending() == 0
-
-    def test_cancel_inside_own_callback_is_noop(self):
-        engine = Engine()
-        fired = []
-        holder = []
-
-        def callback():
-            fired.append("once")
-            assert holder[0].cancel() is False
-
-        holder.append(engine.schedule(1.0, callback))
-        engine.run()
-        assert fired == ["once"]
-        assert not holder[0].cancelled
-        assert engine.pending() == 0
-
-    def test_pending_exact_across_compaction_boundary(self):
-        # Cancel handles one at a time straight through the compaction
-        # threshold: pending() must stay exact on both sides, and
-        # handles whose entries compaction already removed must refuse
-        # to double-count.  White-box on the heap.
-        engine = Engine()
-        live = [engine.schedule(100.0 + i, lambda: None) for i in range(4)]
-        doomed = [engine.schedule(float(i + 1), lambda: None) for i in range(20)]
-        for index, event in enumerate(doomed):
-            assert event.cancel() is True
-            assert engine.pending() == 4 + len(doomed) - index - 1
-        assert len(engine._heap) < 8  # compaction dropped most of the dead
-        for event in doomed:
-            assert event.cancel() is False  # entry long gone from heap
-        assert engine.pending() == 4
-        engine.run()
-        assert engine.events_processed == 4
-        assert engine.pending() == 0
-        assert not any(event.cancelled for event in live)
-
-    def test_heap_compacts_when_mostly_cancelled(self):
-        engine = Engine()
-        keep = engine.schedule(100.0, lambda: None)
-        doomed = [engine.schedule(float(i + 1), lambda: None) for i in range(64)]
-        for event in doomed:
-            event.cancel()
-        # More than half the heap is dead: compaction must have dropped
-        # the cancelled entries while keeping the live one schedulable.
-        assert len(engine._heap) < 32
-        assert engine.pending() == 1
-        engine.run()
-        assert engine.now == 100.0
-        assert not keep.cancelled
-        assert engine.events_processed == 1
-
 
 class TestDeterministicOrdering:
     """Regression tests for the scheduling-order contract.
 
     Same-timestamp events must fire in the order they were scheduled,
-    regardless of which API scheduled them (``schedule``, ``schedule_at``,
-    ``call_at``) and regardless of interleaved cancellations — packet
-    traces rely on this for bit-identical reruns.
+    regardless of which API scheduled them (``schedule``, ``call_at``)
+    — packet traces rely on this for bit-identical reruns.
     """
 
     def test_call_at_interleaved_with_schedule_keeps_order(self):
@@ -201,33 +103,10 @@ class TestDeterministicOrdering:
         fired = []
         engine.schedule(1.0, fired.append, "a")
         engine.call_at(1.0, fired.append, "b")
-        engine.schedule_at(1.0, fired.append, "c")
+        engine.schedule(1.0, fired.append, "c")
         engine.call_at(1.0, fired.append, "d")
         engine.run()
         assert fired == ["a", "b", "c", "d"]
-
-    def test_order_survives_interleaved_cancellation(self):
-        engine = Engine()
-        fired = []
-        events = [engine.schedule(1.0, fired.append, tag) for tag in "abcdef"]
-        events[1].cancel()
-        events[4].cancel()
-        engine.call_at(1.0, fired.append, "g")
-        engine.run()
-        assert fired == ["a", "c", "d", "f", "g"]
-
-    def test_order_survives_compaction(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(5.0, fired.append, "first")
-        engine.call_at(5.0, fired.append, "second")
-        doomed = [engine.schedule(1.0, lambda: None) for _ in range(32)]
-        engine.schedule(5.0, fired.append, "third")
-        for event in doomed:
-            event.cancel()  # triggers compaction mid-stream
-        engine.call_at(5.0, fired.append, "fourth")
-        engine.run()
-        assert fired == ["first", "second", "third", "fourth"]
 
 
 class TestCallAtMany:
@@ -380,8 +259,8 @@ class TestChainAt:
     @pytest.mark.parametrize("until", [None, 10.0])
     def test_rearm_hands_over_to_every_kind_of_successor(self, until):
         # The heap loops pop a re-armed chain's successor in the same
-        # sift (heappushpop): it may be cancelled, plain without or with
-        # arguments, the chain itself again, or beyond the horizon.
+        # sift (heappushpop): it may be plain without or with arguments,
+        # the chain itself again, or beyond the horizon.
         engine = Engine()
         log = []
 
@@ -390,11 +269,9 @@ class TestChainAt:
             return engine.now + 1.0 if engine.now < 3.0 else None
 
         engine.chain_at(0.0, step, None)
-        dead = engine.schedule_at(0.5, log.append, "dead")
-        engine.schedule_at(0.6, lambda: log.append(("plain", engine.now)))
-        engine.schedule_at(0.7, lambda tag: log.append((tag, engine.now)), "args")
-        late = engine.schedule_at(20.0, log.append, "late")
-        assert dead.cancel()
+        engine.call_at(0.6, lambda: log.append(("plain", engine.now)))
+        engine.call_at(0.7, lambda tag: log.append((tag, engine.now)), "args")
+        engine.call_at(20.0, log.append, "late")
         engine.run(until=until)
         expected = [
             ("step", 0.0), ("plain", 0.6), ("args", 0.7),
@@ -407,7 +284,6 @@ class TestChainAt:
             assert log == expected
             assert (engine.pending(), engine.events_processed) == (1, 6)
             assert engine.now == until and engine.peek_time() == 20.0
-            assert late.cancel() and engine.pending() == 0
 
 
 class TestCallbackExceptionsPropagate:

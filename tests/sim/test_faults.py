@@ -158,7 +158,7 @@ class TestNetworkLinkFaults:
         # Saturate tor0->tor1 so arrivals stretch out, then cut mid-queue.
         for _ in range(50):
             mesh.send("h0.0", "h1.0", 400, group="burst")
-        mesh.engine.schedule_at(5e-6, mesh.fail_link, "tor0", "tor1")
+        mesh.engine.call_at(5e-6, mesh.fail_link, "tor0", "tor1")
         mesh.run(until=0.001)
         assert mesh.packets_dropped_fault > 0
         assert mesh.fault_stats.total_drops == mesh.packets_dropped_fault
@@ -169,10 +169,10 @@ class TestNetworkLinkFaults:
         # Stagger sends so some packets reach tor0 only after the cut and
         # must detour over a surviving two-hop path.
         for k in range(30):
-            mesh.engine.schedule_at(
+            mesh.engine.call_at(
                 k * 1e-6, mesh.send, "h0.0", "h1.0", 400, 0, "stream"
             )
-        mesh.engine.schedule_at(4e-6, mesh.fail_link, "tor0", "tor1")
+        mesh.engine.call_at(4e-6, mesh.fail_link, "tor0", "tor1")
         mesh.run(until=0.001)
         assert mesh.packets_rerouted > 0
         assert mesh.fault_stats.total_reroutes == mesh.packets_rerouted
@@ -184,10 +184,10 @@ class TestNetworkLinkFaults:
     def test_recovery_time_recorded_per_flow(self, mesh):
         mesh.enable_fault_tracking()
         for k in range(30):
-            mesh.engine.schedule_at(
+            mesh.engine.call_at(
                 k * 1e-6, mesh.send, "h0.0", "h1.0", 400, 0, "stream"
             )
-        mesh.engine.schedule_at(4e-6, mesh.fail_link, "tor0", "tor1")
+        mesh.engine.call_at(4e-6, mesh.fail_link, "tor0", "tor1")
         mesh.run(until=0.001)
         times = mesh.fault_stats.recovery_times_by_flow.get("stream")
         assert times and all(t >= 0 for t in times)
@@ -253,8 +253,8 @@ class TestPartitionedMesh:
         net.enable_fault_tracking()
         PoissonSource.at_bandwidth(net, "h0.0", "h1.0", 1e9, group="s").start()
         # Isolate tor0 entirely: h0.0 can reach nobody.
-        net.engine.schedule_at(1e-4, net.fail_link, "tor0", "tor1")
-        net.engine.schedule_at(1e-4, net.fail_link, "tor0", "tor2")
+        net.engine.call_at(1e-4, net.fail_link, "tor0", "tor1")
+        net.engine.call_at(1e-4, net.fail_link, "tor0", "tor2")
         net.run(until=5e-4)
         assert net.packets_unroutable > 0
         assert net.packets_dropped_fault >= net.packets_unroutable
@@ -267,9 +267,9 @@ class TestPartitionedMesh:
         net = Network(topo, ECMPRouter(topo))
         net.enable_fault_tracking()
         PoissonSource.at_bandwidth(net, "h0.0", "h1.0", 1e9, group="s").start()
-        net.engine.schedule_at(1e-4, net.fail_link, "tor0", "tor1")
-        net.engine.schedule_at(1e-4, net.fail_link, "tor0", "tor2")
-        net.engine.schedule_at(2e-4, net.repair_link, "tor0", "tor1")
+        net.engine.call_at(1e-4, net.fail_link, "tor0", "tor1")
+        net.engine.call_at(1e-4, net.fail_link, "tor0", "tor2")
+        net.engine.call_at(2e-4, net.repair_link, "tor0", "tor1")
         net.run(until=6e-4)
         delivered_at_repair = net.packets_unroutable
         assert delivered_at_repair > 0
@@ -288,7 +288,7 @@ class TestDeterminism:
             random_fault_schedule(plan, 1, cut_at=3e-5, repair_after=5e-5, seed=3)
         )
         for k in range(200):
-            net.engine.schedule_at(
+            net.engine.call_at(
                 k * 1e-6, net.send, f"h{k % 5}.0", f"h{(k + 2) % 5}.0", 400, k, "s"
             )
         net.run(until=0.001)
@@ -337,8 +337,8 @@ class TestInFlightSetIdentity:
         def cut():
             severed["second"] = net.fail_link(*self.K)
 
-        net.engine.schedule_at(1e-6, churn)
-        net.engine.schedule_at(6e-6, cut)
+        net.engine.call_at(1e-6, churn)
+        net.engine.call_at(6e-6, cut)
         net.run(until=1e-3)
         shipped = len(net.drain_outbox(cutoff=1.0)) if sharded else 0
         assert net._in_flight[self.K] is severed.pop("flight")

@@ -1,6 +1,6 @@
 """The event queue's contract: events pop by time, FIFO among equal
 timestamps (scheduling order), whether pushed one by one, in bulk or as
-chains, with cancelled entries skipped and ``peek_time`` a lower bound.
+chains, and ``peek_time`` names the next one.
 """
 
 import math
@@ -56,7 +56,7 @@ class TestPopOrderEquivalence:
 
 
 def run_chain_program(chained, actors, plains, runs):
-    """Replay one program of chained actors, plain events and cancellations.
+    """Replay one program of chained actors and plain events.
 
     ``chained=True`` starts every actor with ``chain_at`` and lets its
     step *return* the next time; ``chained=False`` is the same program
@@ -65,23 +65,21 @@ def run_chain_program(chained, actors, plains, runs):
     trace plus an engine snapshot after every (split) ``run`` call.
     """
     engine = Engine()
-    trace, snapshots, handles = [], [], []
+    trace, snapshots = [], []
 
     def fire(tag):
         trace.append((engine.now, tag))
 
     def body(state):
-        # One link of an actor: log, optionally schedule a side event
-        # and cancel some handle, then name the continuation time.
+        # One link of an actor: log, optionally schedule a side event,
+        # then name the continuation time.
         actor, links = state["actor"], state["links"]
         k = state["k"]
         state["k"] = k + 1
         trace.append((engine.now, ("actor", actor, k)))
-        delay, side_delay, cancel_idx = links[k]
+        delay, side_delay = links[k]
         if side_delay is not None:
-            handles.append(engine.schedule(side_delay, fire, ("side", actor, k)))
-        if cancel_idx is not None and handles:
-            handles[cancel_idx % len(handles)].cancel()
+            engine.schedule(side_delay, fire, ("side", actor, k))
         return engine.now + delay if k + 1 < len(links) else None
 
     def trailing(state):
@@ -96,7 +94,7 @@ def run_chain_program(chained, actors, plains, runs):
         else:
             engine.call_at(start, trailing, state)
         if actor < len(plains):
-            handles.append(engine.schedule(plains[actor], fire, ("plain", actor)))
+            engine.schedule(plains[actor], fire, ("plain", actor))
 
     def snapshot():
         snapshots.append(
@@ -114,11 +112,7 @@ def run_chain_program(chained, actors, plains, runs):
     return trace, snapshots
 
 
-LINK = st.tuples(
-    DELAYS,
-    st.one_of(st.none(), DELAYS),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=63)),
-)
+LINK = st.tuples(DELAYS, st.one_of(st.none(), DELAYS))
 ACTOR = st.tuples(DELAYS, st.lists(LINK, min_size=1, max_size=8))
 RUN = st.one_of(
     st.tuples(st.just("until"), DELAYS),
@@ -199,49 +193,25 @@ class TestCallAtManyEquivalence:
         assert trace == sorted(expected, key=lambda pair: pair[0])
 
 
-#: (delay, cancel-this-one) pairs for the peek lower-bound property.
-PEEK_OPS = st.lists(
-    st.tuples(DELAYS, st.booleans()), min_size=1, max_size=40
-)
-
-
-class TestPeekTimeLowerBound:
-    """``peek_time`` is a *lower bound* on the next live event.
-
-    Lazily-cancelled entries are blanked in place, so a dead head may
-    make the bound earlier than the next event that actually fires —
-    never later.  The parallel window coordinator relies on exactly this
-    one-sided error.
-    """
+class TestPeekTimeExact:
+    """``peek_time`` is the time of the next event to fire: nothing in
+    the queue can be revoked, so the head is always live.  The parallel
+    window coordinator sizes its windows from it."""
 
     @settings(max_examples=120, deadline=None)
-    @given(PEEK_OPS)
-    def test_peek_never_exceeds_next_live_event(self, ops):
+    @given(st.lists(DELAYS, min_size=1, max_size=40))
+    def test_peek_equals_next_event_time(self, delays):
         engine = Engine()
         fired = []
-        live = []
-        for delay, doomed in ops:
-            handle = engine.schedule(delay, fired.append, delay)
-            if doomed:
-                handle.cancel()
-            else:
-                live.append(delay)
-        peek = engine.peek_time()
-        assert peek >= 0.0
-        if live:
-            assert peek <= min(live)
+        for delay in delays:
+            engine.schedule(delay, fired.append, delay)
+        assert engine.peek_time() == min(delays)
+        engine.run(max_events=1)
+        assert fired == [min(delays)]
+        rest = sorted(delays)[1:]
+        assert engine.peek_time() == (rest[0] if rest else math.inf)
         engine.run()
-        assert fired == sorted(fired)
-        assert len(fired) == len(live)
+        assert fired == sorted(delays)
 
     def test_peek_is_inf_when_empty(self):
         assert math.isinf(Engine().peek_time())
-
-    def test_heap_cancelled_head_only_underestimates(self):
-        engine = Engine()
-        doomed = engine.schedule(1e-6, lambda: None)
-        engine.schedule(5e-6, lambda: None)
-        doomed.cancel()
-        # The blanked head may still be reported (1e-6) — a valid lower
-        # bound — but the bound must never pass the live event.
-        assert 0.0 <= engine.peek_time() <= 5e-6

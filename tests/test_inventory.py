@@ -1,0 +1,115 @@
+"""Every module under ``src/repro/`` is reached from something that runs.
+
+ROADMAP item 5: a module is reached from a figure or table of the paper,
+a benchmarked extension, an example or the CLI, or it goes.  The check
+is a static import graph — nothing under test is imported, and parsing
+the tree costs about half a second.  Roots are ``repro.cli``,
+``repro.smoke``, ``repro.__main__``, every ``repro.experiments.*``
+module, and every file under ``benchmarks/`` and ``examples/``.  Tests
+are not roots: a module only its own tests import is dead weight.
+
+A package ``__init__`` that only re-exports is looked *through*, never
+followed: ``from repro.sim import Network`` reaches ``repro.sim.network``
+and nothing else ``repro/sim/__init__.py`` happens to import.  The same
+holds for ``import repro.topology as T`` followed by ``T.fat_tree`` —
+the attribute is resolved through the ``__init__`` when it is read off
+the alias by name.  A module reached only through some other expression
+(``get_package().name``) is reported unreached; import it by name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Modules nothing runs but tests compare against, each with its reason.
+#: None today (``flowsim.reference`` is reached from
+#: ``experiments.bisection``).
+REFERENCE_ONLY: dict[str, str] = {}
+
+
+class _Tree:
+    """The parsed ``repro`` package of one checkout."""
+
+    def __init__(self, src: Path) -> None:
+        self.modules: dict[str, ast.Module] = {}
+        self.packages: set[str] = set()
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+                self.packages.add(".".join(parts))
+            self.modules[".".join(parts)] = ast.parse(path.read_text(), str(path))
+
+    def resolve(self, package: str, name: str) -> str:
+        """The module that ``from package import name`` reads ``name`` from."""
+        dotted = f"{package}.{name}"
+        if dotted in self.modules:
+            return dotted
+        for node in self.modules[package].body:
+            if isinstance(node, ast.ImportFrom) and node.module in self.modules:
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return self.target(node.module, alias.name)
+        # Defined by the ``__init__`` itself: the package is the module.
+        return package
+
+    def target(self, module: str, name: str) -> str:
+        return self.resolve(module, name) if module in self.packages else module
+
+    def imports(self, tree: ast.AST) -> set[str]:
+        """The ``repro`` modules the code in ``tree`` reads from."""
+        found: set[str] = set()
+        aliases: dict[str, str] = {}  # local name -> package it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in self.modules:
+                for alias in node.names:
+                    target = self.target(node.module, alias.name)
+                    if target in self.packages and target != node.module:
+                        aliases[alias.asname or alias.name] = target
+                    else:
+                        found.add(target)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in self.packages and alias.asname:
+                        aliases[alias.asname] = alias.name
+                    elif alias.name in self.modules:
+                        found.add(alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                found.add(self.resolve(aliases[node.value.id], node.attr))
+        return found
+
+
+def unreached(repo: Path) -> list[str]:
+    """Non-``__init__`` modules of ``repo``'s ``src/repro`` that no root reaches."""
+    tree = _Tree(repo / "src")
+    todo = [
+        name
+        for name in tree.modules
+        if name in ("repro.cli", "repro.smoke", "repro.__main__")
+        or name.startswith("repro.experiments.")
+    ]
+    for path in [*(repo / "benchmarks").rglob("*.py"), *(repo / "examples").glob("*.py")]:
+        todo.extend(tree.imports(ast.parse(path.read_text(), str(path))))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(tree.imports(tree.modules[name]))
+    return sorted(set(tree.modules) - tree.packages - reached - set(REFERENCE_ONLY))
+
+
+def test_every_module_is_reached_from_something_that_runs():
+    assert unreached(REPO) == [], (
+        "reached from no figure, benchmark, example or CLI command: delete the "
+        "module, or import it by name from whatever runs it"
+    )
+

@@ -124,26 +124,6 @@ class TestBCube:
             T.bcube(1, 1)
 
 
-class TestDCell:
-    def test_dcell1_counts(self):
-        topo = T.dcell(4, 1)
-        assert len(topo.servers()) == 20  # n (n+1)
-        assert len(topo.switches()) == 5
-
-    def test_server_count_formula(self):
-        assert T.dcell_server_count(4, 1) == 20
-        assert T.dcell_server_count(2, 2) == 42
-
-    def test_level_links_join_cells(self):
-        topo = T.dcell(3, 1)
-        inter = [l for l in topo.links() if l.link_kind is LinkKind.MESH]
-        assert len(inter) == 6  # C(4, 2)
-
-    def test_level2_unsupported(self):
-        with pytest.raises(ValueError):
-            T.dcell(4, 2)
-
-
 class TestJellyfish:
     def test_regular_degree(self):
         topo = T.jellyfish(16, 4, 2, seed=0)
