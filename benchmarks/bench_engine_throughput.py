@@ -1,4 +1,4 @@
-"""Engine and sweep throughput: four paired, same-round gates.
+"""Engine and sweep throughput: five paired, same-round gates.
 
 How long a whole experiment takes, and where the time goes, is
 ``benchmarks/e2e``'s record (``BENCH_trajectory.jsonl``).  What stays
@@ -12,6 +12,11 @@ so the ratio is a property of the two code paths, not of the machine:
   every packet), ≤ 2× the scalar kernel, fingerprint identical;
 * the same stream with ``repro.obs`` armed, ≤ 1.3×, fingerprint
   identical;
+* the fault shape — all-to-all streams over a 9-switch Quartz ring,
+  goodput binned, one fibre cut and its repair on the timeline — with
+  the pass against the scalar kernel, ≥ 2× with identical fingerprints
+  (fault counters, outages and goodput bins included): the windows end
+  at the cut and the repair instead of standing down for them;
 * a 4-seed Figure 17 scatter mini-sweep at ``workers=4``: results
   identical to the serial sweep, and at most 1.4× its wall-clock net of
   pool spin-up (no e2e workload runs ``workers > 1``).
@@ -21,11 +26,14 @@ import time
 
 import repro.topology as T
 from repro import obs as obs_layer
+from repro.core.multiring import plan_rings
 from repro.experiments import figure17_sweep
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
-from repro.sim import Network
+from repro.sim import DeliveryBins, Network
+from repro.sim.faults import FaultInjector, random_fault_schedule
 from repro.sim.sources import PoissonSource
+from repro.units import GBPS
 
 ROUNDS = 3
 SWEEP_TOPOLOGIES = ["three-tier tree", "quartz in edge and core"]
@@ -100,6 +108,57 @@ def _cohort_round() -> dict[str, float]:
     return walls
 
 
+#: Fault benchmark: ``run_fault_recovery_cell``'s scenario at the e2e
+#: workload's size — 72 streams of 1.5 Gb/s over a 9-switch ring laid
+#: out as two physical rings, one segment cut at 1.5 ms and spliced at
+#: 2.5 ms of 4 — built here because the cell takes no ``batch=``.
+FAULT_RING = 9
+FAULT_DURATION = 4e-3
+
+
+def _fault_run(batch: bool) -> tuple[float, tuple]:
+    topo = T.quartz_ring(FAULT_RING, servers_per_switch=2)
+    net = Network(topo, ECMPRouter(topo), batch=batch, telemetry=False, obs=False)
+    plan = plan_rings(FAULT_RING, num_rings=2)
+    FaultInjector(net, plan).schedule(
+        random_fault_schedule(plan, 1, cut_at=1.5e-3, repair_after=1e-3, seed=0)
+    )
+    bins = DeliveryBins(2.5e-4, 16)
+    stream = 0
+    for i in range(FAULT_RING):
+        for j in range(FAULT_RING):
+            if i != j:
+                PoissonSource.at_bandwidth(
+                    net, f"h{i}.{j % 2}", f"h{j}.{i % 2}", 1.5 * GBPS, group=f"p{i}-{j}",
+                    flow_id=stream, seed=stream, on_delivered=bins,
+                ).start()
+                stream += 1
+    start = time.perf_counter()
+    net.run(until=FAULT_DURATION)
+    wall = time.perf_counter() - start
+    faults = net.fault_stats
+    fingerprint = (
+        net.packets_delivered,
+        net.packets_dropped_fault,
+        net.packets_rerouted,
+        net.engine.events_processed,
+        net._next_packet_id,
+        tuple(net.stats.samples),
+        sorted(faults.drops_by_flow.items()),
+        tuple(faults.reroutes_by_flow.items()),
+        tuple((flow, tuple(times)) for flow, times in faults.recovery_times_by_flow.items()),
+        tuple(bins.bits),
+    )
+    return wall, fingerprint
+
+
+def _fault_round() -> dict[str, float]:
+    scalar, fingerprint = _fault_run(batch=False)
+    portmajor, other = _fault_run(batch=True)
+    assert other == fingerprint, "port-major fault run diverged from the scalar kernel"
+    return {"scalar": scalar, "port-major": portmajor, "events": fingerprint[3]}
+
+
 def _time_sweep(workers: int) -> tuple[float, dict]:
     start = time.perf_counter()
     result = figure17_sweep(
@@ -157,6 +216,10 @@ def bench_engine_throughput(benchmark, report):
         cohort, lambda r: r["telemetry"] / r["scalar"]
     )
     obs_overhead, obs_round = _best(cohort, lambda r: r["obs"] / r["scalar"])
+    fault_ratio, fault_round = _best(
+        [_fault_round() for _ in range(ROUNDS)], lambda r: r["port-major"] / r["scalar"]
+    )
+    fault_speedup = 1.0 / fault_ratio
 
     _time_sweep(workers=1)  # warm-up: construction caches, imports
     parallel_ratio, sweep = _best(
@@ -167,9 +230,10 @@ def bench_engine_throughput(benchmark, report):
     events = cohort[0]["events"]
 
     def rate_row(label: str, variant: str, round_: dict, ratio: str) -> str:
+        count = round_["events"]
         return (
-            f"{label:<46}{events / round_['scalar']:>12,.0f}"
-            f"{events / round_[variant]:>12,.0f}  {ratio}"
+            f"{label:<46}{count / round_['scalar']:>12,.0f}"
+            f"{count / round_[variant]:>12,.0f}  {ratio}"
         )
 
     lines = [
@@ -182,6 +246,8 @@ def bench_engine_throughput(benchmark, report):
                  telemetry_round, f"{telemetry_overhead:.2f}x the wall (<= 2.0x)"),
         rate_row("cohort stream, obs armed (ev/s)", "obs",
                  obs_round, f"{obs_overhead:.2f}x the wall (<= 1.3x)"),
+        rate_row(f"cut + repair, port-major (ev/s), {fault_round['events']:,} ev",
+                 "port-major", fault_round, f"{fault_speedup:.2f}x faster (>= 2.0x)"),
         f"{'fig17 mini-sweep, workers=4 net of spin-up (s)':<46}"
         f"{sweep['serial']:>12.2f}{sweep['parallel'] - sweep['spinup']:>12.2f}"
         f"  {parallel_ratio:.2f}x the serial wall (<= 1.4x)",
@@ -193,7 +259,10 @@ def bench_engine_throughput(benchmark, report):
         "2 Mpps Poisson stream for 50 ms of simulated time and assert every",
         "metric identical to the scalar kernel's before a ratio is reported;",
         "events are logical (a port-major window credits the per-hop arrivals",
-        "it elides), so all variants divide the same count.  The workers=4",
+        "it elides), so all variants divide the same count.  The cut + repair",
+        "row is 72 all-to-all streams over a 9-switch Quartz ring for 4 ms, one",
+        "fibre segment cut at 1.5 ms and spliced at 2.5 ms, goodput binned;",
+        "fault counters, outages and bins are in its fingerprint.  The workers=4",
         "results are asserted identical to the serial sweep's; spin-up is the",
         "same pool over no-op cells.",
     ]
@@ -213,6 +282,11 @@ def bench_engine_throughput(benchmark, report):
     # scalar loop, arming must cost at most 1.3x.
     assert obs_overhead <= 1.3, (
         f"armed obs overhead {obs_overhead:.2f}x exceeds 1.3x"
+    )
+    # A cut, a repair, armed tracking and a goodput callback on every
+    # stream: windows end at the two timers instead of standing down.
+    assert fault_speedup >= 2.0, (
+        f"port-major pass {fault_speedup:.2f}x the scalar kernel through a cut, below 2x"
     )
     # The sweep is short and the CI container may expose a single CPU,
     # so a *speedup* gate would be dishonest — what the gate holds is

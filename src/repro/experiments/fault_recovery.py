@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from repro.core.multiring import plan_rings
 from repro.routing import ECMPRouter, VLBRouter
 from repro.runner import ExperimentSpec, run_cells
-from repro.sim import Network, Packet, PoissonSource
+from repro.sim import DeliveryBins, Network, PoissonSource
 from repro.sim.faults import FaultInjector, random_fault_schedule
 from repro.topology import quartz_ring
-from repro.units import BITS_PER_BYTE, GBPS
+from repro.units import GBPS
 
 #: Routers the experiment can exercise, keyed by CLI-friendly name.
 ROUTER_BUILDERS = {
@@ -129,12 +129,7 @@ def run_fault_recovery_cell(
         )
     )
 
-    num_bins = max(1, round(duration / bin_width))
-    bins = [0.0] * num_bins
-
-    def record_delivery(packet: Packet, when: float) -> None:
-        index = min(int(when / bin_width), num_bins - 1)
-        bins[index] += packet.size_bytes * BITS_PER_BYTE
+    bins = DeliveryBins(bin_width, max(1, round(duration / bin_width)))
 
     # One stream per ordered rack pair; the server indices rotate so the
     # load spreads evenly over every rack's servers.
@@ -153,13 +148,13 @@ def run_fault_recovery_cell(
                 group=f"p{i}-{j}",
                 flow_id=stream,
                 seed=seed * 10_000 + stream,
-                on_delivered=record_delivery,
+                on_delivered=bins,
             ).start()
             stream += 1
 
     net.run(until=duration)
 
-    goodput = tuple(value / bin_width for value in bins)
+    goodput = tuple(value / bin_width for value in bins.bits)
     baseline = _mean(_bins_between(goodput, bin_width, warmup, cut_at))
     outage = _mean(_bins_between(goodput, bin_width, cut_at, repair_at))
     recovered = _mean(_bins_between(goodput, bin_width, repair_at, duration))

@@ -46,6 +46,7 @@ from repro.sim.sources import (
     poisson_pair_sources,
 )
 from repro.sim.stats import (
+    DeliveryBins,
     FaultLogEntry,
     FaultRecorder,
     HopStampStats,
@@ -82,6 +83,7 @@ __all__ = [
     "DEFAULT_PACKET_BYTES",
     "DEFAULT_PROPAGATION_DELAY",
     "DEFAULT_SERVER_FORWARD_LATENCY",
+    "DeliveryBins",
     "Engine",
     "FaultInjectionError",
     "FaultInjector",

@@ -130,9 +130,9 @@ class Network:
         compiled per-path :class:`~repro.sim.fastpath.HopPlan` chains,
         ``False`` runs the reference per-hop lookup loop — the oracle
         the kernel is tested against.  ``batch`` allows the port-major
-        pass of :meth:`run`, which clocks an open-loop window port by
-        port instead of event by event; it also needs the fast path,
-        unbounded buffers and disarmed telemetry, else
+        pass of :meth:`run`, which clocks the open-loop stretches of a
+        run port by port instead of event by event; it also needs the
+        fast path, unbounded buffers and disarmed telemetry, else
         ``batch_enabled`` stays ``False``.  All three forms are
         bit-identical.
 
@@ -703,19 +703,30 @@ class Network:
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the simulation to ``until`` (or dry, or ``max_events``).
 
-        With batching enabled, a horizon that is provably **open loop**
-        — every queued event is a single-destination Poisson source's
-        fire or the next arrival of a packet in flight, nothing feeds
-        back before ``until`` — is first solved port by port instead of
-        event by event, as a chain of budgeted windows
-        (:func:`repro.sim.portmajor.advance`, which lists the
-        conditions); what is still pending where the chain ends goes
-        back on the queue and the engine finishes as usual.  Results are
-        bit-identical either way, and a window the pass declines is left
-        untouched.  Only this method tries the pass: ``engine.run``
-        always dispatches event by event.
+        With batching enabled the horizon is shared between two
+        executors.  The port-major pass
+        (:func:`repro.sim.portmajor.advance`) owns the queue's **roots**
+        — the fire chains of single-destination Poisson sources and the
+        packets in flight — and solves them port by port, one budgeted
+        window after another, up to the first **foreign** entry: a
+        timer, another kind of chain, a packet that is severed, stamped
+        or about to meet a dead link, a source's ``stop_at``.  A foreign
+        entry bounds a window; it does not veto it.  The event loop then
+        runs to where the pass is worth trying again — the first foreign
+        time that starts a gap wide enough to hold a budgeted window —
+        and the two alternate until no such gap is left, which is when
+        the engine finishes the horizon as usual: one heap scan per
+        solved window and one per such gap, however many timers are
+        queued.  Results are bit-identical either way, and a window the
+        pass declines is left untouched.  Only this method tries the
+        pass: ``engine.run`` always dispatches event by event.
         """
         from repro.sim import portmajor  # imports this module
 
-        portmajor.advance(self, until, max_events)
-        self.engine.run(until=until, max_events=max_events)
+        engine = self.engine
+        while True:
+            _, resume = portmajor.advance(self, until, max_events)
+            if resume is None:
+                break
+            engine.run(until=resume)
+        engine.run(until=until, max_events=max_events)

@@ -1,34 +1,66 @@
-"""Port-major solution of an open-loop horizon of traffic.
+"""Port-major solution of the open-loop stretches of a run.
 
-Up to a horizon, a queue that holds nothing but Poisson sources' fire
-chains and the next arrivals of packets already in flight is a
+Between two events that can change what the fabric does, a queue of
+Poisson sources' fire chains and packets already in flight is a
 feed-forward computation, not an event simulation: no event can change
 what a source sends, so every fire time is known up front, and on a
 fabric whose ports form a DAG under the routes in use each port's whole
 arrival sequence is known once the ports upstream of it are done.
-:func:`advance` — tried by :meth:`Network.run` before it calls
-``engine.run`` — clocks such a horizon port by port with the kernel's
-own float operations, one budgeted **window** after another, and hands
-back exactly the state the event-by-event run would have reached; a
-window it declines is left as it was, to the event loop, and every
-decline is counted under ``batch.standdown.<reason>``.
+:func:`advance` — called by :meth:`Network.run` before ``engine.run``,
+and again each time the event loop has crossed what the pass could not
+— clocks such a stretch port by port with the kernel's own float
+operations, one budgeted **window** after another, and hands back
+exactly the state the event-by-event run would have reached; a window
+it declines is left as it was, to the event loop, and every decline is
+counted under ``batch.standdown.<reason>``.
 
-**When a window qualifies.**  ``batch_enabled`` (so: compiled plans,
-unbounded buffers, no telemetry), a horizon and no ``max_events``, no
-run loop dispatching, no dead links or fault
-tracking, an unsharded network, and *every* queued entry one of two
-kinds of **root**: the live ``_fire`` chain of a :class:`PoissonSource`
-of this network with one destination, no ``on_delivered``, no
-``vary_flow_per_packet`` and no ``stop_at`` at or before the horizon; or
-the ``_hop`` chain of a packet of this network in flight — not
-``dropped``, no ``on_delivered``, no ``stamps``.  Every firing flow
-routable; the directed graph "port of hop h → port of hop h+1" over the
-routes still to be walked acyclic; and the window's expected fires
-``Σ (horizon − first fire) · rate`` at least ``MIN_WINDOW_FIRES`` and
-``MIN_FIRES_PER_SOURCE`` per firing source.  A horizon that expects more
-than ``MAX_WINDOW_FIRES`` is cut there and the rest is the next window:
-what one window hands back — packets in flight, re-armed sources — is
-what the next one starts from.
+**Roots, foreign entries, and where a window ends.**  One scan sorts
+the queue entries due by ``until`` (later ones cannot matter) into two
+kinds.  A **root** is something the pass can own: the live ``_fire``
+chain of a :class:`PoissonSource` of this network, or the ``_hop``
+chain of one of its packets in flight — not ``dropped``, no ``stamps``,
+no dead link on the rest of its plan — whose ``on_delivered`` is
+nothing or a :class:`~repro.sim.stats.DeliveryBins` (a callback the
+pass can apply a window at a time).  Everything else is **foreign**: a
+plain timer (a fibre cut, a repair, a hybrid epoch boundary), another
+kind of chain (a burst source, the last fire of a stopped source), a
+packet the kernel would sever, stamp, call back or detour, and a
+source's ``stop_at``.  *A foreign entry bounds the window instead of
+vetoing it*: the horizon is the last float before the earliest foreign
+time, so the window's ``t <= horizon`` tests mean "strictly before
+it", and whatever ties a foreign entry stays with the event loop, which
+orders it by the seqs the pass hands back.  What still vetoes: no
+``batch_enabled`` (compiled plans, unbounded buffers, no telemetry),
+``max_events``, no horizon at all, a run loop already dispatching, a
+sharded network, a due source with several destinations,
+``vary_flow_per_packet`` or a callback the pass cannot apply
+(``closed_loop_source``), a flow the router has no path for
+(``unroutable``), a cyclic directed graph "port of hop h → port of hop
+h+1" over the routes still to be walked, and a window whose expected
+fires ``Σ (horizon − first fire) · rate`` are under ``MIN_WINDOW_FIRES``
+or ``MIN_FIRES_PER_SOURCE`` per firing source (``budget``).  A stretch
+that expects more than ``MAX_WINDOW_FIRES`` is cut there and the rest is
+the next window: what one window hands back — packets in flight,
+re-armed sources — is what the next one starts from.
+
+**The resume rule.**  The same scan tells :meth:`Network.run` how far
+the event loop must go before the pass is worth another scan: to the
+first foreign time that *starts a gap wide enough to hold a budgeted
+window* — ``(next foreign time − this one) · Σ rate`` at least the
+budget floor, ``until`` closing the last gap — or, when no gap is, to
+``until`` itself.  So a cut and its repair cost a scan each (plus one
+per packet the cut left to detour), while a few thousand hybrid epoch
+boundaries 2 µs apart cost one scan in all, not one each.
+
+**Faults.**  Dead links do not stand the pass down: routes bound after
+a cut avoid them by construction, and a packet in flight whose plan
+still crosses one is foreign until the kernel has detoured it.  With
+in-flight tracking armed the hand-back enters every packet still
+flying into ``plan.flights[packet.hop]`` — the set a later cut of that
+link severs — and moves a root packet from its old link's set; an open
+outage (``FaultRecorder.awaiting_recovery``) closes at its flow's first
+delivery of the window, flows taken in delivery order, as per-packet
+``record_delivery`` calls would leave it.
 
 **Event order from ancestry.**  The heap orders events by ``(time,
 seq)``, and an event's seq was drawn while its *parent* ran: the
@@ -44,12 +76,14 @@ ranked by their ancestors' times (:class:`_Lineage`).
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from repro.routing.base import RoutingError
 from repro.sim.network import Network, Packet
 from repro.sim.sources import PoissonSource
+from repro.sim.stats import DeliveryBins
 
 #: Expected fires of a window.  Below the floor — in all, and per firing
 #: source, whose routes, plans and ports are the pass's fixed cost — the
@@ -66,40 +100,64 @@ MAX_WINDOW_FIRES = 16_384
 
 
 class _StandDown(Exception):
-    """The window is left to the event loop; ``args[0]`` names why."""
+    """The window is left to the event loop.  ``args`` are the reason's
+    name and, from a scan that got as far as its foreign entries, where
+    the pass is worth trying again (as :func:`_window` returns it)."""
+
+    def __init__(self, why: str, resume: "float | None" = None) -> None:
+        super().__init__(why, resume)
 
 
-def advance(net: Network, until: "float | None", max_events: "int | None" = None) -> bool:
-    """Solve the horizon up to ``until`` port-major, window by window,
-    as far as it is open loop.
+def advance(
+    net: Network, until: "float | None", max_events: "int | None" = None
+) -> "tuple[bool, float | None]":
+    """Solve port-major what the queue lets the pass own of the horizon
+    up to ``until``: window after window, up to the first foreign entry.
 
-    Returns whether any window was solved.  Every event up to the end
-    of the last solved window has been applied — ports, stats, counters,
-    packet ids, sources, the packets that were in flight — and the queue
-    holds what is pending past it (each in-flight packet on a chain
-    entry at its next arrival, each source re-armed at its next fire)
-    for ``engine.run(until)`` to find.  A window that stands down has
+    Returns ``(solved, resume)``: whether any window was solved, and the
+    time the event loop has to reach before the pass is worth calling
+    again — ``None`` when the rest of the horizon is the event loop's.
+    Every event up to the end of the last solved window has been applied
+    — ports, stats, counters, packet ids, sources, in-flight sets, open
+    outages, delivery bins, the packets that were in flight — and the
+    queue holds what is pending past it (each in-flight packet on a
+    chain entry at its next arrival, each source re-armed at its next
+    fire) for ``engine.run`` to find.  A window that stands down has
     changed nothing but how far ahead sources have drawn their gaps.
     """
     solved = False
+    resume = None
     try:
-        while True:
-            roots, horizon = _window(net, until, max_events)
+        more = True
+        while more:
+            roots, horizon, resume, more = _window(net, until, max_events)
             _solve(net, horizon, roots)
             solved = True
-            if horizon == until:
-                break
     except _StandDown as why:
+        reason, at = why.args
+        if at is not None:
+            resume = at
         if net.obs is not None:
-            net.obs.incr("batch.standdown." + why.args[0])
-    return solved
+            net.obs.incr("batch.standdown." + reason)
+    return solved, resume
 
 
-def _window(net: Network, until: "float | None", max_events: "int | None") -> "tuple[list, float]":
-    """The next window: the queue entries due by its horizon, in queue
-    order, and the horizon — ``until``, or the cut that holds the
-    window's expected fires to ``MAX_WINDOW_FIRES``.  :class:`_StandDown`
-    when the queue is not provably open loop up to ``until``."""
+def _window(
+    net: Network, until: "float | None", max_events: "int | None"
+) -> "tuple[list, float, float | None, bool]":
+    """One scan of the queue: ``(roots, horizon, resume, more)``.
+
+    ``roots`` are the entries the pass owns that are due by ``horizon``,
+    in queue order.  ``horizon`` is the last float before the first
+    foreign entry (``until`` when there is none) — or, when that many
+    fires exceed ``MAX_WINDOW_FIRES``, the cut that holds them to it,
+    and ``more`` says the next window starts right there.  ``resume`` is
+    the first foreign time that starts a gap — to the next foreign time,
+    or to ``until`` — wide enough to hold a budgeted window; ``None``
+    when no gap is.  :class:`_StandDown` when the pass may not run at
+    all, a source only the event loop can fire is due, or the window is
+    under budget.
+    """
     engine = net.engine
     if net.telemetry is not None:
         raise _StandDown("telemetry")
@@ -107,53 +165,88 @@ def _window(net: Network, until: "float | None", max_events: "int | None") -> "t
         raise _StandDown("disabled")
     if max_events is not None:
         raise _StandDown("bounded_run")
-    if net._track_in_flight or net._dead_links:
-        raise _StandDown("faults")
     if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire
     hop = Network._hop
-    due = []
+    dead = net._dead_links
+    roots = []
     starts = []
+    foreign = []
     for entry in engine._heap:
+        time = entry[0]
+        if time > until:
+            continue
+        if entry[3] is not None:
+            foreign.append(time)  # a plain timer
+            continue
         step = entry[2]
         kind = getattr(step, "__func__", None)
         owner = getattr(step, "__self__", None)
-        if entry[3] is not None:
-            raise _StandDown("not_open_loop")
         if kind is hop and owner is net:
             packet = entry[4]
-            if packet.dropped or packet.on_delivered is not None or packet.stamps is not None:
-                raise _StandDown("not_open_loop")
+            sink = packet.on_delivered
+            if (
+                packet.dropped
+                or packet.stamps is not None
+                or (sink is not None and type(sink) is not DeliveryBins)
+                or (dead and not dead.isdisjoint(packet.plan.keys[packet.hop + 1:]))
+            ):
+                foreign.append(time)
+            else:
+                roots.append(entry)
         elif (
             kind is fire
             and owner.network is net
             and entry[4] == owner._generation
             and owner.size_bytes > 0
         ):
+            sink = owner.on_delivered
             if (
                 owner._dst_rng is not None
-                or owner.on_delivered is not None
                 or owner.vary_flow_per_packet
-                or (owner.stop_at is not None and owner.stop_at <= until)
+                or (sink is not None and type(sink) is not DeliveryBins)
             ):
                 raise _StandDown("closed_loop_source")
-            if entry[0] <= until:
-                starts.append((entry[0], owner.rate_pps))
+            stop_at = owner.stop_at
+            if stop_at is not None and stop_at <= until:
+                foreign.append(max(stop_at, time))
+                if time >= stop_at:
+                    continue  # the fire that ends the chain
+            roots.append(entry)
+            starts.append((time, owner.rate_pps))
         else:
-            raise _StandDown("not_open_loop")
-        if entry[0] <= until:
-            due.append(entry)
-    expected = sum((until - first) * rate for first, rate in starts)
-    if expected > MAX_WINDOW_FIRES:
-        until = min(starts)[0] + MAX_WINDOW_FIRES / sum(rate for _, rate in starts)
-        starts = [start for start in starts if start[0] <= until]
-        expected = sum((until - first) * rate for first, rate in starts)
-        due = [entry for entry in due if entry[0] <= until]
-    if expected < max(MIN_WINDOW_FIRES, MIN_FIRES_PER_SOURCE * len(starts)):
-        raise _StandDown("budget")
-    due.sort()  # (time, seq): the order the heap would pop them in
-    return due, until
+            foreign.append(time)  # another chain: a burst, a stopped source's last fire
+
+    foreign.sort()
+    # ``t <= horizon`` below reads "strictly before the first foreign
+    # entry": what ties it stays with the event loop, and its seqs.
+    horizon = math.nextafter(foreign[0], -math.inf) if foreign else until
+    foreign.append(until)
+    all_rates = sum(rate for _, rate in starts)
+    wide = _floor(len(starts))
+    resume = next(
+        (this for this, then in zip(foreign, foreign[1:]) if (then - this) * all_rates >= wide),
+        None,
+    )
+
+    starts = [start for start in starts if start[0] <= horizon]
+    expected = sum((horizon - first) * rate for first, rate in starts)
+    more = expected > MAX_WINDOW_FIRES
+    if more:
+        horizon = min(starts)[0] + MAX_WINDOW_FIRES / sum(rate for _, rate in starts)
+        starts = [start for start in starts if start[0] <= horizon]
+        expected = sum((horizon - first) * rate for first, rate in starts)
+    if expected < _floor(len(starts)):
+        raise _StandDown("budget", resume)
+    # (time, seq): the order the heap would pop them in
+    return sorted(entry for entry in roots if entry[0] <= horizon), horizon, resume, more
+
+
+def _floor(sources: int) -> int:
+    """The fewest expected fires a window of ``sources`` firing sources
+    is worth setting up for."""
+    return max(MIN_WINDOW_FIRES, MIN_FIRES_PER_SOURCE * sources)
 
 
 def _routes(net: Network, roots: list) -> list:
@@ -331,6 +424,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
     plans = []
     sizes = []
     groups = []
+    sinks = []  # each root's ``on_delivered``: ``None`` or a DeliveryBins
     rows = []  # the table row of each root's queued event
     fires = []
     flown = []  # (root, packet) of the packets in flight
@@ -342,6 +436,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
             plans.append(packet.plan)
             sizes.append(packet.size_bytes)
             groups.append(packet.group)
+            sinks.append(packet.on_delivered)
             rows.append(packet.hop + 1)
             fires.append(None)
             continue
@@ -354,6 +449,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
         plans.append(bound[1])
         sizes.append(source.size_bytes)
         groups.append(source.group)
+        sinks.append(source.on_delivered)
         rows.append(0)
         fires.append(source._fires_through(entry[0], until))
     firing = [j for j, times in enumerate(fires) if times is not None]
@@ -432,8 +528,11 @@ def _solve(net: Network, until: float, roots: list) -> None:
         busy = port.busy_until
         tails = earliest + service
         if earliest[0] < busy or bool((earliest[1:] < tails[:-1]).any()):
+            # One size is not one service time: a packet in flight across
+            # a hybrid epoch keeps the plan, and the rate, it started with.
+            uniform = one_size and bool((service == service[0]).all())
             tails = _contended_tails(
-                earliest, busy, float(service[0]) if one_size else service
+                earliest, busy, float(service[0]) if uniform else service
             )
         port.busy_until = float(tails[-1])
         port.packets_sent += n.size
@@ -446,6 +545,8 @@ def _solve(net: Network, until: float, roots: list) -> None:
             port.bytes_sent = sent
         times[hop + 1, n] = tails + prop
 
+    del by_port
+
     # (3) Deliveries, in event order.
     reached = np.count_nonzero(times <= until, axis=0) - 1  # arrivals only grow along a path
     final = last[root_of]
@@ -453,10 +554,25 @@ def _solve(net: Network, until: float, roots: list) -> None:
     t = times[final[done], done]
     order = lineage.order(done, final[done], t)
     done = done[order]
-    latency = ((t[order] + net.host_receive_latency) - born[done]).tolist()
+    sender = root_of[done]
+    arrived = t[order]
+    delivered = arrived + net.host_receive_latency
+    latency = (delivered - born[done]).tolist()
     net.stats.record_many(latency)
-    _record_groups(net.stats.by_group, groups, root_of[done], latency)
+    _record_groups(net.stats.by_group, groups, sender, latency)
     net.packets_delivered += done.size
+    track = net._track_in_flight
+    if track and net.fault_stats.awaiting_recovery:
+        # Each flow awaiting recovery closes at its first delivery, in
+        # delivery order; a root's later deliveries find nothing open.
+        first = np.unique(sender, return_index=True)[1]
+        first.sort()
+        for i in first.tolist():
+            net.fault_stats.record_delivery(groups[sender[i]], float(arrived[i]))
+    for sink in {id(sink): sink for sink in sinks if sink is not None}.values():
+        mine = np.array([other is sink for other in sinks])
+        into = slice(None) if mine.all() else mine[sender]
+        sink.add_many(delivered[into], size[sender][into])
     # A fire's column counts its arrivals; a root packet's also the rows
     # above its queued one, which this window did not process.
     engine.credit_events(int(reached.sum()) + fired + len(flown) - sum(rows))
@@ -464,15 +580,20 @@ def _solve(net: Network, until: float, roots: list) -> None:
     # A packet that was in flight is the caller's object: it ends where
     # the kernel would have left it, and its entry goes if it arrived.
     heap = engine._heap
-    arrived = set()
+    landed = set()
     for j, packet in flown:
         column = int(end[j]) - 1
+        flights = packet.plan.flights
+        if track:
+            flights[packet.hop].discard(packet)
         packet.hop = int(reached[column])
         if packet.hop == packet.plan.last:
             packet.delivered_at = float(times[packet.hop, column]) + net.host_receive_latency
-            arrived.add(id(roots[j]))
-    if arrived:
-        heap[:] = [entry for entry in heap if id(entry) not in arrived]
+            landed.add(id(roots[j]))
+        elif track:
+            flights[packet.hop].add(packet)
+    if landed:
+        heap[:] = [entry for entry in heap if id(entry) not in landed]
 
     # (4) What is pending at the horizon, in the order the event loop
     # would have drawn its seqs: by parent, the packet before the re-arm.
@@ -489,7 +610,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
     at_hop = reached[flying].tolist()
     owner = root_of[flying].tolist()
     sent = count[firing].tolist()
-    del times, lineage, by_port, root_of, reached, final, born, root_t  # before the packets exist
+    del times, lineage, root_of, reached, final, born, root_t  # before the packets exist
 
     seq = engine._seq
     step = net._hop
@@ -506,8 +627,11 @@ def _solve(net: Network, until: float, roots: list) -> None:
                 plan = plans[owner[index]]
                 packet = Packet(
                     packet_id[index], source.src, source._dsts[0], source.size_bytes,
-                    plan.path, created[index], source.group, hop=at_hop[index], plan=plan,
+                    plan.path, created[index], source.group, source.on_delivered,
+                    hop=at_hop[index], plan=plan,
                 )
+                if track:
+                    plan.flights[at_hop[index]].add(packet)
                 entry = [arrival[index], seq, step, None, packet]
                 heap.append(entry)
         entry[1] = seq

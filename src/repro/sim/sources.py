@@ -19,10 +19,12 @@ reference and produces exactly the same packets.  Under ``engine.run``
 each packet's *injection* fires as its own engine event: port queueing
 interleaves with other traffic at arrival times, so arrivals cannot be applied
 stream by stream without changing results.  ``Network.run(until=…)``
-can do better when the queue holds nothing but single-destination
-Poisson fires and packets in flight: the horizon is then open loop,
-every fire time is known up front, and :mod:`repro.sim.portmajor`
-applies all streams' arrivals together, port by port, bit-identically.
+can do better between the queue entries that are not single-destination
+Poisson fires or packets in flight: such a stretch is open loop, every
+fire time is known up front, and :mod:`repro.sim.portmajor` applies all
+streams' arrivals together, port by port, bit-identically — a
+``stop_at`` inside the horizon ends a window, and the fire that ends
+the chain is the event loop's.
 
 A running Poisson or burst source is one engine **chain**
 (:meth:`~repro.sim.engine.Engine.chain_at`): its fire step returns the

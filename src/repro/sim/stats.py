@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.units import BITS_PER_BYTE
+
 
 @dataclass(frozen=True)
 class LatencySummary:
@@ -159,6 +163,54 @@ class LatencyRecorder:
         self.samples.clear()
         self.by_group.clear()
         self.hop_stamps.clear()
+
+
+class DeliveryBins:
+    """Delivered bits per fixed-width time bin — a goodput time series.
+
+    An ``on_delivered`` callback that is data, not code: the kernel
+    calls it per packet (``bins(packet, when)``), and the port-major
+    pass (:mod:`repro.sim.portmajor`), which knows what it does, applies
+    a whole window's deliveries with :meth:`add_many` instead of
+    leaving the stream to the event loop.  A delivery at ``when`` counts
+    in bin ``int(when / bin_width)``, the last bin taking everything
+    past it.  Both forms leave the same ``bits``, bit for bit: whole bit
+    counts below 2**53 sum exactly in any order, and anything else
+    replays the per-packet additions in delivery order.
+    """
+
+    __slots__ = ("bin_width", "bits")
+
+    def __init__(self, bin_width: float, num_bins: int) -> None:
+        if bin_width <= 0 or num_bins < 1:
+            raise ValueError(f"need a positive bin width and count, got {bin_width}, {num_bins}")
+        self.bin_width = bin_width
+        #: Bits delivered in each bin.
+        self.bits = [0.0] * num_bins
+
+    def __call__(self, packet: object, when: float) -> None:
+        bits = self.bits
+        index = min(int(when / self.bin_width), len(bits) - 1)
+        bits[index] += packet.size_bytes * BITS_PER_BYTE  # type: ignore[attr-defined]
+
+    def add_many(self, when: np.ndarray, sizes: np.ndarray) -> None:
+        """One call per delivery of ``sizes`` bytes at ``when``, in order."""
+        bits = self.bits
+        index = np.minimum((when / self.bin_width).astype(np.intp), len(bits) - 1)
+        added = sizes * float(BITS_PER_BYTE)
+        sums = np.bincount(index, weights=added, minlength=len(bits))
+        touched = np.flatnonzero(sums).tolist()
+        totals = [bits[i] + float(sums[i]) for i in touched]
+        if (
+            bool((added == np.floor(added)).all())
+            and all(bits[i].is_integer() for i in touched)
+            and max(totals, default=0.0) < 2.0 ** 53
+        ):
+            for i, total in zip(touched, totals):
+                bits[i] = total
+        else:
+            for i, more in zip(index.tolist(), added.tolist()):
+                bits[i] += more
 
 
 # -- fault observability ------------------------------------------------------------

@@ -261,3 +261,46 @@ class TestBitIdentityAcrossLoops:
         reference = self._foreground_summary(fastpath=False)
         assert batched == fastpath == reference
         assert batched[0] > 0
+
+    def test_windows_between_epoch_boundaries(self, monkeypatch):
+        """A boundary is a timer: it bounds the pass's windows.  The
+        packets in flight across it keep the serialization they started
+        with, so the window after it clocks one port at two rates."""
+        from repro.sim import portmajor
+        from tests.sim.test_fastpath import network_fingerprint
+
+        solved = []
+        solve = portmajor._solve
+        monkeypatch.setattr(
+            portmajor, "_solve",
+            lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+        )
+
+        def run(batch):
+            topo = T.quartz_ring(3, 1)
+            servers = topo.servers()
+            flows = [
+                BackgroundFlow(1_000_000, servers[0], servers[1], 6 * GBPS, 2e-4, 6e-4),
+                BackgroundFlow(1_000_001, servers[2], servers[1], 3 * GBPS, 4e-4, 9e-4),
+            ]
+            net = build(flows, topo, batch=batch, telemetry=False, obs=False)
+            sources = [
+                PoissonSource.at_bandwidth(
+                    net, servers[0], servers[1], 3 * GBPS, group="fg", seed=11, flow_id=1
+                ),
+                PoissonSource.at_bandwidth(
+                    net, servers[2], servers[1], 2 * GBPS, group="fg2", seed=12, flow_id=2
+                ),
+            ]
+            for source in sources:
+                source.start()
+            prints = []
+            for until in (5e-4, 1e-3):
+                net.run(until=until)
+                prints.append(
+                    network_fingerprint(net) + tuple(s.packets_sent for s in sources)
+                )
+            return prints
+
+        assert run(batch=True) == run(batch=False)
+        assert len(solved) >= 5  # a window per epoch, and one per leg

@@ -4,10 +4,11 @@
 :mod:`repro.sim.portmajor`) must be a pure speed change, like the
 compiled fast path before it: every externally visible number —
 per-packet latencies, drop/reroute counters, port state, the logical
-event count — must match both the scalar fast path and the reference
-loop exactly, whether the pass takes the horizon (plain streams), part
-of it, or none (timers, fault churn, ``stop_at`` inside it).  The
-equivalence fingerprint here extends ``tests/sim/test_fastpath.py``'s;
+event count, the fault bookkeeping — must match both the scalar fast
+path and the reference loop exactly, whether the pass takes the whole
+horizon (plain streams) or the windows between what it cannot own
+(timers, a cut and its repair, ``stop_at`` inside it).  The equivalence
+fingerprint here extends ``tests/sim/test_fastpath.py``'s;
 ``tests/sim/test_portmajor.py`` holds the pass's own differential.
 """
 
@@ -19,6 +20,7 @@ from repro.routing import ECMPRouter
 from repro.sim import Network, portmajor
 from repro.sim.portmajor import _contended_tails, _repeated_add
 from repro.sim.sources import PoissonSource
+from tests.sim.test_fastpath import network_fingerprint
 
 MODES = ("batched", "fastpath", "reference")
 
@@ -61,24 +63,25 @@ def fingerprint(net, sources):
         tuple(net.stats.samples),
         tuple(source.packets_sent for source in sources),
         port_state(net),
+        network_fingerprint(net)[10:],  # fault counters, outages, in-flight sets
     )
 
 
 def run_watched(net, until):
-    """``net.run(until=until)``; returns whether the pass solved any of it."""
+    """``net.run(until=until)``; returns how many windows the pass solved."""
     seen = []
-    real = portmajor.advance
+    real = portmajor._solve
 
     def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
+        real(*args)
+        seen.append(args[1])
 
-    portmajor.advance = spy
+    portmajor._solve = spy
     try:
         net.run(until=until)
     finally:
-        portmajor.advance = real
-    return seen[0]
+        portmajor._solve = real
+    return len(seen)
 
 
 def run_workload(
@@ -91,13 +94,13 @@ def run_workload(
     interrupters=(),
 ):
     """Fixed workload; returns (fingerprint, net, sources, engaged) —
-    ``engaged`` being whether the pass solved any of the horizon.
+    ``engaged`` being how many windows of the horizon the pass solved.
 
     ``fault="lazy"`` schedules a cut+repair without pre-arming in-flight
     tracking; ``fault="armed"`` pre-arms it like the fastpath suite.
     ``interrupters`` schedules no-op events at the given times.  The
-    queued timers of all three make the horizon not open loop: the pass
-    must stand down and the run must still agree.
+    queued timers of all three bound the pass's windows: nothing may be
+    applied at or past one before the event loop has run it.
     """
     net = build(mode)
     engine = net.engine
@@ -151,35 +154,41 @@ class TestEquivalence:
         assert engaged
 
     def test_lazy_fault_churn_bit_identical(self):
-        # The queued fail_link / repair_link timers stand the pass down
-        # before the cut; fault tracking does after it.
+        # Windows up to the cut, between it and the repair (tracking
+        # armed by the cut, a dead link, detouring packets in flight),
+        # and after the repair.
         batched, _, _, engaged = run_workload("batched", fault="lazy")
         fast, _, _, _ = run_workload("fastpath", fault="lazy")
         ref, _, _, _ = run_workload("reference", fault="lazy")
         assert batched == fast == ref
-        assert not engaged
+        assert engaged >= 3 and batched[3] > 0  # packets were rerouted
 
     def test_armed_fault_tracking_bit_identical(self):
+        # Tracking armed from the start: what the first window hands
+        # back is in the in-flight sets the cut severs.
         batched, _, _, engaged = run_workload("batched", fault="armed")
         fast, _, _, _ = run_workload("fastpath", fault="armed")
         assert batched == fast
-        assert not engaged
+        assert engaged >= 3 and batched[2] > 0  # packets were severed
 
     def test_interrupters_force_prefix_commits(self):
         # A wall of no-op events slices through the single-source
-        # stream: nothing may be applied ahead of a queued timer.
+        # stream: nothing may be applied ahead of a queued timer, and
+        # each 0.5 ms between two of them is a window.
         walls = tuple(0.0005 * k for k in range(1, 20))
         batched, _, _, engaged = run_workload("batched", nsrc=1, interrupters=walls)
         fast, _, _, _ = run_workload("fastpath", nsrc=1, interrupters=walls)
         assert batched == fast
-        assert not engaged
+        assert engaged == len(walls) + 1
 
     def test_stop_at_bit_identical(self):
-        batched, _, _, engaged = run_workload("batched", nsrc=1, stop_at=0.006)
+        batched, _, sources, engaged = run_workload("batched", nsrc=1, stop_at=0.006)
         fast, _, _, _ = run_workload("fastpath", nsrc=1, stop_at=0.006)
         ref, _, _, _ = run_workload("reference", nsrc=1, stop_at=0.006)
         assert batched == fast == ref
-        assert not engaged  # a stream that ends inside the horizon is the event loop's
+        # The fires before ``stop_at`` are one window; the fire that
+        # ends the chain is the event loop's.
+        assert engaged == 1 and not sources[0]._running
 
     def test_horizon_leaves_same_packets_in_flight(self):
         # Stop mid-flight: what the pass hands back at the horizon must
@@ -188,7 +197,7 @@ class TestEquivalence:
         results = {}
         for mode in MODES:
             fp, net, sources, engaged = run_workload(mode, nsrc=2, until=0.003)
-            assert engaged == (mode == "batched")
+            assert bool(engaged) == (mode == "batched")
             for source in sources:
                 source.stop()
             resumed_at = fp
@@ -370,7 +379,7 @@ class TestFiresThrough:
                 source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1_500_000.0,
                                        seed=5, chunk=256)
                 source.start()
-                assert run_watched(net, until) == batch
+                assert bool(run_watched(net, until)) == batch
                 net.engine.run(until=until + 3e-4)
                 runs.append((source.packets_sent, tuple(net.stats.samples)))
             assert runs[0] == runs[1]

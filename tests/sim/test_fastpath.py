@@ -24,8 +24,17 @@ from repro.units import GBPS, serialization_delay
 
 
 def network_fingerprint(net):
-    """Every externally visible number of a finished (or paused) run."""
+    """Every externally visible number of a finished (or paused) run.
+
+    Fault bookkeeping included: the per-flow counters and open outages
+    (a cut severs a link's in-flight *set*, whose iteration order is by
+    address, so the dicts it fills are compared as sorted items; the
+    closed outages are filled in delivery order and compared as they
+    are), and which packets each link holds.  ``disarmed`` in
+    ``test_legs.py`` slices around positions 8 and 9; new fields go at
+    the end."""
     engine = net.engine
+    faults = net.fault_stats
     return (
         net.packets_delivered,
         net.packets_dropped,
@@ -42,6 +51,14 @@ def network_fingerprint(net):
         {
             flow: {node: vars(agg) for node, agg in per_node.items()}
             for flow, per_node in net.stats.hop_stamps.items()
+        },
+        sorted(faults.drops_by_flow.items()),
+        tuple(faults.reroutes_by_flow.items()),
+        tuple((flow, tuple(times)) for flow, times in faults.recovery_times_by_flow.items()),
+        sorted(faults.awaiting_recovery.items()),
+        {
+            link: sorted(packet.packet_id for packet in flight)
+            for link, flight in net._in_flight.items() if flight
         },
     )
 
@@ -110,7 +127,7 @@ class TestEquivalence:
         fast = run_fingerprint(True, **kwargs)
         ref = run_fingerprint(False, **kwargs)
         assert fast == ref
-        assert fast[-1]  # stamps were folded in
+        assert fast[9]  # stamps were folded in
         # Strictly observational: the armed run equals the disarmed one.
         assert fast[:8] == run_fingerprint(True, buffer_bytes, fault)[:8]
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.topology as T
 from repro.routing import ECMPRouter, KShortestPathsRouter, VLBRouter
-from repro.sim import Network
+from repro.sim import Network, portmajor
 from repro.sim.sources import BurstSource, PoissonSource
 from repro.units import GBPS
 from tests.sim.test_fastpath import network_fingerprint
@@ -44,36 +44,40 @@ HORIZON = 4e-4
 fractions = st.sampled_from([0.25, 0.5, 0.75])
 
 
-def shapes(open_loop):
-    """Scenario shapes.  The port-major pass takes only open-loop
-    horizons — plain single-destination streams, nothing else queued —
-    which free draws almost never produce, so half the draws are held
-    to that; the other half roam."""
-    def unless_open_loop(strategy, plain=None):
-        return st.just(plain) if open_loop else st.just(plain) | strategy
+def shapes(owned):
+    """Scenario shapes.  The port-major pass owns plain
+    single-destination streams and solves the windows between whatever
+    else is queued — a cut, a repair, a ``stop_at``, a burst — but one
+    multi-destination or per-packet-flow stream, or a buffer bound,
+    leaves the whole run to the event loop, and free draws almost
+    always hold one; so half the draws are held to streams the pass
+    owns, among everything that bounds its windows; the other half
+    roam."""
+    def unless_owned(strategy, plain=None):
+        return st.just(plain) if owned else st.just(plain) | strategy
 
     stream = st.fixed_dictionaries({
         "src": st.integers(0, 7),
         "dsts": st.lists(
-            st.integers(1, 7), min_size=1, max_size=1 if open_loop else 3, unique=True
+            st.integers(1, 7), min_size=1, max_size=1 if owned else 3, unique=True
         ),
         "rate": st.sampled_from([100_000.0, 400_000.0, 2_000_000.0]),
         "seed": st.integers(0, 2),
-        "stop_at": unless_open_loop(fractions),
-        "vary_flow": unless_open_loop(st.just(True), plain=False),
+        "stop_at": st.none() | fractions,
+        "vary_flow": unless_owned(st.just(True), plain=False),
     })
     return st.fixed_dictionaries({
         "fabric_router": st.sampled_from(FABRIC_ROUTERS),
         "streams": st.lists(stream, min_size=1, max_size=6),
-        "burst": unless_open_loop(st.tuples(st.integers(0, 7), st.integers(1, 7))),
+        "burst": st.none() | st.tuples(st.integers(0, 7), st.integers(1, 7)),
         # (cut at, repair after or never, which link of stream 0's route —
         #  its server's only uplink included: every packet to or from an
         #  isolated server is counted unroutable, on every router —
         #  whether in-flight tracking is armed before the first packet)
-        "cut": unless_open_loop(st.tuples(
+        "cut": st.none() | st.tuples(
             fractions, st.none() | fractions, st.integers(0, 3), st.booleans()
-        )),
-        "buffer_bytes": unless_open_loop(st.just(3000)),
+        ),
+        "buffer_bytes": unless_owned(st.just(3000)),
         "horizon": st.sampled_from(["run", "split", "max_events"]),
     })
 
@@ -144,6 +148,25 @@ def disarmed(snapshots):
     return [fp[:8] + fp[10:] for fp in snapshots]
 
 
+def bounded_windows(router):
+    """Plain streams among everything that bounds a window without
+    taking the run from the pass: a stream that stops, a burst source,
+    armed tracking, a cut on stream 0's route and its repair."""
+    stream = {"rate": 2_000_000.0, "stop_at": None, "vary_flow": False}
+    return {
+        "fabric_router": ("ring", router),
+        "streams": [
+            {"src": 0, "dsts": [5], "seed": 0, **stream},
+            {"src": 3, "dsts": [6], "seed": 0, **stream},
+            {"src": 6, "dsts": [1], "seed": 1, **stream, "stop_at": 0.5},
+        ],
+        "burst": (2, 3),
+        "cut": (0.25, 0.75, 1, True),
+        "buffer_bytes": None,
+        "horizon": "split",
+    }
+
+
 def isolated_server(fabric, router):
     """Server 0 loses its only uplink for an eighth of the horizon while
     it streams and bursts, and while server 3 streams to it."""
@@ -164,9 +187,24 @@ def isolated_server(fabric, router):
 @example(shape=isolated_server("ring", "kshortest"))
 @example(shape=isolated_server("ring", "vlb"))
 @example(shape=isolated_server("tree", "ecmp"))
+@example(shape=bounded_windows("ecmp"))
+@example(shape=bounded_windows("vlb"))
 def test_every_leg_matches_the_oracle(shape):
     oracle = run_leg(shape, fastpath=False, telemetry=True)
     assert run_leg(shape, fastpath=True, telemetry=True) == oracle
     for batch in (False, True):
         kernel = run_leg(shape, fastpath=True, batch=batch)
         assert disarmed(kernel) == disarmed(oracle)
+
+
+def test_what_bounds_a_window_does_not_stand_the_pass_down(monkeypatch):
+    solved = []
+    solve = portmajor._solve
+    monkeypatch.setattr(
+        portmajor, "_solve",
+        lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+    )
+    run_leg(bounded_windows("ecmp"), fastpath=True, batch=True)
+    # A burst every 24 us of the 400: a window between each two, through
+    # the cut at 100 us, the repair at 175 us and the ``stop_at`` at 200.
+    assert len(solved) >= 12 and max(solved) > 0.9 * HORIZON

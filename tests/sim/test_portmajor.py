@@ -6,15 +6,18 @@ compiled fast path before it, that must be a pure speed change: the
 oracle throughout is the same scenario on a ``batch=False`` network,
 and the fingerprint holds everything a later event could read — stats
 in delivery order, every port's counters and clock, the sources'
-counters, the logical event count, the packets a caller holds, and the
-pending queue *in seq order* (the pass draws fresh seqs for what it
-hands back; their order is the only thing about them that can matter).
+counters, the logical event count, the packets a caller holds, the
+fault bookkeeping (per-flow counters, outages open and closed, which
+packets each link holds) and the pending queue *in seq order* (the pass
+draws fresh seqs for what it hands back; their order is the only thing
+about them that can matter).
 
 Networks pin ``fastpath=True, telemetry=False, obs=False`` so the file
 means the same under every CI leg's environment.
 """
 
 import heapq
+import math
 import random
 from contextlib import contextmanager
 
@@ -26,11 +29,12 @@ import repro.topology as T
 from repro import obs
 from repro.routing import ECMPRouter
 from repro.routing.base import RoutingError
-from repro.sim import Network, portmajor
+from repro.sim import DeliveryBins, Network, portmajor
 from repro.sim.sources import PoissonSource
 from repro.sim.switch import SwitchModel, register_model
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.units import GBPS
+from tests.sim.test_fastpath import network_fingerprint
 
 TOPOLOGIES = {
     # Store-and-forward CCS core over cut-through ULL tiers.
@@ -84,6 +88,8 @@ def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
 
 def pending_in_seq_order(net):
     def identity(entry):
+        if entry[3] is not None:
+            return (entry[0], "timer")
         arg = entry[4]
         if isinstance(arg, int):  # a source's fire chain carries its generation
             return (entry[0], "fire", entry[2].__self__.flow_id, arg)
@@ -94,7 +100,11 @@ def pending_in_seq_order(net):
 
 def fingerprint(net, sources, held=()):
     return {
-        "held": tuple((p.packet_id, p.hop, p.delivered_at) for p in held),
+        "held": tuple(
+            (p.packet_id, p.hop, p.delivered_at, p.dropped, p.rerouted) for p in held
+        ),
+        "faults": network_fingerprint(net)[10:],
+        "dropped_rerouted": (net.packets_dropped_fault, net.packets_rerouted),
         "delivered": net.packets_delivered,
         "next_packet_id": net._next_packet_id,
         "events": net.engine.events_processed,
@@ -113,13 +123,16 @@ def fingerprint(net, sources, held=()):
 
 @contextmanager
 def watching():
-    """What each ``portmajor.advance`` call made by ``Network.run`` returned."""
+    """Whether each ``portmajor.advance`` call made by ``Network.run``
+    solved a window: one call per run, and one more per hand-back from
+    the event loop across a foreign entry."""
     seen = []
     real = portmajor.advance
 
     def spy(net, until, max_events=None):
-        seen.append(real(net, until, max_events))
-        return seen[-1]
+        answer = real(net, until, max_events)
+        seen.append(answer[0])
+        return answer
 
     portmajor.advance = spy
     try:
@@ -159,15 +172,19 @@ def run_legs(net, sources, horizons, between=None, held=()):
 
 
 def differential(topology, tasks, horizons, router=None, between=None, before=None,
-                 cut=None, **traffic):
+                 after=None, cut=None, **traffic):
     """Run the scenario with the pass and on the oracle; assert equal
     fingerprints at every horizon; return what ``advance`` answered.
     ``before(net)`` injects packets ahead of the sources and returns
-    them: the caller's objects, compared field by field."""
+    them: the caller's objects, compared field by field; ``after(net)``
+    queues what must come after the sources' first fires."""
     def legs(batch):
         net = build(topology, batch=batch, router=router)
         held = before(net) if before is not None else ()
-        return run_legs(net, start_tasks(net, tasks, **traffic), horizons, between, held)
+        sources = start_tasks(net, tasks, **traffic)
+        if after is not None:
+            after(net)
+        return run_legs(net, sources, horizons, between, held)
 
     expected = legs(batch=False)
     with watching() as engaged, budget(cut):
@@ -308,7 +325,7 @@ class TestPinned:
         expected = run_legs(oracle, two_ahead(oracle), [1e-3])
         net = build(ring_of_switches(5), batch=True)
         sources = two_ahead(net)
-        assert not portmajor.advance(net, 1e-3)
+        assert portmajor.advance(net, 1e-3) == (False, None)
         assert not net._flows and not net._plans  # nothing was bound
         assert run_legs(net, sources, [1e-3]) == expected
 
@@ -324,7 +341,7 @@ class TestPinned:
         sources = start_tasks(net, tasks)
         before = pending_in_seq_order(net)
         cursors = [source._gap_i for source in sources]
-        assert not portmajor.advance(net, 1e-3)
+        assert portmajor.advance(net, 1e-3) == (False, None)
         # Nothing but how far ahead the gaps are drawn has changed.
         assert pending_in_seq_order(net) == before
         assert [source._gap_i for source in sources] == cursors
@@ -342,8 +359,10 @@ class TestPinned:
                 source.start()
 
         engaged = differential("tree", FOUR_TASKS, [5e-4, 1e-3], between=restart)
-        # The stopped chains' entries are still queued: not open loop.
-        assert engaged[:2] == [True, False]
+        # The stopped chains' last fires are still queued: each bounds a
+        # window, none is wide enough until the last of them has ended
+        # its chain, and the restarted half is solved from there.
+        assert engaged[:2] == [True, False] and engaged[-2] is True
 
     def test_engine_run_is_never_solved_port_major(self):
         net = build("tree", batch=True)
@@ -359,7 +378,7 @@ class TestPinned:
     def test_batch_false_turns_the_pass_off(self):
         net = build("tree", batch=False)
         start_tasks(net, FOUR_TASKS)
-        assert not portmajor.advance(net, 1e-3)
+        assert portmajor.advance(net, 1e-3) == (False, None)
 
 
 def sent_ahead(net):
@@ -397,12 +416,19 @@ class TestRootsAndChains:
 
     @pytest.mark.parametrize("mark", ["on_delivered", "stamps"])
     def test_a_root_the_kernel_would_call_back_stands_down_untouched(self, mark):
+        """Such a packet is no root but a foreign entry: its next
+        arrival bounds the window — before the first fire here, so the
+        pass stands down, nothing touched — and the pass is worth trying
+        again from that arrival on; the event loop walks the packet
+        home, hop by hop, between windows."""
+        called = []
+
         def marked(net):
             held = sent_ahead(net)
             if mark == "stamps":
                 held[3].stamps = []  # white box: as armed telemetry leaves it
             else:
-                held[3].on_delivered = lambda packet, when: None
+                held[3].on_delivered = lambda packet, when: called.append(when)
             return held
 
         net = build("tree", batch=True)
@@ -410,11 +436,13 @@ class TestRootsAndChains:
         sources = start_tasks(net, FOUR_TASKS)
         before = fingerprint(net, sources, held)
         cursors = [source._gap_i for source in sources]
-        assert not portmajor.advance(net, 1e-3)
+        (arrival,) = [entry[0] for entry in net.engine._heap if entry[4] is held[3]]
+        assert portmajor.advance(net, 1e-3) == (False, arrival)
         assert fingerprint(net, sources, held) == before
         assert [source._gap_i for source in sources] == cursors
         engaged = differential("tree", FOUR_TASKS, [1e-3], before=marked)
-        assert engaged[0] is False
+        assert engaged[0] is False and engaged[-2] is True
+        assert mark == "stamps" or called[0] == called[1]  # once per leg
 
     def test_a_root_whose_route_closes_a_port_cycle_stands_down(self):
         def legs(batch, closing):
@@ -461,6 +489,186 @@ class TestRootsAndChains:
         assert engaged == [True]
         assert source.packets_sent > 7 * portmajor.MAX_WINDOW_FIRES
         assert len(source._gaps) < portmajor.MAX_WINDOW_FIRES // 8
+
+
+# -- foreign entries bound a window ---------------------------------------------------
+
+
+def noop():
+    pass
+
+
+def probing(log):
+    """``before`` / ``after`` hook factory: a timer at ``when`` that notes
+    what has happened by the time it runs — whether the fire that ties
+    it has sent its packet."""
+    def hook(when):
+        def queue(net):
+            net.engine.call_at(
+                when, lambda: log.append((net._next_packet_id, net.packets_delivered))
+            )
+            return ()
+        return queue
+    return hook
+
+
+def wall_of_timers(net):
+    for k in range(1, 201):
+        net.engine.call_at(2e-6 * k, noop)
+    return ()
+
+
+def crossing(net):
+    """One packet from the first server to the last: six hops on the
+    trees, led by the host link it is on when this returns."""
+    servers = net.topo.servers()
+    return net.send(servers[0], servers[-1], 400, flow_id=900, group="probe")
+
+
+class TestForeignEntries:
+    """An entry the pass cannot own bounds the window at its time — what
+    ties it is the event loop's — and the pass resumes past it."""
+
+    ONE_TASK = [("scatter", 0, 9, 5)]
+    ONE_STREAM = [("scatter", 0, 1, 5)]
+
+    @pytest.mark.parametrize("queued", ["before", "after"])
+    @pytest.mark.parametrize("which", [0, 1, 200])
+    def test_timer_on_a_fires_own_time(self, queued, which):
+        """Queued before the source started the timer precedes every
+        fire it ties; queued after, it follows the first fire (the
+        root's own seq) and precedes a later one (whose seq the fire
+        before drew during the run)."""
+        fires = [t for t, fire in events_of("tree", self.ONE_STREAM, 1e-3, rate=400_000.0) if fire]
+        log = []
+        engaged = differential(
+            "tree", self.ONE_STREAM, [1e-3], rate=400_000.0,
+            **{queued: probing(log)(fires[which])},
+        )
+        assert any(engaged)
+        assert log[0] == log[1]  # oracle, then the pass
+        sent_by_then = which + (queued == "after" and which == 0)
+        assert log[0][0] == sent_by_then
+
+    def test_timer_on_an_arrivals_own_time(self):
+        events = events_of("tree", self.ONE_TASK, 1e-3, rate=120_000.0)
+        arrivals = [t for t, fire in events if not fire]
+        log = []
+        engaged = differential(
+            "tree", self.ONE_TASK, [1e-3], rate=120_000.0,
+            after=probing(log)(arrivals[len(arrivals) // 2]),
+        )
+        assert any(engaged) and log[0] == log[1]
+
+    def test_timer_at_now(self):
+        def at_now(net):
+            net.engine.call_at(net.engine.now, noop)
+            return ()
+
+        engaged = differential(
+            "tree", FOUR_TASKS, [5e-4, 1e-3], before=at_now,
+            between=lambda sources: at_now(sources[0].network),
+        )
+        # Each run: nothing fits before the timer, one hand-back, a window.
+        assert engaged[:4] == [False, True, False, True]
+
+    def test_a_wall_of_timers_costs_one_scan(self, monkeypatch):
+        """200 timers 2 us apart: no gap holds a budgeted window, so the
+        run is one scan and the event loop."""
+        scans = []
+        window = portmajor._window
+        monkeypatch.setattr(
+            portmajor, "_window", lambda *args: (scans.append(args[1]), window(*args))[1]
+        )
+        engaged = differential("tree", FOUR_TASKS, [4e-4], before=wall_of_timers)
+        # One per ``Network.run`` call, on the oracle's legs and on the pass's.
+        assert engaged[0] is False and scans == [4e-4, 7e-4] * 2
+
+    def test_burst_fires_bound_windows(self):
+        from repro.sim.sources import BurstSource
+
+        def bursting(net):
+            servers = net.topo.servers()
+            BurstSource(net, servers[1], servers[-2], 2 * GBPS, burst_packets=8,
+                        group="burst", flow_id=7, seed=1).start()
+            return ()
+
+        engaged = differential("mixed", FOUR_TASKS, [1e-3], before=bursting, rate=400_000.0)
+        assert engaged.count(True) > 3  # a window per burst interval
+
+    @pytest.mark.parametrize("ahead", [1, 3])
+    def test_root_packet_with_a_dead_link_ahead(self, ahead):
+        """The packet is the event loop's until it has detoured; the
+        streams bound after the cut avoid the link by construction."""
+        def cut_ahead(net):
+            packet = crossing(net)
+            net.fail_link(*packet.plan.keys[ahead])
+            return [packet]
+
+        engaged = differential("tree", FOUR_TASKS, [1e-3], before=cut_ahead, rate=120_000.0)
+        assert engaged[0] is False and any(engaged)
+
+    def test_dropped_root_packet(self):
+        def severed(net):
+            net.enable_fault_tracking()
+            packet = crossing(net)
+            net.engine.run(max_events=1)  # onto its second link
+            assert net.fail_link(*packet.plan.keys[packet.hop]) == 1 and packet.dropped
+            return [packet]
+
+        engaged = differential("tree", FOUR_TASKS, [1e-3], before=severed, rate=120_000.0)
+        assert engaged[0] is False and any(engaged)
+
+    def test_deliveries_close_open_outages(self):
+        """A root packet and a stream deliver while their flows await
+        recovery: each outage closes at the flow's first delivery."""
+        def awaiting(net):
+            net.enable_fault_tracking()
+            held = sent_ahead(net)
+            for flow in ("sent", "task1", "never"):  # white box: as a drop opens one
+                net.fault_stats.record_drop(flow, net.engine.now)
+            return held
+
+        closed = []
+        real = portmajor._solve
+
+        def solve(net, until, roots):
+            real(net, until, roots)
+            closed.append(dict(net.fault_stats.recovery_times_by_flow))
+
+        portmajor._solve = solve
+        try:
+            engaged = differential("tree", FOUR_TASKS, [1e-3], before=awaiting)
+        finally:
+            portmajor._solve = real
+        assert engaged[0] is True
+        assert sorted(closed[0]) == ["sent", "task1"] and all(
+            len(times) == 1 for times in closed[0].values()
+        )
+
+    @pytest.mark.parametrize("sizes", ["equal", "non_integer"])
+    def test_delivery_bins_fill_as_the_callback_would(self, sizes):
+        """Streams and packets in flight that carry a ``DeliveryBins``
+        stay the pass's; two streams share a second one."""
+        def legs(batch):
+            net = build("tree", batch=batch)
+            most, some = DeliveryBins(1e-4, 8), DeliveryBins(3e-5, 4)
+            held = sent_ahead(net)
+            for packet in held[::2]:
+                packet.on_delivered = most
+            sources = start_tasks(net, FOUR_TASKS, sizes=sizes, rate=120_000.0)
+            for j, source in enumerate(sources):
+                source.on_delivered = (most, some, None)[min(j % 7, 2)]
+            prints = []
+            for until in (4e-4, 1e-3):
+                net.run(until=until)
+                prints.append((fingerprint(net, sources, held), most.bits[:], some.bits[:]))
+            return prints
+
+        with watching() as engaged:
+            got = legs(True)
+        assert got == legs(False)
+        assert engaged == [True, True] and min(got[-1][1]) > 0
 
 
 # -- a tie between events at different hop depths on one port ---------------------
@@ -585,8 +793,8 @@ def mutated_roots(monkeypatch, name):
 
     if name == "roots_ranked_by_time_alone":
         def by_time(net, until, max_events):
-            roots, horizon = window(net, until, max_events)
-            return sorted(roots, key=lambda entry: (entry[0], -entry[1])), horizon
+            roots, *rest = window(net, until, max_events)
+            return sorted(roots, key=lambda entry: (entry[0], -entry[1])), *rest
         monkeypatch.setattr(portmajor, "_window", by_time)
     elif name == "packet_ids_rank_roots_too":
         monkeypatch.setattr(portmajor._Lineage, "fire_rank", lambda self, flown: self.rank)
@@ -605,6 +813,32 @@ def mutated_roots(monkeypatch, name):
                     entry[0], entry[1] = time, seq
                     heapq.heappush(net.engine._heap, entry)
         monkeypatch.setattr(portmajor, "_solve", left_queued)
+
+
+def mutated_bounds(monkeypatch, name):
+    """Wrong-but-plausible ways to stop at a foreign entry."""
+    window, solve = portmajor._window, portmajor._solve
+
+    if name == "horizon_on_the_foreign_time":
+        def inclusive(net, until, max_events):
+            roots, horizon, resume, more = window(net, until, max_events)
+            if not more and horizon < until:
+                horizon = math.nextafter(horizon, math.inf)  # ``<=`` the timer
+            return roots, horizon, resume, more
+        monkeypatch.setattr(portmajor, "_window", inclusive)
+    elif name == "hand_back_outside_the_flight_sets":
+        def untracked(net, until, roots):
+            solve(net, until, roots)
+            for flight in net._in_flight.values():
+                flight.clear()
+        monkeypatch.setattr(portmajor, "_solve", untracked)
+
+
+def cut_mid_run(net):
+    """Tracking armed from the start, an uplink cut at 0.5 ms."""
+    net.enable_fault_tracking()
+    net.engine.call_at(5e-4, net.fail_link, "tor0.0", "agg0.0")
+    return ()
 
 
 class TestMutationsAreCaught:
@@ -634,6 +868,18 @@ class TestMutationsAreCaught:
         with pytest.raises((AssertionError, IndexError)):
             differential("tree", self.LOCKSTEP, [6e-4, 1e-3], cut=150, rate=120_000.0)
 
+    def test_a_cut_after_a_window_severs_what_it_handed_back(self, monkeypatch):
+        scenario = dict(before=cut_mid_run, rate=400_000.0)
+        differential("tree", FOUR_TASKS, [1e-3], **scenario)
+        mutated_bounds(monkeypatch, "hand_back_outside_the_flight_sets")
+        with pytest.raises(AssertionError):
+            differential("tree", FOUR_TASKS, [1e-3], **scenario)
+
+    def test_what_ties_a_timer_is_the_event_loops(self, monkeypatch):
+        mutated_bounds(monkeypatch, "horizon_on_the_foreign_time")
+        with pytest.raises(AssertionError):
+            TestForeignEntries().test_timer_on_a_fires_own_time("after", 200)
+
     def test_time_only_fails_on_the_deeper_hop_first_case(self, monkeypatch):
         mutated(monkeypatch, "time_only")
         assert run_two_depths(False, True)[1:] != run_two_depths(False, False)[1:]
@@ -657,13 +903,17 @@ def disarmed(monkeypatch):
         obs.arm()
 
 
-def armed_run(make_net, start, until=1e-3, max_events=None):
-    """One armed ``Network.run``: ``(fingerprint, obs counters)``."""
+def armed_run(make_net, start, until=1e-3, max_events=None, run=None):
+    """One armed ``Network.run`` (or ``run(net)``): ``(fingerprint, obs
+    counters)``."""
     obs.arm()
     try:
         net = make_net()
         sources = start(net)
-        net.run(until=until, max_events=max_events)
+        if run is None:
+            net.run(until=until, max_events=max_events)
+        else:
+            run(net)
         return fingerprint(net, sources), dict(obs.registry().counters)
     finally:
         obs.disarm()
@@ -721,12 +971,17 @@ class TestObservability:
             sources[0].on_delivered = lambda packet, when: None
             return sources
 
-        def with_timer(net):
-            net.engine.call_at(5e-4, lambda: None)
-            return four_tasks(net)
+        def ending(net):
+            """Streams that stop by themselves: a run with no horizon ends."""
+            sources = four_tasks(net)
+            for source in sources:
+                source.stop_at = 2e-4
+            return sources
 
-        def tracked(net):
-            net.enable_fault_tracking()
+        def run_from_a_callback(net):
+            """``Network.run`` called by an event of ``engine.run``: it
+            is part of the window it would solve."""
+            net.engine.call_at(1e-4, net.run, 5e-4)
             return four_tasks(net)
 
         class Partitioned(ECMPRouter):
@@ -742,11 +997,37 @@ class TestObservability:
             "disabled": armed_run(armed_tree(batch=False), four_tasks),
             "telemetry": armed_run(armed_tree(telemetry=True), four_tasks),
             "bounded_run": armed_run(armed_tree(), four_tasks, max_events=10),
-            "faults": armed_run(armed_tree(), tracked),
-            "not_open_loop": armed_run(armed_tree(), with_timer),
+            "not_open_loop": armed_run(armed_tree(), ending, until=None),
             "closed_loop_source": armed_run(armed_tree(), closed_loop),
             "budget": armed_run(armed_tree(), four_tasks, until=1.0e-5),
             "unroutable": armed_run(partitioned, four_tasks),
         }
         for expected, (_, counters) in reasons.items():
             assert decline(counters) == expected
+        _, nested = armed_run(
+            armed_tree(), run_from_a_callback, run=lambda net: net.engine.run(until=1e-3)
+        )
+        assert decline(nested) == "not_open_loop"
+
+    def test_a_wall_of_timers_is_one_decline(self):
+        def walled(net):
+            wall_of_timers(net)
+            return four_tasks(net)
+
+        _, counters = armed_run(armed_tree(), walled, until=4e-4)
+        assert decline(counters) == "budget" and counters["batch.standdown.budget"] == 1
+        assert counters["engine.runs"] == 1 and "batch.cohorts" not in counters
+
+    def test_fault_tracking_and_dead_links_do_not_stand_the_pass_down(self):
+        def tracked(net):
+            net.enable_fault_tracking()
+            return four_tasks(net)
+
+        def cut(net):
+            net.fail_link("tor0.0", "agg0.0")  # tor0.0 keeps agg0.1
+            return four_tasks(net)
+
+        for start in (tracked, cut):
+            _, counters = armed_run(armed_tree(), start)
+            assert counters["batch.cohorts"] == 1
+            assert not any(name.startswith("batch.standdown") for name in counters)

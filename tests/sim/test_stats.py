@@ -1,10 +1,14 @@
 """Tests for latency statistics."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.stats import (
     UNGROUPED,
+    DeliveryBins,
     HopStampStats,
     LatencyRecorder,
     summarize_latencies,
@@ -135,3 +139,48 @@ class TestHopStamps:
         rec.record_stamps("f", [("tor0", 1, 0.0)])
         rec.clear()
         assert rec.hop_stamps == {}
+
+
+class TestDeliveryBins:
+    WIDTH = 2.5e-4
+    BINS = 6
+
+    def test_bins_by_delivery_time(self):
+        bins = DeliveryBins(1e-3, 3)
+        for when, size in ((0.0, 100), (0.9e-3, 50), (1e-3, 25), (2.5e-3, 10), (7e-3, 1)):
+            bins(SimpleNamespace(size_bytes=size), when)
+        assert bins.bits == [1200.0, 200.0, 88.0]  # the last bin takes what is past it
+
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError):
+            DeliveryBins(0.0, 4)
+        with pytest.raises(ValueError):
+            DeliveryBins(1e-3, 0)
+
+    @given(
+        deliveries=st.lists(
+            st.tuples(
+                # on a bin edge, inside a bin, past the last bin
+                st.integers(0, 8).map(lambda k: k * 2.5e-4) | st.floats(0.0, 2.5e-3),
+                st.sampled_from([400, 1500, 64, 400.5, 333.1, 1499.25]),
+            ),
+            max_size=60,
+        ),
+        integer_sizes=st.booleans(),
+        split=st.integers(0, 60),
+    )
+    def test_add_many_equals_the_calls(self, deliveries, integer_sizes, split):
+        """Bit for bit, whether the window follows per-packet calls or
+        precedes them — whole-bit sizes take the summed path, 333.1 B
+        (2664.8 bits) replays the adds."""
+        if integer_sizes:
+            deliveries = [(when, int(size)) for when, size in deliveries]
+        called, batched = DeliveryBins(self.WIDTH, self.BINS), DeliveryBins(self.WIDTH, self.BINS)
+        for when, size in deliveries:
+            called(SimpleNamespace(size_bytes=size), when)
+        for part in (deliveries[:split], deliveries[split:]):
+            batched.add_many(
+                np.array([when for when, _ in part], dtype=float),
+                np.array([size for _, size in part], dtype=float),
+            )
+        assert batched.bits == called.bits
