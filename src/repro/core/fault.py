@@ -28,9 +28,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.core.channels import ChannelPlan, greedy_assignment
+from repro.topology.graph import Graph, is_connected
 
 
 class FaultModelError(ValueError):
@@ -125,10 +124,12 @@ class RingFaultModel:
 
     def is_partitioned(self, failed: set[PhysicalLink]) -> bool:
         """Whether the logical graph of surviving channels is disconnected."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.ring_size))
-        graph.add_edges_from(self.surviving_pairs(failed))
-        return not nx.is_connected(graph)
+        graph = Graph()
+        for node in range(self.ring_size):
+            graph.add_node(node)
+        for u, v in self.surviving_pairs(failed):
+            graph.add_edge(u, v)
+        return not is_connected(graph)
 
     # -- Monte-Carlo -----------------------------------------------------------------
 

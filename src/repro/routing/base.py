@@ -18,8 +18,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import networkx as nx
-
 from repro.topology.base import Topology, TopologyError
 
 #: A path is the full node sequence, server to server.
@@ -149,14 +147,15 @@ class Router(abc.ABC):
     def _cached_paths(self, src: str, dst: str) -> list[Path]:
         """The pair's path set, memoized — and the one place "no path"
         becomes :class:`RoutingError`, however :meth:`paths` reports it:
-        an empty list, a graph search that finds the pair partitioned,
-        or a ToR lookup on a server whose only uplink is cut."""
+        an empty list (a graph search that finds the pair partitioned)
+        or a ToR lookup on a server whose only uplink is cut.  A node
+        the topology does not hold stays the ``KeyError`` naming it."""
         key = (src, dst)
         cached = self._cache.get(key)
         if cached is None:
             try:
                 cached = self.paths(src, dst)
-            except (nx.NetworkXNoPath, TopologyError):
+            except TopologyError:
                 cached = []
             if not cached:
                 raise RoutingError(f"no path from {src!r} to {dst!r}")

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from itertools import islice
 
-import networkx as nx
-
 from repro.cache import artifact_cache
 from repro.routing.base import Path, Router, _path_crosses
 from repro.routing.tables import ecmp_segment_table
 from repro.topology.base import Topology
+from repro.topology.graph import Graph, all_shortest_paths
 
 
 class ECMPRouter(Router):
@@ -33,7 +32,7 @@ class ECMPRouter(Router):
 
     ``max_paths`` bounds the equal-cost set (hardware ECMP tables are
     finite).  Enumeration is bounded too: only the first ``max_paths``
-    paths of ``networkx``'s deterministic shortest-path generator are
+    paths of the deterministic shortest-path generator are
     materialized (then sorted for a stable order), so dense meshes never
     pay for paths that would be truncated away.
     """
@@ -46,7 +45,7 @@ class ECMPRouter(Router):
         #: Whether server paths decompose into switch paths: servers
         #: must be leaves (no server relaying, i.e. not server-centric).
         self._stitchable = not bool(topo.graph.graph.get("server_centric"))
-        self._switch_graph: nx.Graph | None = None
+        self._switch_graph: Graph | None = None
         self._switch_paths: dict[tuple[str, str], list[Path]] = {}
         #: Whether the segment cache was warmed from the batched table.
         self._segments_warmed = False
@@ -67,7 +66,7 @@ class ECMPRouter(Router):
 
     def _graph_paths(self, src: str, dst: str) -> list[Path]:
         """Bounded whole-graph enumeration (the pre-stitching behaviour)."""
-        found = nx.all_shortest_paths(self.topo.graph, src, dst)
+        found = all_shortest_paths(self.topo.graph, src, dst)
         paths = [tuple(p) for p in islice(found, self.max_paths)]
         paths.sort()
         return paths
@@ -170,11 +169,7 @@ class ECMPRouter(Router):
             else:
                 if self._switch_graph is None:
                     self._switch_graph = self.topo.switch_graph()
-                try:
-                    found = nx.all_shortest_paths(self._switch_graph, sw_s, sw_d)
-                    cached = [tuple(p) for p in islice(found, self.max_paths)]
-                    cached.sort()
-                except nx.NetworkXNoPath:
-                    cached = []
+                found = all_shortest_paths(self._switch_graph, sw_s, sw_d)
+                cached = sorted(tuple(p) for p in islice(found, self.max_paths))
             self._switch_paths[key] = cached
         return cached

@@ -9,7 +9,7 @@ routing layer, so with the artifact cache enabled the router routes
 through the batched all-pairs table of
 :func:`repro.routing.tables.kshortest_table` (built once per topology
 fingerprint, shared across processes) instead of re-running
-``nx.shortest_simple_paths`` per call.  The table replicates the
+Yen's enumeration per call.  The table replicates the
 per-call enumeration exactly, so results are identical either way.
 """
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from itertools import islice
 
-import networkx as nx
-
 from repro.cache import artifact_cache
 from repro.routing.base import Path, Router
 from repro.routing.tables import RouteTable, kshortest_table
 from repro.topology.base import Topology
+from repro.topology.graph import shortest_simple_paths
 
 
 class KShortestPathsRouter(Router):
@@ -44,11 +43,8 @@ class KShortestPathsRouter(Router):
                 # Empty = unroutable; _cached_paths turns it into RoutingError.
                 return list(entry)
         # Cache disabled, or an endpoint outside the server table.
-        try:
-            found = nx.shortest_simple_paths(self.topo.graph, src, dst)
-            return [tuple(p) for p in islice(found, self.k)]
-        except nx.NetworkXNoPath:
-            return []
+        found = shortest_simple_paths(self.topo.graph, src, dst)
+        return [tuple(p) for p in islice(found, self.k)]
 
     def _on_topology_change(self, repaired: bool) -> None:
         # The graph content changed, so its fingerprint — and therefore

@@ -1,7 +1,7 @@
 """Batched, content-addressed all-pairs route tables.
 
 ``KShortestPathsRouter`` historically re-ran Yen's enumeration
-(``nx.shortest_simple_paths``) on every ``paths()`` call, and the ECMP
+(:func:`~repro.topology.graph.shortest_simple_paths`) on every ``paths()`` call, and the ECMP
 switch-segment and VLB detour sets were recomputed lazily per pair in
 every process.  For the sweep workloads (Figure 10, Table 9) the same
 topology is routed over and over, so this module computes each router's
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from itertools import islice
 
-import networkx as nx
-
 from repro.cache import cached
 from repro.routing.base import Path
 from repro.topology.base import LinkKind, Topology, TopologyError
+from repro.topology.graph import all_shortest_paths, shortest_simple_paths
 
 #: pair -> paths, in the router's stable order.  Empty tuple = unroutable.
 RouteTable = dict[tuple[str, str], tuple[Path, ...]]
@@ -42,7 +41,7 @@ def kshortest_table(topo: Topology, k: int) -> RouteTable:
     """The ``k`` shortest simple paths for every ordered server pair.
 
     Replicates ``KShortestPathsRouter.paths`` exactly: the same
-    deterministic ``nx.shortest_simple_paths`` enumeration truncated to
+    deterministic ``shortest_simple_paths`` enumeration truncated to
     ``k`` entries, per pair.
     """
     table: RouteTable = {}
@@ -52,11 +51,8 @@ def kshortest_table(topo: Topology, k: int) -> RouteTable:
         for dst in servers:
             if src == dst:
                 continue
-            try:
-                found = nx.shortest_simple_paths(graph, src, dst)
-                table[(src, dst)] = tuple(tuple(p) for p in islice(found, k))
-            except nx.NetworkXNoPath:
-                table[(src, dst)] = ()
+            found = shortest_simple_paths(graph, src, dst)
+            table[(src, dst)] = tuple(tuple(p) for p in islice(found, k))
     return table
 
 
@@ -66,7 +62,7 @@ def ecmp_segment_table(topo: Topology, max_paths: int) -> RouteTable:
 
     Replicates ``ECMPRouter._switch_segment`` exactly: the identity pair
     maps to the one-node path, distinct pairs to the first ``max_paths``
-    entries of ``nx.all_shortest_paths`` over the switch subgraph,
+    entries of ``all_shortest_paths`` over the switch subgraph,
     sorted for a stable order.
     """
     table: RouteTable = {}
@@ -77,12 +73,8 @@ def ecmp_segment_table(topo: Topology, max_paths: int) -> RouteTable:
         for sw_d in switches:
             if sw_s == sw_d:
                 continue
-            try:
-                found = nx.all_shortest_paths(switch_graph, sw_s, sw_d)
-                segment = sorted(tuple(p) for p in islice(found, max_paths))
-            except nx.NetworkXNoPath:
-                segment = []
-            table[(sw_s, sw_d)] = tuple(segment)
+            found = all_shortest_paths(switch_graph, sw_s, sw_d)
+            table[(sw_s, sw_d)] = tuple(sorted(tuple(p) for p in islice(found, max_paths)))
     return table
 
 

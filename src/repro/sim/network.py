@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import networkx as nx
-
 from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
 from repro.sim.fastpath import HopPlan, compile_plan
@@ -37,6 +35,7 @@ from repro.sim.stats import FaultRecorder, LatencyRecorder
 from repro.sim.switch import SwitchModel, get_model
 from repro.telemetry.windows import TelemetryConfig, TelemetryHub, resolve_config
 from repro.topology.base import Topology
+from repro.topology.graph import shortest_path
 from repro.units import BITS_PER_BYTE, MICROSECONDS, NANOSECONDS
 
 #: OS network-stack forwarding latency charged to server relays
@@ -647,10 +646,7 @@ class Network:
         key = (node, packet.dst)
         detour = self._detour_cache.get(key, False)
         if detour is False:
-            try:
-                detour = tuple(nx.shortest_path(self.topo.graph, node, packet.dst))
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                detour = None
+            detour = tuple(shortest_path(self.topo.graph, node, packet.dst)) or None
             self._detour_cache[key] = detour
         if detour is None:
             self.packets_dropped_fault += 1

@@ -1,7 +1,7 @@
 """Typed datacenter topology graph.
 
 A :class:`Topology` is a thin, typed wrapper around an undirected
-:class:`networkx.Graph`.  Nodes are servers or switches; edges are links
+:class:`~repro.topology.graph.Graph`.  Nodes are servers or switches; edges are links
 with a capacity and a kind.  All topology generators in
 :mod:`repro.topology` produce instances of this class, and both the
 packet-level simulator (:mod:`repro.sim`) and the flow-level simulator
@@ -36,9 +36,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-import networkx as nx
-
 from repro.cache import cached
+from repro.topology.graph import Graph, is_connected
 
 
 class NodeKind(str, enum.Enum):
@@ -85,7 +84,7 @@ class Topology:
     """A datacenter network: servers and switches joined by capacitated links."""
 
     name: str
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: Graph = field(default_factory=Graph)
 
     # -- construction --------------------------------------------------------
 
@@ -227,9 +226,9 @@ class Topology:
             graph.remove_edge(u, v)
         return Topology(name=f"{self.name}+degraded", graph=graph)
 
-    def switch_graph(self) -> nx.Graph:
+    def switch_graph(self) -> Graph:
         """The subgraph induced on switches only (servers removed)."""
-        return self.graph.subgraph(self.switches()).copy()
+        return self.graph.subgraph(self.switches())
 
     def copy(self) -> "Topology":
         """An independent structural copy (shared immutable attributes).
@@ -281,7 +280,7 @@ class Topology:
         """
         if len(self.graph) == 0:
             raise TopologyError("empty topology")
-        if not nx.is_connected(self.graph):
+        if not is_connected(self.graph):
             raise TopologyError(f"{self.name}: topology is not connected")
         server_centric = bool(self.graph.graph.get("server_centric"))
         for server in self.servers():
@@ -316,14 +315,16 @@ def topologies_equal(a: Topology, b: Topology) -> bool:
     """Value equality: same name, nodes, links, and all attributes.
 
     ``Topology``'s dataclass ``__eq__`` compares the underlying
-    ``nx.Graph`` objects by identity, which is never what artifact
-    equivalence tests want — this compares content.
+    :class:`Graph` objects by identity, which is never what artifact
+    equivalence tests want — this compares content (neighbour order
+    aside).
     """
-    return a.name == b.name and nx.utils.graphs_equal(a.graph, b.graph)
+    g, h = a.graph, b.graph
+    return a.name == b.name and (g.adj, g.nodes, g.graph) == (h.adj, h.nodes, h.graph)
 
 
 def cached_builder(
-    namespace: str, version: int = 1
+    namespace: str, version: int = 2
 ) -> Callable[[Callable[..., Topology]], Callable[..., Topology]]:
     """Memoize a pure topology builder through :mod:`repro.cache`.
 
@@ -331,6 +332,9 @@ def cached_builder(
     mutable (the packet simulator's fault injection edits the live
     graph), so every return — hit or miss — is an independent
     :meth:`Topology.copy` of the stored instance.
+
+    Version 2: the graph is a :class:`Graph`, no longer a pickled
+    ``networkx.Graph``.
     """
 
     def copy_topology(value: Any) -> Topology:

@@ -11,8 +11,6 @@ The paper's Section 7 instance: 16 ULL switches, each dedicating four
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.topology.base import cached_builder, LinkKind, NodeKind, Topology
 from repro.units import GBPS
 
@@ -41,6 +39,7 @@ def jellyfish(
         )
     if (num_switches * network_degree) % 2:
         raise ValueError("num_switches * network_degree must be even")
+    import networkx as nx  # the sampler is the one graph-library need here
 
     random_graph = nx.random_regular_graph(network_degree, num_switches, seed=seed)
     if not nx.is_connected(random_graph):

@@ -7,15 +7,18 @@ the call) and once raw — and require value equality.  This is the
 property that lets caching change wall-clock time but never results.
 """
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.topology as T
-from repro.cache import configure, reset
+from repro.cache import artifact_cache, configure, reset
 from repro.core.channels import greedy_assignment
 from repro.core.multiring import plan_rings
 from repro.routing.tables import kshortest_table, vlb_table
 from repro.topology.base import topologies_equal
+from repro.topology.graph import Graph
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +87,22 @@ class TestTopologyEquivalence:
         third = T.quartz_ring(5, 2)
         assert third.graph.has_edge(u, v)
         assert topologies_equal(second, third)
+
+    def test_a_version_1_entry_is_a_miss(self, tmp_path):
+        """Version 1 stored networkx-backed topologies: a store written
+        then must never be served (``cached_builder`` is at version 2)."""
+        bound = inspect.signature(T.quartz_ring.__wrapped__).bind(5, 2)
+        bound.apply_defaults()
+        key_parts = tuple(sorted(bound.arguments.items()))
+        store = str(tmp_path / "store")
+        artifact_cache().get_or_build(
+            "topology/quartz-ring", 1, key_parts, lambda: "a networkx-backed topology"
+        )
+        configure(directory=store)  # same disk store, empty memory layer
+        topo = T.quartz_ring(5, 2)
+        assert isinstance(topo.graph, Graph)
+        stats = artifact_cache().stats
+        assert (stats.disk_hits, stats.misses) == (0, 1)
 
 
 class TestRouteTableEquivalence:

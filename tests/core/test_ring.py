@@ -54,10 +54,10 @@ class TestDualTor:
 
     def test_topology_paths_stay_two_switches(self):
         topo = QuartzRing.dual_tor(8).to_topology(servers_per_switch=1)
-        import networkx as nx
+        from repro.topology.graph import shortest_path
 
         servers = topo.servers()
-        path = nx.shortest_path(topo.graph, servers[0], servers[-1])
+        path = shortest_path(topo.graph, servers[0], servers[-1])
         switches = [n for n in path if topo.is_switch(n)]
         assert len(switches) <= 2
 

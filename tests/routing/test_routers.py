@@ -151,8 +151,10 @@ class TestNoRouteContract:
     """One answer to "no path", whichever router is asked and whichever
     of its entry points: :class:`RoutingError`.  A server whose only
     uplink is cut used to surface three ways — ``RoutingError`` from
-    k-shortest, ``networkx.NetworkXNoPath`` from ECMP's graph search,
-    ``TopologyError`` from VLB's ToR lookup."""
+    k-shortest, the graph library's no-path exception from ECMP's
+    search, ``TopologyError`` from VLB's ToR lookup.  A node the
+    topology does not hold is not "no path" but a caller's bug: a
+    ``KeyError`` naming it."""
 
     ROUTERS = [ECMPRouter, KShortestPathsRouter, VLBRouter]
 
@@ -177,6 +179,18 @@ class TestNoRouteContract:
             router.weighted_paths(src, dst)
         # Pairs that do not touch the isolated server still route.
         assert router.route(servers[2], servers[4])
+
+    @pytest.mark.parametrize("make_router", ROUTERS)
+    @pytest.mark.parametrize("unknown_end", ["src", "dst"])
+    def test_unknown_node_is_a_key_error(self, make_router, unknown_end):
+        topo = T.quartz_ring(4, 2)
+        router = make_router(topo)
+        known = topo.servers()[0]
+        src, dst = ("ghost", known) if unknown_end == "src" else (known, "ghost")
+        with pytest.raises(KeyError, match="ghost"):
+            router.route(src, dst)
+        with pytest.raises(KeyError, match="ghost"):
+            router.weighted_paths(src, dst)
 
     def test_tree_ecmp_isolated_server(self, tree):
         router = ECMPRouter(tree)

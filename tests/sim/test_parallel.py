@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import math
 
-import networkx as nx
 import pytest
 
 import repro.topology as T
 from repro.sim import Network, parallel as parallel_module
 from repro.sim.faults import SegmentCut
+from repro.topology.graph import shortest_path
 from repro.sim.parallel import (
     BoundaryMessage,
     FABRICS,
@@ -235,7 +235,7 @@ class TestShardNetwork:
         # first hop leaves, whichever neighbour the detour picks.
         survivors = topo.graph.copy()
         survivors.remove_edge("tor0", "tor2")
-        detour = tuple(nx.shortest_path(survivors, "tor0", "h2.0"))
+        detour = tuple(shortest_path(survivors, "tor0", "h2.0"))
         owned = frozenset(topo.graph) - set(detour[1:])
         net = ShardNetwork(
             topo, ECMPRouter(topo), owned=owned, fastpath=fastpath

@@ -6,7 +6,6 @@ reachable over multi-hop paths on the surviving channels, at a modest
 latency penalty.
 """
 
-import networkx as nx
 import pytest
 
 from repro.core import QuartzRing
@@ -14,6 +13,7 @@ from repro.core.fault import RingFaultModel, degraded_mesh_topology
 from repro.routing import ECMPRouter
 from repro.sim import Network
 from repro.topology.base import TopologyError
+from repro.topology.graph import shortest_path
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestReroutedTraffic:
             if ring == 0 and 2 in links
         )
         s, t = dead_pair
-        path = nx.shortest_path(degraded.graph, f"h{s}.0", f"h{t}.0")
+        path = shortest_path(degraded.graph, f"h{s}.0", f"h{t}.0")
         switches = [n for n in path if degraded.is_switch(n)]
         assert len(switches) == 3  # one detour switch
 
