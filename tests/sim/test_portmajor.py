@@ -769,6 +769,10 @@ def mutated(monkeypatch, name):
         )
     elif name == "cummax":
         def cummax_tails(e, busy, ser):
+            """The max-plus form of the recurrence, returned as the tails.
+            ``_contended_tails`` locates its busy periods with this very
+            formula — as a guess it then certifies; uncertified, it is not
+            IEEE-identical to the recurrence and must fail."""
             i = np.arange(e.size)
             if isinstance(ser, float):
                 offset = ser * i
