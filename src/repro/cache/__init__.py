@@ -39,8 +39,7 @@ from repro.cache.keys import CacheKeyError, canonical, digest
 from repro.cache.store import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
-    CACHE_ITEMS_ENV,
-    DEFAULT_MEMORY_ITEMS,
+    MEMORY_ITEMS,
     ArtifactCache,
     CacheConfig,
     CacheConfigError,
@@ -54,12 +53,11 @@ __all__ = [
     "ArtifactCache",
     "CACHE_DIR_ENV",
     "CACHE_DISABLE_ENV",
-    "CACHE_ITEMS_ENV",
     "CacheConfig",
     "CacheConfigError",
     "CacheKeyError",
     "CacheStats",
-    "DEFAULT_MEMORY_ITEMS",
+    "MEMORY_ITEMS",
     "artifact_cache",
     "cached",
     "canonical",
@@ -83,7 +81,7 @@ def describe() -> dict:
     return {
         "enabled": cache.enabled,
         "directory": cache.config.directory,
-        "memory_items": cache.config.memory_items,
+        "memory_items": MEMORY_ITEMS,
         "disk_entries": entries,
         "disk_bytes": disk_bytes,
         **cache.stats.as_dict(),

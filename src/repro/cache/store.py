@@ -37,14 +37,12 @@ from repro.cache.keys import digest
 #: Environment variable naming the shared on-disk store (unset = memory only).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable capping the in-memory LRU entry count.
-CACHE_ITEMS_ENV = "REPRO_CACHE_MEMORY_ITEMS"
-
 #: Set to a non-empty value to disable artifact caching entirely
 #: (every build runs fresh — the "cold" baseline for benchmarks).
 CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 
-DEFAULT_MEMORY_ITEMS = 512
+#: Entries the in-memory LRU holds.
+MEMORY_ITEMS = 512
 
 
 class CacheConfigError(ValueError):
@@ -96,27 +94,13 @@ class CacheConfig:
     """Picklable cache settings, shipped to pool workers at fork/spawn."""
 
     directory: str | None = None
-    memory_items: int = DEFAULT_MEMORY_ITEMS
     enabled: bool = True
 
     @classmethod
     def from_env(cls) -> "CacheConfig":
         directory = os.environ.get(CACHE_DIR_ENV) or None
-        items_env = os.environ.get(CACHE_ITEMS_ENV)
-        memory_items = DEFAULT_MEMORY_ITEMS
-        if items_env:
-            try:
-                memory_items = int(items_env)
-            except ValueError:
-                raise CacheConfigError(
-                    f"{CACHE_ITEMS_ENV} must be an integer, got {items_env!r}"
-                )
-            if memory_items < 0:
-                raise CacheConfigError(
-                    f"{CACHE_ITEMS_ENV} must be non-negative, got {memory_items}"
-                )
         enabled = not os.environ.get(CACHE_DISABLE_ENV)
-        return cls(directory=directory, memory_items=memory_items, enabled=enabled)
+        return cls(directory=directory, enabled=enabled)
 
 
 class ArtifactCache:
@@ -176,14 +160,12 @@ class ArtifactCache:
 
     def _memory_put(self, key: str, value: Any, size: int) -> None:
         """Insert under the LRU cap (caller holds the lock)."""
-        if self.config.memory_items <= 0:
-            return
         if key in self._memory:
             self.stats.memory_bytes -= self._memory[key][1]
             del self._memory[key]
         self._memory[key] = (value, size)
         self.stats.memory_bytes += size
-        while len(self._memory) > self.config.memory_items:
+        while len(self._memory) > MEMORY_ITEMS:
             _, (_, evicted_size) = self._memory.popitem(last=False)
             self.stats.evictions += 1
             self.stats.memory_bytes -= evicted_size
@@ -293,16 +275,15 @@ def configure(config: CacheConfig | None = None, **kwargs: Any) -> ArtifactCache
     """Replace the process-wide cache.
 
     Either pass a full :class:`CacheConfig`, or keyword overrides on top
-    of the environment config (``directory=``, ``memory_items=``,
-    ``enabled=``).  Returns the new cache.  Pool workers call this from
-    their initializer so every worker shares the parent's disk store.
+    of the environment config (``directory=``, ``enabled=``).  Returns
+    the new cache.  Pool workers call this from their initializer so
+    every worker shares the parent's disk store.
     """
     global _active
     if config is None:
         base = CacheConfig.from_env()
         config = CacheConfig(
             directory=kwargs.get("directory", base.directory),
-            memory_items=kwargs.get("memory_items", base.memory_items),
             enabled=kwargs.get("enabled", base.enabled),
         )
     elif kwargs:

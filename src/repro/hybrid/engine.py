@@ -225,8 +225,8 @@ class HybridNetwork(Network):
         self.epochs += 1
         if changed:
             # Same invalidation fail_link performs, when a compiled plan
-            # crosses a moved link: its ``ser`` / ``caps`` (and per-size
-            # product caches) must not survive a serialization change.
+            # crosses a moved link: its ``ser`` (and per-size product
+            # caches) must not survive a serialization change.
             # A plan that crosses none holds the numbers a recompile
             # would give it, and its bound flows the same routes.
             # Packets already in flight keep the plan they started with

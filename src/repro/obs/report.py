@@ -130,7 +130,7 @@ def build_manifest(
     as the smoke golden path or experiment figure.
     """
     from repro import __version__, obs
-    from repro.cache import artifact_cache
+    from repro.cache import MEMORY_ITEMS, artifact_cache
 
     if metrics is None:
         registry = obs.registry()
@@ -156,7 +156,7 @@ def build_manifest(
         "cache": {
             "enabled": cache.config.enabled,
             "directory": cache.config.directory,
-            "memory_items": cache.config.memory_items,
+            "memory_items": MEMORY_ITEMS,
             **cache.stats.as_dict(),
         },
         "metrics": metrics,

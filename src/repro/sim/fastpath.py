@@ -17,8 +17,7 @@ plain tuple indices with zero dict lookups:
   (``Network._in_flight[keys[h]]``, the same object), which the kernel
   adds to and discards from when fault tracking is armed;
 * ``ser[h]`` — serialization factor (seconds per byte) of link ``h``;
-* ``ports[h]`` / ``caps[h]`` — the output :class:`PortState` and link
-  capacity (the capacity feeds the bounded-buffer backlog check);
+* ``ports[h]`` — the output :class:`PortState`;
 * ``foreign[h]`` — whether ``path[h+1]`` lies outside the owning
   network's shard (``None`` when the network is unsharded): the hops
   where the kernel consults ``Network._tail_out``;
@@ -66,8 +65,7 @@ class HopPlan:
     """Per-path forwarding chain, resolved once and walked by index."""
 
     __slots__ = (
-        "path", "last", "keys", "flights", "ser", "ports", "caps", "lat", "latf",
-        "foreign",
+        "path", "last", "keys", "flights", "ser", "ports", "lat", "latf", "foreign",
     )
 
     def __init__(
@@ -77,7 +75,6 @@ class HopPlan:
         flights: tuple,
         ser: tuple,
         ports: tuple,
-        caps: tuple,
         lat: tuple,
         latf: tuple,
         foreign: "tuple | None" = None,
@@ -88,7 +85,6 @@ class HopPlan:
         self.flights = flights
         self.ser = ser
         self.ports = ports
-        self.caps = caps
         self.lat = lat
         self.latf = latf
         self.foreign = foreign
@@ -120,7 +116,6 @@ def compile_plan(
     flights = []
     ser = []
     ports = []
-    caps = []
     for h in range(n - 1):
         key = (path[h], path[h + 1])
         rec = link_rec.get(key)
@@ -132,7 +127,6 @@ def compile_plan(
         flights.append(in_flight.setdefault(key, set()))
         ser.append(rec[0])
         ports.append(rec[1])
-        caps.append(rec[2])
     lat = [0.0] * max(1, n - 1)
     latf = [0.0] * max(1, n - 1)
     for h in range(1, n - 1):
@@ -146,6 +140,6 @@ def compile_plan(
     if owned is not None:
         foreign = tuple(node not in owned for node in path[1:])
     return HopPlan(
-        path, tuple(keys), tuple(flights), tuple(ser), tuple(ports), tuple(caps),
-        tuple(lat), tuple(latf), foreign,
+        path, tuple(keys), tuple(flights), tuple(ser), tuple(ports), tuple(lat),
+        tuple(latf), foreign,
     )

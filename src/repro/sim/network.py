@@ -69,7 +69,7 @@ class Packet:
     rerouted: bool = False  # detoured around a dead link after injection
     plan: HopPlan | None = field(default=None, repr=False)  # compiled fast path
     #: INT-style per-hop stamps (node, queue depth seen, wait time) when
-    #: telemetry stamping is armed; ``None`` otherwise.
+    #: telemetry is armed; ``None`` otherwise.
     stamps: list[tuple[str, int, float]] | None = field(default=None, repr=False)
 
     @property
@@ -86,7 +86,6 @@ class PortState:
     busy_until: float = 0.0
     packets_sent: int = 0
     bytes_sent: float = field(default=0.0)
-    packets_dropped: int = 0
 
 
 class Network:
@@ -113,47 +112,36 @@ class Network:
         propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
         server_forward_latency: float = DEFAULT_SERVER_FORWARD_LATENCY,
         host_receive_latency: float = 0.0,
-        buffer_bytes: float | None = None,
         fastpath: bool = True,
         batch: bool = True,
         telemetry: "TelemetryConfig | bool | None" = None,
         obs: bool | None = None,
     ) -> None:
-        """``buffer_bytes`` bounds each output port's queue: a packet
-        arriving to a port whose backlog would exceed the buffer is
-        tail-dropped (counted in ``packets_dropped``).  ``None`` keeps
-        the paper's unbounded-queue model, where congestion appears
-        purely as delay.
-
-        ``fastpath`` selects the forwarding loop: ``True`` walks
+        """``fastpath`` selects the forwarding loop: ``True`` walks
         compiled per-path :class:`~repro.sim.fastpath.HopPlan` chains,
         ``False`` runs the reference per-hop lookup loop — the oracle
         the kernel is tested against.  ``batch`` allows the port-major
         pass of :meth:`run`, which clocks the open-loop stretches of a
         run port by port instead of event by event; it also needs the
-        fast path, unbounded buffers and disarmed telemetry, else
-        ``batch_enabled`` stays ``False``.  All three forms are
-        bit-identical.
+        fast path and disarmed telemetry, else ``batch_enabled`` stays
+        ``False``.  All three forms are bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
         (:mod:`repro.telemetry`): ``True`` or a
         :class:`~repro.telemetry.TelemetryConfig` attaches per-port
-        windowed queue monitors (and, by default, INT-style per-packet
-        stamping); the default (``None``) follows ``REPRO_TELEMETRY``;
-        ``False`` forces it off.  ``obs`` attaches this network to the
+        windowed queue monitors and INT-style per-packet stamping; the
+        default (``None``) follows ``REPRO_TELEMETRY``; ``False`` forces
+        it off.  ``obs`` attaches this network to the
         process-wide metrics registry of :mod:`repro.obs` the same way
         (``None`` follows ``REPRO_OBS`` or an earlier ``obs.arm()``).
         Both layers are strictly observational: armed runs stay
         fingerprint-identical to disarmed runs."""
-        if buffer_bytes is not None and buffer_bytes <= 0:
-            raise NetworkSimError(f"buffer size must be positive, got {buffer_bytes}")
         self.topo = topo
         self.router = router
         self.engine = engine if engine is not None else Engine()
         self.propagation_delay = propagation_delay
         self.server_forward_latency = server_forward_latency
         self.host_receive_latency = host_receive_latency
-        self.buffer_bytes = buffer_bytes
         self.stats = LatencyRecorder()
         self.fault_stats = FaultRecorder()
         #: Armed telemetry hub (:class:`repro.telemetry.TelemetryHub`),
@@ -213,16 +201,9 @@ class Network:
         self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
         #: Whether :meth:`run` may solve windows port-major (read-only
         #: after init).  Requires the fast path (the pass reads compiled
-        #: HopPlans), unbounded buffers (the backlog check reads
-        #: ``engine.now`` mid-flight, which the pass elides), and
-        #: disarmed telemetry (monitors observe per-packet queue state
-        #: the pass never materializes).
-        self.batch_enabled = (
-            batch
-            and fastpath
-            and buffer_bytes is None
-            and self.telemetry is None
-        )
+        #: HopPlans) and disarmed telemetry (monitors observe per-packet
+        #: queue state the pass never materializes).
+        self.batch_enabled = batch and fastpath and self.telemetry is None
         #: Resolved ``obs=`` switch (read-only after init).
         self.obs_enabled = resolve_flag(obs, _obs_layer.OBS_ENV)
         #: The metrics registry this network reports into, or ``None``
@@ -357,22 +338,9 @@ class Network:
             raise NetworkSimError(
                 f"no link {path[hop]!r} → {path[hop + 1]!r} on path"
             )
-        ser_factor, port, capacity = rec
+        ser_factor, port, _ = rec
         size = packet.size_bytes
         ser = size * ser_factor
-        tele = self.telemetry
-        if self.buffer_bytes is not None:
-            # Bytes still queued ahead of this packet when it reaches the
-            # port: the time the port stays busy past the packet's
-            # arrival, clocked out at link rate.
-            backlog_seconds = max(0.0, port.busy_until - max(earliest_start, self.engine.now))
-            backlog_bytes = backlog_seconds * capacity / 8.0
-            if backlog_bytes + size > self.buffer_bytes:
-                port.packets_dropped += 1
-                self.packets_dropped += 1
-                if tele is not None:
-                    tele.on_drop(key, packet.group, self.engine.now)
-                return
         start = port.busy_until
         if start < earliest_start:
             start = earliest_start
@@ -380,15 +348,15 @@ class Network:
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size
+        tele = self.telemetry
         if tele is not None:
             depth, wait = tele.on_enqueue(
                 key, packet.group, size, earliest_start, start, tail_out
             )
-            if tele.stamping:
-                stamps = packet.stamps
-                if stamps is None:
-                    stamps = packet.stamps = []
-                stamps.append((path[hop], depth, wait))
+            stamps = packet.stamps
+            if stamps is None:
+                stamps = packet.stamps = []
+            stamps.append((path[hop], depth, wait))
         if self._track_in_flight:
             self._in_flight.setdefault(key, set()).add(packet)
         arrival = self._tail_out(packet, tail_out + self.propagation_delay)
@@ -505,18 +473,6 @@ class Network:
         if self._dead_links and plan.keys[hop] in self._dead_links:
             return self._reroute_or_drop(packet, earliest_start)
         port = plan.ports[hop]
-        tele = self.telemetry
-        if self.buffer_bytes is not None:
-            backlog_seconds = max(
-                0.0, port.busy_until - max(earliest_start, self.engine.now)
-            )
-            backlog_bytes = backlog_seconds * plan.caps[hop] / 8.0
-            if backlog_bytes + size > self.buffer_bytes:
-                port.packets_dropped += 1
-                self.packets_dropped += 1
-                if tele is not None:
-                    tele.on_drop(plan.keys[hop], packet.group, self.engine.now)
-                return None
         start = port.busy_until
         if start < earliest_start:
             start = earliest_start
@@ -524,6 +480,7 @@ class Network:
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size
+        tele = self.telemetry
         if tele is not None:
             # ``tele.on_enqueue`` with the monitor looked up here: one
             # frame per armed hop instead of two.
@@ -533,11 +490,10 @@ class Network:
             depth, wait = monitor.record_enqueue(
                 packet.group, size, earliest_start, start, tail_out
             )
-            if tele.stamping:
-                stamps = packet.stamps
-                if stamps is None:
-                    stamps = packet.stamps = []
-                stamps.append((plan.path[hop], depth, wait))
+            stamps = packet.stamps
+            if stamps is None:
+                stamps = packet.stamps = []
+            stamps.append((plan.path[hop], depth, wait))
         if track:
             plan.flights[hop].add(packet)
         arrival = tail_out + self.propagation_delay

@@ -371,11 +371,6 @@ class ShardNetwork(Network):
         shard_index: int = 0,
         **kwargs: object,
     ) -> None:
-        if kwargs.get("buffer_bytes") is not None:
-            raise ParallelSimError(
-                "sharded runs model unbounded buffers only (the backlog "
-                "probe reads engine.now mid-window)"
-            )
         kwargs.setdefault("telemetry", False)
         super().__init__(topo, router, **kwargs)  # type: ignore[arg-type]
         if self.telemetry is not None:

@@ -30,7 +30,7 @@ vetoing it*: the horizon is the last float before the earliest foreign
 time, so the window's ``t <= horizon`` tests mean "strictly before
 it", and whatever ties a foreign entry stays with the event loop, which
 orders it by the seqs the pass hands back.  What still vetoes: no
-``batch_enabled`` (compiled plans, unbounded buffers, no telemetry),
+``batch_enabled`` (compiled plans, no telemetry),
 ``max_events``, no horizon at all, a run loop already dispatching, a
 sharded network, a due source with several destinations,
 ``vary_flow_per_packet`` or a callback the pass cannot apply

@@ -88,8 +88,8 @@ class HopStampStats:
 class LatencyRecorder:
     """Accumulates per-packet delivery latencies, grouped by flow label.
 
-    When telemetry stamping is armed, each delivered packet's INT
-    stamps additionally fold into ``hop_stamps`` — flow label → node →
+    When telemetry is armed, each delivered packet's INT stamps
+    additionally fold into ``hop_stamps`` — flow label → node →
     :class:`HopStampStats` — giving every flow a per-hop queueing
     profile alongside its latency samples.
     """

@@ -62,7 +62,7 @@ def packet_breakdown(network: Network, packet: Packet) -> LatencyBreakdown:
 
     The packet must carry INT stamps — one ``(node, depth, wait)`` per
     port it was clocked onto, detours included — so the network needs
-    telemetry stamping armed.  Queueing is the stamped waits; switching
+    telemetry armed.  Queueing is the stamped waits; switching
     is the forwarding latency of every node after the first (switch
     model or server-relay OS stack); propagation is one delay per hop.
     Serialization is the remainder: the links' clocking times net of

@@ -10,8 +10,7 @@ bit-identical in packet timing to a telemetry-off run):
   per-flow occupancy integrals per fixed-width window;
 * INT-style per-packet stamping — queue depth and wait time at each
   hop, carried on the packet and folded into
-  :class:`repro.sim.stats.LatencyRecorder` flow records on delivery
-  (enabled via :class:`TelemetryConfig.stamping`);
+  :class:`repro.sim.stats.LatencyRecorder` flow records on delivery;
 * :mod:`~repro.telemetry.attribution` — microburst detection and
   "which flow built this queue" attribution over the monitor windows.
 

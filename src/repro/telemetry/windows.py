@@ -9,7 +9,7 @@ Every output port the simulator forwards through gets (on first use) a
 half-open windows ``[k·w, (k+1)·w)``.  Per window it accumulates
 
 * **enqueues / drops** — packets that joined the port's queue, packets
-  the port turned away (buffer tail-drops and fault severing alike);
+  lost at the port (severed by a cut, or stranded at a dead link);
 * **depth samples** — the queue depth each arriving packet observed
   (packets already accepted whose tails had not left the wire yet),
   kept as sum and max so mean/max depth per window are O(1);
@@ -60,15 +60,14 @@ class TelemetryError(ValueError):
 class TelemetryConfig:
     """Knobs for one network's telemetry layer.
 
-    ``window`` is the monitor window width in seconds.  ``stamping``
-    additionally carries an INT-style record on every packet (queue
-    depth seen and wait time paid at each hop) and folds it into the
-    network's flow records on delivery — costs one list append per hop
-    per packet on top of the monitors.
+    ``window`` is the monitor window width in seconds.  An armed
+    network also carries an INT-style record on every packet (queue
+    depth seen and wait time paid at each hop) and folds it into its
+    flow records on delivery — one list append per hop per packet on
+    top of the monitors.
     """
 
     window: float = DEFAULT_WINDOW
-    stamping: bool = True
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -292,9 +291,6 @@ class TelemetryHub:
 
     def __init__(self, config: TelemetryConfig) -> None:
         self.config = config
-        #: Whether packets carry INT stamps (read per hop: an attribute,
-        #: not a property; the config is frozen).
-        self.stamping = config.stamping
         self.monitors: dict[tuple[str, str], PortMonitor] = {}
         self.unroutable = 0
 
@@ -351,7 +347,6 @@ class TelemetryHub:
         """
         return {
             "window_width": self.config.window,
-            "stamping": self.config.stamping,
             "unroutable": self.unroutable,
             "ports": {
                 f"{u}->{v}": {

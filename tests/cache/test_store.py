@@ -11,6 +11,7 @@ from repro.cache import (
     configure,
     reset,
 )
+from repro.cache import store
 
 
 @pytest.fixture(autouse=True)
@@ -55,8 +56,9 @@ class TestMemoryLayer:
         cache.get_or_build("ns", 2, ("k",), build)
         assert calls["n"] == 2
 
-    def test_lru_eviction_and_counters(self):
-        cache = ArtifactCache(CacheConfig(memory_items=2))
+    def test_lru_eviction_and_counters(self, monkeypatch):
+        monkeypatch.setattr(store, "MEMORY_ITEMS", 2)
+        cache = ArtifactCache(CacheConfig())
         for key in ("a", "b", "c"):
             cache.get_or_build("ns", 1, (key,), lambda: key)
         assert cache.stats.evictions == 1
@@ -66,8 +68,9 @@ class TestMemoryLayer:
         assert calls["n"] == 1
         assert cache.stats.memory_bytes > 0
 
-    def test_recently_used_survives_eviction(self):
-        cache = ArtifactCache(CacheConfig(memory_items=2))
+    def test_recently_used_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(store, "MEMORY_ITEMS", 2)
+        cache = ArtifactCache(CacheConfig())
         cache.get_or_build("ns", 1, ("a",), lambda: "a")
         cache.get_or_build("ns", 1, ("b",), lambda: "b")
         cache.get_or_build("ns", 1, ("a",), lambda: "a")  # refresh "a"
@@ -162,23 +165,13 @@ class TestProcessWideCache:
 
     def test_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_MEMORY_ITEMS", "7")
         config = CacheConfig.from_env()
         assert config.directory == str(tmp_path)
-        assert config.memory_items == 7
         assert config.enabled
 
     def test_disable_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         assert not CacheConfig.from_env().enabled
-
-    def test_bad_memory_items_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MEMORY_ITEMS", "many")
-        with pytest.raises(CacheConfigError):
-            CacheConfig.from_env()
-        monkeypatch.setenv("REPRO_CACHE_MEMORY_ITEMS", "-1")
-        with pytest.raises(CacheConfigError):
-            CacheConfig.from_env()
 
 
 class TestCachedDecorator:

@@ -233,7 +233,7 @@ def packet_state(net, sources):
         "handoff": handoff_state(net),
         "samples": tuple(net.stats.samples),
         "ports": sorted(
-            (key, p.packets_sent, p.bytes_sent, p.busy_until, p.packets_dropped)
+            (key, p.packets_sent, p.bytes_sent, p.busy_until)
             for key, p in net._ports.items()
         ),
         "counters": (

@@ -28,7 +28,7 @@ from tests.sim.test_fastpath import network_fingerprint
 MODES = ("batched", "fastpath", "reference")
 
 
-def build(mode, buffer_bytes=None):
+def build(mode):
     """A three-tier network in one of the three forwarding modes.
 
     ``telemetry=False`` is pinned (like ``fastpath`` below) so the
@@ -42,7 +42,6 @@ def build(mode, buffer_bytes=None):
         ECMPRouter(topo),
         fastpath=fastpath,
         batch=(mode == "batched"),
-        buffer_bytes=buffer_bytes,
         telemetry=False,
     )
 
@@ -227,17 +226,6 @@ class TestFlagResolution:
         assert not net.batch_enabled
         assert net.fastpath_enabled, "fast path keeps running under telemetry"
 
-    def test_bounded_buffers_disable_batching(self):
-        topo = T.full_mesh(2, 1)
-        net = Network(
-            topo, ECMPRouter(topo), fastpath=True, batch=True, buffer_bytes=9000,
-            telemetry=False,
-        )
-        assert not net.batch_enabled
-        # ... and the run still agrees with the scalar loops trivially.
-        fast = run_buffered(batch=True)
-        ref = run_buffered(batch=False)
-        assert fast == ref
 
 
 def count_guesses(monkeypatch) -> list:
@@ -251,20 +239,6 @@ def count_guesses(monkeypatch) -> list:
 
     monkeypatch.setattr(portmajor, "_guess_tails", counted)
     return calls
-
-
-def run_buffered(batch):
-    net = build("batched" if batch else "fastpath", buffer_bytes=1600)
-    servers = net.topo.servers()
-    sources = [
-        PoissonSource(net, servers[i], servers[-1], rate_pps=600_000.0,
-                      seed=i, flow_id=i, group="load")
-        for i in range(6)
-    ]
-    for source in sources:
-        source.start()
-    net.run(until=0.012)
-    return fingerprint(net, sources)
 
 
 class TestContendedReplay:

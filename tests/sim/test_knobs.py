@@ -80,5 +80,5 @@ def test_telemetry_knob_env_enables(monkeypatch):
 
 
 def test_telemetry_config_passthrough():
-    config = TelemetryConfig(window=1e-3, stamping=False)
+    config = TelemetryConfig(window=1e-3)
     assert resolve_config(config) is config

@@ -3,17 +3,23 @@
 One differential stands where four CI legs used to re-run the whole
 suite on a reference path: a drawn scenario — fabric × router × Poisson
 streams (single and multi destination, ``stop_at``,
-``vary_flow_per_packet``) × burst source × cut/repair × buffer bound ×
-horizon shape — runs once on the ``fastpath=False`` oracle (per-packet
-draws, telemetry armed) and must be matched, snapshot for snapshot, by
-the scalar kernel, the kernel with the port-major pass allowed, and the
-kernel with telemetry armed.  The fingerprint is
-``tests/sim/test_fastpath.py``'s, plus the sources' counters.
+``vary_flow_per_packet``) × burst source × cut/repair × horizon shape —
+runs once on the ``fastpath=False`` oracle (per-packet draws, telemetry
+armed) and must be matched, snapshot for snapshot, by the scalar
+kernel, the kernel with the port-major pass allowed, and the kernel
+with telemetry armed.  The fingerprint is
+``tests/sim/test_fastpath.py``'s, plus the sources' counters.  Every
+leg's final state must also pass the end-to-end benchmark's invariant
+checks (``benchmarks/e2e/verify.py``), and an armed leg must charge
+every drop to a port or to the unroutable count.
 
 Seeds and rates come from small sets on purpose: streams that share a
 seed and a rate share their whole gap sequence, so same-timestamp
 events — the order the port-major pass must rebuild — are common.
 """
+
+import importlib.util
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -40,6 +46,12 @@ FABRIC_ROUTERS = [
 ]
 HORIZON = 4e-4
 
+_VERIFY = importlib.util.spec_from_file_location(
+    "e2e_verify", Path(__file__).parents[2] / "benchmarks" / "e2e" / "verify.py"
+)
+verify = importlib.util.module_from_spec(_VERIFY)
+_VERIFY.loader.exec_module(verify)
+
 # Every fabric has eight servers; a destination is an offset from its source.
 fractions = st.sampled_from([0.25, 0.5, 0.75])
 
@@ -48,12 +60,11 @@ def shapes(owned):
     """Scenario shapes.  The port-major pass owns plain
     single-destination streams and solves the windows between whatever
     else is queued — a cut, a repair, a ``stop_at``, a burst — but one
-    multi-destination or per-packet-flow stream, or a buffer bound,
-    leaves the whole run to the event loop, and free draws almost
-    always hold one; so half the draws are held to streams the pass
-    owns, among everything that bounds its windows; the other half
-    roam."""
-    def unless_owned(strategy, plain=None):
+    multi-destination or per-packet-flow stream leaves the whole run to
+    the event loop, and free draws almost always hold one; so half the
+    draws are held to streams the pass owns, among everything that
+    bounds its windows; the other half roam."""
+    def unless_owned(strategy, plain):
         return st.just(plain) if owned else st.just(plain) | strategy
 
     stream = st.fixed_dictionaries({
@@ -77,7 +88,6 @@ def shapes(owned):
         "cut": st.none() | st.tuples(
             fractions, st.none() | fractions, st.integers(0, 3), st.booleans()
         ),
-        "buffer_bytes": unless_owned(st.just(3000)),
         "horizon": st.sampled_from(["run", "split", "max_events"]),
     })
 
@@ -87,8 +97,8 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
     fabric, router = shape["fabric_router"]
     topo = FABRICS[fabric]()
     net = Network(
-        topo, ROUTERS[router](topo), buffer_bytes=shape["buffer_bytes"],
-        fastpath=fastpath, batch=batch, telemetry=telemetry, obs=False,
+        topo, ROUTERS[router](topo), fastpath=fastpath, batch=batch,
+        telemetry=telemetry, obs=False,
     )
     servers = topo.servers()
     sources = []
@@ -140,6 +150,10 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
         snapshots.append(snapshot())
     net.run(until=HORIZON)
     snapshots.append(snapshot())
+    assert verify.network_errors(net) == []
+    if telemetry:
+        tele = net.telemetry
+        assert tele.total_drops() + tele.unroutable == net.packets_dropped
     return snapshots
 
 
@@ -162,7 +176,6 @@ def bounded_windows(router):
         ],
         "burst": (2, 3),
         "cut": (0.25, 0.75, 1, True),
-        "buffer_bytes": None,
         "horizon": "split",
     }
 
@@ -176,7 +189,6 @@ def isolated_server(fabric, router):
         "streams": [{"src": 0, "dsts": [5], **stream}, {"src": 3, "dsts": [5], **stream}],
         "burst": (0, 3),
         "cut": (0.25, 0.5, 0, True),
-        "buffer_bytes": None,
         "horizon": "split",
     }
 

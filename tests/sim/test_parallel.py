@@ -249,14 +249,6 @@ class TestShardNetwork:
         assert net._ports[detour[0], detour[1]].packets_sent == 1
         assert net.engine.pending() == 0 and net.packets_delivered == 0
 
-    def test_bounded_buffers_rejected(self):
-        topo = T.quartz_ring(RING, SERVERS)
-        parts = partition_racks(topo, 2)
-        with pytest.raises(ParallelSimError, match="unbounded"):
-            ShardNetwork(
-                topo, ECMPRouter(topo), owned=parts[0], buffer_bytes=9000.0
-            )
-
 
 # -- end-to-end equivalence --------------------------------------------------------
 

@@ -16,15 +16,9 @@ from repro.sim.sources import PoissonSource
 from repro.telemetry import TELEMETRY_ENV, TelemetryConfig, TelemetryHub
 
 
-def run_workload(telemetry, fastpath=True, buffer_bytes=None, nsrc=4):
+def run_workload(telemetry, fastpath=True, nsrc=4):
     topo = T.three_tier_tree()
-    net = Network(
-        topo,
-        ECMPRouter(topo),
-        fastpath=fastpath,
-        telemetry=telemetry,
-        buffer_bytes=buffer_bytes,
-    )
+    net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=telemetry)
     servers = topo.servers()
     sources = [
         PoissonSource(
@@ -65,12 +59,6 @@ class TestObservationalPurity:
         assert observable_state(fast) == observable_state(ref)
         assert fast.telemetry.window_dump() == ref.telemetry.window_dump()
 
-    def test_purity_holds_under_bounded_buffers(self):
-        off = run_workload(telemetry=False, buffer_bytes=1600)
-        on = run_workload(telemetry=True, buffer_bytes=1600)
-        assert observable_state(off) == observable_state(on)
-        assert on.packets_dropped > 0, "workload should overflow the buffer"
-
 
 class TestArming:
     def test_disabled_by_default(self, monkeypatch):
@@ -83,7 +71,7 @@ class TestArming:
         assert isinstance(
             Network(topo, ECMPRouter(topo), telemetry=True).telemetry, TelemetryHub
         )
-        config = TelemetryConfig(window=1e-3, stamping=False)
+        config = TelemetryConfig(window=1e-3)
         net = Network(topo, ECMPRouter(topo), telemetry=config)
         assert net.telemetry.config is config
 
@@ -105,10 +93,6 @@ class TestMonitors:
         assert hub.total_enqueues() == expected
         for key in hub.ports():
             assert hub.monitors[key].enqueues == net._ports[key].packets_sent
-
-    def test_buffer_drops_observed(self):
-        net = run_workload(telemetry=True, buffer_bytes=1600)
-        assert net.telemetry.total_drops() == net.packets_dropped
 
     def test_fault_severed_packets_observed_as_drops(self):
         topo = T.three_tier_tree()
@@ -151,22 +135,6 @@ class TestStamping:
             for per_node in net.stats.hop_stamps.values()
             for rec in per_node.values()
         ), "a contended port should make some packet wait"
-
-    def test_stamping_off_keeps_monitors_only(self):
-        topo = T.three_tier_tree()
-        net = Network(
-            topo,
-            ECMPRouter(topo),
-            telemetry=TelemetryConfig(window=50e-6, stamping=False),
-        )
-        servers = topo.servers()
-        PoissonSource(
-            net, servers[0], servers[-1], rate_pps=600_000.0, seed=0,
-            group="load",
-        ).start()
-        net.engine.run(until=0.002)
-        assert net.telemetry.total_enqueues() > 0
-        assert net.stats.hop_stamps == {}
 
     def test_stamps_consistent_with_window_waits(self):
         net = run_workload(telemetry=True, nsrc=2)

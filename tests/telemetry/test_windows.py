@@ -33,7 +33,6 @@ class TestConfig:
     def test_defaults(self):
         config = TelemetryConfig()
         assert config.window == DEFAULT_WINDOW
-        assert config.stamping is True
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(TelemetryError):
@@ -42,7 +41,7 @@ class TestConfig:
             TelemetryConfig(window=-1e-6)
 
     def test_resolve_passthrough_and_booleans(self):
-        config = TelemetryConfig(window=1e-3, stamping=False)
+        config = TelemetryConfig(window=1e-3)
         assert resolve_config(config) is config
         assert resolve_config(True) == TelemetryConfig()
         assert resolve_config(False) is None
