@@ -55,22 +55,32 @@ def _cohort_run(
 ) -> tuple[float, tuple]:
     """One single-stream run; returns (wall seconds, metric fingerprint).
 
-    ``telemetry`` arms the windowed monitors + INT stamping; ``obs``
-    arms the :mod:`repro.obs` metrics registry + tracer for this run.
-    The baselines pass both ``False`` explicitly so they stay clean
-    even under ``REPRO_TELEMETRY=1`` / ``REPRO_OBS=1``.
+    ``batch`` runs it through ``Network.run`` (the port-major pass),
+    else through ``engine.run`` (the scalar kernel).  ``telemetry`` arms
+    the windowed monitors + INT stamping; ``obs`` arms the
+    :mod:`repro.obs` metrics registry + tracer for this run only (the
+    caller leaves the process disarmed).  The baselines pass
+    ``telemetry=False`` explicitly so they stay clean even under
+    ``REPRO_TELEMETRY=1``.
     """
-    topo = T.three_tier_tree()
-    net = Network(topo, ECMPRouter(topo), batch=batch, telemetry=telemetry, obs=obs)
-    servers = topo.servers()
-    source = PoissonSource(
-        net, servers[0], servers[-1], rate_pps=COHORT_RATE_PPS, seed=7,
-        group="load",
-    )
-    source.start()
-    start = time.perf_counter()
-    net.run(until=COHORT_DURATION)
-    wall = time.perf_counter() - start
+    if obs:
+        obs_layer.arm()
+    try:
+        topo = T.three_tier_tree()
+        net = Network(topo, ECMPRouter(topo), telemetry=telemetry)
+        servers = topo.servers()
+        source = PoissonSource(
+            net, servers[0], servers[-1], rate_pps=COHORT_RATE_PPS, seed=7,
+            group="load",
+        )
+        source.start()
+        run = net.run if batch else net.engine.run
+        start = time.perf_counter()
+        run(until=COHORT_DURATION)
+        wall = time.perf_counter() - start
+    finally:
+        if obs:
+            obs_layer.disarm()
     fingerprint = (
         net.packets_delivered,
         net.packets_dropped,
@@ -102,7 +112,6 @@ def _cohort_round() -> dict[str, float]:
             walls[name], other = _cohort_run(**kwargs)
             assert other == fingerprint, f"{name} run diverged from the scalar kernel"
     finally:
-        obs_layer.disarm()  # a fresh registry and tracer per armed run
         if was_armed:
             obs_layer.arm()
     return walls
@@ -111,14 +120,16 @@ def _cohort_round() -> dict[str, float]:
 #: Fault benchmark: ``run_fault_recovery_cell``'s scenario at the e2e
 #: workload's size — 72 streams of 1.5 Gb/s over a 9-switch ring laid
 #: out as two physical rings, one segment cut at 1.5 ms and spliced at
-#: 2.5 ms of 4 — built here because the cell takes no ``batch=``.
+#: 2.5 ms of 4 — built here because the cell always runs ``Network.run``.
 FAULT_RING = 9
 FAULT_DURATION = 4e-3
 
 
 def _fault_run(batch: bool) -> tuple[float, tuple]:
+    """The fault shape through ``Network.run`` with ``batch``, else
+    through ``engine.run``."""
     topo = T.quartz_ring(FAULT_RING, servers_per_switch=2)
-    net = Network(topo, ECMPRouter(topo), batch=batch, telemetry=False, obs=False)
+    net = Network(topo, ECMPRouter(topo), telemetry=False)
     plan = plan_rings(FAULT_RING, num_rings=2)
     FaultInjector(net, plan).schedule(
         random_fault_schedule(plan, 1, cut_at=1.5e-3, repair_after=1e-3, seed=0)
@@ -133,8 +144,9 @@ def _fault_run(batch: bool) -> tuple[float, tuple]:
                     flow_id=stream, seed=stream, on_delivered=bins,
                 ).start()
                 stream += 1
+    run = net.run if batch else net.engine.run
     start = time.perf_counter()
-    net.run(until=FAULT_DURATION)
+    run(until=FAULT_DURATION)
     wall = time.perf_counter() - start
     faults = net.fault_stats
     fingerprint = (

@@ -68,6 +68,9 @@ DEFAULT_MIN_RESIDUAL_FRACTION = 0.01
 #: Flow-stats group under which oracle-mode background packets report.
 BACKGROUND_GROUP = "background"
 
+#: Packet size of oracle-mode background sources (an Ethernet MTU).
+BACKGROUND_PACKET_BYTES = 1500.0
+
 
 class HybridNetwork(Network):
     """A :class:`~repro.sim.network.Network` with flow-level background.
@@ -82,8 +85,8 @@ class HybridNetwork(Network):
       Poisson packet sources — every packet simulated, group
       ``"background"`` so foreground stats stay separable.
 
-    ``min_residual_fraction`` floors each link's effective capacity;
-    ``record_timeline`` keeps the per-epoch residual timeline in
+    ``DEFAULT_MIN_RESIDUAL_FRACTION`` floors each link's effective
+    capacity; ``record_timeline`` keeps the per-epoch residual timeline in
     :attr:`residual_timeline` (disable for the largest runs).
     """
 
@@ -94,17 +97,10 @@ class HybridNetwork(Network):
         background: "BackgroundSchedule | Sequence[BackgroundFlow] | None" = None,
         *,
         hybrid: bool = True,
-        min_residual_fraction: float = DEFAULT_MIN_RESIDUAL_FRACTION,
         record_timeline: bool = True,
-        background_packet_bytes: float = 1500.0,
         **kwargs: object,
     ) -> None:
         super().__init__(topo, router, **kwargs)  # type: ignore[arg-type]
-        if not 0.0 < min_residual_fraction < 1.0:
-            raise HybridError(
-                "min_residual_fraction must be in (0, 1),"
-                f" got {min_residual_fraction}"
-            )
         if background is None:
             background = BackgroundSchedule(())
         elif not isinstance(background, BackgroundSchedule):
@@ -113,9 +109,7 @@ class HybridNetwork(Network):
         #: Whether background rides the flow-level handoff (read-only
         #: after init); ``False`` is the pure-packet oracle.
         self.hybrid_enabled = hybrid
-        self.min_residual_fraction = min_residual_fraction
         self.record_timeline = record_timeline
-        self.background_packet_bytes = background_packet_bytes
         #: Epoch boundaries processed so far (fault epochs included).
         self.epochs = 0
         #: Residual re-applications that actually changed a link.
@@ -145,7 +139,7 @@ class HybridNetwork(Network):
                 [self._solver.link_index[key] for key in self._rec_keys], dtype=np.intp
             )
             base = np.array([self._capacity[key] for key in self._rec_keys])
-            self._floor_vec = min_residual_fraction * base
+            self._floor_vec = DEFAULT_MIN_RESIDUAL_FRACTION * base
             self._eff_vec = base
             self._schedule_epoch_boundaries()
         else:
@@ -308,7 +302,7 @@ class HybridNetwork(Network):
                 flow.src,
                 flow.dst,
                 flow.demand_bps,
-                size_bytes=self.background_packet_bytes,
+                size_bytes=BACKGROUND_PACKET_BYTES,
                 group=BACKGROUND_GROUP,
                 flow_id=flow.flow_id,
                 seed=flow.flow_id,

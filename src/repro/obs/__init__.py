@@ -19,13 +19,11 @@ hybrid epochs, and sharded windows.  Three parts:
 
 Arming
 ------
-Observability follows the package's standard knob contract
-(:mod:`repro.sim.knobs`): the ``REPRO_OBS`` environment variable
-env-*enables* it process-wide (resolved once at import, like
-``REPRO_TELEMETRY``), ``Network(obs=True)`` arms it from code, and
-``Network(obs=False)`` detaches that network even when the process is
-armed.  :func:`arm`/:func:`disarm` are the programmatic switches; both
-are idempotent.
+The ``REPRO_OBS`` environment variable env-*enables* observability
+process-wide (resolved once at import, with the truthy convention of
+:mod:`repro.sim.knobs`); :func:`arm`/:func:`disarm` are the
+programmatic switches, both idempotent.  A network reports into the
+registry armed when it is built, if any.
 
 The armed state is a pair of module-level singletons (the active
 :class:`~repro.obs.metrics.MetricsRegistry` and

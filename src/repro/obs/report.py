@@ -53,10 +53,11 @@ _REQUIRED_KEYS = (
 def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
     """Resolve the environment-backed switches as ``Network(...)`` would.
 
-    ``telemetry`` and ``obs`` are what a network built with ``None`` for
-    both gets from the environment.  ``fastpath`` and ``batch`` are the
-    constructor defaults, constant since their environment switches
-    were retired; they stay in the answer because the frozen
+    ``telemetry`` is what a network built with ``telemetry=None`` gets
+    from the environment, ``obs`` whether ``REPRO_OBS`` arms the
+    process.  ``fastpath`` (the constructor default) and ``batch`` (the
+    port-major pass of ``Network.run``, which has no switch) are the
+    constant ``True``; they stay in the answer because the frozen
     ``benchmarks/e2e`` harness reads them.
     """
     from repro import obs

@@ -43,7 +43,6 @@ from repro.sim.sources import (
     PoissonSource,
     RPCSource,
     SourceError,
-    poisson_pair_sources,
 )
 from repro.sim.stats import (
     DeliveryBins,
@@ -110,7 +109,6 @@ __all__ = [
     "SwitchModel",
     "ULL",
     "get_model",
-    "poisson_pair_sources",
     "register_model",
     "summarize_latencies",
 ]

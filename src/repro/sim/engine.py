@@ -25,7 +25,7 @@ from repro import obs as _obs
 
 #: Marker in the ``args`` slot of a chained entry ``[time, seq, step,
 #: _CHAIN, arg]`` (see :meth:`Engine.chain_at`).  Never a valid args
-#: tuple, and falsy: the run loops test for it only after ``if args:``
+#: tuple, and falsy: the run loop tests for it only after ``if args:``
 #: failed, so a plain event with arguments never pays for chains.
 _CHAIN = None
 
@@ -79,7 +79,7 @@ class Engine:
         at every time it returns, until it returns ``None``.
 
         Equivalent to a :meth:`call_at` callback whose *last* scheduling
-        act is ``call_at(next_time, step, arg)`` — the run loops re-push
+        act is ``call_at(next_time, step, arg)`` — the run loop re-pushes
         the same entry with the sequence number that trailing call would
         have drawn, so pop order, ``pending()`` and ``events_processed``
         are identical — minus its frame and allocations.  Hence the
@@ -136,28 +136,27 @@ class Engine:
         """
         self.events_processed += n
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events until the queue empties, ``until`` passes, or
-        ``max_events`` have fired.
+    def run(self, until: float | None = None) -> None:
+        """Process events until the queue empties or ``until`` passes.
 
         Advances ``now`` to ``until`` at the end when a horizon is given,
-        even if the queue drained earlier (unless ``max_events`` stopped
-        the run first).
+        even if the queue drained earlier.
 
         When :mod:`repro.obs` is armed, each call additionally records
         one ``engine.run`` span plus aggregate counters (events
         dispatched, run wall-clock).  The accounting happens
-        once per *run*, not per event, so the inner loops above stay
+        once per *run*, not per event, so the dispatch loop stays
         untouched and a disarmed run pays one ``None`` test.
         """
+        until = math.inf if until is None else until
         reg = _obs.registry()
         if reg is None:
-            self._run(until, max_events)
+            self._run(until)
             return
         before = self.events_processed
         start = _time.perf_counter()
         try:
-            self._run(until, max_events)
+            self._run(until)
         finally:
             duration = _time.perf_counter() - start
             delta = self.events_processed - before
@@ -169,56 +168,11 @@ class Engine:
                 tracer.add("engine.run", start, duration,
                            kind="heap", events=delta)
 
-    def _run(self, until: float | None, max_events: int | None) -> None:
-        """The dispatch body of :meth:`run` (observation-free): the
-        counting loop for ``max_events``, the horizon loop otherwise —
-        a run with no horizon is one to ``inf``."""
-        if max_events is not None:
-            self._run_bounded(until, max_events)
-        else:
-            self._run_heap_until(math.inf if until is None else until)
-
-    def _run_bounded(self, until: float | None, max_events: int) -> None:
-        """Dispatch at most ``max_events`` events (none past ``until``)."""
-        heap = self._heap
-        processed = 0
-        self.running = True
-        try:
-            while heap:
-                if processed >= max_events:
-                    return
-                if until is not None and heap[0][0] > until:
-                    break
-                entry = heapq.heappop(heap)
-                callback = entry[2]
-                self.now = entry[0]
-                args = entry[3]
-                if args:
-                    callback(*args)
-                elif args is _CHAIN:
-                    time = callback(entry[4])
-                    if time is not None:
-                        processed += 1  # the step fired, whatever its answer
-                        if time < self.now:
-                            raise SimulationError(_CHAIN_PAST % (time, self.now))
-                        entry[0] = time
-                        entry[1] = self._seq
-                        self._seq += 1
-                        heapq.heappush(heap, entry)
-                        continue
-                else:
-                    callback()
-                processed += 1
-        finally:
-            self.events_processed += processed
-            self.running = False
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_heap_until(self, until: float) -> None:
-        """Drain the heap up to (and including) time ``until``, then
-        advance the clock to it — unless it is ``inf`` (no horizon):
-        ``now`` stays at the last event."""
+    def _run(self, until: float) -> None:
+        """The dispatch loop of :meth:`run` (observation-free): drain the
+        heap up to (and including) time ``until``, then advance the clock
+        to it — unless it is ``inf`` (no horizon): ``now`` stays at the
+        last event."""
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush

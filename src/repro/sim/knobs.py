@@ -2,16 +2,18 @@
 
 Two observation layers can be armed from the environment —
 ``REPRO_TELEMETRY`` (:mod:`repro.telemetry`) and ``REPRO_OBS``
-(:mod:`repro.obs`).  Both follow one contract: a constructor argument
-that defaults to ``None``, backed by an environment variable that turns
-the layer *on* for networks built with ``None``, where an **explicit
-argument always wins** (``Network(telemetry=False)`` stays off under
-``REPRO_TELEMETRY=1``).  A truthy environment value is anything but
-unset, empty, or ``"0"``.
+(:mod:`repro.obs`).  ``REPRO_TELEMETRY`` backs a constructor argument
+that defaults to ``None``: the variable turns the layer *on* for
+networks built with ``None``, and an **explicit argument always wins**
+(``Network(telemetry=False)`` stays off under ``REPRO_TELEMETRY=1``).
+``REPRO_OBS`` arms the process at import; ``obs.arm()``/``disarm()``
+are its only other switches.  A truthy environment value is anything
+but unset, empty, or ``"0"``.
 
 The engine's reference paths have no environment switch: pass
-``fastpath=False`` / ``batch=False`` to
-:class:`~repro.sim.network.Network`, ``hybrid=False`` to
+``fastpath=False`` to :class:`~repro.sim.network.Network`, call
+``engine.run`` instead of ``Network.run`` for the run without the
+port-major pass, pass ``hybrid=False`` to
 :class:`~repro.hybrid.HybridNetwork`, or call
 :func:`repro.sim.parallel.run_serial`.
 

@@ -30,7 +30,6 @@ from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
 from repro.sim.fastpath import HopPlan, compile_plan
 from repro import obs as _obs_layer
-from repro.sim.knobs import resolve_flag
 from repro.sim.stats import FaultRecorder, LatencyRecorder
 from repro.sim.switch import SwitchModel, get_model
 from repro.telemetry.windows import TelemetryConfig, TelemetryHub, resolve_config
@@ -108,37 +107,32 @@ class Network:
         self,
         topo: Topology,
         router: Router,
-        engine: Engine | None = None,
         propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
         server_forward_latency: float = DEFAULT_SERVER_FORWARD_LATENCY,
         host_receive_latency: float = 0.0,
         fastpath: bool = True,
-        batch: bool = True,
         telemetry: "TelemetryConfig | bool | None" = None,
-        obs: bool | None = None,
     ) -> None:
         """``fastpath`` selects the forwarding loop: ``True`` walks
         compiled per-path :class:`~repro.sim.fastpath.HopPlan` chains,
         ``False`` runs the reference per-hop lookup loop — the oracle
-        the kernel is tested against.  ``batch`` allows the port-major
-        pass of :meth:`run`, which clocks the open-loop stretches of a
-        run port by port instead of event by event; it also needs the
-        fast path and disarmed telemetry, else ``batch_enabled`` stays
-        ``False``.  All three forms are bit-identical.
+        the kernel is tested against.  :meth:`run` also tries the
+        port-major pass, which needs the fast path and disarmed
+        telemetry; ``engine.run`` never does.  All three forms are
+        bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
         (:mod:`repro.telemetry`): ``True`` or a
         :class:`~repro.telemetry.TelemetryConfig` attaches per-port
         windowed queue monitors and INT-style per-packet stamping; the
         default (``None``) follows ``REPRO_TELEMETRY``; ``False`` forces
-        it off.  ``obs`` attaches this network to the
-        process-wide metrics registry of :mod:`repro.obs` the same way
-        (``None`` follows ``REPRO_OBS`` or an earlier ``obs.arm()``).
+        it off.  The network reports into the :mod:`repro.obs` registry
+        armed when it is built (``obs.arm()`` or ``REPRO_OBS``), if any.
         Both layers are strictly observational: armed runs stay
         fingerprint-identical to disarmed runs."""
         self.topo = topo
         self.router = router
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.propagation_delay = propagation_delay
         self.server_forward_latency = server_forward_latency
         self.host_receive_latency = host_receive_latency
@@ -199,24 +193,9 @@ class Network:
         # stale cache or strand a flow on a dead route.
         self._plans: dict[Path, HopPlan] = {}
         self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
-        #: Whether :meth:`run` may solve windows port-major (read-only
-        #: after init).  Requires the fast path (the pass reads compiled
-        #: HopPlans) and disarmed telemetry (monitors observe per-packet
-        #: queue state the pass never materializes).
-        self.batch_enabled = batch and fastpath and self.telemetry is None
-        #: Resolved ``obs=`` switch (read-only after init).
-        self.obs_enabled = resolve_flag(obs, _obs_layer.OBS_ENV)
         #: The metrics registry this network reports into, or ``None``
         #: — same one-attribute-check dormant contract as telemetry.
-        if self.obs_enabled:
-            _obs_layer.arm()
-            self.obs = _obs_layer.registry()
-        elif obs is None:
-            # A process armed via obs.arm() (no env, no explicit knob)
-            # still observes networks built with the default.
-            self.obs = _obs_layer.registry()
-        else:
-            self.obs = None
+        self.obs = _obs_layer.registry()
 
     # -- injection ------------------------------------------------------------------
 
@@ -652,11 +631,10 @@ class Network:
         capacity = self._capacity[(u, v)]
         return min(1.0, (port.bytes_sent * 8 / capacity) / horizon)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run the simulation to ``until`` (or dry, or ``max_events``).
+    def run(self, until: float | None = None) -> None:
+        """Run the simulation to ``until`` (or dry).
 
-        With batching enabled the horizon is shared between two
-        executors.  The port-major pass
+        The horizon is shared between two executors.  The port-major pass
         (:func:`repro.sim.portmajor.advance`) owns the queue's **roots**
         — the fire chains of single-destination Poisson sources and the
         packets in flight — and solves them port by port, one budgeted
@@ -671,14 +649,15 @@ class Network:
         solved window and one per such gap, however many timers are
         queued.  Results are bit-identical either way, and a window the
         pass declines is left untouched.  Only this method tries the
-        pass: ``engine.run`` always dispatches event by event.
+        pass: ``engine.run`` always dispatches event by event, which
+        makes it the pass's reference.
         """
         from repro.sim import portmajor  # imports this module
 
         engine = self.engine
         while True:
-            _, resume = portmajor.advance(self, until, max_events)
+            _, resume = portmajor.advance(self, until)
             if resume is None:
                 break
             engine.run(until=resume)
-        engine.run(until=until, max_events=max_events)
+        engine.run(until=until)

@@ -29,14 +29,13 @@ source's ``stop_at``.  *A foreign entry bounds the window instead of
 vetoing it*: the horizon is the last float before the earliest foreign
 time, so the window's ``t <= horizon`` tests mean "strictly before
 it", and whatever ties a foreign entry stays with the event loop, which
-orders it by the seqs the pass hands back.  What still vetoes: no
-``batch_enabled`` (compiled plans, no telemetry),
-``max_events``, no horizon at all, a run loop already dispatching, a
-sharded network, a due source with several destinations,
-``vary_flow_per_packet`` or a callback the pass cannot apply
-(``closed_loop_source``), a flow the router has no path for
-(``unroutable``), a cyclic directed graph "port of hop h → port of hop
-h+1" over the routes still to be walked, and a window whose expected
+orders it by the seqs the pass hands back.  What still vetoes: armed
+telemetry, no compiled plans (``fastpath=False``), no horizon at all,
+a run loop already dispatching, a sharded network, a due source with
+several destinations, ``vary_flow_per_packet`` or a callback the pass
+cannot apply (``closed_loop_source``), a flow the router has no path
+for (``unroutable``), a cyclic directed graph "port of hop h → port of
+hop h+1" over the routes still to be walked, and a window whose expected
 fires ``Σ (horizon − first fire) · rate`` are under ``MIN_WINDOW_FIRES``
 or ``MIN_FIRES_PER_SOURCE`` per firing source (``budget``).  A stretch
 that expects more than ``MAX_WINDOW_FIRES`` is cut there and the rest is
@@ -125,9 +124,7 @@ class _StandDown(Exception):
         super().__init__(why, resume)
 
 
-def advance(
-    net: Network, until: "float | None", max_events: "int | None" = None
-) -> "tuple[bool, float | None]":
+def advance(net: Network, until: "float | None") -> "tuple[bool, float | None]":
     """Solve port-major what the queue lets the pass own of the horizon
     up to ``until``: window after window, up to the first foreign entry.
 
@@ -147,7 +144,7 @@ def advance(
     try:
         more = True
         while more:
-            roots, horizon, resume, more = _window(net, until, max_events)
+            roots, horizon, resume, more = _window(net, until)
             _solve(net, horizon, roots)
             solved = True
     except _StandDown as why:
@@ -160,7 +157,7 @@ def advance(
 
 
 def _window(
-    net: Network, until: "float | None", max_events: "int | None"
+    net: Network, until: "float | None"
 ) -> "tuple[list, float, float | None, bool]":
     """One scan of the queue: ``(roots, horizon, resume, more)``.
 
@@ -178,10 +175,8 @@ def _window(
     engine = net.engine
     if net.telemetry is not None:
         raise _StandDown("telemetry")
-    if not net.batch_enabled:
+    if not net.fastpath_enabled:
         raise _StandDown("disabled")
-    if max_events is not None:
-        raise _StandDown("bounded_run")
     if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire

@@ -14,17 +14,17 @@ two independent numpy streams that are pre-drawn in chunks, so a
 million-packet source pays one RNG call per few hundred packets instead
 of one per packet.  numpy generators fill arrays from the same bit
 stream an element-at-a-time draw would consume, so the batched sequence
-is bit-identical for every chunk size — ``chunk=1`` is the per-packet
-reference and produces exactly the same packets.  Under ``engine.run``
-each packet's *injection* fires as its own engine event: port queueing
-interleaves with other traffic at arrival times, so arrivals cannot be applied
-stream by stream without changing results.  ``Network.run(until=…)``
-can do better between the queue entries that are not single-destination
-Poisson fires or packets in flight: such a stretch is open loop, every
-fire time is known up front, and :mod:`repro.sim.portmajor` applies all
-streams' arrivals together, port by port, bit-identically — a
-``stop_at`` inside the horizon ends a window, and the fire that ends
-the chain is the event loop's.
+is bit-identical for every chunk size — ``DEFAULT_CHUNK = 1`` is the
+per-packet reference and produces exactly the same packets.  Under
+``engine.run`` each packet's *injection* fires as its own engine event:
+port queueing interleaves with other traffic at arrival times, so
+arrivals cannot be applied stream by stream without changing results.
+``Network.run(until=…)`` can do better between the queue entries that
+are not single-destination Poisson fires or packets in flight: such a
+stretch is open loop, every fire time is known up front, and
+:mod:`repro.sim.portmajor` applies all streams' arrivals together, port
+by port, bit-identically — a ``stop_at`` inside the horizon ends a
+window, and the fire that ends the chain is the event loop's.
 
 A running Poisson or burst source is one engine **chain**
 (:meth:`~repro.sim.engine.Engine.chain_at`): its fire step returns the
@@ -49,7 +49,8 @@ from repro.units import BITS_PER_BYTE
 #: Packet size used throughout the paper's simulations (Section 7).
 DEFAULT_PACKET_BYTES = 400
 
-#: Poisson pre-draw batch size (packets per RNG call).
+#: Poisson pre-draw batch size (packets per RNG call).  Read at every
+#: draw, so a test that sets it to 1 gets the per-packet draw reference.
 DEFAULT_CHUNK = 256
 
 #: Non-negative 64-bit seed material for numpy's SeedSequence.
@@ -72,10 +73,10 @@ class PoissonSource:
     when a handful of heavy flows share one channel (Section 7.2).
 
     Gap and destination draws come from two independent seeded numpy
-    streams, pre-drawn ``chunk`` packets at a time.  The packet sequence
-    is identical for every chunk size (numpy fills batches from the same
-    bit stream as repeated scalar draws), so batching is purely a speed
-    knob; ``chunk=1`` is the per-packet draw reference.
+    streams, pre-drawn ``DEFAULT_CHUNK`` packets at a time.  The packet
+    sequence is identical for every chunk size (numpy fills batches from
+    the same bit stream as repeated scalar draws), so batching is purely
+    a matter of speed.
     """
 
     def __init__(
@@ -91,12 +92,9 @@ class PoissonSource:
         stop_at: float | None = None,
         vary_flow_per_packet: bool = False,
         on_delivered: Callable[[Packet, float], None] | None = None,
-        chunk: int = DEFAULT_CHUNK,
     ) -> None:
         if rate_pps <= 0:
             raise SourceError(f"rate must be positive, got {rate_pps}")
-        if chunk < 1:
-            raise SourceError(f"chunk must be at least 1, got {chunk}")
         self.network = network
         self.src = src
         self._dsts = [dst] if isinstance(dst, str) else list(dst)
@@ -110,9 +108,8 @@ class PoissonSource:
         self.vary_flow_per_packet = vary_flow_per_packet
         self.on_delivered = on_delivered
         self.packets_sent = 0
-        self.chunk = chunk
         # Independent streams so the interleaving of gap and destination
-        # draws — and therefore the values — cannot depend on ``chunk``.
+        # draws — and therefore the values — cannot depend on the chunk.
         self._gap_rng = np.random.default_rng((seed & _SEED_MASK, 0))
         self._gaps: list[float] = []
         self._gap_i = 0
@@ -159,11 +156,11 @@ class PoissonSource:
 
     def _draw_gaps(self) -> list[float]:
         """The stream's next batch of gaps.  Batches double from 32 up
-        to ``chunk``, so a short stream (a 1 ms Figure 17 cell uses ~31
-        gaps) does not hold a full chunk of Python floats; the values
-        do not depend on how the stream is cut into batches."""
+        to ``DEFAULT_CHUNK``, so a short stream (a 1 ms Figure 17 cell
+        uses ~31 gaps) does not hold a full chunk of Python floats; the
+        values do not depend on how the stream is cut into batches."""
         batch = self._gap_rng.standard_exponential(
-            min(self.chunk, max(32, 2 * len(self._gaps)))
+            min(DEFAULT_CHUNK, max(32, 2 * len(self._gaps)))
         )
         batch /= self.rate_pps
         return batch.tolist()
@@ -211,7 +208,7 @@ class PoissonSource:
         picks = self._dst_picks
         if i >= len(picks):
             picks = self._dst_picks = self._dst_rng.integers(
-                0, len(self._dsts), self.chunk
+                0, len(self._dsts), DEFAULT_CHUNK
             ).tolist()
             i = 0
         self._dst_i = i + 1
@@ -387,30 +384,3 @@ class RPCSource:
         if self.completed < self.num_calls:
             self._issue_call()
 
-
-def poisson_pair_sources(
-    network: Network,
-    pairs: list[tuple[str, str]],
-    per_pair_bandwidth_bps: float,
-    size_bytes: float = DEFAULT_PACKET_BYTES,
-    group: str | None = None,
-    seed: int = 0,
-    make_flow_id: Callable[[int], int] | None = None,
-) -> list[PoissonSource]:
-    """One Poisson stream per (src, dst) pair — the paper's task model."""
-    sources = []
-    for index, (src, dst) in enumerate(pairs):
-        flow_id = index if make_flow_id is None else make_flow_id(index)
-        sources.append(
-            PoissonSource.at_bandwidth(
-                network,
-                src,
-                dst,
-                per_pair_bandwidth_bps,
-                size_bytes=size_bytes,
-                group=group,
-                flow_id=flow_id,
-                seed=seed + index,
-            )
-        )
-    return sources

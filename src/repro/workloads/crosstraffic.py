@@ -57,6 +57,13 @@ def prototype_tree(servers_per_switch: int = 2) -> Topology:
     return topo
 
 
+#: Simulated time the RPC loop may take before the run gives up.
+RPC_TIME_LIMIT = 30.0
+
+#: Simulated time between two checks of whether the RPC loop is done.
+RUN_SLICE = 1e-3
+
+
 @dataclass(frozen=True)
 class CrossTrafficResult:
     """One point of the Figure 14 curve."""
@@ -109,8 +116,12 @@ def run_cross_traffic_experiment(
                 flow_id=100 + i,
                 seed=seed + i,
             ).start()
-    # Run until the RPC loop finishes (closed loop: bounded event count).
-    network.run(until=30.0, max_events=20_000_000)
+    # The burst sources never stop, so the run ends at the slice in which
+    # the closed RPC loop completes its last call.
+    for step in range(1, round(RPC_TIME_LIMIT / RUN_SLICE) + 1):
+        network.run(until=step * RUN_SLICE)
+        if rpc.completed == num_calls:
+            break
     if rpc.completed < num_calls:
         raise RuntimeError(
             f"RPC loop incomplete: {rpc.completed}/{num_calls} calls "

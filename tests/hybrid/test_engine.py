@@ -15,6 +15,7 @@ from repro.hybrid import (
     HybridError,
     HybridNetwork,
 )
+from repro.hybrid import engine as hybrid_engine
 from repro.routing import ECMPRouter
 from repro.sim import PoissonSource
 from repro.units import GBPS
@@ -80,12 +81,11 @@ class TestResidualHandoff:
         assert net.epochs == 2  # start + stop boundaries
         assert net.residual_epoch == 2  # both changed link state
 
-    def test_min_residual_floor_keeps_foreground_moving(self):
+    def test_min_residual_floor_keeps_foreground_moving(self, monkeypatch):
+        monkeypatch.setattr(hybrid_engine, "DEFAULT_MIN_RESIDUAL_FRACTION", 0.05)
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
-        net = build(
-            [one_bg(servers, 50 * GBPS)], topo, min_residual_fraction=0.05
-        )
+        net = build([one_bg(servers, 50 * GBPS)], topo)
         net.run(until=1e-5)
         path = net.router.route(servers[0], servers[1])
         key = (path[0], path[1])
@@ -129,12 +129,6 @@ class TestResidualHandoff:
         # Both want 9G through the same 10G server uplink → 5G each.
         assert rates[1_000_000] == pytest.approx(5 * GBPS)
         assert rates[1_000_001] == pytest.approx(5 * GBPS)
-
-    def test_invalid_floor_rejected(self):
-        with pytest.raises(HybridError):
-            build([], min_residual_fraction=0.0)
-        with pytest.raises(HybridError):
-            build([], min_residual_fraction=1.0)
 
 
 class TestModes:
@@ -238,7 +232,9 @@ class TestFaultInterplay:
 
 
 class TestBitIdentityAcrossLoops:
-    def _foreground_summary(self, **paths):
+    def _foreground_summary(self, batch=True, **paths):
+        """The foreground's summary, run through ``Network.run`` with
+        ``batch``, else through ``engine.run``."""
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
         flows = [
@@ -251,7 +247,7 @@ class TestBitIdentityAcrossLoops:
             stop_at=4e-4,
         )
         src.start()
-        net.run(until=6e-4)
+        (net.run if batch else net.engine.run)(until=6e-4)
         s = net.stats.summary("fg")
         return (s.count, s.mean, s.p99, s.maximum)
 
@@ -283,7 +279,8 @@ class TestBitIdentityAcrossLoops:
                 BackgroundFlow(1_000_000, servers[0], servers[1], 6 * GBPS, 2e-4, 6e-4),
                 BackgroundFlow(1_000_001, servers[2], servers[1], 3 * GBPS, 4e-4, 9e-4),
             ]
-            net = build(flows, topo, batch=batch, telemetry=False, obs=False)
+            net = build(flows, topo, telemetry=False)
+            run = net.run if batch else net.engine.run
             sources = [
                 PoissonSource.at_bandwidth(
                     net, servers[0], servers[1], 3 * GBPS, group="fg", seed=11, flow_id=1
@@ -296,7 +293,7 @@ class TestBitIdentityAcrossLoops:
                 source.start()
             prints = []
             for until in (5e-4, 1e-3):
-                net.run(until=until)
+                run(until=until)
                 prints.append(
                     network_fingerprint(net) + tuple(s.packets_sent for s in sources)
                 )

@@ -13,10 +13,12 @@ epoch that moved a link, pins that keeping the plans no moved link lies
 on changes nothing a foreground packet can see.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.topology as T
 from repro.hybrid import BackgroundFlow, HybridNetwork
+from repro.hybrid import engine as hybrid_engine
 from repro.routing import ECMPRouter, VLBRouter
 from repro.sim import Network
 from repro.sim.sources import PoissonSource
@@ -29,6 +31,11 @@ RING = (4, 2)  # switches, servers per switch
 
 class FullScanNetwork(HybridNetwork):
     """``HybridNetwork`` with the pre-vector, every-link hand-off."""
+
+    def __init__(self, *args, **kwargs):
+        # The floor as ``HybridNetwork`` reads it: once, when built.
+        self.min_residual_fraction = hybrid_engine.DEFAULT_MIN_RESIDUAL_FRACTION
+        super().__init__(*args, **kwargs)
 
     def _apply_residuals(self) -> None:
         residual = self._solver.solve().residual
@@ -80,7 +87,9 @@ def build(cls, flow_specs, fault_specs, vlb, floor):
         for i, (src, off, demand, start, duration) in enumerate(flow_specs)
     ]
     router = VLBRouter(topo, direct_fraction=0.7) if vlb else ECMPRouter(topo)
-    net = cls(topo, router, flows, min_residual_fraction=floor)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hybrid_engine, "DEFAULT_MIN_RESIDUAL_FRACTION", floor)
+        net = cls(topo, router, flows)
     for when, repair, index in fault_specs:
         action = net.repair_link if repair else net.fail_link
         net.engine.call_at(when, action, *links[index % len(links)])
@@ -359,7 +368,7 @@ class TestDetourCredit:
         topo.add_link("s0", "s2", 40 * GBPS, LinkKind.MESH)
         topo.add_link("s2", "s1", 40 * GBPS, LinkKind.MESH)
         topo.add_link("s1", "h1", 10 * GBPS, LinkKind.HOST)
-        net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=False, obs=False)
+        net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=False)
         net.enable_fault_tracking()
         packet = net.send("h0", "h1", 1500.0)  # on the wire to s0 when the link dies
         net.engine.call_at(1e-7, net.fail_link, "s0", "s1")

@@ -27,12 +27,8 @@ from repro.sim.sources import PoissonSource
 
 @pytest.fixture(autouse=True)
 def _disarmed(monkeypatch):
-    """Tests control arming explicitly; always leave the process clean.
-
-    REPRO_OBS is also scrubbed — a ``Network(obs=None)`` built under an
-    armed environment (the CI ``REPRO_OBS=1`` leg) would silently
-    re-arm the process mid-test otherwise.
-    """
+    """Tests control arming explicitly; always leave the process (and
+    the environment it hands to workers) clean."""
     monkeypatch.delenv(obs.OBS_ENV, raising=False)
     was_armed = obs.armed()
     obs.disarm()
@@ -42,9 +38,9 @@ def _disarmed(monkeypatch):
         obs.arm()
 
 
-def _small_run(obs_flag):
+def _small_run():
     topo = T.quartz_ring(4, 1)
-    net = Network(topo, ECMPRouter(topo), obs=obs_flag)
+    net = Network(topo, ECMPRouter(topo))
     source = PoissonSource(
         net, "h0.0", "h2.0", rate_pps=200_000.0, seed=3, group="g"
     )
@@ -60,14 +56,14 @@ def _small_run(obs_flag):
 
 class TestFingerprintIdentity:
     def test_armed_run_is_bit_identical(self):
-        baseline = _small_run(obs_flag=False)
+        baseline = _small_run()
         obs.arm()
-        armed = _small_run(obs_flag=None)  # attaches to the armed process
+        armed = _small_run()  # attaches to the armed process
         assert armed == baseline
 
     def test_armed_engine_records_runs_and_spans(self):
         obs.arm()
-        fingerprint = _small_run(obs_flag=None)
+        fingerprint = _small_run()
         assert fingerprint[0] > 0
         reg = obs.registry()
         assert reg.counters["engine.runs"] == 1
@@ -75,10 +71,15 @@ class TestFingerprintIdentity:
         (run,) = (s for s in obs.tracer().spans if s.name == "engine.run")
         assert run.args == {"kind": "heap", "events": fingerprint[2]}
 
-    def test_network_obs_false_detaches_while_armed(self):
+    def test_network_built_after_disarm_stays_disarmed(self, monkeypatch):
+        # REPRO_OBS arms the process at import only: building a network
+        # must not arm it again once ``disarm()`` has run.
+        monkeypatch.setenv(obs.OBS_ENV, "1")
         obs.arm()
-        _small_run(obs_flag=False)
-        assert obs.registry().counters.get("fastpath.plan_compiles") is None
+        obs.disarm()
+        topo = T.quartz_ring(4, 1)
+        net = Network(topo, ECMPRouter(topo))
+        assert net.obs is None and not obs.armed()
 
 
 def _parallel_scenario():
@@ -139,7 +140,7 @@ class TestParallelObservation:
 
 
 def _cell(seed):
-    return _small_run(obs_flag=None)
+    return _small_run()
 
 
 class TestSweepObservation:

@@ -1,15 +1,16 @@
-"""The ``batch`` knob: engaged or stood down, bit-identical to the scalar loops.
+"""The port-major pass: engaged or stood down, bit-identical to the scalar loops.
 
-``Network.run(until=…)`` with batching on (the port-major pass,
+``Network.run(until=…)`` (the port-major pass,
 :mod:`repro.sim.portmajor`) must be a pure speed change, like the
 compiled fast path before it: every externally visible number —
 per-packet latencies, drop/reroute counters, port state, the logical
 event count, the fault bookkeeping — must match both the scalar fast
-path and the reference loop exactly, whether the pass takes the whole
-horizon (plain streams) or the windows between what it cannot own
-(timers, a cut and its repair, ``stop_at`` inside it).  The equivalence
-fingerprint here extends ``tests/sim/test_fastpath.py``'s;
-``tests/sim/test_portmajor.py`` holds the pass's own differential.
+path run by ``engine.run`` and the reference loop exactly, whether the
+pass takes the whole horizon (plain streams) or the windows between
+what it cannot own (timers, a cut and its repair, ``stop_at`` inside
+it).  The equivalence fingerprint here extends
+``tests/sim/test_fastpath.py``'s; ``tests/sim/test_portmajor.py`` holds
+the pass's own differential.
 """
 
 import math
@@ -23,27 +24,27 @@ from repro.routing import ECMPRouter
 from repro.sim import Network, portmajor
 from repro.sim.portmajor import _contended_tails, _repeated_add
 from repro.sim.sources import PoissonSource
-from tests.sim.test_fastpath import network_fingerprint
+from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
 MODES = ("batched", "fastpath", "reference")
 
 
 def build(mode):
-    """A three-tier network in one of the three forwarding modes.
+    """A three-tier network in one of the three forwarding modes: only
+    ``"batched"`` runs through ``Network.run``, the scalar modes' ``run``
+    is ``engine.run``.
 
     ``telemetry=False`` is pinned (like ``fastpath`` below) so the
     batching assertions hold under ``REPRO_TELEMETRY=1``, where armed
     monitors would otherwise stand the pass down.
     """
     topo = T.three_tier_tree()
-    fastpath = mode != "reference"
-    return Network(
-        topo,
-        ECMPRouter(topo),
-        fastpath=fastpath,
-        batch=(mode == "batched"),
-        telemetry=False,
+    net = Network(
+        topo, ECMPRouter(topo), fastpath=mode != "reference", telemetry=False
     )
+    if mode != "batched":
+        net.run = net.engine.run
+    return net
 
 
 def port_state(net):
@@ -102,8 +103,14 @@ def run_workload(
     tracking; ``fault="armed"`` pre-arms it like the fastpath suite.
     ``interrupters`` schedules no-op events at the given times.  The
     queued timers of all three bound the pass's windows: nothing may be
-    applied at or past one before the event loop has run it.
+    applied at or past one before the event loop has run it.  The
+    reference draws packet by packet.
     """
+    with per_packet_draws(mode == "reference"):
+        return _run_workload(mode, nsrc, rate, until, fault, stop_at, interrupters)
+
+
+def _run_workload(mode, nsrc, rate, until, fault, stop_at, interrupters):
     net = build(mode)
     engine = net.engine
     servers = net.topo.servers()
@@ -111,7 +118,6 @@ def run_workload(
         PoissonSource(
             net, servers[i], servers[-1], rate_pps=rate, seed=i, flow_id=i,
             group="load", stop_at=stop_at,
-            chunk=1 if mode == "reference" else 256,
         )
         for i in range(nsrc)
     ]
@@ -208,22 +214,24 @@ class TestEquivalence:
         assert results["batched"] == results["fastpath"] == results["reference"]
 
 
+def windows_solved(**kwargs):
+    """Windows ``Network.run`` solves of one stream over 1 ms."""
+    topo = T.full_mesh(2, 1)
+    net = Network(topo, ECMPRouter(topo), **kwargs)
+    PoissonSource(net, "h0.0", "h1.0", rate_pps=1_000_000.0, seed=1).start()
+    return run_watched(net, 1e-3), net
+
+
 class TestFlagResolution:
     # telemetry=False is pinned so the assertions hold even when the
     # whole suite runs under REPRO_TELEMETRY=1.
     def test_batching_requires_fastpath(self):
-        topo = T.full_mesh(2, 1)
-        net = Network(
-            topo, ECMPRouter(topo), fastpath=False, batch=True, telemetry=False
-        )
-        assert not net.batch_enabled
+        assert windows_solved(fastpath=True, telemetry=False)[0] == 1
+        assert windows_solved(fastpath=False, telemetry=False)[0] == 0
 
     def test_telemetry_stands_batching_down(self):
-        topo = T.full_mesh(2, 1)
-        net = Network(
-            topo, ECMPRouter(topo), fastpath=True, batch=True, telemetry=True
-        )
-        assert not net.batch_enabled
+        solved, net = windows_solved(fastpath=True, telemetry=True)
+        assert solved == 0
         assert net.fastpath_enabled, "fast path keeps running under telemetry"
 
 
@@ -390,7 +398,6 @@ class TestCohortSourceAccounting:
             servers = net.topo.servers()
             source = PoissonSource(
                 net, servers[0], servers[-1], rate_pps=500_000.0, seed=3,
-                chunk=256,
             )
             source.start()
             net.run(until=0.002)
@@ -417,7 +424,7 @@ class TestFiresThrough:
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
         return [
-            PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11, chunk=256)
+            PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11)
             for _ in range(2)
         ]
 
@@ -447,10 +454,11 @@ class TestFiresThrough:
             runs = []
             for batch in (True, False):
                 topo = T.full_mesh(2, 1)
-                net = Network(topo, ECMPRouter(topo), fastpath=True, batch=batch,
-                              telemetry=False, obs=False)
+                net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+                if not batch:
+                    net.run = net.engine.run
                 source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1_500_000.0,
-                                       seed=5, chunk=256)
+                                       seed=5)
                 source.start()
                 assert bool(run_watched(net, until)) == batch
                 net.engine.run(until=until + 3e-4)

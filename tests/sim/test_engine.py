@@ -67,14 +67,6 @@ class TestRunControl:
         engine.run()
         assert fired == ["early", "late"]
 
-    def test_max_events_bound(self):
-        engine = Engine()
-        fired = []
-        for i in range(10):
-            engine.schedule(float(i + 1), fired.append, i)
-        engine.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_events_processed_counter(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)
@@ -178,7 +170,7 @@ class TestCreditEvents:
         engine.run()
         assert engine.events_processed == 7
 
-    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 4.0}, {"max_events": 1}])
+    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 4.0}])
     def test_running_only_while_a_loop_dispatches(self, run_kwargs):
         engine = Engine()
         seen = []
@@ -232,7 +224,7 @@ class TestChainAt:
         with pytest.raises(SimulationError):
             engine.chain_at(1.0, lambda arg: None, None)
 
-    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}])
+    @pytest.mark.parametrize("run_kwargs", [{}, {"until": 5.0}])
     def test_step_returning_the_past_raises(self, run_kwargs):
         engine = Engine()
         engine.chain_at(2.0, lambda arg: 1.0, None)
@@ -292,8 +284,7 @@ class TestCallbackExceptionsPropagate:
     drained" — propagates, with the counters reflecting what did fire."""
 
     @pytest.mark.parametrize(
-        "run_kwargs", [{}, {"until": 5.0}, {"max_events": 9}],
-        ids=["unbounded", "until", "max_events"],
+        "run_kwargs", [{}, {"until": 5.0}], ids=["unbounded", "until"],
     )
     @pytest.mark.parametrize("chained", [False, True])
     @pytest.mark.parametrize("exc", [IndexError, KeyError])

@@ -9,13 +9,15 @@ count — must match the ``_transmit``/``_arrive`` oracle
 (which invalidates compiled plans and detours packets mid-chain).
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 import repro.topology as T
 from repro import obs
 from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter, RoutingError, VLBRouter
-from repro.sim import Network, NetworkSimError, ULL
+from repro.sim import Network, NetworkSimError, ULL, sources
 from repro.sim.fastpath import compile_plan
 from repro.sim.network import DEFAULT_PROPAGATION_DELAY
 from repro.sim.sources import PoissonSource
@@ -62,8 +64,23 @@ def network_fingerprint(net):
     )
 
 
+@contextmanager
+def per_packet_draws(enabled=True):
+    """While active (and ``enabled``), Poisson sources draw one packet at
+    a time: the per-packet draw reference the oracle legs use."""
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(sources, "DEFAULT_CHUNK", 1)
+        yield
+
+
 def run_fingerprint(fastpath, fault=False, telemetry=False):
     """Run a fixed workload; return every externally visible number."""
+    with per_packet_draws(not fastpath):
+        return _run_fingerprint(fastpath, fault, telemetry)
+
+
+def _run_fingerprint(fastpath, fault, telemetry):
     topo = T.three_tier_tree()
     net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=telemetry)
     engine = net.engine
@@ -73,7 +90,7 @@ def run_fingerprint(fastpath, fault=False, telemetry=False):
     sources = [
         PoissonSource(
             net, servers[i], servers[-1], rate_pps=600_000.0,
-            seed=i, flow_id=i, group="load", chunk=1 if not fastpath else 256,
+            seed=i, flow_id=i, group="load",
         )
         for i in range(6)
     ]
@@ -289,7 +306,9 @@ class TestBoundFlows:
 
         def run(limit, armed=False):
             topo = T.quartz_ring(5, servers_per_switch=1)
-            net = Network(topo, VLBRouter(topo), fastpath=True, obs=armed)
+            if armed:
+                obs.arm()
+            net = Network(topo, VLBRouter(topo), fastpath=True)
             if limit is not None:
                 monkeypatch.setattr(net, "FLOW_TABLE_LIMIT", limit, raising=False)
             source = PoissonSource(

@@ -3,8 +3,9 @@
 One helper (:func:`repro.sim.knobs.resolve_flag`) backs the two
 environment-armed layers, telemetry and obs.  The table pins its truth
 table, and the integration cases prove the consumers route through it
-(explicit ``False`` wins over the environment) and that the engine's
-reference paths are plain constructor arguments.
+(explicit ``False`` wins over the environment), that the engine's
+reference paths are plain constructor arguments, and pin the parameter
+sets of the run and constructor surface.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import inspect
 import pytest
 
 import repro.topology as T
+from repro.hybrid import HybridNetwork
 from repro.routing import ECMPRouter
-from repro.sim import Network
+from repro.sim import Engine, Network, PoissonSource
 from repro.sim.knobs import env_truthy, resolve_flag
 from repro.telemetry import TELEMETRY_ENV, TelemetryConfig
 from repro.telemetry.windows import resolve_config
@@ -56,19 +58,34 @@ def _net(monkeypatch, env_name=None, env_value=None, **kwargs):
     return Network(topo, ECMPRouter(topo), **kwargs)
 
 
+def _parameters(function):
+    return set(inspect.signature(function).parameters) - {"self"}
+
+
 def test_network_reference_paths_are_arguments(monkeypatch):
     net = _net(monkeypatch)
-    assert net.fastpath_enabled is True and net.batch_enabled is True
+    assert net.fastpath_enabled is True
     oracle = _net(monkeypatch, fastpath=False)
     assert oracle.fastpath_enabled is False
-    assert oracle.batch_enabled is False  # the pass reads compiled plans
-    scalar = _net(monkeypatch, batch=False)
-    assert scalar.fastpath_enabled is True and scalar.batch_enabled is False
     # The hybrid and parallel switches live on the classes that read them.
-    parameters = inspect.signature(Network.__init__).parameters
-    assert "hybrid" not in parameters and "parallel" not in parameters
     assert not hasattr(net, "hybrid_enabled")
     assert not hasattr(net, "parallel_enabled")
+    # The whole run and constructor surface, pinned: the run without the
+    # port-major pass is ``engine.run``, obs follows ``obs.arm()``, and
+    # the chunk and the residual floor are module constants.
+    assert _parameters(Network.__init__) == {
+        "topo", "router", "propagation_delay", "server_forward_latency",
+        "host_receive_latency", "fastpath", "telemetry",
+    }
+    assert _parameters(Network.run) == {"until"}
+    assert _parameters(Engine.run) == {"until"}
+    assert _parameters(PoissonSource.__init__) == {
+        "network", "src", "dst", "rate_pps", "size_bytes", "group",
+        "flow_id", "seed", "stop_at", "vary_flow_per_packet", "on_delivered",
+    }
+    assert _parameters(HybridNetwork.__init__) == {
+        "topo", "router", "background", "hybrid", "record_timeline", "kwargs",
+    }
 
 
 def test_telemetry_knob_env_enables(monkeypatch):

@@ -6,8 +6,8 @@ streams (single and multi destination, ``stop_at``,
 ``vary_flow_per_packet``) × burst source × cut/repair × horizon shape —
 runs once on the ``fastpath=False`` oracle (per-packet draws, telemetry
 armed) and must be matched, snapshot for snapshot, by the scalar
-kernel, the kernel with the port-major pass allowed, and the kernel
-with telemetry armed.  The fingerprint is
+kernel run by ``engine.run``, the kernel run by ``Network.run`` (the
+port-major pass allowed), and the kernel with telemetry armed.  The fingerprint is
 ``tests/sim/test_fastpath.py``'s, plus the sources' counters.  Every
 leg's final state must also pass the end-to-end benchmark's invariant
 checks (``benchmarks/e2e/verify.py``), and an armed leg must charge
@@ -28,7 +28,7 @@ from repro.routing import ECMPRouter, KShortestPathsRouter, VLBRouter
 from repro.sim import Network, portmajor
 from repro.sim.sources import BurstSource, PoissonSource
 from repro.units import GBPS
-from tests.sim.test_fastpath import network_fingerprint
+from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
 FABRICS = {
     "ring": lambda: T.quartz_ring(num_switches=4, servers_per_switch=2),
@@ -88,18 +88,22 @@ def shapes(owned):
         "cut": st.none() | st.tuples(
             fractions, st.none() | fractions, st.integers(0, 3), st.booleans()
         ),
-        "horizon": st.sampled_from(["run", "split", "max_events"]),
+        "horizon": st.sampled_from(["run", "split"]),
     })
 
 
 def run_leg(shape, fastpath, batch=False, telemetry=False):
-    """Snapshots after every ``run`` call of the shape's horizon."""
+    """Snapshots after every ``run`` call of the shape's horizon: through
+    ``Network.run`` with ``batch``, else through ``engine.run``."""
+    with per_packet_draws(not fastpath):  # the oracle draws packet by packet
+        return _run_leg(shape, fastpath, batch, telemetry)
+
+
+def _run_leg(shape, fastpath, batch, telemetry):
     fabric, router = shape["fabric_router"]
     topo = FABRICS[fabric]()
-    net = Network(
-        topo, ROUTERS[router](topo), fastpath=fastpath, batch=batch,
-        telemetry=telemetry, obs=False,
-    )
+    net = Network(topo, ROUTERS[router](topo), fastpath=fastpath, telemetry=telemetry)
+    run = net.run if batch else net.engine.run
     servers = topo.servers()
     sources = []
     for flow, spec in enumerate(shape["streams"]):
@@ -110,7 +114,6 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
             group=f"g{flow % 2}", flow_id=flow * 1000, seed=spec["seed"],
             stop_at=spec["stop_at"] and spec["stop_at"] * HORIZON,
             vary_flow_per_packet=spec["vary_flow"],
-            chunk=256 if fastpath else 1,  # the oracle draws packet by packet
         ))
     if shape["cut"] is not None:
         at, repair_after, pick, armed = shape["cut"]
@@ -143,12 +146,9 @@ def run_leg(shape, fastpath, batch=False, telemetry=False):
 
     snapshots = []
     if shape["horizon"] == "split":
-        net.run(until=HORIZON * 0.4)
+        run(until=HORIZON * 0.4)
         snapshots.append(snapshot())
-    elif shape["horizon"] == "max_events":
-        net.run(max_events=150)
-        snapshots.append(snapshot())
-    net.run(until=HORIZON)
+    run(until=HORIZON)
     snapshots.append(snapshot())
     assert verify.network_errors(net) == []
     if telemetry:

@@ -3,17 +3,17 @@
 ``Network.run(until=…)`` solves an open-loop window port by port
 (:mod:`repro.sim.portmajor`) instead of event by event.  Like the
 compiled fast path before it, that must be a pure speed change: the
-oracle throughout is the same scenario on a ``batch=False`` network,
-and the fingerprint holds everything a later event could read — stats
-in delivery order, every port's counters and clock, the sources'
-counters, the logical event count, the packets a caller holds, the
-fault bookkeeping (per-flow counters, outages open and closed, which
-packets each link holds) and the pending queue *in seq order* (the pass
-draws fresh seqs for what it hands back; their order is the only thing
-about them that can matter).
+oracle throughout is the same scenario run by ``engine.run``, which
+never tries the pass, and the fingerprint holds everything a later
+event could read — stats in delivery order, every port's counters and
+clock, the sources' counters, the logical event count, the packets a
+caller holds, the fault bookkeeping (per-flow counters, outages open
+and closed, which packets each link holds) and the pending queue *in
+seq order* (the pass draws fresh seqs for what it hands back; their
+order is the only thing about them that can matter).
 
-Networks pin ``fastpath=True, telemetry=False, obs=False`` so the file
-means the same under every CI leg's environment.
+Networks pin ``fastpath=True, telemetry=False`` so the file means the
+same under every CI leg's environment.
 """
 
 import heapq
@@ -58,11 +58,13 @@ SIZES = {
 
 
 def build(topology, batch, router=None):
+    """A network whose ``run`` is ``Network.run`` with ``batch``, else
+    the oracle's ``engine.run``."""
     topo = TOPOLOGIES[topology]() if isinstance(topology, str) else topology
-    return Network(
-        topo, (router or ECMPRouter)(topo),
-        fastpath=True, batch=batch, telemetry=False, obs=False,
-    )
+    net = Network(topo, (router or ECMPRouter)(topo), fastpath=True, telemetry=False)
+    if not batch:
+        net.run = net.engine.run
+    return net
 
 
 def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
@@ -79,7 +81,7 @@ def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
             src, dst = (hub, peer) if kind == "scatter" else (peer, hub)
             sources.append(PoissonSource(
                 net, src, dst, rate_pps=rate, size_bytes=SIZES[sizes](j),
-                group=group, flow_id=index * 100 + j, seed=seed + j, chunk=256,
+                group=group, flow_id=index * 100 + j, seed=seed + j,
             ))
     for source in sources:
         source.start()
@@ -129,8 +131,8 @@ def watching():
     seen = []
     real = portmajor.advance
 
-    def spy(net, until, max_events=None):
-        answer = real(net, until, max_events)
+    def spy(net, until):
+        answer = real(net, until)
         seen.append(answer[0])
         return answer
 
@@ -291,7 +293,7 @@ def ring_sources(net, which, delay=0.0):
     s{i}→s{i+1} feeds port s{i+1}→s{i+2}."""
     sources = [
         PoissonSource(net, f"h{i}", f"h{(i + 2) % 5}", rate_pps=400_000.0,
-                      seed=i, flow_id=i, group="ring", chunk=256)
+                      seed=i, flow_id=i, group="ring")
         for i in which
     ]
     for source in sources:
@@ -370,15 +372,12 @@ class TestPinned:
         with watching() as engaged:
             net.engine.run(until=1e-3)
         assert engaged == []
-        oracle = build("tree", batch=False)
-        oracle_sources = start_tasks(oracle, FOUR_TASKS)
-        oracle.run(until=1e-3)
-        assert fingerprint(net, sources) == fingerprint(oracle, oracle_sources)
-
-    def test_batch_false_turns_the_pass_off(self):
-        net = build("tree", batch=False)
-        start_tasks(net, FOUR_TASKS)
-        assert portmajor.advance(net, 1e-3) == (False, None)
+        solved = build("tree", batch=True)
+        solved_sources = start_tasks(solved, FOUR_TASKS)
+        with watching() as engaged:
+            solved.run(until=1e-3)
+        assert engaged == [True]
+        assert fingerprint(net, sources) == fingerprint(solved, solved_sources)
 
 
 def sent_ahead(net):
@@ -451,10 +450,12 @@ class TestRootsAndChains:
             held = [net.send("h4", "h1", 400, flow_id=4)] if closing else []
             return run_legs(net, ring_sources(net, range(4)), [1e-3], held=held)
 
+        expected = [legs(False, closing) for closing in (False, True)]
         with watching() as engaged:
-            assert legs(True, closing=False) == legs(False, closing=False)
-            assert legs(True, closing=True) == legs(False, closing=True)
-        assert engaged[0] is True and engaged[2] is False
+            assert [legs(True, closing) for closing in (False, True)] == expected
+        # Closing: the pass stands down while the packet is in flight, and
+        # solves the next run once it has been delivered.
+        assert engaged == [True, True, False, True]
 
     def test_stand_down_in_the_middle_of_a_chain(self, monkeypatch):
         """The source that closes the ring of ports starts half-way: the
@@ -479,8 +480,7 @@ class TestRootsAndChains:
 
     def test_a_long_stream_holds_one_window_of_gaps(self):
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), fastpath=True, batch=True,
-                      telemetry=False, obs=False)
+        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
         source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
                                size_bytes=1250, seed=3)
         source.start()
@@ -581,8 +581,8 @@ class TestForeignEntries:
             portmajor, "_window", lambda *args: (scans.append(args[1]), window(*args))[1]
         )
         engaged = differential("tree", FOUR_TASKS, [4e-4], before=wall_of_timers)
-        # One per ``Network.run`` call, on the oracle's legs and on the pass's.
-        assert engaged[0] is False and scans == [4e-4, 7e-4] * 2
+        # One per ``Network.run`` call; the oracle's ``engine.run`` makes none.
+        assert engaged[0] is False and scans == [4e-4, 7e-4]
 
     def test_burst_fires_bound_windows(self):
         from repro.sim.sources import BurstSource
@@ -612,7 +612,7 @@ class TestForeignEntries:
         def severed(net):
             net.enable_fault_tracking()
             packet = crossing(net)
-            net.engine.run(max_events=1)  # onto its second link
+            net.engine.run(until=net.engine.peek_time())  # onto its second link
             assert net.fail_link(*packet.plan.keys[packet.hop]) == 1 and packet.dropped
             return [packet]
 
@@ -713,8 +713,9 @@ def run_two_depths(slow_b, batch):
     topo = two_depths(slow_b)
     net = Network(
         topo, ECMPRouter(topo), propagation_delay=2 * UNIT,
-        fastpath=True, batch=batch, telemetry=False, obs=False,
+        fastpath=True, telemetry=False,
     )
+    run = net.run if batch else net.engine.run
     gaps = [(6 + (k * 5) % 7) * UNIT for k in range(64)]
     head_start = (5 - (4 if slow_b else 1)) * UNIT
     sources = []
@@ -722,15 +723,15 @@ def run_two_depths(slow_b, batch):
         ("hA", "dA", 4 * UNIT, 0), ("hB", "dB", 4 * UNIT + head_start, 1)
     ):
         source = PoissonSource(net, name, dst, rate_pps=1e6, size_bytes=1024,
-                               group=name, flow_id=flow, seed=flow, chunk=256)
+                               group=name, flow_id=flow, seed=flow)
         source._gaps = list(gaps)  # white box: the pre-drawn buffer, made exact
         source.start(delay)
         sources.append(source)
     until = 200 * UNIT
     with watching() as engaged:
-        net.run(until=until)
+        run(until=until)
         first = fingerprint(net, sources)
-        net.run(until=until + 40 * UNIT)
+        run(until=until + 40 * UNIT)
     return engaged, first, fingerprint(net, sources)
 
 
@@ -796,8 +797,8 @@ def mutated_roots(monkeypatch, name):
         return [entry for entry in roots if isinstance(entry[4], portmajor.Packet)]
 
     if name == "roots_ranked_by_time_alone":
-        def by_time(net, until, max_events):
-            roots, *rest = window(net, until, max_events)
+        def by_time(net, until):
+            roots, *rest = window(net, until)
             return sorted(roots, key=lambda entry: (entry[0], -entry[1])), *rest
         monkeypatch.setattr(portmajor, "_window", by_time)
     elif name == "packet_ids_rank_roots_too":
@@ -824,8 +825,8 @@ def mutated_bounds(monkeypatch, name):
     window, solve = portmajor._window, portmajor._solve
 
     if name == "horizon_on_the_foreign_time":
-        def inclusive(net, until, max_events):
-            roots, horizon, resume, more = window(net, until, max_events)
+        def inclusive(net, until):
+            roots, horizon, resume, more = window(net, until)
             if not more and horizon < until:
                 horizon = math.nextafter(horizon, math.inf)  # ``<=`` the timer
             return roots, horizon, resume, more
@@ -907,15 +908,16 @@ def disarmed(monkeypatch):
         obs.arm()
 
 
-def armed_run(make_net, start, until=1e-3, max_events=None, run=None):
+def armed_run(make_net, start, until=1e-3, run=None):
     """One armed ``Network.run`` (or ``run(net)``): ``(fingerprint, obs
-    counters)``."""
+    counters)``.  The network is built after ``obs.arm()``, so it
+    reports into the armed registry."""
     obs.arm()
     try:
         net = make_net()
         sources = start(net)
         if run is None:
-            net.run(until=until, max_events=max_events)
+            net.run(until=until)
         else:
             run(net)
         return fingerprint(net, sources), dict(obs.registry().counters)
@@ -923,12 +925,18 @@ def armed_run(make_net, start, until=1e-3, max_events=None, run=None):
         obs.disarm()
 
 
-def armed_tree(batch=True, **kwargs):
+def armed_tree(**kwargs):
     def make_net():
         topo = TOPOLOGIES["tree"]()
+        kwargs.setdefault("fastpath", True)
         kwargs.setdefault("telemetry", False)
-        return Network(topo, ECMPRouter(topo), fastpath=True, batch=batch, obs=True, **kwargs)
+        return Network(topo, ECMPRouter(topo), **kwargs)
     return make_net
+
+
+def event_loop(net):
+    """The pass's reference: the same horizon through ``engine.run``."""
+    net.engine.run(until=1e-3)
 
 
 def four_tasks(net):
@@ -954,17 +962,16 @@ class TestObservability:
 
     def test_plan_counters_read_as_the_event_loop_leaves_them(self):
         _, with_pass = armed_run(armed_tree(), four_tasks)
-        _, scalar = armed_run(armed_tree(batch=False), four_tasks)
+        _, scalar = armed_run(armed_tree(), four_tasks, run=event_loop)
         for name in ("fastpath.plan_compiles", "fastpath.plan_hits"):
             assert with_pass[name] == scalar[name]
         # A stand-down after the routes were read binds nothing either.
-        def ring(batch):
+        def ring():
             topo = ring_of_switches(5)
-            return lambda: Network(topo, ECMPRouter(topo), fastpath=True, batch=batch,
-                                   telemetry=False, obs=True)
+            return Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
 
-        _, cyclic = armed_run(ring(True), two_ahead)
-        _, scalar = armed_run(ring(False), two_ahead)
+        _, cyclic = armed_run(ring, two_ahead)
+        _, scalar = armed_run(ring, two_ahead, run=event_loop)
         assert decline(cyclic) == "cyclic_ports"
         for name in ("fastpath.plan_compiles", "fastpath.plan_hits"):
             assert cyclic[name] == scalar[name]
@@ -994,13 +1001,11 @@ class TestObservability:
 
         def partitioned():
             topo = TOPOLOGIES["tree"]()
-            return Network(topo, Partitioned(topo), fastpath=True, batch=True,
-                           telemetry=False, obs=True)
+            return Network(topo, Partitioned(topo), fastpath=True, telemetry=False)
 
         reasons = {
-            "disabled": armed_run(armed_tree(batch=False), four_tasks),
+            "disabled": armed_run(armed_tree(fastpath=False), four_tasks),
             "telemetry": armed_run(armed_tree(telemetry=True), four_tasks),
-            "bounded_run": armed_run(armed_tree(), four_tasks, max_events=10),
             "not_open_loop": armed_run(armed_tree(), ending, until=None),
             "closed_loop_source": armed_run(armed_tree(), closed_loop),
             "budget": armed_run(armed_tree(), four_tasks, until=1.0e-5),

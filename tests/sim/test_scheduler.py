@@ -101,11 +101,8 @@ def run_chain_program(chained, actors, plains, runs):
             (engine.now, engine.events_processed, engine.pending(), engine.peek_time())
         )
 
-    for kind, amount in runs:
-        if kind == "until":
-            engine.run(until=engine.now + amount)
-        else:
-            engine.run(max_events=amount)
+    for delay in runs:
+        engine.run(until=engine.now + delay)
         snapshot()
     engine.run()
     snapshot()
@@ -114,10 +111,6 @@ def run_chain_program(chained, actors, plains, runs):
 
 LINK = st.tuples(DELAYS, st.one_of(st.none(), DELAYS))
 ACTOR = st.tuples(DELAYS, st.lists(LINK, min_size=1, max_size=8))
-RUN = st.one_of(
-    st.tuples(st.just("until"), DELAYS),
-    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=12)),
-)
 
 
 class TestChainProtocol:
@@ -128,7 +121,7 @@ class TestChainProtocol:
     @given(
         st.lists(ACTOR, min_size=1, max_size=6),
         st.lists(DELAYS, max_size=6),
-        st.lists(RUN, max_size=5),
+        st.lists(DELAYS, max_size=5),
     )
     def test_chained_equals_trailing_call_at(self, actors, plains, runs):
         # Trace and (now, events_processed, pending, peek_time)
@@ -205,10 +198,11 @@ class TestPeekTimeExact:
         fired = []
         for delay in delays:
             engine.schedule(delay, fired.append, delay)
-        assert engine.peek_time() == min(delays)
-        engine.run(max_events=1)
-        assert fired == [min(delays)]
-        rest = sorted(delays)[1:]
+        first = min(delays)
+        assert engine.peek_time() == first
+        engine.run(until=first)
+        assert fired == [first] * delays.count(first)
+        rest = [delay for delay in sorted(delays) if delay > first]
         assert engine.peek_time() == (rest[0] if rest else math.inf)
         engine.run()
         assert fired == sorted(delays)

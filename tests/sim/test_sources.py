@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.routing import ECMPRouter
 from repro.sim import BurstSource, Network, PoissonSource, RPCSource, SourceError
-from repro.sim.sources import poisson_pair_sources
+from repro.sim import sources as sources_module
 from repro.units import GBPS, MBPS
 
 
@@ -151,30 +151,18 @@ class TestRPCSource:
             RPCSource(net, "h0.0", "h1.0", num_calls=0)
 
 
-class TestPairSources:
-    def test_one_source_per_pair(self, net):
-        sources = poisson_pair_sources(
-            net, [("h0.0", "h1.0"), ("h2.0", "h3.0")], per_pair_bandwidth_bps=1 * GBPS
-        )
-        assert len(sources) == 2
-        for source in sources:
-            source.start()
-        net.run(until=0.001)
-        assert all(s.packets_sent > 0 for s in sources)
-
-
 class TestChunkedDraws:
-    """Batched RNG draws are a speed knob only: any chunk size must
+    """Batched RNG draws change only speed: any chunk size must
     produce the exact same packet sequence (numpy generators fill
     batches from the same bit stream as repeated scalar draws, and gap
     and destination picks use independent streams)."""
 
-    def fingerprint(self, chunk):
+    def fingerprint(self, monkeypatch, chunk):
+        monkeypatch.setattr(sources_module, "DEFAULT_CHUNK", chunk)
         topo = T.full_mesh(4, 2)
         net = Network(topo, ECMPRouter(topo))
         source = PoissonSource(
-            net, "h0.0", ["h1.0", "h2.0", "h3.0"], rate_pps=100_000,
-            seed=11, chunk=chunk,
+            net, "h0.0", ["h1.0", "h2.0", "h3.0"], rate_pps=100_000, seed=11,
         )
         source.start()
         net.run(until=0.02)
@@ -185,27 +173,22 @@ class TestChunkedDraws:
             tuple(net.stats.samples),
         )
 
-    def test_chunk_sizes_bit_identical(self):
-        one = self.fingerprint(1)
-        assert self.fingerprint(256) == one
-        assert self.fingerprint(7) == one
-        assert self.fingerprint(1024) == one
+    def test_chunk_sizes_bit_identical(self, monkeypatch):
+        one = self.fingerprint(monkeypatch, 1)
+        assert self.fingerprint(monkeypatch, 256) == one
+        assert self.fingerprint(monkeypatch, 7) == one
+        assert self.fingerprint(monkeypatch, 1024) == one
 
-    def test_invalid_chunk_rejected(self):
-        topo = T.full_mesh(2, 1)
-        net = Network(topo, ECMPRouter(topo))
-        with pytest.raises(SourceError):
-            PoissonSource(net, "h0.0", "h1.0", rate_pps=1000, chunk=0)
-
-    def test_gap_pre_draw_grows_to_the_chunk(self):
+    def test_gap_pre_draw_grows_to_the_chunk(self, monkeypatch):
         """A short stream must not hold a full chunk of floats: batches
-        double from 32 and stop at ``chunk`` (the values are the same
-        stream however it is cut — ``test_chunk_sizes_bit_identical``)."""
+        double from 32 and stop at ``DEFAULT_CHUNK`` (the values are the
+        same stream however it is cut — ``test_chunk_sizes_bit_identical``)."""
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo))
         sizes = {}
         for chunk in (1, 20, 256):
-            source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1000, chunk=chunk)
+            monkeypatch.setattr(sources_module, "DEFAULT_CHUNK", chunk)
+            source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1000)
             sizes[chunk] = []
             for _ in range(5):
                 source._gaps = source._draw_gaps()
@@ -215,14 +198,17 @@ class TestChunkedDraws:
         }
 
 
-def _poisson(net, batch):
-    return PoissonSource(
-        net, "h0.0", "h1.0", rate_pps=100_000, seed=1, chunk=1 if not batch else 64
-    )
+def _poisson(net):
+    return PoissonSource(net, "h0.0", "h1.0", rate_pps=100_000, seed=1)
 
 
-def _burst(net, batch):
+def _burst(net):
     return BurstSource(net, "h0.0", "h1.0", 1 * GBPS, burst_packets=10, seed=1)
+
+
+def _runner(net, batch):
+    """``Network.run`` tries the port-major pass; ``engine.run`` never does."""
+    return net.run if batch else net.engine.run
 
 
 class TestRestart:
@@ -230,16 +216,19 @@ class TestRestart:
     so the restarted source ran two fire chains — twice the rate."""
 
     @pytest.mark.parametrize("batch", [False, True])
-    def test_poisson_restart_keeps_the_rate(self, batch):
+    def test_poisson_restart_keeps_the_rate(self, batch, monkeypatch):
+        if not batch:
+            monkeypatch.setattr(sources_module, "DEFAULT_CHUNK", 1)
         topo = T.full_mesh(4, 2)
-        net = Network(topo, ECMPRouter(topo), batch=batch)
-        source = _poisson(net, batch)
+        net = Network(topo, ECMPRouter(topo))
+        run = _runner(net, batch)
+        source = _poisson(net)
         source.start()
-        net.run(until=0.01)
+        run(until=0.01)
         first = source.packets_sent
         source.stop()
         source.start()
-        net.run(until=0.02)
+        run(until=0.02)
         # 100 kpps: ~1000 packets per 10 ms half, Poisson noise +-5 sigma.
         assert 850 <= first <= 1150
         assert 850 <= source.packets_sent - first <= 1150
@@ -250,14 +239,15 @@ class TestRestart:
     @pytest.mark.parametrize("batch", [False, True])
     def test_burst_restart_keeps_the_rate(self, batch):
         topo = T.full_mesh(4, 2)
-        net = Network(topo, ECMPRouter(topo), batch=batch)
-        source = _burst(net, batch)  # one 10-packet burst per 120 us
+        net = Network(topo, ECMPRouter(topo))
+        run = _runner(net, batch)
+        source = _burst(net)  # one 10-packet burst per 120 us
         source.start(delay=0.0)
-        net.run(until=0.0101)
+        run(until=0.0101)
         first = source.packets_sent
         source.stop()
         source.start(delay=0.0)
-        net.run(until=0.0202)
+        run(until=0.0202)
         assert first == 850  # bursts at 0, 120 us, ..., 10.08 ms
         assert source.packets_sent - first == 850
         assert net.engine.pending() == 1
@@ -266,7 +256,7 @@ class TestRestart:
     def test_stopped_source_leaves_nothing_live(self, make):
         topo = T.full_mesh(4, 2)
         net = Network(topo, ECMPRouter(topo))
-        source = make(net, False)
+        source = make(net)
         source.start()
         net.run(until=0.001)
         source.stop()
@@ -275,13 +265,12 @@ class TestRestart:
         assert source.packets_sent == sent
         assert net.engine.pending() == 0
 
-    def test_restart_continues_the_draw_streams(self):
+    def test_restart_continues_the_draw_streams(self, monkeypatch):
         """A restart resumes the seeded gap stream, it does not rewind it."""
+        monkeypatch.setattr(sources_module, "DEFAULT_CHUNK", 4096)
         topo = T.full_mesh(4, 2)
         net = Network(topo, ECMPRouter(topo))
-        source = PoissonSource(
-            net, "h0.0", "h1.0", rate_pps=100_000, seed=1, chunk=4096
-        )
+        source = PoissonSource(net, "h0.0", "h1.0", rate_pps=100_000, seed=1)
         source.start()
         net.run(until=0.001)
         source.stop()
@@ -339,7 +328,7 @@ SOURCE_SPECS = st.lists(
         "fan": st.integers(1, 3),  # destinations (poisson only)
         "rate": st.sampled_from([2e5, 1e6, 4e6]),
         "stop_at": st.sampled_from([4e-5, 1.5e-4, 3e-4]),
-        "forever": st.booleans(),  # no stop_at (bounded runs only)
+        "forever": st.booleans(),  # no stop_at (split runs only)
         "vary": st.booleans(),
         "callback": st.booleans(),
         "seed": st.integers(0, 50),
@@ -365,7 +354,8 @@ def _snapshot(net, sources, delivered):
 def _run_sources(chained, batch, specs, mode, restart):
     """Snapshots after every leg of one run, chained or trailing-call_at."""
     topo = T.full_mesh(4, 2)
-    net = Network(topo, ECMPRouter(topo), batch=batch)
+    net = Network(topo, ECMPRouter(topo))
+    run = _runner(net, batch)
     poisson = PoissonSource if chained else CallAtPoissonSource
     burst = BurstSource if chained else CallAtBurstSource
     delivered = []
@@ -383,7 +373,7 @@ def _run_sources(chained, batch, specs, mode, restart):
         else:
             source = poisson(
                 net, src, others[: spec["fan"]], rate_pps=spec["rate"],
-                flow_id=index, seed=spec["seed"], stop_at=stop_at, chunk=32,
+                flow_id=index, seed=spec["seed"], stop_at=stop_at,
                 vary_flow_per_packet=spec["vary"],
                 on_delivered=(
                     (lambda packet, when: delivered.append((packet.packet_id, when)))
@@ -394,14 +384,11 @@ def _run_sources(chained, batch, specs, mode, restart):
         sources.append(source)
     snaps = []
     if mode == "run":
-        net.run()
+        run()
         snaps.append(_snapshot(net, sources, delivered))
     else:
         for leg in range(1, 5):
-            if mode == "until":
-                net.run(until=leg * 1e-4)
-            else:
-                net.run(max_events=150)
+            run(until=leg * 1e-4)
             snaps.append(_snapshot(net, sources, delivered))
             if restart and leg == 2:
                 for source in sources:
@@ -418,11 +405,14 @@ class TestChainedSourcesMatchTrailingCallAt:
     @given(
         batch=st.booleans(),
         specs=SOURCE_SPECS,
-        mode=st.sampled_from(["run", "until", "max_events"]),
+        mode=st.sampled_from(["run", "until"]),
         restart=st.booleans(),
     )
     def test_identical_snapshots(self, batch, specs, mode, restart):
-        chained = _run_sources(True, batch, specs, mode, restart)
-        reference = _run_sources(False, batch, specs, mode, restart)
+        # Chunks of 32 refill the pre-drawn gaps inside these short runs.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sources_module, "DEFAULT_CHUNK", 32)
+            chained = _run_sources(True, batch, specs, mode, restart)
+            reference = _run_sources(False, batch, specs, mode, restart)
         assert chained == reference
         assert chained[-1][4] != (0,) * len(specs)  # traffic actually flowed

@@ -14,9 +14,15 @@ from repro.routing import ECMPRouter
 from repro.sim import Network
 from repro.sim.sources import PoissonSource
 from repro.telemetry import TELEMETRY_ENV, TelemetryConfig, TelemetryHub
+from tests.sim.test_fastpath import per_packet_draws
 
 
 def run_workload(telemetry, fastpath=True, nsrc=4):
+    with per_packet_draws(not fastpath):
+        return _run_workload(telemetry, fastpath, nsrc)
+
+
+def _run_workload(telemetry, fastpath, nsrc):
     topo = T.three_tier_tree()
     net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=telemetry)
     servers = topo.servers()
@@ -24,7 +30,6 @@ def run_workload(telemetry, fastpath=True, nsrc=4):
         PoissonSource(
             net, servers[i], servers[-1], rate_pps=600_000.0, seed=i,
             flow_id=i, group=f"flow-{i}",
-            chunk=1 if not fastpath else 256,
         )
         for i in range(nsrc)
     ]
@@ -155,21 +160,20 @@ class TestStamping:
 
 class TestBatchStandDown:
     def test_monitors_see_cohort_workload(self):
-        # batch left at default: telemetry must stand it down, and the
-        # run must match the explicit batch=False run exactly.
+        # Telemetry must stand the port-major pass of ``Network.run``
+        # down: the run must match ``engine.run`` exactly.
         topo = T.three_tier_tree()
         nets = []
-        for batch in (None, False):
-            net = Network(topo, ECMPRouter(topo), batch=batch, telemetry=True)
+        for pass_allowed in (True, False):
+            net = Network(topo, ECMPRouter(topo), telemetry=True)
             servers = topo.servers()
             PoissonSource(
                 net, servers[0], servers[-1], rate_pps=600_000.0, seed=0,
-                group="load", chunk=256,
+                group="load",
             ).start()
-            net.run(until=0.004)
+            (net.run if pass_allowed else net.engine.run)(until=0.004)
             nets.append(net)
         default, scalar = nets
-        assert not default.batch_enabled
         assert observable_state(default) == observable_state(scalar)
         assert default.telemetry.window_dump() == scalar.telemetry.window_dump()
 

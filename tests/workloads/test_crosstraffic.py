@@ -4,6 +4,7 @@ import pytest
 
 from repro.topology.base import NodeKind
 from repro.units import MBPS
+from repro.workloads import crosstraffic
 from repro.workloads.crosstraffic import (
     normalized_latency_curve,
     prototype_quartz,
@@ -60,3 +61,24 @@ class TestExperiment:
     def test_curve_starts_at_one(self):
         curve = normalized_latency_curve("quartz", [100 * MBPS], num_calls=50)
         assert curve[0] == (0.0, 1.0)
+
+    def test_run_stops_within_a_slice_of_the_last_rpc(self, monkeypatch):
+        # The burst sources never stop: the run must end at the slice in
+        # which the RPC loop completes, not at the 30 s limit.
+        built = []
+
+        def capture(cls):
+            class Captured(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    built.append(self)
+
+            monkeypatch.setattr(crosstraffic, cls.__name__, Captured)
+
+        capture(crosstraffic.Network)
+        capture(crosstraffic.RPCSource)
+        run_cross_traffic_experiment("tree", 200 * MBPS, num_calls=50)
+        net, rpc = built
+        last_rpc = rpc._call_started + rpc.rtts[-1]
+        assert rpc.completed == 50
+        assert last_rpc <= net.engine.now <= last_rpc + crosstraffic.RUN_SLICE
