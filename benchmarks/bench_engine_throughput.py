@@ -1,4 +1,4 @@
-"""Engine and sweep throughput: five paired, same-round gates.
+"""Engine and sweep throughput: six paired, same-round gates.
 
 How long a whole experiment takes, and where the time goes, is
 ``benchmarks/e2e``'s record (``BENCH_trajectory.jsonl``).  What stays
@@ -17,6 +17,9 @@ so the ratio is a property of the two code paths, not of the machine:
   the pass against the scalar kernel, ≥ 2× with identical fingerprints
   (fault counters, outages and goodput bins included): the windows end
   at the cut and the repair instead of standing down for them;
+* the same streams on one physical ring cut twice, which partitions
+  it: ≥ 3× with identical fingerprints — the unroutable streams' fires
+  are solved as drops instead of leaving the outage to the event loop;
 * a 4-seed Figure 17 scatter mini-sweep at ``workers=4``: results
   identical to the serial sweep, and at most 1.4× its wall-clock net of
   pool spin-up (no e2e workload runs ``workers > 1``).
@@ -118,21 +121,25 @@ def _cohort_round() -> dict[str, float]:
 
 
 #: Fault benchmark: ``run_fault_recovery_cell``'s scenario at the e2e
-#: workload's size — 72 streams of 1.5 Gb/s over a 9-switch ring laid
-#: out as two physical rings, one segment cut at 1.5 ms and spliced at
-#: 2.5 ms of 4 — built here because the cell always runs ``Network.run``.
+#: workload's size — 72 streams of 1.5 Gb/s over a 9-switch ring, fibre
+#: segments cut at 1.5 ms and spliced at 2.5 ms of 4 — built here
+#: because the cell always runs ``Network.run``.  The two e2e cells, as
+#: (physical rings, simultaneous cuts): one cut of two rings reroutes,
+#: two cuts of one ring partition it.
 FAULT_RING = 9
 FAULT_DURATION = 4e-3
+CUT_AND_REPAIR = (2, 1)
+PARTITION = (1, 2)
 
 
-def _fault_run(batch: bool) -> tuple[float, tuple]:
+def _fault_run(batch: bool, rings: int, cuts: int) -> tuple[float, tuple]:
     """The fault shape through ``Network.run`` with ``batch``, else
     through ``engine.run``."""
     topo = T.quartz_ring(FAULT_RING, servers_per_switch=2)
     net = Network(topo, ECMPRouter(topo), telemetry=False)
-    plan = plan_rings(FAULT_RING, num_rings=2)
+    plan = plan_rings(FAULT_RING, num_rings=rings)
     FaultInjector(net, plan).schedule(
-        random_fault_schedule(plan, 1, cut_at=1.5e-3, repair_after=1e-3, seed=0)
+        random_fault_schedule(plan, cuts, cut_at=1.5e-3, repair_after=1e-3, seed=0)
     )
     bins = DeliveryBins(2.5e-4, 16)
     stream = 0
@@ -153,22 +160,24 @@ def _fault_run(batch: bool) -> tuple[float, tuple]:
         net.packets_delivered,
         net.packets_dropped_fault,
         net.packets_rerouted,
+        net.packets_unroutable,
         net.engine.events_processed,
         net._next_packet_id,
         tuple(net.stats.samples),
         sorted(faults.drops_by_flow.items()),
         tuple(faults.reroutes_by_flow.items()),
         tuple((flow, tuple(times)) for flow, times in faults.recovery_times_by_flow.items()),
+        sorted(faults.awaiting_recovery.items()),
         tuple(bins.bits),
     )
     return wall, fingerprint
 
 
-def _fault_round() -> dict[str, float]:
-    scalar, fingerprint = _fault_run(batch=False)
-    portmajor, other = _fault_run(batch=True)
+def _fault_round(cell: tuple[int, int]) -> dict[str, float]:
+    scalar, fingerprint = _fault_run(False, *cell)
+    portmajor, other = _fault_run(True, *cell)
     assert other == fingerprint, "port-major fault run diverged from the scalar kernel"
-    return {"scalar": scalar, "port-major": portmajor, "events": fingerprint[3]}
+    return {"scalar": scalar, "port-major": portmajor, "events": fingerprint[4]}
 
 
 def _time_sweep(workers: int) -> tuple[float, dict]:
@@ -229,9 +238,15 @@ def bench_engine_throughput(benchmark, report):
     )
     obs_overhead, obs_round = _best(cohort, lambda r: r["obs"] / r["scalar"])
     fault_ratio, fault_round = _best(
-        [_fault_round() for _ in range(ROUNDS)], lambda r: r["port-major"] / r["scalar"]
+        [_fault_round(CUT_AND_REPAIR) for _ in range(ROUNDS)],
+        lambda r: r["port-major"] / r["scalar"],
     )
     fault_speedup = 1.0 / fault_ratio
+    partition_ratio, partition_round = _best(
+        [_fault_round(PARTITION) for _ in range(ROUNDS)],
+        lambda r: r["port-major"] / r["scalar"],
+    )
+    partition_speedup = 1.0 / partition_ratio
 
     _time_sweep(workers=1)  # warm-up: construction caches, imports
     parallel_ratio, sweep = _best(
@@ -260,6 +275,9 @@ def bench_engine_throughput(benchmark, report):
                  obs_round, f"{obs_overhead:.2f}x the wall (<= 1.3x)"),
         rate_row(f"cut + repair, port-major (ev/s), {fault_round['events']:,} ev",
                  "port-major", fault_round, f"{fault_speedup:.2f}x faster (>= 2.0x)"),
+        rate_row(f"partition, port-major (ev/s), {partition_round['events']:,} ev",
+                 "port-major", partition_round,
+                 f"{partition_speedup:.2f}x faster (>= 3.0x)"),
         f"{'fig17 mini-sweep, workers=4 net of spin-up (s)':<46}"
         f"{sweep['serial']:>12.2f}{sweep['parallel'] - sweep['spinup']:>12.2f}"
         f"  {parallel_ratio:.2f}x the serial wall (<= 1.4x)",
@@ -273,8 +291,10 @@ def bench_engine_throughput(benchmark, report):
         "events are logical (a port-major window credits the per-hop arrivals",
         "it elides), so all variants divide the same count.  The cut + repair",
         "row is 72 all-to-all streams over a 9-switch Quartz ring for 4 ms, one",
-        "fibre segment cut at 1.5 ms and spliced at 2.5 ms, goodput binned;",
-        "fault counters, outages and bins are in its fingerprint.  The workers=4",
+        "fibre segment of two rings cut at 1.5 ms and spliced at 2.5 ms, goodput",
+        "binned; fault counters, outages and bins are in its fingerprint.  The",
+        "partition row is the same with two segments of one ring cut, which",
+        "leaves pairs with no path until the repair.  The workers=4",
         "results are asserted identical to the serial sweep's; spin-up is the",
         "same pool over no-op cells.",
     ]
@@ -299,6 +319,12 @@ def bench_engine_throughput(benchmark, report):
     # stream: windows end at the two timers instead of standing down.
     assert fault_speedup >= 2.0, (
         f"port-major pass {fault_speedup:.2f}x the scalar kernel through a cut, below 2x"
+    )
+    # Through a partition the unroutable streams' fires are solved as
+    # drops: the outage is the pass's, not the event loop's.
+    assert partition_speedup >= 3.0, (
+        f"port-major pass {partition_speedup:.2f}x the scalar kernel through a "
+        "partition, below 3x"
     )
     # The sweep is short and the CI container may expose a single CPU,
     # so a *speedup* gate would be dishonest — what the gate holds is

@@ -107,7 +107,8 @@ class Router(abc.ABC):
         memoized path sets and per-flow route picks survive unless one of
         their paths crosses an affected link, so unaffected pairs keep
         their (still valid) routes and only severed pairs recompute over
-        the surviving topology.
+        the surviving topology.  A pair memoized as having no path
+        crosses nothing and stays so: a cut cannot reconnect it.
 
         On a **repair** (``repaired=True``) every cache is flushed: a
         restored link can shorten paths for pairs whose cached routes
@@ -148,8 +149,11 @@ class Router(abc.ABC):
         """The pair's path set, memoized — and the one place "no path"
         becomes :class:`RoutingError`, however :meth:`paths` reports it:
         an empty list (a graph search that finds the pair partitioned)
-        or a ToR lookup on a server whose only uplink is cut.  A node
-        the topology does not hold stays the ``KeyError`` naming it."""
+        or a ToR lookup on a server whose only uplink is cut.  "No path"
+        is memoized too, as the empty set, so every packet a partitioned
+        pair offers until the repair costs a lookup, not a search.  A
+        node the topology does not hold stays the ``KeyError`` naming
+        it."""
         key = (src, dst)
         cached = self._cache.get(key)
         if cached is None:
@@ -157,7 +161,7 @@ class Router(abc.ABC):
                 cached = self.paths(src, dst)
             except TopologyError:
                 cached = []
-            if not cached:
-                raise RoutingError(f"no path from {src!r} to {dst!r}")
             self._cache[key] = cached
+        if not cached:
+            raise RoutingError(f"no path from {src!r} to {dst!r}")
         return cached

@@ -33,9 +33,10 @@ orders it by the seqs the pass hands back.  What still vetoes: armed
 telemetry, no compiled plans (``fastpath=False``), no horizon at all,
 a run loop already dispatching, a sharded network, a due source with
 several destinations, ``vary_flow_per_packet`` or a callback the pass
-cannot apply (``closed_loop_source``), a flow the router has no path
-for (``unroutable``), a cyclic directed graph "port of hop h → port of
-hop h+1" over the routes still to be walked, and a window whose expected
+cannot apply (``closed_loop_source``), a route that does not join its
+source to its destination (``bad_route``), a cyclic directed graph
+"port of hop h → port of hop h+1" over the routes still to be walked,
+and a window whose expected
 fires ``Σ (horizon − first fire) · rate`` are under ``MIN_WINDOW_FIRES``
 or ``MIN_FIRES_PER_SOURCE`` per firing source (``budget``).  A stretch
 that expects more than ``MAX_WINDOW_FIRES`` is cut there and the rest is
@@ -53,13 +54,16 @@ boundaries 2 µs apart cost one scan in all, not one each.
 
 **Faults.**  Dead links do not stand the pass down: routes bound after
 a cut avoid them by construction, and a packet in flight whose plan
-still crosses one is foreign until the kernel has detoured it.  With
-in-flight tracking armed the hand-back enters every packet still
-flying into ``plan.flights[packet.hop]`` — the set a later cut of that
-link severs — and moves a root packet from its old link's set; an open
-outage (``FaultRecorder.awaiting_recovery``) closes at its flow's first
-delivery of the window, flows taken in delivery order, as per-packet
-``record_delivery`` calls would leave it.
+still crosses one is foreign until the kernel has detoured it.  A
+source the router has no path for (a partitioned mesh) is a
+**fires-only column**: fire times and nothing else — no hops, plan,
+port or packet id — each fire counted as ``Network.note_unroutable``
+counts it.  With in-flight tracking armed the hand-back enters every
+packet still flying into ``plan.flights[packet.hop]`` — the set a later
+cut of that link severs — and moves a root packet from its old link's
+set; and each flow's outage clock (``FaultRecorder``) is replayed from
+the window's dropped fires, which open it, and deliveries, which close
+it, in heap order (:func:`_outages`).
 
 **Clocking a port.**  A port is clocked once per window, over every
 packet that crosses it, gathered on flat indices into the window's
@@ -264,7 +268,8 @@ def _floor(sources: int) -> int:
 def _routes(net: Network, roots: list) -> list:
     """What each root has still to walk: a source's route — bound
     already, or the router's pick, checked as :meth:`Network._bind` and
-    ``compile_plan`` would — or the rest of a packet's path."""
+    ``compile_plan`` would; ``()`` when the router has no path, every
+    fire being a drop — or the rest of a packet's path."""
     routes = []
     for entry in roots:
         packet = entry[4]
@@ -280,14 +285,15 @@ def _routes(net: Network, roots: list) -> list:
         try:
             route = net.router.route(src, dst, source.flow_id)
         except RoutingError:
-            raise _StandDown("unroutable") from None
+            routes.append(())  # a fires-only column
+            continue
         if (
             len(route) < 2
             or route[0] != src
             or route[-1] != dst
             or any(key not in net._link_rec for key in zip(route, route[1:]))
         ):
-            raise _StandDown("unroutable")  # the scalar run raises at its fire
+            raise _StandDown("bad_route")  # the scalar run raises at its fire
         routes.append(route)
     return routes
 
@@ -372,11 +378,12 @@ class _Lineage:
                 return rank
             rank = again
 
-    def fire_rank(self, flown: np.ndarray) -> np.ndarray:
-        """``rank`` counted over the fires alone, ``flown`` being the
-        columns of the packets that were in flight: what a fire adds to
-        the network's next packet id."""
-        return self.rank - np.searchsorted(np.sort(self.rank[flown]), self.rank)
+    def fire_rank(self, skip: np.ndarray) -> np.ndarray:
+        """``rank`` counted over the fires that send alone, ``skip``
+        being the columns that take no packet id — the packets that were
+        in flight, the dropped fires: what a fire adds to the network's
+        next packet id."""
+        return self.rank - np.searchsorted(np.sort(self.rank[skip]), self.rank)
 
     def order(
         self, n: np.ndarray, hop: np.ndarray, t: np.ndarray, child: "np.ndarray | None" = None
@@ -430,12 +437,14 @@ def _solve(net: Network, until: float, roots: list) -> None:
     engine = net.engine
 
     # (1) What each root has still to walk, and the order of ports.
-    port_keys, chains, port_order = _port_order(_routes(net, roots))
+    routes = _routes(net, roots)
+    port_keys, chains, port_order = _port_order(routes)
 
     # One column of the table per fire and per packet in flight,
     # root-major; one column of coefficients per root, multiplied as the
     # kernel does.  Nothing stands down past this point: each flow is
     # bound as its first packet would, every later one is a plan hit.
+    # A source with no route has no plan: its fires are drops.
     plans = []
     sizes = []
     groups = []
@@ -443,6 +452,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
     rows = []  # the table row of each root's queued event
     fires = []
     flown = []  # (root, packet) of the packets in flight
+    dropping = []  # the roots of fires-only columns
     unbound = 0
     for j, entry in enumerate(roots):
         packet = entry[4]
@@ -456,12 +466,16 @@ def _solve(net: Network, until: float, roots: list) -> None:
             fires.append(None)
             continue
         source = entry[2].__self__
-        src, dst = source.src, source._dsts[0]
-        bound = net._flows.get((src, dst, source.flow_id))
-        if bound is None:
-            unbound += 1
-            bound = net._bind(src, dst, source.flow_id, None)
-        plans.append(bound[1])
+        if routes[j]:
+            src, dst = source.src, source._dsts[0]
+            bound = net._flows.get((src, dst, source.flow_id))
+            if bound is None:
+                unbound += 1
+                bound = net._bind(src, dst, source.flow_id, None)
+            plans.append(bound[1])
+        else:
+            dropping.append(j)
+            plans.append(None)
         sizes.append(source.size_bytes)
         groups.append(source.group)
         sinks.append(source.on_delivered)
@@ -472,9 +486,14 @@ def _solve(net: Network, until: float, roots: list) -> None:
     count = np.array([1 if f is None else f.size - 1 for f in fires])
     end = np.cumsum(count)
     total = int(end[-1])
-    fired = total - len(flown)
+    drops = [np.arange(end[j] - count[j], end[j]) for j in dropping]  # their columns
+    dropped = sum(columns.size for columns in drops)
+    fired = total - len(flown) - dropped  # the packets born: one id each
     root_of = np.repeat(np.arange(len(roots), dtype=np.int32), count)
-    depth = max(plan.last for plan in plans)
+    # A dropped fire reaches no hop (``last`` −1): never delivered, never
+    # in flight.
+    last = np.array([-1 if plan is None else plan.last for plan in plans])
+    depth = max(int(last.max()), 0)
     times = np.full((depth + 1, total), np.inf)
     times[0] = np.concatenate([[-np.inf] if f is None else f[:-1] for f in fires])
     next_fire = [float(fires[j][-1]) for j in firing]
@@ -491,13 +510,15 @@ def _solve(net: Network, until: float, roots: list) -> None:
     lineage = _Lineage(times, (end - count)[root_of], root_of, root_t)
 
     size = np.array(sizes, dtype=float)
-    one_size = bool((size == size[0]).all())
-    last = np.array([plan.last for plan in plans])
+    carried = size[last > 0]  # what crosses a port
+    one_size = bool((carried == carried[:1]).all())
     port_at = np.full((depth, len(roots)), -1, dtype=np.int32)
     ser = np.zeros((depth, len(roots)))
     credit = np.zeros_like(ser)
     lat = np.zeros_like(ser)
     for j, (plan, chain, row, bytes_) in enumerate(zip(plans, chains, rows, sizes)):
+        if plan is None:
+            continue
         hops = plan.last
         port_at[row:hops, j] = chain
         ser[row:hops, j] = [bytes_ * x for x in plan.ser[row:]]
@@ -558,7 +579,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
         port.busy_until = float(tails[-1])
         port.packets_sent += n.size
         if one_size:
-            port.bytes_sent = _repeated_add(port.bytes_sent, size[0], n.size)
+            port.bytes_sent = _repeated_add(port.bytes_sent, carried[0], n.size)
         else:
             sent = port.bytes_sent
             for bytes_ in size.take(j).tolist():
@@ -583,21 +604,23 @@ def _solve(net: Network, until: float, roots: list) -> None:
     net.stats.record_many(latency)
     _record_groups(net.stats.by_group, groups, sender, latency)
     net.packets_delivered += done.size
+    if dropped:  # as ``note_unroutable`` counts each fire
+        net.packets_unroutable += dropped
+        net.packets_dropped += dropped
+        net.packets_dropped_fault += dropped
     track = net._track_in_flight
-    if track and net.fault_stats.awaiting_recovery:
-        # Each flow awaiting recovery closes at its first delivery, in
-        # delivery order; a root's later deliveries find nothing open.
-        first = np.unique(sender, return_index=True)[1]
-        first.sort()
-        for i in first.tolist():
-            net.fault_stats.record_delivery(groups[sender[i]], float(arrived[i]))
+    if track and (dropping or net.fault_stats.awaiting_recovery):
+        _outages(
+            net.fault_stats, lineage, groups, sender, done, hops, arrived,
+            [(groups[j], columns) for j, columns in zip(dropping, drops)],
+        )
     for sink in {id(sink): sink for sink in sinks if sink is not None}.values():
         mine = np.array([other is sink for other in sinks])
         into = slice(None) if mine.all() else mine[sender]
         sink.add_many(delivered[into], size[sender][into])
     # A fire's column counts its arrivals; a root packet's also the rows
     # above its queued one, which this window did not process.
-    engine.credit_events(int(reached.sum()) + fired + len(flown) - sum(rows))
+    engine.credit_events(int(reached.sum()) + total - sum(rows))
 
     # A packet that was in flight is the caller's object: it ends where
     # the kernel would have left it, and its entry goes if it arrived.
@@ -626,7 +649,9 @@ def _solve(net: Network, until: float, roots: list) -> None:
     child = np.concatenate((np.zeros_like(flying), np.ones_like(rearm)))
     pending = lineage.order(n, hop, flat.take(hop * total + n), child)
     pending = range(n.size) if pending is None else pending.tolist()
-    rank = lineage.fire_rank(at) if flown else lineage.rank
+    # A packet id counts the fires that came before, less the drops.
+    skip = ([at] if flown else []) + drops
+    rank = lineage.fire_rank(np.concatenate(skip)) if skip else lineage.rank
     packet_id = (net._next_packet_id + rank[flying]).tolist()
     created = born[flying].tolist()
     arrival = times[reached[flying] + 1, flying].tolist()
@@ -672,10 +697,83 @@ def _solve(net: Network, until: float, roots: list) -> None:
         source._gap_i = 0
     obs = net.obs
     if obs is not None:
+        if dropped:
+            obs.incr("drops.unroutable", dropped)
         obs.incr("fastpath.plan_hits", fired - unbound)
         obs.incr("batch.cohorts")
         obs.incr("batch.packets", fired)
         obs.observe("batch.cohort_size", fired)
+
+
+def _outages(
+    faults, lineage: _Lineage, groups: list, sender: np.ndarray, done: np.ndarray,
+    hops: np.ndarray, arrived: np.ndarray, drops: list,
+) -> None:
+    """Each flow's outage clock through the window, as the event loop
+    leaves it: a dropped fire opens the flow's outage if none is open
+    (``record_drop``), a delivery closes it (``record_delivery``).
+
+    ``sender``, ``done``, ``hops`` and ``arrived`` are the deliveries, in
+    delivery order; ``drops`` pairs each fires-only root's group with
+    its columns.  Flows touch each other only through the order
+    ``recovery_times_by_flow`` gains keys — that of their first close,
+    always a delivery — so each flow's events are merged on their own,
+    in heap order (:meth:`_Lineage.order`, fires being hop-0 events;
+    a flow with one kind needs no merge), and only those that can move
+    its clock are kept: each run of drops (one ``record_drops``), the
+    delivery right after a run, and the first delivery, which closes an
+    outage open before the window.  All flows' are then applied in
+    delivery order, a run of drops just before the delivery after it.
+    """
+    names = list(dict.fromkeys(groups))
+    number = {name: g for g, name in enumerate(names)}
+    group = np.array([number[name] for name in groups])[sender]
+    seen, first = np.unique(group, return_index=True)
+    first_of = dict(zip(seen.tolist(), first.tolist()))
+    fired: dict = {}  # group number -> columns of its dropped fires
+    for name, columns in drops:
+        fired.setdefault(number[name], []).append(columns)
+    times = lineage.times[0]
+    actions = []  # (delivery position, 0 drops | 1 a delivery, group, drops, time)
+    for g, name in enumerate(names):
+        at = first_of.get(g)
+        if g not in fired:
+            if at is not None:
+                actions.append((at, 1, name, 0, float(arrived[at])))
+            continue
+        columns = np.concatenate(fired.pop(g))
+        fire_t = times[columns]
+        if at is None:
+            actions.append((math.inf, 0, name, columns.size, float(fire_t.min())))
+            continue
+        mine = np.flatnonzero(group == g)
+        m = columns.size
+        t = np.concatenate((fire_t, arrived[mine]))
+        order = lineage.order(
+            np.concatenate((columns, done[mine])),
+            np.concatenate((np.zeros(m, dtype=hops.dtype), hops[mine])),
+            t,
+        )
+        if order is None:
+            order = np.arange(t.size)
+        drop = order < m
+        after = np.concatenate(([True], drop[:-1]))  # follows a drop, or is first
+        runs = np.flatnonzero(drop & ~np.concatenate(([False], drop[:-1])))
+        landed = np.flatnonzero(~drop)
+        position = mine[order[landed] - m]
+        ends = np.searchsorted(landed, runs)
+        stop = np.append(landed, t.size)[ends]
+        before = np.append(position, math.inf)[ends]
+        for key, run, start in zip(before.tolist(), (stop - runs).tolist(), runs.tolist()):
+            actions.append((key, 0, name, run, float(t[order[start]])))
+        for k in np.flatnonzero(after[landed]).tolist():
+            actions.append((int(position[k]), 1, name, 0, float(t[order[landed[k]]])))
+    actions.sort(key=lambda action: action[:2])
+    for _, kind, name, run, time in actions:
+        if kind:
+            faults.record_delivery(name, time)
+        else:
+            faults.record_drops(name, run, time)
 
 
 def _contended_tails(

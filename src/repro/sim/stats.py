@@ -281,6 +281,13 @@ class FaultRecorder:
         self.drops_by_flow[key] = self.drops_by_flow.get(key, 0) + 1
         self.awaiting_recovery.setdefault(key, time)
 
+    def record_drops(self, flow: str | None, count: int, time: float) -> None:
+        """``count`` drops of one flow, the first at ``time``: what as
+        many :meth:`record_drop` calls in time order leave."""
+        key = flow if flow is not None else UNGROUPED
+        self.drops_by_flow[key] = self.drops_by_flow.get(key, 0) + count
+        self.awaiting_recovery.setdefault(key, time)
+
     def record_reroute(self, flow: str | None, time: float) -> None:
         key = flow if flow is not None else UNGROUPED
         self.reroutes_by_flow[key] = self.reroutes_by_flow.get(key, 0) + 1

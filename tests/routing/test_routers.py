@@ -11,6 +11,7 @@ from repro.routing import (
     VLBRouter,
     stable_hash,
 )
+from repro.sim import Network, PoissonSource
 from repro.units import GBPS
 
 
@@ -201,6 +202,7 @@ class TestNoRouteContract:
 
     @pytest.mark.parametrize("make_router", ROUTERS)
     def test_no_route_is_not_cached(self, make_router):
+        """Not past a repair: the pair routes again."""
         topo = T.quartz_ring(4, 2)
         router = make_router(topo)
         servers = topo.servers()
@@ -212,3 +214,27 @@ class TestNoRouteContract:
         topo.graph.add_edge(*uplink, **data)
         router.invalidate_links([uplink], repaired=True)
         assert router.route(servers[0], servers[-1])[0] == servers[0]
+
+    @pytest.mark.parametrize("make_router", [ECMPRouter, KShortestPathsRouter])
+    def test_no_path_is_searched_once_per_outage(self, make_router, monkeypatch):
+        """Every fire of a partitioned pair asks the router; "no path" is
+        memoized, so only the first one searches.  A repair flushes it."""
+        topo = T.quartz_ring(4, 2)
+        net = Network(topo, make_router(topo))
+        src, dst = topo.servers()[0], topo.servers()[-1]
+        searched = []
+        paths = net.router.paths
+        monkeypatch.setattr(
+            net.router, "paths", lambda s, d: searched.append((s, d)) or paths(s, d)
+        )
+        uplink = (src, topo.tor_of(src))
+        net.fail_link(*uplink)
+        source = PoissonSource(net, src, dst, rate_pps=1e6, seed=0)
+        source.start()
+        net.engine.run(until=1e-4)
+        assert net.packets_unroutable == source.packets_sent > 10
+        assert searched == [(src, dst)]
+        net.repair_link(*uplink)
+        assert net.router.route(src, dst)[0] == src
+        net.engine.run(until=2e-4)
+        assert net.packets_delivered > 0

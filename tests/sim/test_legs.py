@@ -193,12 +193,25 @@ def isolated_server(fabric, router):
     }
 
 
+def shared_outage(fabric, router):
+    """``isolated_server`` plus a third stream, clear of server 0, in
+    stream 0's group (``g0``): through the outage each of its deliveries
+    closes the group's outage and stream 0's next fire, unroutable,
+    opens it again."""
+    shape = isolated_server(fabric, router)
+    shape["streams"] = shape["streams"] + [dict(shape["streams"][0], src=2, dsts=[3], seed=1)]
+    return shape
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, print_blob=True)
 @given(shape=st.booleans().flatmap(shapes))
 @example(shape=isolated_server("ring", "ecmp"))
 @example(shape=isolated_server("ring", "kshortest"))
 @example(shape=isolated_server("ring", "vlb"))
 @example(shape=isolated_server("tree", "ecmp"))
+@example(shape=shared_outage("ring", "ecmp"))
+@example(shape=shared_outage("ring", "vlb"))
+@example(shape=shared_outage("tree", "ecmp"))
 @example(shape=bounded_windows("ecmp"))
 @example(shape=bounded_windows("vlb"))
 def test_every_leg_matches_the_oracle(shape):
@@ -220,3 +233,21 @@ def test_what_bounds_a_window_does_not_stand_the_pass_down(monkeypatch):
     # A burst every 24 us of the 400: a window between each two, through
     # the cut at 100 us, the repair at 175 us and the ``stop_at`` at 200.
     assert len(solved) >= 12 and max(solved) > 0.9 * HORIZON
+
+
+def test_a_partitioned_window_is_solved(monkeypatch):
+    """Between the cut of server 0's uplink and its repair every packet
+    to or from server 0 is unroutable: the pass solves that stretch
+    (server 0's fires as drops) instead of leaving it to the event
+    loop."""
+    windows = []
+    solve = portmajor._solve
+    monkeypatch.setattr(
+        portmajor, "_solve",
+        lambda net, until, roots: (solve(net, until, roots), windows.append((roots[0][0], until))),
+    )
+    shape = isolated_server("ring", "ecmp")
+    run_leg(shape, fastpath=True, batch=True)
+    at, repair_after, _, _ = shape["cut"]
+    cut, repair = at * HORIZON, (at + repair_after / 4) * HORIZON
+    assert any(cut <= first and until < repair for first, until in windows)

@@ -30,6 +30,7 @@ from repro import obs
 from repro.routing import ECMPRouter
 from repro.routing.base import RoutingError
 from repro.sim import DeliveryBins, Network, portmajor
+from repro.sim.network import NetworkSimError
 from repro.sim.sources import PoissonSource
 from repro.sim.switch import SwitchModel, register_model
 from repro.topology.base import LinkKind, NodeKind, Topology
@@ -107,6 +108,7 @@ def fingerprint(net, sources, held=()):
         ),
         "faults": network_fingerprint(net)[10:],
         "dropped_rerouted": (net.packets_dropped_fault, net.packets_rerouted),
+        "unroutable": (net.packets_unroutable, net.packets_dropped),
         "delivered": net.packets_delivered,
         "next_packet_id": net._next_packet_id,
         "events": net.engine.events_processed,
@@ -306,6 +308,15 @@ def two_ahead(net):
     return ring_sources(net, range(5))
 
 
+class Partitioned(ECMPRouter):
+    """No path for flow 3 (stream 3 of the first task)."""
+
+    def route(self, src, dst, flow_id=0):
+        if flow_id == 3:
+            raise RoutingError("no path")
+        return super().route(src, dst, flow_id)
+
+
 class TestPinned:
     def test_lockstep_sources(self):
         """Two hubs whose streams share seeds: every fire ties its twin,
@@ -331,27 +342,18 @@ class TestPinned:
         assert not net._flows and not net._plans  # nothing was bound
         assert run_legs(net, sources, [1e-3]) == expected
 
-    def test_unroutable_flow_stands_down_untouched(self):
-        class Partitioned(ECMPRouter):
-            def route(self, src, dst, flow_id=0):
-                if flow_id == 3:
-                    raise RoutingError("no path")
-                return super().route(src, dst, flow_id)
-
+    def test_unroutable_flow_is_solved_as_a_column_of_drops(self):
         tasks = [("scatter", 0, 9, 21)]
         net = build("mesh", batch=True, router=Partitioned)
         sources = start_tasks(net, tasks)
-        before = pending_in_seq_order(net)
-        cursors = [source._gap_i for source in sources]
-        assert portmajor.advance(net, 1e-3) == (False, None)
-        # Nothing but how far ahead the gaps are drawn has changed.
-        assert pending_in_seq_order(net) == before
-        assert [source._gap_i for source in sources] == cursors
-        assert not net._flows and net._next_packet_id == 0
-        assert net.packets_unroutable == 0  # the fires count it, not the pass
-        assert all(port.packets_sent == 0 for port in net._ports.values())
+        assert portmajor.advance(net, 1e-3) == (True, None)
+        # Every fire of flow 3 is a drop, and takes no packet id.
+        unroutable = sources[3].packets_sent
+        assert net.packets_unroutable == net.packets_dropped == unroutable > 0
+        sent = sum(source.packets_sent for source in sources)
+        assert net._next_packet_id == sent - unroutable
         engaged = differential("mesh", tasks, [1e-3], router=Partitioned)
-        assert engaged[0] is False
+        assert engaged[0] is True
 
     def test_stop_then_start_after_a_pass(self):
         def restart(sources):
@@ -995,13 +997,19 @@ class TestObservability:
             net.engine.call_at(1e-4, net.run, 5e-4)
             return four_tasks(net)
 
-        class Partitioned(ECMPRouter):
-            def route(self, src, dst, flow_id=0):
-                raise RoutingError("no path")
+        class Misrouted(ECMPRouter):
+            """A route that stops one node short of the destination."""
 
-        def partitioned():
+            def route(self, src, dst, flow_id=0):
+                return super().route(src, dst, flow_id)[:-1]
+
+        def misrouted():
             topo = TOPOLOGIES["tree"]()
-            return Network(topo, Partitioned(topo), fastpath=True, telemetry=False)
+            return Network(topo, Misrouted(topo), fastpath=True, telemetry=False)
+
+        def run_misrouted(net):
+            with pytest.raises(NetworkSimError, match="does not join"):
+                net.run(until=1e-3)
 
         reasons = {
             "disabled": armed_run(armed_tree(fastpath=False), four_tasks),
@@ -1009,7 +1017,7 @@ class TestObservability:
             "not_open_loop": armed_run(armed_tree(), ending, until=None),
             "closed_loop_source": armed_run(armed_tree(), closed_loop),
             "budget": armed_run(armed_tree(), four_tasks, until=1.0e-5),
-            "unroutable": armed_run(partitioned, four_tasks),
+            "bad_route": armed_run(misrouted, four_tasks, run=run_misrouted),
         }
         for expected, (_, counters) in reasons.items():
             assert decline(counters) == expected
@@ -1017,6 +1025,23 @@ class TestObservability:
             armed_tree(), run_from_a_callback, run=lambda net: net.engine.run(until=1e-3)
         )
         assert decline(nested) == "not_open_loop"
+
+    def test_unroutable_fires_count_as_the_event_loop_counts_them(self):
+        def partitioned():
+            topo = TOPOLOGIES["mesh"]()
+            return Network(topo, Partitioned(topo), fastpath=True, telemetry=False)
+
+        def start(net):
+            return start_tasks(net, [("scatter", 0, 9, 21)])
+
+        solved, with_pass = armed_run(partitioned, start)
+        scalar, without = armed_run(partitioned, start, run=event_loop)
+        assert solved == scalar
+        assert with_pass["batch.cohorts"] >= 1
+        assert with_pass["drops.unroutable"] == without["drops.unroutable"] > 0
+        # The pass counts the packets the event loop created: drops take no id.
+        assert with_pass["batch.packets"] == scalar["next_packet_id"] > 0
+        assert not any(name.startswith("batch.standdown") for name in with_pass)
 
     def test_a_wall_of_timers_is_one_decline(self):
         def walled(net):
