@@ -8,8 +8,9 @@ PYTHON ?= python
 install:
 	pip install -e .
 
+# The tier-1 suite, from a fresh checkout: no install needed.
 test:
-	pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -12,7 +12,9 @@ Two gates, two scenarios (ISSUE 8 acceptance):
 * **Speedup** — matched mid-size ring, heavy long-lived background
   (the regime the hybrid engine exists for: many packets per epoch).
   Hybrid wall-clock must beat the oracle's ≥ 5×; measured headroom is
-  ~2× on top of the gate.
+  ~2× on top of the gate.  Its foreground error is printed beside the
+  speedup and not gated: under this load the hybrid over-states the
+  foreground mean by 1.7–2.8× (API.md caveat (a)).
 
 Both scenarios' numbers are printed to ``hybrid_scale.txt``, so a
 regression in either the solver's epoch cost or the residual handoff's
@@ -49,6 +51,10 @@ SPEEDUP_SCENARIO = dict(
 
 def _relative_error(hybrid, oracle):
     return abs(hybrid - oracle) / oracle
+
+
+def _signed_error(hybrid, oracle):
+    return (hybrid - oracle) / oracle
 
 
 def bench_hybrid_scale(benchmark, report):
@@ -88,6 +94,12 @@ def bench_hybrid_scale(benchmark, report):
         f"  oracle {spd_o.wall_clock_s:8.2f} s   speedup {speedup:.1f}x",
         f"  epochs   {spd_h.epochs} ({spd_h.residual_epochs} residual)"
         f"  oracle packets {spd_o.packets_delivered}",
+        f"  fg mean  hybrid {spd_h.fg_mean * 1e6:8.2f} us"
+        f"  oracle {spd_o.fg_mean * 1e6:8.2f} us  err {_signed_error(spd_h.fg_mean, spd_o.fg_mean):+.3f}",
+        f"  fg p99   hybrid {spd_h.fg_p99 * 1e6:8.2f} us"
+        f"  oracle {spd_o.fg_p99 * 1e6:8.2f} us  err {_signed_error(spd_h.fg_p99, spd_o.fg_p99):+.3f}",
+        "  not gated: where the hybrid is fast, its fluid background",
+        "  over-states the foreground's queueing (API.md caveat (a)).",
     ]
     report("hybrid_scale", "\n".join(lines))
 

@@ -55,10 +55,11 @@ def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
 
     ``telemetry`` is what a network built with ``telemetry=None`` gets
     from the environment, ``obs`` whether ``REPRO_OBS`` arms the
-    process.  ``fastpath`` (the constructor default) and ``batch`` (the
+    process.  ``fastpath`` (compiled plans, the only forwarding loop
+    since ``Network`` lost its ``fastpath`` argument) and ``batch`` (the
     port-major pass of ``Network.run``, which has no switch) are the
-    constant ``True``; they stay in the answer because the frozen
-    ``benchmarks/e2e`` harness reads them.
+    constant ``True``, selecting nothing; they stay in the answer
+    because the frozen ``benchmarks/e2e/test_harness.py`` reads them.
     """
     from repro import obs
     from repro.sim.knobs import resolve_flag

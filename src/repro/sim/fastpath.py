@@ -1,9 +1,8 @@
 """Compiled per-path forwarding plans — the simulator's fast path.
 
-The reference forwarding loop (the :meth:`Network._transmit` /
-:meth:`Network._arrive` oracle) re-derives the same per-hop facts for every
-packet at every hop: the link record behind a ``(u, v)`` dict lookup,
-the switch model behind a node lookup, and the cut-through serialization
+Forwarding a packet one hop needs the same per-hop facts for every
+packet on a path: the link record behind a ``(u, v)`` dict lookup, the
+switch model behind a node lookup, and the cut-through serialization
 credit from two more link lookups.  For a path that thousands of packets
 share, all of that is loop-invariant.
 
@@ -27,11 +26,12 @@ plain tuple indices with zero dict lookups:
   hops have ``latf == 0.0``; cut-through hops carry
   ``-min(ser_in, ser_out)`` so the serialization credit is one multiply.
 
-The affine form is **bit-identical** to the reference arithmetic:
-``size * latf`` equals ``-(min(ser_in, ser_out) * size)`` exactly (IEEE
-754 multiplication is sign-symmetric and monotonic, so the minimum
-commutes with the scaling), and ``now + (-x) + lat`` performs the same
-two additions, in the same order, as the reference ``(now - x) + lat``.
+The affine form is **bit-identical** to the switch spec's arithmetic
+(DESIGN.md §5): ``size * latf`` equals ``-min(size * ser_in_factor,
+size * ser_out_factor)`` exactly (IEEE 754 multiplication is
+sign-symmetric and monotonic, so the minimum commutes with the
+scaling), and ``now + (-x) + lat`` performs the same two additions, in
+the same order, as the spec's ``(now - x) + lat``.
 
 Plans own no mutable forwarding state — ports and in-flight sets stay
 owned by the network, which never replaces either object for a link —
@@ -43,8 +43,6 @@ its link empties, which is what preserves severing, detours, and drop
 accounting exactly.  The network still clears its plan cache on
 :meth:`Network.fail_link` / :meth:`Network.repair_link` so the cache
 cannot accumulate stale paths across fault churn.
-``Network(fastpath=False)`` runs the reference loop; both paths produce
-bit-identical metrics.
 
 With :mod:`repro.obs` armed, the owning network counts plan compiles,
 cache hits, fault invalidations and flow-table overflow (``fastpath.*``
@@ -108,8 +106,7 @@ def compile_plan(
     so an unsharded kernel pays one identity test per hop.
 
     Raises :class:`~repro.sim.network.NetworkSimError` if any hop has no
-    link — the same failure the reference loop reports lazily when the
-    packet reaches that hop.
+    link, before the packet is injected.
     """
     n = len(path)
     keys = []

@@ -10,12 +10,13 @@ networks built with ``None``, and an **explicit argument always wins**
 are its only other switches.  A truthy environment value is anything
 but unset, empty, or ``"0"``.
 
-The engine's reference paths have no environment switch: pass
-``fastpath=False`` to :class:`~repro.sim.network.Network`, call
+The engine's reference paths have no environment switch: call
 ``engine.run`` instead of ``Network.run`` for the run without the
 port-major pass, pass ``hybrid=False`` to
 :class:`~repro.hybrid.HybridNetwork`, or call
-:func:`repro.sim.parallel.run_serial`.
+:func:`repro.sim.parallel.run_serial`.  The forwarding kernel itself has
+no reference loop in the package: the tests hold it to an independent
+model of the switch spec (DESIGN.md §5).
 
 This module holds no simulator state and imports nothing from the rest
 of the package, so any layer can use it without import cycles.

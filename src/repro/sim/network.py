@@ -110,16 +110,13 @@ class Network:
         propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
         server_forward_latency: float = DEFAULT_SERVER_FORWARD_LATENCY,
         host_receive_latency: float = 0.0,
-        fastpath: bool = True,
         telemetry: "TelemetryConfig | bool | None" = None,
     ) -> None:
-        """``fastpath`` selects the forwarding loop: ``True`` walks
-        compiled per-path :class:`~repro.sim.fastpath.HopPlan` chains,
-        ``False`` runs the reference per-hop lookup loop — the oracle
-        the kernel is tested against.  :meth:`run` also tries the
-        port-major pass, which needs the fast path and disarmed
-        telemetry; ``engine.run`` never does.  All three forms are
-        bit-identical.
+        """Packets walk compiled per-path
+        :class:`~repro.sim.fastpath.HopPlan` chains through one
+        forwarding kernel (:meth:`_hop`).  :meth:`run` also tries the
+        port-major pass, which needs disarmed telemetry; ``engine.run``
+        never does.  The two forms are bit-identical.
 
         ``telemetry`` arms the in-fabric telemetry layer
         (:mod:`repro.telemetry`): ``True`` or a
@@ -185,8 +182,6 @@ class Network:
             self._hop_rec[switch] = (model.cut_through, model.latency)
         for server in topo.servers():
             self._hop_rec[server] = (False, server_forward_latency)
-        #: Whether injections walk compiled plans (read-only after init).
-        self.fastpath_enabled = fastpath
         # Compiled forwarding plans, one per unique path, and the flows
         # bound to them: (src, dst, flow_id) -> (route, plan).  Both are
         # dropped by _invalidate_plans, so fault churn cannot grow a
@@ -242,24 +237,21 @@ class Network:
             created_at=now,
             group=group,
             on_delivered=on_delivered,
+            plan=plan,
         )
-        if plan is not None:
-            packet.plan = plan
-            arrival = self._hop(packet, now)
-            if arrival is not None:
-                engine.chain_at(arrival, self._hop, packet)
-        else:
-            self._transmit(packet, earliest_start=now)
+        arrival = self._hop(packet, now)
+        if arrival is not None:
+            engine.chain_at(arrival, self._hop, packet)
         return packet
 
     def _bind(
         self, src: str, dst: str, flow_id: int, path: Path | None
-    ) -> "tuple[Path, HopPlan | None]":
+    ) -> "tuple[Path, HopPlan]":
         """Resolve one injection in full: route, endpoint checks, plan.
 
         :meth:`send` comes here when the flow is not bound (first packet
-        of a flow in this fault epoch, explicit ``path=``, table full,
-        reference loop).  A router-chosen route and its compiled plan
+        of a flow in this fault epoch, explicit ``path=``, table full).
+        A router-chosen route and its compiled plan
         are bound to ``(src, dst, flow_id)`` until the next
         :meth:`_invalidate_plans`; an unroutable pair raises before
         anything is stored, so a ``RoutingError`` is never cached.
@@ -269,8 +261,6 @@ class Network:
             raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
         if type(route) is not tuple:
             route = tuple(route)
-        if not self.fastpath_enabled:
-            return route, None  # the oracle asks the router for every packet
         plan = self._plans.get(route)
         if plan is None:
             plan = self._compile_plan(route)
@@ -302,84 +292,6 @@ class Network:
         if self._track_in_flight:
             self.fault_stats.record_drop(group, self.engine.now)
 
-    # -- forwarding ----------------------------------------------------------------
-
-    def _transmit(self, packet: Packet, earliest_start: float) -> None:
-        """Clock the packet onto the output port toward its next hop."""
-        path = packet.path
-        hop = packet.hop
-        key = (path[hop], path[hop + 1])
-        if self._dead_links and key in self._dead_links:
-            self._reroute_or_drop(packet, earliest_start)
-            return
-        rec = self._link_rec.get(key)
-        if rec is None:
-            raise NetworkSimError(
-                f"no link {path[hop]!r} → {path[hop + 1]!r} on path"
-            )
-        ser_factor, port, _ = rec
-        size = packet.size_bytes
-        ser = size * ser_factor
-        start = port.busy_until
-        if start < earliest_start:
-            start = earliest_start
-        tail_out = start + ser
-        port.busy_until = tail_out
-        port.packets_sent += 1
-        port.bytes_sent += size
-        tele = self.telemetry
-        if tele is not None:
-            depth, wait = tele.on_enqueue(
-                key, packet.group, size, earliest_start, start, tail_out
-            )
-            stamps = packet.stamps
-            if stamps is None:
-                stamps = packet.stamps = []
-            stamps.append((path[hop], depth, wait))
-        if self._track_in_flight:
-            self._in_flight.setdefault(key, set()).add(packet)
-        arrival = self._tail_out(packet, tail_out + self.propagation_delay)
-        if arrival is not None:
-            self.engine.call_at(arrival, self._arrive, packet)
-
-    def _arrive(self, packet: Packet) -> None:
-        """Tail of ``packet`` arrived at the next node on its path."""
-        if packet.dropped:
-            return  # severed by a link failure while in flight
-        hop = packet.hop + 1
-        path = packet.path
-        if self._track_in_flight:
-            flight = self._in_flight.get((path[hop - 1], path[hop]))
-            if flight is not None:
-                flight.discard(packet)
-        packet.hop = hop
-        node = path[hop]
-        now = self.engine.now
-
-        if hop == len(path) - 1:
-            packet.delivered_at = now + self.host_receive_latency
-            self.packets_delivered += 1
-            self.stats.record(packet.latency, group=packet.group)
-            if packet.stamps is not None:
-                self.stats.record_stamps(packet.group, packet.stamps)
-            if self._track_in_flight:
-                self.fault_stats.record_delivery(packet.group, now)
-            if packet.on_delivered is not None:
-                packet.on_delivered(packet, packet.delivered_at)
-            return
-
-        # Server relays (BCube) are store-and-forward with the
-        # OS-stack latency, so they share the switch record shape.
-        cut_through, latency = self._hop_rec[node]
-        if cut_through:
-            size = packet.size_bytes
-            ser_in = size * self._link_rec[(path[hop - 1], node)][0]
-            ser_out = size * self._link_rec[(node, path[hop + 1])][0]
-            earliest = now - (ser_in if ser_in < ser_out else ser_out) + latency
-        else:
-            earliest = now + latency
-        self._transmit(packet, earliest_start=earliest)
-
     # -- forwarding kernel ------------------------------------------------------------
 
     def _compile_plan(self, route: Path) -> HopPlan:
@@ -407,8 +319,9 @@ class Network:
         """Tail-out extension point: ``packet`` (at ``path[hop]``) is on
         its port, due at the next node at ``arrival``.  Return the time
         to schedule the local arrival at, or ``None`` to take the packet
-        out of this event loop (a shard crossing).  The oracle asks on
-        every transmit, the kernel only on ``plan.foreign`` hops.
+        out of this event loop (a shard crossing).  The kernel asks only
+        on ``plan.foreign`` hops: those whose next node is another
+        shard's.
         """
         return arrival
 
@@ -420,10 +333,11 @@ class Network:
         it, or clock it onto the next port; :meth:`send` and detours
         pass ``earliest_start`` to clock it out of the node it sits at.
         Returns the next arrival time, or ``None`` when the chain ends
-        (delivered, dropped, severed, handed to another shard).  Same
-        arithmetic and event order as the :meth:`_transmit` /
-        :meth:`_arrive` oracle; the per-node delay is the plan's affine
-        ``now + size * latf + lat`` (see :mod:`repro.sim.fastpath`).
+        (delivered, dropped, severed, handed to another shard).  The
+        arithmetic is DESIGN.md §5's switch spec, which the independent
+        model in the tests is written from; the per-node delay is the
+        plan's affine ``now + size * latf + lat`` (see
+        :mod:`repro.sim.fastpath`).
         """
         plan = packet.plan
         hop = packet.hop
@@ -461,8 +375,7 @@ class Network:
         port.bytes_sent += size
         tele = self.telemetry
         if tele is not None:
-            # ``tele.on_enqueue`` with the monitor looked up here: one
-            # frame per armed hop instead of two.
+            # ``tele.monitor`` inlined: one frame per armed hop, not two.
             monitor = tele.monitors.get(plan.keys[hop])
             if monitor is None:
                 monitor = tele.monitor(plan.keys[hop])
@@ -575,7 +488,7 @@ class Network:
         (memoized until the next fault event).  Packets with no
         surviving path are dropped and counted.  Returns as :meth:`_hop`
         does: the detour's first arrival time for the chain to continue
-        on, or ``None`` (dropped, or the oracle scheduled it itself).
+        on, or ``None`` (dropped).
         """
         node = packet.path[packet.hop]
         key = (node, packet.dst)
@@ -615,11 +528,8 @@ class Network:
             packet.rerouted = True
             self.packets_rerouted += 1
             self.fault_stats.record_reroute(packet.group, self.engine.now)
-        if self.fastpath_enabled:
-            packet.plan = self._plans.get(detour) or self._compile_plan(detour)
-            return self._hop(packet, earliest_start)
-        self._transmit(packet, earliest_start=earliest_start)
-        return None
+        packet.plan = self._plans.get(detour) or self._compile_plan(detour)
+        return self._hop(packet, earliest_start)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -456,14 +456,10 @@ class ShardNetwork(Network):
             if self._track_in_flight:
                 key = (message.path[message.hop], message.path[message.hop + 1])
                 self._in_flight.setdefault(key, set()).add(packet)
-            if self.fastpath_enabled:
-                packet.plan = (
-                    self._plans.get(message.path)
-                    or self._compile_plan(message.path)
-                )
-                engine.chain_at(message.arrival, self._hop, packet)
-            else:
-                engine.call_at(message.arrival, self._arrive, packet)
+            packet.plan = (
+                self._plans.get(message.path) or self._compile_plan(message.path)
+            )
+            engine.chain_at(message.arrival, self._hop, packet)
 
 
 # -- per-shard state ---------------------------------------------------------------

@@ -30,8 +30,7 @@ vetoing it*: the horizon is the last float before the earliest foreign
 time, so the window's ``t <= horizon`` tests mean "strictly before
 it", and whatever ties a foreign entry stays with the event loop, which
 orders it by the seqs the pass hands back.  What still vetoes: armed
-telemetry, no compiled plans (``fastpath=False``), no horizon at all,
-a run loop already dispatching, a sharded network, a due source with
+telemetry, no horizon at all, a run loop already dispatching, a sharded network, a due source with
 several destinations, ``vary_flow_per_packet`` or a callback the pass
 cannot apply (``closed_loop_source``), a route that does not join its
 source to its destination (``bad_route``), a cyclic directed graph
@@ -179,8 +178,6 @@ def _window(
     engine = net.engine
     if net.telemetry is not None:
         raise _StandDown("telemetry")
-    if not net.fastpath_enabled:
-        raise _StandDown("disabled")
     if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire

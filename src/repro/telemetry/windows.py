@@ -284,8 +284,9 @@ class TelemetryHub:
     """All of one network's port monitors, plus run-level counters.
 
     The network owns exactly one hub when telemetry is armed
-    (``Network.telemetry``); forwarding hooks call :meth:`on_enqueue` /
-    :meth:`on_drop` and everything else is read-side.  Monitors are
+    (``Network.telemetry``); the forwarding kernel records each enqueue
+    on :meth:`monitor`'s port monitor, drops go through :meth:`on_drop`,
+    and everything else is read-side.  Monitors are
     created lazily, so idle ports cost nothing.
     """
 
@@ -300,19 +301,6 @@ class TelemetryHub:
         if mon is None:
             mon = self.monitors[key] = PortMonitor(key, self.config.window)
         return mon
-
-    def on_enqueue(
-        self,
-        key: tuple[str, str],
-        flow: "str | None",
-        size_bytes: float,
-        arrival: float,
-        start: float,
-        tail_out: float,
-    ) -> tuple[int, float]:
-        return self.monitor(key).record_enqueue(
-            flow, size_bytes, arrival, start, tail_out
-        )
 
     def on_drop(self, key: tuple[str, str], flow: "str | None", time: float) -> None:
         self.monitor(key).record_drop(flow, time)

@@ -4,7 +4,8 @@ Small fabrics, hand-placed background flows: the assertions pin the
 residual handoff (serialization scaling, epoch invalidation), the mode
 switch (hybrid vs pure-packet oracle), fault interplay (re-path, park,
 re-admit), and bit-identity of the foreground packet schedule across
-the reference / fastpath / batched loops under hybrid residuals.
+the event loop (Poisson gaps drawn in chunks, or packet by packet: the
+reference) and the port-major pass under hybrid residuals.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.hybrid import engine as hybrid_engine
 from repro.routing import ECMPRouter
 from repro.sim import PoissonSource
 from repro.units import GBPS
+from tests.sim.test_fastpath import per_packet_draws
 
 
 def build(flows, topo=None, **kwargs):
@@ -63,8 +65,6 @@ class TestResidualHandoff:
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
         net = build([one_bg(servers, 5 * GBPS, start=1e-4, stop=2e-4)], topo)
-        if not net.fastpath_enabled:
-            pytest.skip("plan caches only exist with the compiled fast path")
         net.send(servers[0], servers[1], 1500.0)
         assert net._plans  # compiled by the send
         net.run(until=1.5e-4)  # cross the start boundary
@@ -232,16 +232,22 @@ class TestFaultInterplay:
 
 
 class TestBitIdentityAcrossLoops:
-    def _foreground_summary(self, batch=True, **paths):
+    def _foreground_summary(self, batch=True, draws=False):
         """The foreground's summary, run through ``Network.run`` with
-        ``batch``, else through ``engine.run``."""
+        ``batch``, else through ``engine.run``; ``draws`` draws the
+        Poisson gaps packet by packet."""
+        with per_packet_draws(draws):
+            return self._run_foreground(batch)
+
+    @staticmethod
+    def _run_foreground(batch):
         topo = T.quartz_ring(3, 1)
         servers = topo.servers()
         flows = [
             BackgroundFlow(1_000_000, servers[0], servers[2], 4 * GBPS, 0.0, 4e-4),
             BackgroundFlow(1_000_001, servers[1], servers[0], 6 * GBPS, 1e-4, 3e-4),
         ]
-        net = build(flows, topo, **paths)
+        net = build(flows, topo)
         src = PoissonSource.at_bandwidth(
             net, servers[0], servers[1], 2 * GBPS, group="fg", seed=11,
             stop_at=4e-4,
@@ -254,7 +260,7 @@ class TestBitIdentityAcrossLoops:
     def test_reference_fastpath_batched_identical(self):
         batched = self._foreground_summary()
         fastpath = self._foreground_summary(batch=False)
-        reference = self._foreground_summary(fastpath=False)
+        reference = self._foreground_summary(batch=False, draws=True)
         assert batched == fastpath == reference
         assert batched[0] > 0
 

@@ -24,6 +24,8 @@ from repro.sim import Network
 from repro.sim.sources import PoissonSource
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.units import BITS_PER_BYTE, GBPS
+from tests.sim.model import outcome
+from tests.sim.test_fastpath import model_of
 
 HORIZON = 1e-3
 RING = (4, 2)  # switches, servers per switch
@@ -354,10 +356,11 @@ class TestDetourCredit:
     """A packet detoured at a cut-through switch is credited
     ``min(ser_in, ser_out)`` against the detour's first link, not the
     dead one: 10 G in, a 40 G detour, 1500-byte packets used to schedule
-    the next arrival 0.4 µs *before* the packet had arrived."""
+    the next arrival 0.4 µs *before* the packet had arrived.  The model
+    of ``tests/sim/model.py`` prices the detour from the switch spec."""
 
     @staticmethod
-    def run(fastpath):
+    def topology():
         topo = Topology("slow-in-fast-detour")
         for name in ("s0", "s1", "s2"):
             topo.add_switch(name, NodeKind.TOR)  # ULL: cut-through
@@ -368,22 +371,24 @@ class TestDetourCredit:
         topo.add_link("s0", "s2", 40 * GBPS, LinkKind.MESH)
         topo.add_link("s2", "s1", 40 * GBPS, LinkKind.MESH)
         topo.add_link("s1", "h1", 10 * GBPS, LinkKind.HOST)
-        net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=False)
-        net.enable_fault_tracking()
-        packet = net.send("h0", "h1", 1500.0)  # on the wire to s0 when the link dies
-        net.engine.call_at(1e-7, net.fail_link, "s0", "s1")
-        net.run(until=1e-4)
-        return packet, net
+        return topo
 
     def test_detour_over_a_faster_link_arrives_after_it_left(self):
-        kernel, net = self.run(fastpath=True)
-        oracle, reference = self.run(fastpath=False)
-        for packet, network in ((kernel, net), (oracle, reference)):
-            assert packet.rerouted and packet.delivered_at is not None
-            assert packet.path == ("s0", "s2", "s1", "h1")
-            assert network.packets_delivered == 1 and network.packets_rerouted == 1
-        assert kernel.delivered_at == oracle.delivered_at
-        assert tuple(net.stats.samples) == tuple(reference.stats.samples)
+        topo = self.topology()
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net.enable_fault_tracking()
+        kernel = net.send("h0", "h1", 1500.0)  # on the wire to s0 when the link dies
+        net.engine.call_at(1e-7, net.fail_link, "s0", "s1")
+        net.run(until=1e-4)
+        assert kernel.rerouted and kernel.delivered_at is not None
+        assert kernel.path == ("s0", "s2", "s1", "h1")
+        assert net.packets_delivered == 1 and net.packets_rerouted == 1
+        topo = self.topology()
+        model = model_of(topo, tracked=True)
+        model.source([(0.0, [("h0", "h1", 1500.0, 0, None)])])
+        model.cut(1e-7, "s0", "s1")
+        model.run(1e-4)
+        assert model.outcome() == outcome(net)
         # h0→s0 takes 1.2 µs + 0.1 µs; the credit at s0 is the detour
         # link's 0.3 µs, so the tail leaves s0 0.38 µs after it arrived.
         ser10, ser40, prop, ull = 1500 * 8 / 10e9, 1500 * 8 / 40e9, 100e-9, 380e-9

@@ -4,8 +4,9 @@
 :mod:`repro.sim.portmajor`) must be a pure speed change, like the
 compiled fast path before it: every externally visible number —
 per-packet latencies, drop/reroute counters, port state, the logical
-event count, the fault bookkeeping — must match both the scalar fast
-path run by ``engine.run`` and the reference loop exactly, whether the
+event count, the fault bookkeeping — must match the scalar kernel run
+by ``engine.run`` exactly, with Poisson gaps drawn in chunks and drawn
+packet by packet (the reference), whether the
 pass takes the whole horizon (plain streams) or the windows between
 what it cannot own (timers, a cut and its repair, ``stop_at`` inside
 it).  The equivalence fingerprint here extends
@@ -30,18 +31,17 @@ MODES = ("batched", "fastpath", "reference")
 
 
 def build(mode):
-    """A three-tier network in one of the three forwarding modes: only
+    """A three-tier network for one of the three modes: only
     ``"batched"`` runs through ``Network.run``, the scalar modes' ``run``
-    is ``engine.run``.
+    is ``engine.run``; ``"reference"`` also draws packet by packet
+    (:func:`run_workload`).
 
-    ``telemetry=False`` is pinned (like ``fastpath`` below) so the
-    batching assertions hold under ``REPRO_TELEMETRY=1``, where armed
-    monitors would otherwise stand the pass down.
+    ``telemetry=False`` is pinned so the batching assertions hold under
+    ``REPRO_TELEMETRY=1``, where armed monitors would otherwise stand
+    the pass down.
     """
     topo = T.three_tier_tree()
-    net = Network(
-        topo, ECMPRouter(topo), fastpath=mode != "reference", telemetry=False
-    )
+    net = Network(topo, ECMPRouter(topo), telemetry=False)
     if mode != "batched":
         net.run = net.engine.run
     return net
@@ -223,16 +223,13 @@ def windows_solved(**kwargs):
 
 
 class TestFlagResolution:
-    # telemetry=False is pinned so the assertions hold even when the
-    # whole suite runs under REPRO_TELEMETRY=1.
-    def test_batching_requires_fastpath(self):
-        assert windows_solved(fastpath=True, telemetry=False)[0] == 1
-        assert windows_solved(fastpath=False, telemetry=False)[0] == 0
-
+    # telemetry is pinned so the assertions hold even when the whole
+    # suite runs under REPRO_TELEMETRY=1.
     def test_telemetry_stands_batching_down(self):
-        solved, net = windows_solved(fastpath=True, telemetry=True)
+        assert windows_solved(telemetry=False)[0] == 1
+        solved, net = windows_solved(telemetry=True)
         assert solved == 0
-        assert net.fastpath_enabled, "fast path keeps running under telemetry"
+        assert net.packets_delivered > 0, "the kernel keeps running under telemetry"
 
 
 
@@ -422,7 +419,7 @@ class TestFiresThrough:
 
     def pair(self, rate=1_000_000.0):
         topo = T.full_mesh(2, 1)
-        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
         return [
             PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11)
             for _ in range(2)
@@ -454,7 +451,7 @@ class TestFiresThrough:
             runs = []
             for batch in (True, False):
                 topo = T.full_mesh(2, 1)
-                net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+                net = Network(topo, ECMPRouter(topo), telemetry=False)
                 if not batch:
                     net.run = net.engine.run
                 source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1_500_000.0,

@@ -1,12 +1,13 @@
-"""Compiled forwarding fast path: bit-identical to the reference loop.
+"""The compiled forwarding kernel, held to the independent model.
 
-The fused kernel (``Network._hop`` walking :mod:`repro.sim.fastpath`
-plans on engine-chained events) must be a pure speed change: every
-metric — per-packet latencies in delivery order, drop/reroute counters,
-per-port state, telemetry windows and stamps, even the engine's event
-count — must match the ``_transmit``/``_arrive`` oracle
-(``fastpath=False``) exactly, including under mid-run fault injection
-(which invalidates compiled plans and detours packets mid-chain).
+The kernel (``Network._hop`` walking :mod:`repro.sim.fastpath` plans on
+engine-chained events) must compute DESIGN.md §5's switch spec: fed the
+same fires and fault timeline, the model of ``tests/sim/model.py``
+reaches the same per-packet latencies in delivery order, the same
+drop/reroute counters and the same per-port state, bit for bit —
+including under mid-run fault injection (which invalidates compiled
+plans and detours packets mid-chain).  Armed telemetry must change none
+of it, and per-packet draws must not either.
 """
 
 from contextlib import contextmanager
@@ -19,9 +20,10 @@ from repro.hybrid import BackgroundFlow, HybridNetwork
 from repro.routing import ECMPRouter, RoutingError, VLBRouter
 from repro.sim import Network, NetworkSimError, ULL, sources
 from repro.sim.fastpath import compile_plan
-from repro.sim.network import DEFAULT_PROPAGATION_DELAY
+from repro.sim.network import DEFAULT_PROPAGATION_DELAY, DEFAULT_SERVER_FORWARD_LATENCY
 from repro.sim.sources import PoissonSource
 from repro.units import GBPS, serialization_delay
+from tests.sim.model import FabricModel, outcome, record_fires
 
 
 def network_fingerprint(net):
@@ -67,86 +69,112 @@ def network_fingerprint(net):
 @contextmanager
 def per_packet_draws(enabled=True):
     """While active (and ``enabled``), Poisson sources draw one packet at
-    a time: the per-packet draw reference the oracle legs use."""
+    a time: the per-packet draw reference."""
     with pytest.MonkeyPatch.context() as patch:
         if enabled:
             patch.setattr(sources, "DEFAULT_CHUNK", 1)
         yield
 
 
-def run_fingerprint(fastpath, fault=False, telemetry=False):
-    """Run a fixed workload; return every externally visible number."""
-    with per_packet_draws(not fastpath):
-        return _run_fingerprint(fastpath, fault, telemetry)
+def model_of(topo, tracked=False):
+    """The model over ``topo``, ECMP-routed, with the network's default
+    delays."""
+    return FabricModel(
+        topo, ECMPRouter(topo), propagation_delay=DEFAULT_PROPAGATION_DELAY,
+        server_forward_latency=DEFAULT_SERVER_FORWARD_LATENCY,
+        host_receive_latency=0.0, tracked=tracked,
+    )
 
 
-def _run_fingerprint(fastpath, fault, telemetry):
-    topo = T.three_tier_tree()
-    net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=telemetry)
-    engine = net.engine
-    servers = topo.servers()
-    # Six senders converge on one receiver: the shared downlink
-    # oversubscribes (~11.5 Gbps offered into 10 Gbps).
-    sources = [
-        PoissonSource(
-            net, servers[i], servers[-1], rate_pps=600_000.0,
-            seed=i, flow_id=i, group="load",
-        )
-        for i in range(6)
-    ]
-    for source in sources:
-        source.start()
+def run_fixed(fault=False, telemetry=False, draws=False):
+    """Run a fixed workload: ``(net, outcome of the model fed its fires)``.
+    ``draws`` draws the Poisson gaps packet by packet."""
+    with per_packet_draws(draws):
+        topo = T.three_tier_tree()
+        net = Network(topo, ECMPRouter(topo), telemetry=telemetry)
+        engine = net.engine
+        servers = topo.servers()
+        # Six senders converge on one receiver: the shared downlink
+        # oversubscribes (~11.5 Gbps offered into 10 Gbps).
+        sources = [
+            PoissonSource(
+                net, servers[i], servers[-1], rate_pps=600_000.0,
+                seed=i, flow_id=i, group="load",
+            )
+            for i in range(6)
+        ]
+        fires = record_fires(net, sources)
+        for source in sources:
+            source.start()
+        if fault:
+            # Cut a link on the first pair's route mid-run, repair later:
+            # this severs in-flight packets, forces detours, and must clear
+            # the compiled-plan cache both times.
+            probe = net.router.route(servers[0], servers[-1], 0)
+            u, v = probe[1], probe[2]
+            net.enable_fault_tracking()
+            engine.schedule(0.004, lambda: net.fail_link(u, v))
+            engine.schedule(0.008, lambda: net.repair_link(u, v))
+        engine.run(until=0.012)
+    # The same schedule, in the same order: the sources, then the faults.
+    model = model_of(T.three_tier_tree(), tracked=fault)
+    for record in fires:
+        model.source(record)
     if fault:
-        # Cut a link on the first pair's route mid-run, repair later:
-        # this severs in-flight packets, forces detours, and must clear
-        # the compiled-plan cache both times.
-        probe = net.router.route(servers[0], servers[-1], 0)
-        u, v = probe[1], probe[2]
-        net.enable_fault_tracking()
-        engine.schedule(0.004, lambda: net.fail_link(u, v))
-        engine.schedule(0.008, lambda: net.repair_link(u, v))
-    engine.run(until=0.012)
-    return network_fingerprint(net)
+        model.cut(0.004, u, v)
+        model.repair(0.008, u, v)
+    model.run(0.012)
+    return net, model.outcome()
 
 
 class TestEquivalence:
     def test_plain_traffic_bit_identical(self):
-        assert run_fingerprint(True) == run_fingerprint(False)
+        net, model = run_fixed()
+        assert outcome(net) == model
+        assert net.packets_delivered > 30_000
 
     def test_fault_injection_bit_identical(self):
-        fast = run_fingerprint(True, fault=True)
-        ref = run_fingerprint(False, fault=True)
-        assert fast == ref
-        assert fast[2] > 0 and fast[3] > 0  # severed packets and detours
+        net, model = run_fixed(fault=True)
+        assert outcome(net) == model
+        # severed packets and detours
+        assert net.packets_dropped_fault > 0 and net.packets_rerouted > 0
 
     @pytest.mark.parametrize("fault", [False, True])
     def test_telemetry_stamping_bit_identical(self, fault):
         """Monitors and INT stamps see the same queue, hop for hop —
-        through a cut, the detours it forces, and the repair."""
-        fast = run_fingerprint(True, fault=fault, telemetry=True)
-        ref = run_fingerprint(False, fault=fault, telemetry=True)
-        assert fast == ref
+        through a cut, the detours it forces, and the repair — whether
+        the gaps are drawn in chunks or packet by packet."""
+        armed, model = run_fixed(fault, telemetry=True)
+        reference, _ = run_fixed(fault, telemetry=True, draws=True)
+        fast = network_fingerprint(armed)
+        assert fast == network_fingerprint(reference)
         assert fast[9]  # stamps were folded in
+        assert outcome(armed) == model
         # Strictly observational: the armed run equals the disarmed one.
-        assert fast[:8] == run_fingerprint(True, fault)[:8]
+        assert fast[:8] == network_fingerprint(run_fixed(fault)[0])[:8]
 
 
-def detoured_packet(fastpath):
-    """One packet whose route dies two hops ahead of it, mid-flight."""
+def detoured_packet():
+    """One packet whose route dies two hops ahead of it, mid-flight:
+    ``(net, packet, original path, the model's outcome)``."""
     topo = T.three_tier_tree()
-    net = Network(topo, ECMPRouter(topo), fastpath=fastpath)
+    net = Network(topo, ECMPRouter(topo))
     packet = net.send("h0.0", "h15.0", 400)
     original = packet.path
     # The packet is still on its first link when a link further down
     # its path is cut: it reaches that hop, finds it dead, and detours.
     net.engine.schedule(1e-9, net.fail_link, original[2], original[3])
     net.run()
-    return net, packet, original
+    model = model_of(T.three_tier_tree())
+    model.source([(0.0, [("h0.0", "h15.0", 400, 0, None)])])
+    model.cut(1e-9, original[2], original[3])
+    model.run(1.0)
+    return net, packet, original, model.outcome()
 
 
 class TestMidPathDetour:
     def test_chain_continues_to_delivery(self):
-        net, packet, original = detoured_packet(True)
+        net, packet, original, _ = detoured_packet()
         assert packet.rerouted and packet.path != original
         # The detour re-entered the kernel from inside a chained step;
         # the chain must carry on along the new plan, not end silently.
@@ -155,19 +183,17 @@ class TestMidPathDetour:
         assert net.engine.pending() == 0
 
     def test_matches_oracle(self):
-        fast_net, fast, _ = detoured_packet(True)
-        ref_net, ref, _ = detoured_packet(False)
-        assert fast.path == ref.path
-        assert fast.delivered_at == ref.delivered_at
-        assert fast_net.stats.samples == ref_net.stats.samples
-        assert fast_net.engine.events_processed == ref_net.engine.events_processed
+        """The oracle is the model."""
+        net, _, _, model = detoured_packet()
+        assert outcome(net) == model
+        assert model["counters"][3] == 1  # rerouted
 
 
 class TestPlanCache:
     @pytest.fixture
     def net(self):
         topo = T.three_tier_tree()
-        return Network(topo, ECMPRouter(topo), fastpath=True)
+        return Network(topo, ECMPRouter(topo))
 
     def test_plan_shared_across_packets(self, net):
         first = net.send("h0.0", "h15.0", 400)
@@ -213,7 +239,7 @@ class TestBoundFlows:
     @pytest.fixture
     def mesh(self):
         topo = T.quartz_ring(5, servers_per_switch=1)
-        return Network(topo, ECMPRouter(topo), fastpath=True)
+        return Network(topo, ECMPRouter(topo))
 
     @staticmethod
     def count_route_calls(net, monkeypatch):
@@ -250,7 +276,7 @@ class TestBoundFlows:
 
     def test_partition_raises_every_time_then_traffic_resumes(self):
         topo = T.quartz_ring(3, servers_per_switch=1)
-        net = Network(topo, VLBRouter(topo), fastpath=True)
+        net = Network(topo, VLBRouter(topo))
         net.send("h0.0", "h1.0", 400)  # bound while the mesh was whole
         net.fail_link("tor0", "tor1")
         net.fail_link("tor0", "tor2")
@@ -279,26 +305,20 @@ class TestBoundFlows:
         """A bound plan carries its links' serialization: a residual
         change must drop it, or the flow keeps the old link speed."""
 
-        def latencies(fastpath):
-            topo = T.quartz_ring(3, 1)
-            src, dst = topo.servers()[:2]
-            background = [BackgroundFlow(1_000_000, src, dst, 5 * GBPS, 1e-4, 2e-4)]
-            net = HybridNetwork(
-                topo, ECMPRouter(topo), background, fastpath=fastpath, hybrid=True
-            )
-            out = []
-            for when in (0.0, 1.5e-4, 2.5e-4):  # before, inside, after the epoch
-                net.run(until=when)
-                packet = net.send(src, dst, 1500.0)
-                net.run(until=when + 5e-5)
-                out.append(packet.latency)
-            assert net.residual_epoch == 2
-            return out
-
-        kernel = latencies(True)
-        assert kernel == latencies(False)  # the oracle asks the router every time
-        assert kernel[1] > 1.5 * kernel[0]  # half the capacity on every link
-        assert kernel[2] == pytest.approx(kernel[0])
+        topo = T.quartz_ring(3, 1)
+        src, dst = topo.servers()[:2]
+        background = [BackgroundFlow(1_000_000, src, dst, 5 * GBPS, 1e-4, 2e-4)]
+        net = HybridNetwork(topo, ECMPRouter(topo), background, hybrid=True)
+        latencies = []
+        for when in (0.0, 1.5e-4, 2.5e-4):  # before, inside, after the epoch
+            net.run(until=when)
+            packet = net.send(src, dst, 1500.0)
+            net.run(until=when + 5e-5)
+            latencies.append(packet.latency)
+        assert net.residual_epoch == 2
+        # A stale binding would keep the first packet's link speed.
+        assert latencies[1] > 1.5 * latencies[0]  # half the capacity on every link
+        assert latencies[2] == pytest.approx(latencies[0])
 
     def test_table_is_bounded_and_full_table_changes_nothing(self, monkeypatch):
         """Ten bounds' worth of one-shot flow ids: the table stops at its
@@ -308,7 +328,7 @@ class TestBoundFlows:
             topo = T.quartz_ring(5, servers_per_switch=1)
             if armed:
                 obs.arm()
-            net = Network(topo, VLBRouter(topo), fastpath=True)
+            net = Network(topo, VLBRouter(topo))
             if limit is not None:
                 monkeypatch.setattr(net, "FLOW_TABLE_LIMIT", limit, raising=False)
             source = PoissonSource(
@@ -355,6 +375,21 @@ def mixed_rate_topology(rate_in, rate_out):
     return topo
 
 
+def one_by_one(topo, sizes, leg):
+    """Latencies of packets ``a`` sends to ``b`` back to back at t = 0,
+    in delivery order, through the kernel or the model."""
+    if leg == "model":
+        model = model_of(topo)
+        model.source([(0.0, [("a", "b", size, 0, None) for size in sizes])])
+        model.run(1.0)
+        return model.outcome()["samples"]
+    net = Network(topo, ECMPRouter(topo))
+    for size in sizes:
+        net.send("a", "b", size)
+    net.run()
+    return net.stats.samples
+
+
 class TestCutThroughMixedRates:
     """Cut-through timing when ``ser_in != ser_out``.
 
@@ -368,12 +403,9 @@ class TestCutThroughMixedRates:
         [(40 * GBPS, 10 * GBPS), (10 * GBPS, 40 * GBPS)],
         ids=["slow-out", "slow-in"],
     )
-    @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "ref"])
-    def test_single_packet_latency(self, rate_in, rate_out, fastpath):
-        topo = mixed_rate_topology(rate_in, rate_out)
-        net = Network(topo, ECMPRouter(topo), fastpath=fastpath)
-        packet = net.send("a", "b", 400)
-        net.run()
+    @pytest.mark.parametrize("leg", ["kernel", "model"], ids=["fast", "ref"])
+    def test_single_packet_latency(self, rate_in, rate_out, leg):
+        latency = one_by_one(mixed_rate_topology(rate_in, rate_out), [400], leg)[0]
         ser_in = serialization_delay(400, rate_in)
         ser_out = serialization_delay(400, rate_out)
         # Host clocks the packet in (ser_in); the switch overlaps its
@@ -387,31 +419,21 @@ class TestCutThroughMixedRates:
             + ser_out
             + DEFAULT_PROPAGATION_DELAY
         )
-        assert packet.latency == pytest.approx(expected, rel=1e-12)
+        assert latency == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "ref"])
-    def test_queueing_defeats_cut_through_credit(self, fastpath):
+    @pytest.mark.parametrize("leg", ["kernel", "model"], ids=["fast", "ref"])
+    def test_queueing_defeats_cut_through_credit(self, leg):
         # A busy output port pushes the start past the cut-through
         # earliest_start: start = busy_until, not the credited time.
-        topo = mixed_rate_topology(40 * GBPS, 10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), fastpath=fastpath)
-        first = net.send("a", "b", 1500)
-        second = net.send("a", "b", 1500)
-        net.run()
+        first, second = one_by_one(mixed_rate_topology(40 * GBPS, 10 * GBPS), [1500, 1500], leg)
         # Second packet leaves the switch one full output serialization
         # after the first (they share the 10G switch→b port).
         ser_out = serialization_delay(1500, 10 * GBPS)
-        assert second.latency - first.latency == pytest.approx(ser_out, rel=1e-12)
+        assert second - first == pytest.approx(ser_out, rel=1e-12)
 
     def test_fast_and_reference_latencies_bitwise_equal(self):
+        """The kernel and the model, bit for bit (exact floats)."""
         for rate_in, rate_out in [(40 * GBPS, 10 * GBPS), (10 * GBPS, 40 * GBPS)]:
-            topo_f = mixed_rate_topology(rate_in, rate_out)
-            topo_r = mixed_rate_topology(rate_in, rate_out)
-            net_f = Network(topo_f, ECMPRouter(topo_f), fastpath=True)
-            net_r = Network(topo_r, ECMPRouter(topo_r), fastpath=False)
-            for size in (400, 1500, 64):
-                net_f.send("a", "b", size)
-                net_r.send("a", "b", size)
-            net_f.run()
-            net_r.run()
-            assert net_f.stats.samples == net_r.stats.samples  # exact floats
+            sizes = [400, 1500, 64]
+            kernel = one_by_one(mixed_rate_topology(rate_in, rate_out), sizes, "kernel")
+            assert kernel == one_by_one(mixed_rate_topology(rate_in, rate_out), sizes, "model")

@@ -64,9 +64,8 @@ def _parameters(function):
 
 def test_network_reference_paths_are_arguments(monkeypatch):
     net = _net(monkeypatch)
-    assert net.fastpath_enabled is True
-    oracle = _net(monkeypatch, fastpath=False)
-    assert oracle.fastpath_enabled is False
+    # One forwarding loop: no reference-loop argument, no flag for it.
+    assert not hasattr(net, "fastpath_enabled")
     # The hybrid and parallel switches live on the classes that read them.
     assert not hasattr(net, "hybrid_enabled")
     assert not hasattr(net, "parallel_enabled")
@@ -75,8 +74,9 @@ def test_network_reference_paths_are_arguments(monkeypatch):
     # the chunk and the residual floor are module constants.
     assert _parameters(Network.__init__) == {
         "topo", "router", "propagation_delay", "server_forward_latency",
-        "host_receive_latency", "fastpath", "telemetry",
+        "host_receive_latency", "telemetry",
     }
+    assert len(_parameters(Network.__init__)) == 6
     assert _parameters(Network.run) == {"until"}
     assert _parameters(Engine.run) == {"until"}
     assert _parameters(PoissonSource.__init__) == {

@@ -12,13 +12,12 @@ churn crossing shard boundaries.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import pytest
 
 import repro.topology as T
-from repro.sim import Network, parallel as parallel_module
+from repro.sim import Network
 from repro.sim.faults import SegmentCut
 from repro.topology.graph import shortest_path
 from repro.sim.parallel import (
@@ -216,19 +215,20 @@ class TestShardNetwork:
             net.receive_boundary([stale])
 
     def test_overrides_only_the_tail_out_extension_point(self):
-        # One forwarding kernel, one oracle: a shard adds the tail-out
-        # decision, nothing else.
+        # One forwarding kernel: a shard adds the tail-out decision,
+        # nothing else.
         overridden = {
             name for name in vars(ShardNetwork)
             if callable(getattr(ShardNetwork, name)) and hasattr(Network, name)
         }
         assert overridden == {"__init__", "_tail_out"}
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_detour_landing_on_a_boundary_goes_to_outbox(self, fastpath):
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_detour_landing_on_a_boundary_goes_to_outbox(self, tracked):
         """A packet finds its next link dead and the detour's *first* hop
-        leaves the shard: kernel and oracle both hand the rerouted
-        packet, re-pointed at hop 0 of its detour, to the outbox."""
+        leaves the shard: the kernel hands the rerouted packet,
+        re-pointed at hop 0 of its detour, to the outbox — from the
+        in-flight sets too when tracking was armed before the send."""
         topo = T.quartz_ring(RING, SERVERS)
         # h0.0 -> tor0 -> tor2 -> h2.0, with the tor0-tor2 channel cut
         # before the packet reaches tor0.  Own only what the detour's
@@ -237,9 +237,9 @@ class TestShardNetwork:
         survivors.remove_edge("tor0", "tor2")
         detour = tuple(shortest_path(survivors, "tor0", "h2.0"))
         owned = frozenset(topo.graph) - set(detour[1:])
-        net = ShardNetwork(
-            topo, ECMPRouter(topo), owned=owned, fastpath=fastpath
-        )
+        net = ShardNetwork(topo, ECMPRouter(topo), owned=owned)
+        if tracked:
+            net.enable_fault_tracking()
         packet = net.send("h0.0", "h2.0", 400, path=("h0.0", "tor0", "tor2", "h2.0"))
         net.engine.schedule(1e-9, net.fail_link, "tor0", "tor2")
         net.engine.run(until=1e-3)
@@ -248,6 +248,7 @@ class TestShardNetwork:
         assert (message.path, message.hop, message.rerouted) == (detour, 0, True)
         assert net._ports[detour[0], detour[1]].packets_sent == 1
         assert net.engine.pending() == 0 and net.packets_delivered == 0
+        assert not any(net._in_flight.values())
 
 
 # -- end-to-end equivalence --------------------------------------------------------
@@ -280,10 +281,9 @@ class TestFingerprintEquivalence:
         )
         assert parallel.fingerprint() == serial.fingerprint()
 
-    def test_oracle_shards_match_kernel_serial(self, monkeypatch):
-        """The ``fastpath=False`` oracle takes the same tail-out decision:
-        sharded oracle == sharded kernel == serial kernel, through cuts
-        whose detours cross shard boundaries."""
+    def test_detour_crossings_match_serial(self, monkeypatch):
+        """Sharded kernel == serial kernel through cuts whose detours
+        cross shard boundaries at their first hop."""
         scenario = make_scenario(fault=True)
         crossings = []
         tail_out = ShardNetwork._tail_out
@@ -298,13 +298,7 @@ class TestFingerprintEquivalence:
         serial = run_serial(scenario)
         kernel = run_parallel(scenario, num_shards=2, mode="inline")
         assert 0 in crossings  # a detour's first hop left its shard
-        monkeypatch.setattr(
-            parallel_module, "ShardNetwork",
-            functools.partial(ShardNetwork, fastpath=False),
-        )
-        oracle = run_parallel(scenario, num_shards=2, mode="inline")
         assert kernel.fingerprint() == serial.fingerprint()
-        assert oracle.fingerprint() == serial.fingerprint()
 
     def test_process_mode_matches_serial(self):
         scenario = make_scenario(fault=True, duration=1e-3)

@@ -12,8 +12,8 @@ and closed, which packets each link holds) and the pending queue *in
 seq order* (the pass draws fresh seqs for what it hands back; their
 order is the only thing about them that can matter).
 
-Networks pin ``fastpath=True, telemetry=False`` so the file means the
-same under every CI leg's environment.
+Networks pin ``telemetry=False`` so the file means the same under
+every CI leg's environment.
 """
 
 import heapq
@@ -62,7 +62,7 @@ def build(topology, batch, router=None):
     """A network whose ``run`` is ``Network.run`` with ``batch``, else
     the oracle's ``engine.run``."""
     topo = TOPOLOGIES[topology]() if isinstance(topology, str) else topology
-    net = Network(topo, (router or ECMPRouter)(topo), fastpath=True, telemetry=False)
+    net = Network(topo, (router or ECMPRouter)(topo), telemetry=False)
     if not batch:
         net.run = net.engine.run
     return net
@@ -482,7 +482,7 @@ class TestRootsAndChains:
 
     def test_a_long_stream_holds_one_window_of_gaps(self):
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
         source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
                                size_bytes=1250, seed=3)
         source.start()
@@ -715,7 +715,7 @@ def run_two_depths(slow_b, batch):
     topo = two_depths(slow_b)
     net = Network(
         topo, ECMPRouter(topo), propagation_delay=2 * UNIT,
-        fastpath=True, telemetry=False,
+        telemetry=False,
     )
     run = net.run if batch else net.engine.run
     gaps = [(6 + (k * 5) % 7) * UNIT for k in range(64)]
@@ -930,7 +930,6 @@ def armed_run(make_net, start, until=1e-3, run=None):
 def armed_tree(**kwargs):
     def make_net():
         topo = TOPOLOGIES["tree"]()
-        kwargs.setdefault("fastpath", True)
         kwargs.setdefault("telemetry", False)
         return Network(topo, ECMPRouter(topo), **kwargs)
     return make_net
@@ -970,7 +969,7 @@ class TestObservability:
         # A stand-down after the routes were read binds nothing either.
         def ring():
             topo = ring_of_switches(5)
-            return Network(topo, ECMPRouter(topo), fastpath=True, telemetry=False)
+            return Network(topo, ECMPRouter(topo), telemetry=False)
 
         _, cyclic = armed_run(ring, two_ahead)
         _, scalar = armed_run(ring, two_ahead, run=event_loop)
@@ -1005,14 +1004,13 @@ class TestObservability:
 
         def misrouted():
             topo = TOPOLOGIES["tree"]()
-            return Network(topo, Misrouted(topo), fastpath=True, telemetry=False)
+            return Network(topo, Misrouted(topo), telemetry=False)
 
         def run_misrouted(net):
             with pytest.raises(NetworkSimError, match="does not join"):
                 net.run(until=1e-3)
 
         reasons = {
-            "disabled": armed_run(armed_tree(fastpath=False), four_tasks),
             "telemetry": armed_run(armed_tree(telemetry=True), four_tasks),
             "not_open_loop": armed_run(armed_tree(), ending, until=None),
             "closed_loop_source": armed_run(armed_tree(), closed_loop),
@@ -1029,7 +1027,7 @@ class TestObservability:
     def test_unroutable_fires_count_as_the_event_loop_counts_them(self):
         def partitioned():
             topo = TOPOLOGIES["mesh"]()
-            return Network(topo, Partitioned(topo), fastpath=True, telemetry=False)
+            return Network(topo, Partitioned(topo), telemetry=False)
 
         def start(net):
             return start_tasks(net, [("scatter", 0, 9, 21)])

@@ -20,7 +20,7 @@ def hub_with_incast():
     # Background trickle on both ports, every window.
     for key in (HOT, COLD):
         for k in range(4):
-            hub.on_enqueue(key, "bg", 10, k + 0.1, k + 0.1, k + 0.2)
+            hub.monitor(key).record_enqueue("bg", 10, k + 0.1, k + 0.1, k + 0.2)
     # The burst: ten deep back-to-back arrivals on the hot port in
     # window 1, flow "heavy" carrying most of the bytes.
     busy = 1.0
@@ -29,7 +29,7 @@ def hub_with_incast():
         start = max(arrival, busy)
         busy = start + 0.05
         flow = "heavy" if i < 8 else "light"
-        hub.on_enqueue(HOT, flow, 400, arrival, start, busy)
+        hub.monitor(HOT).record_enqueue(flow, 400, arrival, start, busy)
     return hub
 
 
@@ -43,8 +43,8 @@ class TestRanking:
 
     def test_rank_ties_break_on_label(self):
         hub = TelemetryHub(TelemetryConfig(window=1.0))
-        hub.on_enqueue(HOT, "b", 100, 0.1, 0.1, 0.2)
-        hub.on_enqueue(HOT, "a", 100, 0.3, 0.3, 0.4)
+        hub.monitor(HOT).record_enqueue("b", 100, 0.1, 0.1, 0.2)
+        hub.monitor(HOT).record_enqueue("a", 100, 0.3, 0.3, 0.4)
         (win,) = hub.monitors[HOT].windows()
         assert [f for f, _ in rank_flows(win)] == ["a", "b"]
 

@@ -2,8 +2,8 @@
 
 The contract the tentpole rests on: arming telemetry changes *nothing*
 about the simulation — every latency sample, port counter, and event
-count is bit-identical with monitors on or off, across the reference
-loop and the compiled fast path — while the monitors see every enqueue
+count is bit-identical with monitors on or off, whether the Poisson
+gaps are drawn in chunks or packet by packet — while the monitors see every enqueue
 and drop, and INT stamps fold into the flow records on delivery.
 """
 
@@ -17,14 +17,15 @@ from repro.telemetry import TELEMETRY_ENV, TelemetryConfig, TelemetryHub
 from tests.sim.test_fastpath import per_packet_draws
 
 
-def run_workload(telemetry, fastpath=True, nsrc=4):
-    with per_packet_draws(not fastpath):
-        return _run_workload(telemetry, fastpath, nsrc)
+def run_workload(telemetry, draws=False, nsrc=4):
+    """``draws`` draws the Poisson gaps packet by packet (the reference)."""
+    with per_packet_draws(draws):
+        return _run_workload(telemetry, nsrc)
 
 
-def _run_workload(telemetry, fastpath, nsrc):
+def _run_workload(telemetry, nsrc):
     topo = T.three_tier_tree()
-    net = Network(topo, ECMPRouter(topo), fastpath=fastpath, telemetry=telemetry)
+    net = Network(topo, ECMPRouter(topo), telemetry=telemetry)
     servers = topo.servers()
     sources = [
         PoissonSource(
@@ -59,8 +60,8 @@ class TestObservationalPurity:
         assert observable_state(off) == observable_state(on)
 
     def test_reference_and_fastpath_agree_on_telemetry(self):
-        fast = run_workload(telemetry=True, fastpath=True)
-        ref = run_workload(telemetry=True, fastpath=False)
+        fast = run_workload(telemetry=True)
+        ref = run_workload(telemetry=True, draws=True)
         assert observable_state(fast) == observable_state(ref)
         assert fast.telemetry.window_dump() == ref.telemetry.window_dump()
 

@@ -172,13 +172,13 @@ class TestHub:
     def test_monitors_created_lazily(self):
         hub = TelemetryHub(TelemetryConfig(window=1.0))
         assert hub.ports() == []
-        hub.on_enqueue(KEY, "a", 100, 0.5, 0.5, 1.5)
+        hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
         assert hub.ports() == [KEY]
         assert hub.total_enqueues() == 1
 
     def test_window_dump_shape(self):
         hub = TelemetryHub(TelemetryConfig(window=1.0))
-        hub.on_enqueue(KEY, "a", 100, 0.5, 0.5, 1.5)
+        hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
         hub.on_drop(KEY, "b", 0.7)
         hub.on_unroutable()
         dump = hub.window_dump()
@@ -195,8 +195,8 @@ class TestHub:
 
     def test_iter_windows_sorted(self):
         hub = TelemetryHub(TelemetryConfig(window=1.0))
-        hub.on_enqueue(("b", "c"), "x", 10, 0.1, 0.1, 0.2)
-        hub.on_enqueue(("a", "b"), "x", 10, 0.1, 0.1, 0.2)
+        hub.monitor(("b", "c")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
+        hub.monitor(("a", "b")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
         keys = [key for key, _ in hub.iter_windows()]
         assert keys == sorted(keys)
 

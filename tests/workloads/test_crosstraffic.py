@@ -57,6 +57,12 @@ class TestExperiment:
         quartz_rise = quartz[-1][1]
         assert tree_rise > quartz_rise
         assert quartz_rise < 1.15  # Quartz is essentially unaffected
+        # The bench's own point (Fig. 14 at 800 Mb/s, 400 calls, seed 0):
+        # the tree's RPC latency at least doubles, Quartz's barely moves.
+        tree = normalized_latency_curve("tree", [800 * MBPS], num_calls=400, seed=0)
+        quartz = normalized_latency_curve("quartz", [800 * MBPS], num_calls=400, seed=0)
+        assert tree[-1][1] >= 2.0
+        assert quartz[-1][1] <= 1.06
 
     def test_curve_starts_at_one(self):
         curve = normalized_latency_curve("quartz", [100 * MBPS], num_calls=50)
