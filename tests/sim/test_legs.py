@@ -107,6 +107,8 @@ _VERIFY.loader.exec_module(verify)
 # Every fabric has eight servers; a destination is an offset from its source.
 fractions = st.sampled_from([0.25, 0.5, 0.75])
 cuts = st.none() | st.tuples(fractions, st.none() | fractions, st.integers(0, 3), st.booleans())
+#: After a repair, cut the same link again this share of the horizon later.
+recuts = st.none() | st.sampled_from([1 / 128, 1 / 16])
 
 
 def shapes(owned):
@@ -139,6 +141,7 @@ def shapes(owned):
         #  isolated server is counted unroutable, on every router —
         #  whether in-flight tracking is armed before the first packet)
         "cut": cuts,
+        "recut": recuts,
         "horizon": st.sampled_from(["run", "split"]),
     })
 
@@ -166,6 +169,7 @@ def lockstep_shapes():
         "streams": st.lists(stream, min_size=1, max_size=4),
         "burst": st.none(),
         "cut": cuts,
+        "recut": recuts,
         "horizon": st.sampled_from(["run", "split"]),
     })
 
@@ -173,8 +177,9 @@ def lockstep_shapes():
 def build_leg(shape, telemetry=False, record=False):
     """The shape's network with its sources started and its faults
     scheduled: ``(net, sources, cut, fires)``, ``cut`` the scheduled
-    ``(at, repair at or None, u, v, armed)`` or ``None``, and ``fires``
-    each source's fire record when ``record``, else ``None``."""
+    ``(at, repair at or None, re-cut at or None, u, v, armed)`` or
+    ``None``, and ``fires`` each source's fire record when ``record``,
+    else ``None``."""
     fabric, router = shape["fabric_router"]
     topo = FABRICS[fabric]()
     net = Network(topo, ROUTERS[router](topo), telemetry=telemetry, **delays(fabric))
@@ -204,11 +209,14 @@ def build_leg(shape, telemetry=False, record=False):
         if armed:
             net.enable_fault_tracking()
         net.engine.schedule(at * HORIZON, net.fail_link, u, v)
-        repair_at = None
+        repair_at = recut_at = None
         if repair_after is not None:
             repair_at = (at + repair_after / 4) * HORIZON
             net.engine.schedule(repair_at, net.repair_link, u, v)
-        cut = (at * HORIZON, repair_at, u, v, armed)
+            if shape.get("recut") is not None:
+                recut_at = repair_at + shape["recut"] * HORIZON
+                net.engine.schedule(recut_at, net.fail_link, u, v)
+        cut = (at * HORIZON, repair_at, recut_at, u, v, armed)
     if shape["burst"] is not None:
         src, offset = shape["burst"]
         sources.append(BurstSource(
@@ -273,13 +281,15 @@ def model_run(shape, cut, fires):
     fabric, router = shape["fabric_router"]
     topo = FABRICS[fabric]()
     model = FabricModel(
-        topo, ROUTERS[router](topo), tracked=cut is not None and cut[4], **delays(fabric)
+        topo, ROUTERS[router](topo), tracked=cut is not None and cut[5], **delays(fabric)
     )
     if cut is not None:
-        at, repair_at, u, v, _ = cut
+        at, repair_at, recut_at, u, v, _ = cut
         model.cut(at, u, v)
         if repair_at is not None:
             model.repair(repair_at, u, v)
+        if recut_at is not None:
+            model.cut(recut_at, u, v)
     for record in fires:
         model.source(record)
     model.run(HORIZON)
@@ -341,6 +351,12 @@ def shared_outage(fabric, router):
     return shape
 
 
+def rapid_recut():
+    """``bounded_windows`` with the link cut again 3 us after its
+    repair, while the packets injected after the splice still cross it."""
+    return dict(bounded_windows("ecmp"), recut=1 / 128)
+
+
 def converging_lockstep():
     """Three lockstep sources whose packets meet on the s1→s2 and s2→s3
     ports, split horizon."""
@@ -369,6 +385,7 @@ def converging_lockstep():
 @example(shape=shared_outage("tree", "ecmp"))
 @example(shape=bounded_windows("ecmp"))
 @example(shape=bounded_windows("vlb"))
+@example(shape=rapid_recut())
 def test_every_leg_matches_the_oracle(shape):
     check_legs(shape)
 
