@@ -147,6 +147,12 @@ class Network:
         self.packets_dropped_fault = 0
         self.packets_rerouted = 0
         self.packets_unroutable = 0
+        #: Windows the port-major pass declined, by reason
+        #: (:mod:`repro.sim.portmajor`): counted armed or not, so a run
+        #: that fell back to the event loop says why; an armed
+        #: :mod:`repro.obs` registry mirrors it as
+        #: ``batch.standdown.<reason>``.
+        self.standdowns: dict[str, int] = {}
         # Fault-injection state.  Tracking in-flight packets costs one
         # set add/discard per hop, so it stays off until a FaultInjector
         # (or a direct fail_link caller) arms it.

@@ -175,32 +175,33 @@ class PoissonSource:
         self._gap_i = i + 1
         return gaps[i]
 
-    def _fires_through(self, first: float, until: float) -> np.ndarray:
+    def _fires_through(self, first: float, until: float) -> "tuple[np.ndarray, np.ndarray]":
         """Fire times of the chain queued at ``first`` (≤ ``until``): every
-        fire up to ``until`` and the first one past it.
+        fire up to ``until`` and the first one past it — and the gaps
+        after them, the ones those fires leave unspent.
 
         ``np.cumsum`` performs the chain's own sequential ``t += gap``
-        additions.  Gaps come from the pre-drawn buffer, which grows in
-        place — by what the horizon is expected to need, in one draw:
-        the values do not depend on how the stream is cut into batches —
-        when it ends before ``until``; the cursor does not move: the
-        port-major pass (:mod:`repro.sim.portmajor`) advances it by the
-        fires it commits and drops the consumed prefix, and a pass that
-        stands down has changed nothing but how far ahead the buffer is
-        drawn.
+        additions.  Gaps come from the pre-drawn buffer past its cursor
+        and, when it ends before ``until``, from one numpy draw of what
+        the horizon is expected to need (the values do not depend on how
+        the stream is cut into batches).  The source is not changed but
+        for its generator: the port-major pass (:mod:`repro.sim.portmajor`)
+        commits the fires and makes the unspent gaps the buffer, a list
+        again, so a window's draw never round-trips through Python
+        floats.  The pass calls this only for a window it will solve.
         """
-        gaps = self._gaps
         rate = self.rate_pps
-        times = np.cumsum([first] + gaps[self._gap_i:])
+        gaps = np.array(self._gaps[self._gap_i:], dtype=float)
+        times = np.cumsum(np.concatenate(([first], gaps)))
         while times[-1] <= until:
             need = (until - float(times[-1])) * rate
             more = self._gap_rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 32)
             more /= rate
-            gaps.extend(more.tolist())
+            gaps = np.concatenate((gaps, more))
             more[0] += times[-1]  # gap + t == t + gap: the chain's first add
             times = np.concatenate((times, np.cumsum(more)))
         fired = int(np.searchsorted(times, until, side="right"))
-        return times[: fired + 1].copy()  # a view would pin the whole buffer
+        return times[: fired + 1].copy(), gaps[fired:].copy()  # views would pin the draw
 
     def _next_dst(self) -> str:
         """Next uniformly sampled destination (pre-drawn in batches)."""

@@ -105,19 +105,25 @@ class LatencyRecorder:
         if group is not None:
             self.by_group.setdefault(group, []).append(latency)
 
-    def record_many(self, latencies: list[float], group: str | None = None) -> None:
+    def record_many(
+        self, latencies: "np.ndarray | list[float]", group: str | None = None
+    ) -> None:
         """Bulk :meth:`record`: append many samples, preserving order.
 
-        One validation pass and two list extends, so a window solved
-        port-major records its deliveries without a per-packet call.  The
-        resulting ``samples`` / ``by_group`` contents are exactly what
-        per-packet :meth:`record` calls in the same order would leave.
+        ``latencies`` is checked for a negative sample in one vectorized
+        pass over the array, turned into Python floats once, and appended
+        with two list extends, so a window solved port-major records its
+        deliveries without a per-packet step.  The resulting ``samples``
+        / ``by_group`` contents are exactly what per-packet :meth:`record`
+        calls in the same order would leave.
         """
-        if latencies and min(latencies) < 0:
-            raise ValueError(f"negative latency {min(latencies)}")
-        self.samples.extend(latencies)
+        latencies = np.asarray(latencies, dtype=float)
+        if latencies.size and latencies.min() < 0:
+            raise ValueError(f"negative latency {float(latencies.min())}")
+        values = latencies.tolist()
+        self.samples.extend(values)
         if group is not None:
-            self.by_group.setdefault(group, []).extend(latencies)
+            self.by_group.setdefault(group, []).extend(values)
 
     def record_stamps(
         self, group: str | None, stamps: list[tuple[str, int, float]]

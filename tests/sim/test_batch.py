@@ -25,6 +25,7 @@ from repro.routing import ECMPRouter
 from repro.sim import Network, portmajor
 from repro.sim.portmajor import _contended_tails, _repeated_add
 from repro.sim.sources import PoissonSource
+from repro.units import GBPS
 from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
 MODES = ("batched", "fastpath", "reference")
@@ -440,10 +441,45 @@ class TestFiresThrough:
                     type("Short", (), {"standard_exponential":
                                        staticmethod(lambda n: draw(min(n, most_at_once)))}),
                 )
-            assert array._fires_through(first, until).tolist() == sequential_fires(
-                scalar, first, until
-            )
-            assert array._gap_i == 1  # the cursor moves at commit, not here
+            buffer = list(array._gaps)
+            fires, unspent = array._fires_through(first, until)
+            assert fires.tolist() == sequential_fires(scalar, first, until)
+            # The gaps the fires leave are the stream's next ones.
+            assert unspent.tolist() == [scalar._next_gap() for _ in range(unspent.size)]
+            # The source is unchanged: the pass commits.
+            assert array._gap_i == 1 and array._gaps == buffer
+
+    def test_the_gap_stream_continues_as_a_per_packet_draw(self, monkeypatch):
+        """An md1-shaped stream cut into windows at ``MAX_WINDOW_FIRES``:
+        after each hand-back the source's buffer holds exactly the gaps
+        a per-packet draw would give next; so it does after a ``budget``
+        stand-down, which draws nothing."""
+        topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
+                               size_bytes=1250, seed=7)
+        source.start()
+        held = []
+        solve = portmajor._solve
+
+        def spy(net, until, roots):
+            solve(net, until, roots)
+            held.append((source.packets_sent, source._gaps[source._gap_i:]))
+
+        monkeypatch.setattr(portmajor, "_solve", spy)
+        net.run(until=0.1)
+        assert len(held) >= 3  # windows cut at MAX_WINDOW_FIRES
+        # One fire past the horizon is queued: a budget stand-down.
+        assert portmajor.advance(net, net.engine._heap[0][0]) == (False, None)
+        assert net.standdowns == {"budget": 1}
+        held.append((source.packets_sent, source._gaps[source._gap_i:]))
+        with per_packet_draws():
+            for sent, buffer in held:
+                reference = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
+                                          size_bytes=1250, seed=7)
+                for _ in range(sent + 1):  # start() draws one gap, each fire one more
+                    reference._next_gap()
+                assert buffer and buffer == [reference._next_gap() for _ in buffer]
 
     def test_later_scalar_fires_continue_from_the_same_cursor(self, monkeypatch):
         monkeypatch.setattr(portmajor, "MIN_WINDOW_FIRES", 8)  # 20 us of stream is a window

@@ -406,12 +406,12 @@ def test_lockstep_ties_are_placed(monkeypatch):
     sorts = []
     rank = portmajor._Lineage._rank
 
-    def counting_rank(root_t, first, root_of):
+    def counting_rank(*args):
         lexsort = np.lexsort
         calls = []
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
         try:
-            return rank(root_t, first, root_of)
+            return rank(*args)
         finally:
             monkeypatch.setattr(np, "lexsort", lexsort)
             sorts.append(len(calls))

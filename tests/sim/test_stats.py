@@ -91,6 +91,16 @@ class TestRecorder:
         with pytest.raises(ValueError):
             rec.record_many([1.0, -0.5, 2.0])
 
+    def test_record_many_rejects_a_negative_in_an_array(self):
+        # The port-major pass hands its latencies over as one array: the
+        # check runs on the array, and a rejected batch records nothing.
+        rec = LatencyRecorder()
+        with pytest.raises(ValueError, match="negative latency -0.5"):
+            rec.record_many(np.array([1.0, -0.5, 2.0]), group="a")
+        assert rec.count == 0 and rec.groups() == []
+        rec.record_many(np.array([3.0, 0.0]), group="a")
+        assert rec.samples == [3.0, 0.0] and type(rec.samples[0]) is float
+
     def test_record_many_empty_records_no_samples(self):
         rec = LatencyRecorder()
         rec.record_many([], group="a")
