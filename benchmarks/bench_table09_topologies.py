@@ -1,10 +1,11 @@
 """Table 9: comparison of ~1000-port network structures.
 
 Builds the paper's five candidate design elements at the quoted sizes
-and computes every column: no-congestion latency, 64-port switch count,
-wiring complexity (cross-rack links), and path diversity.  Asserts the
-paper's row values (with documented deviations for BCube's switch
-count, which the paper sizes loosely).
+and prints every column: no-congestion latency, 64-port switch count,
+wiring complexity (cross-rack links), and path diversity, beside the
+paper's row.  ``tests/topology/test_metrics.py::TestTable9`` asserts
+every printed value, and states the deviations (BCube's switch count
+and wiring, Jellyfish's diversity).
 """
 
 import repro.topology as T
@@ -55,25 +56,3 @@ def bench_table09(benchmark, report):
             f"{row['wiring']:>8}{row['diversity']:>8}   {paper[name]}"
         )
     report("table09_topologies", "\n".join(lines))
-
-    # Exact matches to the paper's rows.
-    assert rows["2-tier tree"]["latency_us"] == 1.5
-    assert rows["2-tier tree"]["switches"] == 17
-    assert rows["2-tier tree"]["wiring"] == 16
-    assert rows["2-tier tree"]["diversity"] == 1
-
-    assert rows["fat-tree (folded Clos)"]["switches"] == 48
-    assert rows["fat-tree (folded Clos)"]["wiring"] == 1024
-    assert rows["fat-tree (folded Clos)"]["diversity"] == 32
-
-    assert rows["BCube(32,1)"]["latency_us"] == 16.0  # 2 switch + 1 server hop
-    assert rows["BCube(32,1)"]["diversity"] == 2
-
-    assert rows["jellyfish"]["switches"] == 24
-    assert rows["jellyfish"]["wiring"] == 240
-    assert rows["jellyfish"]["diversity"] <= 32
-
-    assert rows["mesh (Quartz)"]["latency_us"] == 1.0
-    assert rows["mesh (Quartz)"]["switches"] == 33
-    assert rows["mesh (Quartz)"]["wiring"] == 528
-    assert rows["mesh (Quartz)"]["diversity"] == 32

@@ -18,6 +18,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from repro import obs as _obs
 from repro.topology.base import Topology, TopologyError
 
 #: A path is the full node sequence, server to server.
@@ -68,6 +69,10 @@ class Router(abc.ABC):
         self.topo = topo
         self._cache: dict[tuple[str, str], list[Path]] = {}
         self._route_cache: dict[tuple[str, str, int], Path] = {}
+        #: Picks not memoized because the memo was full
+        #: (``ROUTE_CACHE_LIMIT``): counted armed or not; an armed
+        #: :mod:`repro.obs` registry mirrors it as ``routing.route_cache_full``.
+        self.route_cache_full = 0
 
     # -- interface -------------------------------------------------------------
 
@@ -86,9 +91,18 @@ class Router(abc.ABC):
         if pick is None:
             options = self._cached_paths(src, dst)
             pick = options[stable_hash(src, dst, flow_id) % len(options)]
-            if len(self._route_cache) < self.ROUTE_CACHE_LIMIT:
-                self._route_cache[key] = pick
+            self._memoize(key, pick)
         return pick
+
+    def _memoize(self, key: tuple[str, str, int], pick: Path) -> None:
+        """Memoize a flow's pick, or count that the memo is full."""
+        if len(self._route_cache) < self.ROUTE_CACHE_LIMIT:
+            self._route_cache[key] = pick
+            return
+        self.route_cache_full += 1
+        registry = _obs.registry()
+        if registry is not None:
+            registry.incr("routing.route_cache_full")
 
     def weighted_paths(self, src: str, dst: str) -> list[WeightedPath]:
         """Paths with traffic split weights; defaults to an even ECMP split."""

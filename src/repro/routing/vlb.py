@@ -150,8 +150,7 @@ class VLBRouter(Router):
             pick = direct
         else:
             pick = detours[stable_hash(src, dst, flow_id, "detour") % len(detours)]
-        if len(self._route_cache) < self.ROUTE_CACHE_LIMIT:
-            self._route_cache[key] = pick
+        self._memoize(key, pick)
         return pick
 
 

@@ -153,6 +153,10 @@ class Network:
         #: :mod:`repro.obs` registry mirrors it as
         #: ``batch.standdown.<reason>``.
         self.standdowns: dict[str, int] = {}
+        #: Flows that found the flow table full (``FLOW_TABLE_LIMIT``)
+        #: and fell through to the router: counted armed or not; an
+        #: armed registry mirrors it as ``fastpath.flow_table_full``.
+        self.flow_table_full = 0
         # Fault-injection state.  Tracking in-flight packets costs one
         # set add/discard per hop, so it stays off until a FaultInjector
         # (or a direct fail_link caller) arms it.
@@ -275,8 +279,10 @@ class Network:
         if path is None:
             if len(self._flows) < self.FLOW_TABLE_LIMIT:
                 self._flows[(src, dst, flow_id)] = (route, plan)
-            elif self.obs is not None:
-                self.obs.incr("fastpath.flow_table_full")
+            else:
+                self.flow_table_full += 1
+                if self.obs is not None:
+                    self.obs.incr("fastpath.flow_table_full")
         return route, plan
 
     def note_unroutable(self, group: str | None = None) -> None:

@@ -2,15 +2,17 @@
 
 A :class:`Graph` is a dict-of-dicts adjacency plus a node-attribute
 dict and a graph-attribute dict — the part of ``networkx.Graph`` the
-simulator touches, and nothing else.  The four searches below are the
-ones the run path needs: ECMP's all-shortest-paths, the detour's
-shortest path, Yen's k-shortest simple paths, and connectivity.
+simulator touches, and nothing else.  The searches below are the ones
+the run path and the Table 9 metrics need: ECMP's all-shortest-paths,
+the detour's shortest path, Yen's k-shortest simple paths, one
+shortest path to every node, hop counts, and connectivity.
 
 **Tie order is the contract.**  Every search walks neighbours in
 adjacency-dict order and follows networkx 3.6.1 step by step
 (``predecessor`` plus ``_build_paths_from_predecessors``; the
 alternating-fringe ``_bidirectional_pred_succ``;
-``shortest_simple_paths`` with its ``PathBuffer``), and every mutation
+``shortest_simple_paths`` with its ``PathBuffer``;
+``single_source_shortest_path``), and every mutation
 orders the adjacency as ``networkx.Graph`` does: ``add_edge`` appends a
 new neighbour to both endpoints' dicts (so a re-added edge sits last),
 and :meth:`Graph.copy` re-adds edges in adjacency-iteration order, so
@@ -135,19 +137,6 @@ class Graph:
                 if (show is None or v in show) and v not in mine:
                     mine[v] = adj[v][u] = attrs.copy()
         return copy
-
-    def to_networkx(self):
-        """A ``networkx.Graph`` built in :meth:`copy`'s order (for the
-        metrics that need a graph library)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.graph.update(self.graph)
-        graph.add_nodes_from((n, attrs.copy()) for n, attrs in self.nodes.items())
-        graph.add_edges_from(
-            (u, v, attrs.copy()) for u, nbrs in self.adj.items() for v, attrs in nbrs.items()
-        )
-        return graph
 
 
 def _check(graph: Graph, *nodes: Node) -> None:
@@ -309,20 +298,52 @@ def _yen(adj, source: Node, target: Node) -> Iterator[list[Node]]:
             ignore_nodes.add(root[-1])
 
 
+def single_source_shortest_path(graph: Graph, source: Node) -> dict[Node, list[Node]]:
+    """A shortest path from ``source`` to every node it reaches: breadth
+    first, each node keeping the path of the first neighbour to reach it."""
+    _check(graph, source)
+    adj = graph.adj
+    everyone = len(adj)
+    paths = {source: [source]}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            path = paths[v]
+            for w in adj[v]:
+                if w not in paths:
+                    paths[w] = path + [w]
+                    nxt.append(w)
+            if len(paths) == everyone:
+                return paths
+        frontier = nxt
+    return paths
+
+
+def shortest_path_lengths(graph: Graph, source: Node) -> dict[Node, int]:
+    """Hop count from ``source`` to every node it reaches."""
+    _check(graph, source)
+    adj = graph.adj
+    everyone = len(adj)
+    lengths = {source: 0}
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in lengths:
+                    lengths[w] = level
+                    nxt.append(w)
+            if len(lengths) == everyone:
+                return lengths
+        frontier = nxt
+    return lengths
+
+
 def is_connected(graph: Graph) -> bool:
     """Whether every node is reachable from the first one."""
     if not graph.adj:
         raise ValueError("connectivity is undefined for the empty graph")
-    adj = graph.adj
-    first = next(iter(adj))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(adj)
+    return len(shortest_path_lengths(graph, next(iter(graph.adj)))) == len(graph.adj)

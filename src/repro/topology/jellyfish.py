@@ -7,12 +7,88 @@ the properties the paper contrasts Quartz against in Sections 5 and 7.
 
 The paper's Section 7 instance: 16 ULL switches, each dedicating four
 10 Gbps links to other switches.
+
+The switch graph comes from :func:`random_regular_graph`, networkx
+3.6.1's sampler ported draw for draw: the same seed gives the same
+edges in the same order, so every fingerprint, route and digest built
+on a Jellyfish is what the graph library gave.
 """
 
 from __future__ import annotations
 
+import random
+
 from repro.topology.base import cached_builder, LinkKind, NodeKind, Topology
+from repro.topology.graph import Graph, is_connected
 from repro.units import GBPS
+
+
+def random_regular_graph(degree: int, n: int, seed: int) -> Graph:
+    """A random ``degree``-regular graph on nodes ``0..n-1``.
+
+    networkx 3.6.1's ``random_regular_graph(degree, n, seed)``, draw for
+    draw (Steger and Wormald's pairing): shuffle every node's ``degree``
+    stubs, pair them off, keep the pairs that are new simple edges, and
+    pair the rest again until none are left, starting over when no
+    suitable pair remains.  The edges are added by iterating the same
+    ``set``, so :meth:`Graph.edges` yields networkx's order.
+    """
+    if (n * degree) % 2:
+        raise ValueError("n * degree must be even")
+    if not 0 <= degree < n:
+        raise ValueError("the 0 <= degree < n inequality must be satisfied")
+    rng = random.Random(seed)
+    edges = _try_pairing(degree, n, rng)
+    while edges is None:
+        edges = _try_pairing(degree, n, rng)
+    graph = Graph()
+    for node in range(n):
+        graph.add_node(node)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+def _try_pairing(degree: int, n: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    """One attempt at an edge set, or ``None`` if it got stuck."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        potential: dict[int, int] = {}
+        rng.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential[s1] = potential.get(s1, 0) + 1
+                potential[s2] = potential.get(s2, 0) + 1
+        if not _suitable(edges, potential):
+            return None
+        stubs = [node for node, left in potential.items() for _ in range(left)]
+    return edges
+
+
+def _suitable(edges: set[tuple[int, int]], potential: dict[int, int]) -> bool:
+    """Whether some pair of leftover stubs could still form a new edge.
+
+    networkx's check as written, the swap inside the inner loop included:
+    it decides when an attempt is abandoned, and so how many draws the
+    accepted graph cost.
+    """
+    if not potential:
+        return True
+    for s1 in potential:
+        for s2 in potential:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
 
 
 @cached_builder("jellyfish")
@@ -33,16 +109,15 @@ def jellyfish(
     """
     if num_switches < 2:
         raise ValueError("need at least two switches")
-    if network_degree >= num_switches:
+    if not 0 <= network_degree < num_switches:
         raise ValueError(
             f"degree {network_degree} impossible with {num_switches} switches"
         )
     if (num_switches * network_degree) % 2:
         raise ValueError("num_switches * network_degree must be even")
-    import networkx as nx  # the sampler is the one graph-library need here
 
-    random_graph = nx.random_regular_graph(network_degree, num_switches, seed=seed)
-    if not nx.is_connected(random_graph):
+    random_graph = random_regular_graph(network_degree, num_switches, seed)
+    if not is_connected(random_graph):
         raise ValueError(
             f"random graph with seed {seed} is disconnected; try another seed"
         )

@@ -13,9 +13,13 @@ The paper compares candidate low-latency design elements on four axes:
   edge-disjoint switch-level paths between a representative pair of
   ToR switches (computed exactly via max-flow).
 
-The all-pairs loops and the max-flow run on ``networkx``, imported by
-the functions that use it; the per-pair hop counts use
-:func:`repro.topology.graph.shortest_path`.
+Every search is in-tree (:mod:`repro.topology.graph`): the per-pair hop
+counts use :func:`~repro.topology.graph.shortest_path`, the all-pairs
+loops one breadth-first search per source, walking neighbours in
+:meth:`~repro.topology.graph.Graph.copy`'s order (the order networkx
+built its graph in, so each pair's path is the one networkx's
+``single_source_shortest_path`` took), and the path diversity an
+augmenting-path max-flow.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ import statistics
 from dataclasses import dataclass
 
 from repro.topology.base import LinkKind, NodeKind, Topology, TopologyError
-from repro.topology.graph import Graph, shortest_path
+from repro.topology.graph import (
+    Graph,
+    shortest_path,
+    shortest_path_lengths,
+    single_source_shortest_path,
+)
 
 
 def hop_path(topo: Topology, src: str, dst: str) -> list[str]:
@@ -82,13 +91,11 @@ def worst_case_hop_profile(topo: Topology, sample: int | None = None) -> HopProf
     For large topologies pass ``sample`` to bound the pair count; the
     sample strides across racks so worst-case cross-pod pairs are seen.
     """
-    import networkx as nx
-
     servers = _sample_servers(topo, sample)
-    graph = topo.graph.to_networkx()
+    graph = topo.graph.copy()
     worst = HopProfile(0, 0)
     for i, src in enumerate(servers):
-        lengths = nx.single_source_shortest_path(graph, src)
+        lengths = single_source_shortest_path(graph, src)
         for dst in servers[i + 1 :]:
             path = lengths[dst]
             profile = HopProfile(
@@ -104,14 +111,12 @@ def worst_case_hop_profile(topo: Topology, sample: int | None = None) -> HopProf
 
 def average_path_length(topo: Topology, sample: int | None = None) -> float:
     """Mean server-to-server shortest-path hop count (switches + relays)."""
-    import networkx as nx
-
     servers = _sample_servers(topo, sample)
-    graph = topo.graph.to_networkx()
+    graph = topo.graph.copy()
     hops = []
     server_set = set(servers)
     for i, src in enumerate(servers):
-        paths = nx.single_source_shortest_path(graph, src)
+        paths = single_source_shortest_path(graph, src)
         for dst in servers[i + 1 :]:
             if dst in server_set:
                 path = paths[dst]
@@ -133,9 +138,10 @@ def path_diversity(topo: Topology, u: str | None = None, v: str | None = None) -
 
     Each physical cable counts one unit of flow, so logical edges that
     fold parallel cables (``physical_links_per_pair``) count accordingly.
+    Name both endpoints or neither: one alone is a ``ValueError``.
     """
-    import networkx as nx
-
+    if (u is None) != (v is None):
+        raise ValueError("name both endpoints of the pair, or neither")
     server_centric = bool(topo.graph.graph.get("server_centric"))
     if server_centric:
         graph = topo.graph
@@ -145,33 +151,70 @@ def path_diversity(topo: Topology, u: str | None = None, v: str | None = None) -
         endpoints = sorted(topo.switches(NodeKind.TOR))
     if len(endpoints) < 2:
         raise ValueError("need at least two candidate endpoints")
-    if u is None or v is None:
+    if u is None:
         u, v = _most_distant_pair(graph, endpoints)
 
     multiplier = int(topo.graph.graph.get("physical_links_per_pair", 1))
-    flow_graph = nx.Graph()
-    flow_graph.add_nodes_from(graph.nodes())
+    residual: dict[str, dict[str, int]] = {node: {} for node in graph}
     for a, b, data in graph.edges(data=True):
         cables = multiplier if data["link_kind"] is LinkKind.UPLINK else 1
-        flow_graph.add_edge(a, b, capacity=cables)
-    return int(nx.maximum_flow_value(flow_graph, u, v))
+        residual[a][b] = residual[b][a] = cables
+    return _max_flow_value(residual, u, v)
 
 
-def _most_distant_pair(graph: Graph, tors: list[str]) -> tuple[str, str]:
-    import networkx as nx
+def _max_flow_value(residual: dict[str, dict[str, int]], s: str, t: str) -> int:
+    """The maximum ``s``–``t`` flow over integer capacities, augmenting
+    along shortest residual paths (Edmonds–Karp).
 
-    nx_graph = graph.to_networkx()
+    ``residual[a][b]`` starts as the capacity of the undirected edge
+    ``a``–``b`` in each direction and is consumed in place.  The value
+    does not depend on which augmenting paths are found.
+    """
+    for node in (s, t):
+        if node not in residual:
+            raise KeyError(node)
+    if s == t:
+        raise ValueError("the two endpoints are the same node")
+    flow = 0
+    while True:
+        parent = {s: s}
+        frontier = [s]
+        while frontier and t not in parent:
+            nxt = []
+            for a in frontier:
+                for b, left in residual[a].items():
+                    if left and b not in parent:
+                        parent[b] = a
+                        nxt.append(b)
+            frontier = nxt
+        if t not in parent:
+            return flow
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        path.reverse()
+        push = min(residual[a][b] for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            residual[a][b] -= push
+            residual[b][a] += push
+        flow += push
+
+
+def _most_distant_pair(graph: Graph, endpoints: list[str]) -> tuple[str, str]:
+    """The connected pair at the greatest hop distance, first in
+    ``endpoints`` order on ties; ``TopologyError`` if no pair is connected."""
     best: tuple[str, str] | None = None
     best_dist = -1
-    for src in tors:
-        lengths = nx.single_source_shortest_path_length(nx_graph, src)
-        for dst in tors:
+    for src in endpoints:
+        lengths = shortest_path_lengths(graph, src)
+        for dst in endpoints:
             if dst <= src:
                 continue
             d = lengths.get(dst)
             if d is not None and d > best_dist:
                 best, best_dist = (src, dst), d
-    assert best is not None
+    if best is None:
+        raise TopologyError("no two candidate endpoints are connected")
     return best
 
 

@@ -122,9 +122,14 @@ class TestTable8:
         ]
 
     def test_quartz_premium_is_modest(self, rows):
-        # Paper: 7 % (small), 13 % (medium), 0 % / 17 % (large).
-        for row in rows:
-            assert -0.10 <= row.cost_premium <= 0.30
+        """The premiums as measured, ±0.01: +10.13 % (small), +20.14 %
+        (medium), −1.94 % / +23.90 % (large).  The paper gives 7 %, 13 %
+        and 0 % / 17 %; ours run higher on the small, medium and large
+        high-utilization rows (EXPERIMENTS.md, Table 8)."""
+        measured = [0.1013, 0.1013, 0.2014, 0.2014, -0.0194, 0.2390]
+        assert [row.cost_premium for row in rows] == [
+            pytest.approx(m, abs=0.01) for m in measured
+        ]
 
     def test_core_replacement_is_roughly_cost_neutral(self, rows):
         large_low = next(r for r in rows if r.datacenter == "large" and r.utilization == "low")

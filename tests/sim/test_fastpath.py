@@ -363,6 +363,42 @@ class TestBoundFlows:
         assert observed == result
         assert counters["fastpath.flow_table_full"] == result[0] - 32
 
+    @pytest.mark.parametrize("router", [ECMPRouter, VLBRouter])
+    def test_full_tables_are_counted_disarmed(self, monkeypatch, router):
+        """With observation disarmed, the network still counts the flows
+        its full table turned away, and the router the picks its full
+        memo did not keep; an armed registry mirrors both, equal."""
+        monkeypatch.setattr(Network, "FLOW_TABLE_LIMIT", 32)
+        monkeypatch.setattr(router, "ROUTE_CACHE_LIMIT", 16)
+
+        def run():
+            topo = T.quartz_ring(5, servers_per_switch=1)
+            net = Network(topo, router(topo))
+            source = PoissonSource(
+                net, "h0.0", ["h1.0", "h2.0", "h3.0"], rate_pps=2e6, seed=5,
+                vary_flow_per_packet=True, stop_at=1.6e-4,
+            )
+            source.start()
+            net.run()
+            return source.packets_sent, net.flow_table_full, net.router.route_cache_full
+
+        was_armed = obs.armed()
+        obs.disarm()
+        try:
+            sent, flow_table_full, route_cache_full = run()
+            obs.arm()
+            assert run() == (sent, flow_table_full, route_cache_full)
+            counters = dict(obs.registry().counters)
+        finally:
+            obs.disarm()
+            if was_armed:
+                obs.arm()
+        assert sent >= 320  # ten times the flow table, every flow id new
+        assert flow_table_full == sent - 32
+        assert route_cache_full == sent - 16
+        assert counters["fastpath.flow_table_full"] == flow_table_full
+        assert counters["routing.route_cache_full"] == route_cache_full
+
 
 def mixed_rate_topology(rate_in, rate_out):
     """server a — ULL switch — server b with different link rates."""

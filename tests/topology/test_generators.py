@@ -1,13 +1,22 @@
 """Tests for the topology generators (trees, fat-tree, BCube, DCell,
 Jellyfish, mesh, Quartz)."""
 
+import importlib
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.topology as T
 from repro.topology.base import LinkKind, NodeKind
 from repro.topology.graph import shortest_path
+from repro.topology.jellyfish import random_regular_graph
 from repro.units import GBPS
+from tests.topology.nx_graph import to_networkx
+
+#: The module, which ``repro.topology``'s ``jellyfish`` function shadows.
+jellyfish_module = importlib.import_module("repro.topology.jellyfish")
 
 
 class TestTwoTierTree:
@@ -149,6 +158,63 @@ class TestJellyfish:
             T.jellyfish(4, 4)
 
 
+class TestJellyfishSampler:
+    """``random_regular_graph`` against networkx 3.6.1's, draw for draw:
+    the same edges in the same order, so the same links in the same
+    order, the same fingerprint and the same routes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(5, 39), st.integers(1, 7), st.integers(0, 10**6))
+    def test_same_edges_in_the_same_order(self, n, degree, seed):
+        degree = min(degree, n - 1)
+        n += (n * degree) % 2
+        ours = random_regular_graph(degree, n, seed)
+        assert list(ours) == list(range(n))
+        assert ours.edges() == list(nx.random_regular_graph(degree, n, seed=seed).edges())
+
+    def test_the_retry_path_draws_as_networkx_does(self, monkeypatch):
+        """Table 9's Jellyfish (24 switches of degree 20, seed 1) is
+        accepted on its 22nd pairing; every abandoned try spends draws."""
+        tries = []
+        attempt = jellyfish_module._try_pairing
+
+        def counted(*args):
+            tries.append(1)
+            return attempt(*args)
+
+        monkeypatch.setattr(jellyfish_module, "_try_pairing", counted)
+        ours = random_regular_graph(20, 24, 1)
+        assert len(tries) == 22
+        assert ours.edges() == list(nx.random_regular_graph(20, 24, seed=1).edges())
+
+    def test_degree_zero_is_edgeless(self):
+        graph = random_regular_graph(0, 6, 3)
+        assert list(graph) == list(range(6)) and graph.edges() == []
+
+    @pytest.mark.parametrize("degree, n", [(3, 5), (5, 5), (-1, 4)])
+    def test_infeasible_degree_rejected(self, degree, n):
+        with pytest.raises(ValueError):
+            random_regular_graph(degree, n, 0)
+
+    def test_the_fabric_is_the_one_networkx_gave(self, monkeypatch):
+        """Built on networkx's sampler instead, each fabric has the same
+        links, added in the same order: equal neighbour order everywhere."""
+
+        def build():
+            out = []
+            for n, degree, servers, seed in [(16, 4, 4, 0), (24, 20, 1, 1), (12, 3, 2, 7)]:
+                graph = T.jellyfish.__wrapped__(n, degree, servers, seed=seed).graph
+                out.append([(node, list(nbrs.items())) for node, nbrs in graph.adj.items()])
+            return out
+
+        ours = build()
+        monkeypatch.setattr(
+            jellyfish_module, "random_regular_graph",
+            lambda degree, n, seed: nx.random_regular_graph(degree, n, seed=seed),
+        )
+        assert ours == build()
+
+
 class TestMeshAndQuartz:
     def test_full_mesh_link_count(self):
         topo = T.full_mesh(6, 1)
@@ -158,7 +224,7 @@ class TestMeshAndQuartz:
     def test_quartz_ring_equals_mesh_shape(self):
         q = T.quartz_ring(6, 1)
         m = T.full_mesh(6, 1)
-        assert nx.is_isomorphic(q.graph.to_networkx(), m.graph.to_networkx())
+        assert nx.is_isomorphic(to_networkx(q.graph), to_networkx(m.graph))
 
     def test_quartz_dual_tor_topology(self):
         topo = T.quartz_dual_tor(8, servers_per_rack=1)

@@ -24,7 +24,9 @@ from repro.topology.graph import (
     all_shortest_paths,
     is_connected,
     shortest_path,
+    shortest_path_lengths,
     shortest_simple_paths,
+    single_source_shortest_path,
 )
 
 NAMES = [f"n{i}" for i in range(8)]
@@ -84,6 +86,10 @@ def test_same_history_same_paths(history):
         assert list(ours.neighbors(n)) == list(theirs.neighbors(n))
         assert ours.degree(n) == theirs.degree(n)
     for s in theirs:
+        assert single_source_shortest_path(ours, s) == nx.single_source_shortest_path(theirs, s)
+        assert shortest_path_lengths(ours, s) == dict(
+            nx.single_source_shortest_path_length(theirs, s)
+        )
         for t in theirs:
             assert list(all_shortest_paths(ours, s, t)) == nx_or_empty(
                 nx.all_shortest_paths, theirs, s, t
@@ -114,12 +120,17 @@ def test_an_unknown_node_is_a_key_error_naming_it():
             search(g, "a", "ghost")
         with pytest.raises(KeyError, match="ghost"):
             search(g, "ghost", "a")
+    for search in (single_source_shortest_path, shortest_path_lengths):
+        with pytest.raises(KeyError, match="ghost"):
+            search(g, "ghost")
 
 
 def test_no_path_is_empty():
     g = Graph()
     g.add_edge("a", "b")
     g.add_edge("c", "d")
+    assert single_source_shortest_path(g, "a") == {"a": ["a"], "b": ["a", "b"]}
+    assert shortest_path_lengths(g, "a") == {"a": 0, "b": 1}
     assert list(all_shortest_paths(g, "a", "d")) == []
     assert shortest_path(g, "a", "d") == []
     assert list(shortest_simple_paths(g, "a", "d")) == []
@@ -127,24 +138,33 @@ def test_no_path_is_empty():
 
 
 class TestNetworkxLeftTheImportPath:
-    def test_only_the_jellyfish_sampler_imports_networkx(self):
-        """Every process — sweep cell, pool worker, shard worker — used
-        to pay for ``networkx``; now a cell with a cut, detours and a
-        repair never loads it, and only ``jellyfish``'s random regular
-        graph (or a metric needing max-flow) does (fresh interpreter;
-        CI's ``benchmark-perf`` job runs this test as a step of its own)."""
+    def test_the_run_path_never_imports_networkx(self):
+        """networkx is a ``dev`` dependency only.  With it unimportable, a
+        fresh interpreter builds both Jellyfish fabrics, computes the
+        Table 9 metrics and the mean path length on a Jellyfish and the
+        Table 9 metrics on a BCube (server-centric: relay hops, and a
+        flow over servers).  It runs a Fig. 17 scatter cell on a
+        Jellyfish and a fault-recovery cell with a cut, detours and a
+        repair."""
         script = (
             "import sys\n"
+            "sys.modules['networkx'] = None\n"
             "import repro.cli, repro.experiments, repro.hybrid, repro.sim.parallel\n"
+            "import repro.topology as T\n"
             "from repro.experiments.fault_recovery import run_fault_recovery_cell\n"
+            "from repro.experiments.section7 import run_task_experiment\n"
+            "T.quartz_in_jellyfish()\n"
+            "jellyfish = T.jellyfish()\n"
+            "assert T.average_path_length(jellyfish) > 2\n"
+            "row = T.summarize(jellyfish)\n"
+            "assert (row.switch_hops, row.wiring_complexity, row.path_diversity) == (5, 32, 4), row\n"
+            "row = T.summarize(T.bcube(4, 1))\n"
+            "assert (row.switch_hops, row.server_relay_hops, row.path_diversity) == (2, 1, 2), row\n"
+            "cell = run_task_experiment('jellyfish', 'scatter', 1, fan=4, duration=0.001)\n"
+            "assert cell.summary.count > 0, cell\n"
             "cell = run_fault_recovery_cell(ring_size=5, servers_per_switch=2, seed=3,\n"
             "    duration=0.006, cut_at=0.002, repair_after=0.002)\n"
             "assert cell.channels_severed and cell.packets_rerouted, cell\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'networkx')\n"
-            "assert not loaded, loaded\n"
-            "import repro.topology as T\n"
-            "T.jellyfish()\n"
-            "assert 'networkx' in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), REPRO_CACHE_DISABLE="1")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import repro.topology as T
 from repro.topology.base import LinkKind
 from repro.topology.graph import is_connected, shortest_path
+from tests.topology.nx_graph import to_networkx
 
 
 class TestMeshProperties:
@@ -35,7 +36,7 @@ class TestTreeProperties:
     @settings(max_examples=20, deadline=None)
     def test_two_tier_diameter(self, tors, servers):
         topo = T.two_tier_tree(tors, servers)
-        diameter = nx.diameter(topo.graph.to_networkx())
+        diameter = nx.diameter(to_networkx(topo.graph))
         assert diameter <= 4  # server-tor-root-tor-server
 
 
