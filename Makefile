@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-trajectory examples smoke smoke-update \
-	smoke-telemetry smoke-telemetry-update smoke-cached lint ci all
+	smoke-telemetry smoke-telemetry-update lint ci all
 
 install:
 	pip install -e .
@@ -57,22 +57,12 @@ lint:
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
 
-# Benchmark smoke through a shared artifact store, cold then warm —
-# both runs must match the same golden (the cache may not change any
-# metric).  Stats from the warm run are printed for inspection.
-smoke-cached:
-	rm -rf .repro-cache-ci
-	REPRO_CACHE_DIR=.repro-cache-ci PYTHONPATH=src $(PYTHON) -m repro smoke --check
-	REPRO_CACHE_DIR=.repro-cache-ci PYTHONPATH=src $(PYTHON) -m repro smoke --check
-	REPRO_CACHE_DIR=.repro-cache-ci PYTHONPATH=src $(PYTHON) -m repro cache stats
-	rm -rf .repro-cache-ci
-
-# Mirror the CI pipeline locally: tests, lint, benchmark smoke
-# (cold and warm against one artifact store), the examples.
+# Mirror the CI pipeline locally: tests, lint, benchmark smoke, the
+# examples.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) lint
-	$(MAKE) smoke-cached
+	$(MAKE) smoke
 	$(MAKE) smoke-telemetry
 	$(MAKE) examples
 

@@ -2,10 +2,9 @@
 
 Quartz (demand-adaptive VLB over one- and two-hop paths) against full-,
 half- and quarter-bisection reference fabrics under random permutation,
-incast, and rack-level shuffle.  Asserts the paper's conclusion:
-"Quartz's bisection bandwidth is less than full bisection bandwidth but
-greater than 1/2", and that Quartz beats the oversubscribed references
-on every pattern.
+incast, and rack-level shuffle.  Prints the table; tier-1's
+``tests/test_experiments.py::TestFigure10Claims`` asserts every bar and
+the paper's ordering.
 """
 
 from repro.experiments import figure10_sweep, format_figure10
@@ -26,21 +25,3 @@ def bench_fig10(benchmark, report):
         for pattern in ("random permutation", "incast", "rack level shuffle")
     )
     report("fig10_bisection", format_figure10(results) + "\n\n" + bars)
-
-    by_key = {(r.fabric, r.pattern): r.normalized_throughput for r in results}
-    patterns = ["random permutation", "incast", "rack level shuffle"]
-    for pattern in patterns:
-        full = by_key[("full bisection", pattern)]
-        quartz = by_key[("quartz", pattern)]
-        half = by_key[("1/2 bisection", pattern)]
-        quarter = by_key[("1/4 bisection", pattern)]
-        assert full == max(full, 1.0 - 1e-6)
-        # The paper's ordering: full ≳ quartz > 1/2 > 1/4 (quartz may
-        # brush full bisection on receiver-limited patterns).
-        assert quartz > half
-        assert half > quarter
-        assert quartz <= full * 1.05
-    # Permutation: the paper quotes ~90 % of full bisection.
-    assert 0.75 <= by_key[("quartz", "random permutation")] <= 1.0
-    # Incast is receiver-NIC-limited, so Quartz is near-ideal.
-    assert by_key[("quartz", "incast")] >= 0.85

@@ -6,13 +6,8 @@ substructure: channel plans (Section 3.1), topology graphs, and
 per-pair route tables.  Every cell is a pure function of its spec (the
 :mod:`repro.runner` contract), so those artifacts are pure functions of
 *their* specs too — and can be memoized content-addressed without
-changing any result.
-
-Layers:
-
-* an in-memory LRU (per process, always on), and
-* an optional on-disk store under ``$REPRO_CACHE_DIR``, shared between
-  processes — sweep workers and repeated runs reuse each other's work.
+changing any result.  The store is an in-memory LRU, one per process,
+always on (:mod:`repro.cache.store`).
 
 Usage::
 
@@ -22,11 +17,7 @@ Usage::
     def greedy_assignment(ring_size, ...): ...
 
 Keys are canonical hashes of the fully-bound call arguments
-(:mod:`repro.cache.keys`), salted with a namespace and version — bump
-``version`` whenever a constructor's output format changes so stale
-disk entries can never be returned.  Set ``REPRO_CACHE_DISABLE=1`` to
-turn the whole subsystem off (the cold baseline), and see
-``python -m repro cache stats|clear`` for inspection and maintenance.
+(:mod:`repro.cache.keys`), salted with the namespace.
 """
 
 from __future__ import annotations
@@ -37,31 +28,21 @@ from typing import Any, Callable
 
 from repro.cache.keys import CacheKeyError, canonical, digest
 from repro.cache.store import (
-    CACHE_DIR_ENV,
-    CACHE_DISABLE_ENV,
     MEMORY_ITEMS,
     ArtifactCache,
-    CacheConfig,
-    CacheConfigError,
     CacheStats,
     artifact_cache,
-    configure,
     reset,
 )
 
 __all__ = [
     "ArtifactCache",
-    "CACHE_DIR_ENV",
-    "CACHE_DISABLE_ENV",
-    "CacheConfig",
-    "CacheConfigError",
     "CacheKeyError",
     "CacheStats",
     "MEMORY_ITEMS",
     "artifact_cache",
     "cached",
     "canonical",
-    "configure",
     "describe",
     "digest",
     "reset",
@@ -69,29 +50,26 @@ __all__ = [
 
 
 def describe() -> dict:
-    """One-call cache introspection: config, hit counters, disk usage.
+    """The process-wide cache's size limit and hit counters, as a flat dict.
 
-    The flat dict behind ``python -m repro cache stats`` — also handy
-    for dropping into a run manifest's ``extra`` section.  Walks the
-    disk store to count entries, so it is a diagnostics call, not a
-    hot-path one.
+    ``disk_hits`` and ``disk_bytes_written`` are the constant ``0``:
+    there is no disk layer, but the frozen ``benchmarks/e2e/child.py``
+    reads both keys in every traced run.
     """
-    cache = artifact_cache()
-    entries, disk_bytes = cache.disk_usage()
+    stats = artifact_cache().stats
     return {
-        "enabled": cache.enabled,
-        "directory": cache.config.directory,
         "memory_items": MEMORY_ITEMS,
-        "disk_entries": entries,
-        "disk_bytes": disk_bytes,
-        **cache.stats.as_dict(),
+        "memory_hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
+        "hit_rate": stats.hit_rate,
+        "disk_hits": 0,
+        "disk_bytes_written": 0,
     }
 
 
 def cached(
-    namespace: str,
-    version: int = 1,
-    copy: Callable[[Any], Any] | None = None,
+    namespace: str, copy: Callable[[Any], Any] | None = None
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Memoize a pure constructor through the process-wide artifact cache.
 
@@ -109,16 +87,11 @@ def cached(
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            cache = artifact_cache()
-            if not cache.enabled:
-                return fn(*args, **kwargs)
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            key_parts = tuple(sorted(bound.arguments.items()))
-            return cache.get_or_build(
+            return artifact_cache().get_or_build(
                 namespace,
-                version,
-                key_parts,
+                tuple(sorted(bound.arguments.items())),
                 lambda: fn(*args, **kwargs),
                 copy=copy,
             )

@@ -106,20 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "greedy assignment (slow at large sizes, memoized via the cache)",
     )
 
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the content-addressed artifact cache"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser(
-        "stats", help="configuration, hit/miss counters, and disk usage"
-    )
-    cache_stats.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    cache_sub.add_parser(
-        "clear", help="drop every cached artifact (memory and disk)"
-    )
-
     expand = sub.add_parser(
         "expand", help="incremental ring expansion plan (Section 8)"
     )
@@ -337,27 +323,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(format_scaling_table(rows))
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cache import artifact_cache, describe
-
-    cache = artifact_cache()
-    if args.cache_command == "clear":
-        removed = cache.clear(disk=True)
-        where = cache.config.directory or "(memory only)"
-        print(f"cache cleared: {removed} disk entries removed from {where}")
-        return 0
-    info: dict = describe()
-    if args.json:
-        print(json.dumps(info, indent=2, sort_keys=True))
-        return 0
-    width = max(len(k) for k in info)
-    for key, value in info.items():
-        print(f"{key:<{width}}  {value}")
     return 0
 
 
@@ -630,7 +595,6 @@ _COMMANDS = {
     "topology": _cmd_topology,
     "experiment": _cmd_experiment,
     "scaling": _cmd_scaling,
-    "cache": _cmd_cache,
     "expand": _cmd_expand,
     "smoke": _cmd_smoke,
     "trace": _cmd_trace,

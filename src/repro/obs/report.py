@@ -142,7 +142,6 @@ def build_manifest(
         )
     if faults is not None and not isinstance(faults, dict):
         faults = fault_digest(faults)
-    cache = artifact_cache()
     knobs = resolved_knobs(environ)
     # The live armed state beats the env resolution: `obs.arm()` without
     # REPRO_OBS set is still an armed run and must say so.
@@ -155,12 +154,7 @@ def build_manifest(
         "git_commit": _git_commit(),
         "knobs": knobs,
         "seeds": sorted(set(seeds)) if seeds else [],
-        "cache": {
-            "enabled": cache.config.enabled,
-            "directory": cache.config.directory,
-            "memory_items": MEMORY_ITEMS,
-            **cache.stats.as_dict(),
-        },
+        "cache": {"memory_items": MEMORY_ITEMS, **artifact_cache().stats.as_dict()},
         "metrics": metrics,
         "faults": faults,
         "extra": dict(extra or {}),
@@ -232,9 +226,7 @@ def render_manifest(doc: dict) -> str:
             for name in _KNOB_NAMES
         ),
         f"  seeds     {doc.get('seeds') or '-'}",
-        f"  cache     enabled={cache.get('enabled')}"
-        f" hit_rate={cache.get('hit_rate', 0.0):.1%}"
-        f" (dir={cache.get('directory') or 'memory-only'})",
+        f"  cache     hit_rate={cache.get('hit_rate', 0.0):.1%}",
     ]
     faults = doc.get("faults")
     if faults:

@@ -18,13 +18,10 @@ hold, fall back to whole-graph search.
 
 from __future__ import annotations
 
-from itertools import islice
-
-from repro.cache import artifact_cache
 from repro.routing.base import Path, Router, _path_crosses
-from repro.routing.tables import ecmp_segment_table
+from repro.routing.tables import ecmp_paths, ecmp_segment_table
 from repro.topology.base import Topology
-from repro.topology.graph import Graph, all_shortest_paths
+from repro.topology.graph import Graph
 
 
 class ECMPRouter(Router):
@@ -66,10 +63,7 @@ class ECMPRouter(Router):
 
     def _graph_paths(self, src: str, dst: str) -> list[Path]:
         """Bounded whole-graph enumeration (the pre-stitching behaviour)."""
-        found = all_shortest_paths(self.topo.graph, src, dst)
-        paths = [tuple(p) for p in islice(found, self.max_paths)]
-        paths.sort()
-        return paths
+        return ecmp_paths(self.topo.graph, src, dst, self.max_paths)
 
     def _stitched_paths(self, src: str, dst: str) -> list[Path] | None:
         """Server paths via precomputed switch segments, or ``None`` when
@@ -151,12 +145,11 @@ class ECMPRouter(Router):
         per ordered switch pair and shared by every server pair behind
         them.
 
-        With the artifact cache enabled the whole segment table is
-        warmed in one batch (content-addressed on the topology
-        fingerprint, shared across processes); pairs severed by a
-        mid-run cut still recompute lazily over the degraded graph.
+        The whole segment table is warmed in one batch
+        (content-addressed on the topology fingerprint); pairs severed
+        by a mid-run cut recompute lazily over the degraded graph.
         """
-        if not self._segments_warmed and artifact_cache().enabled:
+        if not self._segments_warmed:
             table = ecmp_segment_table(self.topo, self.max_paths)
             for pair, segment in table.items():
                 self._switch_paths.setdefault(pair, list(segment))
@@ -164,12 +157,8 @@ class ECMPRouter(Router):
         key = (sw_s, sw_d)
         cached = self._switch_paths.get(key)
         if cached is None:
-            if sw_s == sw_d:
-                cached = [(sw_s,)]
-            else:
-                if self._switch_graph is None:
-                    self._switch_graph = self.topo.switch_graph()
-                found = all_shortest_paths(self._switch_graph, sw_s, sw_d)
-                cached = sorted(tuple(p) for p in islice(found, self.max_paths))
+            if self._switch_graph is None:
+                self._switch_graph = self.topo.switch_graph()
+            cached = ecmp_paths(self._switch_graph, sw_s, sw_d, self.max_paths)
             self._switch_paths[key] = cached
         return cached

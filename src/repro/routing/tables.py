@@ -1,23 +1,18 @@
-"""Batched, content-addressed all-pairs route tables.
+"""Per-pair route sets and their batched, content-addressed tables.
 
-``KShortestPathsRouter`` historically re-ran Yen's enumeration
-(:func:`~repro.topology.graph.shortest_simple_paths`) on every ``paths()`` call, and the ECMP
-switch-segment and VLB detour sets were recomputed lazily per pair in
-every process.  For the sweep workloads (Figure 10, Table 9) the same
-topology is routed over and over, so this module computes each router's
-*entire* per-pair table in one pass and memoizes it through
-:mod:`repro.cache`, keyed on the topology's structural fingerprint
+Each router's per-pair computation lives here once —
+:func:`kshortest_paths`, :func:`ecmp_paths` and :func:`vlb_paths` —
+and both the router and its all-pairs table call it.  For the sweep
+workloads (Figure 10, Table 9) the same topology is routed over and
+over, so each table computes a router's *entire* per-pair set in one
+pass and memoizes it through :mod:`repro.cache`, keyed on the
+topology's structural fingerprint
 (:meth:`~repro.topology.base.Topology.fingerprint`).
 
 Fingerprint keying is what keeps fault injection correct: a fibre cut
-changes the graph, hence the fingerprint, hence the key — the degraded
-topology gets its own (cached) table — and a full repair restores the
-original fingerprint, so the pre-cut table is reused instead of rebuilt.
-
-Equivalence contract: every table entry is **exactly** what the lazy
-per-pair computation would have produced (same generator, same
-truncation, same sort), so cached and uncached routing are
-value-identical — property-tested in ``tests/routing/``.
+changes the graph, hence the fingerprint, hence the key, and a full
+repair restores the original fingerprint, so the pre-cut table is
+reused instead of rebuilt.
 
 Disconnected or unroutable pairs are stored as empty tuples; routers
 translate those back into the usual :class:`~repro.routing.base.RoutingError`.
@@ -30,71 +25,92 @@ from itertools import islice
 from repro.cache import cached
 from repro.routing.base import Path
 from repro.topology.base import LinkKind, Topology, TopologyError
-from repro.topology.graph import all_shortest_paths, shortest_simple_paths
+from repro.topology.graph import Graph, all_shortest_paths, shortest_simple_paths
 
 #: pair -> paths, in the router's stable order.  Empty tuple = unroutable.
 RouteTable = dict[tuple[str, str], tuple[Path, ...]]
 
 
-@cached("route-table/kshortest", copy=dict)
-def kshortest_table(topo: Topology, k: int) -> RouteTable:
-    """The ``k`` shortest simple paths for every ordered server pair.
+def kshortest_paths(graph: Graph, src: str, dst: str, k: int) -> list[Path]:
+    """The ``k`` shortest simple ``src``–``dst`` paths, in Yen's order."""
+    return [tuple(p) for p in islice(shortest_simple_paths(graph, src, dst), k)]
 
-    Replicates ``KShortestPathsRouter.paths`` exactly: the same
-    deterministic ``shortest_simple_paths`` enumeration truncated to
-    ``k`` entries, per pair.
+
+def ecmp_paths(graph: Graph, src: str, dst: str, max_paths: int) -> list[Path]:
+    """The first ``max_paths`` shortest ``src``–``dst`` paths, sorted.
+
+    The identity pair is the one-node path.
     """
-    table: RouteTable = {}
-    servers = topo.servers()
-    graph = topo.graph
-    for src in servers:
-        for dst in servers:
-            if src == dst:
-                continue
-            found = shortest_simple_paths(graph, src, dst)
-            table[(src, dst)] = tuple(tuple(p) for p in islice(found, k))
-    return table
+    found = all_shortest_paths(graph, src, dst)
+    return sorted(tuple(p) for p in islice(found, max_paths))
 
 
-@cached("route-table/ecmp-segments", copy=dict)
-def ecmp_segment_table(topo: Topology, max_paths: int) -> RouteTable:
-    """Bounded all-shortest switch-to-switch segments, all ordered pairs.
-
-    Replicates ``ECMPRouter._switch_segment`` exactly: the identity pair
-    maps to the one-node path, distinct pairs to the first ``max_paths``
-    entries of ``all_shortest_paths`` over the switch subgraph,
-    sorted for a stable order.
-    """
-    table: RouteTable = {}
-    switches = topo.switches()
-    switch_graph = topo.switch_graph()
-    for sw_s in switches:
-        table[(sw_s, sw_s)] = ((sw_s,),)
-        for sw_d in switches:
-            if sw_s == sw_d:
-                continue
-            found = all_shortest_paths(switch_graph, sw_s, sw_d)
-            table[(sw_s, sw_d)] = tuple(sorted(tuple(p) for p in islice(found, max_paths)))
-    return table
-
-
-@cached("route-table/vlb", copy=dict)
-def vlb_table(topo: Topology) -> RouteTable:
-    """Direct-plus-detour VLB path sets for every ordered server pair.
-
-    Replicates ``VLBRouter.paths`` exactly: same-rack pairs get the
-    lone host path, cross-rack pairs the direct channel (when alive)
-    followed by the sorted two-hop detours.  Pairs ``VLBRouter.paths``
-    would refuse to route (no ToR, or no surviving path) are stored
-    empty.
-    """
+def mesh_peers(topo: Topology) -> dict[str, set[str]]:
+    """Each switch's live mesh neighbours."""
     peers: dict[str, set[str]] = {}
     for link in topo.links():
         if link.link_kind is LinkKind.MESH:
             peers.setdefault(link.u, set()).add(link.v)
             peers.setdefault(link.v, set()).add(link.u)
+    return peers
 
-    table: RouteTable = {}
+
+def vlb_paths(
+    src: str, dst: str, tor_src: str, tor_dst: str, peers: dict[str, set[str]]
+) -> list[Path]:
+    """VLB's path set between two servers behind ``tor_src``/``tor_dst``.
+
+    A same-rack pair gets the lone host path; a cross-rack pair the
+    direct channel (when alive) followed by the two-hop detours through
+    every common mesh peer, in sorted order.  Empty when the direct
+    channel is dead and no detour remains.
+    """
+    if tor_src == tor_dst:
+        return [(src, tor_src, dst)]
+    detours = [
+        (src, tor_src, mid, tor_dst, dst)
+        for mid in sorted(peers.get(tor_src, set()) & peers.get(tor_dst, set()))
+        if mid not in (tor_src, tor_dst)
+    ]
+    if tor_dst in peers.get(tor_src, ()):
+        return [(src, tor_src, tor_dst, dst), *detours]
+    return detours
+
+
+@cached("route-table/kshortest", copy=dict)
+def kshortest_table(topo: Topology, k: int) -> RouteTable:
+    """:func:`kshortest_paths` for every ordered server pair."""
+    servers = topo.servers()
+    return {
+        (src, dst): tuple(kshortest_paths(topo.graph, src, dst, k))
+        for src in servers
+        for dst in servers
+        if src != dst
+    }
+
+
+@cached("route-table/ecmp-segments", copy=dict)
+def ecmp_segment_table(topo: Topology, max_paths: int) -> RouteTable:
+    """:func:`ecmp_paths` over the switch subgraph, every ordered switch pair."""
+    switches = topo.switches()
+    switch_graph = topo.switch_graph()
+    # Each row starts at the identity pair: the order is pinned in
+    # tests/golden/route_pins.json.
+    return {
+        (sw_s, sw_d): tuple(ecmp_paths(switch_graph, sw_s, sw_d, max_paths))
+        for sw_s in switches
+        for sw_d in (sw_s, *(d for d in switches if d != sw_s))
+    }
+
+
+@cached("route-table/vlb", copy=dict)
+def vlb_table(topo: Topology) -> RouteTable:
+    """:func:`vlb_paths` for every ordered server pair.
+
+    Pairs ``VLBRouter.paths`` refuses to route (no ToR, or no surviving
+    path) are stored empty.
+    """
+    peers = mesh_peers(topo)
     servers = topo.servers()
     tors: dict[str, str | None] = {}
     for server in servers:
@@ -102,26 +118,13 @@ def vlb_table(topo: Topology) -> RouteTable:
             tors[server] = topo.tor_of(server)
         except TopologyError:
             tors[server] = None
-
+    table: RouteTable = {}
     for src in servers:
         for dst in servers:
             if src == dst:
                 continue
-            tor_src = tors[src]
-            tor_dst = tors[dst]
-            if tor_src is None or tor_dst is None:
+            if tors[src] is None or tors[dst] is None:
                 table[(src, dst)] = ()
-                continue
-            if tor_src == tor_dst:
-                table[(src, dst)] = ((src, tor_src, dst),)
-                continue
-            detours = tuple(
-                (src, tor_src, mid, tor_dst, dst)
-                for mid in sorted(peers.get(tor_src, set()) & peers.get(tor_dst, set()))
-                if mid not in (tor_src, tor_dst)
-            )
-            if tor_dst in peers.get(tor_src, ()):
-                table[(src, dst)] = ((src, tor_src, tor_dst, dst), *detours)
             else:
-                table[(src, dst)] = detours
+                table[(src, dst)] = tuple(vlb_paths(src, dst, tors[src], tors[dst], peers))
     return table

@@ -16,9 +16,8 @@ the traffic characteristics").
 
 from __future__ import annotations
 
-from repro.cache import artifact_cache
 from repro.routing.base import Path, Router, RoutingError, WeightedPath, stable_hash
-from repro.routing.tables import vlb_table
+from repro.routing.tables import mesh_peers, vlb_paths, vlb_table
 from repro.topology.base import LinkKind, Topology
 
 
@@ -34,11 +33,7 @@ class VLBRouter(Router):
         self._warm_paths()
 
     def _build_mesh_peers(self) -> dict[str, set[str]]:
-        peers: dict[str, set[str]] = {}
-        for link in self.topo.links():
-            if link.link_kind is LinkKind.MESH:
-                peers.setdefault(link.u, set()).add(link.v)
-                peers.setdefault(link.v, set()).add(link.u)
+        peers = mesh_peers(self.topo)
         if not peers:
             raise RoutingError("VLB requires a topology with mesh links")
         return peers
@@ -47,12 +42,10 @@ class VLBRouter(Router):
         """Prefill the per-pair path cache from the batched VLB table.
 
         The table is content-addressed on the topology fingerprint and
-        replicates :meth:`paths` exactly.  Unroutable pairs (stored
+        holds what :meth:`paths` computes.  Unroutable pairs (stored
         empty) are *not* prefilled, so they still reach :meth:`paths`
-        and raise :class:`RoutingError` as before.
+        and raise :class:`RoutingError`.
         """
-        if not artifact_cache().enabled:
-            return
         for pair, entry in vlb_table(self.topo).items():
             if entry:
                 self._cache.setdefault(pair, list(entry))
@@ -95,25 +88,13 @@ class VLBRouter(Router):
         """
         tor_src = self.topo.tor_of(src)
         tor_dst = self.topo.tor_of(dst)
-        if tor_src == tor_dst:
-            return [(src, tor_src, dst)]
-        direct_alive = tor_dst in self._mesh_peers.get(tor_src, ())
-        detours = [
-            (src, tor_src, mid, tor_dst, dst)
-            for mid in sorted(
-                self._mesh_peers.get(tor_src, set())
-                & self._mesh_peers.get(tor_dst, set())
-            )
-            if mid not in (tor_src, tor_dst)
-        ]
-        if direct_alive:
-            return [(src, tor_src, tor_dst, dst), *detours]
-        if not detours:
+        found = vlb_paths(src, dst, tor_src, tor_dst, self._mesh_peers)
+        if not found:
             raise RoutingError(
                 f"{tor_src!r} and {tor_dst!r} share no surviving VLB path; "
                 "the mesh channel is dead and no two-hop detour remains"
             )
-        return detours
+        return found
 
     def weighted_paths(self, src: str, dst: str) -> list[WeightedPath]:
         options = self._cached_paths(src, dst)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro import obs as _obs
-from repro.cache import CacheConfig, artifact_cache, configure
 
 
 class RunnerError(ValueError):
@@ -101,11 +100,6 @@ def run_cells(
     Batching only changes scheduling granularity — ``map`` still yields
     results in submission order.
 
-    Workers inherit the parent's cache configuration through the pool
-    initializer, so with ``REPRO_CACHE_DIR`` set every worker reads and
-    writes the same on-disk artifact store (cells sharing a topology or
-    channel plan stop duplicating work).
-
     A worker exception cancels the remaining cells and re-raises in the
     caller.
     """
@@ -127,10 +121,10 @@ def run_cells(
     else:
         chunksize = max(1, len(cells) // (workers * 4))
     obs_armed = _obs.registry() is not None
+    # Armed: arm each worker so sweep-cell spans and metrics exist to
+    # ship home with each result.
     with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(artifact_cache().config, obs_armed),
+        max_workers=workers, initializer=_obs.arm if obs_armed else None
     ) as pool:
         # ``map`` yields results in submission order — completion order
         # never leaks into the output.
@@ -152,15 +146,6 @@ def run_cells(
                 registry.merge(snapshot)
             results.append(result)
         return results
-
-
-def _worker_init(cache_config: CacheConfig, obs_armed: bool) -> None:
-    """Adopt the parent's cache settings (shared disk store) in a worker."""
-    configure(cache_config)
-    if obs_armed:
-        # The parent is observing: arm this worker so sweep-cell spans
-        # and metrics exist to ship home with each result.
-        _obs.arm()
 
 
 def _observed_run(spec: ExperimentSpec) -> Any:
@@ -203,10 +188,8 @@ class PinnedPool:
     :mod:`repro.sim.parallel` must step the *same* live simulation at
     every window barrier.
 
-    Each slot's worker adopts the parent's cache configuration first
-    (the same contract as ``run_cells`` workers — with
-    ``REPRO_CACHE_DIR`` set, every shard shares the on-disk artifact
-    store), then runs ``initializer(*initargs_per_slot[slot])`` once.
+    Each slot's worker runs ``initializer(*initargs_per_slot[slot])``
+    once, before its first submission.
     """
 
     def __init__(
@@ -222,16 +205,11 @@ class PinnedPool:
                 f"initargs_per_slot has {len(initargs_per_slot)} entries "
                 f"for {slots} slots"
             )
-        cache_config = artifact_cache().config
         self._pools = [
             ProcessPoolExecutor(
                 max_workers=1,
-                initializer=_pinned_worker_init,
-                initargs=(
-                    cache_config,
-                    initializer,
-                    tuple(initargs_per_slot[slot]) if initargs_per_slot else (),
-                ),
+                initializer=initializer,
+                initargs=tuple(initargs_per_slot[slot]) if initargs_per_slot else (),
             )
             for slot in range(slots)
         ]
@@ -258,17 +236,6 @@ class PinnedPool:
     def __exit__(self, *exc: object) -> bool:
         self.shutdown()
         return False
-
-
-def _pinned_worker_init(
-    cache_config: CacheConfig,
-    initializer: Callable[..., Any] | None,
-    initargs: tuple,
-) -> None:
-    """Cache adoption + per-slot initializer for :class:`PinnedPool` workers."""
-    configure(cache_config)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _run_spec(spec: ExperimentSpec) -> Any:

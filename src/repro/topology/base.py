@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.cache import cached
 from repro.topology.graph import Graph, is_connected
@@ -324,7 +324,7 @@ def topologies_equal(a: Topology, b: Topology) -> bool:
 
 
 def cached_builder(
-    namespace: str, version: int = 2
+    namespace: str,
 ) -> Callable[[Callable[..., Topology]], Callable[..., Topology]]:
     """Memoize a pure topology builder through :mod:`repro.cache`.
 
@@ -332,15 +332,8 @@ def cached_builder(
     mutable (the packet simulator's fault injection edits the live
     graph), so every return — hit or miss — is an independent
     :meth:`Topology.copy` of the stored instance.
-
-    Version 2: the graph is a :class:`Graph`, no longer a pickled
-    ``networkx.Graph``.
     """
-
-    def copy_topology(value: Any) -> Topology:
-        return value.copy()
-
-    return cached(f"topology/{namespace}", version=version, copy=copy_topology)
+    return cached(f"topology/{namespace}", copy=Topology.copy)
 
 
 def connect_all(

@@ -143,7 +143,7 @@ class TestILPAssignment:
             "assert 'scipy.optimize' in sys.modules\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), REPRO_CACHE_DISABLE="1")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, timeout=120,

@@ -244,7 +244,7 @@ class TestScipyLeftTheImportPath:
             "assert 'scipy.optimize' in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), REPRO_CACHE_DISABLE="1")
+        env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, timeout=120,

@@ -1,22 +1,36 @@
 """k-shortest-paths routing under the batched route-table cache.
 
 Covers the three contract points for the cached router: path order is
-deterministic, cached results equal uncached ones, and the table is
-correctly invalidated (and restored) around ``fail_link``/``repair_link``.
+deterministic, table-served results equal a per-pair enumeration, and
+the table is set aside (and restored) around ``fail_link``/``repair_link``.
 """
+
+from itertools import islice
 
 import pytest
 
 import repro.topology as T
-from repro.cache import configure, reset
+from repro.cache import artifact_cache, reset
 from repro.routing import KShortestPathsRouter, RoutingError
+from repro.routing.base import stable_hash
+from repro.topology.graph import shortest_simple_paths
 
 
 @pytest.fixture(autouse=True)
-def _fresh_cache(tmp_path):
-    configure(directory=str(tmp_path / "store"))
+def _fresh_cache():
+    reset()
     yield
     reset()
+
+
+def _enumerate(topo, src, dst, k):
+    """Yen's enumeration for one pair, straight off the graph."""
+    return [tuple(p) for p in islice(shortest_simple_paths(topo.graph, src, dst), k)]
+
+
+def _all_pairs(topo):
+    servers = topo.servers()
+    return [(s, d) for s in servers for d in servers if s != d]
 
 
 @pytest.fixture
@@ -54,24 +68,15 @@ class TestDeterminism:
 
 class TestCacheEquivalence:
     def test_cached_equals_uncached_for_every_pair(self, topo):
-        cached_router = KShortestPathsRouter(topo, k=3)
-        configure(enabled=False)
-        uncached_router = KShortestPathsRouter(topo, k=3)
-        servers = topo.servers()
-        pairs = [(s, d) for s in servers[:4] for d in servers[-4:] if s != d]
-        configure(directory=None)  # re-enable for the cached router
-        for src, dst in pairs:
-            cached_paths = cached_router.paths(src, dst)
-            configure(enabled=False)
-            assert uncached_router.paths(src, dst) == cached_paths
-            configure(directory=None)
+        router = KShortestPathsRouter(topo, k=3)
+        for src, dst in _all_pairs(topo):
+            assert router.paths(src, dst) == _enumerate(topo, src, dst, 3)
 
     def test_route_pick_identical_with_and_without_cache(self, topo):
         src, dst = _first_pair(topo)
-        with_cache = KShortestPathsRouter(topo, k=4).route(src, dst, flow_id=7)
-        configure(enabled=False)
-        without = KShortestPathsRouter(topo, k=4).route(src, dst, flow_id=7)
-        assert with_cache == without
+        options = _enumerate(topo, src, dst, 4)
+        expected = options[stable_hash(src, dst, 7) % len(options)]
+        assert KShortestPathsRouter(topo, k=4).route(src, dst, flow_id=7) == expected
 
 
 class TestInvalidation:
@@ -128,6 +133,26 @@ class TestInvalidation:
         self._cut(topo, router, link)
         assert (src, dst) in router._cache
         assert router._cached_paths(src, dst) == before
+
+    def test_cut_enumerates_per_pair_without_a_table(self, topo):
+        """A cut re-enumerates severed pairs over the live graph instead
+        of building the degraded graph's all-pairs table; the repair
+        back to the intact graph serves the intact table again."""
+        router = KShortestPathsRouter(topo, k=3)
+        pairs = _all_pairs(topo)
+        intact = {pair: router.paths(*pair) for pair in pairs}
+        link = next(
+            (l.u, l.v) for l in topo.links()
+            if topo.is_switch(l.u) and topo.is_switch(l.v)
+        )
+        data = dict(topo.graph.get_edge_data(*link))
+        misses = artifact_cache().stats.misses
+        self._cut(topo, router, link)
+        for src, dst in pairs:
+            assert router.paths(src, dst) == _enumerate(topo, src, dst, 3)
+        self._repair(topo, router, link, data)
+        assert {pair: router.paths(*pair) for pair in pairs} == intact
+        assert artifact_cache().stats.misses == misses
 
     def test_disconnected_pair_raises(self):
         topo = T.quartz_ring(3, 1)

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import repro.topology as T
-from repro.cache import configure, reset
+from repro.cache import reset
 from repro.cli import _TOPOLOGY_CHOICES
 from repro.routing import ECMPRouter
 from repro.routing.tables import ecmp_segment_table, kshortest_table, vlb_table
@@ -109,7 +109,7 @@ def _cycle(topo, repair: bool):
 
 @pytest.fixture(autouse=True)
 def _memory_cache():
-    configure(directory=None, enabled=True)
+    reset()
     yield
     reset()
 
@@ -129,7 +129,6 @@ def test_every_fabric_is_pinned(golden):
 
 
 if __name__ == "__main__":
-    configure(directory=None, enabled=True)
     PINS.write_text(json.dumps({
         "_comment": "Route pins of tests/routing/test_route_pins.py, computed "
         "with networkx 3.6.1 as the graph library.",

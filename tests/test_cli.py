@@ -92,42 +92,11 @@ class TestScalingCommand:
 
 
 class TestCacheCommand:
-    @pytest.fixture(autouse=True)
-    def _isolated_cache(self, tmp_path, monkeypatch):
-        from repro.cache import configure, reset
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        configure(directory=str(tmp_path / "store"))
-        yield
-        reset()
-
-    def test_stats_text(self, capsys):
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "hit_rate" in out and "disk_entries" in out
-
-    def test_stats_json(self, capsys):
-        assert main(["cache", "stats", "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["enabled"] is True
-        assert "misses" in info and "disk_bytes" in info
-
-    def test_clear_removes_disk_entries(self, capsys):
-        from repro.core.channels import greedy_assignment
-
-        greedy_assignment(9)  # populate the store
-        assert main(["cache", "stats", "--json"]) == 0
-        before = json.loads(capsys.readouterr().out)
-        assert before["disk_entries"] > 0
-        assert main(["cache", "clear"]) == 0
-        assert "removed" in capsys.readouterr().out
-        assert main(["cache", "stats", "--json"]) == 0
-        after = json.loads(capsys.readouterr().out)
-        assert after["disk_entries"] == 0
-
-    def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
-            main(["cache"])
+    def test_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "stats"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cache'" in capsys.readouterr().err
 
 
 class TestExpandCommand:

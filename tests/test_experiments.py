@@ -133,3 +133,70 @@ class TestBisection:
     def test_format(self, results):
         text = format_figure10(results)
         assert "full bisection" in text
+
+
+FIG10_PATTERNS = ("random permutation", "incast", "rack level shuffle")
+
+#: benchmarks/results/fig10_bisection.txt, as printed (3 decimals).
+FIG10_BARS = {
+    "full bisection": ("1.000", "1.000", "1.000"),
+    "quartz": ("0.824", "1.003", "0.974"),
+    "jellyfish": ("0.444", "0.715", "0.427"),
+    "1/2 bisection": ("0.580", "0.767", "0.551"),
+    "1/4 bisection": ("0.339", "0.639", "0.275"),
+}
+
+
+class TestFigure10Claims:
+    """The paper-size Figure 10: it routes through all three route tables."""
+
+    @pytest.fixture(scope="class")
+    def bars(self):
+        return {
+            (r.fabric, r.pattern): r.normalized_throughput for r in figure10_sweep()
+        }
+
+    def test_every_bar_as_printed(self, bars):
+        assert {
+            fabric: tuple(f"{bars[(fabric, p)]:.3f}" for p in FIG10_PATTERNS)
+            for fabric in FIG10_BARS
+        } == FIG10_BARS
+
+    @pytest.mark.parametrize("pattern", FIG10_PATTERNS)
+    def test_quartz_between_half_and_full_bisection(self, bars, pattern):
+        # "Quartz's bisection bandwidth is less than full bisection
+        # bandwidth but greater than 1/2"; incast is receiver-limited,
+        # and there quartz brushes full bisection at a stated 1.003.
+        quartz = bars[("quartz", pattern)]
+        assert quartz > bars[("1/2 bisection", pattern)]
+        if pattern == "incast":
+            assert f"{quartz:.3f}" == "1.003"
+        else:
+            assert quartz < bars[("full bisection", pattern)]
+
+
+class TestFigure17Claims:
+    """Figure 17's two claims on one scatter task, seed 0."""
+
+    @pytest.fixture(scope="class")
+    def latency_us(self):
+        return {
+            topo: run_task_experiment(topo, "scatter", 1).mean_latency * 1e6
+            for topo in ("three-tier tree", "quartz in core", "quartz in edge and core")
+        }
+
+    def test_measured_values(self, latency_us):
+        expected = {
+            "three-tier tree": 7.337,
+            "quartz in core": 2.826,
+            "quartz in edge and core": 2.185,
+        }
+        for topo, value in expected.items():
+            assert latency_us[topo] == pytest.approx(value, abs=0.01)
+
+    def test_quartz_in_core_saves_over_3us(self, latency_us):
+        assert latency_us["three-tier tree"] - latency_us["quartz in core"] > 3.0
+
+    def test_edge_and_core_at_most_030_of_tree(self, latency_us):
+        ratio = latency_us["quartz in edge and core"] / latency_us["three-tier tree"]
+        assert ratio <= 0.30

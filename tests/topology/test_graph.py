@@ -167,7 +167,7 @@ class TestNetworkxLeftTheImportPath:
             "assert cell.channels_severed and cell.packets_rerouted, cell\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), REPRO_CACHE_DISABLE="1")
+        env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, timeout=120,
