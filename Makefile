@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-trajectory examples smoke smoke-update \
+.PHONY: install test bench bench-trajectory e2e-digests examples smoke smoke-update \
 	smoke-telemetry smoke-telemetry-update lint ci all
 
 install:
@@ -22,6 +22,16 @@ bench:
 bench-trajectory:
 	$(PYTHON) benchmarks/e2e/run.py --repeats 3
 	$(PYTHON) benchmarks/append_trajectory.py
+
+# The five end-to-end workloads at their quick size, each checked
+# against benchmarks/e2e/golden.json: digests, conservation and
+# port-clock invariants, no timing gates (the CI e2e-digests job).
+E2E_WORKLOADS = hybrid_element1056 fig17_sweep fault_recovery md1_validation \
+	element1056_sharded
+
+e2e-digests:
+	set -e; for workload in $(E2E_WORKLOADS); do \
+		$(PYTHON) benchmarks/e2e/run.py --quick --workload $$workload; done
 
 examples:
 	set -e; for script in examples/*.py; do echo "== $$script"; \
@@ -58,12 +68,13 @@ lint:
 	fi
 
 # Mirror the CI pipeline locally: tests, lint, benchmark smoke, the
-# examples.
+# examples, the end-to-end digests.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) lint
 	$(MAKE) smoke
 	$(MAKE) smoke-telemetry
 	$(MAKE) examples
+	$(MAKE) e2e-digests
 
 all: install test bench

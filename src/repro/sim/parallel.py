@@ -66,6 +66,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 import repro.topology as T
 from repro import obs as _obs
 from repro.core.multiring import plan_rings
@@ -492,8 +494,9 @@ class ShardResult:
     events_processed: int
     fault_event_count: int
     suppressed_events: int
-    samples: tuple[float, ...]
-    by_group: tuple[tuple[str, tuple[float, ...]], ...]
+    #: Latencies as float64, in delivery order; per group, groups sorted.
+    samples: np.ndarray
+    by_group: tuple[tuple[str, np.ndarray], ...]
     port_state: tuple[tuple[tuple[str, str], int, float, float], ...]
     source_packets: tuple[tuple[int, int], ...]
     drops_by_flow: tuple[tuple[str | None, int], ...]
@@ -537,11 +540,8 @@ def extract_result(
         events_processed=network.engine.events_processed,
         fault_event_count=fault_event_count,
         suppressed_events=getattr(network, "suppressed_events", 0),
-        samples=tuple(network.stats.samples),
-        by_group=tuple(
-            (group, tuple(values))
-            for group, values in sorted(network.stats.by_group.items())
-        ),
+        samples=network.stats.array(),
+        by_group=tuple((group, network.stats.array(group)) for group in network.stats.groups()),
         port_state=tuple(ports),
         source_packets=tuple(
             sorted((index, source.packets_sent) for index, source in sources.items())
@@ -722,8 +722,9 @@ class RunResult:
     packets_unroutable: int
     next_packet_id: int
     events_processed: int
-    samples: tuple[float, ...]
-    by_group: tuple[tuple[str, tuple[float, ...]], ...]
+    #: Latencies as float64 sorted by value; per group, groups sorted.
+    samples: np.ndarray
+    by_group: tuple[tuple[str, np.ndarray], ...]
     port_state: tuple[tuple[tuple[str, str], int, float, float], ...]
     source_packets: tuple[tuple[int, int], ...]
     drops_by_flow: tuple[tuple[str | None, int], ...]
@@ -734,7 +735,8 @@ class RunResult:
     barrier_seconds: float
 
     def fingerprint(self) -> tuple:
-        """Deterministic run signature; parallel must equal serial exactly."""
+        """Deterministic run signature; parallel must equal serial exactly
+        (the sorted latencies by their bytes: bit for bit)."""
         return (
             self.packets_delivered,
             self.packets_dropped,
@@ -743,8 +745,8 @@ class RunResult:
             self.packets_unroutable,
             self.next_packet_id,
             self.events_processed,
-            self.samples,
-            self.by_group,
+            self.samples.tobytes(),
+            tuple((group, values.tobytes()) for group, values in self.by_group),
             self.port_state,
             self.source_packets,
             self.drops_by_flow,
@@ -777,13 +779,13 @@ def _merge_results(
     fault_events = results[0].fault_event_count if results else 0
     events = sum(r.events_processed + r.suppressed_events for r in results)
     events -= (len(results) - 1) * fault_events
-    samples = tuple(sorted(s for r in results for s in r.samples))
-    groups: dict[str, list[float]] = {}
+    samples = np.sort(np.concatenate([r.samples for r in results]))
+    groups: dict[str, list[np.ndarray]] = {}
     for r in results:
         for group, values in r.by_group:
-            groups.setdefault(group, []).extend(values)
+            groups.setdefault(group, []).append(values)
     by_group = tuple(
-        (group, tuple(sorted(values))) for group, values in sorted(groups.items())
+        (group, np.sort(np.concatenate(blocks))) for group, blocks in sorted(groups.items())
     )
     flow_drops: dict[str | None, int] = {}
     flow_reroutes: dict[str | None, int] = {}

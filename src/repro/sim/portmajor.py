@@ -1077,30 +1077,21 @@ def _repeated_add(base: float, step: float, count: int) -> float:
 
 def _record(stats, names: list, owner: np.ndarray, latency: np.ndarray) -> None:
     """Record ``latency`` (delivery order; ``owner[i]`` the root of
-    sample ``i``) into ``stats``, filed under the roots' groups — the
-    same float objects ``stats.samples`` holds, a new group's key created
-    at its first delivery, as per-packet ``record`` calls would."""
+    sample ``i``) into ``stats`` as one block, each sample filed under
+    its root's group, a new group registered at its first delivery, as
+    per-packet ``record`` calls would."""
     distinct = {name: g for g, name in enumerate(dict.fromkeys(names))}
     if len(distinct) == 1:
         (name,) = distinct
         stats.record_many(latency, name if latency.size else None)
         return
-    begin = len(stats.samples)
-    stats.record_many(latency)
     if not latency.size:
         return
-    # One stable grouping of the floats just recorded (a radix sort of
-    # small group numbers; an object array keeps the objects): each
-    # group's samples are a run of it, its first the group's first.
     numbers = [distinct[name] for name in names]
     group = np.array(numbers, dtype=np.min_scalar_type(len(distinct)))[owner]
-    by = np.argsort(group, kind="stable")
-    group = group[by]
-    runs = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    ends = np.append(runs[1:], group.size).tolist()
-    floats = np.array(stats.samples[begin:], dtype=object)[by]
+    present, first = np.unique(group, return_index=True)
     labels = list(distinct)
-    for k in np.argsort(by[runs]).tolist():  # by first delivery
-        name = labels[group[runs[k]]]
-        if name is not None:
-            stats.by_group.setdefault(name, []).extend(floats[runs[k]:ends[k]].tolist())
+    codes = np.zeros(len(labels), dtype=np.intp)
+    for g in present[np.argsort(first)].tolist():  # by first delivery
+        codes[g] = stats.code(labels[g])
+    stats.record_many(latency, codes=codes[group])

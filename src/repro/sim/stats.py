@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -31,23 +32,30 @@ class LatencySummary:
         return 1.96 * self.std / math.sqrt(self.count)
 
 
-def summarize_latencies(samples: list[float]) -> LatencySummary:
-    """Compute a :class:`LatencySummary`; raises on an empty sample set."""
-    if not samples:
+def summarize_latencies(samples: "np.ndarray | list[float]") -> LatencySummary:
+    """Compute a :class:`LatencySummary`; raises on an empty sample set.
+
+    The deviations are squared as ``x ** 2``, the C library's pow, which
+    now and then rounds other than ``x * x``: the variance keeps its bits."""
+    samples = np.asarray(samples, dtype=float)
+    if not samples.size:
         raise ValueError("no latency samples recorded")
-    ordered = sorted(samples)
-    n = len(ordered)
-    mean = math.fsum(ordered) / n
-    variance = math.fsum((x - mean) ** 2 for x in ordered) / (n - 1) if n > 1 else 0.0
+    ordered = np.sort(samples)
+    if ordered[0] == 0:  # ±0 tie: keep their order, as a stable sort would
+        ordered[: np.count_nonzero(samples == 0)] = samples[samples == 0]
+    values = ordered.tolist()
+    n = len(values)
+    mean = math.fsum(values) / n
+    variance = math.fsum(map(pow, (ordered - mean).tolist(), repeat(2))) / (n - 1) if n > 1 else 0.0
     return LatencySummary(
         count=n,
         mean=mean,
         std=math.sqrt(variance),
-        minimum=ordered[0],
-        maximum=ordered[-1],
-        p50=_percentile(ordered, 0.50),
-        p95=_percentile(ordered, 0.95),
-        p99=_percentile(ordered, 0.99),
+        minimum=values[0],
+        maximum=values[-1],
+        p50=_percentile(values, 0.50),
+        p95=_percentile(values, 0.95),
+        p99=_percentile(values, 0.99),
     )
 
 
@@ -84,9 +92,15 @@ class HopStampStats:
         return self.wait_sum / self.packets if self.packets else 0.0
 
 
-@dataclass
 class LatencyRecorder:
     """Accumulates per-packet delivery latencies, grouped by flow label.
+
+    Two columns, each a list of numpy blocks: float64 latencies in
+    delivery order, and their group codes (:meth:`code`; a block of one
+    group, ungrouped included, holds a broadcast code, no memory).
+    ``record`` buffers in Python lists, flushed as one block at the next
+    ``record_many`` or read.  ``samples`` and ``by_group`` are lists
+    built on each read; nothing on a hot path may read them.
 
     When telemetry is armed, each delivered packet's INT stamps
     additionally fold into ``hop_stamps`` — flow label → node →
@@ -94,36 +108,80 @@ class LatencyRecorder:
     profile alongside its latency samples.
     """
 
-    samples: list[float] = field(default_factory=list)
-    by_group: dict[str, list[float]] = field(default_factory=dict)
-    hop_stamps: dict[str, dict[str, HopStampStats]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.hop_stamps: dict[str, dict[str, HopStampStats]] = {}
+        self._values: list[np.ndarray] = []
+        self._codes: list[np.ndarray] = []
+        self._code_of: dict[str | None, int] = {}  # first-delivery order
+        self._pending: list[float] = []
+        self._pending_groups: list[str | None] = []
 
     def record(self, latency: float, group: str | None = None) -> None:
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError(f"negative latency {latency}")
-        self.samples.append(latency)
-        if group is not None:
-            self.by_group.setdefault(group, []).append(latency)
+        self._pending.append(latency)
+        self._pending_groups.append(group)
 
-    def record_many(
-        self, latencies: "np.ndarray | list[float]", group: str | None = None
-    ) -> None:
-        """Bulk :meth:`record`: append many samples, preserving order.
-
-        ``latencies`` is checked for a negative sample in one vectorized
-        pass over the array, turned into Python floats once, and appended
-        with two list extends, so a window solved port-major records its
-        deliveries without a per-packet step.  The resulting ``samples``
-        / ``by_group`` contents are exactly what per-packet :meth:`record`
-        calls in the same order would leave.
-        """
-        latencies = np.asarray(latencies, dtype=float)
-        if latencies.size and latencies.min() < 0:
+    def record_many(self, latencies: "np.ndarray | list[float]", group: str | None = None,
+                    codes: np.ndarray | None = None) -> None:
+        """Bulk :meth:`record`, as one block: every sample under ``group``,
+        or each under the group whose :meth:`code` ``codes`` holds for it.
+        Reads back as per-sample :meth:`record` calls in the same order
+        would, except that an empty commit still registers ``group``."""
+        latencies = np.array(latencies, dtype=float)
+        if latencies.size and not latencies.min() >= 0:
             raise ValueError(f"negative latency {float(latencies.min())}")
-        values = latencies.tolist()
-        self.samples.extend(values)
-        if group is not None:
-            self.by_group.setdefault(group, []).extend(values)
+        if codes is None:
+            codes = np.broadcast_to(self.code(group), latencies.shape)
+        else:
+            self._flush()
+            codes, known = np.asarray(codes), len(self._code_of)
+            if codes.shape != latencies.shape or (
+                codes.size and not 0 <= codes.min() <= codes.max() < known
+            ):
+                raise ValueError("codes must hold one registered group code per latency")
+            codes = codes.astype(np.min_scalar_type(known))
+        if latencies.size:
+            self._values.append(latencies)
+            self._codes.append(codes)
+
+    def code(self, group: str | None) -> int:
+        """``group``'s code; a new group gets the next one."""
+        self._flush()
+        return self._code_of.setdefault(group, len(self._code_of))
+
+    def _flush(self) -> None:
+        groups = self._pending_groups
+        if not groups:
+            return
+        code_of = self._code_of
+        if groups.count(groups[0]) == len(groups):
+            codes = np.broadcast_to(code_of.setdefault(groups[0], len(code_of)), len(groups))
+        else:
+            codes = [code_of.setdefault(group, len(code_of)) for group in groups]
+            codes = np.array(codes, dtype=np.min_scalar_type(len(code_of)))
+        self._values.append(np.array(self._pending, dtype=float))
+        self._codes.append(codes)
+        self._pending, self._pending_groups = [], []
+
+    def array(self, group: str | None = None) -> np.ndarray:
+        """The samples, or one group's, as a float64 copy in delivery order."""
+        self._flush()
+        if not self._values:
+            return np.empty(0)
+        values = np.concatenate(self._values)
+        if group is None:
+            return values
+        code = self._code_of.get(group)
+        return values[np.concatenate(self._codes) == code] if code is not None else values[:0]
+
+    @property
+    def samples(self) -> list[float]:
+        return self.array().tolist()
+
+    @property
+    def by_group(self) -> dict[str, list[float]]:
+        return {group: self.array(group).tolist() for group in self._names()}
 
     def record_stamps(
         self, group: str | None, stamps: list[tuple[str, int, float]]
@@ -154,21 +212,22 @@ class LatencyRecorder:
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return sum(block.size for block in self._values) + len(self._pending)
 
     def summary(self, group: str | None = None) -> LatencySummary:
         """Summary over all samples, or one group's samples."""
-        if group is None:
-            return summarize_latencies(self.samples)
-        return summarize_latencies(self.by_group.get(group, []))
+        return summarize_latencies(self.array(group))
+
+    def _names(self) -> list[str]:
+        """The groups, in first-delivery order."""
+        self._flush()
+        return [group for group in self._code_of if group is not None]
 
     def groups(self) -> list[str]:
-        return sorted(self.by_group)
+        return sorted(self._names())
 
     def clear(self) -> None:
-        self.samples.clear()
-        self.by_group.clear()
-        self.hop_stamps.clear()
+        self.__init__()
 
 
 class DeliveryBins:

@@ -1,18 +1,72 @@
 """Tests for latency statistics."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import repro.topology as T
+from repro.routing import ECMPRouter
+from repro.sim import Network, portmajor
+from repro.sim.sources import PoissonSource
 from repro.sim.stats import (
     UNGROUPED,
     DeliveryBins,
     HopStampStats,
     LatencyRecorder,
+    LatencySummary,
     summarize_latencies,
 )
+from repro.units import GBPS
+
+
+class ListRecorder:
+    """The recorder as two Python lists, and its summary as a sorted
+    list: the reference the column recorder must equal bit for bit."""
+
+    def __init__(self):
+        self.samples = []
+        self.by_group = {}
+
+    def record(self, latency, group=None):
+        self.samples.append(latency)
+        if group is not None:
+            self.by_group.setdefault(group, []).append(latency)
+
+    def record_many(self, latencies, group=None):
+        self.samples.extend(latencies)
+        if group is not None:
+            self.by_group.setdefault(group, []).extend(latencies)
+
+    def summary(self, group=None):
+        samples = self.samples if group is None else self.by_group.get(group, [])
+        if not samples:
+            raise ValueError("no latency samples recorded")
+        ordered = sorted(samples)
+        n = len(ordered)
+        mean = math.fsum(ordered) / n
+        variance = math.fsum((x - mean) ** 2 for x in ordered) / (n - 1) if n > 1 else 0.0
+
+        def rank(q):
+            return ordered[min(n - 1, max(0, math.ceil(q * n) - 1))]
+
+        return LatencySummary(n, mean, math.sqrt(variance), ordered[0], ordered[-1],
+                              rank(0.50), rank(0.95), rank(0.99))
+
+
+def bits(value):
+    """Floats by their bits (``-0.0`` is not ``0.0``), recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, LatencySummary):
+        return bits(list(vars(value).values()))
+    if isinstance(value, dict):
+        return [(key, bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [bits(item) for item in value]
+    return value
 
 
 class TestSummarize:
@@ -39,6 +93,16 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_latencies([])
+        with pytest.raises(ValueError):
+            summarize_latencies(np.empty(0))
+
+    def test_variance_squares_as_the_list_form_did(self):
+        # The C library's pow rounds these two squares other than ``d * d``
+        # does, and the std moves by one ulp: the array form keeps pow.
+        samples = [2.606518e-06, 3.278286e-06]
+        reference = ListRecorder()
+        reference.record_many(samples)
+        assert bits(summarize_latencies(np.array(samples))) == bits(reference.summary())
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=200))
     def test_property_bounds(self, samples):
@@ -63,6 +127,22 @@ class TestRecorder:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyRecorder().record(-1.0)
+
+    def test_nan_rejected_by_record(self):
+        rec = LatencyRecorder()
+        with pytest.raises(ValueError, match="negative latency nan"):
+            rec.record(math.nan)
+        rec.record(2.0)
+        rec.record(1.0)
+        assert rec.summary().minimum == 1.0
+
+    def test_nan_rejected_by_record_many(self):
+        rec = LatencyRecorder()
+        with pytest.raises(ValueError, match="negative latency nan"):
+            rec.record_many([2.0, math.nan, 1.0], group="a")
+        assert rec.count == 0 and rec.groups() == []
+        rec.record_many([2.0, 1.0])
+        assert rec.summary().minimum == 1.0
 
     def test_missing_group_raises(self):
         rec = LatencyRecorder()
@@ -109,6 +189,89 @@ class TestRecorder:
         # commit still registers the group key (setdefault) — empty.
         assert rec.groups() == ["a"]
         assert rec.by_group["a"] == []
+
+    def test_record_many_rejects_codes_it_did_not_give(self):
+        rec = LatencyRecorder()
+        a = rec.code("a")
+        for codes in ([a, a + 1], [a], [-1, a]):
+            with pytest.raises(ValueError, match="registered group code"):
+                rec.record_many([1.0, 2.0], codes=np.array(codes))
+        assert rec.count == 0
+        rec.record_many([1.0, 2.0], codes=np.array([a, a]))
+        assert rec.by_group == {"a": [1.0, 2.0]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_columns_equal_the_lists(self, data):
+        """Interleaved scalar records, bulk commits, coded multi-group
+        commits, empty commits and reads: what the recorder reads back
+        equals the list form's, bit for bit."""
+        value = st.sampled_from([0.0, -0.0, 1e-6, 2.5e-6]) | st.floats(0.0, 1e-3)
+        group = st.sampled_from([None, "a", "b", "c"])
+        rec, ref = LatencyRecorder(), ListRecorder()
+        for _ in range(data.draw(st.integers(0, 12))):
+            op = data.draw(st.sampled_from(["record", "many", "coded", "empty", "read"]))
+            if op == "record":
+                latency, name = data.draw(value), data.draw(group)
+                rec.record(latency, name)
+                ref.record(latency, name)
+            elif op in ("many", "empty"):
+                latencies = data.draw(st.lists(value, max_size=0 if op == "empty" else 8))
+                name = data.draw(group)
+                rec.record_many(np.array(latencies, dtype=float), name)
+                ref.record_many(latencies, name)
+            elif op == "coded":
+                pairs = data.draw(st.lists(st.tuples(value, group), min_size=1, max_size=8))
+                codes = [rec.code(name) for _, name in pairs]  # first-delivery order
+                rec.record_many(np.array([v for v, _ in pairs]), codes=np.array(codes))
+                for latency, name in pairs:
+                    ref.record(latency, name)
+            else:
+                assert bits(rec.samples) == bits(ref.samples)
+        assert bits(rec.samples) == bits(ref.samples)
+        assert all(type(x) is float for x in rec.samples)
+        assert bits(rec.by_group) == bits(ref.by_group)
+        assert rec.count == len(ref.samples)
+        assert rec.groups() == sorted(ref.by_group)
+        for name in [None, *ref.by_group, "missing"]:
+            try:
+                expected = bits(ref.summary(name))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rec.summary(name)
+            else:
+                assert bits(rec.summary(name)) == expected
+
+    def test_the_pass_reads_no_lists(self, monkeypatch):
+        """Two groups and an ungrouped stream, solved port-major in
+        windows of at most 4 096 fires: ``Network.run`` never reads
+        ``samples`` or ``by_group``, which a read builds whole."""
+        reads = []
+        for name in ("samples", "by_group"):
+            real = getattr(LatencyRecorder, name)
+            monkeypatch.setattr(LatencyRecorder, name, property(
+                lambda rec, real=real, name=name: reads.append(name) or real.fget(rec)
+            ))
+        windows = []
+        record = portmajor._record
+
+        def spy(stats, names, owner, latency):
+            windows.append(len(set(names)))
+            record(stats, names, owner, latency)
+
+        monkeypatch.setattr(portmajor, "_record", spy)
+        monkeypatch.setattr(portmajor, "MAX_WINDOW_FIRES", 4_096)
+        topo = T.full_mesh(2, 2, link_rate=10 * GBPS)
+        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        for seed, (src, dst, group) in enumerate([
+            ("h0.0", "h1.0", "a"), ("h1.0", "h0.0", "b"), ("h0.1", "h1.1", None),
+        ]):
+            PoissonSource(net, src, dst, rate_pps=100_000.0, size_bytes=1250,
+                          group=group, seed=seed).start()
+        net.run(until=0.05)
+        assert len(windows) >= 3 and max(windows) == 3
+        assert reads == []
+        assert net.stats.groups() == ["a", "b"] and net.stats.count == net.packets_delivered
 
 
 class TestHopStamps:
