@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-trajectory e2e-digests examples smoke smoke-update \
-	smoke-telemetry smoke-telemetry-update lint ci all
+	smoke-telemetry smoke-telemetry-update lint importtime ci all
 
 install:
 	pip install -e .
@@ -57,6 +57,15 @@ smoke-telemetry:
 smoke-telemetry-update:
 	PYTHONPATH=src $(PYTHON) -m repro smoke --update --telemetry \
 		--dump-windows telemetry-windows.json
+
+# The 25 costliest imports (cumulative microseconds, `python -X
+# importtime`) of the e2e child's import block, run from the child's
+# directory with the caller's environment (bytecode caching included).
+# Not part of `make ci`.
+importtime:
+	cd benchmarks/e2e && PYTHONPATH=../../src $(PYTHON) -X importtime \
+		-c "import numpy, verify, workloads, repro.obs.report" 2>&1 >/dev/null \
+		| sort -t'|' -k2 -n -r | head -25
 
 # Lint with ruff when it is installed; skip gracefully when it is not
 # (CI always installs it, local environments may not).

@@ -40,8 +40,44 @@ Quickstart
 True
 """
 
-from repro.core import QuartzRing
+from __future__ import annotations
+
+from importlib import import_module
+from typing import Any, Callable
 
 __version__ = "1.0.0"
 
 __all__ = ["QuartzRing", "__version__"]
+
+
+def _lazy_exports(
+    namespace: dict[str, Any], table: dict[str, str]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    re-exports are ``table``: ``{name: module}``, or
+    ``{name: "module:attribute"}`` for a renamed one.
+
+    The first read of a name imports its module and stores the value in
+    the package's globals, so a process compiles only the modules it
+    reads.  A name that is also a submodule of its package
+    (``repro.topology.jellyfish``) must be imported eagerly instead:
+    importing the submodule from anywhere binds the *module* to the
+    package attribute, and ``__getattr__`` is then never asked.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module, _, attribute = table[name].partition(":")
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(import_module(module), attribute or name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {"QuartzRing": "repro.core.ring"})

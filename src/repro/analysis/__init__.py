@@ -1,31 +1,6 @@
 """Analytical models: component latencies (Table 2/9) and queueing theory."""
 
-from repro.analysis.latency import (
-    ComponentLatencies,
-    SERVER_RELAY_LATENCY,
-    STANDARD,
-    STATE_OF_THE_ART,
-    end_to_end_latency,
-    path_latency,
-    table9_latency,
-)
-from repro.analysis.scaling import (
-    ElementScale,
-    ScalingError,
-    element_scale,
-    format_scaling_table,
-    scaling_table,
-)
-from repro.analysis.queueing import (
-    QueueingError,
-    erlang_c,
-    md1_mean_sojourn,
-    md1_mean_wait,
-    mg1_mean_wait,
-    mm1_mean_queue_length,
-    mm1_mean_sojourn,
-    mm1_mean_wait,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ComponentLatencies",
@@ -49,3 +24,26 @@ __all__ = [
     "path_latency",
     "table9_latency",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ComponentLatencies": "repro.analysis.latency",
+    "SERVER_RELAY_LATENCY": "repro.analysis.latency",
+    "STANDARD": "repro.analysis.latency",
+    "STATE_OF_THE_ART": "repro.analysis.latency",
+    "end_to_end_latency": "repro.analysis.latency",
+    "path_latency": "repro.analysis.latency",
+    "table9_latency": "repro.analysis.latency",
+    "ElementScale": "repro.analysis.scaling",
+    "ScalingError": "repro.analysis.scaling",
+    "element_scale": "repro.analysis.scaling",
+    "format_scaling_table": "repro.analysis.scaling",
+    "scaling_table": "repro.analysis.scaling",
+    "QueueingError": "repro.analysis.queueing",
+    "erlang_c": "repro.analysis.queueing",
+    "md1_mean_sojourn": "repro.analysis.queueing",
+    "md1_mean_wait": "repro.analysis.queueing",
+    "mg1_mean_wait": "repro.analysis.queueing",
+    "mm1_mean_queue_length": "repro.analysis.queueing",
+    "mm1_mean_sojourn": "repro.analysis.queueing",
+    "mm1_mean_wait": "repro.analysis.queueing",
+})

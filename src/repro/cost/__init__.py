@@ -1,29 +1,9 @@
 """Cost modelling: price list, bills of materials, and the Table 8 configurator."""
 
-from repro.cost.bom import (
-    BillOfMaterials,
-    BOMError,
-    quartz_core_bom,
-    quartz_edge_and_core_bom,
-    quartz_edge_bom,
-    quartz_ring_bom,
-    three_tier_tree_bom,
-    two_tier_tree_bom,
-)
-from repro.cost.configurator import (
-    PAPER_LATENCY_REDUCTIONS,
-    ScenarioRow,
-    format_table8,
-    table8,
-)
-from repro.cost.pricelist import DEFAULT_PRICES, PriceList
-from repro.cost.recommend import (
-    Candidate,
-    Recommendation,
-    RecommendationError,
-    candidates_for,
-    recommend,
-)
+from repro import _lazy_exports
+
+# Bound eagerly: the name is also a submodule (see repro._lazy_exports).
+from repro.cost.recommend import recommend
 
 __all__ = [
     "BillOfMaterials",
@@ -46,3 +26,24 @@ __all__ = [
     "three_tier_tree_bom",
     "two_tier_tree_bom",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "BillOfMaterials": "repro.cost.bom",
+    "BOMError": "repro.cost.bom",
+    "quartz_core_bom": "repro.cost.bom",
+    "quartz_edge_and_core_bom": "repro.cost.bom",
+    "quartz_edge_bom": "repro.cost.bom",
+    "quartz_ring_bom": "repro.cost.bom",
+    "three_tier_tree_bom": "repro.cost.bom",
+    "two_tier_tree_bom": "repro.cost.bom",
+    "PAPER_LATENCY_REDUCTIONS": "repro.cost.configurator",
+    "ScenarioRow": "repro.cost.configurator",
+    "format_table8": "repro.cost.configurator",
+    "table8": "repro.cost.configurator",
+    "DEFAULT_PRICES": "repro.cost.pricelist",
+    "PriceList": "repro.cost.pricelist",
+    "Candidate": "repro.cost.recommend",
+    "Recommendation": "repro.cost.recommend",
+    "RecommendationError": "repro.cost.recommend",
+    "candidates_for": "repro.cost.recommend",
+})

@@ -14,58 +14,7 @@ a figure with one call:
   injected incast bursts (ROADMAP item 3 validation).
 """
 
-from repro.experiments.breakdown import (
-    breakdown_table,
-    format_breakdown_table,
-    latency_breakdown,
-)
-from repro.experiments.bisection import (
-    FABRIC_BUILDERS,
-    BisectionResult,
-    figure10_sweep,
-    format_figure10,
-    run_bisection_cell,
-)
-from repro.experiments.fault_recovery import (
-    ROUTER_BUILDERS,
-    FaultRecoveryResult,
-    fault_recovery_sweep,
-    format_fault_recovery,
-    run_fault_recovery_cell,
-)
-from repro.experiments.hybrid_scale import (
-    FABRIC_BUILDERS as HYBRID_FABRIC_BUILDERS,
-    HybridScaleResult,
-    format_hybrid_scale,
-    hybrid_scale_experiment,
-    run_hybrid_scale_cell,
-)
-from repro.experiments.pathological import (
-    PathologicalResult,
-    figure20_sweep,
-    format_figure20,
-    nonblocking_testbed,
-    quartz_core_testbed,
-    run_pathological,
-)
-from repro.experiments.queue_diagnosis import (
-    HEAVY_FLOW,
-    DiagnosisScore,
-    QueueDiagnosisResult,
-    format_queue_diagnosis,
-    queue_diagnosis_sweep,
-    run_queue_diagnosis_cell,
-    score_diagnosis,
-)
-from repro.experiments.section7 import (
-    TOPOLOGY_BUILDERS,
-    SweepPoint,
-    TaskExperimentResult,
-    figure17_sweep,
-    figure18_sweep,
-    format_sweep,
-    run_task_experiment,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "BisectionResult",
@@ -107,3 +56,44 @@ __all__ = [
     "run_pathological",
     "run_task_experiment",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "breakdown_table": "repro.experiments.breakdown",
+    "format_breakdown_table": "repro.experiments.breakdown",
+    "latency_breakdown": "repro.experiments.breakdown",
+    "FABRIC_BUILDERS": "repro.experiments.bisection",
+    "BisectionResult": "repro.experiments.bisection",
+    "figure10_sweep": "repro.experiments.bisection",
+    "format_figure10": "repro.experiments.bisection",
+    "run_bisection_cell": "repro.experiments.bisection",
+    "ROUTER_BUILDERS": "repro.experiments.fault_recovery",
+    "FaultRecoveryResult": "repro.experiments.fault_recovery",
+    "fault_recovery_sweep": "repro.experiments.fault_recovery",
+    "format_fault_recovery": "repro.experiments.fault_recovery",
+    "run_fault_recovery_cell": "repro.experiments.fault_recovery",
+    "HYBRID_FABRIC_BUILDERS": "repro.experiments.hybrid_scale:FABRIC_BUILDERS",
+    "HybridScaleResult": "repro.experiments.hybrid_scale",
+    "format_hybrid_scale": "repro.experiments.hybrid_scale",
+    "hybrid_scale_experiment": "repro.experiments.hybrid_scale",
+    "run_hybrid_scale_cell": "repro.experiments.hybrid_scale",
+    "PathologicalResult": "repro.experiments.pathological",
+    "figure20_sweep": "repro.experiments.pathological",
+    "format_figure20": "repro.experiments.pathological",
+    "nonblocking_testbed": "repro.experiments.pathological",
+    "quartz_core_testbed": "repro.experiments.pathological",
+    "run_pathological": "repro.experiments.pathological",
+    "HEAVY_FLOW": "repro.experiments.queue_diagnosis",
+    "DiagnosisScore": "repro.experiments.queue_diagnosis",
+    "QueueDiagnosisResult": "repro.experiments.queue_diagnosis",
+    "format_queue_diagnosis": "repro.experiments.queue_diagnosis",
+    "queue_diagnosis_sweep": "repro.experiments.queue_diagnosis",
+    "run_queue_diagnosis_cell": "repro.experiments.queue_diagnosis",
+    "score_diagnosis": "repro.experiments.queue_diagnosis",
+    "TOPOLOGY_BUILDERS": "repro.experiments.section7",
+    "SweepPoint": "repro.experiments.section7",
+    "TaskExperimentResult": "repro.experiments.section7",
+    "figure17_sweep": "repro.experiments.section7",
+    "figure18_sweep": "repro.experiments.section7",
+    "format_sweep": "repro.experiments.section7",
+    "run_task_experiment": "repro.experiments.section7",
+})

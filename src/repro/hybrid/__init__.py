@@ -8,17 +8,7 @@ as time-varying residual capacity per link.  See
 ``hybrid=False`` for the pure-packet oracle.
 """
 
-from repro.hybrid.background import (
-    BackgroundFlow,
-    BackgroundSchedule,
-    HybridError,
-    random_background_schedule,
-)
-from repro.hybrid.engine import (
-    BACKGROUND_GROUP,
-    DEFAULT_MIN_RESIDUAL_FRACTION,
-    HybridNetwork,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "BACKGROUND_GROUP",
@@ -29,3 +19,13 @@ __all__ = [
     "HybridNetwork",
     "random_background_schedule",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "BackgroundFlow": "repro.hybrid.background",
+    "BackgroundSchedule": "repro.hybrid.background",
+    "HybridError": "repro.hybrid.background",
+    "random_background_schedule": "repro.hybrid.background",
+    "BACKGROUND_GROUP": "repro.hybrid.engine",
+    "DEFAULT_MIN_RESIDUAL_FRACTION": "repro.hybrid.engine",
+    "HybridNetwork": "repro.hybrid.engine",
+})

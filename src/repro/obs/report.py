@@ -23,7 +23,6 @@ import datetime
 import hashlib
 import json
 import os
-import subprocess
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -62,8 +61,7 @@ def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
     because the frozen ``benchmarks/e2e/test_harness.py`` reads them.
     """
     from repro import obs
-    from repro.sim.knobs import resolve_flag
-    from repro.telemetry import TELEMETRY_ENV
+    from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
 
     source = os.environ if environ is None else environ
     return {
@@ -105,6 +103,8 @@ def _git_commit() -> "str | None":
     sha = os.environ.get("GITHUB_SHA")
     if sha:
         return sha
+    import subprocess
+
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

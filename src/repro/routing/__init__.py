@@ -1,21 +1,6 @@
 """Routing engines: ECMP, VLB, k-shortest-paths."""
 
-from repro.routing.base import (
-    Path,
-    Router,
-    RoutingError,
-    WeightedPath,
-    stable_hash,
-)
-from repro.routing.ecmp import ECMPRouter
-from repro.routing.kshortest import KShortestPathsRouter
-from repro.routing.tables import (
-    RouteTable,
-    ecmp_segment_table,
-    kshortest_table,
-    vlb_table,
-)
-from repro.routing.vlb import AdaptiveVLBRouter, DemandAwareVLBRouter, VLBRouter
+from repro import _lazy_exports
 
 __all__ = [
     "AdaptiveVLBRouter",
@@ -33,3 +18,20 @@ __all__ = [
     "stable_hash",
     "vlb_table",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Path": "repro.routing.base",
+    "Router": "repro.routing.base",
+    "RoutingError": "repro.routing.base",
+    "WeightedPath": "repro.routing.base",
+    "stable_hash": "repro.routing.base",
+    "ECMPRouter": "repro.routing.ecmp",
+    "KShortestPathsRouter": "repro.routing.kshortest",
+    "RouteTable": "repro.routing.tables",
+    "ecmp_segment_table": "repro.routing.tables",
+    "kshortest_table": "repro.routing.tables",
+    "vlb_table": "repro.routing.tables",
+    "AdaptiveVLBRouter": "repro.routing.vlb",
+    "DemandAwareVLBRouter": "repro.routing.vlb",
+    "VLBRouter": "repro.routing.vlb",
+})

@@ -21,11 +21,18 @@ translate those back into the usual :class:`~repro.routing.base.RoutingError`.
 from __future__ import annotations
 
 from itertools import islice
+from typing import Iterator
 
 from repro.cache import cached
 from repro.routing.base import Path
 from repro.topology.base import LinkKind, Topology, TopologyError
-from repro.topology.graph import Graph, all_shortest_paths, shortest_simple_paths
+from repro.topology.graph import (
+    Graph,
+    all_shortest_paths,
+    paths_from_predecessors,
+    shortest_path_predecessors,
+    shortest_simple_paths,
+)
 
 #: pair -> paths, in the router's stable order.  Empty tuple = unroutable.
 RouteTable = dict[tuple[str, str], tuple[Path, ...]]
@@ -41,7 +48,10 @@ def ecmp_paths(graph: Graph, src: str, dst: str, max_paths: int) -> list[Path]:
 
     The identity pair is the one-node path.
     """
-    found = all_shortest_paths(graph, src, dst)
+    return _first_sorted(all_shortest_paths(graph, src, dst), max_paths)
+
+
+def _first_sorted(found: Iterator[list[str]], max_paths: int) -> list[Path]:
     return sorted(tuple(p) for p in islice(found, max_paths))
 
 
@@ -91,16 +101,22 @@ def kshortest_table(topo: Topology, k: int) -> RouteTable:
 
 @cached("route-table/ecmp-segments", copy=dict)
 def ecmp_segment_table(topo: Topology, max_paths: int) -> RouteTable:
-    """:func:`ecmp_paths` over the switch subgraph, every ordered switch pair."""
+    """:func:`ecmp_paths` over the switch subgraph, every ordered switch pair.
+
+    One BFS per source switch serves all its targets: the predecessor
+    map does not depend on the target.
+    """
     switches = topo.switches()
     switch_graph = topo.switch_graph()
-    # Each row starts at the identity pair: the order is pinned in
-    # tests/golden/route_pins.json.
-    return {
-        (sw_s, sw_d): tuple(ecmp_paths(switch_graph, sw_s, sw_d, max_paths))
-        for sw_s in switches
-        for sw_d in (sw_s, *(d for d in switches if d != sw_s))
-    }
+    table: RouteTable = {}
+    for sw_s in switches:
+        pred = shortest_path_predecessors(switch_graph, sw_s)
+        # Each row starts at the identity pair: the order is pinned in
+        # tests/golden/route_pins.json.
+        for sw_d in (sw_s, *(d for d in switches if d != sw_s)):
+            found = paths_from_predecessors(sw_s, sw_d, pred)
+            table[(sw_s, sw_d)] = tuple(_first_sorted(found, max_paths))
+    return table
 
 
 @cached("route-table/vlb", copy=dict)

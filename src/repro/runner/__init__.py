@@ -15,14 +15,7 @@ Usage::
     results = run_cells(cells, workers=8)   # same order as ``cells``
 """
 
-from repro.runner.pool import (
-    SHORT_SWEEP_CELLS_PER_WORKER,
-    ExperimentSpec,
-    PinnedPool,
-    RunnerError,
-    default_workers,
-    run_cells,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "SHORT_SWEEP_CELLS_PER_WORKER",
@@ -32,3 +25,12 @@ __all__ = [
     "default_workers",
     "run_cells",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "SHORT_SWEEP_CELLS_PER_WORKER": "repro.runner.pool",
+    "ExperimentSpec": "repro.runner.pool",
+    "PinnedPool": "repro.runner.pool",
+    "RunnerError": "repro.runner.pool",
+    "default_workers": "repro.runner.pool",
+    "run_cells": "repro.runner.pool",
+})

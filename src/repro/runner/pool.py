@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -121,6 +120,10 @@ def run_cells(
     else:
         chunksize = max(1, len(cells) // (workers * 4))
     obs_armed = _obs.registry() is not None
+    # Imported here: concurrent.futures loads multiprocessing, which no
+    # serial run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Armed: arm each worker so sweep-cell spans and metrics exist to
     # ship home with each result.
     with ProcessPoolExecutor(
@@ -205,6 +208,8 @@ class PinnedPool:
                 f"initargs_per_slot has {len(initargs_per_slot)} entries "
                 f"for {slots} slots"
             )
+        from concurrent.futures import ProcessPoolExecutor
+
         self._pools = [
             ProcessPoolExecutor(
                 max_workers=1,

@@ -27,6 +27,11 @@ from __future__ import annotations
 import os
 from typing import Mapping
 
+#: Environment variable arming :mod:`repro.telemetry` for networks
+#: built with ``telemetry=None`` (unset, empty, or ``"0"`` leaves it off).
+#: Owned here so a network can resolve it without importing the layer.
+TELEMETRY_ENV = "REPRO_TELEMETRY"
+
 #: Environment values that read as "flag not set" (feature untouched).
 _FALSY = ("", "0")
 

@@ -24,18 +24,21 @@ saturation in Figure 20).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
 from repro.sim.fastpath import HopPlan, compile_plan
+from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
 from repro import obs as _obs_layer
 from repro.sim.stats import FaultRecorder, LatencyRecorder
 from repro.sim.switch import SwitchModel, get_model
-from repro.telemetry.windows import TelemetryConfig, TelemetryHub, resolve_config
 from repro.topology.base import Topology
 from repro.topology.graph import shortest_path
 from repro.units import BITS_PER_BYTE, MICROSECONDS, NANOSECONDS
+
+if TYPE_CHECKING:
+    from repro.telemetry.windows import TelemetryConfig, TelemetryHub
 
 #: OS network-stack forwarding latency charged to server relays
 #: (paper Table 2, "OS Network Stack": 15 µs standard).
@@ -138,10 +141,13 @@ class Network:
         #: Armed telemetry hub (:class:`repro.telemetry.TelemetryHub`),
         #: or ``None`` — the disabled state costs one attribute check
         #: per transmit and changes no simulation result either way.
-        tele_config = resolve_config(telemetry)
-        self.telemetry: TelemetryHub | None = (
-            TelemetryHub(tele_config) if tele_config is not None else None
-        )
+        #: The layer is imported only to arm a hub (a ``TelemetryConfig``
+        #: argument is truthy).
+        self.telemetry: TelemetryHub | None = None
+        if resolve_flag(telemetry, TELEMETRY_ENV):
+            from repro.telemetry import windows
+
+            self.telemetry = windows.TelemetryHub(windows.resolve_config(telemetry))
         self.packets_delivered = 0
         self.packets_dropped = 0
         self.packets_dropped_fault = 0

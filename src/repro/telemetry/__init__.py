@@ -21,27 +21,7 @@ monitors are armed the port-major pass of ``Network.run`` stands down
 fast path keeps running, with hooks in both forwarding loops.
 """
 
-from repro.telemetry.attribution import (
-    DEFAULT_MIN_DEPTH,
-    DEFAULT_OCCUPANCY_FACTOR,
-    Diagnosis,
-    Microburst,
-    detect_microbursts,
-    diagnose,
-    rank_flows,
-    top_flow,
-)
-from repro.telemetry.windows import (
-    DEFAULT_WINDOW,
-    TELEMETRY_ENV,
-    PortMonitor,
-    TelemetryConfig,
-    TelemetryError,
-    TelemetryHub,
-    Window,
-    resolve_config,
-    telemetry_env_enabled,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "DEFAULT_MIN_DEPTH",
@@ -62,3 +42,23 @@ __all__ = [
     "telemetry_env_enabled",
     "top_flow",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "DEFAULT_MIN_DEPTH": "repro.telemetry.attribution",
+    "DEFAULT_OCCUPANCY_FACTOR": "repro.telemetry.attribution",
+    "Diagnosis": "repro.telemetry.attribution",
+    "Microburst": "repro.telemetry.attribution",
+    "detect_microbursts": "repro.telemetry.attribution",
+    "diagnose": "repro.telemetry.attribution",
+    "rank_flows": "repro.telemetry.attribution",
+    "top_flow": "repro.telemetry.attribution",
+    "DEFAULT_WINDOW": "repro.telemetry.windows",
+    "TELEMETRY_ENV": "repro.telemetry.windows",
+    "PortMonitor": "repro.telemetry.windows",
+    "TelemetryConfig": "repro.telemetry.windows",
+    "TelemetryError": "repro.telemetry.windows",
+    "TelemetryHub": "repro.telemetry.windows",
+    "Window": "repro.telemetry.windows",
+    "resolve_config": "repro.telemetry.windows",
+    "telemetry_env_enabled": "repro.telemetry.windows",
+})

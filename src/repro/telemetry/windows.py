@@ -37,11 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.sim.knobs import TELEMETRY_ENV, env_truthy, resolve_flag
 from repro.units import MICROSECONDS
-
-#: Environment variable arming telemetry for networks built with
-#: ``telemetry=None`` (unset, empty, or ``"0"`` leaves it off).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Default monitoring window width (PrintQueue uses microsecond-scale
 #: windows; 50 µs keeps per-run window counts modest at sim timescales).
@@ -78,10 +75,6 @@ class TelemetryConfig:
 
 def telemetry_env_enabled(environ: "dict[str, str] | None" = None) -> bool:
     """Whether :data:`TELEMETRY_ENV` requests telemetry by default."""
-    # Imported lazily: repro.sim.network imports this module at the top
-    # level, so a module-level import of repro.sim here would be a cycle.
-    from repro.sim.knobs import env_truthy
-
     return env_truthy(TELEMETRY_ENV, environ)
 
 
@@ -97,8 +90,6 @@ def resolve_config(
     """
     if isinstance(telemetry, TelemetryConfig):
         return telemetry
-    from repro.sim.knobs import resolve_flag
-
     armed = resolve_flag(telemetry, TELEMETRY_ENV)
     return TelemetryConfig() if armed else None
 

@@ -148,6 +148,16 @@ def _check(graph: Graph, *nodes: Node) -> None:
 def all_shortest_paths(graph: Graph, source: Node, target: Node) -> Iterator[list[Node]]:
     """Every shortest ``source``–``target`` path, lazily, in networkx's order."""
     _check(graph, source, target)
+    return paths_from_predecessors(source, target, shortest_path_predecessors(graph, source))
+
+
+def shortest_path_predecessors(graph: Graph, source: Node) -> dict[Node, list[Node]]:
+    """Each node's predecessors on its shortest paths from ``source``.
+
+    networkx's ``predecessor``: one BFS over the whole component, so
+    the result serves every target (:func:`paths_from_predecessors`).
+    """
+    _check(graph, source)
     adj = graph.adj
     level = 0
     next_level = [source]
@@ -165,12 +175,17 @@ def all_shortest_paths(graph: Graph, source: Node, target: Node) -> Iterator[lis
                     next_level.append(w)
                 elif seen[w] == level:
                     pred[w].append(v)
-    return _paths_from_predecessors(source, target, pred)
+    return pred
 
 
-def _paths_from_predecessors(
+def paths_from_predecessors(
     source: Node, target: Node, pred: dict[Node, list[Node]]
 ) -> Iterator[list[Node]]:
+    """Every shortest ``source``–``target`` path through ``pred``, lazily.
+
+    ``pred`` is :func:`shortest_path_predecessors` from ``source``; a
+    ``target`` it never reached yields nothing.
+    """
     if target not in pred:
         return
     seen = {target}

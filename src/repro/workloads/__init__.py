@@ -1,33 +1,6 @@
 """Workload generators: traffic matrices, tasks, and the prototype experiment."""
 
-from repro.workloads.crosstraffic import (
-    CrossTrafficResult,
-    normalized_latency_curve,
-    prototype_quartz,
-    prototype_tree,
-    run_cross_traffic_experiment,
-)
-from repro.workloads.partition_aggregate import (
-    PartitionAggregateQuery,
-    QueryError,
-    QueryTree,
-    spread_query_tree,
-)
-from repro.workloads.patterns import (
-    TrafficMatrix,
-    incast,
-    pathological_concentration,
-    rack_level_shuffle,
-    random_permutation,
-)
-from repro.workloads.tasks import (
-    ScatterGatherTask,
-    StreamingTask,
-    TaskError,
-    TaskSpec,
-    build_task,
-    random_task,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "CrossTrafficResult",
@@ -50,3 +23,26 @@ __all__ = [
     "random_task",
     "spread_query_tree",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "CrossTrafficResult": "repro.workloads.crosstraffic",
+    "normalized_latency_curve": "repro.workloads.crosstraffic",
+    "prototype_quartz": "repro.workloads.crosstraffic",
+    "prototype_tree": "repro.workloads.crosstraffic",
+    "run_cross_traffic_experiment": "repro.workloads.crosstraffic",
+    "PartitionAggregateQuery": "repro.workloads.partition_aggregate",
+    "QueryError": "repro.workloads.partition_aggregate",
+    "QueryTree": "repro.workloads.partition_aggregate",
+    "spread_query_tree": "repro.workloads.partition_aggregate",
+    "TrafficMatrix": "repro.workloads.patterns",
+    "incast": "repro.workloads.patterns",
+    "pathological_concentration": "repro.workloads.patterns",
+    "rack_level_shuffle": "repro.workloads.patterns",
+    "random_permutation": "repro.workloads.patterns",
+    "ScatterGatherTask": "repro.workloads.tasks",
+    "StreamingTask": "repro.workloads.tasks",
+    "TaskError": "repro.workloads.tasks",
+    "TaskSpec": "repro.workloads.tasks",
+    "build_task": "repro.workloads.tasks",
+    "random_task": "repro.workloads.tasks",
+})

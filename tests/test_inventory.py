@@ -10,7 +10,9 @@ are not roots: a module only its own tests import is dead weight.
 
 A package ``__init__`` that only re-exports is looked *through*, never
 followed: ``from repro.sim import Network`` reaches ``repro.sim.network``
-and nothing else ``repro/sim/__init__.py`` happens to import.  The same
+and nothing else ``repro/sim/__init__.py`` lists.  A lazy table
+(``__getattr__, __dir__ = _lazy_exports(globals(), {name: module})``) is
+read exactly as a ``from module import name`` would be.  The same
 holds for ``import repro.topology as T`` followed by ``T.fat_tree`` —
 the attribute is resolved through the ``__init__`` when it is read off
 the alias by name.  A module reached only through some other expression
@@ -36,12 +38,23 @@ class _Tree:
     def __init__(self, src: Path) -> None:
         self.modules: dict[str, ast.Module] = {}
         self.packages: set[str] = set()
+        #: package -> its lazy table, name -> "module" or "module:attribute"
+        self.lazy: dict[str, dict[str, str]] = {}
         for path in sorted((src / "repro").rglob("*.py")):
             parts = path.relative_to(src).with_suffix("").parts
             if parts[-1] == "__init__":
                 parts = parts[:-1]
                 self.packages.add(".".join(parts))
             self.modules[".".join(parts)] = ast.parse(path.read_text(), str(path))
+        for package in self.packages:
+            for node in self.modules[package].body:
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "_lazy_exports"
+                ):
+                    self.lazy[package] = ast.literal_eval(node.value.args[1])
 
     def resolve(self, package: str, name: str) -> str:
         """The module that ``from package import name`` reads ``name`` from."""
@@ -53,6 +66,9 @@ class _Tree:
                 for alias in node.names:
                     if (alias.asname or alias.name) == name:
                         return self.target(node.module, alias.name)
+        if name in self.lazy.get(package, {}):
+            module, _, attribute = self.lazy[package][name].partition(":")
+            return self.target(module, attribute or name)
         # Defined by the ``__init__`` itself: the package is the module.
         return package
 
@@ -113,3 +129,14 @@ def test_every_module_is_reached_from_something_that_runs():
         "module, or import it by name from whatever runs it"
     )
 
+
+
+def test_a_lazy_table_entry_is_followed_as_a_from_import():
+    tree = _Tree(REPO / "src")
+    assert tree.lazy["repro.flowsim"]["FCTSimulator"] == "repro.flowsim.fct"
+    found = tree.imports(ast.parse("from repro.flowsim import FCTSimulator"))
+    assert found == {"repro.flowsim.fct"}
+    renamed = tree.imports(ast.parse("from repro.experiments import HYBRID_FABRIC_BUILDERS"))
+    assert renamed == {"repro.experiments.hybrid_scale"}
+    aliased = tree.imports(ast.parse("import repro.topology as T\nT.fat_tree"))
+    assert aliased == {"repro.topology.fattree"}
