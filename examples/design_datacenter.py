@@ -18,7 +18,6 @@ from repro.cost import (
     PriceList,
     format_table8,
     quartz_ring_bom,
-    recommend,
     table8,
     two_tier_tree_bom,
 )
@@ -55,16 +54,6 @@ def main() -> None:
         prices = PriceList(dwdm_transceiver=float(price))
         row = table8(prices=prices)[0]
         print(f"  ${price:>5}/transceiver → premium {row.cost_premium * 100:+6.1f}%")
-
-    # The configurator as a decision: what should *this* DC deploy?
-    print("\nRecommendations (cheapest option meeting a latency target):")
-    for servers, target in ((500, 0.3), (100_000, 0.6), (100_000, 0.72)):
-        rec = recommend(servers, latency_reduction_target=target)
-        print(
-            f"  {servers:>7} servers, need ≥{target:.0%} reduction → "
-            f"{rec.chosen.name} (${rec.chosen.cost_per_server:,.0f}/server, "
-            f"premium {rec.premium_over_baseline * 100:+.0f}%)"
-        )
 
 
 if __name__ == "__main__":

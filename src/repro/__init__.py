@@ -59,10 +59,11 @@ def _lazy_exports(
 
     The first read of a name imports its module and stores the value in
     the package's globals, so a process compiles only the modules it
-    reads.  A name that is also a submodule of its package
-    (``repro.topology.jellyfish``) must be imported eagerly instead:
-    importing the submodule from anywhere binds the *module* to the
-    package attribute, and ``__getattr__`` is then never asked.
+    reads.  A name that is also a submodule of its package must be
+    imported eagerly instead (two today: ``repro.topology.jellyfish``
+    and ``repro.topology.bcube``): importing the submodule from anywhere
+    binds the *module* to the package attribute, and ``__getattr__`` is
+    then never asked.
     """
     package = namespace["__name__"]
 

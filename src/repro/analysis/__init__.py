@@ -14,13 +14,7 @@ __all__ = [
     "STANDARD",
     "STATE_OF_THE_ART",
     "end_to_end_latency",
-    "erlang_c",
-    "md1_mean_sojourn",
     "md1_mean_wait",
-    "mg1_mean_wait",
-    "mm1_mean_queue_length",
-    "mm1_mean_sojourn",
-    "mm1_mean_wait",
     "path_latency",
     "table9_latency",
 ]
@@ -39,11 +33,5 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "format_scaling_table": "repro.analysis.scaling",
     "scaling_table": "repro.analysis.scaling",
     "QueueingError": "repro.analysis.queueing",
-    "erlang_c": "repro.analysis.queueing",
-    "md1_mean_sojourn": "repro.analysis.queueing",
     "md1_mean_wait": "repro.analysis.queueing",
-    "mg1_mean_wait": "repro.analysis.queueing",
-    "mm1_mean_queue_length": "repro.analysis.queueing",
-    "mm1_mean_sojourn": "repro.analysis.queueing",
-    "mm1_mean_wait": "repro.analysis.queueing",
 })

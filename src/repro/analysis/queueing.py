@@ -1,16 +1,15 @@
-"""Queueing-theory references used to validate the packet simulator.
+"""The queueing-theory reference used to validate the packet simulator.
 
 The paper: "We have performed extensive validation testing of our
 simulator to ensure that it produces correct results that match queuing
 theory."  We do the same: Poisson arrivals into a fixed-rate output port
-with fixed-size packets form an M/D/1 queue; with exponentially sized
-packets, M/M/1.  The test suite drives the simulator with both and
-checks the measured mean waiting times against these formulas.
+with fixed-size packets form an M/D/1 queue.
+``tests/sim/test_queueing_validation.py`` drives the simulator with that
+traffic and checks the measured mean waiting time against the M/D/1
+formula here.
 """
 
 from __future__ import annotations
-
-import math
 
 
 class QueueingError(ValueError):
@@ -26,24 +25,6 @@ def _check(arrival_rate: float, service_rate: float) -> float:
     return rho
 
 
-def mm1_mean_wait(arrival_rate: float, service_rate: float) -> float:
-    """Mean time in queue (excluding service) for M/M/1."""
-    rho = _check(arrival_rate, service_rate)
-    return rho / (service_rate - arrival_rate)
-
-
-def mm1_mean_sojourn(arrival_rate: float, service_rate: float) -> float:
-    """Mean time in system (queue + service) for M/M/1."""
-    _check(arrival_rate, service_rate)
-    return 1.0 / (service_rate - arrival_rate)
-
-
-def mm1_mean_queue_length(arrival_rate: float, service_rate: float) -> float:
-    """Mean number in system for M/M/1 (Little's law on the sojourn)."""
-    rho = _check(arrival_rate, service_rate)
-    return rho / (1 - rho)
-
-
 def md1_mean_wait(arrival_rate: float, service_time: float) -> float:
     """Mean time in queue for M/D/1 (Pollaczek–Khinchine, deterministic
     service): ``W = ρ · S / (2 (1 − ρ))``."""
@@ -51,41 +32,3 @@ def md1_mean_wait(arrival_rate: float, service_time: float) -> float:
         raise QueueingError("service time must be positive")
     rho = _check(arrival_rate, 1.0 / service_time)
     return rho * service_time / (2 * (1 - rho))
-
-
-def md1_mean_sojourn(arrival_rate: float, service_time: float) -> float:
-    """Mean time in system for M/D/1."""
-    return md1_mean_wait(arrival_rate, service_time) + service_time
-
-
-def mg1_mean_wait(
-    arrival_rate: float, mean_service: float, service_variance: float
-) -> float:
-    """Mean time in queue for M/G/1 (general Pollaczek–Khinchine)."""
-    if mean_service <= 0:
-        raise QueueingError("mean service time must be positive")
-    if service_variance < 0:
-        raise QueueingError("variance must be non-negative")
-    rho = _check(arrival_rate, 1.0 / mean_service)
-    second_moment = service_variance + mean_service**2
-    return arrival_rate * second_moment / (2 * (1 - rho))
-
-
-def erlang_c(servers: int, offered_load: float) -> float:
-    """Erlang-C probability of queueing for M/M/c (c parallel channels).
-
-    Used by capacity studies of multi-channel rack-to-rack links (a
-    Quartz pair that spreads over ``c`` parallel wavelengths behaves as
-    M/M/c at the flow level).
-    """
-    if servers < 1:
-        raise QueueingError("need at least one server")
-    if offered_load <= 0:
-        raise QueueingError("offered load must be positive")
-    if offered_load >= servers:
-        raise QueueingError("offered load must be below the server count")
-    total = sum(offered_load**k / math.factorial(k) for k in range(servers))
-    tail = offered_load**servers / (
-        math.factorial(servers) * (1 - offered_load / servers)
-    )
-    return tail / (total + tail)

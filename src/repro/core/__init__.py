@@ -40,8 +40,6 @@ __all__ = [
     "lower_bound",
     "max_ring_size",
     "max_unamplified_wdm_hops",
-    "multiring_from_json",
-    "multiring_to_json",
     "plan_from_json",
     "plan_rings",
     "plan_to_json",
@@ -74,8 +72,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "RingAssignment": "repro.core.multiring",
     "plan_rings": "repro.core.multiring",
     "SerializationError": "repro.core.serialization",
-    "multiring_from_json": "repro.core.serialization",
-    "multiring_to_json": "repro.core.serialization",
     "plan_from_json": "repro.core.serialization",
     "plan_to_json": "repro.core.serialization",
     "Amplifier": "repro.core.optical",

@@ -4,9 +4,9 @@ The paper notes that "wavelength planning is a one-time event that is
 done at design time … wavelength planning and switch to DWDM cabling can
 be performed by the device manufacturer at the factory."  That implies
 plans are artifacts that get written down, shipped, and loaded — so the
-library supports a stable JSON representation for both single-ring
-(:class:`~repro.core.channels.ChannelPlan`) and multi-ring
-(:class:`~repro.core.multiring.MultiRingPlan`) plans.
+library supports a stable JSON representation of a single-ring
+:class:`~repro.core.channels.ChannelPlan` (``repro plan --json`` writes
+one).
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 import json
 
 from repro.core.channels import ChannelPlan, PathAssignment
-from repro.core.multiring import MultiRingPlan, RingAssignment
 
 _FORMAT = "quartz-channel-plan"
-_MULTI_FORMAT = "quartz-multiring-plan"
 _VERSION = 1
 
 
@@ -46,7 +44,7 @@ def plan_to_json(plan: ChannelPlan, indent: int | None = None) -> str:
 
 def plan_from_json(text: str) -> ChannelPlan:
     """Parse and validate a single-ring plan document."""
-    doc = _load(text, _FORMAT)
+    doc = _load(text)
     ring_size = doc["ring_size"]
     try:
         assignments = tuple(
@@ -66,63 +64,15 @@ def plan_from_json(text: str) -> ChannelPlan:
     return plan
 
 
-def multiring_to_json(plan: MultiRingPlan, indent: int | None = None) -> str:
-    """Serialize a multi-ring plan to JSON."""
-    doc = {
-        "format": _MULTI_FORMAT,
-        "version": _VERSION,
-        "ring_size": plan.ring_size,
-        "num_rings": plan.num_rings,
-        "wdm_channels": plan.wdm_channels,
-        "assignments": [
-            {
-                "pair": list(a.pair),
-                "ring": a.ring,
-                "wavelength": a.wavelength,
-                "links": list(a.links),
-            }
-            for a in plan.assignments
-        ],
-    }
-    return json.dumps(doc, indent=indent)
-
-
-def multiring_from_json(text: str) -> MultiRingPlan:
-    """Parse and validate a multi-ring plan document."""
-    doc = _load(text, _MULTI_FORMAT)
-    try:
-        assignments = tuple(
-            RingAssignment(
-                pair=tuple(entry["pair"]),  # type: ignore[arg-type]
-                ring=entry["ring"],
-                wavelength=entry["wavelength"],
-                links=tuple(entry["links"]),
-            )
-            for entry in doc["assignments"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed assignment entry: {exc}") from exc
-    plan = MultiRingPlan(
-        ring_size=doc["ring_size"],
-        num_rings=doc["num_rings"],
-        wdm_channels=doc["wdm_channels"],
-        assignments=assignments,
-    )
-    plan.validate()
-    return plan
-
-
-def _load(text: str, expected_format: str) -> dict:
+def _load(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SerializationError("plan document must be a JSON object")
-    if doc.get("format") != expected_format:
-        raise SerializationError(
-            f"expected format {expected_format!r}, got {doc.get('format')!r}"
-        )
+    if doc.get("format") != _FORMAT:
+        raise SerializationError(f"expected format {_FORMAT!r}, got {doc.get('format')!r}")
     if doc.get("version") != _VERSION:
         raise SerializationError(f"unsupported version {doc.get('version')!r}")
     for key in ("ring_size", "assignments"):

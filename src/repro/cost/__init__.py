@@ -2,16 +2,8 @@
 
 from repro import _lazy_exports
 
-# Bound eagerly: the name is also a submodule (see repro._lazy_exports).
-from repro.cost.recommend import recommend
-
 __all__ = [
     "BillOfMaterials",
-    "Candidate",
-    "Recommendation",
-    "RecommendationError",
-    "candidates_for",
-    "recommend",
     "BOMError",
     "DEFAULT_PRICES",
     "PAPER_LATENCY_REDUCTIONS",
@@ -42,8 +34,4 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "table8": "repro.cost.configurator",
     "DEFAULT_PRICES": "repro.cost.pricelist",
     "PriceList": "repro.cost.pricelist",
-    "Candidate": "repro.cost.recommend",
-    "Recommendation": "repro.cost.recommend",
-    "RecommendationError": "repro.cost.recommend",
-    "candidates_for": "repro.cost.recommend",
 })

@@ -64,10 +64,6 @@ class PathologicalResult:
         return self.summary.mean
 
 
-def _mesh_capacity_fixup(topo: Topology) -> None:
-    """The non-blocking testbed has no mesh links; nothing to fix."""
-
-
 def run_pathological(
     fabric: str,
     offered_load_bps: float,

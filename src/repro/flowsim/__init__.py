@@ -3,17 +3,12 @@
 from repro import _lazy_exports
 
 __all__ = [
-    "FCTError",
-    "FCTSimulator",
     "Flow",
-    "FlowCompletion",
     "FlowSimError",
     "Incidence",
     "MaxMinSolution",
     "ResidualSolver",
-    "TimedFlow",
     "max_min_rates_multipath",
-    "mean_fct",
     "ThroughputResult",
     "TrafficMatrix",
     "achieved_throughput",
@@ -27,11 +22,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "FCTError": "repro.flowsim.fct",
-    "FCTSimulator": "repro.flowsim.fct",
-    "FlowCompletion": "repro.flowsim.fct",
-    "TimedFlow": "repro.flowsim.fct",
-    "mean_fct": "repro.flowsim.fct",
     "Flow": "repro.flowsim.maxmin",
     "FlowSimError": "repro.flowsim.maxmin",
     "Incidence": "repro.flowsim.maxmin",

@@ -39,8 +39,6 @@ __all__ = [
     "diagnose",
     "rank_flows",
     "resolve_config",
-    "telemetry_env_enabled",
-    "top_flow",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -51,7 +49,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "detect_microbursts": "repro.telemetry.attribution",
     "diagnose": "repro.telemetry.attribution",
     "rank_flows": "repro.telemetry.attribution",
-    "top_flow": "repro.telemetry.attribution",
     "DEFAULT_WINDOW": "repro.telemetry.windows",
     "TELEMETRY_ENV": "repro.telemetry.windows",
     "PortMonitor": "repro.telemetry.windows",
@@ -60,5 +57,4 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "TelemetryHub": "repro.telemetry.windows",
     "Window": "repro.telemetry.windows",
     "resolve_config": "repro.telemetry.windows",
-    "telemetry_env_enabled": "repro.telemetry.windows",
 })

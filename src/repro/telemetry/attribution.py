@@ -58,12 +58,6 @@ def rank_flows(window: Window) -> list[tuple[str, float]]:
     )
 
 
-def top_flow(window: Window) -> "str | None":
-    """The single heaviest flow in ``window`` (``None`` when empty)."""
-    ranked = rank_flows(window)
-    return ranked[0][0] if ranked else None
-
-
 def detect_microbursts(
     hub: TelemetryHub,
     min_depth: int = DEFAULT_MIN_DEPTH,

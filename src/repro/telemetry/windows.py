@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.sim.knobs import TELEMETRY_ENV, env_truthy, resolve_flag
+from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
 from repro.units import MICROSECONDS
 
 #: Default monitoring window width (PrintQueue uses microsecond-scale
@@ -71,11 +71,6 @@ class TelemetryConfig:
             raise TelemetryError(
                 f"window width must be positive, got {self.window}"
             )
-
-
-def telemetry_env_enabled(environ: "dict[str, str] | None" = None) -> bool:
-    """Whether :data:`TELEMETRY_ENV` requests telemetry by default."""
-    return env_truthy(TELEMETRY_ENV, environ)
 
 
 def resolve_config(

@@ -15,14 +15,11 @@ __all__ = [
     "Topology",
     "TopologyError",
     "TopologySummary",
-    "average_path_length",
     "bcube",
-    "bisection_capacity",
     "connect_all",
     "fat_tree",
     "folded_clos",
     "full_mesh",
-    "hop_profile",
     "jellyfish",
     "path_diversity",
     "quartz_dual_tor",
@@ -58,9 +55,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "full_mesh": "repro.topology.mesh",
     "HopProfile": "repro.topology.metrics",
     "TopologySummary": "repro.topology.metrics",
-    "average_path_length": "repro.topology.metrics",
-    "bisection_capacity": "repro.topology.metrics",
-    "hop_profile": "repro.topology.metrics",
     "path_diversity": "repro.topology.metrics",
     "server_relay_hops": "repro.topology.metrics",
     "summarize": "repro.topology.metrics",

@@ -24,7 +24,6 @@ augmenting-path max-flow.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 from repro.topology.base import LinkKind, NodeKind, Topology, TopologyError
@@ -64,14 +63,6 @@ class HopProfile:
     server_relay_hops: int
 
 
-def hop_profile(topo: Topology, src: str, dst: str) -> HopProfile:
-    path = hop_path(topo, src, dst)
-    return HopProfile(
-        switch_hops=sum(1 for n in path if topo.is_switch(n)),
-        server_relay_hops=sum(1 for n in path[1:-1] if topo.is_server(n)),
-    )
-
-
 def _sample_servers(topo: Topology, sample: int | None) -> list[str]:
     """A deterministic, rack-spanning subset of servers.
 
@@ -107,23 +98,6 @@ def worst_case_hop_profile(topo: Topology, sample: int | None = None) -> HopProf
             ):
                 worst = profile
     return worst
-
-
-def average_path_length(topo: Topology, sample: int | None = None) -> float:
-    """Mean server-to-server shortest-path hop count (switches + relays)."""
-    servers = _sample_servers(topo, sample)
-    graph = topo.graph.copy()
-    hops = []
-    server_set = set(servers)
-    for i, src in enumerate(servers):
-        paths = single_source_shortest_path(graph, src)
-        for dst in servers[i + 1 :]:
-            if dst in server_set:
-                path = paths[dst]
-                hops.append(len(path) - 2)  # devices between the two servers
-    if not hops:
-        raise ValueError("need at least two servers")
-    return statistics.fmean(hops)
 
 
 def path_diversity(topo: Topology, u: str | None = None, v: str | None = None) -> int:
@@ -239,37 +213,6 @@ def wiring_complexity(topo: Topology) -> int:
 
 def switch_count(topo: Topology) -> int:
     return len(topo.switches())
-
-
-def bisection_capacity(topo: Topology, trials: int = 0) -> float:
-    """Capacity (bps) across the minimum server-balanced cut — approximated
-    by the sum of capacities crossing a balanced partition of racks.
-
-    Exact bisection is NP-hard; this uses the canonical "first half of the
-    racks vs second half" cut, which is exact for the symmetric topologies
-    in this library and a reasonable upper bound elsewhere.
-    """
-    racks = topo.racks()
-    left = set(racks[: len(racks) // 2])
-    left_nodes = {
-        n
-        for n in topo.graph
-        if topo.rack(n) in left
-    }
-    # Rackless (agg/core) switches sit "between" the halves; count only
-    # links with one endpoint in each rack half, plus half the capacity
-    # of links touching rackless switches (they serve both sides).
-    capacity = 0.0
-    for link in topo.links():
-        u_in = link.u in left_nodes
-        v_in = link.v in left_nodes
-        u_rackless = topo.rack(link.u) is None
-        v_rackless = topo.rack(link.v) is None
-        if u_rackless or v_rackless:
-            capacity += link.capacity / 2
-        elif u_in != v_in:
-            capacity += link.capacity
-    return capacity
 
 
 @dataclass(frozen=True)

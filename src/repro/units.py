@@ -43,11 +43,6 @@ def serialization_delay(size_bytes: float, rate_bps: float) -> float:
     return (size_bytes * BITS_PER_BYTE) / rate_bps
 
 
-def mbps(rate_bps: float) -> float:
-    """Express a bps rate in Mbps (for reporting)."""
-    return rate_bps / MBPS
-
-
 def usec(seconds: float) -> float:
     """Express a time in microseconds (for reporting)."""
     return seconds / MICROSECONDS

@@ -4,9 +4,6 @@ from repro import _lazy_exports
 
 __all__ = [
     "CrossTrafficResult",
-    "PartitionAggregateQuery",
-    "QueryError",
-    "QueryTree",
     "ScatterGatherTask",
     "StreamingTask",
     "TaskError",
@@ -15,13 +12,11 @@ __all__ = [
     "build_task",
     "incast",
     "normalized_latency_curve",
-    "pathological_concentration",
     "prototype_quartz",
     "prototype_tree",
     "rack_level_shuffle",
     "random_permutation",
     "random_task",
-    "spread_query_tree",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -30,13 +25,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "prototype_quartz": "repro.workloads.crosstraffic",
     "prototype_tree": "repro.workloads.crosstraffic",
     "run_cross_traffic_experiment": "repro.workloads.crosstraffic",
-    "PartitionAggregateQuery": "repro.workloads.partition_aggregate",
-    "QueryError": "repro.workloads.partition_aggregate",
-    "QueryTree": "repro.workloads.partition_aggregate",
-    "spread_query_tree": "repro.workloads.partition_aggregate",
     "TrafficMatrix": "repro.workloads.patterns",
     "incast": "repro.workloads.patterns",
-    "pathological_concentration": "repro.workloads.patterns",
     "rack_level_shuffle": "repro.workloads.patterns",
     "random_permutation": "repro.workloads.patterns",
     "ScatterGatherTask": "repro.workloads.tasks",

@@ -90,28 +90,3 @@ def rack_level_shuffle(
                 matrix.append((server, receiver, demand))
     return matrix
 
-
-def pathological_concentration(
-    topo: Topology,
-    demand_total: float,
-    src_rack: int = 0,
-    dst_rack: int = 1,
-    num_flows: int | None = None,
-) -> TrafficMatrix:
-    """Section 7.2's pathological pattern: many flows from the ports of
-    one switch to receivers on another, stressing switch-to-switch
-    bandwidth.
-
-    ``demand_total`` is the aggregate offered load, split evenly over
-    the rack's server pairs.
-    """
-    senders = topo.servers_in_rack(src_rack)
-    receivers = topo.servers_in_rack(dst_rack)
-    if not senders or not receivers:
-        raise ValueError(f"racks {src_rack} and {dst_rack} must both have servers")
-    count = min(len(senders), len(receivers)) if num_flows is None else num_flows
-    per_flow = demand_total / count
-    return [
-        (senders[i % len(senders)], receivers[i % len(receivers)], per_flow)
-        for i in range(count)
-    ]

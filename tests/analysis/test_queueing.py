@@ -1,83 +1,21 @@
-"""Tests for the queueing-theory reference formulas."""
+"""Tests for the M/D/1 reference formula."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.analysis.queueing import (
-    QueueingError,
-    erlang_c,
-    md1_mean_sojourn,
-    md1_mean_wait,
-    mg1_mean_wait,
-    mm1_mean_queue_length,
-    mm1_mean_sojourn,
-    mm1_mean_wait,
-)
-
-
-class TestMM1:
-    def test_known_value(self):
-        # λ=5, µ=10 → W_q = 0.5 / 5 = 0.1, T = 0.2, L = 1.
-        assert mm1_mean_wait(5, 10) == pytest.approx(0.1)
-        assert mm1_mean_sojourn(5, 10) == pytest.approx(0.2)
-        assert mm1_mean_queue_length(5, 10) == pytest.approx(1.0)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(QueueingError):
-            mm1_mean_wait(10, 10)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(QueueingError):
-            mm1_mean_wait(-1, 10)
-
-    @given(st.floats(0.01, 0.95))
-    def test_littles_law(self, rho):
-        mu = 10.0
-        lam = rho * mu
-        assert mm1_mean_queue_length(lam, mu) == pytest.approx(
-            lam * mm1_mean_sojourn(lam, mu)
-        )
+from repro.analysis.queueing import QueueingError, md1_mean_wait
 
 
 class TestMD1:
     def test_md1_is_half_of_mm1_wait(self):
-        # Deterministic service halves the queueing delay.
-        lam, service = 5.0, 0.1
-        assert md1_mean_wait(lam, service) == pytest.approx(
-            mm1_mean_wait(lam, 1 / service) / 2
-        )
-
-    def test_sojourn_adds_service(self):
-        assert md1_mean_sojourn(5, 0.1) == pytest.approx(md1_mean_wait(5, 0.1) + 0.1)
-
-    def test_mg1_reduces_to_md1_at_zero_variance(self):
-        assert mg1_mean_wait(5, 0.1, 0.0) == pytest.approx(md1_mean_wait(5, 0.1))
-
-    def test_mg1_reduces_to_mm1_at_exponential_variance(self):
-        # Exponential service: variance = mean².
-        assert mg1_mean_wait(5, 0.1, 0.01) == pytest.approx(mm1_mean_wait(5, 10))
+        # Deterministic service halves the queueing delay: M/M/1 at
+        # λ = 5, µ = 10 waits ρ / (µ − λ) = 0.1.
+        assert md1_mean_wait(5.0, 0.1) == pytest.approx(0.1 / 2)
 
     def test_invalid_inputs(self):
         with pytest.raises(QueueingError):
             md1_mean_wait(5, 0)
         with pytest.raises(QueueingError):
-            mg1_mean_wait(5, 0.1, -1)
+            md1_mean_wait(-1, 0.1)
+        with pytest.raises(QueueingError, match="unstable"):
+            md1_mean_wait(10, 0.1)
 
-
-class TestErlangC:
-    def test_single_server_equals_utilization(self):
-        # For c=1, P(wait) = ρ.
-        assert erlang_c(1, 0.6) == pytest.approx(0.6)
-
-    def test_more_servers_less_queueing(self):
-        assert erlang_c(4, 2.0) < erlang_c(2, 1.0) * 2
-
-    def test_bounds(self):
-        p = erlang_c(8, 4.0)
-        assert 0.0 < p < 1.0
-
-    def test_invalid(self):
-        with pytest.raises(QueueingError):
-            erlang_c(0, 1.0)
-        with pytest.raises(QueueingError):
-            erlang_c(2, 2.0)

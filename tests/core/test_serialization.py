@@ -5,14 +5,7 @@ import json
 import pytest
 
 from repro.core.channels import greedy_assignment
-from repro.core.multiring import plan_rings
-from repro.core.serialization import (
-    SerializationError,
-    multiring_from_json,
-    multiring_to_json,
-    plan_from_json,
-    plan_to_json,
-)
+from repro.core.serialization import SerializationError, plan_from_json, plan_to_json
 
 
 class TestSingleRingRoundTrip:
@@ -33,16 +26,6 @@ class TestSingleRingRoundTrip:
         assert len(doc["assignments"]) == 6
 
 
-class TestMultiRingRoundTrip:
-    def test_round_trip(self):
-        plan = plan_rings(12, num_rings=2)
-        assert multiring_from_json(multiring_to_json(plan)) == plan
-
-    def test_format_tag(self):
-        doc = json.loads(multiring_to_json(plan_rings(6)))
-        assert doc["format"] == "quartz-multiring-plan"
-
-
 class TestRejection:
     def test_not_json(self):
         with pytest.raises(SerializationError):
@@ -53,9 +36,10 @@ class TestRejection:
             plan_from_json("[1, 2, 3]")
 
     def test_wrong_format_tag(self):
-        text = plan_to_json(greedy_assignment(4))
-        with pytest.raises(SerializationError):
-            multiring_from_json(text)
+        doc = json.loads(plan_to_json(greedy_assignment(4)))
+        doc["format"] = "quartz-multiring-plan"
+        with pytest.raises(SerializationError, match="format"):
+            plan_from_json(json.dumps(doc))
 
     def test_wrong_version(self):
         doc = json.loads(plan_to_json(greedy_assignment(4)))

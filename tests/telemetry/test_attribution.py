@@ -7,7 +7,6 @@ from repro.telemetry import (
     detect_microbursts,
     diagnose,
     rank_flows,
-    top_flow,
 )
 
 HOT = ("tor0", "h0.0")
@@ -48,11 +47,11 @@ class TestRanking:
         (win,) = hub.monitors[HOT].windows()
         assert [f for f, _ in rank_flows(win)] == ["a", "b"]
 
-    def test_top_flow_empty_window_is_none(self):
+    def test_drop_only_window_ranks_no_flow(self):
         hub = TelemetryHub(TelemetryConfig(window=1.0))
         hub.on_drop(HOT, "a", 0.5)  # drop-only window: no occupancy
         (win,) = hub.monitors[HOT].windows()
-        assert top_flow(win) is None
+        assert rank_flows(win) == []
 
 
 class TestMicrobursts:

@@ -19,7 +19,6 @@ from repro.telemetry import (
     TelemetryError,
     TelemetryHub,
     resolve_config,
-    telemetry_env_enabled,
 )
 
 KEY = ("u", "v")
@@ -52,11 +51,10 @@ class TestConfig:
         monkeypatch.setenv(TELEMETRY_ENV, "1")
         assert resolve_config(None) == TelemetryConfig()
 
-    def test_env_treats_empty_and_zero_as_off(self):
-        assert not telemetry_env_enabled({})
-        assert not telemetry_env_enabled({TELEMETRY_ENV: ""})
-        assert not telemetry_env_enabled({TELEMETRY_ENV: "0"})
-        assert telemetry_env_enabled({TELEMETRY_ENV: "1"})
+    def test_env_treats_empty_and_zero_as_off(self, monkeypatch):
+        for value in ("", "0"):
+            monkeypatch.setenv(TELEMETRY_ENV, value)
+            assert resolve_config(None) is None
 
 
 class TestDepthAndWait:

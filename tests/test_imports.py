@@ -88,8 +88,8 @@ def test_every_reexport_is_the_object_its_module_defines(order):
     """Read every ``__all__`` name off its package — before any
     submodule is imported, or after every one is — and it is the object
     its source module defines; ``dir(package)`` lists it.  With
-    ``jellyfish``, ``bcube`` or ``recommend`` made lazy, the
-    submodules-first order reads a module."""
+    ``jellyfish`` or ``bcube`` made lazy, the submodules-first order
+    reads a module."""
     done = _run(_CHECK, json.dumps(reexports()), order)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []

@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.units import (
     GBPS,
-    MBPS,
     MICROSECONDS,
-    mbps,
     serialization_delay,
     usec,
 )
@@ -31,8 +29,5 @@ class TestSerialization:
 
 
 class TestReportingHelpers:
-    def test_mbps(self):
-        assert mbps(200 * MBPS) == pytest.approx(200)
-
     def test_usec(self):
         assert usec(1.5 * MICROSECONDS) == pytest.approx(1.5)

@@ -141,9 +141,8 @@ class TestNetworkxLeftTheImportPath:
     def test_the_run_path_never_imports_networkx(self):
         """networkx is a ``dev`` dependency only.  With it unimportable, a
         fresh interpreter builds both Jellyfish fabrics, computes the
-        Table 9 metrics and the mean path length on a Jellyfish and the
-        Table 9 metrics on a BCube (server-centric: relay hops, and a
-        flow over servers).  It runs a Fig. 17 scatter cell on a
+        Table 9 metrics on a Jellyfish and on a BCube (server-centric:
+        relay hops, and a flow over servers).  It runs a Fig. 17 scatter cell on a
         Jellyfish and a fault-recovery cell with a cut, detours and a
         repair."""
         script = (
@@ -155,7 +154,6 @@ class TestNetworkxLeftTheImportPath:
             "from repro.experiments.section7 import run_task_experiment\n"
             "T.quartz_in_jellyfish()\n"
             "jellyfish = T.jellyfish()\n"
-            "assert T.average_path_length(jellyfish) > 2\n"
             "row = T.summarize(jellyfish)\n"
             "assert (row.switch_hops, row.wiring_complexity, row.path_diversity) == (5, 32, 4), row\n"
             "row = T.summarize(T.bcube(4, 1))\n"

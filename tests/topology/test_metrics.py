@@ -1,7 +1,5 @@
 """Tests for topology metrics — the Table 9 reproduction machinery."""
 
-import statistics
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -39,10 +37,6 @@ class TestHopCounts:
         profile = T.worst_case_hop_profile(topo)
         assert profile.switch_hops == 2
         assert profile.server_relay_hops == 1
-
-    def test_average_below_worst(self):
-        topo = T.three_tier_tree()
-        assert T.average_path_length(topo, sample=16) <= 7
 
 
 class TestPathDiversity:
@@ -161,12 +155,11 @@ SMALL_FABRICS = {
 
 
 def _networkx_metrics(topo):
-    """The worst hop profile, mean path length and path diversity over
-    every server, each computed on networkx as the metrics were before
-    they moved in-tree."""
+    """The worst hop profile and path diversity over every server, each
+    computed on networkx as the metrics were before they moved in-tree."""
     servers = topo.servers()
     graph = to_networkx(topo.graph)
-    worst, hops = T.HopProfile(0, 0), []
+    worst = T.HopProfile(0, 0)
     for i, src in enumerate(servers):
         paths = nx.single_source_shortest_path(graph, src)
         for dst in servers[i + 1 :]:
@@ -177,7 +170,6 @@ def _networkx_metrics(topo):
             )
             if sum(vars(profile).values()) > sum(vars(worst).values()):
                 worst = profile
-            hops.append(len(path) - 2)
 
     if topo.graph.graph.get("server_centric"):
         flow_on, endpoints = topo.graph, sorted(topo.servers())
@@ -194,24 +186,23 @@ def _networkx_metrics(topo):
     flows.add_nodes_from(flow_on.nodes())
     for a, b, data in flow_on.edges(data=True):
         flows.add_edge(a, b, capacity=multiplier if data["link_kind"] is LinkKind.UPLINK else 1)
-    return worst, statistics.fmean(hops), nx.maximum_flow_value(flows, u, v)
+    return worst, nx.maximum_flow_value(flows, u, v)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_FABRICS))
 def test_metrics_equal_networkx(name):
-    """Each source's BFS paths, the worst hop profile, the mean path
-    length and the path diversity equal networkx's, tie for tie."""
+    """Each source's BFS paths, the worst hop profile and the path
+    diversity equal networkx's, tie for tie."""
     topo = SMALL_FABRICS[name]()
     graph = to_networkx(topo.graph)
     copy = topo.graph.copy()
     for src in topo.servers():
         ours = single_source_shortest_path(copy, src)
         assert list(ours.items()) == list(nx.single_source_shortest_path(graph, src).items())
-    worst, mean, diversity = _networkx_metrics(topo)
+    worst, diversity = _networkx_metrics(topo)
     if name == "tie a copy reorders":
         assert worst == T.HopProfile(switch_hops=2, server_relay_hops=1)
     assert T.worst_case_hop_profile(topo) == worst
-    assert T.average_path_length(topo) == mean
     assert T.path_diversity(topo) == diversity
 
 
@@ -283,17 +274,3 @@ class TestSummaries:
     def test_switch_count(self):
         assert T.switch_count(T.three_tier_tree()) == 22
 
-
-class TestBisectionCapacity:
-    def test_mesh_bisection(self):
-        from repro.units import GBPS
-
-        topo = T.full_mesh(4, 1, link_rate=10 * GBPS)
-        # Cut racks {0,1} | {2,3}: 4 mesh links cross.
-        assert T.bisection_capacity(topo) == 4 * 10 * GBPS
-
-    def test_two_tier_counts_half_of_root_links(self):
-        from repro.units import GBPS
-
-        topo = T.two_tier_tree(4, 1, uplink_rate=40 * GBPS)
-        assert T.bisection_capacity(topo) == 2 * 40 * GBPS

@@ -6,7 +6,6 @@ import repro.topology as T
 from repro.units import GBPS
 from repro.workloads.patterns import (
     incast,
-    pathological_concentration,
     rack_level_shuffle,
     random_permutation,
 )
@@ -86,22 +85,3 @@ class TestRackShuffle:
         with pytest.raises(ValueError):
             rack_level_shuffle(small, GBPS, target_racks=4)
 
-
-class TestPathological:
-    def test_aggregate_demand_preserved(self, topo):
-        matrix = pathological_concentration(topo, demand_total=40 * GBPS)
-        assert sum(d for _, _, d in matrix) == pytest.approx(40 * GBPS)
-
-    def test_flows_go_rack0_to_rack1(self, topo):
-        matrix = pathological_concentration(topo, demand_total=GBPS)
-        for src, dst, _ in matrix:
-            assert topo.rack(src) == 0
-            assert topo.rack(dst) == 1
-
-    def test_explicit_flow_count(self, topo):
-        matrix = pathological_concentration(topo, GBPS, num_flows=7)
-        assert len(matrix) == 7
-
-    def test_empty_rack_rejected(self, topo):
-        with pytest.raises(ValueError):
-            pathological_concentration(topo, GBPS, src_rack=99)
