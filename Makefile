@@ -46,10 +46,10 @@ smoke:
 smoke-update:
 	PYTHONPATH=src $(PYTHON) -m repro smoke --update
 
-# Telemetry-enabled smoke: the same cells with monitors armed (their
-# metrics must not move — telemetry is strictly observational) plus a
-# queue-diagnosis cell, against the _telemetry golden.  The per-window
-# JSON lands in telemetry-windows.json for the CI artifact upload.
+# Telemetry smoke: one armed queue-diagnosis cell against the
+# _telemetry golden's 12 telemetry.* metrics.  (Tier-1 tests that arm
+# explicitly prove arming moves no base metric.)  The per-window JSON
+# lands in telemetry-windows.json for the CI artifact upload.
 smoke-telemetry:
 	PYTHONPATH=src $(PYTHON) -m repro smoke --check --telemetry \
 		--dump-windows telemetry-windows.json

@@ -62,9 +62,8 @@ def _cohort_run(
     else through ``engine.run`` (the scalar kernel).  ``telemetry`` arms
     the windowed monitors + INT stamping; ``obs`` arms the
     :mod:`repro.obs` metrics registry + tracer for this run only (the
-    caller leaves the process disarmed).  The baselines pass
-    ``telemetry=False`` explicitly so they stay clean even under
-    ``REPRO_TELEMETRY=1``.
+    caller leaves the process disarmed).  Both default to off, and
+    nothing in the environment arms either.
     """
     if obs:
         obs_layer.arm()
@@ -102,21 +101,15 @@ def _cohort_round() -> dict[str, float]:
     Events are *logical*: a port-major window credits the per-hop
     arrivals it elides, so every variant divides the same numerator.
     """
-    was_armed = obs_layer.armed()
-    obs_layer.disarm()  # the three unobserved runs must not pay the armed wrapper
-    try:
-        scalar, fingerprint = _cohort_run(batch=False)
-        walls = {"scalar": scalar, "events": fingerprint[2]}
-        for name, kwargs in (
-            ("port-major", dict(batch=True)),
-            ("telemetry", dict(batch=True, telemetry=True)),
-            ("obs", dict(batch=False, obs=True)),
-        ):
-            walls[name], other = _cohort_run(**kwargs)
-            assert other == fingerprint, f"{name} run diverged from the scalar kernel"
-    finally:
-        if was_armed:
-            obs_layer.arm()
+    scalar, fingerprint = _cohort_run(batch=False)
+    walls = {"scalar": scalar, "events": fingerprint[2]}
+    for name, kwargs in (
+        ("port-major", dict(batch=True)),
+        ("telemetry", dict(batch=True, telemetry=True)),
+        ("obs", dict(batch=False, obs=True)),
+    ):
+        walls[name], other = _cohort_run(**kwargs)
+        assert other == fingerprint, f"{name} run diverged from the scalar kernel"
     return walls
 
 
@@ -136,7 +129,7 @@ def _fault_run(batch: bool, rings: int, cuts: int) -> tuple[float, tuple]:
     """The fault shape through ``Network.run`` with ``batch``, else
     through ``engine.run``."""
     topo = T.quartz_ring(FAULT_RING, servers_per_switch=2)
-    net = Network(topo, ECMPRouter(topo), telemetry=False)
+    net = Network(topo, ECMPRouter(topo))
     plan = plan_rings(FAULT_RING, num_rings=rings)
     FaultInjector(net, plan).schedule(
         random_fault_schedule(plan, cuts, cut_at=1.5e-3, repair_after=1e-3, seed=0)

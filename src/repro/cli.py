@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -89,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--manifest", type=str, default=None, metavar="PATH",
-        help="write a run-provenance manifest (repro.obs.report) to PATH "
-        "after the experiment completes",
+        help="arm repro.obs for the run and write its run-provenance "
+        "manifest (repro.obs.report) to PATH after the experiment completes",
     )
 
     scale = sub.add_parser(
@@ -141,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smoke.add_argument(
         "--manifest", type=str, default=None, metavar="PATH",
-        help="write a run-provenance manifest (repro.obs.report) to PATH "
-        "after the smoke run",
+        help="arm repro.obs for the run and write its run-provenance "
+        "manifest (repro.obs.report) to PATH after the smoke run",
     )
 
     trace = sub.add_parser(
@@ -267,17 +268,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print("--workers must be non-negative", file=sys.stderr)
         return 2
     workers = args.workers if args.workers > 0 else None  # None = auto
-    try:
-        status = _run_experiment(args, E, workers)
-    except RunnerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if status == 0 and args.manifest:
-        _write_manifest(
-            args.manifest,
-            seeds=[args.seed],
-            extra={"command": "experiment", "figure": args.figure},
-        )
+    with _armed(bool(args.manifest)):
+        try:
+            status = _run_experiment(args, E, workers)
+        except RunnerError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        if status == 0 and args.manifest:
+            _write_manifest(
+                args.manifest,
+                seeds=[args.seed],
+                extra={"command": "experiment", "figure": args.figure},
+            )
     return status
 
 
@@ -358,21 +360,23 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         return 2
     default = S.GOLDEN_TELEMETRY_PATH if args.telemetry else S.GOLDEN_PATH
     path = Path(args.golden) if args.golden else default
+    with _armed(bool(args.manifest)):
+        if args.update:
+            metrics, runtime = S.update(
+                path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
+            )
+        else:
+            problems, runtime = S.check_with_runtime(
+                path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
+            )
+        _smoke_manifest(args, runtime)
     if args.update:
-        metrics, runtime = S.update(
-            path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
-        )
         print(f"golden updated: {path}")
         for key in sorted(metrics):
             print(f"  {key} = {metrics[key]!r}")
         _print_smoke_runtime(runtime["runtime.wall_clock_s"])
-        _smoke_manifest(args, runtime)
         return 0
-    problems, runtime = S.check_with_runtime(
-        path, telemetry=args.telemetry, dump_windows_to=args.dump_windows
-    )
     _print_smoke_runtime(runtime.get("runtime.wall_clock_s", 0.0))
-    _smoke_manifest(args, runtime)
     if problems:
         print("benchmark smoke drift detected:", file=sys.stderr)
         for problem in problems:
@@ -385,6 +389,23 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         return 1
     print(f"benchmark smoke OK ({path.name})")
     return 0
+
+
+@contextmanager
+def _armed(wanted: bool = True):
+    """Arm :mod:`repro.obs` for the block when ``wanted``; a process that
+    was disarmed before is disarmed again after.  ``--manifest`` arms the
+    run it describes: the manifest is what reads the registry."""
+    from repro import obs
+
+    was_armed = obs.armed()
+    if wanted:
+        obs.arm()
+    try:
+        yield
+    finally:
+        if wanted and not was_armed:
+            obs.disarm()
 
 
 def _smoke_manifest(args: argparse.Namespace, runtime: dict) -> None:
@@ -429,19 +450,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
-    was_armed = obs.armed()
-    obs.arm()
-    # The export should contain exactly the profile below — discard
-    # whatever an already-armed process accumulated beforehand (a long
-    # session can fill the bounded buffer, which would drop the
-    # profile's own spans).
-    obs.tracer().drain()
-    try:
+    with _armed():
+        # The export should contain exactly the profile below — discard
+        # whatever an already-armed process accumulated beforehand (a long
+        # session can fill the bounded buffer, which would drop the
+        # profile's own spans).
+        obs.tracer().drain()
         _trace_profile(args.workers)
         spans = obs.tracer().drain()
-    finally:
-        if not was_armed:
-            obs.disarm()
     doc = export_chrome(spans, process_labels={os.getpid(): "coordinator"})
     with open(args.out, "w") as fh:
         json.dump(doc, fh)

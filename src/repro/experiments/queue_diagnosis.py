@@ -37,9 +37,9 @@ from repro.routing import ECMPRouter, VLBRouter
 from repro.runner import ExperimentSpec, run_cells
 from repro.sim import Network, PoissonSource
 from repro.sim.faults import FaultInjector, random_fault_schedule
-from repro.telemetry import TelemetryConfig, diagnose
+from repro.telemetry import diagnose
 from repro.topology import quartz_ring
-from repro.units import GBPS, MBPS, MICROSECONDS
+from repro.units import GBPS, MBPS
 
 #: Routers the experiment can exercise, keyed by CLI-friendly name.
 ROUTER_BUILDERS = {
@@ -137,7 +137,6 @@ def run_queue_diagnosis_cell(
     cut: bool = False,
     num_rings: int = 2,
     repair_after: float | None = 0.0015,
-    window: float = 100 * MICROSECONDS,
     dump_windows_to: str | Path | None = None,
 ) -> QueueDiagnosisResult:
     """One seeded cell: background + incast (+ optional mid-burst cut).
@@ -166,7 +165,7 @@ def run_queue_diagnosis_cell(
     net = Network(
         topo,
         ROUTER_BUILDERS[router](topo),
-        telemetry=TelemetryConfig(window=window),
+        telemetry=True,
     )
 
     victim_rack = seed % ring_size

@@ -19,11 +19,12 @@ hybrid epochs, and sharded windows.  Three parts:
 
 Arming
 ------
-The ``REPRO_OBS`` environment variable env-*enables* observability
-process-wide (resolved once at import, with the truthy convention of
-:mod:`repro.sim.knobs`); :func:`arm`/:func:`disarm` are the
-programmatic switches, both idempotent.  A network reports into the
-registry armed when it is built, if any.
+:func:`arm`/:func:`disarm` are the only switches, both idempotent;
+nothing in the environment arms the process.  ``--manifest`` on ``repro
+experiment`` and ``repro smoke`` arms it for that run, because there the
+manifest reads the registry, and ``repro trace`` arms it for its
+profile.  A network reports into the registry armed when it is built,
+if any.
 
 The armed state is a pair of module-level singletons (the active
 :class:`~repro.obs.metrics.MetricsRegistry` and
@@ -36,21 +37,11 @@ disarmed one.
 
 from __future__ import annotations
 
-import os
-
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer, export_chrome
 
-#: Environment variable that arms observability process-wide.  Owned
-#: here (not :mod:`repro.sim.knobs`, which re-exports it) so this
-#: package stays importable from anywhere — including
-#: :mod:`repro.runner.pool`, which :mod:`repro.sim` itself imports —
-#: without touching the sim package and completing an import cycle.
-OBS_ENV = "REPRO_OBS"
-
 __all__ = [
     "MetricsRegistry",
-    "OBS_ENV",
     "Span",
     "Tracer",
     "arm",
@@ -102,11 +93,3 @@ def registry() -> "MetricsRegistry | None":
 def tracer() -> "Tracer | None":
     """The active span tracer, or ``None`` when disarmed."""
     return _tracer
-
-
-# REPRO_OBS arms the whole process at import, mirroring how
-# REPRO_TELEMETRY arms every Network built with telemetry=None.  The
-# check inlines knobs.env_truthy (same _FALSY contract) — importing
-# repro.sim here would create the cycle described above.
-if os.environ.get(OBS_ENV, "") not in ("", "0"):
-    arm()

@@ -2,10 +2,9 @@
 
 A *run manifest* is a small JSON document answering the questions a
 perf-regression hunt always starts with: which package version and git
-commit produced these numbers, which environment switches were armed
-(telemetry, observability), what the artifact cache did, which seeds
-went in, and — when observability was armed — the full metrics snapshot
-of the run.
+commit produced these numbers, whether observability was armed, what
+the artifact cache did, which seeds went in, and — when observability
+was armed — the full metrics snapshot of the run.
 
 ``repro smoke --manifest out.json`` and ``repro experiment --manifest``
 write one per run; ``repro report out.json`` validates and renders it;
@@ -39,7 +38,9 @@ __all__ = [
 #: Schema tag stamped into (and required of) every manifest.
 MANIFEST_SCHEMA = "repro.obs.manifest/v1"
 
-#: The environment-backed switches every manifest must resolve.
+#: The knobs every manifest must carry as booleans.  Manifests written
+#: while the environment could still arm these two layers carry them
+#: too, so the names stay.
 _KNOB_NAMES = ("telemetry", "obs")
 
 #: Top-level keys every manifest must carry.
@@ -49,27 +50,18 @@ _REQUIRED_KEYS = (
 )
 
 
-def resolved_knobs(environ: "Mapping[str, str] | None" = None) -> dict:
-    """Resolve the environment-backed switches as ``Network(...)`` would.
+def resolved_knobs() -> dict:
+    """The run-wide switches, all constants: nothing in the environment
+    selects a path or arms a layer.
 
-    ``telemetry`` is what a network built with ``telemetry=None`` gets
-    from the environment, ``obs`` whether ``REPRO_OBS`` arms the
-    process.  ``fastpath`` (compiled plans, the only forwarding loop
-    since ``Network`` lost its ``fastpath`` argument) and ``batch`` (the
-    port-major pass of ``Network.run``, which has no switch) are the
-    constant ``True``, selecting nothing; they stay in the answer
-    because the frozen ``benchmarks/e2e/test_harness.py`` reads them.
+    ``fastpath`` (compiled plans, the only forwarding loop) and
+    ``batch`` (the port-major pass of ``Network.run``, which has no
+    switch) are ``True``; ``telemetry`` (armed per network only) and
+    ``obs`` (armed by ``obs.arm()`` only) are ``False``.  The keys stay
+    because the frozen ``benchmarks/e2e`` harness reads them;
+    :func:`build_manifest` reports the live ``obs`` state instead.
     """
-    from repro import obs
-    from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
-
-    source = os.environ if environ is None else environ
-    return {
-        "fastpath": True,
-        "batch": True,
-        "telemetry": resolve_flag(None, TELEMETRY_ENV, environ=source),
-        "obs": resolve_flag(None, obs.OBS_ENV, environ=source),
-    }
+    return {"fastpath": True, "batch": True, "telemetry": False, "obs": False}
 
 
 def fault_digest(recorder: Any) -> "dict | None":
@@ -122,7 +114,6 @@ def build_manifest(
     metrics: "dict | None" = None,
     faults: "Any | None" = None,
     extra: "Mapping[str, Any] | None" = None,
-    environ: "Mapping[str, str] | None" = None,
 ) -> dict:
     """Assemble a run manifest for the current process state.
 
@@ -142,10 +133,7 @@ def build_manifest(
         )
     if faults is not None and not isinstance(faults, dict):
         faults = fault_digest(faults)
-    knobs = resolved_knobs(environ)
-    # The live armed state beats the env resolution: `obs.arm()` without
-    # REPRO_OBS set is still an armed run and must say so.
-    knobs["obs"] = knobs["obs"] or obs.armed()
+    knobs = dict(resolved_knobs(), obs=obs.armed())
     return {
         "schema": MANIFEST_SCHEMA,
         "created_at": datetime.datetime.now(datetime.timezone.utc)
@@ -197,16 +185,39 @@ def validate_manifest(doc: Any) -> list[str]:
         for section in ("counters", "gauges", "timers"):
             if not isinstance(metrics.get(section), dict):
                 problems.append(f"metrics.{section} must be an object")
+        timers = metrics.get("timers")
+        for name, timer in (timers.items() if isinstance(timers, dict) else ()):
+            if not (isinstance(timer, dict)
+                    and all(_is_number(timer.get(k)) for k in ("count", "total", "max"))):
+                problems.append(
+                    f"metrics.timers.{name} must carry numeric count, total and max"
+                )
     elif "metrics" in doc:
         problems.append("metrics must be an object")
-    if "cache" in doc and not isinstance(doc.get("cache"), dict):
+    cache = doc.get("cache")
+    if "cache" in doc and not isinstance(cache, dict):
         problems.append("cache must be an object")
+    elif isinstance(cache, dict) and "hit_rate" in cache and not _is_number(cache["hit_rate"]):
+        problems.append("cache.hit_rate must be a number")
     if "seeds" in doc and not isinstance(doc.get("seeds"), list):
         problems.append("seeds must be a list")
     faults = doc.get("faults")
-    if faults is not None and not isinstance(faults, dict):
-        problems.append("faults must be an object or null")
+    if faults is not None and not (
+        isinstance(faults, dict)
+        and type(faults.get("events")) is int
+        and isinstance(faults.get("kinds"), dict)
+        and isinstance(faults.get("sha256"), str)
+    ):
+        problems.append(
+            "faults must be null or an object with integer events, "
+            "object kinds and string sha256"
+        )
     return problems
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: ``True``/``False`` are not counts or rates."""
+    return type(value) in (int, float)
 
 
 def render_manifest(doc: dict) -> str:

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.routing.base import Path, Router
 from repro.sim.engine import Engine
 from repro.sim.fastpath import HopPlan, compile_plan
-from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
 from repro import obs as _obs_layer
 from repro.sim.stats import FaultRecorder, LatencyRecorder
 from repro.sim.switch import SwitchModel, get_model
@@ -38,7 +37,7 @@ from repro.topology.graph import shortest_path
 from repro.units import BITS_PER_BYTE, MICROSECONDS, NANOSECONDS
 
 if TYPE_CHECKING:
-    from repro.telemetry.windows import TelemetryConfig, TelemetryHub
+    from repro.telemetry.windows import TelemetryHub
 
 #: OS network-stack forwarding latency charged to server relays
 #: (paper Table 2, "OS Network Stack": 15 µs standard).
@@ -113,7 +112,7 @@ class Network:
         propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
         server_forward_latency: float = DEFAULT_SERVER_FORWARD_LATENCY,
         host_receive_latency: float = 0.0,
-        telemetry: "TelemetryConfig | bool | None" = None,
+        telemetry: bool = False,
     ) -> None:
         """Packets walk compiled per-path
         :class:`~repro.sim.fastpath.HopPlan` chains through one
@@ -121,14 +120,12 @@ class Network:
         port-major pass, which needs disarmed telemetry; ``engine.run``
         never does.  The two forms are bit-identical.
 
-        ``telemetry`` arms the in-fabric telemetry layer
-        (:mod:`repro.telemetry`): ``True`` or a
-        :class:`~repro.telemetry.TelemetryConfig` attaches per-port
-        windowed queue monitors and INT-style per-packet stamping; the
-        default (``None``) follows ``REPRO_TELEMETRY``; ``False`` forces
-        it off.  The network reports into the :mod:`repro.obs` registry
-        armed when it is built (``obs.arm()`` or ``REPRO_OBS``), if any.
-        Both layers are strictly observational: armed runs stay
+        ``telemetry=True`` arms the in-fabric telemetry layer
+        (:mod:`repro.telemetry`): per-port windowed queue monitors and
+        INT-style per-packet stamping.  The network reports into the
+        :mod:`repro.obs` registry armed when it is built (``obs.arm()``),
+        if any.  Nothing in the environment arms either layer, and both
+        are strictly observational: armed runs stay
         fingerprint-identical to disarmed runs."""
         self.topo = topo
         self.router = router
@@ -141,13 +138,12 @@ class Network:
         #: Armed telemetry hub (:class:`repro.telemetry.TelemetryHub`),
         #: or ``None`` — the disabled state costs one attribute check
         #: per transmit and changes no simulation result either way.
-        #: The layer is imported only to arm a hub (a ``TelemetryConfig``
-        #: argument is truthy).
+        #: The layer is imported only to arm a hub.
         self.telemetry: TelemetryHub | None = None
-        if resolve_flag(telemetry, TELEMETRY_ENV):
-            from repro.telemetry import windows
+        if telemetry:
+            from repro.telemetry.windows import TelemetryHub
 
-            self.telemetry = windows.TelemetryHub(windows.resolve_config(telemetry))
+            self.telemetry = TelemetryHub()
         self.packets_delivered = 0
         self.packets_dropped = 0
         self.packets_dropped_fault = 0

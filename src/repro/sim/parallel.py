@@ -373,7 +373,6 @@ class ShardNetwork(Network):
         shard_index: int = 0,
         **kwargs: object,
     ) -> None:
-        kwargs.setdefault("telemetry", False)
         super().__init__(topo, router, **kwargs)  # type: ignore[arg-type]
         if self.telemetry is not None:
             raise ParallelSimError("telemetry cannot arm inside a shard")
@@ -835,7 +834,6 @@ def run_serial(scenario: ParallelScenario) -> RunResult:
         topo,
         router,
         propagation_delay=scenario.propagation_delay,
-        telemetry=False,
     )
     sources = {
         index: _make_source(network, spec)

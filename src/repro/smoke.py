@@ -37,9 +37,8 @@ from repro.obs.metrics import MetricsRegistry
 #: Default golden location, relative to the repository root.
 GOLDEN_PATH = Path(__file__).resolve().parents[2] / "tests" / "golden" / "benchmark_smoke.json"
 
-#: Golden for the telemetry-enabled smoke variant (``--telemetry``):
-#: the same cells with monitors armed (asserting telemetry changes no
-#: compared metric) plus the ``telemetry.*`` diagnosis metrics.
+#: Golden for the telemetry smoke variant (``--telemetry``): the
+#: ``telemetry.*`` diagnosis metrics of one armed queue-diagnosis cell.
 GOLDEN_TELEMETRY_PATH = GOLDEN_PATH.with_name("benchmark_smoke_telemetry.json")
 
 #: Relative tolerance for float comparisons (exact for ints/strings).
@@ -106,57 +105,34 @@ def compute_smoke_metrics() -> dict[str, Any]:
 def compute_telemetry_smoke_metrics(
     dump_windows_to: Path | str | None = None,
 ) -> dict[str, Any]:
-    """The telemetry-enabled smoke variant.
-
-    Two parts, one golden:
-
-    * the **same** three smoke cells re-run with ``REPRO_TELEMETRY=1``
-      armed for the duration — because telemetry is strictly
-      observational, every base metric must match the telemetry-off
-      golden bit for bit (drift here means telemetry perturbed packet
-      timing, the one thing it must never do);
-    * one seeded queue-diagnosis cell (incast + mid-burst fibre cut),
-      contributing ``telemetry.*`` metrics: localization picks, window
-      counts, and microburst evidence.
+    """The telemetry smoke variant: one seeded queue-diagnosis cell
+    (incast + mid-burst fibre cut) with telemetry armed, contributing
+    ``telemetry.*`` metrics — localization picks, window counts and
+    microburst evidence.  That arming changes no base metric is held by
+    tier-1 tests that arm explicitly, not by a re-run here.
 
     ``dump_windows_to`` additionally writes that cell's full per-window
     telemetry JSON — CI uploads it as a workflow artifact.
     """
-    import os
-
     from repro.experiments import run_queue_diagnosis_cell
-    from repro.telemetry import TELEMETRY_ENV
-
-    saved = os.environ.get(TELEMETRY_ENV)
-    os.environ[TELEMETRY_ENV] = "1"
-    try:
-        metrics = compute_smoke_metrics()
-    finally:
-        if saved is None:
-            del os.environ[TELEMETRY_ENV]
-        else:
-            os.environ[TELEMETRY_ENV] = saved
 
     cell = run_queue_diagnosis_cell(seed=0, cut=True, dump_windows_to=dump_windows_to)
-    metrics.update(
-        {
-            "telemetry.port_correct": cell.port_correct,
-            "telemetry.flow_correct": cell.flow_correct,
-            "telemetry.detected_port": (
-                None if cell.detected_port is None else "->".join(cell.detected_port)
-            ),
-            "telemetry.detected_flow": cell.detected_flow,
-            "telemetry.bursts_at_culprit": cell.bursts_at_culprit,
-            "telemetry.peak_depth": cell.peak_depth,
-            "telemetry.windows_observed": cell.windows_observed,
-            "telemetry.windows_contiguous": cell.windows_contiguous,
-            "telemetry.packets_delivered": cell.packets_delivered,
-            "telemetry.packets_dropped": cell.packets_dropped,
-            "telemetry.packets_rerouted": cell.packets_rerouted,
-            "telemetry.channels_severed": cell.channels_severed,
-        }
-    )
-    return metrics
+    return {
+        "telemetry.port_correct": cell.port_correct,
+        "telemetry.flow_correct": cell.flow_correct,
+        "telemetry.detected_port": (
+            None if cell.detected_port is None else "->".join(cell.detected_port)
+        ),
+        "telemetry.detected_flow": cell.detected_flow,
+        "telemetry.bursts_at_culprit": cell.bursts_at_culprit,
+        "telemetry.peak_depth": cell.peak_depth,
+        "telemetry.windows_observed": cell.windows_observed,
+        "telemetry.windows_contiguous": cell.windows_contiguous,
+        "telemetry.packets_delivered": cell.packets_delivered,
+        "telemetry.packets_dropped": cell.packets_dropped,
+        "telemetry.packets_rerouted": cell.packets_rerouted,
+        "telemetry.channels_severed": cell.channels_severed,
+    }
 
 
 def timed_run(

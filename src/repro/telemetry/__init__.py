@@ -14,11 +14,12 @@ bit-identical in packet timing to a telemetry-off run):
 * :mod:`~repro.telemetry.attribution` — microburst detection and
   "which flow built this queue" attribution over the monitor windows.
 
-Arm it per network (``Network(topo, router, telemetry=True)`` or a
-:class:`TelemetryConfig`) or globally via ``REPRO_TELEMETRY=1``.  While
-monitors are armed the port-major pass of ``Network.run`` stands down
-(monitors observe per-packet state the pass never materializes); the compiled
-fast path keeps running, with hooks in both forwarding loops.
+Arm it per network, ``Network(topo, router, telemetry=True)``; nothing
+else arms it, and the monitors tile time in windows of
+:data:`DEFAULT_WINDOW`.  While monitors are armed the port-major pass of
+``Network.run`` stands down (monitors observe per-packet state the pass
+never materializes); the compiled fast path keeps running, with hooks in
+both forwarding loops.
 """
 
 from repro import _lazy_exports
@@ -30,15 +31,12 @@ __all__ = [
     "Diagnosis",
     "Microburst",
     "PortMonitor",
-    "TELEMETRY_ENV",
-    "TelemetryConfig",
     "TelemetryError",
     "TelemetryHub",
     "Window",
     "detect_microbursts",
     "diagnose",
     "rank_flows",
-    "resolve_config",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -50,11 +48,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "diagnose": "repro.telemetry.attribution",
     "rank_flows": "repro.telemetry.attribution",
     "DEFAULT_WINDOW": "repro.telemetry.windows",
-    "TELEMETRY_ENV": "repro.telemetry.windows",
     "PortMonitor": "repro.telemetry.windows",
-    "TelemetryConfig": "repro.telemetry.windows",
     "TelemetryError": "repro.telemetry.windows",
     "TelemetryHub": "repro.telemetry.windows",
     "Window": "repro.telemetry.windows",
-    "resolve_config": "repro.telemetry.windows",
 })

@@ -37,12 +37,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.sim.knobs import TELEMETRY_ENV, resolve_flag
 from repro.units import MICROSECONDS
 
-#: Default monitoring window width (PrintQueue uses microsecond-scale
-#: windows; 50 µs keeps per-run window counts modest at sim timescales).
-DEFAULT_WINDOW = 50 * MICROSECONDS
+#: Monitoring window width of every armed network (PrintQueue uses
+#: microsecond-scale windows; 100 µs keeps per-run window counts modest
+#: at sim timescales and resolves the queue-diagnosis incast).
+DEFAULT_WINDOW = 100 * MICROSECONDS
 
 #: Flow label for packets injected without a ``group``, shared with
 #: :mod:`repro.sim.stats`.
@@ -51,42 +51,6 @@ UNGROUPED = "<ungrouped>"
 
 class TelemetryError(ValueError):
     """Raised for invalid telemetry configurations or queries."""
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Knobs for one network's telemetry layer.
-
-    ``window`` is the monitor window width in seconds.  An armed
-    network also carries an INT-style record on every packet (queue
-    depth seen and wait time paid at each hop) and folds it into its
-    flow records on delivery — one list append per hop per packet on
-    top of the monitors.
-    """
-
-    window: float = DEFAULT_WINDOW
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise TelemetryError(
-                f"window width must be positive, got {self.window}"
-            )
-
-
-def resolve_config(
-    telemetry: "TelemetryConfig | bool | None",
-) -> "TelemetryConfig | None":
-    """Resolve the ``Network(telemetry=...)`` argument to a config.
-
-    ``None`` follows :data:`TELEMETRY_ENV` via the shared helper
-    (:func:`repro.sim.knobs.resolve_flag`); ``True`` arms the
-    defaults; ``False`` forces telemetry off regardless of the
-    environment; a :class:`TelemetryConfig` is used as given.
-    """
-    if isinstance(telemetry, TelemetryConfig):
-        return telemetry
-    armed = resolve_flag(telemetry, TELEMETRY_ENV)
-    return TelemetryConfig() if armed else None
 
 
 @dataclass
@@ -273,11 +237,14 @@ class TelemetryHub:
     (``Network.telemetry``); the forwarding kernel records each enqueue
     on :meth:`monitor`'s port monitor, drops go through :meth:`on_drop`,
     and everything else is read-side.  Monitors are
-    created lazily, so idle ports cost nothing.
+    created lazily, so idle ports cost nothing.  ``window`` is their
+    window width in seconds; a network arms :data:`DEFAULT_WINDOW`.
     """
 
-    def __init__(self, config: TelemetryConfig) -> None:
-        self.config = config
+    def __init__(self, window: float = DEFAULT_WINDOW) -> None:
+        if window <= 0:
+            raise TelemetryError(f"window width must be positive, got {window}")
+        self.window = window
         self.monitors: dict[tuple[str, str], PortMonitor] = {}
         self.unroutable = 0
 
@@ -285,7 +252,7 @@ class TelemetryHub:
         """The (lazily created) monitor for directed link ``key``."""
         mon = self.monitors.get(key)
         if mon is None:
-            mon = self.monitors[key] = PortMonitor(key, self.config.window)
+            mon = self.monitors[key] = PortMonitor(key, self.window)
         return mon
 
     def on_drop(self, key: tuple[str, str], flow: "str | None", time: float) -> None:
@@ -320,7 +287,7 @@ class TelemetryHub:
         per monitored port, windows contiguous and sorted.
         """
         return {
-            "window_width": self.config.window,
+            "window_width": self.window,
             "unroutable": self.unroutable,
             "ports": {
                 f"{u}->{v}": {

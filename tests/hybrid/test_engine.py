@@ -285,7 +285,7 @@ class TestBitIdentityAcrossLoops:
                 BackgroundFlow(1_000_000, servers[0], servers[1], 6 * GBPS, 2e-4, 6e-4),
                 BackgroundFlow(1_000_001, servers[2], servers[1], 3 * GBPS, 4e-4, 9e-4),
             ]
-            net = build(flows, topo, telemetry=False)
+            net = build(flows, topo)
             run = net.run if batch else net.engine.run
             sources = [
                 PoissonSource.at_bandwidth(

@@ -375,7 +375,7 @@ class TestDetourCredit:
 
     def test_detour_over_a_faster_link_arrives_after_it_left(self):
         topo = self.topology()
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         net.enable_fault_tracking()
         kernel = net.send("h0", "h1", 1500.0)  # on the wire to s0 when the link dies
         net.engine.call_at(1e-7, net.fail_link, "s0", "s1")

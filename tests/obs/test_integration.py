@@ -26,16 +26,12 @@ from repro.sim.sources import PoissonSource
 
 
 @pytest.fixture(autouse=True)
-def _disarmed(monkeypatch):
-    """Tests control arming explicitly; always leave the process (and
-    the environment it hands to workers) clean."""
-    monkeypatch.delenv(obs.OBS_ENV, raising=False)
-    was_armed = obs.armed()
+def _disarmed():
+    """Tests control arming explicitly; always leave the process
+    disarmed."""
     obs.disarm()
     yield
     obs.disarm()
-    if was_armed:
-        obs.arm()
 
 
 def _small_run():
@@ -71,10 +67,9 @@ class TestFingerprintIdentity:
         (run,) = (s for s in obs.tracer().spans if s.name == "engine.run")
         assert run.args == {"kind": "heap", "events": fingerprint[2]}
 
-    def test_network_built_after_disarm_stays_disarmed(self, monkeypatch):
-        # REPRO_OBS arms the process at import only: building a network
-        # must not arm it again once ``disarm()`` has run.
-        monkeypatch.setenv(obs.OBS_ENV, "1")
+    def test_network_built_after_disarm_stays_disarmed(self):
+        # ``obs.arm()`` is the only switch: building a network must not
+        # arm the process again once ``disarm()`` has run.
         obs.arm()
         obs.disarm()
         topo = T.quartz_ring(4, 1)

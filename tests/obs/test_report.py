@@ -11,30 +11,21 @@ from repro.sim.stats import FaultRecorder
 
 
 @pytest.fixture(autouse=True)
-def _disarmed(monkeypatch):
-    """Each test starts and ends disarmed, whatever the environment says."""
-    monkeypatch.delenv(obs.OBS_ENV, raising=False)
-    was_armed = obs.armed()
+def _disarmed():
+    """Each test starts and ends disarmed."""
     obs.disarm()
     yield
     obs.disarm()
-    if was_armed:
-        obs.arm()
 
 
 class TestResolvedKnobs:
     def test_defaults_with_empty_environment(self):
-        knobs = report.resolved_knobs(environ={})
-        assert knobs == {
-            "fastpath": True, "batch": True, "telemetry": False, "obs": False,
-        }
-
-    def test_environment_overrides(self):
-        knobs = report.resolved_knobs(
-            environ={"REPRO_TELEMETRY": "1", "REPRO_OBS": "1"}
-        )
-        assert knobs["telemetry"] is True
-        assert knobs["obs"] is True
+        """Constants, whatever the process state: nothing in the
+        environment selects a path or arms a layer."""
+        defaults = {"fastpath": True, "batch": True, "telemetry": False, "obs": False}
+        assert report.resolved_knobs() == defaults
+        obs.arm()
+        assert report.resolved_knobs() == defaults
 
 
 class TestFaultDigest:
@@ -66,8 +57,9 @@ class TestFaultDigest:
 
 class TestBuildManifest:
     def test_fresh_manifest_validates_and_serializes(self):
-        doc = report.build_manifest(environ={})
+        doc = report.build_manifest()
         assert report.validate_manifest(doc) == []
+        assert doc["knobs"]["obs"] is False
         json.dumps(doc)  # must not raise
         # A manifest from before the escape hatches retired carries
         # more knobs; extra keys are not an error.
@@ -77,9 +69,9 @@ class TestBuildManifest:
     def test_armed_registry_snapshot_lands_in_metrics(self):
         obs.arm()
         obs.registry().incr("engine.runs", 2)
-        doc = report.build_manifest(environ={})
+        doc = report.build_manifest()
         assert doc["metrics"]["counters"] == {"engine.runs": 2}
-        # Programmatic arming must be reported even with REPRO_OBS unset.
+        # The manifest reports the live armed state.
         assert doc["knobs"]["obs"] is True
 
     def test_explicit_metrics_and_seeds_and_extra(self):
@@ -89,8 +81,7 @@ class TestBuildManifest:
             seeds=[3, 1, 1, 2],
             metrics=local.snapshot(),
             extra={"figure": "17"},
-            environ={},
-        )
+                    )
         assert doc["seeds"] == [1, 2, 3]
         assert doc["metrics"]["counters"] == {"cells": 3}
         assert doc["extra"] == {"figure": "17"}
@@ -98,12 +89,12 @@ class TestBuildManifest:
     def test_fault_recorder_is_digested(self):
         rec = FaultRecorder()
         rec.log(0.001, "cut", ring=0, segment=1)
-        doc = report.build_manifest(faults=rec, environ={})
+        doc = report.build_manifest(faults=rec)
         assert doc["faults"]["events"] == 1
 
     def test_write_manifest_round_trips(self, tmp_path):
         path = tmp_path / "manifest.json"
-        written = report.write_manifest(path, seeds=[0], environ={})
+        written = report.write_manifest(path, seeds=[0])
         loaded = json.loads(path.read_text())
         assert loaded == written
         assert report.validate_manifest(loaded) == []
@@ -119,12 +110,12 @@ class TestValidateManifest:
         assert any("missing key" in p for p in problems)
 
     def test_rejects_non_boolean_knob(self):
-        doc = report.build_manifest(environ={})
+        doc = report.build_manifest()
         doc["knobs"]["telemetry"] = "yes"
         assert any("knobs.telemetry" in p for p in report.validate_manifest(doc))
 
     def test_rejects_malformed_metrics(self):
-        doc = report.build_manifest(environ={})
+        doc = report.build_manifest()
         doc["metrics"] = {"counters": {}}
         problems = report.validate_manifest(doc)
         assert any("metrics.gauges" in p for p in problems)
@@ -138,7 +129,7 @@ class TestRenderManifest:
         obs.registry().observe("engine.run_seconds", 0.5)
         rec = FaultRecorder()
         rec.log(0.001, "cut", ring=0, segment=1)
-        doc = report.build_manifest(seeds=[0], faults=rec, environ={})
+        doc = report.build_manifest(seeds=[0], faults=rec)
         text = report.render_manifest(doc)
         assert text.startswith("run manifest (repro.obs.manifest/v1)")
         assert "engine.runs = 1" in text

@@ -36,13 +36,9 @@ def build(mode):
     ``"batched"`` runs through ``Network.run``, the scalar modes' ``run``
     is ``engine.run``; ``"reference"`` also draws packet by packet
     (:func:`run_workload`).
-
-    ``telemetry=False`` is pinned so the batching assertions hold under
-    ``REPRO_TELEMETRY=1``, where armed monitors would otherwise stand
-    the pass down.
     """
     topo = T.three_tier_tree()
-    net = Network(topo, ECMPRouter(topo), telemetry=False)
+    net = Network(topo, ECMPRouter(topo))
     if mode != "batched":
         net.run = net.engine.run
     return net
@@ -224,10 +220,8 @@ def windows_solved(**kwargs):
 
 
 class TestFlagResolution:
-    # telemetry is pinned so the assertions hold even when the whole
-    # suite runs under REPRO_TELEMETRY=1.
     def test_telemetry_stands_batching_down(self):
-        assert windows_solved(telemetry=False)[0] == 1
+        assert windows_solved()[0] == 1
         solved, net = windows_solved(telemetry=True)
         assert solved == 0
         assert net.packets_delivered > 0, "the kernel keeps running under telemetry"
@@ -420,7 +414,7 @@ class TestFiresThrough:
 
     def pair(self, rate=1_000_000.0):
         topo = T.full_mesh(2, 1)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         return [
             PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11)
             for _ in range(2)
@@ -455,7 +449,7 @@ class TestFiresThrough:
         a per-packet draw would give next; so it does after a ``budget``
         stand-down, which draws nothing."""
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
                                size_bytes=1250, seed=7)
         source.start()
@@ -487,7 +481,7 @@ class TestFiresThrough:
             runs = []
             for batch in (True, False):
                 topo = T.full_mesh(2, 1)
-                net = Network(topo, ECMPRouter(topo), telemetry=False)
+                net = Network(topo, ECMPRouter(topo))
                 if not batch:
                     net.run = net.engine.run
                 source = PoissonSource(net, "h0.0", "h1.0", rate_pps=1_500_000.0,

@@ -9,11 +9,13 @@ runs once as the **reference**: the forwarding kernel under
 ``engine.run``, Poisson draws packet by packet, telemetry armed.  It
 must be matched, snapshot for snapshot, by the kernel run by
 ``engine.run`` and by ``Network.run`` (the port-major pass allowed),
-both disarmed.  The fingerprint is ``tests/sim/test_fastpath.py``'s,
-plus the sources' counters.  Every leg's final state must also pass the
-end-to-end benchmark's invariant checks (``benchmarks/e2e/verify.py``),
-and an armed leg must charge every drop to a port or to the unroutable
-count.
+both disarmed, and ``Network.run`` must match itself with
+:mod:`repro.obs` armed.  These legs are what holds arming passive: no
+test suite re-runs under an armed environment.  The fingerprint is
+``tests/sim/test_fastpath.py``'s, plus the sources' counters.  Every
+leg's final state must also pass the end-to-end benchmark's invariant
+checks (``benchmarks/e2e/verify.py``), and an armed leg must charge
+every drop to a port or to the unroutable count.
 
 The legs share the kernel, so the kernel is held to the independent
 model of ``tests/sim/model.py`` too: fed the fires the ``engine.run``
@@ -34,6 +36,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import repro.topology as T
+from repro import obs
 from repro.routing import ECMPRouter, KShortestPathsRouter, VLBRouter
 from repro.sim import Network, portmajor
 from repro.sim.network import DEFAULT_PROPAGATION_DELAY, DEFAULT_SERVER_FORWARD_LATENCY
@@ -231,11 +234,22 @@ def build_leg(shape, telemetry=False, record=False):
     return net, sources, cut, fires
 
 
-def run_leg(shape, reference=False, batch=False, record=False):
+def run_leg(shape, reference=False, batch=False, record=False, observed=False):
     """``(snapshots, net, cut, fires)``: snapshots after every ``run``
     call of the shape's horizon, through ``Network.run`` with ``batch``,
     else through ``engine.run``.  The ``reference`` leg draws packet by
-    packet and arms telemetry."""
+    packet and arms telemetry; the ``observed`` leg runs with
+    :mod:`repro.obs` armed, which is disarmed again after it."""
+    if observed:
+        obs.arm()
+    try:
+        return _run_leg(shape, reference, batch, record)
+    finally:
+        if observed:
+            obs.disarm()
+
+
+def _run_leg(shape, reference, batch, record):
     with per_packet_draws(reference):
         net, sources, cut, fires = build_leg(shape, reference, record)
         run = net.run if batch else net.engine.run
@@ -308,6 +322,9 @@ def check_legs(shape):
     assert model_run(shape, cut, fires) == outcome(net)
     batched, *_ = run_leg(shape, batch=True)
     assert disarmed(batched) == disarmed(reference)
+    observed, net, *_ = run_leg(shape, batch=True, observed=True)
+    assert net.obs is not None and not obs.armed()
+    assert observed == batched
 
 
 def bounded_windows(router):

@@ -1,10 +1,13 @@
 """Tests for the packet-level network model."""
 
+import inspect
+
 import pytest
 
 import repro.topology as T
+from repro.hybrid import HybridNetwork
 from repro.routing import ECMPRouter
-from repro.sim import CCS, Network, NetworkSimError, ULL
+from repro.sim import CCS, Engine, Network, NetworkSimError, PoissonSource, ULL
 from repro.sim.network import DEFAULT_PROPAGATION_DELAY
 from repro.units import GBPS, MICROSECONDS, serialization_delay
 
@@ -150,3 +153,36 @@ class TestErrors:
             T.full_mesh(2, 1), "h0.0", "h1.0", host_receive_latency=5 * MICROSECONDS
         )
         assert slow - base == pytest.approx(5 * MICROSECONDS, rel=1e-6)
+
+
+def _parameters(function):
+    return set(inspect.signature(function).parameters) - {"self"}
+
+
+def test_network_reference_paths_are_arguments():
+    topo = T.quartz_ring(3, 1)
+    net = Network(topo, ECMPRouter(topo))
+    assert net.telemetry is None
+    # One forwarding loop: no reference-loop argument, no flag for it.
+    assert not hasattr(net, "fastpath_enabled")
+    # The hybrid and parallel switches live on the classes that read them.
+    assert not hasattr(net, "hybrid_enabled")
+    assert not hasattr(net, "parallel_enabled")
+    # The whole run and constructor surface, pinned: the run without the
+    # port-major pass is ``engine.run``, telemetry is a plain boolean,
+    # obs follows ``obs.arm()``, and the chunk, the residual floor and
+    # the telemetry window are module constants.
+    assert _parameters(Network.__init__) == {
+        "topo", "router", "propagation_delay", "server_forward_latency",
+        "host_receive_latency", "telemetry",
+    }
+    assert inspect.signature(Network.__init__).parameters["telemetry"].default is False
+    assert _parameters(Network.run) == {"until"}
+    assert _parameters(Engine.run) == {"until"}
+    assert _parameters(PoissonSource.__init__) == {
+        "network", "src", "dst", "rate_pps", "size_bytes", "group",
+        "flow_id", "seed", "stop_at", "vary_flow_per_packet", "on_delivered",
+    }
+    assert _parameters(HybridNetwork.__init__) == {
+        "topo", "router", "background", "hybrid", "record_timeline", "kwargs",
+    }

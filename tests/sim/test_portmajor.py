@@ -11,9 +11,6 @@ caller holds, the fault bookkeeping (per-flow counters, outages open
 and closed, which packets each link holds) and the pending queue *in
 seq order* (the pass draws fresh seqs for what it hands back; their
 order is the only thing about them that can matter).
-
-Networks pin ``telemetry=False`` so the file means the same under
-every CI leg's environment.
 """
 
 import heapq
@@ -62,7 +59,7 @@ def build(topology, batch, router=None):
     """A network whose ``run`` is ``Network.run`` with ``batch``, else
     the oracle's ``engine.run``."""
     topo = TOPOLOGIES[topology]() if isinstance(topology, str) else topology
-    net = Network(topo, (router or ECMPRouter)(topo), telemetry=False)
+    net = Network(topo, (router or ECMPRouter)(topo))
     if not batch:
         net.run = net.engine.run
     return net
@@ -482,7 +479,7 @@ class TestRootsAndChains:
 
     def test_a_long_stream_holds_one_window_of_gaps(self):
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         source = PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0,
                                size_bytes=1250, seed=3)
         source.start()
@@ -525,7 +522,7 @@ class TestRootsAndChains:
         monkeypatch.setattr(portmajor, "_solve", spy)
         monkeypatch.setattr(portmajor, "_merged", placing)
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         PoissonSource(net, "h0.0", "h1.0", rate_pps=500_000.0, size_bytes=1250,
                       seed=0).start()
         sorted_sizes.clear()  # building the network may sort
@@ -772,10 +769,7 @@ def run_two_depths(slow_b, batch):
     lower flow index.
     """
     topo = two_depths(slow_b)
-    net = Network(
-        topo, ECMPRouter(topo), propagation_delay=2 * UNIT,
-        telemetry=False,
-    )
+    net = Network(topo, ECMPRouter(topo), propagation_delay=2 * UNIT)
     run = net.run if batch else net.engine.run
     gaps = [(6 + (k * 5) % 7) * UNIT for k in range(64)]
     head_start = (5 - (4 if slow_b else 1)) * UNIT
@@ -961,14 +955,10 @@ class TestMutationsAreCaught:
 
 
 @pytest.fixture
-def disarmed(monkeypatch):
-    monkeypatch.delenv(obs.OBS_ENV, raising=False)
-    was_armed = obs.armed()
+def disarmed():
     obs.disarm()
     yield
     obs.disarm()
-    if was_armed:
-        obs.arm()
 
 
 def armed_run(make_net, start, until=1e-3, run=None):
@@ -991,7 +981,6 @@ def armed_run(make_net, start, until=1e-3, run=None):
 def armed_tree(**kwargs):
     def make_net():
         topo = TOPOLOGIES["tree"]()
-        kwargs.setdefault("telemetry", False)
         return Network(topo, ECMPRouter(topo), **kwargs)
     return make_net
 
@@ -1030,7 +1019,7 @@ class TestObservability:
         # A stand-down after the routes were read binds nothing either.
         def ring():
             topo = ring_of_switches(5)
-            return Network(topo, ECMPRouter(topo), telemetry=False)
+            return Network(topo, ECMPRouter(topo))
 
         _, cyclic = armed_run(ring, two_ahead)
         _, scalar = armed_run(ring, two_ahead, run=event_loop)
@@ -1065,7 +1054,7 @@ class TestObservability:
 
         def misrouted():
             topo = TOPOLOGIES["tree"]()
-            return Network(topo, Misrouted(topo), telemetry=False)
+            return Network(topo, Misrouted(topo))
 
         def run_misrouted(net):
             with pytest.raises(NetworkSimError, match="does not join"):
@@ -1091,9 +1080,7 @@ class TestObservability:
         still says why the pass stood down; armed, the registry mirrors
         the count."""
         from repro.experiments import section7
-        from repro.telemetry import TELEMETRY_ENV
 
-        monkeypatch.delenv(TELEMETRY_ENV, raising=False)  # armed, it stands down first
         built = []
 
         class Recorded(Network):
@@ -1120,7 +1107,7 @@ class TestObservability:
     def test_unroutable_fires_count_as_the_event_loop_counts_them(self):
         def partitioned():
             topo = TOPOLOGIES["mesh"]()
-            return Network(topo, Partitioned(topo), telemetry=False)
+            return Network(topo, Partitioned(topo))
 
         def start(net):
             return start_tasks(net, [("scatter", 0, 9, 21)])

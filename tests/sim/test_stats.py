@@ -262,7 +262,7 @@ class TestRecorder:
         monkeypatch.setattr(portmajor, "_record", spy)
         monkeypatch.setattr(portmajor, "MAX_WINDOW_FIRES", 4_096)
         topo = T.full_mesh(2, 2, link_rate=10 * GBPS)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         for seed, (src, dst, group) in enumerate([
             ("h0.0", "h1.0", "a"), ("h1.0", "h0.0", "b"), ("h0.1", "h1.1", None),
         ]):

@@ -90,7 +90,7 @@ class TestComponentsSumToLatency:
 
     def test_needs_stamps_and_delivery(self):
         topo = T.full_mesh(4, 1)
-        net = Network(topo, ECMPRouter(topo), telemetry=False)
+        net = Network(topo, ECMPRouter(topo))
         packet = net.send("h0.0", "h3.0", 400)
         net.run()
         with pytest.raises(NetworkSimError, match="stamps"):

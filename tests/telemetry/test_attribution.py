@@ -2,7 +2,6 @@
 
 from repro.telemetry import (
     Diagnosis,
-    TelemetryConfig,
     TelemetryHub,
     detect_microbursts,
     diagnose,
@@ -15,7 +14,7 @@ COLD = ("tor1", "h1.0")
 
 def hub_with_incast():
     """One hot port (flow "heavy" dominating window 1) and one cold port."""
-    hub = TelemetryHub(TelemetryConfig(window=1.0))
+    hub = TelemetryHub(window=1.0)
     # Background trickle on both ports, every window.
     for key in (HOT, COLD):
         for k in range(4):
@@ -41,14 +40,14 @@ class TestRanking:
         assert ranked == sorted(ranked, key=lambda kv: (-kv[1], kv[0]))
 
     def test_rank_ties_break_on_label(self):
-        hub = TelemetryHub(TelemetryConfig(window=1.0))
+        hub = TelemetryHub(window=1.0)
         hub.monitor(HOT).record_enqueue("b", 100, 0.1, 0.1, 0.2)
         hub.monitor(HOT).record_enqueue("a", 100, 0.3, 0.3, 0.4)
         (win,) = hub.monitors[HOT].windows()
         assert [f for f, _ in rank_flows(win)] == ["a", "b"]
 
     def test_drop_only_window_ranks_no_flow(self):
-        hub = TelemetryHub(TelemetryConfig(window=1.0))
+        hub = TelemetryHub(window=1.0)
         hub.on_drop(HOT, "a", 0.5)  # drop-only window: no occupancy
         (win,) = hub.monitors[HOT].windows()
         assert rank_flows(win) == []
@@ -100,7 +99,7 @@ class TestDiagnosis:
         assert report.ports[0][0] == HOT
 
     def test_empty_hub_diagnoses_nothing(self):
-        report = diagnose(TelemetryHub(TelemetryConfig()))
+        report = diagnose(TelemetryHub())
         assert report == Diagnosis(ports=(), flows=(), bursts=())
         assert report.culprit_port is None
         assert report.culprit_flow is None

@@ -5,16 +5,20 @@ about the simulation — every latency sample, port counter, and event
 count is bit-identical with monitors on or off, whether the Poisson
 gaps are drawn in chunks or packet by packet — while the monitors see every enqueue
 and drop, and INT stamps fold into the flow records on delivery.
+Nothing arms telemetry but ``Network(telemetry=True)``, so these tests
+arm it themselves, next to ``tests/sim/test_legs.py``'s armed legs.
 """
 
-import pytest
-
 import repro.topology as T
+from repro import obs
+from repro.experiments.hybrid_scale import DEFAULT_BG_DEMAND_BPS, DEFAULT_FG_BANDWIDTH_BPS
+from repro.hybrid import HybridNetwork, random_background_schedule
 from repro.routing import ECMPRouter
 from repro.sim import Network
 from repro.sim.sources import PoissonSource
-from repro.telemetry import TELEMETRY_ENV, TelemetryConfig, TelemetryHub
-from tests.sim.test_fastpath import per_packet_draws
+from repro.telemetry import DEFAULT_WINDOW, TelemetryHub
+from repro.workloads.tasks import ScatterGatherTask, StreamingTask, random_task
+from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
 
 def run_workload(telemetry, draws=False, nsrc=4):
@@ -66,27 +70,75 @@ class TestObservationalPurity:
         assert fast.telemetry.window_dump() == ref.telemetry.window_dump()
 
 
+def hybrid_cut_run(telemetry):
+    """The smoke hybrid cell's shape (five-switch ring, 20 background
+    flows, a four-worker incast, 2 ms), with a mesh link cut at 1 ms: a
+    ``fail_link`` epoch re-solves the background mid-run."""
+    topo = T.quartz_ring(5, 2)
+    schedule = random_background_schedule(
+        topo.servers(), 20, horizon=0.002, mean_duration=0.0005,
+        demand_bps=DEFAULT_BG_DEMAND_BPS, seed=0,
+    )
+    net = HybridNetwork(topo, ECMPRouter(topo), schedule, telemetry=telemetry)
+    spec = random_task(topo, "gather", fan=4, seed=0)
+    StreamingTask(net, spec, DEFAULT_FG_BANDWIDTH_BPS, group="fg", seed=0).start()
+    net.engine.call_at(0.001, net.fail_link, "tor0", "tor1")
+    net.run(until=0.002)
+    return net
+
+
+def scatter_gather_round(armed):
+    """One closed-loop scatter/gather round: every packet after the
+    first fan-out is sent from an ``on_delivered`` callback.  ``armed``
+    arms telemetry and :mod:`repro.obs` both."""
+    if armed:
+        obs.arm()
+    try:
+        topo = T.quartz_in_edge_and_core()
+        net = Network(topo, ECMPRouter(topo), telemetry=armed)
+        spec = random_task(topo, "scatter_gather", fan=4, seed=7)
+        task = ScatterGatherTask(net, spec, rounds=1, group="sg")
+        task.start()
+        net.run()
+    finally:
+        obs.disarm()
+    assert task.completed_rounds == 1
+    return net
+
+
+class TestArmedEqualsDisarmed:
+    """What the generated legs of ``tests/sim/test_legs.py`` do not
+    draw, armed against disarmed."""
+
+    def test_hybrid_with_a_cut_epoch(self):
+        off, on = hybrid_cut_run(False), hybrid_cut_run(True)
+        assert on.telemetry is not None and on.telemetry.total_enqueues() > 0
+        assert on.stats.summary("fg") == off.stats.summary("fg")
+        assert tuple(on.stats.samples) == tuple(off.stats.samples)
+        assert (on.epochs, on.residual_epoch) == (off.epochs, off.residual_epoch)
+        assert off.residual_epoch > 0
+
+    def test_scatter_gather_round(self):
+        off = network_fingerprint(scatter_gather_round(False))
+        on = network_fingerprint(scatter_gather_round(True))
+        assert on[9]  # stamps were folded in
+        # Positions 8 and 9 are the window dump and the stamps.
+        assert on[:8] + on[10:] == off[:8] + off[10:]
+        assert off[0] == 8  # four requests, four replies
+
+
 class TestArming:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+    def test_disabled_by_default(self):
         topo = T.full_mesh(2, 1)
         assert Network(topo, ECMPRouter(topo)).telemetry is None
 
     def test_explicit_flag_and_config(self):
+        """``telemetry=True`` is the only way to arm, and an armed hub
+        tiles time in the one module-constant window."""
         topo = T.full_mesh(2, 1)
-        assert isinstance(
-            Network(topo, ECMPRouter(topo), telemetry=True).telemetry, TelemetryHub
-        )
-        config = TelemetryConfig(window=1e-3)
-        net = Network(topo, ECMPRouter(topo), telemetry=config)
-        assert net.telemetry.config is config
-
-    def test_env_arms_default_networks(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "1")
-        topo = T.full_mesh(2, 1)
-        assert Network(topo, ECMPRouter(topo)).telemetry is not None
-        # ... but an explicit False still wins over the environment.
-        assert Network(topo, ECMPRouter(topo), telemetry=False).telemetry is None
+        hub = Network(topo, ECMPRouter(topo), telemetry=True).telemetry
+        assert isinstance(hub, TelemetryHub)
+        assert hub.window == DEFAULT_WINDOW
 
 
 class TestMonitors:

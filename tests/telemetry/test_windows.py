@@ -13,13 +13,11 @@ import pytest
 
 from repro.telemetry import (
     DEFAULT_WINDOW,
-    TELEMETRY_ENV,
     PortMonitor,
-    TelemetryConfig,
     TelemetryError,
     TelemetryHub,
-    resolve_config,
 )
+from repro.units import MICROSECONDS
 
 KEY = ("u", "v")
 
@@ -30,31 +28,14 @@ def monitor(width=1.0):
 
 class TestConfig:
     def test_defaults(self):
-        config = TelemetryConfig()
-        assert config.window == DEFAULT_WINDOW
+        assert DEFAULT_WINDOW == 100 * MICROSECONDS
+        assert TelemetryHub().window == DEFAULT_WINDOW
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(TelemetryError):
-            TelemetryConfig(window=0.0)
+            TelemetryHub(window=0.0)
         with pytest.raises(TelemetryError):
-            TelemetryConfig(window=-1e-6)
-
-    def test_resolve_passthrough_and_booleans(self):
-        config = TelemetryConfig(window=1e-3)
-        assert resolve_config(config) is config
-        assert resolve_config(True) == TelemetryConfig()
-        assert resolve_config(False) is None
-
-    def test_resolve_none_follows_env(self, monkeypatch):
-        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
-        assert resolve_config(None) is None
-        monkeypatch.setenv(TELEMETRY_ENV, "1")
-        assert resolve_config(None) == TelemetryConfig()
-
-    def test_env_treats_empty_and_zero_as_off(self, monkeypatch):
-        for value in ("", "0"):
-            monkeypatch.setenv(TELEMETRY_ENV, value)
-            assert resolve_config(None) is None
+            TelemetryHub(window=-1e-6)
 
 
 class TestDepthAndWait:
@@ -168,14 +149,14 @@ class TestOccupancyIntegral:
 
 class TestHub:
     def test_monitors_created_lazily(self):
-        hub = TelemetryHub(TelemetryConfig(window=1.0))
+        hub = TelemetryHub(window=1.0)
         assert hub.ports() == []
         hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
         assert hub.ports() == [KEY]
         assert hub.total_enqueues() == 1
 
     def test_window_dump_shape(self):
-        hub = TelemetryHub(TelemetryConfig(window=1.0))
+        hub = TelemetryHub(window=1.0)
         hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
         hub.on_drop(KEY, "b", 0.7)
         hub.on_unroutable()
@@ -192,7 +173,7 @@ class TestHub:
         assert json.loads(json.dumps(dump)) == dump
 
     def test_iter_windows_sorted(self):
-        hub = TelemetryHub(TelemetryConfig(window=1.0))
+        hub = TelemetryHub(window=1.0)
         hub.monitor(("b", "c")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
         hub.monitor(("a", "b")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
         keys = [key for key, _ in hub.iter_windows()]

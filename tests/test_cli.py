@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -176,6 +177,14 @@ class TestManifestOption:
         doc = json.loads(manifest.read_text())
         assert doc["extra"] == {"command": "experiment", "figure": "10"}
         assert doc["seeds"] == [0]
+        # --manifest arms the run it describes, and only that run.
+        assert doc["knobs"]["obs"] is True
+        assert doc["metrics"]["counters"]
+        assert not obs.armed()
+
+    def test_run_without_manifest_stays_disarmed(self, capsys):
+        assert main(["smoke", "--check"]) == 0
+        assert not obs.armed()
 
 
 class TestTraceCommand:
@@ -223,6 +232,22 @@ class TestReportCommand:
         bad.write_text(json.dumps({"schema": "bogus/v9"}))
         assert main(["report", str(bad)]) == 1
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", [
+        {"faults": {"events": 2}},
+        {"metrics": {"counters": {}, "gauges": {},
+                     "timers": {"t": {"count": 1, "max": 0.5}}}},
+        {"cache": {"hit_rate": "abc"}},
+    ], ids=["faults-without-kinds", "timer-without-total", "text-hit-rate"])
+    def test_unrenderable_manifest_rejected(self, tmp_path, capsys, broken):
+        """Documents the renderer cannot read fail validation, instead of
+        a traceback out of ``render_manifest``."""
+        from repro.obs.report import build_manifest
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**build_manifest(), **broken}))
+        assert main(["report", str(bad)]) == 1
+        assert "invalid manifest" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "no.json")]) == 2

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.telemetry import TELEMETRY_ENV
 from repro.experiments import (
     fault_recovery_sweep,
     format_fault_recovery,
@@ -72,21 +71,16 @@ class TestCell:
 
 
 class TestPortMajor:
-    def test_most_packets_are_solved_port_major(self, monkeypatch):
+    def test_most_packets_are_solved_port_major(self):
         """A silent fall back to the event loop — a timer, the armed
         tracking or the goodput bins standing the pass down again —
         fails here, without a stopwatch."""
-        monkeypatch.delenv(TELEMETRY_ENV, raising=False)  # armed telemetry does stand it down
-        was_armed = obs.armed()
-        obs.disarm()
         obs.arm()
         try:
             result = run_fault_recovery_cell(num_rings=2, num_cuts=1, **FAST)
             counters = dict(obs.registry().counters)
         finally:
             obs.disarm()
-            if was_armed:
-                obs.arm()
         sent = result.packets_delivered + result.packets_dropped
         assert counters["batch.packets"] >= 0.5 * sent
         assert "batch.standdown.faults" not in counters

@@ -99,11 +99,12 @@ class TestTelemetryVariant:
     def tele_metrics(self):
         return smoke.compute_telemetry_smoke_metrics()
 
-    def test_base_metrics_unchanged_by_telemetry(self, metrics, tele_metrics):
-        """The heart of the opt-in contract: arming monitors + stamping
-        for the same cells must not move a single compared metric."""
-        for key, value in metrics.items():
-            assert tele_metrics[key] == value, key
+    def test_telemetry_golden_holds_only_the_diagnosis_cell(self, tele_metrics):
+        """The base cells are not re-run armed: tier-1 tests that arm
+        explicitly hold arming passive (``test_legs.py``'s reference
+        leg, ``tests/obs/test_integration.py``, ``test_fastpath.py``)."""
+        assert len(tele_metrics) == 12
+        assert all(key.startswith("telemetry.") for key in tele_metrics)
 
     def test_telemetry_metrics_present_and_correct(self, tele_metrics):
         assert tele_metrics["telemetry.port_correct"] is True
@@ -115,18 +116,6 @@ class TestTelemetryVariant:
         """The exact check `make smoke-telemetry` (and its CI leg) runs."""
         assert smoke.GOLDEN_TELEMETRY_PATH.exists()
         assert smoke.check(smoke.GOLDEN_TELEMETRY_PATH, telemetry=True) == []
-
-    def test_telemetry_env_restored_after_run(self, tele_metrics):
-        import os
-
-        from repro.telemetry import TELEMETRY_ENV
-
-        assert os.environ.get(TELEMETRY_ENV, "0") in ("", "0", "1")
-        # The variant must not leak an armed environment into the
-        # process when it started disarmed.
-        if os.environ.get(TELEMETRY_ENV) is None:
-            smoke.compute_telemetry_smoke_metrics()
-            assert TELEMETRY_ENV not in os.environ
 
     def test_dump_windows_artifact(self, tmp_path):
         out = tmp_path / "windows.json"
