@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-trajectory e2e-digests examples smoke smoke-update \
+.PHONY: install test bench bench-trajectory pairs e2e-digests examples smoke smoke-update \
 	smoke-telemetry smoke-telemetry-update lint importtime ci all
 
 install:
@@ -22,6 +22,20 @@ bench:
 bench-trajectory:
 	$(PYTHON) benchmarks/e2e/run.py --repeats 3
 	$(PYTHON) benchmarks/append_trajectory.py
+
+# A claimed gain: alternating pairs of this tree's and PARENT's (a
+# checkout of the parent commit) e2e runs of one workload, each side's
+# median and quartiles per end-to-end metric, and whether the change won
+# at least 9 of 10 pairs by more than the parent's IQR.
+#   make pairs PARENT=../parent [WORKLOAD=fig17_sweep PAIRS=10 SEED_BASE=0]
+WORKLOAD ?= fig17_sweep
+PAIRS ?= 10
+SEED_BASE ?= 0
+
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=DIR [WORKLOAD=...]"; exit 2; }
+	$(PYTHON) benchmarks/pairs.py $(PARENT) . --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed-base $(SEED_BASE)
 
 # The five end-to-end workloads at their quick size, each checked
 # against benchmarks/e2e/golden.json: digests, conservation and

@@ -382,7 +382,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print(
-            "intentional change?  re-run `python -m repro smoke --update` "
+            f"intentional change?  re-run `{S.update_command(path, args.telemetry)}` "
             "and commit the new golden",
             file=sys.stderr,
         )

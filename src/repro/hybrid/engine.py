@@ -219,7 +219,7 @@ class HybridNetwork(Network):
         self.epochs += 1
         if changed:
             # Same invalidation fail_link performs, when a compiled plan
-            # crosses a moved link: its ``ser`` (and per-size product
+            # crosses a moved link: its per-hop ``ser`` (and per-size product
             # caches) must not survive a serialization change.
             # A plan that crosses none holds the numbers a recompile
             # would give it, and its bound flows the same routes.

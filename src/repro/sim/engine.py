@@ -25,8 +25,8 @@ from repro import obs as _obs
 
 #: Marker in the ``args`` slot of a chained entry ``[time, seq, step,
 #: _CHAIN, arg]`` (see :meth:`Engine.chain_at`).  Never a valid args
-#: tuple, and falsy: the run loop tests for it only after ``if args:``
-#: failed, so a plain event with arguments never pays for chains.
+#: tuple; the run loop tests for it first, chains being most of what a
+#: packet run dispatches (a packet's hops, a source's fires).
 _CHAIN = None
 
 _CHAIN_PAST = "chained step returned time %r, before current time %r"
@@ -195,17 +195,15 @@ class Engine:
                     callback = entry[2]
                     self.now = time
                     args = entry[3]
-                    if args:
-                        callback(*args)
-                    elif args is None:  # _CHAIN
+                    if args is None:  # _CHAIN
                         rearm = callback(entry[4])
                         if rearm is not None:
                             processed += 1
                             if rearm < time:
                                 raise SimulationError(_CHAIN_PAST % (rearm, time))
                             entry[0] = rearm
-                            entry[1] = self._seq
-                            self._seq += 1
+                            seq = entry[1] = self._seq
+                            self._seq = seq + 1
                             # Re-push and pop the successor in one sift:
                             # the pop order of heappush + heappop,
                             # (time, seq) being a strict total order.
@@ -215,6 +213,8 @@ class Engine:
                                 continue
                             heappush(heap, entry)  # the outer pop meets it and stops
                             break
+                    elif args:
+                        callback(*args)
                     else:
                         callback()
                     processed += 1

@@ -6,25 +6,30 @@ switch model behind a node lookup, and the cut-through serialization
 credit from two more link lookups.  For a path that thousands of packets
 share, all of that is loop-invariant.
 
-A :class:`HopPlan` resolves it once per unique path into parallel
-tuples indexed by hop number, so the kernel (:meth:`Network._hop`) walks
-plain tuple indices with zero dict lookups:
+A :class:`HopPlan` resolves it once per unique path, indexed by hop
+number, so the kernel (:meth:`Network._hop`) walks plain tuple indices
+with zero dict lookups:
+
+* ``hops[h]`` — the **per-hop record** ``(latf, lat, port, ser)``, what
+  the kernel reads on every hop with one index:
+
+  - ``lat`` / ``latf`` — the forwarding delay charged at node
+    ``path[h]`` before transmitting on link ``h``, folded into the
+    affine form ``earliest = now + size * latf + lat``.
+    Store-and-forward hops have ``latf == 0.0``; cut-through hops carry
+    ``-min(ser_in, ser_out)`` so the serialization credit is one
+    multiply;
+  - ``port`` — the output :class:`PortState` of link ``h``;
+  - ``ser`` — serialization factor (seconds per byte) of link ``h``;
 
 * ``keys[h]`` — the directed link ``(path[h], path[h+1])``, used only
   for the dead-link check and telemetry;
 * ``flights[h]`` — the network's in-flight set of link ``h``
   (``Network._in_flight[keys[h]]``, the same object), which the kernel
   adds to and discards from when fault tracking is armed;
-* ``ser[h]`` — serialization factor (seconds per byte) of link ``h``;
-* ``ports[h]`` — the output :class:`PortState`;
 * ``foreign[h]`` — whether ``path[h+1]`` lies outside the owning
   network's shard (``None`` when the network is unsharded): the hops
-  where the kernel consults ``Network._tail_out``;
-* ``lat[h]`` / ``latf[h]`` — the forwarding delay charged at node
-  ``path[h]`` before transmitting on link ``h``, folded into the affine
-  form ``earliest = now + size * latf[h] + lat[h]``.  Store-and-forward
-  hops have ``latf == 0.0``; cut-through hops carry
-  ``-min(ser_in, ser_out)`` so the serialization credit is one multiply.
+  where the kernel consults ``Network._tail_out``.
 
 The affine form is **bit-identical** to the switch spec's arithmetic
 (DESIGN.md §5): ``size * latf`` equals ``-min(size * ser_in_factor,
@@ -62,29 +67,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class HopPlan:
     """Per-path forwarding chain, resolved once and walked by index."""
 
-    __slots__ = (
-        "path", "last", "keys", "flights", "ser", "ports", "lat", "latf", "foreign",
-    )
+    __slots__ = ("path", "last", "hops", "keys", "flights", "foreign")
 
     def __init__(
         self,
         path: "Path",
+        hops: "tuple[tuple[float, float, PortState, float], ...]",
         keys: tuple,
         flights: tuple,
-        ser: tuple,
-        ports: tuple,
-        lat: tuple,
-        latf: tuple,
         foreign: "tuple | None" = None,
     ) -> None:
         self.path = path
         self.last = len(path) - 1  # hop index of the destination node
+        self.hops = hops
         self.keys = keys
         self.flights = flights
-        self.ser = ser
-        self.ports = ports
-        self.lat = lat
-        self.latf = latf
         self.foreign = foreign
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -108,35 +105,28 @@ def compile_plan(
     Raises :class:`~repro.sim.network.NetworkSimError` if any hop has no
     link, before the packet is injected.
     """
-    n = len(path)
+    hops = []
     keys = []
     flights = []
-    ser = []
-    ports = []
-    for h in range(n - 1):
+    ser_in = 0.0
+    for h in range(len(path) - 1):
         key = (path[h], path[h + 1])
         rec = link_rec.get(key)
         if rec is None:
             from repro.sim.network import NetworkSimError
 
             raise NetworkSimError(f"no link {path[h]!r} → {path[h + 1]!r} on path")
+        ser, port, _ = rec
+        lat = latf = 0.0
+        if h:  # the source server starts at its injection time
+            cut_through, lat = hop_rec[path[h]]
+            if cut_through:
+                latf = -(ser_in if ser_in < ser else ser)
+        hops.append((latf, lat, port, ser))
         keys.append(key)
         flights.append(in_flight.setdefault(key, set()))
-        ser.append(rec[0])
-        ports.append(rec[1])
-    lat = [0.0] * max(1, n - 1)
-    latf = [0.0] * max(1, n - 1)
-    for h in range(1, n - 1):
-        cut_through, latency = hop_rec[path[h]]
-        lat[h] = latency
-        if cut_through:
-            ser_in = ser[h - 1]
-            ser_out = ser[h]
-            latf[h] = -(ser_in if ser_in < ser_out else ser_out)
+        ser_in = ser
     foreign = None
     if owned is not None:
         foreign = tuple(node not in owned for node in path[1:])
-    return HopPlan(
-        path, tuple(keys), tuple(flights), tuple(ser), tuple(ports), tuple(lat),
-        tuple(latf), foreign,
-    )
+    return HopPlan(path, tuple(hops), tuple(keys), tuple(flights), foreign)

@@ -23,11 +23,13 @@ saturation in Figure 20).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.routing.base import Path, Router
-from repro.sim.engine import Engine
+from repro.sim.engine import _CHAIN, Engine
 from repro.sim.fastpath import HopPlan, compile_plan
 from repro import obs as _obs_layer
 from repro.sim.stats import FaultRecorder, LatencyRecorder
@@ -48,7 +50,7 @@ DEFAULT_PROPAGATION_DELAY = 100 * NANOSECONDS
 
 
 class NetworkSimError(RuntimeError):
-    """Raised for invalid send requests or malformed paths."""
+    """Raised for invalid delays, send requests or malformed paths."""
 
 
 @dataclass(slots=True, eq=False)
@@ -126,7 +128,21 @@ class Network:
         :mod:`repro.obs` registry armed when it is built (``obs.arm()``),
         if any.  Nothing in the environment arms either layer, and both
         are strictly observational: armed runs stay
-        fingerprint-identical to disarmed runs."""
+        fingerprint-identical to disarmed runs.
+
+        The three delays must be finite and non-negative
+        (:class:`NetworkSimError` otherwise): a packet's next arrival is
+        then never before the hop that schedules it, which :meth:`send`
+        relies on."""
+        for name, delay in (
+            ("propagation_delay", propagation_delay),
+            ("server_forward_latency", server_forward_latency),
+            ("host_receive_latency", host_receive_latency),
+        ):
+            if not (delay >= 0 and math.isfinite(delay)):
+                raise NetworkSimError(
+                    f"{name} must be finite and non-negative, got {delay!r}"
+                )
         self.topo = topo
         self.router = router
         self.engine = Engine()
@@ -226,6 +242,11 @@ class Network:
         the flow costs one probe.
         An explicit ``path`` is resolved afresh every time and never
         bound.
+
+        The packet's first arrival is queued straight onto the engine's
+        heap, the entry :meth:`Engine.chain_at` would push, without its
+        past-time check: ``arrival >= now`` holds by construction, the
+        delays being validated in :meth:`__init__`.
         """
         if size_bytes <= 0:
             raise NetworkSimError(f"packet size must be positive, got {size_bytes}")
@@ -240,20 +261,18 @@ class Network:
         self._next_packet_id = packet_id + 1
         engine = self.engine
         now = engine.now
+        # Positional: binding keywords costs more than the body of the
+        # dataclass's ``__init__``.
         packet = Packet(
-            packet_id=packet_id,
-            src=src,
-            dst=dst,
-            size_bytes=size_bytes,
-            path=route,
-            created_at=now,
-            group=group,
-            on_delivered=on_delivered,
-            plan=plan,
+            packet_id, src, dst, size_bytes, route, now, group, on_delivered,
+            0, None, False, False, plan,
         )
-        arrival = self._hop(packet, now)
+        hop = self._hop
+        arrival = hop(packet, now)
         if arrival is not None:
-            engine.chain_at(arrival, self._hop, packet)
+            seq = engine._seq
+            heappush(engine._heap, [arrival, seq, hop, _CHAIN, packet])
+            engine._seq = seq + 1
         return packet
 
     def _bind(
@@ -358,9 +377,10 @@ class Network:
         size = packet.size_bytes
         track = self._track_in_flight
         if earliest_start is None:
-            if packet.dropped:
-                return None  # severed by a link failure while in flight
             if track:
+                # Only ``fail_link`` severs, and it arms tracking first.
+                if packet.dropped:
+                    return None
                 plan.flights[hop].discard(packet)
             hop += 1
             packet.hop = hop
@@ -368,22 +388,30 @@ class Network:
             if hop == plan.last:
                 delivered = packet.delivered_at = now + self.host_receive_latency
                 self.packets_delivered += 1
-                self.stats.record(delivered - packet.created_at, packet.group)
+                latency = delivered - packet.created_at
+                if not latency >= 0:
+                    raise ValueError(f"negative latency {latency}")
+                # ``LatencyRecorder.record``, inlined: no frame per delivery.
+                stats = self.stats
+                stats._pending.append(latency)
+                stats._pending_groups.append(packet.group)
                 if packet.stamps is not None:
-                    self.stats.record_stamps(packet.group, packet.stamps)
+                    stats.record_stamps(packet.group, packet.stamps)
                 if track:
                     self.fault_stats.record_delivery(packet.group, now)
                 if packet.on_delivered is not None:
                     packet.on_delivered(packet, delivered)
                 return None
-            earliest_start = now + size * plan.latf[hop] + plan.lat[hop]
+            latf, lat, port, ser = plan.hops[hop]
+            earliest_start = now + size * latf + lat
+        else:
+            latf, lat, port, ser = plan.hops[hop]
         if self._dead_links and plan.keys[hop] in self._dead_links:
             return self._reroute_or_drop(packet, earliest_start)
-        port = plan.ports[hop]
         start = port.busy_until
         if start < earliest_start:
             start = earliest_start
-        tail_out = start + size * plan.ser[hop]
+        tail_out = start + size * ser
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size

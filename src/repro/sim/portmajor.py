@@ -611,9 +611,10 @@ def _solve(net: Network, until: float, roots: list) -> None:
             continue
         hops = plan.last
         port_at[row:hops, j] = chain
-        ser[row:hops, j] = [bytes_ * x for x in plan.ser[row:]]
-        credit[row:hops, j] = [bytes_ * x for x in plan.latf[row:]]
-        lat[row:hops, j] = plan.lat[row:]
+        records = plan.hops[row:]
+        ser[row:hops, j] = [bytes_ * rec[3] for rec in records]
+        credit[row:hops, j] = [bytes_ * rec[0] for rec in records]
+        lat[row:hops, j] = [rec[1] for rec in records]
 
     # Which columns cross which port at which hop: per port, one part per
     # hop, root-major — and, when every root crossing the port multiplies

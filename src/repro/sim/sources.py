@@ -228,10 +228,9 @@ class PoissonSource:
         flow = self.flow_id
         if self.vary_flow_per_packet:
             flow = self.flow_id * 1_000_003 + self.packets_sent
-        try:
+        try:  # positional, as ``ScatterGatherTask``'s sends
             self.network.send(
-                self.src, dst, self.size_bytes, flow_id=flow, group=self.group,
-                on_delivered=self.on_delivered,
+                self.src, dst, self.size_bytes, flow, self.group, None, self.on_delivered
             )
         except RoutingError:
             # A partitioned mesh (simultaneous fibre cuts) leaves the

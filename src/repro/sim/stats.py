@@ -99,8 +99,10 @@ class LatencyRecorder:
     delivery order, and their group codes (:meth:`code`; a block of one
     group, ungrouped included, holds a broadcast code, no memory).
     ``record`` buffers in Python lists, flushed as one block at the next
-    ``record_many`` or read.  ``samples`` and ``by_group`` are lists
-    built on each read; nothing on a hot path may read them.
+    ``record_many`` or read; the forwarding kernel appends a delivery to
+    the same two buffers itself (``_pending``, ``_pending_groups``), so
+    they are looked up afresh, never held.  ``samples`` and ``by_group``
+    are lists built on each read; nothing on a hot path may read them.
 
     When telemetry is armed, each delivered packet's INT stamps
     additionally fold into ``hop_stamps`` — flow label → node →
@@ -158,8 +160,12 @@ class LatencyRecorder:
         if groups.count(groups[0]) == len(groups):
             codes = np.broadcast_to(code_of.setdefault(groups[0], len(code_of)), len(groups))
         else:
-            codes = [code_of.setdefault(group, len(code_of)) for group in groups]
-            codes = np.array(codes, dtype=np.min_scalar_type(len(code_of)))
+            for group in dict.fromkeys(groups):  # first-delivery order
+                code_of.setdefault(group, len(code_of))
+            codes = np.fromiter(
+                map(code_of.__getitem__, groups), np.min_scalar_type(len(code_of)),
+                len(groups),
+            )
         self._values.append(np.array(self._pending, dtype=float))
         self._codes.append(codes)
         self._pending, self._pending_groups = [], []

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 from pathlib import Path
 from typing import Any
 
@@ -208,6 +209,18 @@ def check(
     return problems
 
 
+def update_command(path: Path, telemetry: bool) -> str:
+    """The command that rewrites the golden a check of ``path`` read:
+    the check's ``--telemetry`` and, off the default path, its
+    ``--golden``."""
+    command = "python -m repro smoke --update"
+    if telemetry:
+        command += " --telemetry"
+    if Path(path) != (GOLDEN_TELEMETRY_PATH if telemetry else GOLDEN_PATH):
+        command += f" --golden {shlex.quote(str(path))}"
+    return command
+
+
 def check_with_runtime(
     path: Path = GOLDEN_PATH,
     telemetry: bool = False,
@@ -215,14 +228,7 @@ def check_with_runtime(
 ) -> tuple[list[str], dict[str, Any]]:
     """:func:`check` plus the run's ``runtime.*`` keys for reporting."""
     if not path.exists():
-        flag = " --telemetry" if telemetry else ""
-        return (
-            [
-                f"golden file {path} missing; run "
-                f"`python -m repro smoke --update{flag}`"
-            ],
-            {},
-        )
+        return [f"golden file {path} missing; run `{update_command(path, telemetry)}`"], {}
     golden = json.loads(path.read_text())
     current, runtime = timed_run(
         telemetry=telemetry, dump_windows_to=dump_windows_to

@@ -165,26 +165,21 @@ class ScatterGatherTask:
     def start(self, delay: float = 0.0) -> None:
         self.network.engine.schedule(delay, self._begin_round)
 
+    # The sends are positional: binding keywords is a cost every packet
+    # of every round would pay.
     def _begin_round(self) -> None:
-        self._pending_replies = len(self.spec.peers)
-        for i, peer in enumerate(self.spec.peers):
-            self.network.send(
-                self.spec.hub,
-                peer,
-                self.size_bytes,
-                flow_id=self.flow_base + i,
-                group=self.group,
-                on_delivered=self._request_landed,
-            )
+        peers = self.spec.peers
+        self._pending_replies = len(peers)
+        send = self.network.send
+        hub, size, flow, group = self.spec.hub, self.size_bytes, self.flow_base, self.group
+        landed = self._request_landed
+        for i, peer in enumerate(peers):
+            send(hub, peer, size, flow + i, group, None, landed)
 
     def _request_landed(self, packet: Packet, _when: float) -> None:
         self.network.send(
-            packet.dst,
-            packet.src,
-            self.size_bytes,
-            flow_id=self.flow_base + 10_000,
-            group=self.group,
-            on_delivered=self._reply_landed,
+            packet.dst, packet.src, self.size_bytes, self.flow_base + 10_000,
+            self.group, None, self._reply_landed,
         )
 
     def _reply_landed(self, _packet: Packet, _when: float) -> None:

@@ -61,9 +61,9 @@ class TestPerPacketPathVariation:
         seen = set()
         original_send = net.send
 
-        def spy(src, dst, size, flow_id=0, **kwargs):
+        def spy(src, dst, size, flow_id=0, *args, **kwargs):
             seen.add(flow_id)
-            return original_send(src, dst, size, flow_id=flow_id, **kwargs)
+            return original_send(src, dst, size, flow_id, *args, **kwargs)
 
         net.send = spy
         source = PoissonSource(

@@ -11,11 +11,13 @@ compiled plan shows as a difference instead of sitting in both legs.
 
 Its inputs are plain data: each source's **fire record** — ``[(time,
 [(src, dst, size, flow_id, group), ...]), ...]``, recorded on a kernel
-run by :func:`record_fires` — and the fault timeline.  They are handed
-to :class:`FabricModel` in the order the kernel's run scheduled them,
-so ties break the same way.  :func:`outcome` reads a finished network
-into the shape :meth:`FabricModel.outcome` returns; tests compare the
-two with ``==``, bit for bit.
+run by :func:`record_fires` — the fault timeline, and each closed-loop
+scatter/gather task's participants (:meth:`FabricModel.rounds`), whose
+requests and replies the model sends itself as deliveries land.  They
+are handed to :class:`FabricModel` in the order the kernel's run
+scheduled them, so ties break the same way.  :func:`outcome` reads a
+finished network into the shape :meth:`FabricModel.outcome` returns;
+tests compare the two with ``==``, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,14 +31,19 @@ from repro.topology.graph import shortest_path
 
 
 class _Packet:
-    __slots__ = ("dst", "size", "group", "created", "path", "hop", "rerouted", "severed")
+    __slots__ = (
+        "src", "dst", "size", "group", "created", "path", "hop", "rerouted",
+        "severed", "landed",
+    )
 
-    def __init__(self, dst, size, group, created, path):
+    def __init__(self, src, dst, size, group, created, path, landed):
+        self.src = src
         self.dst = dst
         self.size = size
         self.group = group
         self.created = created
         self.path = path
+        self.landed = landed  # called with the packet once it is delivered
         self.hop = 0  # index into ``path`` of the node the packet is at
         self.rerouted = False
         self.severed = False
@@ -101,6 +108,35 @@ class FabricModel:
         if fires:
             self.at(fires[0][0], self._fire, fires, 0)
 
+    def rounds(self, time, hub, peers, size, group, flow_base, rounds):
+        """A closed-loop scatter/gather task (Section 7.1) starting at
+        ``time``: each round sends one request to every peer in order
+        (flow ``flow_base + i`` to peer ``i``); a peer replies the moment
+        its request lands (flow ``flow_base + 10_000``); the next round
+        begins the moment the last reply lands, until ``rounds`` have.
+        Returns the task's state: ``.completed`` counts finished rounds."""
+        task = types.SimpleNamespace(completed=0, pending=0)
+
+        def begin():
+            task.pending = len(peers)
+            for i, peer in enumerate(peers):
+                self._inject(hub, peer, size, flow_base + i, group, request_landed)
+
+        def request_landed(packet):
+            self._inject(
+                packet.dst, packet.src, size, flow_base + 10_000, group, reply_landed
+            )
+
+        def reply_landed(_packet):
+            task.pending -= 1
+            if task.pending == 0:
+                task.completed += 1
+                if task.completed < rounds:
+                    begin()
+
+        self.at(time, begin)
+        return task
+
     def run(self, until):
         events = self.events
         while events and events[0][0] <= until:
@@ -117,14 +153,14 @@ class FabricModel:
         if i + 1 < len(fires):
             self.at(fires[i + 1][0], self._fire, fires, i + 1)
 
-    def _inject(self, src, dst, size, flow_id, group):
+    def _inject(self, src, dst, size, flow_id, group, landed=None):
         try:
             path = tuple(self.router.route(src, dst, flow_id))
         except RoutingError:
             self.unroutable += 1
             self._drop()
             return
-        self._clock(_Packet(dst, size, group, self.now, path), self.now)
+        self._clock(_Packet(src, dst, size, group, self.now, path, landed), self.now)
 
     # -- one hop --------------------------------------------------------------------
 
@@ -157,6 +193,8 @@ class FabricModel:
             self.samples.append(latency)
             if packet.group is not None:
                 self.by_group.setdefault(packet.group, []).append(latency)
+            if packet.landed is not None:
+                packet.landed(packet)
             return
         self._clock(packet, self._earliest(packet, path[packet.hop + 1]))
 
@@ -252,9 +290,11 @@ def record_fires(net, sources):
     sends = []
     send = net.send
 
-    def recording_send(src, dst, size_bytes, flow_id=0, group=None, **kwargs):
+    def recording_send(
+        src, dst, size_bytes, flow_id=0, group=None, path=None, on_delivered=None
+    ):
         sends.append((src, dst, size_bytes, flow_id, group))
-        return send(src, dst, size_bytes, flow_id=flow_id, group=group, **kwargs)
+        return send(src, dst, size_bytes, flow_id, group, path, on_delivered)
 
     net.send = recording_send
     records = []

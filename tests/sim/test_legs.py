@@ -21,7 +21,10 @@ The legs share the kernel, so the kernel is held to the independent
 model of ``tests/sim/model.py`` too: fed the fires the ``engine.run``
 leg made and the same fault timeline, the model must reach the same
 latency samples, in delivery order, the same counters and the same port
-state, bit for bit.
+state, bit for bit.  A second, closed-loop family draws scatter/gather
+tasks (fabric × router × fan × rounds): there every packet after a
+task's first round is sent from a delivery callback, and the model,
+given only the tasks' participants, must match both run forms.
 
 Seeds and rates come from small sets on purpose: streams that share a
 seed and a rate share their whole gap sequence, so same-timestamp
@@ -44,6 +47,7 @@ from repro.sim.sources import BurstSource, PoissonSource
 from repro.sim.switch import SwitchModel, register_model
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.units import GBPS
+from repro.workloads.tasks import ScatterGatherTask, TaskSpec
 from tests.sim.model import FabricModel, outcome, record_fires
 from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
@@ -485,3 +489,112 @@ def test_a_partitioned_window_is_solved(monkeypatch):
     at, repair_after, _, _ = shape["cut"]
     cut, repair = at * HORIZON, (at + repair_after / 4) * HORIZON
     assert any(cut <= first and until < repair for first, until in windows)
+
+
+# -- the closed loop: scatter/gather rounds ------------------------------------------
+
+
+def round_shapes():
+    """One or two scatter/gather tasks, each a hub, its ``fan`` next
+    servers as peers, a number of rounds and a start, on any fabric and
+    router, with or without a host receive latency (a peer replies when
+    the request arrives, before it is delivered).  Tasks may share
+    peers, as Figure 17's do."""
+    task = st.fixed_dictionaries({
+        "hub": st.integers(0, 7),
+        "fan": st.integers(1, 7),
+        "rounds": st.integers(1, 8),
+        "start": st.integers(0, 3),
+    })
+    return st.fixed_dictionaries({
+        "fabric_router": st.sampled_from(FABRIC_ROUTERS + [("line", "ecmp")]),
+        "tasks": st.lists(task, min_size=1, max_size=2),
+        "receive": st.sampled_from([0.0, 2 * UNIT]),
+        "horizon": st.sampled_from(["run", "split"]),
+    })
+
+
+def round_delays(shape):
+    return dict(delays(shape["fabric_router"][0]), host_receive_latency=shape["receive"])
+
+
+def round_tasks(shape, servers):
+    """Each task's ``(start, hub, peers, size, group, flow_base, rounds)``,
+    as Figure 17's sweep numbers its groups and flows."""
+    size = 1024 if shape["fabric_router"][0] == "line" else 400
+    return [
+        (
+            spec["start"] * UNIT, servers[spec["hub"]],
+            tuple(servers[(spec["hub"] + k) % 8] for k in range(1, spec["fan"] + 1)),
+            size, f"task{index}", index * 100, spec["rounds"],
+        )
+        for index, spec in enumerate(shape["tasks"])
+    ]
+
+
+def round_leg(shape, batch):
+    """The kernel's run, through ``Network.run`` with ``batch``, else
+    ``engine.run``: ``(outcome, fingerprint, completed rounds)``."""
+    fabric, router = shape["fabric_router"]
+    topo = FABRICS[fabric]()
+    net = Network(topo, ROUTERS[router](topo), **round_delays(shape))
+    tasks = []
+    for start, hub, peers, size, group, flow_base, rounds in round_tasks(
+        shape, topo.servers()
+    ):
+        task = ScatterGatherTask(
+            net, TaskSpec("scatter_gather", hub, peers), rounds=rounds,
+            size_bytes=size, group=group, flow_base=flow_base,
+        )
+        task.start(start)
+        tasks.append(task)
+    run = net.run if batch else net.engine.run
+    if shape["horizon"] == "split":
+        run(until=HORIZON * 0.4)
+    run(until=HORIZON)
+    assert verify.network_errors(net) == []
+    return outcome(net), network_fingerprint(net), [t.completed_rounds for t in tasks]
+
+
+def round_model(shape):
+    fabric, router = shape["fabric_router"]
+    topo = FABRICS[fabric]()
+    model = FabricModel(topo, ROUTERS[router](topo), **round_delays(shape))
+    tasks = [model.rounds(*task) for task in round_tasks(shape, topo.servers())]
+    model.run(HORIZON)
+    return model.outcome(), [task.completed for task in tasks]
+
+
+def shared_peers():
+    """Two tasks on the tree whose fans overlap on four peers: requests
+    and replies of both queue on the same host links."""
+    return {
+        "fabric_router": ("tree", "ecmp"),
+        "tasks": [
+            {"hub": 0, "fan": 6, "rounds": 5, "start": 0},
+            {"hub": 3, "fan": 5, "rounds": 5, "start": 0},
+        ],
+        "receive": 2 * UNIT,
+        "horizon": "split",
+    }
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, print_blob=True)
+@given(shape=round_shapes())
+@example(shape=shared_peers())
+def test_scatter_gather_rounds_match_the_oracle(shape):
+    expected, completed = round_model(shape)
+    kernel, fingerprint, kernel_completed = round_leg(shape, batch=False)
+    assert kernel == expected and kernel_completed == completed
+    batched, batched_fingerprint, batched_completed = round_leg(shape, batch=True)
+    assert (batched, batched_fingerprint, batched_completed) == (
+        kernel, fingerprint, kernel_completed
+    )
+
+
+def test_shared_peers_rounds_complete():
+    """The closed loop is exercised, not vacuous: every round of both
+    tasks lands inside the horizon, two packets per peer per round."""
+    (result, completed) = round_model(shared_peers())
+    assert completed == [5, 5]
+    assert result["counters"][0] == 5 * 2 * (6 + 5)

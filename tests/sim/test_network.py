@@ -1,6 +1,7 @@
 """Tests for the packet-level network model."""
 
 import inspect
+import math
 
 import pytest
 
@@ -145,6 +146,26 @@ class TestErrors:
         packet = net.send("h0.0", "h1.0", 400)
         with pytest.raises(NetworkSimError):
             _ = packet.latency
+
+    @pytest.mark.parametrize("value", [-1e-9, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "argument",
+        ["propagation_delay", "server_forward_latency", "host_receive_latency"],
+    )
+    def test_bad_delay_rejected_at_construction(self, argument, value):
+        """A negative or non-finite delay fails when the network is
+        built, not at the first send or delivery: ``send`` queues a
+        packet's arrival unchecked, relying on it."""
+        topo = T.full_mesh(2, 1)
+        with pytest.raises(NetworkSimError, match=argument):
+            Network(topo, ECMPRouter(topo), **{argument: value})
+
+    def test_zero_delays_accepted(self):
+        latency, _ = one_packet_latency(
+            T.full_mesh(2, 1), "h0.0", "h1.0", propagation_delay=0.0,
+            server_forward_latency=0.0, host_receive_latency=0.0,
+        )
+        assert latency > 0
 
     def test_host_receive_latency_added(self):
         topo = T.full_mesh(2, 1)

@@ -143,6 +143,41 @@ class TestSmokeCommand:
         assert main(["smoke", "--golden", str(tmp_path / "no.json")]) == 1
         assert "--update" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            ([], "`python -m repro smoke --update` "),
+            (["--telemetry"], "`python -m repro smoke --update --telemetry` "),
+            (["--golden", "my golden.json"],
+             "`python -m repro smoke --update --golden 'my golden.json'` "),
+            (["--telemetry", "--golden", "t.json"],
+             "`python -m repro smoke --update --telemetry --golden t.json` "),
+        ],
+    )
+    def test_drift_hint_rewrites_the_golden_that_drifted(
+        self, monkeypatch, capsys, flags, hint
+    ):
+        """The hint's ``--update`` carries the check's ``--telemetry`` and
+        ``--golden``: without them it would rewrite the base golden."""
+        from repro import smoke
+
+        checked = []
+
+        def drifted(path, telemetry=False, dump_windows_to=None):
+            checked.append((path, telemetry))
+            return ["x: golden 1, now 2"], {}
+
+        monkeypatch.setattr(smoke, "check_with_runtime", drifted)
+        assert main(["smoke", "--check", *flags]) == 1
+        assert hint in capsys.readouterr().err
+        path, telemetry = checked[0]
+        assert smoke.update_command(path, telemetry) in hint
+
+    def test_missing_golden_hint_names_it(self, tmp_path, capsys):
+        missing = str(tmp_path / "no.json")
+        assert main(["smoke", "--telemetry", "--golden", missing]) == 1
+        assert f"--update --telemetry --golden {missing}`" in capsys.readouterr().err
+
     def test_runtime_line_printed(self, tmp_path, capsys):
         golden = str(tmp_path / "golden.json")
         assert main(["smoke", "--update", "--golden", golden]) == 0
