@@ -1,7 +1,7 @@
 """Latency decomposition across the Section 7 architectures.
 
 Explains the Figure 17 results component-by-component: runs a fixed
-probe workload on each architecture with INT stamping armed and
+probe workload on each architecture with telemetry armed and
 attributes the mean packet latency to serialization, switching,
 queueing, and propagation (the paper's Table 2 framing).  The headline
 mechanism becomes visible: the three-tier tree's budget is dominated by
@@ -40,10 +40,7 @@ def latency_breakdown(
         raise ValueError(f"unknown topology {topology!r}")
     topo = TOPOLOGY_BUILDERS[topology]()
     net = Network(topo, ECMPRouter(topo), telemetry=True)
-    probes: list[LatencyBreakdown] = []
-
-    def decompose(packet, _when) -> None:
-        probes.append(packet_breakdown(net, packet))
+    delivered = []
 
     racks = topo.racks()
     half = len(racks) // 2
@@ -54,10 +51,10 @@ def latency_breakdown(
         dst = topo.servers_in_rack(dst_rack)[-1]
         PoissonSource.at_bandwidth(
             net, src, dst, bandwidth_bps, group="probe",
-            flow_id=i, seed=seed + i, on_delivered=decompose,
+            flow_id=i, seed=seed + i, on_delivered=lambda packet, _: delivered.append(packet),
         ).start()
     net.run(until=duration)
-    return mean_breakdown(probes)
+    return mean_breakdown(packet_breakdown(net, packet) for packet in delivered)
 
 
 def breakdown_table(

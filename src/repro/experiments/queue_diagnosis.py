@@ -27,6 +27,7 @@ Every cell is a pure function of its arguments — safe to fan out over
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -80,6 +81,10 @@ class QueueDiagnosisResult:
     min_flow_occupancy: float
     windows_contiguous: bool
     windows_observed: int
+    #: sha256 of the cell's whole armed output: every window of
+    #: :meth:`~repro.telemetry.TelemetryHub.window_dump` and the per-flow
+    #: hop profile, as sorted-key JSON.
+    dump_sha256: str
 
     @property
     def port_correct(self) -> bool:
@@ -220,10 +225,11 @@ def run_queue_diagnosis_cell(
     net.run(until=duration)
 
     hub = net.telemetry
+    dump = hub.window_dump()
     if dump_windows_to is not None:
-        Path(dump_windows_to).write_text(
-            json.dumps(hub.window_dump(), indent=2, sort_keys=True) + "\n"
-        )
+        Path(dump_windows_to).write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
+    profile = {f: {n: vars(s) for n, s in nodes.items()} for f, nodes in hub.hop_profile().items()}
+    armed = json.dumps({"windows": dump, "hop_profile": profile}, sort_keys=True)
     report = diagnose(hub)
     bursts_at_culprit = sum(
         1
@@ -269,6 +275,7 @@ def run_queue_diagnosis_cell(
         min_flow_occupancy=min_flow_occupancy,
         windows_contiguous=windows_contiguous,
         windows_observed=windows_observed,
+        dump_sha256=hashlib.sha256(armed.encode()).hexdigest(),
     )
 
 

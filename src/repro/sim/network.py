@@ -71,9 +71,6 @@ class Packet:
     dropped: bool = False  # severed mid-flight by a link failure
     rerouted: bool = False  # detoured around a dead link after injection
     plan: HopPlan | None = field(default=None, repr=False)  # compiled fast path
-    #: INT-style per-hop stamps (node, queue depth seen, wait time) when
-    #: telemetry is armed; ``None`` otherwise.
-    stamps: list[tuple[str, int, float]] | None = field(default=None, repr=False)
 
     @property
     def latency(self) -> float:
@@ -119,15 +116,16 @@ class Network:
         """Packets walk compiled per-path
         :class:`~repro.sim.fastpath.HopPlan` chains through one
         forwarding kernel (:meth:`_hop`).  :meth:`run` also tries the
-        port-major pass, which needs disarmed telemetry; ``engine.run``
-        never does.  The two forms are bit-identical.
+        port-major pass; ``engine.run`` never does.  The two forms are
+        bit-identical.
 
         ``telemetry=True`` arms the in-fabric telemetry layer
-        (:mod:`repro.telemetry`): per-port windowed queue monitors and
-        INT-style per-packet stamping.  The network reports into the
-        :mod:`repro.obs` registry armed when it is built (``obs.arm()``),
-        if any.  Nothing in the environment arms either layer, and both
-        are strictly observational: armed runs stay
+        (:mod:`repro.telemetry`): both executors append every transmit,
+        delivery and drop to one hop log, and the queue windows and the
+        per-flow hop profile are queries over it.  The network reports
+        into the :mod:`repro.obs` registry armed when it is built
+        (``obs.arm()``), if any.  Nothing in the environment arms either
+        layer, and both are strictly observational: armed runs stay
         fingerprint-identical to disarmed runs.
 
         The three delays must be finite and non-negative
@@ -151,10 +149,10 @@ class Network:
         self.host_receive_latency = host_receive_latency
         self.stats = LatencyRecorder()
         self.fault_stats = FaultRecorder()
-        #: Armed telemetry hub (:class:`repro.telemetry.TelemetryHub`),
-        #: or ``None`` — the disabled state costs one attribute check
-        #: per transmit and changes no simulation result either way.
-        #: The layer is imported only to arm a hub.
+        #: Armed telemetry (:class:`repro.telemetry.TelemetryHub`, the
+        #: hop log and its queries), or ``None`` — the disabled state
+        #: costs one attribute check per transmit and per delivery.
+        #: The layer is imported only to arm it.
         self.telemetry: TelemetryHub | None = None
         if telemetry:
             from repro.telemetry.windows import TelemetryHub
@@ -288,7 +286,7 @@ class Network:
         anything is stored, so a ``RoutingError`` is never cached.
         """
         route = path if path is not None else self.router.route(src, dst, flow_id)
-        if route[0] != src or route[-1] != dst:
+        if len(route) < 2 or route[0] != src or route[-1] != dst:
             raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
         if type(route) is not tuple:
             route = tuple(route)
@@ -319,7 +317,7 @@ class Network:
         self.packets_dropped += 1
         self.packets_dropped_fault += 1
         if self.telemetry is not None:
-            self.telemetry.on_unroutable()
+            self.telemetry.unroutable += 1
         if self.obs is not None:
             self.obs.incr("drops.unroutable")
         if self._track_in_flight:
@@ -395,8 +393,8 @@ class Network:
                 stats = self.stats
                 stats._pending.append(latency)
                 stats._pending_groups.append(packet.group)
-                if packet.stamps is not None:
-                    stats.record_stamps(packet.group, packet.stamps)
+                if self.telemetry is not None:
+                    self.telemetry.deliveries.append(packet.packet_id)
                 if track:
                     self.fault_stats.record_delivery(packet.group, now)
                 if packet.on_delivered is not None:
@@ -415,19 +413,11 @@ class Network:
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size
-        tele = self.telemetry
-        if tele is not None:
-            # ``tele.monitor`` inlined: one frame per armed hop, not two.
-            monitor = tele.monitors.get(plan.keys[hop])
-            if monitor is None:
-                monitor = tele.monitor(plan.keys[hop])
-            depth, wait = monitor.record_enqueue(
-                packet.group, size, earliest_start, start, tail_out
-            )
-            stamps = packet.stamps
-            if stamps is None:
-                stamps = packet.stamps = []
-            stamps.append((plan.path[hop], depth, wait))
+        if self.telemetry is not None:
+            self.telemetry.hops.append((
+                plan.keys[hop], packet.packet_id, earliest_start, start, tail_out, size,
+                packet.group,
+            ))
         if track:
             plan.flights[hop].add(packet)
         arrival = tail_out + self.propagation_delay
@@ -479,7 +469,7 @@ class Network:
                     packet.dropped = True
                     self.fault_stats.record_drop(packet.group, now)
                     if self.telemetry is not None:
-                        self.telemetry.on_drop(key, packet.group, now)
+                        self.telemetry.drops.append((key, packet.group, now))
                 dropped += len(flight)
                 flight.clear()  # emptied in place: plans hold this set
             # The severed queue drains to nowhere: the port is idle for
@@ -542,14 +532,9 @@ class Network:
             self.packets_dropped_fault += 1
             self.packets_dropped += 1
             self.fault_stats.record_drop(packet.group, self.engine.now)
-            if self.telemetry is not None:
-                # Charge the drop to the dead link the packet could not
-                # cross — the port a diagnosis should point at.
-                self.telemetry.on_drop(
-                    (node, packet.path[packet.hop + 1]),
-                    packet.group,
-                    self.engine.now,
-                )
+            if self.telemetry is not None:  # charged to the dead link it could not cross
+                key = (node, packet.path[packet.hop + 1])
+                self.telemetry.drops.append((key, packet.group, self.engine.now))
             return None
         hop = packet.hop
         if hop:
@@ -591,8 +576,8 @@ class Network:
         — the fire chains of single-destination Poisson sources and the
         packets in flight — and solves them port by port, one budgeted
         window after another, up to the first **foreign** entry: a
-        timer, another kind of chain, a packet that is severed, stamped
-        or about to meet a dead link, a source's ``stop_at``.  A foreign
+        timer, another kind of chain, a packet that is severed or about
+        to meet a dead link, a source's ``stop_at``.  A foreign
         entry bounds a window; it does not veto it.  The event loop then
         runs to where the pass is worth trying again — the first foreign
         time that starts a gap wide enough to hold a budgeted window —

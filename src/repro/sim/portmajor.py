@@ -19,19 +19,19 @@ armed, under ``batch.standdown.<reason>``).
 the queue entries due by ``until`` (later ones cannot matter) into two
 kinds.  A **root** is something the pass can own: the live ``_fire``
 chain of a :class:`PoissonSource` of this network, or the ``_hop``
-chain of one of its packets in flight — not ``dropped``, no ``stamps``,
-no dead link on the rest of its plan — whose ``on_delivered`` is
+chain of one of its packets in flight — not ``dropped``, no dead link
+on the rest of its plan — whose ``on_delivered`` is
 nothing or a :class:`~repro.sim.stats.DeliveryBins` (a callback the
 pass can apply a window at a time).  Everything else is **foreign**: a
 plain timer (a fibre cut, a repair, a hybrid epoch boundary), another
 kind of chain (a burst source, the last fire of a stopped source), a
-packet the kernel would sever, stamp, call back or detour, and a
+packet the kernel would sever, call back or detour, and a
 source's ``stop_at``.  *A foreign entry bounds the window instead of
 vetoing it*: the horizon is the last float before the earliest foreign
 time, so the window's ``t <= horizon`` tests mean "strictly before
 it", and whatever ties a foreign entry stays with the event loop, which
-orders it by the seqs the pass hands back.  What still vetoes: armed
-telemetry, no horizon at all, a run loop already dispatching, a sharded network, a due source with
+orders it by the seqs the pass hands back.  What vetoes: no horizon
+at all, a run loop already dispatching, a sharded network, a due source with
 several destinations, ``vary_flow_per_packet`` or a callback the pass
 cannot apply (``closed_loop_source``), a route that does not join its
 source to its destination (``bad_route``), a cyclic directed graph
@@ -64,6 +64,11 @@ cut of that link severs — and moves a root packet from its old link's
 set; and each flow's outage clock (``FaultRecorder``) is replayed from
 the window's dropped fires, which open it, and deliveries, which close
 it, in heap order (:func:`_outages`).
+
+**Telemetry** does not veto: armed, the pass appends each port it clocks
+to the hop log (:class:`~repro.telemetry.windows.HopLog`) as one row of
+columns in heap order, and a window's deliveries as one array of ids,
+which every query reads as it reads the kernel's rows.
 
 **Clocking a port.**  A port is clocked once per window, over every
 packet that crosses it.  A root's columns are neighbours in the
@@ -188,8 +193,6 @@ def _window(
     under budget.
     """
     engine = net.engine
-    if net.telemetry is not None:
-        raise _StandDown("telemetry")
     if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire
@@ -213,7 +216,6 @@ def _window(
             sink = packet.on_delivered
             if (
                 packet.dropped
-                or packet.stamps is not None
                 or (sink is not None and type(sink) is not DeliveryBins)
                 or (dead and not dead.isdisjoint(packet.plan.keys[packet.hop + 1:]))
             ):
@@ -598,6 +600,17 @@ def _solve(net: Network, until: float, roots: list) -> None:
             times[rows[j], column] = root_t[column] = roots[j][0]
             born[column] = packet.created_at
     lineage = _Lineage(times, root_of, start, root_t)
+    # A packet id counts the fires that came before, less the drops; a
+    # packet in flight keeps its own.  Armed, the log needs every column's.
+    skip = ([at] if flown else []) + drops
+    log = net.telemetry
+    if log is not None:
+        ids = net._next_packet_id + (
+            lineage.fire_rank(np.arange(total), np.concatenate(skip)) if skip else lineage.rank
+        )
+        if flown:
+            ids[at] = [packet.packet_id for _, packet in flown]
+        labels = np.array(groups, dtype=object)
 
     size = np.array(sizes, dtype=float)
     carried = size[last > 0]  # what crosses a port
@@ -695,6 +708,12 @@ def _solve(net: Network, until: float, roots: list) -> None:
             if scalars is None and one_size and bool((service == service[0]).all()):
                 service = float(service[0])
             tails = _contended_tails(earliest, busy, service)
+        if log is not None:
+            started = np.maximum(np.concatenate(([busy], tails[:-1])), earliest)
+            whose = root_of[n]
+            log.hops.append(
+                (port_keys[number], ids[n], earliest, started, tails, size[whose], labels[whose])
+            )
         port.busy_until = float(tails[-1])
         port.packets_sent += t.size
         if one_size:
@@ -738,6 +757,9 @@ def _solve(net: Network, until: float, roots: list) -> None:
         net.packets_unroutable += dropped
         net.packets_dropped += dropped
         net.packets_dropped_fault += dropped
+    if log is not None:
+        log.deliveries.append(ids[done])
+        log.unroutable += dropped
     track = net._track_in_flight
     if track and (dropping or net.fault_stats.awaiting_recovery):
         _outages(
@@ -779,8 +801,6 @@ def _solve(net: Network, until: float, roots: list) -> None:
     child = np.concatenate((np.zeros_like(flying), np.ones_like(rearm)))
     pending = lineage.order(n, hop, flat.take(hop * total + n), child)
     pending = range(n.size) if pending is None else pending.tolist()
-    # A packet id counts the fires that came before, less the drops.
-    skip = ([at] if flown else []) + drops
     rank = lineage.fire_rank(flying, np.concatenate(skip)) if skip else lineage.rank[flying]
     packet_id = (net._next_packet_id + rank).tolist()
     created = born[flying].tolist()

@@ -67,31 +67,6 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[index]
 
 
-@dataclass
-class HopStampStats:
-    """Aggregated INT stamps for one (flow, node) pair.
-
-    Telemetry's per-packet stamping records the queue depth seen and
-    the wait time paid at every hop; on delivery the stamps fold into
-    these per-flow, per-node aggregates (sum + max, so mean/max are
-    O(1) to read and the recorder never stores per-packet lists).
-    """
-
-    packets: int = 0
-    depth_sum: int = 0
-    depth_max: int = 0
-    wait_sum: float = 0.0
-    wait_max: float = 0.0
-
-    @property
-    def mean_depth(self) -> float:
-        return self.depth_sum / self.packets if self.packets else 0.0
-
-    @property
-    def mean_wait(self) -> float:
-        return self.wait_sum / self.packets if self.packets else 0.0
-
-
 class LatencyRecorder:
     """Accumulates per-packet delivery latencies, grouped by flow label.
 
@@ -103,15 +78,9 @@ class LatencyRecorder:
     the same two buffers itself (``_pending``, ``_pending_groups``), so
     they are looked up afresh, never held.  ``samples`` and ``by_group``
     are lists built on each read; nothing on a hot path may read them.
-
-    When telemetry is armed, each delivered packet's INT stamps
-    additionally fold into ``hop_stamps`` — flow label → node →
-    :class:`HopStampStats` — giving every flow a per-hop queueing
-    profile alongside its latency samples.
     """
 
     def __init__(self) -> None:
-        self.hop_stamps: dict[str, dict[str, HopStampStats]] = {}
         self._values: list[np.ndarray] = []
         self._codes: list[np.ndarray] = []
         self._code_of: dict[str | None, int] = {}  # first-delivery order
@@ -188,33 +157,6 @@ class LatencyRecorder:
     @property
     def by_group(self) -> dict[str, list[float]]:
         return {group: self.array(group).tolist() for group in self._names()}
-
-    def record_stamps(
-        self, group: str | None, stamps: list[tuple[str, int, float]]
-    ) -> None:
-        """Fold one delivered packet's INT stamps into the flow records.
-
-        ``stamps`` is the packet's per-hop ``(node, queue depth seen,
-        wait time)`` list, in path order.  Packets without a ``group``
-        share the :data:`UNGROUPED` flow record.
-        """
-        flow = group if group is not None else UNGROUPED
-        per_node = self.hop_stamps.get(flow)
-        if per_node is None:
-            per_node = self.hop_stamps[flow] = {}
-        for node, depth, wait in stamps:
-            rec = per_node.get(node)
-            if rec is None:
-                rec = per_node[node] = HopStampStats()
-            rec.packets += 1
-            if depth:  # an empty queue (most hops of most packets) adds nothing
-                rec.depth_sum += depth
-                if depth > rec.depth_max:
-                    rec.depth_max = depth
-            if wait:
-                rec.wait_sum += wait
-                if wait > rec.wait_max:
-                    rec.wait_max = wait
 
     @property
     def count(self) -> int:

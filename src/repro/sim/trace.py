@@ -3,7 +3,7 @@
 The paper reasons about latency as a sum of components (Table 2:
 stack/NIC/switch/congestion).  :func:`packet_breakdown` attributes
 every microsecond of a delivered packet's fabric time to one of four
-buckets, reading nothing but the packet's INT stamps
+buckets, reading nothing but the packet's hops in the hop log
 (``Network(telemetry=True)``) and the network's per-node records:
 
 * **serialization** — clocking bits onto links;
@@ -60,9 +60,9 @@ ZERO_BREAKDOWN = LatencyBreakdown(0.0, 0.0, 0.0, 0.0)
 def packet_breakdown(network: Network, packet: Packet) -> LatencyBreakdown:
     """Split one delivered packet's latency into its four components.
 
-    The packet must carry INT stamps — one ``(node, depth, wait)`` per
-    port it was clocked onto, detours included — so the network needs
-    telemetry armed.  Queueing is the stamped waits; switching
+    The packet's hops are read from the hop log — one ``(node, wait)``
+    per port it was clocked onto, detours included — so the network
+    needs telemetry armed.  Queueing is the waits; switching
     is the forwarding latency of every node after the first (switch
     model or server-relay OS stack); propagation is one delay per hop.
     Serialization is the remainder: the links' clocking times net of
@@ -71,14 +71,14 @@ def packet_breakdown(network: Network, packet: Packet) -> LatencyBreakdown:
     the packet's latency less ``host_receive_latency``, which is host
     time, not fabric time.
     """
-    stamps = packet.stamps
-    if packet.delivered_at is None or not stamps:
+    hops = network.telemetry.hops_of(packet.packet_id) if network.telemetry else []
+    if packet.delivered_at is None or not hops:
         raise NetworkSimError(
-            f"packet {packet.packet_id} needs delivery and INT stamps to decompose"
+            f"packet {packet.packet_id} needs delivery and armed telemetry to decompose"
         )
-    switching = sum(network._hop_rec[node][1] for node, _, _ in stamps[1:])
-    queueing = sum(wait for _, _, wait in stamps)
-    propagation = len(stamps) * network.propagation_delay
+    switching = sum(network._hop_rec[node][1] for node, _ in hops[1:])
+    queueing = sum(wait for _, wait in hops)
+    propagation = len(hops) * network.propagation_delay
     fabric = packet.latency - network.host_receive_latency
     return LatencyBreakdown(
         serialization=fabric - switching - queueing - propagation,

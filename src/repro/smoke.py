@@ -133,6 +133,7 @@ def compute_telemetry_smoke_metrics(
         "telemetry.packets_dropped": cell.packets_dropped,
         "telemetry.packets_rerouted": cell.packets_rerouted,
         "telemetry.channels_severed": cell.channels_severed,
+        "telemetry.dump_sha256": cell.dump_sha256,
     }
 
 

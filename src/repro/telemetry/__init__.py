@@ -1,25 +1,23 @@
-"""In-fabric telemetry: windowed queue monitors, INT stamping, diagnosis.
+"""In-fabric telemetry: one hop log, and the queries over it.
 
-The simulator can see what real data planes struggle to measure — this
-package makes that a feature (ROADMAP item 3, PrintQueue-style).  It has
-three layers, all strictly observational (a telemetry-on run is
-bit-identical in packet timing to a telemetry-off run):
+The simulator can see what real data planes struggle to measure, and
+this package makes that a feature, split as PrintQueue splits it: the
+data plane only fills registers, and every query is answered offline.
 
-* :mod:`~repro.telemetry.windows` — per-port time-windowed queue
-  monitors: depth samples, wait times, drop/enqueue counters, and
-  per-flow occupancy integrals per fixed-width window;
-* INT-style per-packet stamping — queue depth and wait time at each
-  hop, carried on the packet and folded into
-  :class:`repro.sim.stats.LatencyRecorder` flow records on delivery;
-* :mod:`~repro.telemetry.attribution` — microburst detection and
-  "which flow built this queue" attribution over the monitor windows.
+* Both executors of ``Network.run`` — the forwarding kernel and the
+  port-major pass — only *record* each transmit, delivery and drop in
+  one :class:`~repro.telemetry.windows.HopLog`.
+* :class:`~repro.telemetry.windows.TelemetryHub` answers from it: the
+  per-port time windows (depth, wait, enqueues, drops, per-flow
+  occupancy), each flow's per-hop profile, each packet's hops
+  (:func:`repro.sim.trace.packet_breakdown`).
+* :mod:`~repro.telemetry.attribution` finds microbursts and "which flow
+  built this queue" in the windows.
 
 Arm it per network, ``Network(topo, router, telemetry=True)``; nothing
-else arms it, and the monitors tile time in windows of
-:data:`DEFAULT_WINDOW`.  While monitors are armed the port-major pass of
-``Network.run`` stands down (monitors observe per-packet state the pass
-never materializes); the compiled fast path keeps running, with hooks in
-both forwarding loops.
+else arms it, and windows are :data:`DEFAULT_WINDOW` wide.  Recording
+cannot move a time: an armed run is bit-identical in packet timing to a
+disarmed one, and neither executor stands down for it.
 """
 
 from repro import _lazy_exports
@@ -29,6 +27,8 @@ __all__ = [
     "DEFAULT_OCCUPANCY_FACTOR",
     "DEFAULT_WINDOW",
     "Diagnosis",
+    "HopLog",
+    "HopStats",
     "Microburst",
     "PortMonitor",
     "TelemetryError",
@@ -48,6 +48,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "diagnose": "repro.telemetry.attribution",
     "rank_flows": "repro.telemetry.attribution",
     "DEFAULT_WINDOW": "repro.telemetry.windows",
+    "HopLog": "repro.telemetry.windows",
+    "HopStats": "repro.telemetry.windows",
     "PortMonitor": "repro.telemetry.windows",
     "TelemetryError": "repro.telemetry.windows",
     "TelemetryHub": "repro.telemetry.windows",

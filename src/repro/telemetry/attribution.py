@@ -1,6 +1,6 @@
 """Microburst detection and "which flow built this queue" attribution.
 
-PrintQueue's diagnosis question, answered from the windowed monitors:
+PrintQueue's diagnosis question, answered from the port windows:
 given a run's telemetry, find the windows where a queue actually built
 (microbursts), name the port that hurt the most, and rank the flows
 whose bytes were resident while it hurt.  Everything here is read-side
@@ -9,16 +9,16 @@ simulator state, so it can run mid-simulation or post-hoc.
 
 Attribution ranks flows by their **occupancy-integral contribution**
 (byte·seconds of queue residency) within a window: the flow whose bytes
-sat in the queue longest is the flow that built it.  That is exactly the
-quantity the monitors decompose per flow at enqueue time, so attribution
-is a sort, not a reconstruction.
+sat in the queue longest is the flow that built it.  The windows hold
+exactly that quantity per flow, so attribution is a sort, not a
+reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.telemetry.windows import PortMonitor, TelemetryHub, Window
+from repro.telemetry.windows import TelemetryHub, Window
 
 #: A window qualifies as a microburst when its max observed depth
 #: reaches this many packets...
@@ -72,8 +72,7 @@ def detect_microbursts(
     by (port, window index) — deterministic for scoring.
     """
     bursts: list[Microburst] = []
-    for key in hub.ports():
-        monitor = hub.monitors[key]
+    for key, monitor in hub.monitors.items():
         windows = monitor.windows()
         busy = [w.occupancy for w in windows if w.occupancy > 0.0]
         mean_occ = sum(busy) / len(busy) if busy else 0.0
@@ -81,14 +80,7 @@ def detect_microbursts(
             if win.depth_max >= min_depth or (
                 mean_occ > 0.0 and win.occupancy > occupancy_factor * mean_occ
             ):
-                bursts.append(
-                    Microburst(
-                        port=key,
-                        window=win,
-                        peak_depth=win.depth_max,
-                        occupancy=win.occupancy,
-                    )
-                )
+                bursts.append(Microburst(key, win, win.depth_max, win.occupancy))
     return bursts
 
 
@@ -124,18 +116,13 @@ def diagnose(
 ) -> Diagnosis:
     """Localize the hottest port and attribute its peak window's flows."""
     ranked_ports = sorted(
-        ((key, hub.monitors[key].occupancy) for key in hub.ports()),
+        ((key, monitor.occupancy) for key, monitor in hub.monitors.items()),
         key=lambda item: (-item[1], item[0]),
     )
     flows: tuple[tuple[str, float], ...] = ()
     if ranked_ports and ranked_ports[0][1] > 0.0:
-        monitor: PortMonitor = hub.monitors[ranked_ports[0][0]]
-        peak = monitor.peak_window
+        peak = hub.monitors[ranked_ports[0][0]].peak_window
         if peak is not None:
             flows = tuple(rank_flows(peak))
-    bursts = tuple(
-        detect_microbursts(
-            hub, min_depth=min_depth, occupancy_factor=occupancy_factor
-        )
-    )
+    bursts = tuple(detect_microbursts(hub, min_depth, occupancy_factor))
     return Diagnosis(ports=tuple(ranked_ports), flows=flows, bursts=bursts)

@@ -1,52 +1,42 @@
-"""Time-windowed per-port queue monitors — the PrintQueue data structure.
+"""One hop log, recorded by the executors, and the queries over it.
 
-A real data plane struggles to answer "how deep was this queue at
-microsecond t, and which flows made it deep?"; the simulator knows both
-exactly, and this module makes that knowledge a first-class surface.
+PrintQueue answers "how deep was this queue at microsecond t, and which
+flows made it deep?" in two halves: the data plane only fills
+registers, and an analysis program answers every query offline.  Here
+the forwarding kernel and the port-major pass only append to a
+:class:`HopLog`, and :class:`TelemetryHub` answers from it.
 
-Every output port the simulator forwards through gets (on first use) a
-:class:`PortMonitor` that tiles simulated time into fixed-width,
-half-open windows ``[k·w, (k+1)·w)``.  Per window it accumulates
-
-* **enqueues / drops** — packets that joined the port's queue, packets
-  lost at the port (severed by a cut, or stranded at a dead link);
-* **depth samples** — the queue depth each arriving packet observed
-  (packets already accepted whose tails had not left the wire yet),
-  kept as sum and max so mean/max depth per window are O(1);
-* **wait time** — each packet's queueing delay at this port (transmit
-  start minus arrival at the port), kept as sum and max;
-* **occupancy integral** — byte·seconds of queue residency, split
-  *per flow*: a packet resident ``[arrival, tail_out)`` contributes
-  ``size × overlap`` to every window its residency crosses.  The
-  occupancy split is what "which flow built this queue" attribution
-  ranks on (:mod:`repro.telemetry.attribution`).
-
-Windows are derived purely from simulated timestamps, so monitors never
-schedule engine events and never perturb the simulation: a telemetry-on
-run produces bit-identical packet timings to a telemetry-off run.
-Materialized windows (:meth:`PortMonitor.windows`) are contiguous —
-every index between the first and last observed window is present, empty
-windows included — so consumers can rely on "no overlaps, no skipped
-time" structurally.
+Each output port's time is tiled in half-open windows ``[k·w, (k+1)·w)``,
+contiguous from the first to the last a residency or a drop touched.
+Per window: enqueues and drops; the queue depth each arriving packet saw
+(packets accepted before it whose tails had not left) and the wait it
+paid, as sum and max; and per flow, the byte·seconds its packets were
+resident (``size × overlap`` of ``[earliest, tail_out)`` with the
+window), which "which flow built this queue" attribution ranks on
+(:mod:`repro.telemetry.attribution`).  Every float is added in the
+port's enqueue order (the per-flow hop profile's in delivery order, each
+packet's hops in path order): a query equals, bit for bit, folding the
+rows one by one as they happened.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
+from repro.sim.stats import UNGROUPED  # the flow label of a packet without a group
 from repro.units import MICROSECONDS
 
 #: Monitoring window width of every armed network (PrintQueue uses
 #: microsecond-scale windows; 100 µs keeps per-run window counts modest
 #: at sim timescales and resolves the queue-diagnosis incast).
 DEFAULT_WINDOW = 100 * MICROSECONDS
-
-#: Flow label for packets injected without a ``group``, shared with
-#: :mod:`repro.sim.stats`.
-UNGROUPED = "<ungrouped>"
 
 
 class TelemetryError(ValueError):
@@ -81,223 +71,294 @@ class Window:
 
     def as_dict(self) -> dict:
         """JSON-friendly rendering (flows sorted for stable output)."""
+        flows = self.occupancy_by_flow
         return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "enqueues": self.enqueues,
-            "drops": self.drops,
-            "depth_max": self.depth_max,
-            "mean_depth": self.mean_depth,
-            "wait_sum": self.wait_sum,
-            "wait_max": self.wait_max,
-            "occupancy": self.occupancy,
-            "occupancy_by_flow": {
-                flow: self.occupancy_by_flow[flow]
-                for flow in sorted(self.occupancy_by_flow)
-            },
+            "index": self.index, "start": self.start, "end": self.end,
+            "enqueues": self.enqueues, "drops": self.drops, "depth_max": self.depth_max,
+            "mean_depth": self.mean_depth, "wait_sum": self.wait_sum, "wait_max": self.wait_max,
+            "occupancy": self.occupancy, "occupancy_by_flow": {f: flows[f] for f in sorted(flows)},
         }
 
 
+@dataclass
+class HopStats:
+    """One flow's delivered packets at one node: how many crossed it, the
+    queue depth they saw and the wait they paid there (sum and max)."""
+
+    packets: int = 0
+    depth_sum: int = 0
+    depth_max: int = 0
+    wait_sum: float = 0.0
+    wait_max: float = 0.0
+
+    @property
+    def mean_depth(self) -> float:
+        return self.depth_sum / self.packets if self.packets else 0.0
+
+    @property
+    def mean_wait(self) -> float:
+        return self.wait_sum / self.packets if self.packets else 0.0
+
+
+@dataclass
 class PortMonitor:
-    """Windowed queue telemetry for one directed link's output port."""
+    """One directed link's output port, as a query found it."""
 
-    __slots__ = ("key", "width", "_windows", "_tails", "enqueues", "drops")
-
-    def __init__(self, key: tuple[str, str], width: float) -> None:
-        self.key = key
-        self.width = width
-        self._windows: dict[int, Window] = {}
-        #: Departure (tail_out) times of packets still resident, FIFO —
-        #: the port's busy_until chain is nondecreasing, so the deque
-        #: stays sorted and the depth probe is an amortized O(1) drain.
-        self._tails: deque[float] = deque()
-        self.enqueues = 0
-        self.drops = 0
-
-    def _window(self, index: int) -> Window:
-        win = self._windows.get(index)
-        if win is None:
-            width = self.width
-            win = self._windows[index] = Window(
-                index=index, start=index * width, end=(index + 1) * width
-            )
-        return win
-
-    def record_enqueue(
-        self,
-        flow: "str | None",
-        size_bytes: float,
-        arrival: float,
-        start: float,
-        tail_out: float,
-    ) -> tuple[int, float]:
-        """One packet joined this port's queue; returns ``(depth, wait)``.
-
-        ``arrival`` is when the packet reached the port (its earliest
-        possible transmit start), ``start`` when the port actually began
-        clocking it out, ``tail_out`` when its last bit left.  The
-        returned depth (packets already queued ahead of it, still
-        resident at ``arrival``) and wait (``start − arrival``) are what
-        INT stamping carries on the packet.
-        """
-        tails = self._tails
-        while tails and tails[0] <= arrival:
-            tails.popleft()
-        depth = len(tails)
-        tails.append(tail_out)
-        wait = start - arrival
-        self.enqueues += 1
-
-        width = self.width
-        index = math.floor(arrival / width)  # already an int
-        win = self._windows.get(index)
-        if win is None:
-            win = self._window(index)
-        win.enqueues += 1
-        if depth:  # an empty queue (most hops of most packets) adds nothing
-            win.depth_sum += depth
-            if depth > win.depth_max:
-                win.depth_max = depth
-        if wait:
-            win.wait_sum += wait
-            if wait > win.wait_max:
-                win.wait_max = wait
-
-        label = flow if flow is not None else UNGROUPED
-        boundary = (index + 1) * width
-        if tail_out <= boundary:
-            # The overwhelmingly common case (sub-µs residencies inside
-            # 50 µs windows): the whole [arrival, tail_out) slice lands
-            # in the window already in hand — one multiply and one dict
-            # update, no boundary walk.  Bit-identical to the general
-            # loop below collapsing to its single iteration.
-            contribution = size_bytes * (tail_out - arrival)
-            if contribution > 0.0:
-                occ = win.occupancy_by_flow
-                occ[label] = occ.get(label, 0.0) + contribution
-            return depth, wait
-
-        # Residency crosses window boundaries: spread the occupancy
-        # integral across every window [arrival, tail_out) touches.
-        # Each slice is a non-negative duration times a positive size,
-        # so per-flow integrals can never go negative.
-        t = arrival
-        while t < tail_out:
-            boundary = (index + 1) * width
-            slice_end = tail_out if tail_out < boundary else boundary
-            win = self._window(index)
-            contribution = size_bytes * (slice_end - t)
-            if contribution > 0.0:
-                win.occupancy_by_flow[label] = (
-                    win.occupancy_by_flow.get(label, 0.0) + contribution
-                )
-            t = boundary
-            index += 1
-        return depth, wait
-
-    def record_drop(self, flow: "str | None", time: float) -> None:
-        """One packet this port turned away (buffer full or link dead)."""
-        self.drops += 1
-        self._window(int(math.floor(time / self.width))).drops += 1
+    key: tuple[str, str]
+    _windows: list[Window]
+    enqueues: int
+    drops: int
 
     def windows(self) -> list[Window]:
-        """Observed windows, contiguous from first to last index.
-
-        Indices between the first and last observed window that saw no
-        traffic are materialized empty, so the returned list tiles the
-        monitored span with no gaps and no overlaps.
-        """
-        if not self._windows:
-            return []
-        lo = min(self._windows)
-        hi = max(self._windows)
-        return [self._window(i) for i in range(lo, hi + 1)]
+        """The port's windows, contiguous from first to last index."""
+        return list(self._windows)
 
     @property
     def occupancy(self) -> float:
         """Total occupancy integral across all windows, byte·seconds."""
-        return math.fsum(w.occupancy for w in self._windows.values())
+        return math.fsum(w.occupancy for w in self._windows)
 
     @property
     def peak_window(self) -> "Window | None":
         """The window with the largest occupancy integral (ties: earliest)."""
-        best: Window | None = None
-        for index in sorted(self._windows):
-            win = self._windows[index]
-            if best is None or win.occupancy > best.occupancy:
-                best = win
-        return best
+        return max(self._windows, key=lambda w: w.occupancy, default=None)
 
 
-class TelemetryHub:
-    """All of one network's port monitors, plus run-level counters.
+class HopLog:
+    """What the executors record while telemetry is armed, and nothing else.
 
-    The network owns exactly one hub when telemetry is armed
-    (``Network.telemetry``); the forwarding kernel records each enqueue
-    on :meth:`monitor`'s port monitor, drops go through :meth:`on_drop`,
-    and everything else is read-side.  Monitors are
-    created lazily, so idle ports cost nothing.  ``window`` is their
-    window width in seconds; a network arms :data:`DEFAULT_WINDOW`.
+    ``hops`` holds a row per transmit, ``(port key, packet id, earliest
+    start, start, tail_out, size, group)``, from the kernel's ``_hop``;
+    the port-major pass appends a port's share of a window as one row
+    whose last six fields are arrays (the groups an object array).
+    ``deliveries`` holds delivered packet ids in delivery order, an int
+    per kernel delivery or an array per window; ``drops`` a ``(port key,
+    group, time)`` per severed or stranded packet; ``unroutable`` counts
+    offered packets with no route.  Each port's rows are in its enqueue
+    order and each packet's in its path order; nothing else about the
+    order of rows is promised.
     """
+
+    def __init__(self) -> None:
+        self.hops: list[tuple] = []
+        self.deliveries: list = []
+        self.drops: list[tuple] = []
+        self.unroutable = 0
+
+
+def _codes(table: dict, values) -> list:
+    """Each value's number in ``table``, a new value taking the next."""
+    return [table.setdefault(value, len(table)) for value in values]
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``first[i], first[i] + 1, …``, ``count[i]`` long, for every ``i``."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
+
+
+class _Table:
+    """The hop log as flat columns, rows in record order; ports and flows
+    numbered in order of first record."""
+
+    def __init__(self, log: HopLog) -> None:
+        self.keys: dict = {}
+        self.flows: dict = {}
+        parts: list = []  # a pass block as it is, each run of kernel rows transposed
+        for block, rows in itertools.groupby(log.hops, lambda row: isinstance(row[1], np.ndarray)):
+            if block:
+                parts += ([[row[0]] * row[1].size, *row[1:]] for row in rows)
+            else:
+                parts.append(list(zip(*rows)))
+        for part in parts:
+            part[0] = _codes(self.keys, part[0])
+            part[6] = _codes(self.flows, (UNGROUPED if g is None else g for g in part[6]))
+        types = (np.intp, np.int64, float, float, float, float, np.intp)
+        self.port, self.pid, self.earliest, self.start, self.tail, self.size, self.flow = (
+            np.concatenate([np.asarray(part[i], dtype) for part in parts] or [np.empty(0, dtype)])
+            for i, dtype in enumerate(types)
+        )
+        self.wait = self.start - self.earliest
+        self.by_packet = np.argsort(self.pid, kind="stable")  # each packet's rows in path order
+        self.pids = self.pid[self.by_packet]
+        self.drop_port = np.array(_codes(self.keys, [key for key, _, _ in log.drops]), np.intp)
+        self.drop_time = np.array([time for _, _, time in log.drops], float)
+
+
+def _folded(slot, size: int, depth, wait) -> list:
+    """Per slot of ``size``: rows, depth sum and max, wait sum and max —
+    each sum added in row order (``np.bincount`` adds one by one)."""
+    depth_max, wait_max = np.zeros(size, np.int64), np.zeros(size)
+    np.maximum.at(depth_max, slot, depth)
+    np.maximum.at(wait_max, slot, wait)
+    return [
+        np.bincount(slot, minlength=size), np.bincount(slot, depth, size).astype(np.int64),
+        depth_max, np.bincount(slot, wait, size), wait_max,
+    ]
+
+
+def _query(method):
+    """A query over the whole log, answered once until the log grows."""
+
+    def answer(self):
+        size = (len(self.hops), len(self.deliveries), len(self.drops))
+        if self._answers.get(None) != size:
+            self._answers = {None: size}
+        if method not in self._answers:
+            self._answers[method] = method(self)
+        return self._answers[method]
+
+    return functools.wraps(method)(answer)
+
+
+class TelemetryHub(HopLog):
+    """A network's armed telemetry: the hop log the executors append to
+    (``Network.telemetry``), and every query over it.  ``window`` is the
+    window width in seconds; a network arms :data:`DEFAULT_WINDOW`."""
 
     def __init__(self, window: float = DEFAULT_WINDOW) -> None:
         if window <= 0:
             raise TelemetryError(f"window width must be positive, got {window}")
+        super().__init__()
         self.window = window
-        self.monitors: dict[tuple[str, str], PortMonitor] = {}
-        self.unroutable = 0
+        self._answers: dict = {}
 
-    def monitor(self, key: tuple[str, str]) -> PortMonitor:
-        """The (lazily created) monitor for directed link ``key``."""
-        mon = self.monitors.get(key)
-        if mon is None:
-            mon = self.monitors[key] = PortMonitor(key, self.window)
-        return mon
+    @_query
+    def _table(self) -> _Table:
+        return _Table(self)
 
-    def on_drop(self, key: tuple[str, str], flow: "str | None", time: float) -> None:
-        self.monitor(key).record_drop(flow, time)
+    @_query
+    def _depths(self) -> np.ndarray:
+        """The queue depth each row's packet saw at its port: the packets
+        accepted there before it whose tails were still to leave, the
+        oldest let go first.  A port whose tails never step back (only a
+        cut resets ``busy_until``) takes one vectorized pass."""
+        table = self._table()
+        depth = np.zeros(table.port.size, np.int64)
+        order = np.argsort(table.port, kind="stable")
+        bounds = np.searchsorted(table.port[order], np.arange(len(table.keys) + 1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = order[lo:hi]
+            tails, arrivals, index = table.tail[rows], table.earliest[rows], np.arange(hi - lo)
+            if bool((tails[1:] >= tails[:-1]).all()):
+                left = np.minimum(np.searchsorted(tails, arrivals, "right"), index)
+                depth[rows] = index - np.maximum.accumulate(left)
+                continue
+            queue: deque = deque()
+            for row, arrival, tail in zip(rows.tolist(), arrivals.tolist(), tails.tolist()):
+                while queue and queue[0] <= arrival:
+                    queue.popleft()
+                depth[row] = len(queue)
+                queue.append(tail)
+        return depth
 
-    def on_unroutable(self) -> None:
-        """Offered load the router had no path for (no port to charge)."""
-        self.unroutable += 1
+    @property
+    @_query
+    def monitors(self) -> dict:
+        """Every port that took or lost a packet: key → its
+        :class:`PortMonitor`, keys sorted."""
+        table, width = self._table(), self.window
+        first = np.floor(table.earliest / width).astype(np.int64)
+        # The last window a residency reaches: the last k past the first
+        # with k·width < tail_out, as a walk over the boundaries finds it.
+        last, step = np.maximum(np.ceil(table.tail / width).astype(np.int64) - 1, first), 1
+        while np.any(step):
+            short = (last + 1) * width < table.tail  # one more boundary is crossed
+            step = short * 1 - ((last > first) & (last * width >= table.tail))
+            last += step
+        dropped = np.floor(table.drop_time / width).astype(np.int64)
+        lo = np.full(len(table.keys), np.iinfo(np.int64).max)
+        hi = np.full(len(table.keys), np.iinfo(np.int64).min)
+        for port, start, end in ((table.port, first, last), (table.drop_port, dropped, dropped)):
+            np.minimum.at(lo, port, start)
+            np.maximum.at(hi, port, end)
+        count = hi - lo + 1
+        base = np.cumsum(count) - count - lo  # a port's window k is slot base + k
+        slots = int(count.sum())
+        enqueues, *stats = _folded(base[table.port] + first, slots, self._depths(), table.wait)
+        drops = np.bincount(base[table.drop_port] + dropped, minlength=slots)
+        # Occupancy: each residency split at the window boundaries it crosses.
+        row = np.repeat(np.arange(table.port.size), last - first + 1)
+        k = _spans(first, last - first + 1)
+        begin = np.where(k == first[row], table.earliest[row], k * width)
+        part = table.size[row] * (np.minimum(table.tail[row], (k + 1) * width) - begin)
+        kept = part > 0.0
+        flows = max(len(table.flows), 1)
+        slot = (base[table.port[row]] + k)[kept]
+        keys, inverse = np.unique(slot * flows + table.flow[row][kept], return_inverse=True)
+        by_slot: dict = {}
+        labels = list(table.flows)
+        for key, total in zip(keys.tolist(), np.bincount(inverse, part[kept]).tolist()):
+            by_slot.setdefault(key // flows, {})[labels[key % flows]] = total
+        windows = [
+            Window(index, index * width, (index + 1) * width, enqueued, lost, *values,
+                   by_slot.get(slot, {}))
+            for slot, (index, enqueued, lost, *values) in enumerate(zip(
+                _spans(lo, count).tolist(),
+                enqueues.tolist(), drops.tolist(), *(column.tolist() for column in stats),
+            ))
+        ]
+        monitors = {}
+        for key, p in sorted(table.keys.items()):
+            mine = windows[int(base[p] + lo[p]):int(base[p] + hi[p]) + 1]
+            enqueued, lost = sum(w.enqueues for w in mine), sum(w.drops for w in mine)
+            monitors[key] = PortMonitor(key, mine, enqueued, lost)
+        return monitors
 
-    # -- read side ----------------------------------------------------------------
+    @_query
+    def hop_profile(self) -> dict[str, dict[str, HopStats]]:
+        """Each flow's queueing profile over its delivered packets' hops:
+        flow label → node → :class:`HopStats`, flows in first-delivery
+        order, nodes in first-crossing order."""
+        table = self._table()
+        delivered = np.concatenate([np.atleast_1d(d) for d in self.deliveries] or [[]]).astype(int)
+        lo = np.searchsorted(table.pids, delivered)
+        rows = table.by_packet[_spans(lo, np.searchsorted(table.pids, delivered, "right") - lo)]
+        nodes: dict = {}
+        node = np.array(_codes(nodes, (key[0] for key in table.keys)), np.intp)
+        key = table.flow[rows] * max(len(nodes), 1) + node[table.port[rows]]
+        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        stats = _folded(inverse, keys.size, self._depths()[rows], table.wait[rows])
+        flows, names = list(table.flows), list(nodes)
+        profile: dict = {}
+        for at in np.argsort(first).tolist():  # in order of first appearance
+            flow, number = divmod(int(keys[at]), max(len(nodes), 1))
+            values = [column[at].item() for column in stats]
+            profile.setdefault(flows[flow], {})[names[number]] = HopStats(*values)
+        return profile
+
+    def hops_of(self, packet_id: int) -> list[tuple[str, float]]:
+        """``(node, wait)`` for each port ``packet_id`` was clocked onto,
+        detours included, in path order."""
+        table = self._table()
+        at = np.searchsorted(table.pids, [packet_id, packet_id + 1])
+        rows = table.by_packet[at[0]:at[1]]
+        nodes = [key[0] for key in table.keys]
+        return list(zip([nodes[p] for p in table.port[rows].tolist()], table.wait[rows].tolist()))
 
     def ports(self) -> list[tuple[str, str]]:
         """Monitored directed links, sorted."""
-        return sorted(self.monitors)
+        return list(self.monitors)
 
     def iter_windows(self) -> Iterator[tuple[tuple[str, str], Window]]:
         """Every (port key, window) pair, ports sorted, windows in order."""
-        for key in self.ports():
-            for win in self.monitors[key].windows():
+        for key, monitor in self.monitors.items():
+            for win in monitor.windows():
                 yield key, win
 
     def total_enqueues(self) -> int:
-        return sum(m.enqueues for m in self.monitors.values())
+        return len(self._table().port)
 
     def total_drops(self) -> int:
-        return sum(m.drops for m in self.monitors.values())
+        return len(self.drops)
 
     def window_dump(self) -> dict:
-        """JSON-friendly dump of every monitor's windows.
-
-        The shape CI uploads as the telemetry-smoke artifact: one entry
-        per monitored port, windows contiguous and sorted.
-        """
-        return {
-            "window_width": self.window,
-            "unroutable": self.unroutable,
-            "ports": {
-                f"{u}->{v}": {
-                    "enqueues": self.monitors[(u, v)].enqueues,
-                    "drops": self.monitors[(u, v)].drops,
-                    "occupancy": self.monitors[(u, v)].occupancy,
-                    "windows": [
-                        w.as_dict() for w in self.monitors[(u, v)].windows()
-                    ],
-                }
-                for (u, v) in self.ports()
-            },
+        """JSON-friendly dump of every port's windows — what CI uploads as
+        the telemetry-smoke artifact."""
+        ports = {
+            f"{u}->{v}": {
+                "enqueues": port.enqueues, "drops": port.drops, "occupancy": port.occupancy,
+                "windows": [w.as_dict() for w in port.windows()],
+            }
+            for (u, v), port in self.monitors.items()
         }
+        return {"window_width": self.window, "unroutable": self.unroutable, "ports": ports}

@@ -25,6 +25,7 @@ from repro.routing import ECMPRouter
 from repro.sim import Network, portmajor
 from repro.sim.portmajor import _contended_tails, _repeated_add
 from repro.sim.sources import PoissonSource
+from repro.telemetry.windows import UNGROUPED
 from repro.units import GBPS
 from tests.sim.test_fastpath import network_fingerprint, per_packet_draws
 
@@ -220,11 +221,16 @@ def windows_solved(**kwargs):
 
 
 class TestFlagResolution:
-    def test_telemetry_stands_batching_down(self):
-        assert windows_solved()[0] == 1
+    def test_telemetry_keeps_batching(self):
+        """Armed telemetry only records: the pass solves the same window
+        and appends the stream's hops and deliveries to the log."""
+        disarmed = windows_solved()
         solved, net = windows_solved(telemetry=True)
-        assert solved == 0
-        assert net.packets_delivered > 0, "the kernel keeps running under telemetry"
+        assert solved == disarmed[0] == 1 and net.standdowns == disarmed[1].standdowns
+        assert net.stats.samples == disarmed[1].stats.samples
+        sent = sum(port.packets_sent for port in net._ports.values())
+        assert net.telemetry.total_enqueues() == sent > 0
+        assert net.telemetry.hop_profile()[UNGROUPED]["h0.0"].packets == net.packets_delivered
 
 
 

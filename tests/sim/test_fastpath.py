@@ -53,8 +53,8 @@ def network_fingerprint(net):
         net.telemetry.window_dump() if net.telemetry is not None else None,
         {
             flow: {node: vars(agg) for node, agg in per_node.items()}
-            for flow, per_node in net.stats.hop_stamps.items()
-        },
+            for flow, per_node in net.telemetry.hop_profile().items()
+        } if net.telemetry is not None else None,
         sorted(faults.drops_by_flow.items()),
         tuple(faults.reroutes_by_flow.items()),
         tuple((flow, tuple(times)) for flow, times in faults.recovery_times_by_flow.items()),

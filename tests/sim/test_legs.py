@@ -9,8 +9,10 @@ runs once as the **reference**: the forwarding kernel under
 ``engine.run``, Poisson draws packet by packet, telemetry armed.  It
 must be matched, snapshot for snapshot, by the kernel run by
 ``engine.run`` and by ``Network.run`` (the port-major pass allowed),
-both disarmed, and ``Network.run`` must match itself with
-:mod:`repro.obs` armed.  These legs are what holds arming passive: no
+both disarmed; ``Network.run`` must match itself with :mod:`repro.obs`
+armed; and ``Network.run`` with telemetry armed must match the
+reference in full, its window dump and hop profile included, without
+standing the pass down.  These legs are what holds arming passive: no
 test suite re-runs under an armed environment.  The fingerprint is
 ``tests/sim/test_fastpath.py``'s, plus the sources' counters.  Every
 leg's final state must also pass the end-to-end benchmark's invariant
@@ -238,24 +240,25 @@ def build_leg(shape, telemetry=False, record=False):
     return net, sources, cut, fires
 
 
-def run_leg(shape, reference=False, batch=False, record=False, observed=False):
+def run_leg(shape, reference=False, batch=False, record=False, observed=False, armed=False):
     """``(snapshots, net, cut, fires)``: snapshots after every ``run``
     call of the shape's horizon, through ``Network.run`` with ``batch``,
     else through ``engine.run``.  The ``reference`` leg draws packet by
-    packet and arms telemetry; the ``observed`` leg runs with
-    :mod:`repro.obs` armed, which is disarmed again after it."""
+    packet and arms telemetry, an ``armed`` leg arms telemetry only; the
+    ``observed`` leg runs with :mod:`repro.obs` armed, which is disarmed
+    again after it."""
     if observed:
         obs.arm()
     try:
-        return _run_leg(shape, reference, batch, record)
+        return _run_leg(shape, reference, batch, record, reference or armed)
     finally:
         if observed:
             obs.disarm()
 
 
-def _run_leg(shape, reference, batch, record):
+def _run_leg(shape, reference, batch, record, telemetry):
     with per_packet_draws(reference):
-        net, sources, cut, fires = build_leg(shape, reference, record)
+        net, sources, cut, fires = build_leg(shape, telemetry, record)
         run = net.run if batch else net.engine.run
 
         def snapshot():
@@ -271,7 +274,7 @@ def _run_leg(shape, reference, batch, record):
         run(until=HORIZON)
         snapshots.append(snapshot())
     assert verify.network_errors(net) == []
-    if reference:
+    if telemetry:
         tele = net.telemetry
         assert tele.total_drops() + tele.unroutable == net.packets_dropped
     return snapshots, net, cut, fires
@@ -315,7 +318,7 @@ def model_run(shape, cut, fires):
 
 
 def disarmed(snapshots):
-    """What a run shows with telemetry off: no window dump, no stamps."""
+    """What a run shows with telemetry off: no window dump, no hop profile."""
     return [fp[:8] + fp[10:] for fp in snapshots]
 
 
@@ -329,6 +332,8 @@ def check_legs(shape):
     observed, net, *_ = run_leg(shape, batch=True, observed=True)
     assert net.obs is not None and not obs.armed()
     assert observed == batched
+    armed, net, *_ = run_leg(shape, batch=True, armed=True)
+    assert armed == reference and "telemetry" not in net.standdowns
 
 
 def bounded_windows(router):

@@ -140,6 +140,29 @@ class TestErrors:
         with pytest.raises(NetworkSimError):
             net.send("h0.0", "h1.0", 400, path=("h1.0", "tor1", "h0.0"))
 
+    def test_one_node_route_rejected(self):
+        """A packet to itself has a one-node route, which no port can
+        carry: ``send`` refuses it, router-chosen or explicit."""
+        topo = T.full_mesh(2, 1)
+        net = Network(topo, ECMPRouter(topo))
+        with pytest.raises(NetworkSimError, match="does not join"):
+            net.send("h0.0", "h0.0", 400)
+        with pytest.raises(NetworkSimError, match="does not join"):
+            net.send("h0.0", "h0.0", 400, path=("h0.0",))
+        assert net._next_packet_id == 0 and not net._flows
+
+    def test_source_to_itself_raises_at_its_fire(self):
+        """A stream from a server to itself: the port-major pass stands
+        down (``bad_route``) and leaves the error to the event loop's
+        fire, which raises it from ``send``."""
+        topo = T.full_mesh(2, 1)
+        net = Network(topo, ECMPRouter(topo))
+        PoissonSource(net, "h0.0", "h0.0", rate_pps=1_000_000.0, seed=1).start()
+        with pytest.raises(NetworkSimError, match="does not join"):
+            net.run(until=1e-3)
+        assert net.standdowns == {"bad_route": 1}
+        assert net.packets_delivered == 0
+
     def test_latency_before_delivery_raises(self):
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo))

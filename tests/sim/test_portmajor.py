@@ -412,8 +412,7 @@ class TestRootsAndChains:
         engaged = differential("tree", tasks, [3e-4, 1e-3], cut=150, rate=120_000.0)
         assert engaged[:2] == [True, True]
 
-    @pytest.mark.parametrize("mark", ["on_delivered", "stamps"])
-    def test_a_root_the_kernel_would_call_back_stands_down_untouched(self, mark):
+    def test_a_root_the_kernel_would_call_back_stands_down_untouched(self):
         """Such a packet is no root but a foreign entry: its next
         arrival bounds the window — before the first fire here, so the
         pass stands down, nothing touched — and the pass is worth trying
@@ -423,10 +422,7 @@ class TestRootsAndChains:
 
         def marked(net):
             held = sent_ahead(net)
-            if mark == "stamps":
-                held[3].stamps = []  # white box: as armed telemetry leaves it
-            else:
-                held[3].on_delivered = lambda packet, when: called.append(when)
+            held[3].on_delivered = lambda packet, when: called.append(when)
             return held
 
         net = build("tree", batch=True)
@@ -440,7 +436,7 @@ class TestRootsAndChains:
         assert [source._gap_i for source in sources] == cursors
         engaged = differential("tree", FOUR_TASKS, [1e-3], before=marked)
         assert engaged[0] is False and engaged[-2] is True
-        assert mark == "stamps" or called[0] == called[1]  # once per leg
+        assert called[0] == called[1]  # once per leg
 
     def test_a_root_whose_route_closes_a_port_cycle_stands_down(self):
         def legs(batch, closing):
@@ -1061,7 +1057,6 @@ class TestObservability:
                 net.run(until=1e-3)
 
         reasons = {
-            "telemetry": armed_run(armed_tree(telemetry=True), four_tasks),
             "not_open_loop": armed_run(armed_tree(), ending, until=None),
             "closed_loop_source": armed_run(armed_tree(), closed_loop),
             "budget": armed_run(armed_tree(), four_tasks, until=1.0e-5),

@@ -14,11 +14,11 @@ from repro.sim.sources import PoissonSource
 from repro.sim.stats import (
     UNGROUPED,
     DeliveryBins,
-    HopStampStats,
     LatencyRecorder,
     LatencySummary,
     summarize_latencies,
 )
+from repro.telemetry import HopStats, TelemetryHub
 from repro.units import GBPS
 
 
@@ -274,17 +274,31 @@ class TestRecorder:
         assert net.stats.groups() == ["a", "b"] and net.stats.count == net.packets_delivered
 
 
-class TestHopStamps:
-    def test_empty_stamp_list_creates_flow_without_nodes(self):
-        rec = LatencyRecorder()
-        rec.record_stamps("flow", [])
-        assert rec.hop_stamps == {"flow": {}}
+def profile_of(*packets):
+    """The hop profile of a log in which each of ``packets`` — ``(group,
+    [(node, depth, wait), ...])`` — crossed each node's port behind
+    ``depth`` packets still queued there, waited ``wait``, and was
+    delivered; each packet finds every port drained of the one before."""
+    hub = TelemetryHub(window=1.0)
+    ids = iter(range(10_000))
+    for n, (group, hops) in enumerate(packets):
+        now = 100.0 * n
+        mine = next(ids)
+        for node, depth, wait in hops:
+            key = (node, "next")
+            for _ in range(depth):  # never delivered: only queued ahead
+                hub.hops.append((key, next(ids), now, now, now + 10.0, 1.0, "ahead"))
+            hub.hops.append((key, mine, now, now + wait, now + 10.0, 100.0, group))
+        hub.deliveries.append(mine)
+    return hub.hop_profile()
 
+
+class TestHopStamps:
     def test_stamps_fold_into_sum_and_max(self):
-        rec = LatencyRecorder()
-        rec.record_stamps("f", [("tor0", 2, 1e-6), ("tor1", 0, 0.0)])
-        rec.record_stamps("f", [("tor0", 4, 5e-7)])
-        tor0 = rec.hop_stamps["f"]["tor0"]
+        profile = profile_of(
+            ("f", [("tor0", 2, 1e-6), ("tor1", 0, 0.0)]), ("f", [("tor0", 4, 5e-7)])
+        )
+        tor0 = profile["f"]["tor0"]
         assert tor0.packets == 2
         assert tor0.depth_sum == 6
         assert tor0.depth_max == 4
@@ -292,26 +306,20 @@ class TestHopStamps:
         assert tor0.wait_max == pytest.approx(1e-6)
         assert tor0.mean_depth == pytest.approx(3.0)
         assert tor0.mean_wait == pytest.approx(7.5e-7)
-        assert rec.hop_stamps["f"]["tor1"].packets == 1
+        assert profile["f"]["tor1"].packets == 1
+        assert list(profile) == ["f"]  # the packets queued ahead were never delivered
 
     def test_groupless_packets_share_the_ungrouped_flow(self):
-        rec = LatencyRecorder()
-        rec.record_stamps(None, [("tor0", 1, 0.0)])
-        rec.record_stamps(None, [("tor0", 3, 0.0)])
-        rec.record_stamps("named", [("tor0", 9, 0.0)])
-        assert rec.hop_stamps[UNGROUPED]["tor0"].packets == 2
-        assert rec.hop_stamps["named"]["tor0"].depth_max == 9
+        profile = profile_of(
+            (None, [("tor0", 1, 0.0)]), (None, [("tor0", 3, 0.0)]), ("named", [("tor0", 9, 0.0)])
+        )
+        assert profile[UNGROUPED]["tor0"].packets == 2
+        assert profile["named"]["tor0"].depth_max == 9
 
     def test_zero_packet_stats_have_zero_means(self):
-        empty = HopStampStats()
+        empty = HopStats()
         assert empty.mean_depth == 0.0
         assert empty.mean_wait == 0.0
-
-    def test_clear_drops_hop_stamps(self):
-        rec = LatencyRecorder()
-        rec.record_stamps("f", [("tor0", 1, 0.0)])
-        rec.clear()
-        assert rec.hop_stamps == {}
 
 
 class TestDeliveryBins:

@@ -1,4 +1,4 @@
-"""Tests for latency decomposition (packet_breakdown over INT stamps)."""
+"""Tests for latency decomposition (packet_breakdown over the hop log)."""
 
 import pytest
 
@@ -93,7 +93,7 @@ class TestComponentsSumToLatency:
         net = Network(topo, ECMPRouter(topo))
         packet = net.send("h0.0", "h3.0", 400)
         net.run()
-        with pytest.raises(NetworkSimError, match="stamps"):
+        with pytest.raises(NetworkSimError, match="armed telemetry"):
             packet_breakdown(net, packet)
         armed = stamping_network(topo)
         with pytest.raises(NetworkSimError, match="delivery"):

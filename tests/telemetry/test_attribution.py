@@ -1,4 +1,4 @@
-"""Microburst detection and flow attribution over synthetic monitors."""
+"""Microburst detection and flow attribution over synthetic hop logs."""
 
 from repro.telemetry import (
     Diagnosis,
@@ -7,6 +7,7 @@ from repro.telemetry import (
     diagnose,
     rank_flows,
 )
+from tests.telemetry.test_windows import enqueue
 
 HOT = ("tor0", "h0.0")
 COLD = ("tor1", "h1.0")
@@ -18,7 +19,7 @@ def hub_with_incast():
     # Background trickle on both ports, every window.
     for key in (HOT, COLD):
         for k in range(4):
-            hub.monitor(key).record_enqueue("bg", 10, k + 0.1, k + 0.1, k + 0.2)
+            enqueue(hub, "bg", 10, k + 0.1, k + 0.1, k + 0.2, key=key)
     # The burst: ten deep back-to-back arrivals on the hot port in
     # window 1, flow "heavy" carrying most of the bytes.
     busy = 1.0
@@ -27,7 +28,7 @@ def hub_with_incast():
         start = max(arrival, busy)
         busy = start + 0.05
         flow = "heavy" if i < 8 else "light"
-        hub.monitor(HOT).record_enqueue(flow, 400, arrival, start, busy)
+        enqueue(hub, flow, 400, arrival, start, busy, key=HOT)
     return hub
 
 
@@ -41,14 +42,14 @@ class TestRanking:
 
     def test_rank_ties_break_on_label(self):
         hub = TelemetryHub(window=1.0)
-        hub.monitor(HOT).record_enqueue("b", 100, 0.1, 0.1, 0.2)
-        hub.monitor(HOT).record_enqueue("a", 100, 0.3, 0.3, 0.4)
+        enqueue(hub, "b", 100, 0.1, 0.1, 0.2, key=HOT)
+        enqueue(hub, "a", 100, 0.3, 0.3, 0.4, key=HOT)
         (win,) = hub.monitors[HOT].windows()
         assert [f for f, _ in rank_flows(win)] == ["a", "b"]
 
     def test_drop_only_window_ranks_no_flow(self):
         hub = TelemetryHub(window=1.0)
-        hub.on_drop(HOT, "a", 0.5)  # drop-only window: no occupancy
+        hub.drops.append((HOT, "a", 0.5))  # drop-only window: no occupancy
         (win,) = hub.monitors[HOT].windows()
         assert rank_flows(win) == []
 

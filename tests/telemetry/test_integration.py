@@ -1,10 +1,10 @@
-"""Telemetry in the forwarding loops: observational purity and stamping.
+"""Telemetry in the forwarding loops: observational purity and the hop log.
 
-The contract the tentpole rests on: arming telemetry changes *nothing*
-about the simulation — every latency sample, port counter, and event
-count is bit-identical with monitors on or off, whether the Poisson
-gaps are drawn in chunks or packet by packet — while the monitors see every enqueue
-and drop, and INT stamps fold into the flow records on delivery.
+The contract telemetry rests on: arming it changes *nothing* about the
+simulation — every latency sample, port counter, and event count is
+bit-identical armed or disarmed, whether the Poisson gaps are drawn in
+chunks or packet by packet — while the log sees every enqueue and drop,
+and the hop profile folds each delivered packet's hops.
 Nothing arms telemetry but ``Network(telemetry=True)``, so these tests
 arm it themselves, next to ``tests/sim/test_legs.py``'s armed legs.
 """
@@ -121,8 +121,8 @@ class TestArmedEqualsDisarmed:
     def test_scatter_gather_round(self):
         off = network_fingerprint(scatter_gather_round(False))
         on = network_fingerprint(scatter_gather_round(True))
-        assert on[9]  # stamps were folded in
-        # Positions 8 and 9 are the window dump and the stamps.
+        assert on[9]  # the hop profile holds the delivered packets
+        # Positions 8 and 9 are the window dump and the hop profile.
         assert on[:8] + on[10:] == off[:8] + off[10:]
         assert off[0] == 8  # four requests, four replies
 
@@ -172,7 +172,7 @@ class TestMonitors:
 class TestStamping:
     def test_stamps_fold_into_flow_records(self):
         net = run_workload(telemetry=True, nsrc=1)
-        per_node = net.stats.hop_stamps["flow-0"]
+        per_node = net.telemetry.hop_profile()["flow-0"]
         route = net.router.route(
             net.topo.servers()[0], net.topo.servers()[-1], 0
         )
@@ -190,7 +190,7 @@ class TestStamping:
         net = run_workload(telemetry=True, nsrc=4)
         assert any(
             rec.wait_max > 0.0
-            for per_node in net.stats.hop_stamps.values()
+            for per_node in net.telemetry.hop_profile().values()
             for rec in per_node.values()
         ), "a contended port should make some packet wait"
 
@@ -202,19 +202,19 @@ class TestStamping:
         )
         total_stamp_wait = sum(
             rec.wait_sum
-            for per_node in net.stats.hop_stamps.values()
+            for per_node in net.telemetry.hop_profile().values()
             for rec in per_node.values()
         )
-        # Stamps only fold on *delivery*, so the stamped total is a
-        # subset of what the monitors saw (packets still in flight at
-        # the horizon were monitored but never folded).
+        # The profile folds only *delivered* packets, so its total is a
+        # subset of what the windows saw (packets still in flight at
+        # the horizon were logged but never folded).
         assert total_stamp_wait <= total_window_wait + 1e-12
 
 
 class TestBatchStandDown:
     def test_monitors_see_cohort_workload(self):
-        # Telemetry must stand the port-major pass of ``Network.run``
-        # down: the run must match ``engine.run`` exactly.
+        # Telemetry only records: the port-major pass of ``Network.run``
+        # keeps running, and its log reads as ``engine.run``'s does.
         topo = T.three_tier_tree()
         nets = []
         for pass_allowed in (True, False):
@@ -229,12 +229,14 @@ class TestBatchStandDown:
         default, scalar = nets
         assert observable_state(default) == observable_state(scalar)
         assert default.telemetry.window_dump() == scalar.telemetry.window_dump()
+        assert default.telemetry.hop_profile() == scalar.telemetry.hop_profile()
+        assert default.standdowns == {}
 
 
 class TestUnroutable:
     def test_unroutable_counted(self):
         # Sources report unroutable offered load via note_unroutable
-        # (no port to charge); the hub keeps a run-level counter.
+        # (no port to charge); the log keeps a run-level counter.
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo), telemetry=True)
         net.note_unroutable("load")

@@ -1,10 +1,11 @@
-"""Window semantics of the per-port monitors, against hand-computed values.
+"""Window semantics of the queries over the hop log, against hand-computed values.
 
-The monitors promise fixed-width half-open windows ``[k·w, (k+1)·w)``
-that tile time with no gaps and no overlaps, depth probes that count
-exactly the packets still resident at arrival, and per-flow occupancy
-integrals that decompose ``size × residency`` across window boundaries.
-Every number here is small enough to check by hand.
+The queries promise fixed-width half-open windows ``[k·w, (k+1)·w)``
+that tile time with no gaps and no overlaps, depths that count exactly
+the packets still resident at arrival, and per-flow occupancy integrals
+that decompose ``size × residency`` across window boundaries.  Rows are
+written here as the kernel records them.  Every number here is small
+enough to check by hand.
 """
 
 import math
@@ -13,17 +14,50 @@ import pytest
 
 from repro.telemetry import (
     DEFAULT_WINDOW,
-    PortMonitor,
     TelemetryError,
     TelemetryHub,
 )
+from repro.telemetry.windows import UNGROUPED
 from repro.units import MICROSECONDS
 
 KEY = ("u", "v")
 
 
+def enqueue(hub, flow, size, arrival, start, tail, key=KEY):
+    """One transmit row, as the kernel appends it; returns its packet id."""
+    packet_id = len(hub.hops)
+    hub.hops.append((key, packet_id, arrival, start, tail, size, flow))
+    return packet_id
+
+
+def stamp(hub, flow, size, arrival, start, tail):
+    """:func:`enqueue`, then the ``(depth, wait)`` the profile gives the
+    packet once delivered (``flow`` must be new to the log)."""
+    hub.deliveries.append(enqueue(hub, flow, size, arrival, start, tail))
+    stats = hub.hop_profile()[flow if flow is not None else UNGROUPED][KEY[0]]
+    return stats.depth_max, stats.wait_max
+
+
+class Monitor:
+    """One port of a hub, written a row at a time: ``record_enqueue``
+    appends a delivered packet's row and returns its ``(depth, wait)``;
+    every read is the port's :class:`PortMonitor`'s."""
+
+    def __init__(self, width=1.0):
+        self.hub = TelemetryHub(window=width)
+
+    def record_enqueue(self, *row):
+        return stamp(self.hub, *row)
+
+    def record_drop(self, flow, time):
+        self.hub.drops.append((KEY, flow, time))
+
+    def __getattr__(self, name):
+        return getattr(self.hub.monitors[KEY], name)
+
+
 def monitor(width=1.0):
-    return PortMonitor(KEY, width)
+    return Monitor(width)
 
 
 class TestConfig:
@@ -151,15 +185,15 @@ class TestHub:
     def test_monitors_created_lazily(self):
         hub = TelemetryHub(window=1.0)
         assert hub.ports() == []
-        hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
+        enqueue(hub, "a", 100, 0.5, 0.5, 1.5)
         assert hub.ports() == [KEY]
         assert hub.total_enqueues() == 1
 
     def test_window_dump_shape(self):
         hub = TelemetryHub(window=1.0)
-        hub.monitor(KEY).record_enqueue("a", 100, 0.5, 0.5, 1.5)
-        hub.on_drop(KEY, "b", 0.7)
-        hub.on_unroutable()
+        enqueue(hub, "a", 100, 0.5, 0.5, 1.5)
+        hub.drops.append((KEY, "b", 0.7))
+        hub.unroutable += 1
         dump = hub.window_dump()
         assert dump["window_width"] == 1.0
         assert dump["unroutable"] == 1
@@ -174,8 +208,8 @@ class TestHub:
 
     def test_iter_windows_sorted(self):
         hub = TelemetryHub(window=1.0)
-        hub.monitor(("b", "c")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
-        hub.monitor(("a", "b")).record_enqueue("x", 10, 0.1, 0.1, 0.2)
+        enqueue(hub, "x", 10, 0.1, 0.1, 0.2, key=("b", "c"))
+        enqueue(hub, "x", 10, 0.1, 0.1, 0.2, key=("a", "b"))
         keys = [key for key, _ in hub.iter_windows()]
         assert keys == sorted(keys)
 

@@ -103,7 +103,7 @@ class TestTelemetryVariant:
         """The base cells are not re-run armed: tier-1 tests that arm
         explicitly hold arming passive (``test_legs.py``'s reference
         leg, ``tests/obs/test_integration.py``, ``test_fastpath.py``)."""
-        assert len(tele_metrics) == 12
+        assert len(tele_metrics) == 13
         assert all(key.startswith("telemetry.") for key in tele_metrics)
 
     def test_telemetry_metrics_present_and_correct(self, tele_metrics):
