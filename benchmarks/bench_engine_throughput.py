@@ -1,4 +1,4 @@
-"""Engine and sweep throughput: six paired, same-round gates.
+"""Engine and sweep throughput: seven paired, same-round gates.
 
 How long a whole experiment takes, and where the time goes, is
 ``benchmarks/e2e``'s record (``BENCH_trajectory.jsonl``).  What stays
@@ -24,18 +24,27 @@ so the ratio is a property of the two code paths, not of the machine:
   are solved as drops instead of leaving the outage to the event loop;
 * a 4-seed Figure 17 scatter mini-sweep at ``workers=4``: results
   identical to the serial sweep, and at most 1.4× its wall-clock net of
-  pool spin-up (no e2e workload runs ``workers > 1``).
+  pool spin-up (no e2e workload runs ``workers > 1``);
+* one small port-major window after a warm-up, 63 streams from one
+  hub at 2, 4, 8 and 20 fires each, against ``engine.run`` over the
+  same stretch with identical fingerprints: the 2-fire window (a
+  scatter/gather round's size) ≤ 2× the event loop, and the break-even
+  printed beside the floors it sets.
+
+The armed kernel's peak-RSS growth and first query are printed, ungated.
 """
 
+import resource
 import time
 
 import repro.topology as T
 from repro import obs as obs_layer
 from repro.core.multiring import plan_rings
 from repro.experiments import figure17_sweep
+from repro.experiments.section7 import TOPOLOGY_BUILDERS
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
-from repro.sim import DeliveryBins, Network
+from repro.sim import DeliveryBins, Network, portmajor
 from repro.sim.faults import FaultInjector, random_fault_schedule
 from repro.sim.sources import PoissonSource
 from repro.units import GBPS
@@ -177,6 +186,101 @@ def _fault_round(cell: tuple[int, int]) -> dict[str, float]:
     return {"scalar": scalar, "port-major": portmajor, "events": fingerprint[4]}
 
 
+#: Small-window benchmark: one hub streams to every other server at
+#: Fig. 17's 100 Mb/s of 400 B packets; after a warm-up that binds every
+#: flow, one window of ``k`` fires per source runs through the pass
+#: (floors forced to 0) and, on a twin network, through ``engine.run``.
+WINDOW_FABRICS = ("three-tier tree", "quartz in core")
+WINDOW_FIRES = (2, 4, 8, 20)
+WINDOW_RATE_PPS = 100e6 / (400 * 8)
+WINDOW_WARMUP = 2e-3
+WINDOW_REPEATS = 9
+WINDOW_SOURCES = 63
+
+
+def _window_run(fabric: str, fires: int, batch: bool) -> tuple[float, tuple]:
+    """One window of ``fires`` per source after the warm-up; returns (wall
+    seconds of the window alone, fingerprint)."""
+    topo = TOPOLOGY_BUILDERS[fabric]()
+    net = Network(topo, ECMPRouter(topo))
+    hub, *peers = topo.servers()
+    assert len(peers) == WINDOW_SOURCES
+    for flow, peer in enumerate(peers):
+        PoissonSource(net, hub, peer, rate_pps=WINDOW_RATE_PPS, flow_id=flow, seed=flow).start()
+    net.engine.run(until=WINDOW_WARMUP)
+    net.stats.summary()  # the warm-up's samples, folded before the clock starts
+    until = WINDOW_WARMUP + fires / WINDOW_RATE_PPS
+    saved = portmajor.MIN_WINDOW_FIRES, portmajor.MIN_FIRES_PER_SOURCE
+    portmajor.MIN_WINDOW_FIRES = portmajor.MIN_FIRES_PER_SOURCE = 0
+    try:
+        start = time.perf_counter()
+        if batch:
+            solved, _ = portmajor.advance(net, until)
+            assert solved, "the window stood down"
+        else:
+            net.engine.run(until=until)
+        wall = time.perf_counter() - start
+    finally:
+        portmajor.MIN_WINDOW_FIRES, portmajor.MIN_FIRES_PER_SOURCE = saved
+    fingerprint = (
+        net.packets_delivered, net.engine.events_processed, net._next_packet_id,
+        tuple(net.stats.samples), net.engine.pending(),
+        sorted((key, p.packets_sent, p.bytes_sent, p.busy_until) for key, p in net._ports.items()),
+    )
+    return wall, fingerprint
+
+
+def _window_rows() -> list[dict]:
+    """Best of ``WINDOW_REPEATS`` pass / event-loop pairs per fabric and
+    window size, fingerprints asserted equal."""
+    rows = []
+    for fabric in WINDOW_FABRICS:
+        for fires in WINDOW_FIRES:
+            best = None
+            for _ in range(WINDOW_REPEATS):
+                loop, expected = _window_run(fabric, fires, batch=False)
+                passed, got = _window_run(fabric, fires, batch=True)
+                assert got == expected, f"{fabric}, {fires} fires: the pass diverged"
+                if best is None or passed / loop < best[0] / best[1]:
+                    best = (passed, loop)
+            rows.append({"fabric": fabric, "fires": fires, "pass": best[0], "loop": best[1]})
+    return rows
+
+
+def _break_even(rows: list[dict]) -> float:
+    """Fires per source where the pass costs what the event loop does:
+    where pass / loop crosses 1 between two measured window sizes,
+    linearly; the latest crossing over the fabrics (the smallest size if
+    the pass is cheaper there already)."""
+    latest = float(WINDOW_FIRES[0])
+    for fabric in WINDOW_FABRICS:
+        mine = [(row["fires"], row["pass"] / row["loop"]) for row in rows if row["fabric"] == fabric]
+        for (small, above), (large, below) in zip(mine, mine[1:]):
+            if above > 1.0 >= below:
+                latest = max(latest, small + (above - 1.0) / (above - below) * (large - small))
+                break
+        else:
+            if mine[-1][1] > 1.0:
+                latest = float("inf")
+    return latest
+
+
+def _armed_log_cost() -> tuple[float, float]:
+    """The cohort stream through the armed scalar kernel: (MiB the run
+    adds to peak RSS, seconds of the first query over its hop log).
+    Measured first, while the process's peak is still low."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    topo = T.three_tier_tree()
+    net = Network(topo, ECMPRouter(topo), telemetry=True)
+    servers = topo.servers()
+    PoissonSource(net, servers[0], servers[-1], rate_pps=COHORT_RATE_PPS, seed=7).start()
+    net.engine.run(until=COHORT_DURATION)
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+    start = time.perf_counter()
+    net.telemetry.hop_profile()
+    return grown, time.perf_counter() - start
+
+
 def _time_sweep(workers: int) -> tuple[float, dict]:
     start = time.perf_counter()
     result = figure17_sweep(
@@ -224,6 +328,7 @@ def _best(rounds: list[dict], ratio) -> tuple[float, dict]:
 
 
 def bench_engine_throughput(benchmark, report):
+    armed_rss_mib, first_query_s = _armed_log_cost()
     cohort = [benchmark.pedantic(_cohort_round, rounds=1, iterations=1)]
     cohort += [_cohort_round() for _ in range(ROUNDS - 1)]
     portmajor_ratio, portmajor_round = _best(
@@ -247,6 +352,9 @@ def bench_engine_throughput(benchmark, report):
         lambda r: r["port-major"] / r["scalar"],
     )
     partition_speedup = 1.0 / partition_ratio
+
+    windows = _window_rows()
+    break_even = _break_even(windows)
 
     _time_sweep(workers=1)  # warm-up: construction caches, imports
     parallel_ratio, sweep = _best(
@@ -286,6 +394,20 @@ def bench_engine_throughput(benchmark, report):
         f"  {parallel_ratio:.2f}x the serial wall (<= 1.4x)",
         f"{'fig17 mini-sweep, workers=4 spin-up, wall (s)':<46}"
         f"{sweep['spinup']:>12.2f}{sweep['parallel']:>12.2f}",
+        f"{'cohort stream, scalar armed: peak RSS + (MiB)':<46}{armed_rss_mib:>12.1f}",
+        f"{'cohort stream, scalar armed: first query (s)':<46}{first_query_s:>12.2f}",
+        "",
+        "One small port-major window after a 2 ms warm-up (ms, best of "
+        f"{WINDOW_REPEATS} pairs; floors 0):",
+        f"{'fabric':<18}{'fires/source':>13}{'fires':>7}{'pass':>9}{'loop':>9}  pass / loop",
+        *(
+            f"{row['fabric']:<18}{row['fires']:>13}{row['fires'] * WINDOW_SOURCES:>7}"
+            f"{row['pass'] * 1e3:>9.2f}{row['loop'] * 1e3:>9.2f}  {row['pass'] / row['loop']:.2f}"
+            + ("  (<= 2.0x)" if row["fires"] == WINDOW_FIRES[0] else "")
+            for row in windows
+        ),
+        f"break-even: {break_even:.1f} fires per source (MIN_FIRES_PER_SOURCE = "
+        f"{portmajor.MIN_FIRES_PER_SOURCE}, MIN_WINDOW_FIRES = {portmajor.MIN_WINDOW_FIRES})",
         "",
         f"Each row is the round, of {ROUNDS}, with the best ratio; both of its runs",
         "were made back to back in that round.  The cohort rows run one",
@@ -302,7 +424,14 @@ def bench_engine_throughput(benchmark, report):
         "partition row is the same with two segments of one ring cut, which",
         "leaves pairs with no path until the repair.  The workers=4",
         "results are asserted identical to the serial sweep's; spin-up is the",
-        "same pool over no-op cells.",
+        "same pool over no-op cells.  The two armed-kernel rows run the cohort",
+        "stream through engine.run with telemetry armed, first in the process:",
+        "what the run adds to peak RSS (ru_maxrss), and hop_profile() over the",
+        "log it left.  The small-window table streams from one hub to the 63",
+        "other servers at Fig. 17's 100 Mb/s of 400 B packets; each row runs one",
+        "window of k fires per source through portmajor.advance, and on a twin",
+        "network engine.run over the same stretch, fingerprints asserted equal;",
+        "break-even is where pass / loop crosses 1, linearly between sizes.",
     ]
     report("engine_throughput", "\n".join(lines))
 
@@ -340,3 +469,11 @@ def bench_engine_throughput(benchmark, report):
     assert parallel_ratio <= 1.4, (
         f"workers=4 sweep net of spin-up is {parallel_ratio:.2f}x serial"
     )
+    # The smallest window — a scatter/gather round's size — costs the pass
+    # at most twice what the event loop spends on it.
+    for row in windows:
+        if row["fires"] == WINDOW_FIRES[0]:
+            assert row["pass"] <= 2.0 * row["loop"], (
+                f"{row['fabric']}: a {row['fires']}-fire-per-source window costs the pass "
+                f"{row['pass'] / row['loop']:.2f}x the event loop"
+            )

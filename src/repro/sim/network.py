@@ -214,6 +214,12 @@ class Network:
         # stale cache or strand a flow on a dead route.
         self._plans: dict[Path, HopPlan] = {}
         self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
+        # What the port-major pass reads of a plan — its port numbers and
+        # per-byte rows, derived from ``HopPlan.hops`` — keyed by plan and
+        # dropped with the plans; and the port numbering they use, built
+        # at the pass's first window (:mod:`repro.sim.portmajor`).
+        self._plan_rows: dict[HopPlan, tuple] = {}
+        self._port_numbers: "tuple[dict, list] | None" = None
         #: The metrics registry this network reports into, or ``None``
         #: — same one-attribute-check dormant contract as telemetry.
         self.obs = _obs_layer.registry()
@@ -343,6 +349,7 @@ class Network:
         """
         self._plans.clear()
         self._flows.clear()
+        self._plan_rows.clear()
         if self.obs is not None:
             self.obs.incr("fastpath.plan_invalidations")
 
@@ -413,11 +420,14 @@ class Network:
         port.busy_until = tail_out
         port.packets_sent += 1
         port.bytes_sent += size
-        if self.telemetry is not None:
-            self.telemetry.hops.append((
+        log = self.telemetry
+        if log is not None:
+            log.hops.append((
                 plan.keys[hop], packet.packet_id, earliest_start, start, tail_out, size,
                 packet.group,
             ))
+            if len(log.hops) >= log.compact_at:
+                log.compact()
         if track:
             plan.flights[hop].add(packet)
         arrival = tail_out + self.propagation_delay
@@ -574,8 +584,9 @@ class Network:
         The horizon is shared between two executors.  The port-major pass
         (:func:`repro.sim.portmajor.advance`) owns the queue's **roots**
         — the fire chains of single-destination Poisson sources and the
-        packets in flight — and solves them port by port, one budgeted
-        window after another, up to the first **foreign** entry: a
+        packets in flight — and solves them a level of ports at a time,
+        one budgeted window after another, up to the first **foreign**
+        entry: a
         timer, another kind of chain, a packet that is severed or about
         to meet a dead link, a source's ``stop_at``.  A foreign
         entry bounds a window; it does not veto it.  The event loop then

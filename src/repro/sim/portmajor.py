@@ -8,40 +8,34 @@ fabric whose ports form a DAG under the routes in use each port's whole
 arrival sequence is known once the ports upstream of it are done.
 :func:`advance` — called by :meth:`Network.run` before ``engine.run``,
 and again each time the event loop has crossed what the pass could not
-— clocks such a stretch port by port with the kernel's own float
-operations, one budgeted **window** after another, and hands back
-exactly the state the event-by-event run would have reached; a window
-it declines is left as it was, to the event loop, and every decline is
-counted by reason in ``Network.standdowns`` (and, with :mod:`repro.obs`
-armed, under ``batch.standdown.<reason>``).
+— clocks such a stretch a level of ports at a time with the kernel's
+own float operations, one budgeted **window** after another, and hands
+back exactly the state the event-by-event run would have reached; a
+declined window is left to the event loop, and every decline counted
+by reason in ``Network.standdowns`` (armed :mod:`repro.obs`:
+``batch.standdown.<reason>``).
 
 **Roots, foreign entries, and where a window ends.**  One scan sorts
 the queue entries due by ``until`` (later ones cannot matter) into two
 kinds.  A **root** is something the pass can own: the live ``_fire``
 chain of a :class:`PoissonSource` of this network, or the ``_hop``
 chain of one of its packets in flight — not ``dropped``, no dead link
-on the rest of its plan — whose ``on_delivered`` is
-nothing or a :class:`~repro.sim.stats.DeliveryBins` (a callback the
-pass can apply a window at a time).  Everything else is **foreign**: a
-plain timer (a fibre cut, a repair, a hybrid epoch boundary), another
-kind of chain (a burst source, the last fire of a stopped source), a
-packet the kernel would sever, call back or detour, and a
-source's ``stop_at``.  *A foreign entry bounds the window instead of
-vetoing it*: the horizon is the last float before the earliest foreign
-time, so the window's ``t <= horizon`` tests mean "strictly before
-it", and whatever ties a foreign entry stays with the event loop, which
-orders it by the seqs the pass hands back.  What vetoes: no horizon
-at all, a run loop already dispatching, a sharded network, a due source with
-several destinations, ``vary_flow_per_packet`` or a callback the pass
-cannot apply (``closed_loop_source``), a route that does not join its
-source to its destination (``bad_route``), a cyclic directed graph
-"port of hop h → port of hop h+1" over the routes still to be walked,
-and a window whose expected
-fires ``Σ (horizon − first fire) · rate`` are under ``MIN_WINDOW_FIRES``
-or ``MIN_FIRES_PER_SOURCE`` per firing source (``budget``).  A stretch
-that expects more than ``MAX_WINDOW_FIRES`` is cut there and the rest is
-the next window: what one window hands back — packets in flight,
-re-armed sources — is what the next one starts from.
+on the rest of its plan — whose ``on_delivered`` is nothing or a
+:class:`~repro.sim.stats.DeliveryBins`.  Everything else is
+**foreign**: a plain timer (a cut, a repair, a hybrid epoch boundary),
+another kind of chain (a burst, a stopped source's last fire), a
+packet the kernel would sever, call back or detour, a ``stop_at``.
+*A foreign entry bounds the window instead of vetoing it*: the horizon
+is the last float before the earliest foreign time, and what ties a
+foreign entry stays with the event loop.  What vetoes: no horizon, a
+run loop already dispatching, a sharded network, a due source with
+several destinations, ``vary_flow_per_packet`` or another callback
+(``closed_loop_source``), a route that does not join its source to its
+destination (``bad_route``), a cyclic port graph (``cyclic_ports``),
+and expected fires ``Σ (horizon − first fire) · rate`` under
+``MIN_WINDOW_FIRES`` or ``MIN_FIRES_PER_SOURCE`` per firing source
+(``budget``).  A stretch past ``MAX_WINDOW_FIRES`` is cut there; what
+one window hands back is what the next one starts from.
 
 **The resume rule.**  The same scan tells :meth:`Network.run` how far
 the event loop must go before the pass is worth another scan: to the
@@ -53,41 +47,34 @@ per packet the cut left to detour), while a few thousand hybrid epoch
 boundaries 2 µs apart cost one scan in all, not one each.
 
 **Faults.**  Dead links do not stand the pass down: routes bound after
-a cut avoid them by construction, and a packet in flight whose plan
-still crosses one is foreign until the kernel has detoured it.  A
-source the router has no path for (a partitioned mesh) is a
-**fires-only column**: fire times and nothing else — no hops, plan,
-port or packet id — each fire counted as ``Network.note_unroutable``
-counts it.  With in-flight tracking armed the hand-back enters every
-packet still flying into ``plan.flights[packet.hop]`` — the set a later
-cut of that link severs — and moves a root packet from its old link's
-set; and each flow's outage clock (``FaultRecorder``) is replayed from
-the window's dropped fires, which open it, and deliveries, which close
-it, in heap order (:func:`_outages`).
+a cut avoid them, and a packet in flight whose plan still crosses one
+is foreign until the kernel has detoured it.  A source the router has
+no path for is a **fires-only column**: fire times only, each fire
+counted as ``Network.note_unroutable`` counts it.  With in-flight
+tracking armed the hand-back enters every packet still flying into
+``plan.flights[packet.hop]``, and each flow's outage clock is replayed
+from the window's dropped fires and deliveries (:func:`_outages`).
 
 **Telemetry** does not veto: armed, the pass appends each port it clocks
 to the hop log (:class:`~repro.telemetry.windows.HopLog`) as one row of
 columns in heap order, and a window's deliveries as one array of ids,
 which every query reads as it reads the kernel's rows.
 
-**Clocking a port.**  A port is clocked once per window, over every
-packet that crosses it.  A root's columns are neighbours in the
-window's tables, so the packets a port takes at one hop are found from
-the roots' routes without a sort — a slice of the table's row when the
-roots are neighbours too (one stream always), flat indices otherwise —
-and when every root crossing the port multiplies alike, its
-coefficients are scalars.  The packets are put in heap order, which
-costs nothing when their times already strictly increase, and a binary
-search per packet when only single-column roots are out of place (the
-packet in flight at the window's start).  A packet that finds the port
-idle leaves at ``earliest + ser``; where packets queue,
-:func:`_contended_tails` guesses the busy periods in closed form,
-certifies the guess against the kernel's recurrence with one
-vectorized comparison, and replays packet by packet only from an entry
-that fails — so a queueing port costs a few vectorized passes, not a
-Python step per queued packet.  The port clock's rows then say how far
-each column got: a column whose last arrival is due was delivered, and
-only the others are counted row by row.
+**Clocking a level.**  A port's packets are all known once the ports
+before it are clocked, so the pass clocks the window's port graph a
+**level** at a time (:func:`_port_order`): every port one past the
+deepest port before it, 5–6 levels on Fig. 17's fabrics.  A level's
+events — hop, column, time — are gathered from the roots' routes (a
+slice of the table's row when one hop's roots are neighbours), put in
+(port, heap) order by one sort — none when the level is one port whose
+times already increase — and clocked as one array of runs, one per
+port (:func:`_tails`): a packet that finds its port idle leaves at
+``earliest + ser``; where one port's packets queue,
+:func:`_contended_tails` guesses the busy periods in closed form and
+certifies the guess against the kernel's recurrence, and the other
+queued packets of the level are replayed in one loop.  The clock's
+rows then say how far each column got: a column whose last arrival is
+due was delivered, and only the others are counted row by row.
 
 **Event order from ancestry.**  The heap orders events by ``(time,
 seq)``, and an event's seq was drawn while its *parent* ran: the
@@ -104,7 +91,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -114,17 +103,13 @@ from repro.sim.sources import PoissonSource
 from repro.sim.stats import DeliveryBins
 
 #: Expected fires of a window.  Below the floor — in all, and per firing
-#: source, whose routes, plans and ports are the pass's fixed cost — the
-#: set-up costs more than the events it saves (break-even measured at
-#: 3–12 fires per source, EXPERIMENTS.md).  ``MAX_WINDOW_FIRES`` is where
-#: a longer horizon is cut: a window's tables grow with its fires
-#: (first-cell RSS of a 225 k-packet stream: +15 MiB at 16 k, +20 at
-#: 32 k, +26 at 64 k) and a larger window is not resolvably faster per
-#: packet (EXPERIMENTS.md, PR 18 rows).
-#: Bounds in the manner of ``Network.FLOW_TABLE_LIMIT``, not knobs, as is
-#: ``MIN_CERTIFIED`` below.
+#: source — the set-up costs more than the events it saves (measured
+#: break-even, EXPERIMENTS.md Finding 2).  ``MAX_WINDOW_FIRES`` is where a
+#: longer horizon is cut: a window's tables grow with its fires and a
+#: larger window is not resolvably faster per packet (PR 18 rows).
+#: Bounds in the manner of ``Network.FLOW_TABLE_LIMIT``, not knobs.
 MIN_WINDOW_FIRES = 64
-MIN_FIRES_PER_SOURCE = 8
+MIN_FIRES_PER_SOURCE = 6
 MAX_WINDOW_FIRES = 16_384
 #: Fewest packets a guess of :func:`_contended_tails` must spare the loop
 #: (or an eighth of those left, if more) to be worth its fixed cost: made
@@ -151,12 +136,8 @@ def advance(net: Network, until: "float | None") -> "tuple[bool, float | None]":
     time the event loop has to reach before the pass is worth calling
     again — ``None`` when the rest of the horizon is the event loop's.
     Every event up to the end of the last solved window has been applied
-    — ports, stats, counters, packet ids, sources, in-flight sets, open
-    outages, delivery bins, the packets that were in flight — and the
-    queue holds what is pending past it (each in-flight packet on a
-    chain entry at its next arrival, each source re-armed at its next
-    fire) for ``engine.run`` to find.  A window that stands down has
-    changed nothing but how far ahead sources have drawn their gaps.
+    and the queue holds what is pending past it.  A window that stands
+    down has changed nothing but how far ahead sources drew their gaps.
     """
     solved = False
     resume = None
@@ -181,16 +162,13 @@ def _window(
 ) -> "tuple[list, float, float | None, bool]":
     """One scan of the queue: ``(roots, horizon, resume, more)``.
 
-    ``roots`` are the entries the pass owns that are due by ``horizon``,
-    in queue order.  ``horizon`` is the last float before the first
-    foreign entry (``until`` when there is none) — or, when that many
-    fires exceed ``MAX_WINDOW_FIRES``, the cut that holds them to it,
-    and ``more`` says the next window starts right there.  ``resume`` is
-    the first foreign time that starts a gap — to the next foreign time,
-    or to ``until`` — wide enough to hold a budgeted window; ``None``
-    when no gap is.  :class:`_StandDown` when the pass may not run at
-    all, a source only the event loop can fire is due, or the window is
-    under budget.
+    ``roots`` are the entries the pass owns due by ``horizon``, in queue
+    order; ``horizon`` the last float before the first foreign entry
+    (``until`` if none), or the cut at ``MAX_WINDOW_FIRES`` — ``more``
+    says the next window starts there; ``resume`` the first foreign time
+    that starts a gap wide enough for a budgeted window (``None`` if
+    none).  :class:`_StandDown` when the pass may not run or the window
+    is under budget.
     """
     engine = net.engine
     if until is None or net.owned is not None or engine.running:
@@ -276,88 +254,72 @@ def _floor(sources: int) -> int:
     return max(MIN_WINDOW_FIRES, MIN_FIRES_PER_SOURCE * sources)
 
 
-def _routes(net: Network, roots: list) -> list:
-    """What each root has still to walk: a source's route — bound
-    already, or the router's pick, checked as :meth:`Network._bind` and
-    ``compile_plan`` would; ``()`` when the router has no path, every
-    fire being a drop — or the rest of a packet's path."""
-    routes = []
-    for entry in roots:
-        packet = entry[4]
-        if type(packet) is Packet:
-            routes.append(packet.plan.path[packet.hop + 1:])
-            continue
-        source = entry[2].__self__
-        src, dst = source.src, source._dsts[0]
-        bound = net._flows.get((src, dst, source.flow_id))
-        if bound is not None:
-            routes.append(bound[0])
-            continue
-        try:
-            route = net.router.route(src, dst, source.flow_id)
-        except RoutingError:
-            routes.append(())  # a fires-only column
-            continue
-        if (
-            len(route) < 2
-            or route[0] != src
-            or route[-1] != dst
-            or any(key not in net._link_rec for key in zip(route, route[1:]))
-        ):
-            raise _StandDown("bad_route")  # the scalar run raises at its fire
-        routes.append(route)
-    return routes
+def _numbering(net: Network) -> "tuple[dict, list, list]":
+    """The network's ports, numbered: ``(number by link key, port state by
+    number, link key by number)``, built at its first window."""
+    if net._port_numbers is None:
+        keys = list(net._link_rec)
+        net._port_numbers = (
+            dict(zip(keys, range(len(keys)))), [rec[1] for rec in net._link_rec.values()], keys,
+        )
+    return net._port_numbers
 
 
-def _port_order(routes: list) -> "tuple[list, list[list[int]], list[int]]":
-    """Number the directed links the routes use and sort them so that
-    every route crosses them in ascending position.  Returns ``(link
-    keys by port number, each route as port numbers, the order)``."""
-    numbers: dict = {}
-    chains = []
-    after: list[set[int]] = []
-    for route in routes:
-        chain = []
-        for key in zip(route, route[1:]):
-            port = numbers.get(key)
-            if port is None:
-                port = numbers[key] = len(numbers)
-                after.append(set())
-            chain.append(port)
-        for port, following in zip(chain, chain[1:]):
-            after[port].add(following)
-        chains.append(chain)
-    waiting = [0] * len(numbers)
-    for following in after:
-        for port in following:
-            waiting[port] += 1
-    ready = [port for port, count in enumerate(waiting) if not count]
-    order = []
+def _rows(net: Network, plan, numbers: dict) -> tuple:
+    """``plan``'s port numbers and per-byte ``ser``, ``latf`` and ``lat``
+    per hop, derived from ``HopPlan.hops`` once and kept with the
+    network's plans (``Network._plan_rows``), dropped as they are."""
+    rows = net._plan_rows.get(plan)
+    if rows is None:
+        latf, lat, _, ser = zip(*plan.hops)
+        rows = net._plan_rows[plan] = (tuple(map(numbers.__getitem__, plan.keys)), ser, latf, lat)
+    return rows
+
+
+def _port_order(chains: list, ports: int) -> np.ndarray:
+    """Each port's level in the graph "port of hop h → port of hop h+1"
+    over the ``chains`` (routes as port numbers): one past the deepest
+    port before it, so every packet crosses ascending levels.  Indexed by
+    port number (``ports`` of them, and one more for ``−1``), ``−1``
+    where no route crosses.  Kahn's order, a level at a time."""
+    chains = set(chains)
+    edges: set = set()
+    for chain in chains:
+        edges.update(zip(chain, chain[1:]))
+    after: dict = {port: [] for port in dict.fromkeys(itertools.chain.from_iterable(chains))}
+    waiting = dict.fromkeys(after, 0)
+    for port, following in edges:
+        after[port].append(following)
+        waiting[following] += 1
+    ready = [port for port, count in waiting.items() if not count]
+    level = np.full(ports + 1, -1)
+    depth = 0
+    placed = 0
     while ready:
-        port = ready.pop()
-        order.append(port)
-        for following in after[port]:
-            waiting[following] -= 1
-            if not waiting[following]:
-                ready.append(following)
-    if len(order) < len(numbers):
+        level[ready] = depth
+        placed += len(ready)
+        later = []
+        for port in ready:
+            for following in after[port]:
+                waiting[following] -= 1
+                if not waiting[following]:
+                    later.append(following)
+        ready = later
+        depth += 1
+    if placed < len(waiting):
         raise _StandDown("cyclic_ports")
-    return list(numbers), chains, order
+    return level
 
 
 class _Lineage:
     """Heap order of a window's events, rebuilt from their ancestry.
 
-    ``times`` is the ``(hops + 1) × packets`` table, packets root-major:
-    row 0 the fire times, row ``h`` the arrival at the path's ``h``-th
-    node (``inf`` where not reached).  The event ``(n, h)`` has as
-    generation-``g`` ancestor its own hop ``h − g``, then its source's
-    earlier fires ``n − (g − h)`` — root-major makes them neighbours —
-    and nothing past ``first[n]``, the source's queued (root) fire.  A
-    packet that was in flight is its own root (``first[n] = n``) and its
-    column reads ``−inf`` above the row of its queued arrival, which is
-    what "nothing past the root" looks like in a column.
-    """
+    ``times`` is the ``(hops + 1) × packets`` table, root-major: row 0
+    the fire times, row ``h`` the arrival at the path's ``h``-th node.
+    The event ``(n, h)`` has as generation-``g`` ancestor its own hop
+    ``h − g``, then its source's earlier fires ``n − (g − h)``, and
+    nothing past ``first[n]``, the root; a packet that was in flight is
+    its own root, its column ``−inf`` above its queued arrival."""
 
     def __init__(
         self, times: np.ndarray, root_of: np.ndarray, start: np.ndarray, root_t: np.ndarray
@@ -365,35 +327,23 @@ class _Lineage:
         self.times = times
         self.root_of = root_of
         self.start = start  # each root's first column
-        #: The columns that are their root's only one: a packet that was
-        #: in flight, or a source that fires once in the window.
+        #: Columns alone in their root: a packet in flight, a single fire.
         self.alone = np.zeros(root_t.size, dtype=bool)
         self.alone[start[np.diff(start, append=root_t.size) == 1]] = True
         self.rank = self._rank(root_t, root_of, start, self.alone)
-
-    @functools.cached_property
-    def first(self) -> np.ndarray:
-        """Each column's root column."""
-        return self.start[self.root_of]
 
     @staticmethod
     def _rank(
         root_t: np.ndarray, root_of: np.ndarray, start: np.ndarray, alone: np.ndarray
     ) -> np.ndarray:
-        """Position of every column's first event — its fire, or the
-        queued arrival of a packet in flight, at ``root_t`` — in the
-        heap's order of all of them: the fixed point of ``rank = order
-        by (time, rank[parent])``, a root's parent key being its queue
-        position (``root_of`` is in queue order, and a root precedes
-        whatever an event of the window scheduled).  A pair that ties
-        ``d`` generations deep is right from iteration ``d + 1`` on, so
-        the loop ends; lockstep streams tie all the way down and are
-        right at once, because the first guess is queue order.
-
-        Where no two times tie, the order of the times is the fixed
-        point, and it is found without a sort when the times already
-        increase (one stream: the rank is the column order) or only
-        ``alone`` columns are out of place (:func:`_merged`)."""
+        """Position of every column's first event, at ``root_t``, in the
+        heap's order of all of them: the fixed point of ``rank = order by
+        (time, rank[parent])``, a root's parent key its queue position.
+        A pair tying ``d`` generations deep is right from iteration
+        ``d + 1``; lockstep streams are right at once, the first guess
+        being queue order.  Without ties the time order is the answer,
+        found without a sort when the times increase or only ``alone``
+        columns are out of place (:func:`_merged`)."""
         index = np.arange(root_t.size)
         if _increasing(root_t):
             return index
@@ -402,69 +352,81 @@ class _Lineage:
         if placed is not None:
             rank[placed] = index
             return rank
+        by_time = np.argsort(root_t)
+        ts = root_t[by_time]
+        same = ts[1:] == ts[:-1]
+        if not same.any():
+            rank[by_time] = index
+            return rank
+        run = np.cumsum(np.concatenate(([True], ~same)))  # each time's number
+        tied = np.zeros(index.size, dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        at = np.flatnonzero(tied)
+        sub, run = by_time[at], run[at]
+
+        def ranked(key: np.ndarray) -> np.ndarray:
+            # Each run of tied times by ``key``, as one integer key:
+            # parent keys are distinct, so no quicksort tie is left.
+            key = key[sub] - key[sub].min()
+            order = by_time.copy()
+            order[at] = sub[np.argsort(run * (int(key.max()) + 1) + key)]
+            placed = np.empty_like(index)
+            placed[order] = index
+            return placed
+
         root = np.zeros(root_t.size, dtype=bool)
         root[start] = True
-        rank[np.lexsort((root_of, root_t))] = index
+        rank = ranked(root_of)
         while True:
-            parent_key = np.where(root, root_of - (root_of[-1] + 1), rank[index - 1])
-            again = np.empty_like(index)
-            again[np.lexsort((parent_key, root_t))] = index
+            again = ranked(np.where(root, root_of - (root_of[-1] + 1), rank[index - 1]))
             if np.array_equal(again, rank):
                 return rank
             rank = again
 
     def fire_rank(self, columns: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """``rank`` of ``columns`` counted over the fires that send alone,
-        ``skip`` being the columns that take no packet id — the packets
-        that were in flight, the dropped fires: what a fire adds to the
-        network's next packet id."""
+        """``rank`` of ``columns`` over the fires that take a packet id —
+        ``skip`` are the columns that do not: packets in flight, drops."""
         rank = self.rank[columns]
         return rank - np.searchsorted(np.sort(self.rank[skip]), rank)
 
     def order(
-        self, n: np.ndarray, hop: np.ndarray, t: np.ndarray, child: "np.ndarray | None" = None
+        self, n: np.ndarray, hop: np.ndarray, t: np.ndarray, child: "np.ndarray | None" = None,
+        port: "int | np.ndarray | None" = None,
     ) -> "np.ndarray | None":
         """The permutation that puts the events ``(n, hop)``, at times
-        ``t``, in heap order — ``None`` when they are in it already, their
-        times strictly increasing.  ``child`` breaks the tie between two
-        events that are the same event (the hand-back orders pending
-        events by their parents: the packet before the re-arm).  Where
-        nothing ties and only the events of single-column roots are out
-        of place — the packet that was in flight at the window's start —
-        they are placed without a sort (:func:`_merged`)."""
-        if _increasing(t):
-            return None
-        placed = _merged(t, self.alone[n])
-        if placed is not None:
-            return placed
-        order = np.argsort(t, kind="stable")
-        ts = t[order]
-        same = ts[1:] == ts[:-1]
-        if not same.any():
-            return order
-        tied = np.zeros(ts.size, dtype=bool)
-        tied[1:] = same
-        tied[:-1] |= same
-        at = np.flatnonzero(tied)
-        sub = order[at]
-        keys = self._keys(n[sub], hop[sub])
-        if child is not None:
-            keys.insert(0, child[sub])
-        keys.append(ts[at])
-        # Time is the primary key, so each run of equal times is sorted
-        # within the positions it already holds.
-        order[at] = sub[np.lexsort(keys)]
-        return order
+        ``t``, in heap order — ``None`` when they are, their times
+        strictly increasing.  ``child`` breaks a tie between the same
+        parent's events (the packet before the re-arm); ``port`` (a
+        number, or one per event) orders a level's events port by port.
+        One port's lone out-of-place columns are placed without a sort
+        (:func:`_merged`)."""
+        primary = [t]
+        if port is None or isinstance(port, int):
+            if _increasing(t):
+                return None
+            placed = _merged(t, self.alone[n])
+            if placed is not None:
+                return placed
+            order = np.argsort(t)
+        else:  # by port, a radix sort: done if each port's times increase
+            order = np.argsort(port, kind="stable")
+            ts, ps = t[order], port[order]
+            if not ((ts[1:] <= ts[:-1]) & (ps[1:] == ps[:-1])).any():
+                return order
+            order = np.argsort(t)
+            order = order[np.argsort(port[order], kind="stable")]
+            primary.append(port)
+        return _ties(order, primary, lambda sub: self._keys(n[sub], hop[sub]) if child is None
+                     else [child[sub]] + self._keys(n[sub], hop[sub]))
 
     def _keys(self, n: np.ndarray, hop: np.ndarray) -> list:
-        """``np.lexsort`` keys, least significant first: ``−hop`` (of two
-        descendants of one fire at equal depth, the one further along
-        took the packet branch earlier), the rank of the oldest
-        ancestor looked at, then the ancestors' times from that one back
-        up to the parent; ``−inf`` past the root."""
+        """``np.lexsort`` keys, least significant first: ``−hop``, the rank
+        of the oldest ancestor looked at, then the ancestors' times from
+        it to the parent; ``−inf`` past the root."""
         times = self.times
         depth = times.shape[0] - 1
-        first = self.first[n]
+        first = self.start[self.root_of[n]]  # each event's root column
         columns = []
         for g in range(depth, 0, -1):
             fire = n - np.maximum(g - hop, 0)
@@ -475,17 +437,32 @@ class _Lineage:
         return [-hop, self.rank[oldest]] + columns
 
 
+def _ties(order: np.ndarray, primary: list, keys) -> np.ndarray:
+    """``order``, sorted by the ``primary`` keys with ties in any order,
+    with each run of ties put in the order of ``keys(sub)`` (lexsort keys
+    of the tied entries ``sub``), then of position, as a stable sort."""
+    primary = [key[order] for key in primary]
+    same = np.logical_and.reduce([key[1:] == key[:-1] for key in primary])
+    if not same.any():
+        return order
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = np.flatnonzero(tied)
+    sub = order[at]
+    order[at] = sub[np.lexsort([sub] + keys(sub) + [key[at] for key in primary])]
+    return order
+
+
 def _increasing(t: np.ndarray) -> bool:
     """Whether ``t`` strictly increases: heap order already, nothing tied."""
     return bool((t[1:] > t[:-1]).all())
 
 
 def _merged(t: np.ndarray, lone: np.ndarray) -> "np.ndarray | None":
-    """The permutation that sorts ``t`` when only the few ``lone``
-    entries are out of place: the others strictly increase, and no two
-    times tie.  The lone entries are sorted among themselves and each is
-    placed by a binary search; the others are not sorted.  ``None`` when
-    that does not hold, or no entry is lone."""
+    """The permutation that sorts ``t`` when only the few ``lone`` entries
+    are out of place and no two times tie: each placed by a binary
+    search.  ``None`` when that does not hold, or no entry is lone."""
     solo = np.flatnonzero(lone)
     if not solo.size or solo.size == t.size:
         return None
@@ -504,14 +481,22 @@ def _merged(t: np.ndarray, lone: np.ndarray) -> "np.ndarray | None":
     return np.insert(np.delete(np.arange(t.size), solo), at, solo)
 
 
+def _pick(index: np.ndarray, *columns) -> list:
+    """Each column at ``index``; a scalar one (one hop, one port) as is."""
+    return [column if isinstance(column, int) else column[index] for column in columns]
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``first[i], first[i] + 1, …``, ``count[i]`` long, for every ``i``."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
+
+
 def _columns(roots: np.ndarray, start: np.ndarray, count: np.ndarray) -> "slice | np.ndarray":
     """The columns of ``roots`` (ascending), root-major: a slice when the
     roots are neighbours, and so are their columns."""
     if roots[-1] - roots[0] == roots.size - 1:
         return slice(int(start[roots[0]]), int(start[roots[-1]] + count[roots[-1]]))
-    lengths = count[roots]
-    offset = np.cumsum(lengths) - lengths
-    return np.arange(int(offset[-1] + lengths[-1])) + np.repeat(start[roots] - offset, lengths)
+    return _spans(start[roots], count[roots])
 
 
 def _index(columns: "slice | np.ndarray") -> np.ndarray:
@@ -523,81 +508,104 @@ def _index(columns: "slice | np.ndarray") -> np.ndarray:
 
 def _solve(net: Network, until: float, roots: list) -> None:
     engine = net.engine
+    numbers, states, port_keys = _numbering(net)
 
-    # (1) What each root has still to walk, and the order of ports.
-    routes = _routes(net, roots)
-    port_keys, chains, port_order = _port_order(routes)
-
-    # One column of the table per fire and per packet in flight,
-    # root-major; one column of coefficients per root, multiplied as the
-    # kernel does.  Nothing stands down past this point: each flow is
-    # bound as its first packet would, every later one is a plan hit.
-    # A source with no route has no plan: its fires are drops.
+    # (1) What each root has still to cross, as port numbers, and each
+    # port's level: the rest of a packet's path; a bound source's plan; a
+    # route the router picks, checked as ``Network._bind`` and
+    # ``compile_plan`` would, and bound only past the last stand-down —
+    # each flow as its first packet would, every later one a plan hit.
+    # A source the router has no path for has no plan: its fires drop.
+    width = len(roots)
+    chains = []
+    rows = []  # each root's compiled rows (:func:`_rows`)
     plans = []
     sizes = []
     groups = []
     sinks = []  # each root's ``on_delivered``: ``None`` or a DeliveryBins
-    rows = []  # the table row of each root's queued event
-    fires = []
-    unspent = []  # each firing source's gaps past its last fire
+    row = [0] * width  # the table row of each root's queued event
+    firing = []
     flown = []  # (root, packet) of the packets in flight
     dropping = []  # the roots of fires-only columns
-    unbound = 0
+    unbound = []
     for j, entry in enumerate(roots):
         packet = entry[4]
         if type(packet) is Packet:
+            origin = packet
+            plan = packet.plan
             flown.append((j, packet))
-            plans.append(packet.plan)
-            sizes.append(packet.size_bytes)
-            groups.append(packet.group)
-            sinks.append(packet.on_delivered)
-            rows.append(packet.hop + 1)
-            fires.append(None)
-            continue
-        source = entry[2].__self__
-        if routes[j]:
-            src, dst = source.src, source._dsts[0]
-            bound = net._flows.get((src, dst, source.flow_id))
-            if bound is None:
-                unbound += 1
-                bound = net._bind(src, dst, source.flow_id, None)
-            plans.append(bound[1])
+            row[j] = packet.hop + 1
         else:
-            dropping.append(j)
-            plans.append(None)
-        sizes.append(source.size_bytes)
-        groups.append(source.group)
-        sinks.append(source.on_delivered)
-        rows.append(0)
-        times, gaps = source._fires_through(entry[0], until)
-        fires.append(times)
-        unspent.append(gaps)
-    firing = [j for j, times in enumerate(fires) if times is not None]
+            origin = entry[2].__self__
+            src, dst = origin.src, origin._dsts[0]
+            plan = net._flows.get((src, dst, origin.flow_id))
+            if plan is not None:
+                plan = plan[1]
+            else:
+                try:
+                    route = net.router.route(src, dst, origin.flow_id)
+                except RoutingError:
+                    route = ()
+                    dropping.append(j)
+                else:
+                    if len(route) < 2 or route[0] != src or route[-1] != dst:
+                        raise _StandDown("bad_route")  # the scalar run raises at its fire
+                    unbound.append(j)
+                try:
+                    chains.append(tuple(map(numbers.__getitem__, zip(route, route[1:]))))
+                except KeyError:
+                    raise _StandDown("bad_route") from None
+            firing.append(j)
+        plans.append(plan)
+        rows.append(None if plan is None else _rows(net, plan, numbers))
+        if plan is not None:
+            chains.append(rows[j][0][row[j]:])
+        sizes.append(origin.size_bytes)
+        groups.append(origin.group)
+        sinks.append(origin.on_delivered)
+    hops = np.fromiter(map(len, chains), np.intp, width)
+    owner = np.repeat(np.arange(width), hops)
+    crossed = np.fromiter(itertools.chain.from_iterable(chains), np.intp, owner.size)
+    level = _port_order(chains, len(states))
+    row = np.array(row)
+    for j in unbound:  # nothing stands down past this point
+        source = roots[j][2].__self__
+        plans[j] = net._bind(source.src, source._dsts[0], source.flow_id, None)[1]
+        rows[j] = _rows(net, plans[j], numbers)
+    fire_t, fires, next_fire, unspent = PoissonSource._fires_through(
+        [roots[j][2].__self__ for j in firing], np.array([roots[j][0] for j in firing]), until
+    )
 
-    count = np.array([1 if f is None else f.size - 1 for f in fires])
+    count = np.ones(width, dtype=np.intp)
+    count[firing] = fires
     end = np.cumsum(count)
     start = end - count
     total = int(end[-1])
     drops = [np.arange(start[j], end[j]) for j in dropping]  # their columns
     dropped = sum(columns.size for columns in drops)
     fired = total - len(flown) - dropped  # the packets born: one id each
-    root_of = np.repeat(np.arange(len(roots), dtype=np.int32), count)
-    # A dropped fire reaches no hop (``last`` −1): never delivered, never
-    # in flight.
+    root_of = np.repeat(np.arange(width, dtype=np.int32), count)
+    # A dropped fire reaches no hop (``last`` −1): never delivered.
     last = np.array([-1 if plan is None else plan.last for plan in plans])
     depth = max(int(last.max()), 0)
     times = np.full((depth + 1, total), np.inf)
-    times[0] = np.concatenate([[-np.inf] if f is None else f[:-1] for f in fires])
-    next_fire = [float(fires[j][-1]) for j in firing]
-    del fires
-    root_t = born = times[0]
     if flown:
         at = end[[j for j, _ in flown]] - 1
+        taken = 0  # the fires fill the runs of columns between packets in flight
+        for lo, hi in zip([0] + (at + 1).tolist(), at.tolist() + [total]):
+            times[0, lo:hi] = fire_t[taken:taken + hi - lo]
+            taken += hi - lo
+    else:
+        times[0] = fire_t
+    next_fire = next_fire.tolist()
+    del fire_t
+    root_t = born = times[0]
+    if flown:
         root_t = born.copy()
         born = born.copy()
         for column, (j, packet) in zip(at.tolist(), flown):
-            times[:rows[j], column] = -np.inf
-            times[rows[j], column] = root_t[column] = roots[j][0]
+            times[:packet.hop + 1, column] = -np.inf
+            times[packet.hop + 1, column] = root_t[column] = roots[j][0]
             born[column] = packet.created_at
     lineage = _Lineage(times, root_of, start, root_t)
     # A packet id counts the fires that came before, less the drops; a
@@ -612,123 +620,111 @@ def _solve(net: Network, until: float, roots: list) -> None:
             ids[at] = [packet.packet_id for _, packet in flown]
         labels = np.array(groups, dtype=object)
 
+    # The coefficient tables, ``depth × roots``, gathered from the rows.
     size = np.array(sizes, dtype=float)
     carried = size[last > 0]  # what crosses a port
     one_size = bool((carried == carried[:1]).all())
-    port_at = np.full((depth, len(roots)), -1, dtype=np.int32)
-    ser = np.zeros((depth, len(roots)))
-    credit = np.zeros_like(ser)
-    lat = np.zeros_like(ser)
-    for j, (plan, chain, row, bytes_) in enumerate(zip(plans, chains, rows, sizes)):
-        if plan is None:
-            continue
-        hops = plan.last
-        port_at[row:hops, j] = chain
-        records = plan.hops[row:]
-        ser[row:hops, j] = [bytes_ * rec[3] for rec in records]
-        credit[row:hops, j] = [bytes_ * rec[0] for rec in records]
-        lat[row:hops, j] = [rec[1] for rec in records]
+    hop_of = _spans(row, hops)
+    port_at = np.full((depth, width), -1, dtype=np.intp)
+    port_at[hop_of, owner] = crossed
+    coefficients = np.zeros((3, depth, width))  # ser, credit, lat
+    uniform = True  # every root multiplies alike at each hop: scalars
+    per_hop = np.zeros((3, depth))  # a coefficient of each hop
+    if crossed.size:
+        compiled = [mine for mine in rows if mine is not None]
+        full = np.fromiter((len(mine[0]) for mine in compiled), np.intp, len(compiled))
+        offset = np.zeros(width, dtype=np.intp)
+        offset[[j for j, mine in enumerate(rows) if mine is not None]] = np.cumsum(full) - full
+        values = np.array([
+            np.fromiter(itertools.chain.from_iterable(mine[k] for mine in compiled), float, int(full.sum()))
+            for k in (1, 2, 3)
+        ])[:, _spans(offset + row, hops)]
+        values[:2] *= size[owner]
+        coefficients[:, hop_of, owner] = values
+        per_hop[:, hop_of] = values
+        uniform = bool((values == per_hop[:, hop_of]).all())
+    ser, credit, lat = coefficients
+    del chains, rows, hop_of
 
-    # Which columns cross which port at which hop: per port, one part per
-    # hop, root-major — and, when every root crossing the port multiplies
-    # alike, its coefficients as scalars.  A hop that crosses one port
-    # takes the columns of the roots that cross it, a slice when they are
-    # neighbours (a root's columns are); only a hop that crosses several
-    # sorts its column of port numbers (stable: root-major in a port).
-    kinds: list = [set() for _ in port_keys]
-    credits, lats, sers = credit.tolist(), lat.tolist(), ser.tolist()
-    for j, (chain, row) in enumerate(zip(chains, rows)):
-        for h, number in enumerate(chain, row):
-            kinds[number].add((credits[h][j], lats[h][j], sers[h][j]))
-    alike = [next(iter(kind)) if len(kind) == 1 else None for kind in kinds]
-    by_port: list = [[] for _ in port_keys]
-    for h in range(depth):
-        crossers = np.flatnonzero(port_at[h] >= 0)
-        if not crossers.size:
-            continue
-        numbers = port_at[h, crossers]
-        if (numbers == numbers[0]).all():
-            by_port[numbers[0]].append((h, _columns(crossers, start, count)))
-            continue
-        column = port_at[h][root_of]
-        packets = np.argsort(column, kind="stable").astype(np.int32)
-        column = column[packets]
-        numbers = sorted(set(numbers.tolist()))
-        lo = np.searchsorted(column, numbers, "left").tolist()
-        hi = np.searchsorted(column, numbers, "right").tolist()
-        for number, a, b in zip(numbers, lo, hi):
-            by_port[number].append((h, packets[a:b]))
-
-    # (2) Clock every port, upstream first: one hop's columns as views of
-    # the table's row, several hops' on flat indices — the event ``(n,
-    # hop)`` is ``hop·total + n`` of ``times``, its coefficients
-    # ``hop·width + root`` of ``credit``, ``lat`` and ``ser``.
+    # (2) Clock the ports a level at a time, upstream first: the level's
+    # events sorted by (port, heap order), one port's run after another —
+    # the event ``(n, hop)`` is ``hop·total + n`` of ``times``, its
+    # coefficients ``hop·width + root`` of ``credit``, ``lat`` and ``ser``.
     prop = net.propagation_delay
-    ports = net._ports
-    width = len(roots)
     flat = times.reshape(-1)
-    for number in port_order:
-        parts = by_port[number]
-        if len(parts) == 1:
-            (hop, n), = parts  # one hop: a scalar, and ``n`` maybe a slice
+    at_level = level[port_at]
+    placed = np.flatnonzero(level[:-1] >= 0)
+    members: list = [[] for _ in range(int(level.max()) + 1)]  # each level's ports, ascending
+    rank = np.zeros(level.size, dtype=np.uint16 if level.size < 2**16 else np.intp)
+    for number, stage in zip(placed.tolist(), level[placed].tolist()):
+        rank[number] = len(members[stage])  # the port's rank in its level
+        members[stage].append(number)
+    for stage, clocked in enumerate(members):
+        hs, js = np.nonzero(at_level == stage)
+        hop = int(hs[0])
+        if hop == hs[-1]:  # one hop: a scalar, and ``n`` maybe a slice
+            n = _columns(js, start, count)
             t = times[hop, n]
         else:
-            n = [_index(columns) for _, columns in parts]
-            hop = np.repeat([h for h, _ in parts], [columns.size for columns in n])
-            n = np.concatenate(n)
+            hop = np.repeat(hs, count[js])
+            n = _spans(start[js], count[js])
             t = flat.take(hop * total + n)
+        # Each event's port as its rank in the level (a radix sort's key).
+        port = 0 if len(clocked) == 1 else np.repeat(rank[port_at[hs, js]], count[js])
         due = t <= until
         if not due.all():
-            n = _index(n)[due]
-            t = t[due]
-            if not isinstance(hop, int):
-                hop = hop[due]
+            n, t, hop, port = _pick(due, _index(n), t, hop, port)
             if not t.size:
                 continue
-        if not _increasing(t):
+        if not (isinstance(port, int) and _increasing(t)):
             n = _index(n)
-            order = lineage.order(n, np.full(n.size, hop) if isinstance(hop, int) else hop, t)
-            n, t = n[order], t[order]
-            if not isinstance(hop, int):
-                hop = hop[order]
-        scalars = alike[number]
-        if scalars is not None:
-            credit_, lat_, service = scalars
+            order = lineage.order(n, np.full(n.size, hop) if isinstance(hop, int) else hop, t,
+                                  port=port)
+            if order is not None:
+                n, t, hop, port = _pick(order, n, t, hop, port)
+        if uniform and isinstance(hop, int):  # scalars
+            service, credit_, lat_ = per_hop[:, hop].tolist()
             earliest = (t + credit_) + lat_
         else:
             coefficient = hop * width + root_of[n]
             earliest = (t + credit.take(coefficient)) + lat.take(coefficient)
             service = ser.take(coefficient)
-        port = ports[port_keys[number]]
-        busy = port.busy_until
-        tails = earliest + service
-        if earliest[0] < busy or bool((earliest[1:] < tails[:-1]).any()):
-            # One size is not one service time: a packet in flight across
-            # a hybrid epoch keeps the plan, and the rate, it started with.
-            if scalars is None and one_size and bool((service == service[0]).all()):
-                service = float(service[0])
-            tails = _contended_tails(earliest, busy, service)
-        if log is not None:
-            started = np.maximum(np.concatenate(([busy], tails[:-1])), earliest)
-            whose = root_of[n]
-            log.hops.append(
-                (port_keys[number], ids[n], earliest, started, tails, size[whose], labels[whose])
-            )
-        port.busy_until = float(tails[-1])
-        port.packets_sent += t.size
-        if one_size:
-            port.bytes_sent = _repeated_add(port.bytes_sent, carried[0], t.size)
+        if isinstance(port, int):
+            heads = [0]
         else:
-            sent = port.bytes_sent
-            for bytes_ in size.take(root_of[n]).tolist():
-                sent += bytes_
-            port.bytes_sent = sent
+            heads = np.flatnonzero(np.concatenate(([True], port[1:] != port[:-1])))
+            clocked = [clocked[k] for k in port[heads].tolist()]
+            heads = heads.tolist()
+        busy = [states[number].busy_until for number in clocked]
+        tails = _tails(earliest, service, heads, busy)
+        bounds = heads + [t.size]
+        whose = root_of[n] if log is not None or not one_size else None
+        ends = [float(tails[-1])] if len(heads) == 1 else tails[np.array(bounds[1:]) - 1].tolist()
+        for number, a, b, tail in zip(clocked, bounds, bounds[1:], ends):
+            state = states[number]
+            state.busy_until = tail
+            state.packets_sent += b - a
+            if one_size:
+                state.bytes_sent = _repeated_add(state.bytes_sent, carried[0], b - a)
+            else:
+                state.bytes_sent = functools.reduce(
+                    operator.add, size.take(whose[a:b]).tolist(), state.bytes_sent
+                )  # one add per packet, in its port's order
+        if log is not None:
+            ahead = np.append(0.0, tails[:-1])
+            ahead[heads] = busy
+            started = np.maximum(ahead, earliest)
+            ids_ = ids[n]
+            for number, a, b in zip(clocked, bounds, bounds[1:]):
+                mine = whose[a:b]
+                log.hops.append((
+                    port_keys[number], ids_[a:b], earliest[a:b], started[a:b], tails[a:b],
+                    size[mine], labels[mine],
+                ))
         if isinstance(hop, int):
             times[hop + 1, n] = tails + prop
         else:
             flat[(hop + 1) * total + n] = tails + prop
-
-    del by_port
 
     # (3) Deliveries, in event order.  Arrivals only grow along a path,
     # so a column whose last arrival is due is delivered; only the others
@@ -772,7 +768,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
         sink.add_many(delivered[into], size[sender][into])
     # A fire's column counts its arrivals; a root packet's also the rows
     # above its queued one, which this window did not process.
-    engine.credit_events(int(reached.sum()) + total - sum(rows))
+    engine.credit_events(int(reached.sum()) + total - int(row.sum()))
 
     # A packet that was in flight is the caller's object: it ends where
     # the kernel would have left it, and its entry goes if it arrived.
@@ -843,13 +839,13 @@ def _solve(net: Network, until: float, roots: list) -> None:
         source.packets_sent += consumed
         # The spent gaps are dropped with the window's draw: the buffer
         # holds only what the fires left, as Python floats again.
-        source._gaps = gaps.tolist()
+        source._gaps = gaps
         source._gap_i = 0
     obs = net.obs
     if obs is not None:
         if dropped:
             obs.incr("drops.unroutable", dropped)
-        obs.incr("fastpath.plan_hits", fired - unbound)
+        obs.incr("fastpath.plan_hits", fired - len(unbound))
         obs.incr("batch.cohorts")
         obs.incr("batch.packets", fired)
         obs.observe("batch.cohort_size", fired)
@@ -860,20 +856,13 @@ def _outages(
     hops: np.ndarray, arrived: np.ndarray, drops: list,
 ) -> None:
     """Each flow's outage clock through the window, as the event loop
-    leaves it: a dropped fire opens the flow's outage if none is open
-    (``record_drop``), a delivery closes it (``record_delivery``).
-
-    ``sender``, ``done``, ``hops`` and ``arrived`` are the deliveries, in
-    delivery order; ``drops`` pairs each fires-only root's group with
-    its columns.  Flows touch each other only through the order
-    ``recovery_times_by_flow`` gains keys — that of their first close,
-    always a delivery — so each flow's events are merged on their own,
-    in heap order (:meth:`_Lineage.order`, fires being hop-0 events;
-    a flow with one kind needs no merge), and only those that can move
-    its clock are kept: each run of drops (one ``record_drops``), the
-    delivery right after a run, and the first delivery, which closes an
-    outage open before the window.  All flows' are then applied in
-    delivery order, a run of drops just before the delivery after it.
+    leaves it: a dropped fire opens the flow's outage if none is open, a
+    delivery closes it.  ``sender``, ``done``, ``hops`` and ``arrived``
+    are the deliveries in delivery order; ``drops`` pairs each fires-only
+    root's group with its columns.  Each flow's events are merged alone,
+    in heap order, keeping only what can move its clock — each run of
+    drops, the delivery after a run, the first delivery — and all flows'
+    are applied in delivery order, drops just before the delivery after.
     """
     names = list(dict.fromkeys(groups))
     number = {name: g for g, name in enumerate(names)}
@@ -926,42 +915,62 @@ def _outages(
             faults.record_drops(name, run, time)
 
 
-def _contended_tails(
-    e: np.ndarray, busy: float, ser: "float | np.ndarray"
-) -> np.ndarray:
-    """Port tail times when packets queue on each other (or a busy port).
-
-    The result is, bit for bit, the reference recurrence — ``start =
-    busy; if start < earliest: start = earliest; tail = start + ser`` —
-    run packet by packet.  ``ser`` is one serialization time, or one per
-    packet (mixed sizes on one port), which is replayed as written.
-
-    With one ``ser`` the tails are **guessed, certified and repaired**.
-    :func:`_guess_tails` fills every busy period in closed form; the
-    guess is *the* sequential result exactly when each entry satisfies
-    the recurrence given its predecessor — ``guess == max(prev, e) +
-    ser`` with ``prev = [busy, guess[:-1]]``, one vectorized comparison,
-    and induction does the rest.  From the first entry that fails, the
-    loop replays the recurrence to the next packet that finds the port
-    idle, and the rest is guessed again.  A guess is made only where at
-    least ``MIN_CERTIFIED`` packets, and an eighth of those left, arrive
-    before their predecessor's idle tail; one that certified fewer than
-    that leaves the rest of the call to the loop.  So no input costs
-    more than the loop and a bounded number of vectorized passes, and a
-    port where few packets queue costs what the loop costs.
-    """
-    if isinstance(ser, np.ndarray):
-        out = np.empty_like(e)
-        b = busy
-        for i, (earliest, s) in enumerate(zip(e.tolist(), ser.tolist())):
-            start = earliest if b < earliest else b
-            b = start + s
-            out[i] = b
+def _tails(e: np.ndarray, ser: "float | np.ndarray", heads: np.ndarray, busy: list) -> np.ndarray:
+    """The kernel's tails over one level: ``e`` the earliest starts, port by
+    port, each in heap order; ``heads`` where each port's run begins;
+    ``busy`` its ``busy_until``; ``ser`` one time or one per event.  One
+    comparison finds the packets that queue; a port where at least
+    ``MIN_CERTIFIED`` do, on one ``ser``, is :func:`_contended_tails`'
+    to guess, and the rest are replayed in one :func:`_replay` pass."""
+    out = e + ser
+    if len(heads) == 1 and not isinstance(ser, np.ndarray):  # one port, one ser
+        if e[0] < busy[0] or bool((e[1:] < out[:-1]).any()):
+            _contended_tails(e, busy[0], ser, out)
         return out
-    out = e + ser  # the tail of a packet that finds the port idle
+    late = np.empty(e.size, dtype=bool)
+    late[1:] = e[1:] < out[:-1]
+    late[heads] = e[heads] < busy
+    queueing = np.add.reduceat(late, heads)  # per port
+    if not queueing.any():
+        return out
+    bounds = heads + [e.size]
+    for k in np.flatnonzero(queueing >= MIN_CERTIFIED).tolist():
+        a, b = bounds[k], bounds[k + 1]
+        service = ser[a:b] if isinstance(ser, np.ndarray) else np.array([ser])
+        if (service == service[0]).all():  # mixed sizes on one port are replayed
+            _contended_tails(e[a:b], busy[k], float(service[0]), out[a:b])
+            late[a:b] = False
+    if late.any():
+        service = ser.tolist() if isinstance(ser, np.ndarray) else [ser] * e.size
+        _replay(e.tolist(), out, np.flatnonzero(late).tolist(), busy, service, bounds)
+    return out
+
+
+def _contended_tails(
+    e: np.ndarray, busy: float, ser: "float | np.ndarray", out: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Port tail times when packets queue on each other (or a busy port):
+    bit for bit the recurrence ``start = max(busy, earliest); tail =
+    start + ser``, packet by packet.  ``ser`` is one time, or one per
+    packet (replayed as written); ``out``, if given, holds ``e + ser`` and
+    is filled in place.
+
+    With one ``ser`` the tails are **guessed, certified and repaired**:
+    :func:`_guess_tails` fills every busy period in closed form, and the
+    guess is exact where each entry satisfies the recurrence given its
+    predecessor (one vectorized comparison).  From the first that fails
+    the loop replays to the next idle packet, then guesses again.  A
+    guess is made only where at least ``MIN_CERTIFIED`` packets, and an
+    eighth of those left, queue; so no input costs more than the loop
+    and a bounded number of vectorized passes."""
+    if isinstance(ser, np.ndarray):
+        return _tails(e, ser, [0], [busy])
+    if out is None:
+        out = e + ser  # the tail of a packet that finds the port idle
     size = e.size
     arrivals = None
     i = 0
+    whole = [0, size]
     while True:
         # Packets that arrive before their predecessor's idle tail: what
         # the loop would replay, or about (a busy period's later packets
@@ -987,57 +996,54 @@ def _contended_tails(
         # Repair: the busy period of the first entry that failed.
         if arrivals is None:
             arrivals = e.tolist()
-        i = _replay(arrivals, out, [i], busy, ser)
+        i = _replay(arrivals, out, [i], [busy], [ser] * size, whole)
         if i == size:
             return out
     if arrivals is None:
         arrivals = e.tolist()
-    _replay(arrivals, out, [i] + queued[queued > i].tolist(), busy, ser)
+    _replay(arrivals, out, [i] + queued[queued > i].tolist(), [busy], [ser] * size, whole)
     return out
 
 
-def _replay(arrivals: list, out: np.ndarray, starts: list, busy: float, ser: float) -> int:
+def _replay(
+    arrivals: list, out: np.ndarray, starts: list, busy: list, ser: list, bounds: list
+) -> int:
     """The recurrence, packet by packet, over the busy periods that begin
-    at ``starts`` (ascending; a start inside the period just replayed is
-    skipped), each from its first packet while arrivals precede the
-    running tail.  ``out`` holds every other tail already: a certified
-    guess before the first start, ``e + ser`` — a packet that finds the
-    port idle — after it.  Returns the index after the last packet
-    replayed."""
-    size = len(arrivals)
+    at ``starts`` (ascending; one inside the period just replayed is
+    skipped), never into the next port's run: port ``k``'s run is
+    ``bounds[k]:bounds[k + 1]``, a period at its head starts from
+    ``busy[k]``.  ``ser`` holds each packet's service time, ``out`` every
+    other tail already.  Returns the index after the last one replayed."""
     i = 0
+    k = 0
     for start in starts:
         if start < i:
             continue
         i = start
-        b = float(out[i - 1]) if i else busy
-        b = (arrivals[i] if b < arrivals[i] else b) + ser
+        while bounds[k + 1] <= i:
+            k += 1
+        stop = bounds[k + 1]
+        b = busy[k] if i == bounds[k] else float(out[i - 1])
+        b = (arrivals[i] if b < arrivals[i] else b) + ser[i]
         out[i] = b
         i += 1
-        while i < size and arrivals[i] < b:
-            b = b + ser
+        while i < stop and arrivals[i] < b:
+            b = b + ser[i]
             out[i] = b
             i += 1
     return i
 
 
 def _guess_tails(e: np.ndarray, busy: float, ser: float) -> np.ndarray:
-    """The tails of the recurrence, guessed: every busy period in closed
-    form, split where its tails cross a power of two.  The caller
-    certifies it.
-
-    A busy period starts where ``e[i] − i·ser`` reaches the running max
-    of it (``busy`` included) — the max-plus form of the recurrence,
-    which rounds differently, so it only *locates* the starts.  A period
-    from ``x0`` (its first arrival, or ``busy``) first leaves at ``t1 =
-    x0 + ser`` and then every ``d = (t1 + ser) − t1`` later, ``t1 + m·d``
-    being exact: inside a binade, adding ``ser`` to a multiple of its ulp
-    always rounds by the same amount — on a half-ulp ``ser`` too when
-    ``x0`` shares ``t1``'s binade, because the tie that made ``t1``
-    rounded to even and fixed the parity every later tie rounds from.
-    Where ``t1 + m·d`` would reach the binade's top, a new period starts
-    from the tail before it, as the recurrence would step from it.
-    """
+    """The recurrence's tails, guessed for the caller to certify: every
+    busy period in closed form, split where its tails cross a power of
+    two.  A period starts where ``e[i] − i·ser`` reaches its running max
+    (``busy`` included; the max-plus form only *locates* starts).  From
+    ``x0`` it leaves first at ``t1 = x0 + ser``, then every ``d = (t1 +
+    ser) − t1``, ``t1 + m·d`` being exact inside a binade — on a half-ulp
+    ``ser`` too, the tie that made ``t1`` having fixed the parity every
+    later tie rounds from.  At the binade's top a new period starts from
+    the tail before it, as the recurrence steps from it."""
     index = np.arange(e.size)
     key = e - index * ser
     key[0] = max(key[0], busy)  # the running max starts from ``busy``
@@ -1079,13 +1085,8 @@ def _guess_tails(e: np.ndarray, busy: float, ser: float) -> np.ndarray:
 
 
 def _repeated_add(base: float, step: float, count: int) -> float:
-    """``base`` after ``count`` sequential ``+= step`` operations.
-
-    Matches the scalar loop's per-packet ``bytes_sent += size`` float
-    accumulation bit for bit.  Integer-valued floats below 2**53 sum
-    exactly, so the common case (whole-byte sizes and counters) is one
-    multiply-add; anything else replays the additions.
-    """
+    """``base`` after ``count`` sequential ``+= step``, bit for bit: one
+    multiply-add for whole numbers under 2**53, the adds replayed else."""
     base = float(base)
     step = float(step)
     total = base + step * count
@@ -1097,10 +1098,9 @@ def _repeated_add(base: float, step: float, count: int) -> float:
 
 
 def _record(stats, names: list, owner: np.ndarray, latency: np.ndarray) -> None:
-    """Record ``latency`` (delivery order; ``owner[i]`` the root of
-    sample ``i``) into ``stats`` as one block, each sample filed under
-    its root's group, a new group registered at its first delivery, as
-    per-packet ``record`` calls would."""
+    """``latency`` (delivery order; ``owner[i]`` sample ``i``'s root) into
+    ``stats`` as one block, each under its root's group, as per-packet
+    ``record`` calls would."""
     distinct = {name: g for g, name in enumerate(dict.fromkeys(names))}
     if len(distinct) == 1:
         (name,) = distinct

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -136,14 +137,83 @@ class HopLog:
     group, time)`` per severed or stranded packet; ``unroutable`` counts
     offered packets with no route.  Each port's rows are in its enqueue
     order and each packet's in its path order; nothing else about the
-    order of rows is promised.
+    order of rows is promised.  Every ``CHUNK_ROWS`` entries, and before
+    a query, the kernel's rows are transposed in place into typed
+    columns (:meth:`compact`).
     """
 
+    #: Kernel rows kept as Python tuples before they are transposed: a
+    #: tuple row costs ~200 bytes, a chunk's row ~50.  A bound in the
+    #: manner of ``Network.FLOW_TABLE_LIMIT``, not a knob.
+    CHUNK_ROWS = 65_536
+
     def __init__(self) -> None:
-        self.hops: list[tuple] = []
+        self.hops: list = []
         self.deliveries: list = []
         self.drops: list[tuple] = []
         self.unroutable = 0
+        #: ``len(hops)`` at which the kernel calls :meth:`compact`.
+        self.compact_at = self.CHUNK_ROWS
+        self.compactions = 0
+        self._compact = (0, 0)  # entries of hops and deliveries compacted
+
+    def compact(self) -> None:
+        """Transpose each run of kernel rows recorded since the last call
+        into one :class:`_Chunk`, and each run of delivered ids into one
+        array, where they stand: record order is kept."""
+        hops, deliveries = self._compact
+        rows = self.hops[hops:]
+        ids = self.deliveries[deliveries:]
+        rows, chunked = _runs(rows, map(type, map(operator.itemgetter(1), rows)), _Chunk.of)
+        ids, folded = _runs(ids, map(type, ids), lambda run: np.array(run, dtype=np.int64))
+        if chunked or folded:  # a query's answers are keyed on the lengths, and this
+            self.hops[hops:] = rows  # shortens them
+            self.deliveries[deliveries:] = ids
+            self.compactions += 1
+        self._compact = (len(self.hops), len(self.deliveries))
+        self.compact_at = len(self.hops) + self.CHUNK_ROWS
+
+
+def _runs(entries: list, kinds, transpose) -> "tuple[list, int]":
+    """``entries`` with each run of the kernel's — ``kinds`` says whose
+    id is a Python int — transposed into one entry; and how many runs."""
+    flags = np.fromiter(map(operator.is_, kinds, itertools.repeat(int)), bool, len(entries))
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False)).tolist()
+    out, done = [], 0
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        out += entries[done:lo]
+        out.append(transpose(entries[lo:hi]))
+        done = hi
+    return out + entries[done:], len(edges) // 2
+
+
+def _numbered(values) -> "tuple[list, np.ndarray]":
+    """``values``' distinct members in order of first record, and each
+    value's number among them — C-level maps, no Python per value."""
+    codes = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return list(codes), np.fromiter(map(codes.__getitem__, values), np.intp, len(values))
+
+
+@dataclass(slots=True)
+class _Chunk:
+    """A run of kernel rows as columns, in record order: the numbers as
+    typed arrays, the port keys and groups as lists of the shared objects
+    (numbered at query time)."""
+
+    key: list
+    pid: np.ndarray
+    earliest: np.ndarray
+    start: np.ndarray
+    tail: np.ndarray
+    size: np.ndarray
+    group: list
+
+    @classmethod
+    def of(cls, rows: list) -> "_Chunk":
+        field = [map(operator.itemgetter(i), rows) for i in range(7)]
+        numbers = [np.fromiter(field[1], np.int64, len(rows))]
+        numbers += [np.fromiter(column, float, len(rows)) for column in field[2:6]]
+        return cls(list(field[0]), *numbers, list(field[6]))
 
 
 def _codes(table: dict, values) -> list:
@@ -158,20 +228,26 @@ def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 class _Table:
     """The hop log as flat columns, rows in record order; ports and flows
-    numbered in order of first record."""
+    numbered in order of first record.  The log is compacted first: its
+    entries are then chunks and the pass's blocks, no row is Python."""
 
     def __init__(self, log: HopLog) -> None:
         self.keys: dict = {}
         self.flows: dict = {}
-        parts: list = []  # a pass block as it is, each run of kernel rows transposed
-        for block, rows in itertools.groupby(log.hops, lambda row: isinstance(row[1], np.ndarray)):
-            if block:
-                parts += ([[row[0]] * row[1].size, *row[1:]] for row in rows)
-            else:
-                parts.append(list(zip(*rows)))
-        for part in parts:
-            part[0] = _codes(self.keys, part[0])
-            part[6] = _codes(self.flows, (UNGROUPED if g is None else g for g in part[6]))
+        parts: list = []
+        for entry in log.hops:
+            if type(entry) is _Chunk:
+                keys, port = _numbered(entry.key)
+                groups, group = _numbered(entry.group)
+                columns = (entry.pid, entry.earliest, entry.start, entry.tail, entry.size)
+            else:  # a pass block: one port
+                keys, port = [entry[0]], np.zeros(entry[1].size, dtype=np.intp)
+                groups, group = _numbered(entry[6].tolist())
+                columns = entry[1:6]
+            ports = np.array(_codes(self.keys, keys), dtype=np.intp)
+            flows = np.array(_codes(self.flows, (UNGROUPED if g is None else g for g in groups)),
+                             dtype=np.intp)
+            parts.append((ports[port], *columns, flows[group]))
         types = (np.intp, np.int64, float, float, float, float, np.intp)
         self.port, self.pid, self.earliest, self.start, self.tail, self.size, self.flow = (
             np.concatenate([np.asarray(part[i], dtype) for part in parts] or [np.empty(0, dtype)])
@@ -200,7 +276,8 @@ def _query(method):
     """A query over the whole log, answered once until the log grows."""
 
     def answer(self):
-        size = (len(self.hops), len(self.deliveries), len(self.drops))
+        self.compact()
+        size = (len(self.hops), len(self.deliveries), len(self.drops), self.compactions)
         if self._answers.get(None) != size:
             self._answers = {None: size}
         if method not in self._answers:

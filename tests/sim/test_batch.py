@@ -415,39 +415,58 @@ def sequential_fires(source, first, until):
 
 
 class TestFiresThrough:
-    """``PoissonSource._fires_through``: the fire chain's times as one
-    array, whatever the horizon still has to draw."""
+    """``PoissonSource._fires_through``: the fire chains' times as one
+    table, whatever each row still has to draw."""
 
-    def pair(self, rate=1_000_000.0):
+    RATES = (1_000_000.0, 200_000.0, 5_000_000.0)
+
+    def pairs(self):
+        """Twin sources, one per rate: each row of the table is a chain
+        of its own length, some ending past ``until`` on the buffer, some
+        drawing."""
         topo = T.full_mesh(2, 1)
         net = Network(topo, ECMPRouter(topo))
         return [
-            PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11)
-            for _ in range(2)
+            [PoissonSource(net, "h0.0", "h1.0", rate_pps=rate, seed=11 + k) for _ in range(2)]
+            for k, rate in enumerate(self.RATES)
         ]
 
     def test_equals_sequential_adds_whatever_it_draws(self, monkeypatch):
-        # The first start() draws 32 gaps: 10 us needs none beyond them,
-        # 1 ms one draw, and a generator that hands out seven values at
-        # a time (the stream does not depend on how it is cut) many.
+        # The first start() draws 32 gaps: 10 us needs none beyond them
+        # but at 5 Mpps, 1 ms one draw per row, and a generator that
+        # hands out seven values at a time (the stream does not depend
+        # on how it is cut) many.
         for until, most_at_once in ((1e-5, None), (1e-3, None), (1e-3, 7)):
-            array, scalar = self.pair()
-            first = array._next_gap()
-            assert scalar._next_gap() == first
-            if most_at_once is not None:
-                draw = array._gap_rng.standard_exponential
-                monkeypatch.setattr(
-                    array, "_gap_rng",
-                    type("Short", (), {"standard_exponential":
-                                       staticmethod(lambda n: draw(min(n, most_at_once)))}),
-                )
-            buffer = list(array._gaps)
-            fires, unspent = array._fires_through(first, until)
-            assert fires.tolist() == sequential_fires(scalar, first, until)
-            # The gaps the fires leave are the stream's next ones.
-            assert unspent.tolist() == [scalar._next_gap() for _ in range(unspent.size)]
-            # The source is unchanged: the pass commits.
-            assert array._gap_i == 1 and array._gaps == buffer
+            pairs = self.pairs()
+            firsts = []
+            for array, scalar in pairs:
+                firsts.append(array._next_gap())
+                assert scalar._next_gap() == firsts[-1]
+                if most_at_once is not None:
+                    draw = array._gap_rng.standard_exponential
+                    monkeypatch.setattr(
+                        array, "_gap_rng",
+                        type("Short", (), {"standard_exponential": staticmethod(
+                            lambda n, draw=draw: draw(min(n, most_at_once)))}),
+                    )
+            arrays = [array for array, _ in pairs]
+            buffers = [list(array._gaps) for array in arrays]
+            times, fired, following, unspent = PoissonSource._fires_through(
+                arrays, np.array(firsts), until
+            )
+            assert times.size == fired.sum()
+            at = 0
+            for (array, scalar), first, count, after, gaps, buffer in zip(
+                pairs, firsts, fired.tolist(), following.tolist(), unspent, buffers
+            ):
+                chain = times[at:at + count].tolist() + [after]
+                at += count
+                assert chain == sequential_fires(scalar, first, until)
+                # The gaps the fires leave are the stream's next ones.
+                assert gaps == [scalar._next_gap() for _ in range(len(gaps))]
+                # The source is unchanged: the pass commits.
+                assert array._gap_i == 1 and array._gaps == buffer
+            assert len(set(fired.tolist())) == len(self.RATES)
 
     def test_the_gap_stream_continues_as_a_per_packet_draw(self, monkeypatch):
         """An md1-shaped stream cut into windows at ``MAX_WINDOW_FIRES``:

@@ -86,9 +86,18 @@ def model_of(topo, tracked=False):
     )
 
 
+#: ``run_fixed``'s runs, one per argument set for the module: the tests
+#: below only read what a run left.
+_FIXED_RUNS: dict = {}
+
+
 def run_fixed(fault=False, telemetry=False, draws=False):
-    """Run a fixed workload: ``(net, outcome of the model fed its fires)``.
-    ``draws`` draws the Poisson gaps packet by packet."""
+    """Run a fixed workload: ``(net, its recorded fires, the link cut or
+    None)``, once per argument set.  ``draws`` draws the Poisson gaps
+    packet by packet."""
+    key = (fault, telemetry, draws)
+    if key in _FIXED_RUNS:
+        return _FIXED_RUNS[key]
     with per_packet_draws(draws):
         topo = T.three_tier_tree()
         net = Network(topo, ECMPRouter(topo), telemetry=telemetry)
@@ -106,36 +115,43 @@ def run_fixed(fault=False, telemetry=False, draws=False):
         fires = record_fires(net, sources)
         for source in sources:
             source.start()
+        cut = None
         if fault:
             # Cut a link on the first pair's route mid-run, repair later:
             # this severs in-flight packets, forces detours, and must clear
             # the compiled-plan cache both times.
             probe = net.router.route(servers[0], servers[-1], 0)
-            u, v = probe[1], probe[2]
+            u, v = cut = probe[1], probe[2]
             net.enable_fault_tracking()
             engine.schedule(0.004, lambda: net.fail_link(u, v))
             engine.schedule(0.008, lambda: net.repair_link(u, v))
         engine.run(until=0.012)
-    # The same schedule, in the same order: the sources, then the faults.
-    model = model_of(T.three_tier_tree(), tracked=fault)
+    _FIXED_RUNS[key] = net, fires, cut
+    return _FIXED_RUNS[key]
+
+
+def fixed_model(fires, cut):
+    """The model's outcome fed a run's own ``fires`` on its schedule, in
+    the same order: the sources, then the cut and the repair, if any."""
+    model = model_of(T.three_tier_tree(), tracked=cut is not None)
     for record in fires:
         model.source(record)
-    if fault:
-        model.cut(0.004, u, v)
-        model.repair(0.008, u, v)
+    if cut is not None:
+        model.cut(0.004, *cut)
+        model.repair(0.008, *cut)
     model.run(0.012)
-    return net, model.outcome()
+    return model.outcome()
 
 
 class TestEquivalence:
     def test_plain_traffic_bit_identical(self):
-        net, model = run_fixed()
-        assert outcome(net) == model
+        net, fires, cut = run_fixed()
+        assert outcome(net) == fixed_model(fires, cut)
         assert net.packets_delivered > 30_000
 
     def test_fault_injection_bit_identical(self):
-        net, model = run_fixed(fault=True)
-        assert outcome(net) == model
+        net, fires, cut = run_fixed(fault=True)
+        assert outcome(net) == fixed_model(fires, cut)
         # severed packets and detours
         assert net.packets_dropped_fault > 0 and net.packets_rerouted > 0
 
@@ -144,12 +160,12 @@ class TestEquivalence:
         """Monitors and INT stamps see the same queue, hop for hop —
         through a cut, the detours it forces, and the repair — whether
         the gaps are drawn in chunks or packet by packet."""
-        armed, model = run_fixed(fault, telemetry=True)
-        reference, _ = run_fixed(fault, telemetry=True, draws=True)
+        armed, fires, cut = run_fixed(fault, telemetry=True)
+        reference = run_fixed(fault, telemetry=True, draws=True)[0]
         fast = network_fingerprint(armed)
         assert fast == network_fingerprint(reference)
         assert fast[9]  # stamps were folded in
-        assert outcome(armed) == model
+        assert outcome(armed) == fixed_model(fires, cut)
         # Strictly observational: the armed run equals the disarmed one.
         assert fast[:8] == network_fingerprint(run_fixed(fault)[0])[:8]
 

@@ -433,25 +433,28 @@ def test_lockstep_ties_are_placed(monkeypatch):
     rank = portmajor._Lineage._rank
 
     def counting_rank(*args):
-        lexsort = np.lexsort
+        argsort = np.argsort
         calls = []
-        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+        monkeypatch.setattr(
+            np, "argsort", lambda keys, **kind: calls.append(keys) or argsort(keys, **kind)
+        )
         try:
             return rank(*args)
         finally:
-            monkeypatch.setattr(np, "lexsort", lexsort)
+            monkeypatch.setattr(np, "argsort", argsort)
             sorts.append(len(calls))
 
     monkeypatch.setattr(portmajor._Lineage, "_rank", staticmethod(counting_rank))
     tied = []
     order = portmajor._Lineage.order
 
-    def watching(self, n, hop, t, child=None):
-        events = set(zip(t.tolist(), n.tolist(), hop.tolist()))
+    def watching(self, n, hop, t, child=None, port=None):
+        at = np.broadcast_to(-1 if port is None else port, t.shape)  # ties on one port
+        events = set(zip(t.tolist(), n.tolist(), hop.tolist(), at.tolist()))
         tied.extend(
-            (time, col + 1, depth - 1) in events for time, col, depth in events if depth
+            (time, col + 1, depth - 1, p) in events for time, col, depth, p in events if depth
         )
-        return order(self, n, hop, t, child)
+        return order(self, n, hop, t, child, port)
 
     monkeypatch.setattr(portmajor._Lineage, "order", watching)
     solved = []
@@ -462,7 +465,7 @@ def test_lockstep_ties_are_placed(monkeypatch):
     )
     run_leg(converging_lockstep(), batch=True)
     assert solved and any(tied)
-    assert sorts[0] == 2  # the guess, and the sort that confirms it
+    assert sorts[0] == 3  # by time; then the guess, and the sort that confirms it
 
 
 def test_what_bounds_a_window_does_not_stand_the_pass_down(monkeypatch):

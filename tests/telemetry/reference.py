@@ -106,14 +106,18 @@ def fold_stamps(profile: dict, group, stamps: list) -> None:
 
 
 def _rows(entries):
-    """The log's entries one row at a time: a block's columns row by row."""
+    """The log's entries one row at a time: a block's or a compacted
+    chunk's columns row by row."""
     for entry in entries:
-        if isinstance(entry[1], np.ndarray):
+        if isinstance(entry, tuple) and not isinstance(entry[1], np.ndarray):
+            yield entry
+        elif isinstance(entry, tuple):
             key, *columns = entry
             for row in zip(*(c.tolist() for c in columns)):
                 yield (key, *row)
         else:
-            yield entry
+            columns = (entry.pid, entry.earliest, entry.start, entry.tail, entry.size)
+            yield from zip(entry.key, *(c.tolist() for c in columns), entry.group)
 
 
 def replay(hub) -> tuple[dict, dict]:

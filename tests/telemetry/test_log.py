@@ -21,6 +21,7 @@ from repro.routing import ECMPRouter
 from repro.sim import Network
 from repro.sim.sources import PoissonSource
 from repro.telemetry import TelemetryHub
+from repro.telemetry.windows import HopLog, _Chunk
 from tests.telemetry.reference import replay
 
 PORTS = [("a", "b"), ("b", "c"), ("c", "a")]
@@ -78,11 +79,20 @@ def logs(draw):
             hub.drops.append((port, draw(st.sampled_from(["x", None])), now + later))
         elif kind == "cut":
             busy[port] = now  # as ``fail_link`` leaves the port
-    hub.hops.extend(as_blocks(rows) if draw(st.booleans()) else rows)
+    # Chunks a few rows long, so runs of rows straddle their boundaries,
+    # written as the kernel writes them: compacted every ``CHUNK_ROWS``.
+    hub.CHUNK_ROWS = hub.compact_at = draw(st.integers(1, 6))
+    for row in as_blocks(rows) if draw(st.booleans()) else rows:
+        hub.hops.append(row)
+        if len(hub.hops) >= hub.compact_at:
+            hub.compact()
     if deliveries and draw(st.booleans()):
         hub.deliveries.append(np.array(deliveries))
     else:
-        hub.deliveries.extend(deliveries)
+        cut = draw(st.integers(0, len(deliveries)))
+        hub.deliveries.extend(deliveries[:cut])
+        hub.compact()
+        hub.deliveries.extend(deliveries[cut:])
     hub.unroutable = draw(st.integers(0, 2))
     return hub
 
@@ -154,7 +164,10 @@ def armed_run(batch, cut):
     return net
 
 
-def test_armed_runs_match_the_oracle():
+def test_armed_runs_match_the_oracle(monkeypatch):
+    # Chunks of 500 rows: the kernel compacts many times a run, between
+    # and across the pass's blocks.
+    monkeypatch.setattr(HopLog, "CHUNK_ROWS", 500)
     for batch in (True, False):
         for cut in (False, True):
             net = armed_run(batch, cut)
@@ -163,3 +176,5 @@ def test_armed_runs_match_the_oracle():
                 port.packets_sent for port in net._ports.values()
             )
     assert any(isinstance(row[1], np.ndarray) for row in armed_run(True, True).telemetry.hops)
+    # The kernel's rows were compacted as they came, before any query.
+    assert sum(type(row) is _Chunk for row in armed_run(False, True).telemetry.hops) > 1
