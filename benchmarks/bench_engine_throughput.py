@@ -1,4 +1,4 @@
-"""Engine and sweep throughput: seven paired, same-round gates.
+"""Engine and sweep throughput: eight paired, same-round gates.
 
 How long a whole experiment takes, and where the time goes, is
 ``benchmarks/e2e``'s record (``BENCH_trajectory.jsonl``).  What stays
@@ -25,6 +25,11 @@ so the ratio is a property of the two code paths, not of the machine:
 * a 4-seed Figure 17 scatter mini-sweep at ``workers=4``: results
   identical to the serial sweep, and at most 1.4× its wall-clock net of
   pool spin-up (no e2e workload runs ``workers > 1``);
+* Fig. 17's two scatter cells at seed 0 whose routes cross ports in
+  opposite orders (Jellyfish and Quartz in edge and core, 8 tasks):
+  the pass, sweeping each cycle of ports to its fixed point, against
+  ``engine.run`` on a twin network, ≤ 0.8× with identical fingerprints
+  and the sweeps printed;
 * one small port-major window after a warm-up, 63 streams from one
   hub at 2, 4, 8 and 20 fires each, against ``engine.run`` over the
   same stretch with identical fingerprints: the 2-fire window (a
@@ -40,7 +45,7 @@ import time
 import repro.topology as T
 from repro import obs as obs_layer
 from repro.core.multiring import plan_rings
-from repro.experiments import figure17_sweep
+from repro.experiments import figure17_sweep, run_task_experiment
 from repro.experiments.section7 import TOPOLOGY_BUILDERS
 from repro.routing import ECMPRouter
 from repro.runner import ExperimentSpec, run_cells
@@ -48,6 +53,7 @@ from repro.sim import DeliveryBins, Network, portmajor
 from repro.sim.faults import FaultInjector, random_fault_schedule
 from repro.sim.sources import PoissonSource
 from repro.units import GBPS
+from repro.workloads.tasks import build_task, random_task
 
 ROUNDS = 3
 SWEEP_TOPOLOGIES = ["three-tier tree", "quartz in edge and core"]
@@ -184,6 +190,54 @@ def _fault_round(cell: tuple[int, int]) -> dict[str, float]:
     portmajor, other = _fault_run(True, *cell)
     assert other == fingerprint, "port-major fault run diverged from the scalar kernel"
     return {"scalar": scalar, "port-major": portmajor, "events": fingerprint[4]}
+
+
+#: Cyclic benchmark: ``run_task_experiment``'s scatter cell of
+#: ``CYCLIC_TASKS`` tasks at seed 0 and Fig. 17's 1 ms, on the two fabrics
+#: where it holds a cycle of ports, built here so that a twin network can
+#: run it through ``engine.run``.
+CYCLIC_FABRICS = ("jellyfish", "quartz in edge and core")
+CYCLIC_TASKS = 8
+CYCLIC_DURATION = 1e-3
+
+
+def _cyclic_run(fabric: str, batch: bool) -> tuple[float, tuple, Network]:
+    """The cell through ``Network.run`` with ``batch``, else through
+    ``engine.run``: (wall seconds, fingerprint, the network)."""
+    topo = TOPOLOGY_BUILDERS[fabric]()
+    net = Network(topo, ECMPRouter(topo))
+    hubs: set = set()
+    tasks = []
+    for index in range(CYCLIC_TASKS):
+        spec = random_task(
+            topo, "scatter", fan=len(topo.servers()) - 1 - len(hubs), seed=index, exclude=hubs
+        )
+        hubs.add(spec.hub)
+        tasks.append(build_task(net, spec, 100e6, group=f"task{index}", seed=index,
+                                flow_base=index * 100))
+    for task in tasks:
+        task.start()
+    run = net.run if batch else net.engine.run
+    start = time.perf_counter()
+    run(until=CYCLIC_DURATION)
+    wall = time.perf_counter() - start
+    fingerprint = (
+        net.packets_delivered, net.engine.events_processed, net._next_packet_id,
+        tuple(net.stats.samples), net.engine.pending(),
+        sorted((key, p.packets_sent, p.bytes_sent, p.busy_until) for key, p in net._ports.items()),
+    )
+    return wall, fingerprint, net
+
+
+def _cyclic_round(fabric: str) -> dict:
+    loop, expected, _ = _cyclic_run(fabric, batch=False)
+    passed, got, net = _cyclic_run(fabric, batch=True)
+    assert got == expected, f"{fabric}: the pass diverged from the event loop"
+    assert "cyclic_ports" not in net.standdowns and net.sweeps, f"{fabric}: no cycle was swept"
+    return {
+        "pass": passed, "loop": loop, "sweeps": net.sweeps, "events": expected[1],
+        "mean": net.stats.summary().mean,
+    }
 
 
 #: Small-window benchmark: one hub streams to every other server at
@@ -353,6 +407,16 @@ def bench_engine_throughput(benchmark, report):
     )
     partition_speedup = 1.0 / partition_ratio
 
+    cyclic = {
+        fabric: _best([_cyclic_round(fabric) for _ in range(ROUNDS)],
+                      lambda r: r["pass"] / r["loop"])
+        for fabric in CYCLIC_FABRICS
+    }
+    for fabric, (_, round_) in cyclic.items():  # the very cell Fig. 17 runs
+        cell = run_task_experiment(fabric, "scatter", CYCLIC_TASKS, seed=0,
+                                   duration=CYCLIC_DURATION)
+        assert cell.mean_latency == round_["mean"] and not cell.standdowns
+
     windows = _window_rows()
     break_even = _break_even(windows)
 
@@ -389,6 +453,11 @@ def bench_engine_throughput(benchmark, report):
         rate_row(f"partition, port-major (ev/s), {partition_round['events']:,} ev",
                  "port-major", partition_round,
                  f"{partition_speedup:.2f}x faster (>= 3.0x)"),
+        *(
+            rate_row(f"fig17 {fabric} scatter/8 (ev/s), sweeps {sorted(round_['sweeps'].items())}",
+                     "pass", round_, f"{ratio:.2f}x the loop wall (<= 0.8x)", base="loop")
+            for fabric, (ratio, round_) in cyclic.items()
+        ),
         f"{'fig17 mini-sweep, workers=4 net of spin-up (s)':<46}"
         f"{sweep['serial']:>12.2f}{sweep['parallel'] - sweep['spinup']:>12.2f}"
         f"  {parallel_ratio:.2f}x the serial wall (<= 1.4x)",
@@ -422,7 +491,11 @@ def bench_engine_throughput(benchmark, report):
         "fibre segment of two rings cut at 1.5 ms and spliced at 2.5 ms, goodput",
         "binned; fault counters, outages and bins are in its fingerprint.  The",
         "partition row is the same with two segments of one ring cut, which",
-        "leaves pairs with no path until the repair.  The workers=4",
+        "leaves pairs with no path until the repair.  The two fig17 rows are",
+        "the seed-0 scatter cell of 8 tasks (1 ms) on the fabrics where its",
+        "routes cross ports in opposite orders; sweeps are (sweeps, cycles)",
+        "pairs, each cycle of ports swept until its arrivals repeat, and the",
+        "pass is asserted equal to engine.run on a twin network.  The workers=4",
         "results are asserted identical to the serial sweep's; spin-up is the",
         "same pool over no-op cells.  The two armed-kernel rows run the cohort",
         "stream through engine.run with telemetry armed, first in the process:",
@@ -462,6 +535,10 @@ def bench_engine_throughput(benchmark, report):
         f"port-major pass {partition_speedup:.2f}x the scalar kernel through a "
         "partition, below 3x"
     )
+    # A cycle of ports is swept to its fixed point in a few sweeps: the
+    # cells that used to stand down must now beat the event loop.
+    for fabric, (ratio, _) in cyclic.items():
+        assert ratio <= 0.8, f"fig17 {fabric} scatter/8: the pass is {ratio:.2f}x the event loop"
     # The sweep is short and the CI container may expose a single CPU,
     # so a *speedup* gate would be dishonest — what the gate holds is
     # that fanning out costs at most IPC + timesharing overhead (the old

@@ -31,7 +31,8 @@ over the one local task's packets (Figure 18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable
 
 import repro.topology as T
@@ -79,6 +80,9 @@ class TaskExperimentResult:
     num_tasks: int
     summary: LatencySummary
     measured_group: str  # "all tasks" or "local task"
+    #: The cell network's ``Network.standdowns``: the windows the
+    #: port-major pass left to the event loop, by reason.
+    standdowns: dict[str, int] = field(default_factory=dict, hash=False)
 
     @property
     def mean_latency(self) -> float:
@@ -169,6 +173,7 @@ def run_task_experiment(
         num_tasks=num_tasks,
         summary=summary,
         measured_group=measured,
+        standdowns=dict(net.standdowns),
     )
 
 
@@ -181,6 +186,9 @@ class SweepPoint:
     num_tasks: int
     mean_latency: float
     per_seed: tuple[float, ...]
+    #: Its cells' stand-downs by reason, summed over the seeds: which
+    #: cells left the port-major pass, without rebuilding them.
+    standdowns: dict[str, int] = field(default_factory=dict, hash=False)
 
 
 def _sweep(
@@ -216,7 +224,8 @@ def _sweep(
     for topology in topologies:
         points = []
         for n in task_counts:
-            means = [next(results).mean_latency for _ in seeds]
+            cells = [next(results) for _ in seeds]
+            means = [cell.mean_latency for cell in cells]
             points.append(
                 SweepPoint(
                     topology=topology,
@@ -224,6 +233,7 @@ def _sweep(
                     num_tasks=n,
                     mean_latency=sum(means) / len(means),
                     per_seed=tuple(means),
+                    standdowns=dict(sum((Counter(cell.standdowns) for cell in cells), Counter())),
                 )
             )
         series[topology] = points

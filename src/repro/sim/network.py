@@ -169,6 +169,9 @@ class Network:
         #: :mod:`repro.obs` registry mirrors it as
         #: ``batch.standdown.<reason>``.
         self.standdowns: dict[str, int] = {}
+        #: Cycles of ports the pass swept to their fixed point, by the
+        #: sweeps each took (:mod:`repro.sim.portmajor`, "Cycles").
+        self.sweeps: dict[int, int] = {}
         #: Flows that found the flow table full (``FLOW_TABLE_LIMIT``)
         #: and fell through to the router: counted armed or not; an
         #: armed registry mirrors it as ``fastpath.flow_table_full``.

@@ -85,6 +85,22 @@ class TestSweeps:
         assert point.mean_latency == pytest.approx(sum(point.per_seed) / 2)
 
 
+    def test_a_point_carries_its_cells_standdowns(self):
+        """A scatter/gather round is too few fires for a port-major window:
+        each seed's cell says so (``budget``), and its point sums them."""
+        cells = [
+            run_task_experiment("quartz in core", "scatter_gather", 1, fan=8,
+                                duration=5e-4, seed=seed)
+            for seed in (0, 1)
+        ]
+        series = figure17_sweep(
+            ["quartz in core"], "scatter_gather", [1], seeds=(0, 1), fan=8, duration=5e-4
+        )
+        (point,) = series["quartz in core"]
+        assert all(cell.standdowns.get("budget", 0) >= 1 for cell in cells)
+        assert point.standdowns == {"budget": sum(cell.standdowns["budget"] for cell in cells)}
+
+
 class TestPathological:
     def test_ecmp_saturates_vlb_does_not(self):
         ecmp = run_pathological("quartz-ecmp", 50 * GBPS, duration=0.002)
