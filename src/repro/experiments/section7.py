@@ -83,6 +83,11 @@ class TaskExperimentResult:
     #: The cell network's ``Network.standdowns``: the windows the
     #: port-major pass left to the event loop, by reason.
     standdowns: dict[str, int] = field(default_factory=dict, hash=False)
+    #: Flows that found the cell network's flow table full
+    #: (``Network.flow_table_full``) and picks its router could not
+    #: memoize (``Router.route_cache_full``).
+    flow_table_full: int = field(default=0, hash=False)
+    route_cache_full: int = field(default=0, hash=False)
 
     @property
     def mean_latency(self) -> float:
@@ -174,6 +179,8 @@ def run_task_experiment(
         summary=summary,
         measured_group=measured,
         standdowns=dict(net.standdowns),
+        flow_table_full=net.flow_table_full,
+        route_cache_full=net.router.route_cache_full,
     )
 
 
@@ -189,6 +196,9 @@ class SweepPoint:
     #: Its cells' stand-downs by reason, summed over the seeds: which
     #: cells left the port-major pass, without rebuilding them.
     standdowns: dict[str, int] = field(default_factory=dict, hash=False)
+    #: Its cells' table overflows, summed over the seeds.
+    flow_table_full: int = field(default=0, hash=False)
+    route_cache_full: int = field(default=0, hash=False)
 
 
 def _sweep(
@@ -234,6 +244,8 @@ def _sweep(
                     mean_latency=sum(means) / len(means),
                     per_seed=tuple(means),
                     standdowns=dict(sum((Counter(cell.standdowns) for cell in cells), Counter())),
+                    flow_table_full=sum(cell.flow_table_full for cell in cells),
+                    route_cache_full=sum(cell.route_cache_full for cell in cells),
                 )
             )
         series[topology] = points

@@ -46,8 +46,7 @@ def stable_hash(*parts: object) -> int:
     Python's builtin ``hash`` is salted per process for strings; CRC32
     over the repr keeps path selection reproducible across runs.
     """
-    text = "\x00".join(repr(p) for p in parts)
-    return zlib.crc32(text.encode())
+    return zlib.crc32("\x00".join(map(repr, parts)).encode())
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,15 @@ class Router(abc.ABC):
         key = (src, dst, flow_id)
         pick = self._route_cache.get(key)
         if pick is None:
-            options = self._cached_paths(src, dst)
-            pick = options[stable_hash(src, dst, flow_id) % len(options)]
+            pick = self._pick(src, dst, flow_id)
             self._memoize(key, pick)
         return pick
+
+    def _pick(self, src: str, dst: str, flow_id: int) -> Path:
+        """A flow's pick, not memoized: ``paths(src, dst)[stable_hash(src,
+        dst, flow_id) % len]`` over the pair's memoized path set."""
+        options = self._cached_paths(src, dst)
+        return options[stable_hash(src, dst, flow_id) % len(options)]
 
     def _memoize(self, key: tuple[str, str, int], pick: Path) -> None:
         """Memoize a flow's pick, or count that the memo is full."""

@@ -18,8 +18,8 @@ hold, fall back to whole-graph search.
 
 from __future__ import annotations
 
-from repro.routing.base import Path, Router, _path_crosses
-from repro.routing.tables import ecmp_paths, ecmp_segment_table
+from repro.routing.base import Path, Router, _path_crosses, stable_hash
+from repro.routing.tables import RouteTable, ecmp_paths, ecmp_segment_table
 from repro.topology.base import Topology
 from repro.topology.graph import Graph
 
@@ -44,8 +44,11 @@ class ECMPRouter(Router):
         self._stitchable = not bool(topo.graph.graph.get("server_centric"))
         self._switch_graph: Graph | None = None
         self._switch_paths: dict[tuple[str, str], list[Path]] = {}
-        #: Whether the segment cache was warmed from the batched table.
+        #: Whether the batched segment table was read, and the table
+        #: while it holds (``None`` once a cut has outdated it).
         self._segments_warmed = False
+        self._segments: RouteTable | None = None
+        self._homes: dict[str, str | None] = {}  # see _home
 
     # -- path enumeration -----------------------------------------------------
 
@@ -60,6 +63,35 @@ class ECMPRouter(Router):
             if stitched is not None:
                 return stitched
         return self._graph_paths(src, dst)
+
+    def _pick(self, src: str, dst: str, flow_id: int) -> Path:
+        """Two single-homed servers' pick, built alone: their stitched
+        paths are ``(src, *segment, dst)`` over one switch pair's sorted
+        segment list, so they sort as it does and the hash picks the same
+        segment.  Every other pair (multi-homed, server-centric, no
+        segment left) picks from the enumeration."""
+        if src != dst:
+            sw_s = self._home(src)
+            sw_d = self._home(dst)
+            if sw_s is not None and sw_d is not None:
+                segments = self._switch_segment(sw_s, sw_d)
+                if segments:
+                    segment = segments[stable_hash(src, dst, flow_id) % len(segments)]
+                    return (src, *segment, dst)
+        return super()._pick(src, dst, flow_id)
+
+    def _home(self, node: str) -> str | None:
+        """The one switch a single-homed server hangs off, when paths
+        stitch; else ``None``.  Memoized until the topology changes."""
+        home = self._homes.get(node, False)
+        if home is False:
+            home = None
+            if self._stitchable and self.topo.is_server(node):
+                switches = self._attachments(node)
+                if len(switches) == 1:
+                    home = switches[0]
+            self._homes[node] = home
+        return home
 
     def _graph_paths(self, src: str, dst: str) -> list[Path]:
         """Bounded whole-graph enumeration (the pre-stitching behaviour)."""
@@ -108,6 +140,10 @@ class ECMPRouter(Router):
         segments that never crossed it.
         """
         if not repaired:
+            if self._segments is not None:  # the table's pairs not yet read
+                for pair, segments in self._segments.items():
+                    self._switch_paths.setdefault(pair, list(segments))
+                self._segments = None
             affected = set()
             for u, v in links:
                 affected.add((u, v))
@@ -123,10 +159,12 @@ class ECMPRouter(Router):
     def _on_topology_change(self, repaired: bool) -> None:
         # The switch graph is a copy of the live topology: rebuild lazily.
         self._switch_graph = None
+        self._homes.clear()
         if repaired:
             # A repair restores the original fingerprint, so re-warming
             # from the batched table is a cache hit, not a rebuild.
             self._switch_paths.clear()
+            self._segments = None
             self._segments_warmed = False
 
     # -- shared switch-level computation --------------------------------------
@@ -145,20 +183,23 @@ class ECMPRouter(Router):
         per ordered switch pair and shared by every server pair behind
         them.
 
-        The whole segment table is warmed in one batch
-        (content-addressed on the topology fingerprint); pairs severed
-        by a mid-run cut recompute lazily over the degraded graph.
+        The whole segment table is computed in one batch
+        (content-addressed on the topology fingerprint) and read a pair at
+        a time; pairs severed by a mid-run cut recompute lazily over the
+        degraded graph.
         """
-        if not self._segments_warmed:
-            table = ecmp_segment_table(self.topo, self.max_paths)
-            for pair, segment in table.items():
-                self._switch_paths.setdefault(pair, list(segment))
-            self._segments_warmed = True
         key = (sw_s, sw_d)
         cached = self._switch_paths.get(key)
         if cached is None:
-            if self._switch_graph is None:
-                self._switch_graph = self.topo.switch_graph()
-            cached = ecmp_paths(self._switch_graph, sw_s, sw_d, self.max_paths)
+            if not self._segments_warmed:
+                self._segments = ecmp_segment_table(self.topo, self.max_paths)
+                self._segments_warmed = True
+            segments = None if self._segments is None else self._segments.get(key)
+            if segments is not None:
+                cached = list(segments)
+            else:
+                if self._switch_graph is None:
+                    self._switch_graph = self.topo.switch_graph()
+                cached = ecmp_paths(self._switch_graph, sw_s, sw_d, self.max_paths)
             self._switch_paths[key] = cached
         return cached

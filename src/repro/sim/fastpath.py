@@ -124,7 +124,10 @@ def compile_plan(
                 latf = -(ser_in if ser_in < ser else ser)
         hops.append((latf, lat, port, ser))
         keys.append(key)
-        flights.append(in_flight.setdefault(key, set()))
+        flight = in_flight.get(key)
+        if flight is None:
+            flight = in_flight[key] = set()
+        flights.append(flight)
         ser_in = ser
     foreign = None
     if owned is not None:

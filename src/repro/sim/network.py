@@ -299,19 +299,40 @@ class Network:
             raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
         if type(route) is not tuple:
             route = tuple(route)
-        plan = self._plans.get(route)
+        if path is not None:
+            return route, self._plan_of(route)
+        return route, self._bind_route((src, dst, flow_id), route)
+
+    def _bind_route(
+        self, flow: "tuple[str, str, int]", route: Path, plan: "HopPlan | None" = None
+    ) -> HopPlan:
+        """:meth:`_bind` past the router: bind ``flow`` to ``route`` (a
+        tuple the caller has routed and checked) and return its plan
+        (:meth:`_plan_of`).  The port-major pass routes a window's new
+        flows itself and binds them here."""
+        plan = self._plan_of(route, plan)
+        if len(self._flows) < self.FLOW_TABLE_LIMIT:
+            self._flows[flow] = (route, plan)
+        else:
+            self.flow_table_full += 1
+            if self.obs is not None:
+                self.obs.incr("fastpath.flow_table_full")
+        return plan
+
+    def _plan_of(self, route: Path, plan: "HopPlan | None" = None) -> HopPlan:
+        """The cached plan of ``route``; else ``plan`` (compiled aside by
+        the port-major pass, counted as compiled now) or a new one."""
+        held = self._plans.get(route)
+        if held is not None:
+            if self.obs is not None:
+                self.obs.incr("fastpath.plan_hits")
+            return held
         if plan is None:
-            plan = self._compile_plan(route)
-        elif self.obs is not None:
-            self.obs.incr("fastpath.plan_hits")
-        if path is None:
-            if len(self._flows) < self.FLOW_TABLE_LIMIT:
-                self._flows[(src, dst, flow_id)] = (route, plan)
-            else:
-                self.flow_table_full += 1
-                if self.obs is not None:
-                    self.obs.incr("fastpath.flow_table_full")
-        return route, plan
+            return self._compile_plan(route)
+        if self.obs is not None:
+            self.obs.incr("fastpath.plan_compiles")
+        self._plans[route] = plan
+        return plan
 
     def note_unroutable(self, group: str | None = None) -> None:
         """Count one packet the router had no path for (partitioned mesh).

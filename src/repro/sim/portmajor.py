@@ -62,6 +62,15 @@ to the hop log (:class:`~repro.telemetry.windows.HopLog`) as one row of
 columns in heap order, and a window's deliveries as one array of ids,
 which every query reads as it reads the kernel's rows.
 
+**Reading the roots.**  One pass over a window's roots reads, once
+each, a root's flow binding, the route it still has to walk as port
+numbers (the plan's rows, kept per network), its size, group, sink and
+— for a fire chain — its gap buffer, which feeds the window's fire table
+(:meth:`PoissonSource._fires_through`).  A flow the window starts is
+routed once: the router's pick, checked as ``Network._bind`` checks it,
+its plan compiled aside, and the flow bound to it
+(``Network._bind_route``) only past the last stand-down.
+
 **Clocking a level.**  A port's packets are all known once the ports
 before it are clocked, so the pass clocks the window's port graph a
 **level** at a time (:func:`_port_order`): every port one past the
@@ -135,8 +144,8 @@ import numpy as np
 
 from repro.routing.base import RoutingError
 from repro.sim.fastpath import compile_plan
-from repro.sim.network import Network, Packet, PortState
-from repro.sim.sources import PoissonSource
+from repro.sim.network import Network, NetworkSimError, Packet, PortState
+from repro.sim.sources import PoissonSource, _spans
 from repro.sim.stats import DeliveryBins
 
 #: Expected fires of a window.  Below the floor — in all, and per firing
@@ -306,18 +315,12 @@ def _numbering(net: Network) -> "tuple[dict, list, list]":
     return net._port_numbers
 
 
-def _rows(net: Network, plan, numbers: dict, keep: bool = True) -> tuple:
+def _rows(plan, numbers: dict) -> tuple:
     """``plan``'s port numbers and per-byte ``ser``, ``latf`` and ``lat``
-    per hop, derived from ``HopPlan.hops`` once and kept with the
-    network's plans (``Network._plan_rows``), dropped as they are — not
-    kept (``keep`` false) for a plan the network does not hold."""
-    rows = net._plan_rows.get(plan)
-    if rows is None:
-        latf, lat, _, ser = zip(*plan.hops)
-        rows = (tuple(map(numbers.__getitem__, plan.keys)), ser, latf, lat)
-        if keep:
-            net._plan_rows[plan] = rows
-    return rows
+    per hop, derived from ``HopPlan.hops``: the pass keeps them with the
+    network's plans (``Network._plan_rows``), dropped as they are."""
+    latf, lat, _, ser = zip(*plan.hops)
+    return (tuple(map(numbers.__getitem__, plan.keys)), ser, latf, lat)
 
 
 def _port_order(chains: list, ports: int) -> "tuple[np.ndarray, list]":
@@ -648,11 +651,6 @@ def _pick(index: np.ndarray, *columns) -> list:
     return [column if isinstance(column, int) else column[index] for column in columns]
 
 
-def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``first[i], first[i] + 1, …``, ``count[i]`` long, for every ``i``."""
-    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
-
-
 def _columns(roots: np.ndarray, start: np.ndarray, count: np.ndarray) -> "slice | np.ndarray":
     """The columns of ``roots`` (ascending), root-major: a slice when the
     roots are neighbours, and so are their columns."""
@@ -672,59 +670,84 @@ def _solve(net: Network, until: float, roots: list) -> None:
     engine = net.engine
     numbers, states, port_keys = _numbering(net)
 
-    # (1) What each root has still to cross, as port numbers, and each
-    # port's level: the rest of a packet's path; a bound source's plan; a
-    # route the router picks, checked as ``Network._bind`` and
-    # ``compile_plan`` would, and bound only past the last stand-down —
-    # each flow as its first packet would, every later one a plan hit.
-    # A source the router has no path for has no plan: its fires drop.
+    # (1) One pass over the roots reads what each has still to cross, as
+    # port numbers, with its size, group, sink and, for a fire chain, its
+    # gap buffer: the rest of a packet's path; a bound flow's plan; a new
+    # flow's route, picked by the router once and checked as
+    # ``Network._bind`` and ``compile_plan`` would, its plan compiled aside
+    # and the flow bound (``Network._bind_route``) only past the last
+    # stand-down — each flow as its first packet would, every later one a
+    # plan hit.  A source the router has no path for has no plan: its
+    # fires drop.  Then each port's level.
     width = len(roots)
+    flows = net._flows
+    held = net._plans
+    kept = net._plan_rows
+    route_of = net.router.route
+    origins = []  # each root's packet or source
     chains = []
     rows = []  # each root's compiled rows (:func:`_rows`)
     plans = []
-    sizes = []
-    groups = []
-    sinks = []  # each root's ``on_delivered``: ``None`` or a DeliveryBins
     row = [0] * width  # the table row of each root's queued event
-    firing = []
+    firing = []  # the fire chains' roots, and of each its source,
+    sources = []
+    buffers = []  # the gaps it has drawn and not spent,
+    first = []  # and its queued fire's time
     flown = []  # (root, packet) of the packets in flight
     dropping = []  # the roots of fires-only columns
-    unbound = []
+    unbound = []  # (root, flow, route) of the flows the window starts
+    compiled: dict = {}  # their plans the network does not hold, by route
     for j, entry in enumerate(roots):
-        packet = entry[4]
-        if type(packet) is Packet:
-            origin = packet
-            plan = packet.plan
-            flown.append((j, packet))
-            row[j] = packet.hop + 1
+        origin = entry[4]
+        if type(origin) is Packet:
+            plan = origin.plan
+            flown.append((j, origin))
+            row[j] = origin.hop + 1
         else:
             origin = entry[2].__self__
-            src, dst = origin.src, origin._dsts[0]
-            plan = net._flows.get((src, dst, origin.flow_id))
+            firing.append(j)
+            sources.append(origin)
+            buffers.append(origin._gaps[origin._gap_i:])
+            first.append(entry[0])
+            flow = (origin.src, origin._dsts[0], origin.flow_id)
+            plan = flows.get(flow)
             if plan is not None:
                 plan = plan[1]
             else:
                 try:
-                    route = net.router.route(src, dst, origin.flow_id)
+                    route = route_of(*flow)
                 except RoutingError:
-                    route = ()
                     dropping.append(j)
                 else:
-                    if len(route) < 2 or route[0] != src or route[-1] != dst:
+                    if len(route) < 2 or route[0] != flow[0] or route[-1] != flow[1]:
                         raise _StandDown("bad_route")  # the scalar run raises at its fire
-                    unbound.append((j, route))
-                try:
-                    chains.append(tuple(map(numbers.__getitem__, zip(route, route[1:]))))
-                except KeyError:
-                    raise _StandDown("bad_route") from None
-            firing.append(j)
+                    if type(route) is not tuple:
+                        route = tuple(route)
+                    plan = held.get(route) or compiled.get(route)
+                    if plan is None:
+                        try:
+                            plan = compiled[route] = compile_plan(
+                                net._link_rec, net._hop_rec, net._in_flight, route, net.owned
+                            )
+                        except NetworkSimError:
+                            raise _StandDown("bad_route") from None
+                    unbound.append((j, flow, route))
+        origins.append(origin)
         plans.append(plan)
-        rows.append(None if plan is None else _rows(net, plan, numbers))
-        if plan is not None:
-            chains.append(rows[j][0][row[j]:])
-        sizes.append(origin.size_bytes)
-        groups.append(origin.group)
-        sinks.append(origin.on_delivered)
+        if plan is None:
+            rows.append(None)
+            chains.append(())
+            continue
+        mine = kept.get(plan)
+        if mine is None:  # a plan compiled aside is kept once bound (:func:`_bind`)
+            mine = _rows(plan, numbers)
+            if compiled.get(plan.path) is not plan:
+                kept[plan] = mine
+        rows.append(mine)
+        chains.append(mine[0][row[j]:])
+    sizes = [origin.size_bytes for origin in origins]
+    groups = [origin.group for origin in origins]
+    sinks = [origin.on_delivered for origin in origins]  # ``None`` or a DeliveryBins
     hops = np.fromiter(map(len, chains), np.intp, width)
     owner = np.repeat(np.arange(width), hops)
     crossed = np.fromiter(itertools.chain.from_iterable(chains), np.intp, owner.size)
@@ -735,28 +758,15 @@ def _solve(net: Network, until: float, roots: list) -> None:
         raise _StandDown("cyclic_ports")  # a hop may not advance time ("Cycles")
     row = np.array(row)
     if not runs:
-        for j, _ in unbound:  # nothing stands down past this point
-            source = roots[j][2].__self__
-            plans[j] = net._bind(source.src, source._dsts[0], source.flow_id, None)[1]
-            rows[j] = _rows(net, plans[j], numbers)
+        _bind(net, unbound, plans, rows)  # nothing stands down past this point
     else:
-        # A cycle may yet stand the window down: its new flows' plans are
-        # compiled, not bound, and the generators the fires draw from
-        # are kept to be put back.
-        compiled: dict = {}
-        for j, route in unbound:
-            route = tuple(route)
-            plan = net._plans.get(route) or compiled.get(route)
-            if plan is None:
-                plan = compiled[route] = compile_plan(
-                    net._link_rec, net._hop_rec, net._in_flight, route, net.owned
-                )
-            plans[j] = plan
-            rows[j] = _rows(net, plan, numbers, keep=route not in compiled)
-        drawn = [roots[j][2].__self__._gap_rng.bit_generator for j in firing]
+        # A cycle may yet stand the window down: its new flows stay
+        # unbound, and the generators the fires draw from are kept to be
+        # put back.
+        drawn = [source._gap_rng.bit_generator for source in sources]
         drawn = [(generator, generator.state) for generator in drawn]
     fire_t, fires, next_fire, unspent = PoissonSource._fires_through(
-        [roots[j][2].__self__ for j in firing], np.array([roots[j][0] for j in firing]), until
+        sources, buffers, np.array(first), until
     )
 
     count = np.ones(width, dtype=np.intp)
@@ -827,7 +837,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
         per_hop[:, hop_of] = values
         uniform = bool((values == per_hop[:, hop_of]).all())
     ser, credit, lat = coefficients
-    del chains, rows, hop_of
+    del chains, hop_of
 
     # (2) Clock the ports a level at a time, upstream first: the level's
     # events sorted by (port, heap order), one port's run after another —
@@ -962,9 +972,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
             state.bytes_sent = mine.bytes_sent
         if log is not None:
             log.hops += blocks
-        for j, _ in unbound:
-            source = roots[j][2].__self__
-            plans[j] = net._bind(source.src, source._dsts[0], source.flow_id, None)[1]
+        _bind(net, unbound, plans, rows)
         for sweeps in settled:
             net.sweeps[sweeps] = net.sweeps.get(sweeps, 0) + 1
 
@@ -1076,8 +1084,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
     heapq.heapify(heap)
 
     net._next_packet_id += fired
-    for j, consumed, gaps in zip(firing, sent, unspent):
-        source = roots[j][2].__self__
+    for source, consumed, gaps in zip(sources, sent, unspent):
         source.packets_sent += consumed
         # The spent gaps are dropped with the window's draw: the buffer
         # holds only what the fires left, as Python floats again.
@@ -1091,6 +1098,14 @@ def _solve(net: Network, until: float, roots: list) -> None:
         obs.incr("batch.cohorts")
         obs.incr("batch.packets", fired)
         obs.observe("batch.cohort_size", fired)
+
+
+def _bind(net: Network, unbound: list, plans: list, rows: list) -> None:
+    """Bind the window's new flows (``(root, flow, route)``) to their
+    plans, as their first packets would, the rows of each kept."""
+    for j, flow, route in unbound:
+        net._bind_route(flow, route, plans[j])
+        net._plan_rows[plans[j]] = rows[j]
 
 
 def _settle(

@@ -37,6 +37,7 @@ queued from before the stop ends its chain as a no-op and a later
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Sequence
@@ -56,6 +57,39 @@ DEFAULT_CHUNK = 256
 
 #: Non-negative 64-bit seed material for numpy's SeedSequence.
 _SEED_MASK = (1 << 64) - 1
+
+
+class _Seeds(np.random.SeedSequence):
+    """A :class:`numpy.random.SeedSequence` that hashes its pool into
+    state words once per request shape: ``generate_state`` is pure (only
+    ``spawn`` changes a SeedSequence, and nothing here spawns), so every
+    generator seeded from one is bit-equal to a fresh
+    ``np.random.default_rng(entropy)``."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        words = self.__dict__.get((n_words, dtype))
+        if words is None:
+            words = self.__dict__[(n_words, dtype)] = super().generate_state(n_words, dtype)
+            words.flags.writeable = False  # shared by every generator seeded here
+        return words
+
+
+@functools.lru_cache(maxsize=4096)
+def _seeds(seed: int, stream: int) -> _Seeds:
+    """The seed sequence of one ``(seed, stream)``, shared by every source
+    that draws it: a Figure 17 sweep seeds its ~4 500 streams from ~70."""
+    return _Seeds((seed, stream))
+
+
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    """``np.random.default_rng((seed & _SEED_MASK, stream))``, bit for bit,
+    without hashing the seed again for each source."""
+    return np.random.Generator(np.random.PCG64(_seeds(seed & _SEED_MASK, stream)))
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``first[i], first[i] + 1, …``, ``count[i]`` long, for every ``i``."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
 
 
 class SourceError(ValueError):
@@ -111,11 +145,11 @@ class PoissonSource:
         self.packets_sent = 0
         # Independent streams so the interleaving of gap and destination
         # draws — and therefore the values — cannot depend on the chunk.
-        self._gap_rng = np.random.default_rng((seed & _SEED_MASK, 0))
+        self._gap_rng = _generator(seed, 0)
         self._gaps: list[float] = []
         self._gap_i = 0
         if len(self._dsts) > 1:
-            self._dst_rng = np.random.default_rng((seed & _SEED_MASK, 1))
+            self._dst_rng = _generator(seed, 1)
             self._dst_picks: list[int] = []
             self._dst_i = 0
         else:
@@ -178,10 +212,13 @@ class PoissonSource:
 
     @staticmethod
     def _fires_through(
-        sources: "Sequence[PoissonSource]", first: np.ndarray, until: float
+        sources: "Sequence[PoissonSource]", buffers: "list[list[float]]", first: np.ndarray,
+        until: float,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]":
         """The fire chains queued at ``first`` (one per source, each ≤
-        ``until``), as one table: ``(times, fired, next, unspent)`` —
+        ``until``; ``buffers`` each source's pre-drawn gaps past its
+        cursor, read by the caller's pass over its roots), as one table:
+        ``(times, fired, next, unspent)`` —
         every fire up to ``until``, source-major; how many each source
         fires; the first fire of each past ``until``; and the gaps after
         it, the ones the fires leave unspent.
@@ -199,87 +236,91 @@ class PoissonSource:
         through Python floats more than once.  The pass calls this only
         for a window it will solve.
         """
-        buffers = [source._gaps[source._gap_i:] for source in sources]
-        length = np.fromiter(map(len, buffers), np.intp, len(buffers))
+        count = len(buffers)
+        held = [len(buffer) for buffer in buffers]
+        filled = held[:]  # the gaps each row holds, drawn ones included
+        drawn: dict = {}  # row -> its draws not yet placed, in order
 
-        def draw(row: int, t: float, have: int) -> "tuple[int, int, np.ndarray]":
+        def draw(row: int, t: float, have: int) -> None:
             # What the horizon is expected to need past ``t``, ``have``
-            # gaps in: placed after them.
-            rate = sources[row].rate_pps
-            need = (until - t) * rate - have
+            # gaps in: placed after them, over the row's rate.
+            need = (until - t) * sources[row].rate_pps - have
             more = sources[row]._gap_rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 32)
-            more /= rate
-            return row, int(length[row]) + 1, more
+            drawn.setdefault(row, []).append(more)
+            filled[row] += more.size
 
-        def table_of(rows: list, drawn: list) -> tuple:
+        def table_of(rows: list) -> tuple:
             # One table over ``rows``: their fires, counts, next fires and
-            # unspent gaps; ``drawn`` holds their draws so far.
-            held = length[rows]
-            width = max([int(held.max(initial=0)) + 1] + [at + more.size for _, at, more in drawn])
-            table = np.zeros((len(rows), width))
+            # unspent gaps.
+            n = len(rows)
+            width = max((filled[row] for row in rows), default=0) + 1
+            table = np.zeros((n, width))
             table[:, 0] = first[rows]
-            ends = np.cumsum(held)
+            have = np.array([held[row] for row in rows], dtype=np.intp)
             table.reshape(-1)[  # row ``i``'s buffer from its column 1 on
-                np.repeat(np.arange(1, len(rows) * width, width) - ends + held, held)
-                + np.arange(int(held.sum()))
-            ] = np.fromiter(itertools.chain.from_iterable(buffers[row] for row in rows), float)
-            place = {row: i for i, row in enumerate(rows)}
+                _spans(np.arange(1, n * width, width), have)
+            ] = np.fromiter(
+                itertools.chain.from_iterable([buffers[row] for row in rows]), float,
+                int(have.sum()),
+            )
+            placed = [held[row] for row in rows]  # each row's gaps in the table
+            pending = [i for i, row in enumerate(rows) if row in drawn]
             while True:
-                for row, at, more in drawn:
-                    table[place[row], at:at + more.size] = more
-                    length[row] += more.size
+                for i in pending:
+                    rate = sources[rows[i]].rate_pps
+                    for more in drawn.pop(rows[i]):
+                        at = placed[i] + 1
+                        np.divide(more, rate, out=table[i, at:at + more.size])
+                        placed[i] += more.size
                 times = np.cumsum(table, axis=1)
-                short = np.flatnonzero(times[:, -1] <= until).tolist()
-                if not short:
+                pending = np.flatnonzero(times[:, -1] <= until).tolist()
+                if not pending:
                     break
-                drawn = [draw(rows[i], float(times[i, -1]), 0) for i in short]
-                extra = max(at + more.size for _, at, more in drawn) - table.shape[1]
+                for i, t in zip(pending, times[pending, -1].tolist()):
+                    draw(rows[i], t, 0)
+                extra = max(filled[rows[i]] for i in pending) + 1 - width
                 if extra > 0:
-                    table = np.concatenate((table, np.zeros((len(rows), extra))), axis=1)
-            if len(rows) == 1:  # one chain (md1's shape): a binary search
+                    table = np.concatenate((table, np.zeros((n, extra))), axis=1)
+                    width += extra
+            if n == 1:  # one chain (md1's shape): a binary search
                 fired = times[0].searchsorted([until], "right")
                 fires = times[0, :fired[0]]
             else:
                 due = times <= until
                 fired = np.count_nonzero(due, axis=1)
                 fires = times[due]
-            index = np.arange(len(rows))
             unspent = [
-                table[i, start:stop].tolist()
-                for i, start, stop in zip(index.tolist(), (fired + 1).tolist(), (length[rows] + 1).tolist())
+                table[i, start:stop + 1].tolist()
+                for i, start, stop in zip(range(n), (fired + 1).tolist(), placed)
             ]
-            return fires, fired, times[index, fired], unspent
+            return fires, fired, times[np.arange(n), fired], unspent
 
         # A row whose buffer is short of what the horizon is expected to
-        # need draws before the table is built.  Rows are tabled in bands
-        # of widths within a factor of two: one fast source does not pad
-        # every slow one to its draw.
-        drawn = [
-            draw(row, t, have) for row, (t, have) in enumerate(zip(first.tolist(), length.tolist()))
-            if (until - t) * sources[row].rate_pps > have
-        ]
-        width = length + 1
-        for row, _, more in drawn:
-            width[row] += more.size
-        band = np.frexp(width)[1]
-        if (band == band[:1]).all():
-            return table_of(list(range(len(buffers))), drawn)
-        bands = [np.flatnonzero(band == b).tolist() for b in np.unique(band).tolist()]
-        fired = np.zeros(len(buffers), dtype=np.intp)
-        after = np.zeros(len(buffers))
-        unspent: list = [None] * len(buffers)
+        # need draws before the table is built.
+        for row, t in enumerate(first.tolist()):
+            if (until - t) * sources[row].rate_pps > held[row]:
+                draw(row, t, held[row])
+        # One table, unless padding every row to the widest would more
+        # than double it: then rows are tabled in bands of widths within a
+        # factor of two, so one fast source does not pad every slow one
+        # to its draw.
+        if count * (max(filled, default=0) + 1) <= 2 * (sum(filled) + count):
+            return table_of(list(range(count)))
+        band = np.frexp(np.array(filled) + 1)[1]
+        fired = np.zeros(count, dtype=np.intp)
+        after = np.zeros(count)
+        unspent: list = [None] * count
         parts = []
-        for rows in bands:
-            mine = set(rows)
-            fires, fired[rows], after[rows], gaps = table_of(rows, [d for d in drawn if d[0] in mine])
+        for b in np.unique(band).tolist():
+            rows = np.flatnonzero(band == b).tolist()
+            fires, fired[rows], after[rows], gaps = table_of(rows)
             for row, left in zip(rows, gaps):
                 unspent[row] = left
             parts.append((rows, fires))
         times = np.empty(int(fired.sum()))
         start = np.cumsum(fired) - fired  # each source's first fire in ``times``
         for rows, fires in parts:
-            counts = fired[rows]
-            times[np.repeat(start[rows] - (np.cumsum(counts) - counts), counts) + np.arange(fires.size)] = fires
+            times[_spans(start[rows], fired[rows])] = fires
         return times, fired, after, unspent
 
     def _next_dst(self) -> str:

@@ -452,7 +452,7 @@ class TestFiresThrough:
             arrays = [array for array, _ in pairs]
             buffers = [list(array._gaps) for array in arrays]
             times, fired, following, unspent = PoissonSource._fires_through(
-                arrays, np.array(firsts), until
+                arrays, [array._gaps[array._gap_i:] for array in arrays], np.array(firsts), until
             )
             assert times.size == fired.sum()
             at = 0

@@ -1,5 +1,9 @@
 """Tests for the traffic sources."""
 
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +79,64 @@ class TestPoissonSource:
             network.run(until=0.01)
             counts.append(source.packets_sent)
         assert counts[0] == counts[1]
+
+
+class TestSeeding:
+    """Each Poisson source seeds its gap stream (``0``) and destination
+    stream (``1``) from one memoized ``SeedSequence`` per ``(seed &
+    _SEED_MASK, stream)``: bit-equal to ``np.random.default_rng((seed &
+    _SEED_MASK, stream))``, which hashes the seed afresh each time."""
+
+    SEEDS = st.one_of(
+        st.integers(-(2**80), 2**80),
+        st.integers(2**64, 2**70),  # past the mask: folded like any other
+        st.integers(-(2**64), -1),
+        st.sampled_from([0, 1, 2**64 - 1, 2**64, -1]),
+    )
+
+    @staticmethod
+    def reference(seed, stream):
+        return np.random.default_rng((seed & sources_module._SEED_MASK, stream))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, again=st.booleans())
+    def test_memoized_streams_equal_default_rng(self, seed, again):
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo))
+        dsts = ["h1.0", "h2.0", "h3.0"]
+        for _ in range(2 if again else 1):  # the second source hits the memo
+            source = PoissonSource(net, "h0.0", dsts, rate_pps=1e5, seed=seed)
+            for rng, stream in ((source._gap_rng, 0), (source._dst_rng, 1)):
+                assert rng.bit_generator.state == self.reference(seed, stream).bit_generator.state
+            # What the source draws, through its own batching.
+            gaps = self.reference(seed, 0).standard_exponential(40) / source.rate_pps
+            picks = self.reference(seed, 1).integers(0, len(dsts), sources_module.DEFAULT_CHUNK)
+            assert [source._next_gap() for _ in range(40)] == gaps.tolist()
+            assert [source._next_dst() for _ in range(40)] == [dsts[i] for i in picks[:40]]
+        single = PoissonSource(net, "h0.0", "h1.0", rate_pps=1e5, seed=seed)
+        assert single._dst_rng is None
+        assert single._gap_rng.bit_generator.state == self.reference(seed, 0).bit_generator.state
+
+    def test_a_shared_sequence_is_never_spawned(self):
+        """Sharing one ``SeedSequence`` between generators is sound only
+        while nothing spawns from it: ``src/`` never calls ``spawn``, and a
+        run leaves every memoized sequence unspawned."""
+        src = Path(sources_module.__file__).resolve().parents[2]
+        callers = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\bspawn\s*\(", line)
+        ]
+        assert callers == []
+        topo = T.full_mesh(4, 2)
+        net = Network(topo, ECMPRouter(topo))
+        for seed in range(4):
+            PoissonSource(net, "h0.0", ["h1.0", "h2.0"], rate_pps=1e5, seed=seed).start()
+        net.run(until=1e-3)
+        for seed in range(4):
+            for stream in (0, 1):
+                assert sources_module._seeds(seed, stream).n_children_spawned == 0
 
 
 class TestBurstSource:

@@ -14,6 +14,8 @@ from repro.experiments import (
     run_pathological,
     run_task_experiment,
 )
+from repro.routing.base import Router
+from repro.sim import Network
 from repro.units import GBPS
 
 
@@ -99,6 +101,31 @@ class TestSweeps:
         (point,) = series["quartz in core"]
         assert all(cell.standdowns.get("budget", 0) >= 1 for cell in cells)
         assert point.standdowns == {"budget": sum(cell.standdowns["budget"] for cell in cells)}
+
+    def test_a_point_carries_its_cells_table_overflows(self, monkeypatch):
+        """Each cell reports its network's ``flow_table_full`` and its
+        router's ``route_cache_full``; a point sums them over its seeds.
+        Both read 0 at the shipped limits."""
+        def sweep():
+            cells = [
+                run_task_experiment("three-tier tree", "scatter", 1, fan=8,
+                                    duration=5e-4, seed=seed)
+                for seed in (0, 1)
+            ]
+            series = figure17_sweep(
+                ["three-tier tree"], "scatter", [1], seeds=(0, 1), fan=8, duration=5e-4
+            )
+            return cells, series["three-tier tree"][0]
+
+        cells, point = sweep()
+        assert [(c.flow_table_full, c.route_cache_full) for c in cells] == [(0, 0), (0, 0)]
+        assert (point.flow_table_full, point.route_cache_full) == (0, 0)
+        monkeypatch.setattr(Network, "FLOW_TABLE_LIMIT", 2)
+        monkeypatch.setattr(Router, "ROUTE_CACHE_LIMIT", 3)
+        cells, point = sweep()
+        assert all(c.flow_table_full > 0 and c.route_cache_full > 0 for c in cells)
+        assert point.flow_table_full == sum(c.flow_table_full for c in cells)
+        assert point.route_cache_full == sum(c.route_cache_full for c in cells)
 
 
 class TestPathological:

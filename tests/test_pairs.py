@@ -1,6 +1,8 @@
 """The paired-claim tool's verdict (``benchmarks/pairs.py``), on fixed numbers."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,41 @@ def test_report_prints_each_pair_and_flags_failed_runs():
     text = pairs.report([("wall_s", "lower")], runs)
     assert "pair 3: change correct=True failed=2" in text
     assert "change won 10/10, claim does not hold" in text
+
+
+def git(*args, cwd):
+    subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True)
+
+
+def test_each_side_runs_from_an_export_without_bytecode_caches(tmp_path, monkeypatch):
+    """The change side is a git checkout whose working tree holds a test
+    run's ``__pycache__``; the parent a ``git archive`` export that a run
+    left one in.  Each runs from a fresh copy of its tracked files: the
+    edited file as it stands, no cache, nothing untracked."""
+    change = tmp_path / "change"
+    (change / "pkg" / "__pycache__").mkdir(parents=True)
+    (change / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+    )
+    git("init", "-q", cwd=change)
+    git("add", "pkg/mod.py", "BENCHMARK.json", cwd=change)
+    (change / "pkg" / "mod.py").write_text("VALUE = 2\n")  # edited, not staged
+    (change / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (change / "scratch.txt").write_text("untracked\n")
+    parent = tmp_path / "parent"
+    shutil.copytree(change, parent, ignore=shutil.ignore_patterns(".git", "scratch.txt"))
+
+    seen = []
+
+    def fake_run(tree, workload, seed):
+        seen.append((tree, sorted(str(p.relative_to(tree)) for p in tree.rglob("*"))))
+        assert (tree / "pkg" / "mod.py").read_text() == "VALUE = 2\n"
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    assert len(seen) == 4
+    for tree, files in seen:
+        assert tree not in (parent, change) and not tree.exists()  # removed after
+        assert files == ["BENCHMARK.json", "pkg", "pkg/mod.py"]
