@@ -7,8 +7,8 @@ credit from two more link lookups.  For a path that thousands of packets
 share, all of that is loop-invariant.
 
 A :class:`HopPlan` resolves it once per unique path, indexed by hop
-number, so the kernel (:meth:`Network._hop`) walks plain tuple indices
-with zero dict lookups:
+number, so the kernel (its arrival half in the engine's loop, its clock
+:meth:`Network._hop`) walks plain tuple indices with zero dict lookups:
 
 * ``hops[h]`` — the **per-hop record** ``(latf, lat, port, ser)``, what
   the kernel reads on every hop with one index:

@@ -61,6 +61,7 @@ sharded run must match.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -75,7 +76,7 @@ from repro.obs.tracing import Span
 from repro.routing import ECMPRouter, KShortestPathsRouter, VLBRouter
 from repro.routing.base import Router
 from repro.runner.pool import PinnedPool
-from repro.sim.engine import Engine
+from repro.sim.engine import _PACKET, Engine
 from repro.sim.faults import FaultInjector, SegmentCut
 from repro.sim.network import (
     DEFAULT_PROPAGATION_DELAY,
@@ -460,7 +461,9 @@ class ShardNetwork(Network):
             packet.plan = (
                 self._plans.get(message.path) or self._compile_plan(message.path)
             )
-            engine.chain_at(message.arrival, self._hop, packet)
+            seq = engine._seq
+            heapq.heappush(engine._heap, [message.arrival, seq, self, _PACKET, packet])
+            engine._seq = seq + 1
 
 
 # -- per-shard state ---------------------------------------------------------------

@@ -19,10 +19,10 @@ by reason in ``Network.standdowns`` (armed :mod:`repro.obs`:
 **Roots, foreign entries, and where a window ends.**  One scan sorts
 the queue entries due by ``until`` (later ones cannot matter) into two
 kinds.  A **root** is something the pass can own: the live ``_fire``
-chain of a :class:`PoissonSource` of this network, or the ``_hop``
-chain of one of its packets in flight — not ``dropped``, no dead link
-on the rest of its plan — whose ``on_delivered`` is nothing or a
-:class:`~repro.sim.stats.DeliveryBins`.  Everything else is
+chain of a :class:`PoissonSource` of this network, or the queued
+arrival (a ``_PACKET`` entry) of one of its packets in flight — not
+``dropped``, no dead link on the rest of its plan — whose
+``on_delivered`` is nothing or a :class:`~repro.sim.stats.DeliveryBins`.  Everything else is
 **foreign**: a plain timer (a cut, a repair, a hybrid epoch boundary),
 another kind of chain (a burst, a stopped source's last fire), a
 packet the kernel would sever, call back or detour, a ``stop_at``.
@@ -143,6 +143,7 @@ import operator
 import numpy as np
 
 from repro.routing.base import RoutingError
+from repro.sim.engine import _PACKET
 from repro.sim.fastpath import compile_plan
 from repro.sim.network import Network, NetworkSimError, Packet, PortState
 from repro.sim.sources import PoissonSource, _spans
@@ -224,7 +225,6 @@ def _window(
     if until is None or net.owned is not None or engine.running:
         raise _StandDown("not_open_loop")
     fire = PoissonSource._fire
-    hop = Network._hop
     dead = net._dead_links
     roots = []
     starts = []
@@ -233,13 +233,7 @@ def _window(
         time = entry[0]
         if time > until:
             continue
-        if entry[3] is not None:
-            foreign.append(time)  # a plain timer
-            continue
-        step = entry[2]
-        kind = getattr(step, "__func__", None)
-        owner = getattr(step, "__self__", None)
-        if kind is hop and owner is net:
+        if entry[3] is _PACKET:
             packet = entry[4]
             sink = packet.on_delivered
             if (
@@ -250,8 +244,14 @@ def _window(
                 foreign.append(time)
             else:
                 roots.append(entry)
-        elif (
-            kind is fire
+            continue
+        if entry[3] is not None:
+            foreign.append(time)  # a plain timer
+            continue
+        step = entry[2]
+        owner = getattr(step, "__self__", None)
+        if (
+            getattr(step, "__func__", None) is fire
             and owner.network is net
             and entry[4] == owner._generation
             and owner.size_bytes > 0
@@ -1057,7 +1057,6 @@ def _solve(net: Network, until: float, roots: list) -> None:
     del times, flat, lineage, root_of, reached, final, born, root_t  # before the packets exist
 
     seq = engine._seq
-    step = net._hop
     for index in pending:
         if index >= len(owner):  # a source's re-arm
             entry = roots[firing[index - len(owner)]]
@@ -1076,7 +1075,7 @@ def _solve(net: Network, until: float, roots: list) -> None:
                 )
                 if track:
                     plan.flights[at_hop[index]].add(packet)
-                entry = [arrival[index], seq, step, None, packet]
+                entry = [arrival[index], seq, net, _PACKET, packet]
                 heap.append(entry)
         entry[1] = seq
         seq += 1

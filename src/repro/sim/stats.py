@@ -75,9 +75,10 @@ class LatencyRecorder:
     group, ungrouped included, holds a broadcast code, no memory).
     ``record`` buffers in Python lists, flushed as one block at the next
     ``record_many`` or read; the forwarding kernel appends a delivery to
-    the same two buffers itself (``_pending``, ``_pending_groups``), so
-    they are looked up afresh, never held.  ``samples`` and ``by_group``
-    are lists built on each read; nothing on a hot path may read them.
+    the same two buffers itself (``_pending``, ``_pending_groups``),
+    which it holds for a run: a flush empties them in place.
+    ``samples`` and ``by_group`` are lists built on each read; nothing on
+    a hot path may read them.
     """
 
     def __init__(self) -> None:
@@ -137,7 +138,8 @@ class LatencyRecorder:
             )
         self._values.append(np.array(self._pending, dtype=float))
         self._codes.append(codes)
-        self._pending, self._pending_groups = [], []
+        self._pending.clear()
+        groups.clear()
 
     def array(self, group: str | None = None) -> np.ndarray:
         """The samples, or one group's, as a float64 copy in delivery order."""

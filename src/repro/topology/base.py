@@ -85,6 +85,9 @@ class Topology:
 
     name: str
     graph: Graph = field(default_factory=Graph)
+    #: :meth:`fingerprint`'s memo: ``(graph, its version, its graph-level
+    #: attributes, digest)``.
+    _fingerprint: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
 
@@ -236,9 +239,13 @@ class Topology:
         Node/edge attribute values (enums, floats, strings) are
         immutable, so the shallow-copied attribute dicts are safe:
         structural mutation (``fail_link`` etc.) of the copy never
-        touches the original.
+        touches the original.  The copy carries the original's
+        fingerprint: a cached builder's copies share one digest.
         """
-        return Topology(name=self.name, graph=self.graph.copy())
+        copy = Topology(name=self.name, graph=self.graph.copy())
+        graph = copy.graph
+        copy._fingerprint = (graph, graph.version, dict(graph.graph), self.fingerprint())
+        return copy
 
     def fingerprint(self) -> str:
         """Content hash of the graph *structure* (name excluded).
@@ -250,9 +257,16 @@ class Topology:
         degraded by a fibre cut automatically keys differently from the
         intact one — and keys *identically* again after full repair.
 
-        Not memoized: the graph is mutable, and route tables are
-        rebuilt exactly when it changes.
+        Memoized until the graph changes: a node or edge added or
+        removed (:attr:`Graph.version`) or a graph-level attribute set.
         """
+        graph = self.graph
+        memo = self._fingerprint
+        if (
+            memo is not None and memo[0] is graph and memo[1] == graph.version
+            and memo[2] == graph.graph
+        ):
+            return memo[3]
         h = hashlib.sha256()
         for key, value in sorted(self.graph.graph.items()):
             h.update(f"g:{key}={value!r}\n".encode())
@@ -264,7 +278,9 @@ class Topology:
         ):
             attrs = ",".join(f"{k}={val!r}" for k, val in sorted(data.items()))
             h.update(f"e:{u}--{v}|{attrs}\n".encode())
-        return h.hexdigest()
+        digest = h.hexdigest()
+        self._fingerprint = (graph, graph.version, dict(graph.graph), digest)
+        return digest
 
     def __cache_key__(self) -> tuple[str, str]:
         """Key contribution when a topology appears in an artifact spec."""

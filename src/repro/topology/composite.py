@@ -65,8 +65,7 @@ def quartz_in_core(
     # Core-ring switches are not rack switches; clear their rack ids and
     # mark them as core-tier for metrics.
     for sw in ring:
-        topo.graph.nodes[sw]["rack"] = None
-        topo.graph.nodes[sw]["kind"] = NodeKind.CORE
+        topo.graph.add_node(sw, rack=None, kind=NodeKind.CORE)
 
     rack = 0
     agg_counter = 0
@@ -150,8 +149,7 @@ def quartz_in_edge_and_core(
         topo, "qcore", core_ring_size, uplink_rate, first_rack=10_000
     )
     for sw in core_ring:
-        topo.graph.nodes[sw]["rack"] = None
-        topo.graph.nodes[sw]["kind"] = NodeKind.CORE
+        topo.graph.add_node(sw, rack=None, kind=NodeKind.CORE)
 
     rack = 0
     uplink_counter = 0

@@ -47,14 +47,20 @@ class Graph:
         self.adj: dict[Node, dict[Node, dict[str, Any]]] = {}
         self.nodes: _Nodes = _Nodes()
         self.graph: dict[str, Any] = {}
+        #: Bumped by every change made through the methods below, which
+        #: are the only writers of nodes, edges and their attributes
+        #: (``Topology.fingerprint`` keys its memo on it).
+        self.version = 0
 
     def add_node(self, node: Node, **attr: Any) -> None:
+        self.version += 1
         if node not in self.nodes:
             self.adj[node] = {}
             self.nodes[node] = {}
         self.nodes[node].update(attr)
 
     def add_edge(self, u: Node, v: Node, **attr: Any) -> None:
+        self.version += 1
         for node in (u, v):
             if node not in self.nodes:
                 self.adj[node] = {}
@@ -65,6 +71,7 @@ class Graph:
         self.adj[v][u] = data
 
     def remove_edge(self, u: Node, v: Node) -> None:
+        self.version += 1
         del self.adj[u][v]
         del self.adj[v][u]
 

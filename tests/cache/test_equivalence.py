@@ -14,8 +14,8 @@ import repro.topology as T
 from repro.cache import reset
 from repro.core.channels import greedy_assignment
 from repro.core.multiring import plan_rings
-from repro.routing.tables import kshortest_table, vlb_table
-from repro.topology.base import topologies_equal
+from repro.routing.tables import ecmp_segment_table, kshortest_table, vlb_table
+from repro.topology.base import Topology, topologies_equal
 
 
 @pytest.fixture(autouse=True)
@@ -112,3 +112,27 @@ class TestRouteTableEquivalence:
         degraded = kshortest_table(topo, 2)
         assert degraded != intact
         assert degraded == kshortest_table.__wrapped__(topo, 2)
+
+    def test_a_cut_rekeys_the_ecmp_segment_table_and_a_repair_restores_it(self):
+        """A builder's copy carries its fingerprint; a cut must drop it, so
+        the segment table keys on the degraded graph, and a full repair
+        must key it back to the intact table."""
+        from repro.experiments.section7 import TOPOLOGY_BUILDERS
+        from repro.routing import ECMPRouter
+        from repro.sim import Network
+
+        topo = TOPOLOGY_BUILDERS["quartz in core"]()
+        net = Network(topo, ECMPRouter(topo))
+        intact, table = topo.fingerprint(), ecmp_segment_table(topo, 64)
+        assert intact == Topology(topo.name, topo.graph.copy()).fingerprint()
+        u, v = next((l.u, l.v) for l in topo.links() if l.link_kind.value == "mesh")
+        net.fail_link(u, v)
+        cut = topo.fingerprint()
+        assert cut != intact
+        assert cut == Topology(topo.name, topo.graph.copy()).fingerprint()
+        degraded = ecmp_segment_table(topo, 64)
+        assert degraded != table
+        assert degraded == ecmp_segment_table.__wrapped__(topo, 64)
+        net.repair_link(u, v)
+        assert topo.fingerprint() == intact
+        assert ecmp_segment_table(topo, 64) == table

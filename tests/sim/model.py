@@ -2,8 +2,8 @@
 
 DESIGN.md §5 states what one hop computes; this module is that text as
 a small event simulation, and nothing else.  It shares no code with the
-forwarding kernel (``Network._hop``) or the port-major pass: from
-:mod:`repro.sim` it imports the switch table alone.  It keeps its own
+forwarding kernel (the engine's loop and ``Network._hop``) or the
+port-major pass: from :mod:`repro.sim` it imports the switch table alone.  It keeps its own
 ``(time, seq)`` event list, its own ports, in-flight sets, counters and
 latency samples, and it routes on its own topology with its own router,
 so a fault in ``send``, the detour, ``fail_link``, the stats or a

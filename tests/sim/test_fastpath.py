@@ -1,7 +1,7 @@
 """The compiled forwarding kernel, held to the independent model.
 
-The kernel (``Network._hop`` walking :mod:`repro.sim.fastpath` plans on
-engine-chained events) must compute DESIGN.md §5's switch spec: fed the
+The kernel (the engine's loop and ``Network._hop`` walking
+:mod:`repro.sim.fastpath` plans on queued packet entries) must compute DESIGN.md §5's switch spec: fed the
 same fires and fault timeline, the model of ``tests/sim/model.py``
 reaches the same per-packet latencies in delivery order, the same
 drop/reroute counters and the same per-port state, bit for bit —

@@ -286,7 +286,7 @@ def pending(net, sources):
     back what is pending with fresh seqs; they must rank it as the event
     loop would have."""
     def identity(entry):
-        if entry[3] is not None:
+        if type(entry[3]) is tuple:
             return (entry[0], "timer")
         arg = entry[4]
         if isinstance(arg, int):  # a fire chain carries its source's generation

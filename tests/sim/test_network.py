@@ -113,6 +113,20 @@ class TestAccounting:
         net.run()
         assert landed and landed[0][0] == "h1.0"
 
+    def test_a_read_mid_run_keeps_every_later_delivery(self):
+        """The loop holds the recorder's buffers for a run: a timer that
+        reads the samples (a flush) must not strand what lands after."""
+        topo = T.full_mesh(3, 1)
+        net = Network(topo, ECMPRouter(topo))
+        for k in range(6):
+            net.engine.call_at(k * 1e-6, net.send, "h0.0", "h1.0", 400, 0, f"g{k % 2}")
+        seen = []
+        net.engine.call_at(3.5e-6, lambda: seen.append(net.stats.count))
+        net.engine.call_at(3.5e-6, lambda: net.stats.array())
+        net.run()
+        assert 0 < seen[0] < 6 and net.stats.count == 6
+        assert net.stats.groups() == ["g0", "g1"]
+
     def test_port_utilization(self):
         topo = T.full_mesh(2, 1, link_rate=10 * GBPS)
         net = Network(topo, ECMPRouter(topo))

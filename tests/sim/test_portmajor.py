@@ -32,6 +32,7 @@ from repro.sim import DeliveryBins, Network, portmajor
 from repro.sim.network import NetworkSimError, PortState
 from repro.sim.sources import PoissonSource
 from repro.sim.switch import SwitchModel, register_model
+from repro.telemetry.windows import TelemetryHub
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.units import GBPS
 from tests.sim.test_fastpath import network_fingerprint
@@ -93,7 +94,7 @@ def start_tasks(net, tasks, sizes="equal", grouping="task", rate=31_250.0):
 
 def pending_in_seq_order(net):
     def identity(entry):
-        if entry[3] is not None:
+        if type(entry[3]) is tuple:
             return (entry[0], "timer")
         arg = entry[4]
         if isinstance(arg, int):  # a source's fire chain carries its generation
@@ -202,18 +203,23 @@ def differential(topology, tasks, horizons, router=None, between=None, before=No
 
 
 def events_of(topology, tasks, until, **traffic):
-    """``(time, is a fire)`` of every fire and arrival up to ``until``."""
+    """``(time, is a fire)`` of every fire and arrival up to ``until``,
+    read from the armed hop log: a packet's first transmit starts at its
+    fire, and every transmit ends in an arrival one propagation delay
+    after its tail leaves."""
     net = build(topology, batch=False)
-    events = []
-    hop = net._hop
-
-    def logging_hop(packet, earliest_start=None):
-        events.append((net.engine.now, earliest_start is not None))
-        return hop(packet, earliest_start)
-
-    net._hop = logging_hop
+    net.telemetry = TelemetryHub()
     start_tasks(net, tasks, **traffic)
     net.run(until=until)
+    events = []
+    fired = set()
+    for _, packet_id, earliest, _, tail_out, _, _ in net.telemetry.hops:
+        if packet_id not in fired:
+            fired.add(packet_id)
+            events.append((earliest, True))
+        arrival = tail_out + net.propagation_delay
+        if arrival <= until:
+            events.append((arrival, False))
     return sorted(events)
 
 
@@ -429,7 +435,7 @@ class TestPinned:
 
 def sent_ahead(net):
     """Twelve packets injected by ``net.send`` before any source starts:
-    queued ``_hop`` chains, some of them tying (equal sizes, one hub)."""
+    queued packet entries, some of them tying (equal sizes, one hub)."""
     servers = net.topo.servers()
     return [
         net.send(servers[i % 3], servers[-1 - i % 5], (400, 1500)[i % 2], flow_id=900 + i,

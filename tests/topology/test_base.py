@@ -119,6 +119,38 @@ class TestValidation:
         topo.validate()
 
 
+def recomputed(topo):
+    """``topo``'s fingerprint computed afresh, on a copy of its graph that
+    carries no memo."""
+    return Topology(topo.name, topo.graph.copy()).fingerprint()
+
+
+class TestFingerprintMemo:
+    def test_a_copy_carries_its_originals_fingerprint(self, tiny):
+        copy = tiny.copy()
+        assert copy._fingerprint[3] == tiny.fingerprint() == recomputed(tiny)
+        assert copy.fingerprint() == recomputed(copy)
+
+    @pytest.mark.parametrize("change", [
+        lambda g: g.add_node("sw2", kind=NodeKind.TOR, rack=2, switch_model="ULL"),
+        lambda g: g.add_node("sw0", rack=7),  # an attribute, through add_node
+        lambda g: g.add_edge("h0", "sw1", capacity=GBPS, link_kind=LinkKind.HOST),
+        lambda g: g.add_edge("sw0", "sw1", capacity=GBPS),  # an attribute, through add_edge
+        lambda g: g.remove_edge("h1", "sw1"),
+        lambda g: g.graph.update(server_centric=True),  # a graph-level attribute
+    ])
+    def test_any_change_drops_the_memo(self, tiny, change):
+        for topo in (tiny, tiny.copy()):
+            before = topo.fingerprint()
+            change(topo.graph)
+            assert topo.fingerprint() == recomputed(topo) != before
+
+    def test_a_new_graph_is_fingerprinted_afresh(self, tiny):
+        tiny.fingerprint()
+        tiny.graph = tiny.graph.subgraph(["sw0", "sw1"])
+        assert tiny.fingerprint() == recomputed(tiny)
+
+
 class TestHelpers:
     def test_connect_all_builds_full_mesh(self):
         topo = Topology("mesh")
