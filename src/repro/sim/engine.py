@@ -144,8 +144,8 @@ class Engine:
         window solved port-major (:mod:`repro.sim.portmajor`) credits
         the source fires and per-hop arrivals the event loop would have
         dispatched through the queue, so the counter — and any events/s
-        rate derived from it — stays comparable across the reference,
-        fastpath, and port-major forms.
+        rate derived from it — stays comparable between the one dispatch
+        loop and the port-major pass.
         """
         self.events_processed += n
 

@@ -29,7 +29,11 @@ number, so the kernel (its arrival half in the engine's loop, its clock
   adds to and discards from when fault tracking is armed;
 * ``foreign[h]`` — whether ``path[h+1]`` lies outside the owning
   network's shard (``None`` when the network is unsharded): the hops
-  where the kernel consults ``Network._tail_out``.
+  where the kernel consults ``Network._tail_out``;
+* ``rows`` — what the port-major pass reads of the plan: each hop's
+  port number (``PortState.number``), ``ser``, ``latf`` and ``lat``, as
+  four tuples filled in at the pass's first read (``None`` until then),
+  so the rows live and die with the plan.
 
 The affine form is **bit-identical** to the switch spec's arithmetic
 (DESIGN.md §5): ``size * latf`` equals ``-min(size * ser_in_factor,
@@ -52,7 +56,7 @@ cannot accumulate stale paths across fault churn.
 With :mod:`repro.obs` armed, the owning network counts plan compiles,
 cache hits, fault invalidations and flow-table overflow (``fastpath.*``
 counters).  The port-major pass (:mod:`repro.sim.portmajor`) reads the
-same plans: one column of per-hop coefficients per stream or packet.
+same plans, through their ``rows``.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class HopPlan:
     """Per-path forwarding chain, resolved once and walked by index."""
 
-    __slots__ = ("path", "last", "hops", "keys", "flights", "foreign")
+    __slots__ = ("path", "last", "hops", "keys", "flights", "foreign", "rows")
 
     def __init__(
         self,
@@ -83,6 +87,7 @@ class HopPlan:
         self.keys = keys
         self.flights = flights
         self.foreign = foreign
+        self.rows = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HopPlan({' -> '.join(self.path)})"

@@ -87,6 +87,8 @@ class PortState:
     busy_until: float = 0.0
     packets_sent: int = 0
     bytes_sent: float = field(default=0.0)
+    #: Its place in ``Network._ports``: the port-major pass's index.
+    number: int = field(default=-1, repr=False, compare=False)
 
 
 class Network:
@@ -200,7 +202,7 @@ class Network:
         for link in topo.links():
             for key in ((link.u, link.v), (link.v, link.u)):
                 self._capacity[key] = link.capacity
-                port = self._ports[key] = PortState()
+                port = self._ports[key] = PortState(number=len(self._ports))
                 self._link_rec[key] = (
                     BITS_PER_BYTE / link.capacity, port, link.capacity
                 )
@@ -220,12 +222,6 @@ class Network:
         # stale cache or strand a flow on a dead route.
         self._plans: dict[Path, HopPlan] = {}
         self._flows: dict[tuple[str, str, int], tuple[Path, HopPlan]] = {}
-        # What the port-major pass reads of a plan — its port numbers and
-        # per-byte rows, derived from ``HopPlan.hops`` — keyed by plan and
-        # dropped with the plans; and the port numbering they use, built
-        # at the pass's first window (:mod:`repro.sim.portmajor`).
-        self._plan_rows: dict[HopPlan, tuple] = {}
-        self._port_numbers: "tuple[dict, list] | None" = None
         #: The metrics registry this network reports into, or ``None``
         #: — same one-attribute-check dormant contract as telemetry.
         self.obs = _obs_layer.registry()
@@ -248,8 +244,9 @@ class Network:
         explicit ``path`` is supplied.  The router is asked once per flow
         per fault epoch: its answer and the compiled plan stay bound to
         ``(src, dst, flow_id)`` until a cut, a repair or a hybrid residual
-        change drops every binding (:meth:`_bind`), so a later packet of
-        the flow costs one probe.
+        change drops every binding (:meth:`_invalidate_plans`), so a later
+        packet of the flow costs one probe; an unroutable pair raises
+        before anything is stored, so a ``RoutingError`` is never cached.
         An explicit ``path`` is resolved afresh every time and never
         bound.
 
@@ -262,8 +259,12 @@ class Network:
         if size_bytes <= 0:
             raise NetworkSimError(f"packet size must be positive, got {size_bytes}")
         bound = self._flows.get((src, dst, flow_id)) if path is None else None
-        if bound is None:
-            route, plan = self._bind(src, dst, flow_id, path)
+        if bound is None:  # a flow's first packet this fault epoch, a path, a full table
+            route = self._route(src, dst, flow_id, path)
+            if path is None:
+                plan = self._bind_route((src, dst, flow_id), route)
+            else:
+                plan = self._plan_of(route)
         else:
             route, plan = bound
             if self.obs is not None:
@@ -285,34 +286,24 @@ class Network:
             engine._seq = seq + 1
         return packet
 
-    def _bind(
-        self, src: str, dst: str, flow_id: int, path: Path | None
-    ) -> "tuple[Path, HopPlan]":
-        """Resolve one injection in full: route, endpoint checks, plan.
-
-        :meth:`send` comes here when the flow is not bound (first packet
-        of a flow in this fault epoch, explicit ``path=``, table full).
-        A router-chosen route and its compiled plan
-        are bound to ``(src, dst, flow_id)`` until the next
-        :meth:`_invalidate_plans`; an unroutable pair raises before
-        anything is stored, so a ``RoutingError`` is never cached.
-        """
+    def _route(self, src: str, dst: str, flow_id: int, path: Path | None = None) -> Path:
+        """``path``, or the router's pick for the flow, as a tuple that
+        joins ``src`` to ``dst``: :class:`NetworkSimError` if it does not
+        (the router's ``RoutingError`` passes through): what :meth:`send`
+        checks of a flow it has not bound, and the port-major pass of a
+        window's new flows."""
         route = path if path is not None else self.router.route(src, dst, flow_id)
         if len(route) < 2 or route[0] != src or route[-1] != dst:
             raise NetworkSimError(f"path {route} does not join {src!r} → {dst!r}")
-        if type(route) is not tuple:
-            route = tuple(route)
-        if path is not None:
-            return route, self._plan_of(route)
-        return route, self._bind_route((src, dst, flow_id), route)
+        return route if type(route) is tuple else tuple(route)
 
     def _bind_route(
         self, flow: "tuple[str, str, int]", route: Path, plan: "HopPlan | None" = None
     ) -> HopPlan:
-        """:meth:`_bind` past the router: bind ``flow`` to ``route`` (a
-        tuple the caller has routed and checked) and return its plan
-        (:meth:`_plan_of`).  The port-major pass routes a window's new
-        flows itself and binds them here."""
+        """Bind ``flow`` to ``route`` (a tuple :meth:`_route` returned) until
+        the next :meth:`_invalidate_plans` and return its plan
+        (:meth:`_plan_of`), for :meth:`send` and for the port-major pass's
+        new flows."""
         plan = self._plan_of(route, plan)
         if len(self._flows) < self.FLOW_TABLE_LIMIT:
             self._flows[flow] = (route, plan)
@@ -376,7 +367,6 @@ class Network:
         """
         self._plans.clear()
         self._flows.clear()
-        self._plan_rows.clear()
         if self.obs is not None:
             self.obs.incr("fastpath.plan_invalidations")
 

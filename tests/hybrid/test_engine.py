@@ -272,10 +272,9 @@ class TestBitIdentityAcrossLoops:
         from tests.sim.test_fastpath import network_fingerprint
 
         solved = []
-        solve = portmajor._solve
+        hand_back = portmajor._hand_back
         monkeypatch.setattr(
-            portmajor, "_solve",
-            lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+            portmajor, "_hand_back", lambda w: (hand_back(w), solved.append(w.until))
         )
 
         def run(batch):

@@ -458,10 +458,9 @@ def test_lockstep_ties_are_placed(monkeypatch):
 
     monkeypatch.setattr(portmajor._Lineage, "order", watching)
     solved = []
-    solve = portmajor._solve
+    hand_back = portmajor._hand_back
     monkeypatch.setattr(
-        portmajor, "_solve",
-        lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+        portmajor, "_hand_back", lambda w: (hand_back(w), solved.append(w.until))
     )
     run_leg(converging_lockstep(), batch=True)
     assert solved and any(tied)
@@ -470,10 +469,9 @@ def test_lockstep_ties_are_placed(monkeypatch):
 
 def test_what_bounds_a_window_does_not_stand_the_pass_down(monkeypatch):
     solved = []
-    solve = portmajor._solve
+    hand_back = portmajor._hand_back
     monkeypatch.setattr(
-        portmajor, "_solve",
-        lambda net, until, roots: (solve(net, until, roots), solved.append(until)),
+        portmajor, "_hand_back", lambda w: (hand_back(w), solved.append(w.until))
     )
     run_leg(bounded_windows("ecmp"), batch=True)
     # A burst every 24 us of the 400: a window between each two, through
@@ -487,10 +485,10 @@ def test_a_partitioned_window_is_solved(monkeypatch):
     (server 0's fires as drops) instead of leaving it to the event
     loop."""
     windows = []
-    solve = portmajor._solve
+    hand_back = portmajor._hand_back
     monkeypatch.setattr(
-        portmajor, "_solve",
-        lambda net, until, roots: (solve(net, until, roots), windows.append((roots[0][0], until))),
+        portmajor, "_hand_back",
+        lambda w: (hand_back(w), windows.append((w.roots[0][0], w.until))),
     )
     shape = isolated_server("ring", "ecmp")
     run_leg(shape, batch=True)
